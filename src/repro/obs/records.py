@@ -492,11 +492,7 @@ class EvolveStep(TraceRecord):
 
     ``history`` holds this call's per-generation best costs — the series
     the invariant checker proves non-increasing (elitism guarantees the
-    incumbent never worsens within one call).  ``kernel`` names the GA
-    kernel that ran (``reference`` / ``batched`` / ``vectorized``); it is
-    diagnostic, not canonical — the reference and batched kernels are
-    byte-identical and the vectorized kernel is gated on cost parity, so
-    golden traces stay kernel-independent.
+    incumbent never worsens within one call).
     """
 
     kind: ClassVar[str] = "ga.evolve"
@@ -506,7 +502,6 @@ class EvolveStep(TraceRecord):
     generations: int
     best_cost: float
     history: Tuple[float, ...]
-    kernel: str = ""
 
 
 # ------------------------------------------------------------ workflow layer

@@ -6,7 +6,7 @@ Tracing is *opt-in per run*: every instrumented component takes an
 optional ``tracer`` and guards each emission with a single
 ``if tracer is not None`` attribute test, so the tracing-off hot path
 costs one predictable-branch pointer comparison per site (measured ≤ the
-perf gate's noise floor on ``bench_ga_evaluate_dedup`` — see
+perf gate's noise floor on ``ga_evolve`` — see
 docs/observability.md for the methodology).  There is no global registry,
 no environment-variable lookup, and no disabled-logger call overhead.
 

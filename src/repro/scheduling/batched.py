@@ -1,18 +1,16 @@
 """Whole-population batched forms of the two-part genetic operators.
 
-The object-level operators in :mod:`repro.scheduling.operators` and the
-per-pair packed operators in :class:`~repro.scheduling.ga.GAScheduler` are
-the *reference* implementations — clear, validated, and kept for the
-property tests and the perf-regression baseline.  Profiling the case study
-showed the per-pair crossover loop dominated ``evolve`` (≈60 % of an
-experiment-2 run), so these functions re-express the same operators as
-single array programs over a whole batch of parent pairs.
+The object-level operators in :mod:`repro.scheduling.operators` are the
+*reference* implementations — clear, validated, and kept for the property
+tests.  These functions re-express the same operators as single array
+programs over a whole batch of parent pairs; the generation loop of
+:mod:`repro.scheduling.vectorized` builds every child through them.
 
 All functions are pure: the random choices (cut locations, crossover
 points, insert positions) are *arguments*, drawn by the caller, which is
 what lets the property tests assert exact agreement with the reference
-operators and lets :meth:`GAScheduler.evolve` keep a byte-identical RNG
-stream whichever kernel is active.
+operators.  The splice and crossover sit on the hot loop and skip input
+validation; callers pass well-formed batches.
 
 Shape conventions (B = batch, m = tasks, n = nodes):
 
@@ -54,23 +52,6 @@ def batched_order_splice(
     cuts:
         ``(B,)`` splice locations in ``0..m``.
     """
-    orders_a = np.asarray(orders_a)
-    orders_b = np.asarray(orders_b)
-    cuts = np.asarray(cuts)
-    if orders_a.shape != orders_b.shape:
-        raise ValidationError(
-            f"order batches disagree: {orders_a.shape} vs {orders_b.shape}"
-        )
-    batch, m = orders_a.shape
-    if cuts.shape != (batch,):
-        raise ValidationError(f"cuts must have shape ({batch},), got {cuts.shape}")
-    return _order_splice_core(orders_a, orders_b, cuts)
-
-
-def _order_splice_core(
-    orders_a: np.ndarray, orders_b: np.ndarray, cuts: np.ndarray
-) -> np.ndarray:
-    """:func:`batched_order_splice` without input validation (hot loop)."""
     batch, m = orders_a.shape
     positions = np.arange(m)
     rows = np.arange(batch)[:, None]
@@ -119,33 +100,8 @@ def batched_mask_crossover(
         ``(B,)`` crossover points in ``0..m*n``.
 
     Note: empty-mask repair is *not* applied here; the mutation step owns
-    the legitimacy repair (exactly as the packed reference kernel does).
+    the legitimacy repair.
     """
-    masks_first = np.asarray(masks_first)
-    masks_second = np.asarray(masks_second)
-    child_orders = np.asarray(child_orders)
-    points = np.asarray(points)
-    if masks_first.shape != masks_second.shape:
-        raise ValidationError(
-            f"mask batches disagree: {masks_first.shape} vs {masks_second.shape}"
-        )
-    batch, m, n = masks_first.shape
-    if child_orders.shape != (batch, m):
-        raise ValidationError(
-            f"child_orders must have shape ({batch}, {m}), got {child_orders.shape}"
-        )
-    if points.shape != (batch,):
-        raise ValidationError(f"points must have shape ({batch},), got {points.shape}")
-    return _mask_crossover_core(child_orders, masks_first, masks_second, points)
-
-
-def _mask_crossover_core(
-    child_orders: np.ndarray,
-    masks_first: np.ndarray,
-    masks_second: np.ndarray,
-    points: np.ndarray,
-) -> np.ndarray:
-    """:func:`batched_mask_crossover` without input validation (hot loop)."""
     batch, m, n = masks_first.shape
     rows = np.arange(batch)[:, None]
     inverse = np.empty((batch, m), dtype=np.int32)
@@ -173,7 +129,7 @@ def batched_insert(
 ) -> np.ndarray:
     """Insert *value* into every ordering at its per-row position.
 
-    The batched form of the per-individual ``np.insert`` loop in
+    The batched form of a per-individual ``np.insert`` loop, used by
     :meth:`GAScheduler.add_task`: row ``i`` of the result equals
     ``np.insert(orders[i], positions[i], value)``.
 

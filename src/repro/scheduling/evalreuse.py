@@ -1,81 +1,57 @@
-"""Evaluation reuse for the GA hot loop: dedup costing and cost caching.
+"""Evaluation reuse for the GA hot loop: the event-level cost cache.
 
-The GA re-costs its whole population with eq. (8) every generation and the
-grid triggers ``evolve`` on *every* task arrival and completion, so the
-vectorised evaluator dominates end-to-end wall time once crossover is
-batched.  Savvas & Kechadi (*Dynamic Task Scheduling in Computing Cluster
-Environments*) make the matching observation for iterative cluster
-schedulers: redundant re-evaluation of unchanged candidates is the first
-redundancy to eliminate.  Three facts make reuse safe here:
+The GA re-costs its population with eq. (8) and the grid triggers
+``evolve`` on *every* task arrival and completion, immediately followed
+by a dispatch-side ``best_solution`` under the same availability.  Two
+facts make reuse safe:
 
 * eq. (8) is a **pure function** of ``(order row, mask row,
   node_free_times, ref_time)`` — no RNG, no hidden state;
-* the vectorised evaluator in :meth:`~repro.scheduling.ga.GAScheduler._evaluate`
-  only ever reduces *within* an individual (``axis=1``), never across the
-  population axis, so evaluating any subset of rows produces bit-identical
-  per-row costs to evaluating the full population;
-* within one ``evolve`` call ``node_free_times``/``ref_time`` are fixed.
+* within one scheduling event the population and the availability are
+  unchanged between ``evolve`` returning and ``best_solution`` running.
 
-So duplicate individuals (a converged population is mostly duplicates),
-elites carried between generations, and repeat costings of an unchanged
-population under unchanged availability can all reuse previously computed
-cost floats **byte-identically** — asserted by the property tests in
-``tests/properties/test_evalreuse_properties.py``.
-
-This module holds the policy-free plumbing: individual digests, the
-dedup index, an availability key, and the observability counters exposed
-as :attr:`GAScheduler.stats <repro.scheduling.ga.GAScheduler.stats>`.
+So the final cost vector of an ``evolve`` call answers the following
+``best_solution`` without another evaluation, keyed by
+:func:`availability_key`; within ``evolve`` the elites carry their costs
+between generations structurally.  This module holds that key and the
+counters exposed as :attr:`GAScheduler.stats
+<repro.scheduling.ga.GAScheduler.stats>`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "EvalReuseStats",
-    "availability_key",
-    "population_digests",
-    "packed_digest_buffer",
-    "dedup_index",
-]
+__all__ = ["EvalReuseStats", "availability_key"]
 
 
 @dataclass
 class EvalReuseStats:
-    """Counters that make the reuse layer's effect observable, not asserted.
+    """Counters that make the kernel's costing observable, not asserted.
 
-    ``rows_costed`` splits exactly into ``rows_evaluated`` (ran through the
-    vectorised evaluator), ``dedup_hits`` (matched an earlier individual's
-    digest in the same costing), and ``carry_hits`` (cost carried from an
-    earlier generation's evaluation of the identical individual within
-    one ``evolve`` call — the elite carry-forward, which the memo extends
-    to every previously seen individual).
+    ``rows_costed`` splits exactly into ``rows_evaluated`` (ran through
+    the eq.-(8) evaluator) and ``carry_hits`` (an elite's cost carried
+    into the next generation of the same ``evolve`` call).
     """
 
-    #: Invocations of the vectorised eq.-(8) evaluator (any row count).
+    #: Invocations of the eq.-(8) evaluator (any row count).
     evaluate_calls: int = 0
-    #: Individuals whose cost was requested through the reuse layer.
+    #: Individuals whose cost was requested.
     rows_costed: int = 0
     #: Individuals actually (re-)evaluated.
     rows_evaluated: int = 0
-    #: Individuals whose cost was copied from a duplicate in the same batch.
-    dedup_hits: int = 0
-    #: Individuals whose cost was carried forward from an earlier
-    #: generation of the same ``evolve`` call (elite carry-forward,
-    #: generalised to every previously costed individual via the
-    #: evolve-scoped digest→cost memo).
+    #: Elite costs carried forward into the next generation of the same
+    #: ``evolve`` call.
     carry_hits: int = 0
     #: ``best_solution`` calls answered from the event-level cost cache.
     event_cache_hits: int = 0
-    #: ``best_solution`` / ``evolve`` costings that had to recompute.
+    #: ``best_solution`` calls that had to recompute.
     event_cache_misses: int = 0
-    #: Generation loops halted early by ``GAConfig(early_stop_after=K)``.
-    early_stops: int = 0
     #: Individuals replaced by a winning warm-start list-scheduling seed
-    #: (vectorized kernel's once-per-``evolve`` injection; see
+    #: (the once-per-``evolve`` injection; see
     #: :mod:`repro.scheduling.warmstart`).
     warmstart_seeds: int = 0
 
@@ -106,18 +82,7 @@ class EvalReuseStats:
 
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict copy (for benchmarks and reports)."""
-        return {
-            "evaluate_calls": self.evaluate_calls,
-            "rows_costed": self.rows_costed,
-            "rows_evaluated": self.rows_evaluated,
-            "dedup_hits": self.dedup_hits,
-            "carry_hits": self.carry_hits,
-            "event_cache_hits": self.event_cache_hits,
-            "event_cache_misses": self.event_cache_misses,
-            "early_stops": self.early_stops,
-            "warmstart_seeds": self.warmstart_seeds,
-            "hit_rate": self.hit_rate,
-        }
+        return {**self.snapshot_counters(), "hit_rate": self.hit_rate}
 
 
 def availability_key(
@@ -133,51 +98,3 @@ def availability_key(
     """
     free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
     return free0.tobytes(), float(ref_time)
-
-
-def packed_digest_buffer(order: np.ndarray, masks: np.ndarray) -> Tuple[bytes, int]:
-    """All individuals' digest bytes in one buffer — ``(buffer, stride)``.
-
-    Individual ``p``'s digest is ``buffer[p*stride:(p+1)*stride]``: its
-    order row's raw int64 bytes followed by its bit-packed mask row.  The
-    mask cube is packed population-wide in a single :func:`numpy.packbits`
-    call and the whole key matrix serialised with one ``tobytes`` — the
-    per-individual work is a constant-time bytes slice, which keeps exact
-    digests (no lossy hashing, hence no collisions) cheap relative to one
-    eq.-(8) evaluation.
-    """
-    pop = order.shape[0]
-    packed = np.packbits(masks.reshape(pop, -1), axis=1)
-    order_bytes = np.ascontiguousarray(order, dtype=np.int64).view(np.uint8)
-    key = np.concatenate([order_bytes.reshape(pop, -1), packed], axis=1)
-    return key.tobytes(), key.shape[1]
-
-
-def population_digests(order: np.ndarray, masks: np.ndarray) -> List[bytes]:
-    """One digest per individual over its ``(order row, mask row)`` bytes."""
-    buffer, stride = packed_digest_buffer(order, masks)
-    return [
-        buffer[p * stride:(p + 1) * stride] for p in range(order.shape[0])
-    ]
-
-
-def dedup_index(digests: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
-    """First-occurrence rows and the inverse map, à la :func:`numpy.unique`.
-
-    Returns ``(unique_rows, inverse)`` with ``unique_rows`` the indices of
-    the first occurrence of each distinct digest *in population order* and
-    ``inverse[p]`` the position of individual ``p``'s digest within
-    ``unique_rows`` — so ``costs = unique_costs[inverse]`` scatters a
-    subset evaluation back over the full population.
-    """
-    first: Dict[bytes, int] = {}
-    unique_rows: List[int] = []
-    inverse = np.empty(len(digests), dtype=np.int64)
-    for p, digest in enumerate(digests):
-        slot = first.get(digest)
-        if slot is None:
-            slot = len(unique_rows)
-            first[digest] = slot
-            unique_rows.append(p)
-        inverse[p] = slot
-    return np.asarray(unique_rows, dtype=np.int64), inverse

@@ -12,8 +12,9 @@ restarting it.
 Performance note (see the HPC guides' profile-first rule): the object-level
 operators in :mod:`repro.scheduling.operators` and the scalar schedule
 builder are the *reference* implementation — clear, validated, and used by
-the property tests.  Profiling the case study showed they dominated the run
-time, so the kernel keeps its population packed in NumPy arrays:
+the property tests.  The kernel keeps its population packed in NumPy
+arrays and runs one whole-population generation loop
+(:mod:`repro.scheduling.vectorized`):
 
 * ``order``   — ``(P, m)`` task-row indices in execution order;
 * ``masks``   — ``(P, m, n)`` node allocations **keyed by task row**, not by
@@ -35,20 +36,11 @@ import numpy as np
 from repro.errors import ScheduleError, ValidationError
 from repro.obs.records import EvolveStep
 from repro.obs.trace import Tracer
-from repro.scheduling.batched import (
-    batched_insert,
-    batched_mask_crossover,
-    batched_order_splice,
-)
+from repro.scheduling.batched import batched_insert
 from repro.scheduling.coding import SolutionString
-from repro.scheduling.evalreuse import (
-    EvalReuseStats,
-    availability_key,
-    packed_digest_buffer,
-)
+from repro.scheduling.evalreuse import EvalReuseStats, availability_key
 from repro.scheduling.cost import CostWeights
 from repro.scheduling.fitness import scale_fitness
-from repro.scheduling.operators import stochastic_remainder_selection
 from repro.scheduling.vectorized import (
     bernoulli_indices,
     vectorized_children,
@@ -85,44 +77,12 @@ class GAConfig:
     idle_weighting: str = "linear"  # "linear" | "uniform" | "exponential"
     #: Memetic refinement: each generation, the best individual's *ordering*
     #: is re-mapped greedily (per-task earliest-free, completion-optimal
-    #: allocation) and the result replaces the worst individual if it wins.
+    #: allocation) and the result replaces the worst individual if it wins;
+    #: the re-map also rides the once-per-call warm-start injection.
     #: Compensates for the generation budget an event-driven run has
     #: compared to the paper's continuously evolving GA; ablatable.
     memetic: bool = True
-    #: Use the whole-population batched crossover kernel
-    #: (:mod:`repro.scheduling.batched`).  ``False`` selects the per-pair
-    #: reference kernel.  Both consume the identical RNG stream (all random
-    #: choices are drawn up front, in the reference order), so the two
-    #: settings produce byte-identical populations — the flag exists for
-    #: the property tests and the perf-regression baseline.
-    batched: bool = True
-    #: Evaluation-reuse layer: dedup duplicate individuals before eq.-(8)
-    #: costing, carry elite costs between generations of one ``evolve``
-    #: call, and cache the final cost vector for ``best_solution`` under
-    #: unchanged availability.  eq. (8) is pure and the vectorised
-    #: evaluator is row-independent, so reuse is byte-identical to the
-    #: naive path (property-tested); ``False`` selects the naive
-    #: evaluate-everything reference used by those tests and the perf
-    #: baseline.
-    eval_reuse: bool = True
-    #: Convergence early-stop: halt a generation loop after this many
-    #: consecutive generations without best-cost improvement.  ``None``
-    #: (default) never stops early — the opt-in changes how many
-    #: generations (and RNG draws) a call consumes, so it is off for the
-    #: byte-identical default path.
-    early_stop_after: Optional[int] = None
-    #: GA kernel selector: ``None`` (default) derives the kernel from the
-    #: legacy ``batched`` flag; ``"reference"`` / ``"batched"`` name the
-    #: byte-identical per-pair and whole-batch kernels explicitly; and
-    #: ``"vectorized"`` selects the fully array-drawn kernel of
-    #: :mod:`repro.scheduling.vectorized` — whole-population RNG draws,
-    #: children-only costing, and warm-start injection in place of the
-    #: per-generation memetic step.  Byte-identity with the reference
-    #: stream is explicitly relaxed for ``"vectorized"``; the contract is
-    #: schedule-cost parity (best cost ≤ reference at an equal generation
-    #: budget, every individual legitimate — property-tested).
-    kernel: Optional[str] = None
-    #: Vectorized kernel only: number of list-scheduling warm-start seeds
+    #: Number of list-scheduling warm-start seeds
     #: (:mod:`repro.scheduling.warmstart`) injected over the worst
     #: individuals once per ``evolve`` call (``0`` disables injection;
     #: the memetic greedy re-map of the incumbent best rides along as one
@@ -144,20 +104,8 @@ class GAConfig:
             raise ValidationError("elite_count must be in [0, population_size)")
         if self.idle_weighting not in ("linear", "uniform", "exponential"):
             raise ValidationError(f"unknown idle weighting {self.idle_weighting!r}")
-        if self.early_stop_after is not None and self.early_stop_after < 1:
-            raise ValidationError("early_stop_after must be >= 1 (or None)")
-        if self.kernel not in (None, "reference", "batched", "vectorized"):
-            raise ValidationError(f"unknown kernel {self.kernel!r}")
         if self.warmstart_count < 0:
             raise ValidationError("warmstart_count must be >= 0")
-
-    @property
-    def effective_kernel(self) -> str:
-        """The kernel that will actually run: explicit ``kernel`` wins,
-        otherwise the legacy ``batched`` flag picks batched/reference."""
-        if self.kernel is not None:
-            return self.kernel
-        return "batched" if self.batched else "reference"
 
 
 class GAScheduler:
@@ -227,10 +175,11 @@ class GAScheduler:
         self._generations = 0
         # (generation index, best cost) samples, one per evolved generation.
         self._history: List[Tuple[int, float]] = []
-        # Evaluation-reuse observability + the event-level cost cache: the
-        # final cost vector of the last full costing, keyed by the
-        # availability it was computed under.  Invalidated whenever the
-        # population changes outside a costing (task churn, mid-evolve).
+        # Costing counters + the event-level cost cache: the final cost
+        # vector of the last full costing, keyed by the availability it
+        # was computed under.  Invalidated whenever the population or its
+        # constraints change outside a costing (task churn, floors,
+        # mid-evolve).
         self._stats = EvalReuseStats()
         self._cached_costs: Optional[np.ndarray] = None
         self._cost_cache_key: Optional[Tuple[bytes, float]] = None
@@ -270,11 +219,11 @@ class GAScheduler:
 
     @property
     def stats(self) -> EvalReuseStats:
-        """Evaluation-reuse counters (live object; see ``stats.snapshot()``).
+        """Costing counters (live object; see ``stats.snapshot()``).
 
-        Dedup hits, elite carries, event-cache hits/misses, and early
-        stops — the observability behind docs/performance.md's measured
-        hit rates.
+        Rows costed and evaluated, elite carries, event-cache hits/misses
+        and warm-start replacements — the observability behind
+        docs/performance.md's measured numbers.
         """
         return self._stats
 
@@ -345,15 +294,6 @@ class GAScheduler:
         if np.any(row <= 0) or not np.all(np.isfinite(row)):
             raise ScheduleError(f"durations for task {task_id} must be finite and > 0")
         return row
-
-    def _random_masks(self, shape: Tuple[int, ...]) -> np.ndarray:
-        masks = self._rng.random(shape) < 0.5
-        flat = masks.reshape(-1, self._n)
-        empty = ~flat.any(axis=1)
-        if empty.any():
-            picks = self._rng.integers(self._n, size=int(empty.sum()))
-            flat[np.flatnonzero(empty), picks] = True
-        return masks
 
     def _seed_masks(self, durations: np.ndarray, pop: int) -> np.ndarray:
         """Per-individual initial masks for one new task — ``(pop, n)``.
@@ -549,30 +489,30 @@ class GAScheduler:
     def _repair_orders(self, order: np.ndarray) -> None:
         """Stable topological repair of every ordering string, in place.
 
-        Individuals already respecting every active precedence constraint
-        are untouched (the common case: crossover splices and most swap
-        mutations preserve validity); violators are rebuilt by a stable
-        Kahn pass — tasks keep their relative order except where a
-        predecessor must be pulled ahead.  A no-op (and zero cost) when no
-        constraints are active, preserving the independent-task paths
-        byte for byte.
+        One array pass finds the violators: it scatters every
+        individual's task positions into a ``(P, m + 1)`` table and
+        compares each task's position with its latest predecessor's.
+        Individuals already respecting every active precedence
+        constraint are untouched (the common case: crossover splices and
+        most swap mutations preserve validity); violators are rebuilt by
+        a stable Kahn pass — tasks keep their relative order except where
+        a predecessor must be pulled ahead.  A no-op when no constraints
+        are active.
         """
         pred_mat, _ = self._constraint_arrays()
         if pred_mat is None:
             return
-        m = len(self._id_order)
-        pos = np.empty(m + 1, dtype=np.int64)
-        for p in range(order.shape[0]):
-            seq = order[p]
-            pos[m] = -1  # the sentinel row never binds
-            pos[seq] = np.arange(m)
-            latest_pred = pos[pred_mat].max(axis=1)
-            if np.all(pos[:m] > latest_pred):
-                continue
+        pop, m = order.shape
+        pos = np.empty((pop, m + 1), dtype=np.int64)
+        pos[:, m] = -1  # the sentinel row never binds
+        pos[np.arange(pop)[:, None], order] = np.arange(m)
+        latest_pred = pos[:, pred_mat].max(axis=2)  # (P, m)
+        violators = np.flatnonzero((pos[:, :m] <= latest_pred).any(axis=1))
+        for p in violators:
             placed = np.zeros(m + 1, dtype=bool)
             placed[m] = True
             out: List[int] = []
-            pending = [int(r) for r in seq]
+            pending = [int(r) for r in order[p]]
             while pending:
                 for i, r in enumerate(pending):
                     if placed[pred_mat[r]].all():
@@ -602,352 +542,41 @@ class GAScheduler:
             return None
         return self._cached_costs
 
-    def _population_costs(
+    def _costs(
         self,
+        order: np.ndarray,
+        masks: np.ndarray,
         node_free_times: Sequence[float],
         ref_time: float,
-        *,
-        memo: Optional[Dict[bytes, float]] = None,
     ) -> np.ndarray:
-        """eq.-(8) costs of the current population, through the reuse layer.
+        """eq.-(8) cost of every individual in ``(order, masks)``.
 
-        ``memo`` is the evolve-scoped digest→cost map: every cost
-        computed earlier in the same ``evolve`` call (availability is
-        fixed for the whole call), which subsumes elite carry-forward —
-        elites re-enter the next generation unchanged, so their digests
-        always hit.  Costing then (1) digests every individual in one
-        vectorised pass, (2) looks each digest up in the memo, (3)
-        evaluates only the first occurrence of each unknown digest, and
-        (4) scatters costs back over the whole population.  Because
-        eq. (8) is pure and the vectorised evaluator is row-independent,
-        the result is bit-identical to evaluating everything (see
-        :mod:`repro.scheduling.evalreuse`).  On a converged population
-        nearly every digest hits, so a late-run generation costs a
-        handful of novel schedules instead of ``population_size``.
+        The single evaluator,
+        :func:`~repro.scheduling.vectorized.vectorized_costs`, over this
+        kernel's duration and deadline tables, carrying the active
+        workflow constraints (start floors and the predecessor completion
+        track).  Every row it costs counts as costed *and* evaluated.
         """
-        assert self._order is not None and self._masks is not None
-        if not self._config.eval_reuse:
-            return self._evaluate(self._order, self._masks, node_free_times, ref_time)
-        pop = self._order.shape[0]
+        pred_mat, floor_vec = self._constraint_arrays()
+        costs = vectorized_costs(
+            order,
+            masks,
+            self._dtable,
+            self._deadline_arr,
+            node_free_times,
+            ref_time,
+            self._config.weights,
+            self._config.idle_weighting,
+            floors=floor_vec,
+            preds=pred_mat,
+        )
         stats = self._stats
-        stats.rows_costed += pop
-        buffer, stride = packed_digest_buffer(self._order, self._masks)
-        costs = np.empty(pop)
-        unknown = np.zeros(pop, dtype=bool)
-        slot_of = np.empty(pop, dtype=np.int64)
-        eval_rows: List[int] = []
-        eval_keys: List[bytes] = []
-        pending: Dict[bytes, int] = {}
-        for p in range(pop):
-            digest = buffer[p * stride:(p + 1) * stride]
-            if memo is not None:
-                cached = memo.get(digest)
-                if cached is not None:
-                    costs[p] = cached
-                    stats.carry_hits += 1
-                    continue
-            slot = pending.get(digest)
-            if slot is None:
-                slot = len(eval_rows)
-                pending[digest] = slot
-                eval_rows.append(p)
-                eval_keys.append(digest)
-            else:
-                stats.dedup_hits += 1
-            unknown[p] = True
-            slot_of[p] = slot
-        if eval_rows:
-            rows_arr = np.asarray(eval_rows, dtype=np.int64)
-            sub_costs = self._evaluate(
-                self._order[rows_arr], self._masks[rows_arr],
-                node_free_times, ref_time,
-            )
-            stats.rows_evaluated += rows_arr.size
-            costs[unknown] = sub_costs[slot_of[unknown]]
-            if memo is not None:
-                for slot, digest in enumerate(eval_keys):
-                    memo[digest] = float(sub_costs[slot])
+        stats.evaluate_calls += 1
+        stats.rows_costed += costs.size
+        stats.rows_evaluated += costs.size
         return costs
 
-    def _evaluate(
-        self,
-        order: np.ndarray,
-        masks: np.ndarray,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> np.ndarray:
-        """Vectorised eq.-(8) cost of every individual in (order, masks).
-
-        Scratch buffers (``free``/``scratch``/``gap``/``has_gap``/
-        ``pocket``) are allocated once per call and reused across all *m*
-        task steps via ``out=``/`copyto` — the per-step ``np.where`` and
-        ``np.tile`` temporaries were measurable churn at event frequency.
-        Every rewritten expression computes the same values in the same
-        order, so costs are bit-identical to the allocating version.
-        """
-        pop, m = order.shape
-        n = masks.shape[2]
-        free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
-        if free0.size != n:
-            raise ScheduleError(
-                f"node_free_times has {free0.size} entries, resource has {n}"
-            )
-        self._stats.evaluate_calls += 1
-        free = np.empty((pop, n))
-        free[:] = free0
-        rows_idx = np.arange(pop)
-        makespan = np.full(pop, ref_time)
-        theta = np.zeros(pop)
-        idle_len = np.zeros(pop)
-        idle_sq = np.zeros(pop)  # Σ (b² − a²)/2 relative to ref, linear weight
-        scratch = np.empty((pop, n))
-        gap = np.empty((pop, n))
-        pocket = np.empty((pop, n))
-        has_gap = np.empty((pop, n), dtype=bool)
-        exp_pockets: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        weighting = self._config.idle_weighting
-        dtable = self._dtable
-        deadlines = self._deadline_arr
-        # Workflow constraints (None/None for independent tasks, keeping
-        # this loop byte-identical to the unconstrained original): floors
-        # lower-bound a task's start; the completion track carries each
-        # row's finish time so successors start no earlier.  Row ``m`` is
-        # the sentinel for padded predecessor slots (-inf, never binds).
-        pred_mat, floor_vec = self._constraint_arrays()
-        comp_track = (
-            np.full((pop, m + 1), -np.inf) if pred_mat is not None else None
-        )
-        for j in range(m):
-            rows = order[:, j]
-            msk = masks[rows_idx, rows]  # (pop, n)
-            scratch.fill(-np.inf)
-            np.copyto(scratch, free, where=msk)
-            start = scratch.max(axis=1)
-            if floor_vec is not None:
-                start = np.maximum(start, floor_vec[rows])
-            if comp_track is not None:
-                pm = pred_mat[rows]  # (pop, maxP) predecessor rows
-                start = np.maximum(
-                    start, comp_track[rows_idx[:, None], pm].max(axis=1)
-                )
-            counts = msk.sum(axis=1)
-            dur = dtable[rows, counts - 1]
-            comp = start + dur
-            if comp_track is not None:
-                comp_track[rows_idx, rows] = comp
-            np.subtract(start[:, None], free, out=scratch)
-            gap.fill(0.0)
-            np.copyto(gap, scratch, where=msk)
-            np.greater(gap, 0.0, out=has_gap)
-            pocket.fill(0.0)
-            np.copyto(pocket, gap, where=has_gap)
-            idle_len += pocket.sum(axis=1)
-            if weighting == "linear":
-                b = start - ref_time
-                np.subtract(free, ref_time, out=scratch)
-                np.multiply(scratch, scratch, out=scratch)  # a²
-                np.subtract((b * b)[:, None], scratch, out=scratch)  # b² − a²
-                np.divide(scratch, 2.0, out=scratch)
-                pocket.fill(0.0)
-                np.copyto(pocket, scratch, where=has_gap)
-                idle_sq += pocket.sum(axis=1)
-            elif weighting == "exponential":
-                a = free - ref_time
-                b = np.broadcast_to(start[:, None], msk.shape) - ref_time
-                exp_pockets.append((a, b, has_gap.copy()))
-            theta += np.maximum(comp - deadlines[rows], 0.0)
-            np.copyto(free, np.broadcast_to(comp[:, None], (pop, n)), where=msk)
-            np.maximum(makespan, comp, out=makespan)
-        omega = makespan - ref_time
-        if weighting == "linear":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                phi = np.where(omega > 0, idle_len - idle_sq / np.where(omega > 0, omega, 1.0), 0.0)
-        elif weighting == "uniform":
-            phi = idle_len
-        else:  # exponential: ∫ exp(−3t/ω) dt over each pocket
-            phi = np.zeros(pop)
-            rate = np.where(omega > 0, 3.0 / np.where(omega > 0, omega, 1.0), 0.0)
-            for a, b, has_gap in exp_pockets:
-                r = rate[:, None]
-                safe_r = np.where(r > 0, r, 1.0)
-                contrib = np.where(
-                    has_gap & (r > 0),
-                    (np.exp(-safe_r * a) - np.exp(-safe_r * b)) / safe_r,
-                    0.0,
-                )
-                phi += contrib.sum(axis=1)
-        w = self._config.weights
-        return (w.makespan * omega + w.idle * phi + w.deadline * theta) / w.total
-
     # --------------------------------------------------------------- operators
-
-    def _crossover_pair(
-        self,
-        pa: int,
-        pb: int,
-        order: np.ndarray,
-        masks: np.ndarray,
-        cut: int,
-        point: int,
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """Two-part crossover of individuals *pa*, *pb* (per-pair reference).
-
-        Ordering: splice at *cut* (both directions).  Mapping: flatten each
-        parent's masks *in the child's task order*, single-point binary
-        crossover at the shared *point*, un-flatten keyed by row.  This is
-        the reference kernel the batched operators are validated against
-        (``GAConfig(batched=False)`` routes ``evolve`` through it).
-        """
-        m, n = masks.shape[1], masks.shape[2]
-        oa, ob = order[pa], order[pb]
-
-        def splice(head_src: np.ndarray, tail_src: np.ndarray) -> np.ndarray:
-            head = head_src[:cut]
-            # Membership via a row-indexed lookup table: rows are 0..m−1, so
-            # this is O(m) versus np.isin's sort-based path.
-            in_head = np.zeros(m, dtype=bool)
-            in_head[head] = True
-            tail = tail_src[~in_head[tail_src]]
-            return np.concatenate([head, tail])
-
-        c1_order = splice(oa, ob)
-        c2_order = splice(ob, oa)
-
-        def cross_maps(
-            child_order: np.ndarray, first: np.ndarray, second: np.ndarray
-        ) -> np.ndarray:
-            flat_first = first[child_order].reshape(-1)
-            flat_second = second[child_order].reshape(-1)
-            child_flat = np.concatenate([flat_first[:point], flat_second[point:]])
-            by_position = child_flat.reshape(m, n)
-            child_masks = np.empty_like(first)
-            child_masks[child_order] = by_position
-            return child_masks
-
-        c1_masks = cross_maps(c1_order, masks[pa], masks[pb])
-        c2_masks = cross_maps(c2_order, masks[pb], masks[pa])
-        return (c1_order, c1_masks), (c2_order, c2_masks)
-
-    def _make_children(
-        self, parents: Sequence[int], n_children: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The next generation's non-elite individuals — ``(order, masks)``.
-
-        Consecutive selected parents are paired; each pair crosses over
-        with ``crossover_probability`` or is copied through.  All random
-        choices are drawn *up front*, scalar, in the reference order (pair
-        decision, then cut, then point, per pair) so the batched and
-        per-pair kernels consume one identical RNG stream and produce
-        byte-identical children.
-        """
-        assert self._order is not None and self._masks is not None
-        cfg = self._config
-        m = len(self._id_order)
-        n = self._n
-        pair_count = len(parents) // 2
-        do_cross = np.zeros(pair_count, dtype=bool)
-        cuts = np.zeros(pair_count, dtype=np.int64)
-        points = np.zeros(pair_count, dtype=np.int64)
-        for i in range(pair_count):
-            if self._rng.random() < cfg.crossover_probability:
-                do_cross[i] = True
-                cuts[i] = self._rng.integers(0, m + 1)
-                points[i] = self._rng.integers(0, m * n + 1)
-        pa = np.asarray(parents[: 2 * pair_count : 2], dtype=np.int64)
-        pb = np.asarray(parents[1 : 2 * pair_count : 2], dtype=np.int64)
-        total = 2 * pair_count + (len(parents) % 2)
-        child_order = np.empty((total, m), dtype=self._order.dtype)
-        child_masks = np.empty((total, m, n), dtype=bool)
-        if cfg.effective_kernel == "reference":
-            self._children_reference(
-                child_order, child_masks, pa, pb, do_cross, cuts, points
-            )
-        else:
-            self._children_batched(
-                child_order, child_masks, pa, pb, do_cross, cuts, points
-            )
-        if len(parents) % 2 == 1:
-            leftover = parents[-1]
-            child_order[-1] = self._order[leftover]
-            child_masks[-1] = self._masks[leftover]
-        return child_order[:n_children], child_masks[:n_children]
-
-    def _children_batched(
-        self,
-        child_order: np.ndarray,
-        child_masks: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-        do_cross: np.ndarray,
-        cuts: np.ndarray,
-        points: np.ndarray,
-    ) -> None:
-        """Fill children slots ``2i``/``2i+1`` with whole-batch array ops."""
-        assert self._order is not None and self._masks is not None
-        order, masks = self._order, self._masks
-        plain = np.flatnonzero(~do_cross)
-        if plain.size:
-            child_order[2 * plain] = order[pa[plain]]
-            child_order[2 * plain + 1] = order[pb[plain]]
-            child_masks[2 * plain] = masks[pa[plain]]
-            child_masks[2 * plain + 1] = masks[pb[plain]]
-        crossed = np.flatnonzero(do_cross)
-        if crossed.size:
-            oa, ob = order[pa[crossed]], order[pb[crossed]]
-            ma, mb = masks[pa[crossed]], masks[pb[crossed]]
-            c1 = batched_order_splice(oa, ob, cuts[crossed])
-            c2 = batched_order_splice(ob, oa, cuts[crossed])
-            child_order[2 * crossed] = c1
-            child_order[2 * crossed + 1] = c2
-            child_masks[2 * crossed] = batched_mask_crossover(
-                c1, ma, mb, points[crossed]
-            )
-            child_masks[2 * crossed + 1] = batched_mask_crossover(
-                c2, mb, ma, points[crossed]
-            )
-
-    def _children_reference(
-        self,
-        child_order: np.ndarray,
-        child_masks: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
-        do_cross: np.ndarray,
-        cuts: np.ndarray,
-        points: np.ndarray,
-    ) -> None:
-        """Per-pair reference kernel (the seed implementation's loop)."""
-        assert self._order is not None and self._masks is not None
-        for i in range(pa.size):
-            a, b = int(pa[i]), int(pb[i])
-            if do_cross[i]:
-                (o1, m1), (o2, m2) = self._crossover_pair(
-                    a, b, self._order, self._masks, int(cuts[i]), int(points[i])
-                )
-            else:
-                o1, m1 = self._order[a], self._masks[a]
-                o2, m2 = self._order[b], self._masks[b]
-            child_order[2 * i], child_masks[2 * i] = o1, m1
-            child_order[2 * i + 1], child_masks[2 * i + 1] = o2, m2
-
-    def _mutate_population(self, order: np.ndarray, masks: np.ndarray) -> None:
-        """In-place two-part mutation: order swaps + mapping bit flips."""
-        cfg = self._config
-        pop, m = order.shape
-        n = masks.shape[2]
-        if m >= 2 and cfg.swap_probability > 0:
-            swap = self._rng.random(pop) < cfg.swap_probability
-            for p in np.flatnonzero(swap):
-                i, j = self._rng.choice(m, size=2, replace=False)
-                order[p, i], order[p, j] = order[p, j], order[p, i]
-        if cfg.bitflip_probability > 0:
-            flips = self._rng.random(masks.shape) < cfg.bitflip_probability
-            masks ^= flips
-        flat = masks.reshape(-1, n)
-        empty = ~flat.any(axis=1)
-        if empty.any():
-            picks = self._rng.integers(n, size=int(empty.sum()))
-            flat[np.flatnonzero(empty), picks] = True
 
     def greedy_mapping(
         self, order_row: np.ndarray, node_free_times: Sequence[float], ref_time: float
@@ -968,71 +597,6 @@ class GAScheduler:
 
     # --------------------------------------------------------------- evolution
 
-    def _memetic_step(
-        self,
-        costs: np.ndarray,
-        node_free_times: Sequence[float],
-        ref_time: float,
-        memo: Optional[Dict[bytes, float]] = None,
-    ) -> np.ndarray:
-        """Replace the worst individual with the greedy re-map of the best."""
-        assert self._order is not None and self._masks is not None
-        best = int(np.argmin(costs))
-        worst = int(np.argmax(costs))
-        if best == worst:
-            return costs
-        candidate_masks = self.greedy_mapping(
-            self._order[best], node_free_times, ref_time
-        )
-        cand_cost = self._evaluate(
-            self._order[best : best + 1],
-            candidate_masks[None, :, :],
-            node_free_times,
-            ref_time,
-        )[0]
-        if cand_cost < costs[worst]:
-            self._order[worst] = self._order[best]
-            self._masks[worst] = candidate_masks
-            costs = costs.copy()
-            costs[worst] = cand_cost
-            if memo is not None:
-                # The injected individual is likely to elite its way into
-                # the next generation; remember its (already computed) cost.
-                digest, _ = packed_digest_buffer(
-                    self._order[worst : worst + 1],
-                    self._masks[worst : worst + 1],
-                )
-                memo[digest] = float(cand_cost)
-        return costs
-
-    def _vector_costs(
-        self,
-        order: np.ndarray,
-        masks: np.ndarray,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> np.ndarray:
-        """eq.-(8) costs through the lean whole-population evaluator.
-
-        Workflow constraints route through :meth:`_evaluate` instead —
-        the lean evaluator has no completion track, and the vectorized
-        kernel's contract is cost parity, not a particular code path.
-        """
-        pred_mat, floor_vec = self._constraint_arrays()
-        if pred_mat is not None or floor_vec is not None:
-            return self._evaluate(order, masks, node_free_times, ref_time)
-        self._stats.evaluate_calls += 1
-        return vectorized_costs(
-            order,
-            masks,
-            self._dtable,
-            self._deadline_arr,
-            node_free_times,
-            ref_time,
-            self._config.weights,
-            self._config.idle_weighting,
-        )
-
     def _warmstart_inject(
         self,
         costs: np.ndarray,
@@ -1041,16 +605,13 @@ class GAScheduler:
     ) -> np.ndarray:
         """Replace the worst individuals with winning list-scheduling seeds.
 
-        The vectorized kernel's once-per-``evolve`` analogue of the
-        per-generation memetic step: build ``warmstart_count`` seeds
-        (:func:`repro.scheduling.warmstart.warmstart_population`) plus —
+        Once per ``evolve`` call: build ``warmstart_count`` seeds
+        (:func:`repro.scheduling.warmstart.warmstart_orders`) plus —
         while ``memetic`` is on — the greedy re-map of the incumbent best
         ordering, cost them all in one evaluator call, and replace the
         worst individuals pairwise (best seed against worst incumbent)
         wherever the seed wins.  With elitism this bounds the kernel's
-        best cost by the best greedy schedule from generation 0 on, which
-        is what makes the cost-parity gate hold without per-generation
-        greedy re-maps.
+        best cost by the best greedy schedule from generation 0 on.
         """
         assert self._order is not None and self._masks is not None
         cfg = self._config
@@ -1059,7 +620,7 @@ class GAScheduler:
         if cfg.warmstart_count > 0:
             # Priorities feed the seed rules only when some task carries a
             # nonzero b-level — the all-zero default keeps the call (and
-            # its RNG draws) identical to the pre-workflow path.
+            # its RNG draws) identical to the independent-task path.
             priorities = (
                 self._priority_arr if np.any(self._priority_arr != 0.0) else None
             )
@@ -1081,9 +642,7 @@ class GAScheduler:
         w_masks = greedy_allocation_masks_batch(
             w_orders, self._dtable, node_free_times, ref_time
         )
-        seed_costs = self._vector_costs(w_orders, w_masks, node_free_times, ref_time)
-        self._stats.rows_costed += seed_costs.size
-        self._stats.rows_evaluated += seed_costs.size
+        seed_costs = self._costs(w_orders, w_masks, node_free_times, ref_time)
         count = min(seed_costs.size, pop - 1)
         seed_rank = np.argsort(seed_costs, kind="stable")[:count]
         worst_rank = np.argsort(costs, kind="stable")[::-1][:count]
@@ -1098,26 +657,26 @@ class GAScheduler:
             self._stats.warmstart_seeds += int(take.sum())
         return costs
 
-    def _memetic_vectorized(
+    def _memetic_inject(
         self,
         costs: np.ndarray,
         cached: Optional[Tuple[np.ndarray, np.ndarray, float]],
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray, float]]]:
-        """The memetic step with the candidate cached between generations.
+        """The per-generation memetic step, with its candidate cached.
 
-        The reference kernel greedily re-maps the incumbent best ordering
-        *every* generation and injects the result over the worst
-        individual.  The greedy re-map is a pure function of (ordering,
-        availability) and availability is fixed within one ``evolve``
-        call, so this keeps the last ``(ordering, masks, cost)`` candidate
-        and only recomputes when the incumbent's ordering changed — on a
-        converged population almost never.  Re-*injection* over the worst
-        individual still happens every generation the candidate wins
-        (selection churn can drop a previously injected copy), which is a
-        pair of array copies, not an evaluation.  Mutates *costs* in
-        place (the caller owns the freshly concatenated vector).
+        Greedily re-maps the incumbent best ordering and injects the
+        result over the worst individual when it wins.  The greedy re-map
+        is a pure function of (ordering, availability) and availability
+        is fixed within one ``evolve`` call, so this keeps the last
+        ``(ordering, masks, cost)`` candidate and only recomputes when the
+        incumbent's ordering changed — on a converged population almost
+        never.  Re-*injection* still happens every generation the
+        candidate wins (selection churn can drop a previously injected
+        copy), which is a pair of array copies, not an evaluation.
+        Mutates *costs* in place (the caller owns the freshly
+        concatenated vector).
         """
         assert self._order is not None and self._masks is not None
         best = int(np.argmin(costs))
@@ -1127,13 +686,11 @@ class GAScheduler:
                 border, self._dtable, node_free_times, ref_time
             )
             cand_cost = float(
-                self._vector_costs(
+                self._costs(
                     border[None, :], cand_masks[None, :, :],
                     node_free_times, ref_time,
                 )[0]
             )
-            self._stats.rows_costed += 1
-            self._stats.rows_evaluated += 1
             cached = (border.copy(), cand_masks, cand_cost)
         cand_order, cand_masks, cand_cost = cached
         worst = int(np.argmax(costs))
@@ -1143,52 +700,46 @@ class GAScheduler:
             costs[worst] = cand_cost
         return costs, cached
 
-    def _evolve_vectorized(
+    def evolve(
         self,
         generations: int,
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> float:
-        """The ``kernel="vectorized"`` generation loop (see module notes).
+        """Advance the population *generations* steps; returns the best cost.
 
-        Structurally the same cost → fitness → elites → selection →
-        crossover → mutation cycle as the reference loop, with three
-        deliberate differences:
+        A generation is: scale costs to fitness (eq. 9) → carry elites →
+        stochastic-remainder selection → pairwise two-part crossover →
+        two-part mutation → precedence repair → cost the children
+        (eq. 8).  Around that cycle:
 
+        * **warm-start injection** once per call, before the first
+          generation (:meth:`_warmstart_inject`);
         * **children-only costing** — elites re-enter unchanged, so their
-          costs are carried structurally (counted as ``carry_hits``)
-          instead of re-derived through the digest memo;
+          costs are carried structurally (counted as ``carry_hits``);
         * **array-drawn randomness** — a fixed number of RNG calls per
-          generation (see :mod:`repro.scheduling.vectorized`), which is
-          why this kernel's stream diverges from the reference;
-        * **warm-start injection once per call** in place of the
-          per-generation memetic re-map.
+          generation, drawn in multi-generation blocks (see
+          :mod:`repro.scheduling.vectorized`);
+        * the **memetic step** while ``memetic`` is on
+          (:meth:`_memetic_inject`).
 
-        In-batch dedup is deliberately skipped: at case-study sizes the
-        digest loop costs more than the evaluations it saves, and the
-        lean evaluator makes redundant rows cheap (docs/performance.md).
-        The memetic refinement survives in two cheaper forms: the greedy
-        re-map of the incumbent best rides the warm-start injection, and
-        per generation it re-runs **only when the incumbent's ordering
-        changed** — the greedy re-map is a pure function of (ordering,
-        availability), so repeating it on an unchanged ordering cannot
-        produce a new candidate.
+        The final cost vector is retained so an immediately following
+        :meth:`best_solution` under the same availability pays no extra
+        evaluation.
         """
-        assert self._order is not None and self._masks is not None
+        if generations < 0:
+            raise ValidationError(f"generations must be >= 0, got {generations}")
+        if self._order is None:
+            return 0.0
+        assert self._masks is not None
         cfg = self._config
         stats = self._stats
         rng = self._rng
         self._invalidate_cost_cache()
         generations_before = self._generations
         history_before = len(self._history)
-        costs = self._vector_costs(
-            self._order, self._masks, node_free_times, ref_time
-        )
-        stats.rows_costed += costs.size
-        stats.rows_evaluated += costs.size
+        costs = self._costs(self._order, self._masks, node_free_times, ref_time)
         costs = self._warmstart_inject(costs, node_free_times, ref_time)
-        best_seen = float(costs.min())
-        stalled = 0
         pop = cfg.population_size
         m = len(self._id_order)
         n = self._n
@@ -1201,8 +752,7 @@ class GAScheduler:
         do_swaps = m >= 2 and p_swap > 0
         last_memetic: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
         done = 0
-        stop = False
-        while done < generations and not stop:
+        while done < generations:
             # Pre-draw a block of generations' positional randomness in a
             # handful of array RNG calls (a scalar `rng.integers` costs as
             # much as a whole-population array draw).
@@ -1246,7 +796,7 @@ class GAScheduler:
                     rng,
                 )
                 self._repair_orders(child_order)
-                child_costs = self._vector_costs(
+                child_costs = self._costs(
                     child_order, child_masks, node_free_times, ref_time
                 )
                 self._order = np.concatenate(
@@ -1256,29 +806,16 @@ class GAScheduler:
                     [self._masks[elite_idx], child_masks]
                 )
                 costs = np.concatenate([costs[elite_idx], child_costs])
-                stats.rows_costed += pop
-                stats.rows_evaluated += n_children
+                stats.rows_costed += elite_idx.size
                 stats.carry_hits += elite_idx.size
                 if cfg.memetic:
-                    costs, last_memetic = self._memetic_vectorized(
+                    costs, last_memetic = self._memetic_inject(
                         costs, last_memetic, node_free_times, ref_time
                     )
                 self._generations += 1
-                new_best = float(costs.min())
-                self._history.append((self._generations, new_best))
-                if cfg.early_stop_after is not None:
-                    if new_best < best_seen:
-                        best_seen = new_best
-                        stalled = 0
-                    else:
-                        stalled += 1
-                        if stalled >= cfg.early_stop_after:
-                            stats.early_stops += 1
-                            stop = True
-                            break
+                self._history.append((self._generations, float(costs.min())))
             done += block
-        if cfg.eval_reuse:
-            self._store_cost_cache(costs, node_free_times, ref_time)
+        self._store_cost_cache(costs, node_free_times, ref_time)
         best_cost = float(costs.min())
         if self._tracer is not None:
             self._tracer.emit(
@@ -1291,96 +828,6 @@ class GAScheduler:
                     history=tuple(
                         best for _, best in self._history[history_before:]
                     ),
-                    kernel="vectorized",
-                )
-            )
-        return best_cost
-
-    def evolve(
-        self,
-        generations: int,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> float:
-        """Advance the population *generations* steps; returns the best cost.
-
-        A generation is: cost the population (eq. 8) → scale to fitness
-        (eq. 9) → carry elites → stochastic-remainder selection → pairwise
-        two-part crossover → two-part mutation.
-
-        Under ``GAConfig(eval_reuse=True)`` (the default) each costing
-        deduplicates identical individuals and the elites carried into a
-        new generation keep their previous costs (availability is fixed
-        within one call), which is byte-identical to evaluating everything
-        — populations, RNG stream, and cost history match the
-        ``eval_reuse=False`` reference bit for bit.  The final cost vector
-        is retained so an immediately following :meth:`best_solution`
-        under the same availability pays no extra evaluation.  With
-        ``GAConfig(early_stop_after=K)`` (off by default) the loop halts
-        after K consecutive generations without best-cost improvement.
-        """
-        if generations < 0:
-            raise ValidationError(f"generations must be >= 0, got {generations}")
-        if self._order is None:
-            return 0.0
-        assert self._masks is not None
-        cfg = self._config
-        if cfg.effective_kernel == "vectorized":
-            return self._evolve_vectorized(generations, node_free_times, ref_time)
-        self._invalidate_cost_cache()
-        # The evolve-scoped digest→cost memo: availability is fixed for
-        # the whole call, so every cost computed in one generation is
-        # reusable in every later one — elites carry their costs forward,
-        # and on a converged population most children are re-creations of
-        # already-costed individuals.
-        memo: Optional[Dict[bytes, float]] = {} if cfg.eval_reuse else None
-        generations_before = self._generations
-        history_before = len(self._history)
-        costs = self._population_costs(node_free_times, ref_time, memo=memo)
-        if cfg.memetic:
-            costs = self._memetic_step(costs, node_free_times, ref_time, memo)
-        best_seen = float(costs.min())
-        stalled = 0
-        for _ in range(generations):
-            fitness = scale_fitness(costs)
-            elite_idx = np.argsort(costs, kind="stable")[: cfg.elite_count]
-            n_children = cfg.population_size - elite_idx.size
-            parents = stochastic_remainder_selection(fitness, n_children, self._rng)
-            new_order, new_masks = self._make_children(parents, n_children)
-            self._mutate_population(new_order, new_masks)
-            self._repair_orders(new_order)
-            self._order = np.concatenate([self._order[elite_idx], new_order])
-            self._masks = np.concatenate([self._masks[elite_idx], new_masks])
-            self._generations += 1
-            costs = self._population_costs(node_free_times, ref_time, memo=memo)
-            if cfg.memetic:
-                costs = self._memetic_step(costs, node_free_times, ref_time, memo)
-            self._history.append((self._generations, float(costs.min())))
-            if cfg.early_stop_after is not None:
-                new_best = float(costs.min())
-                if new_best < best_seen:
-                    best_seen = new_best
-                    stalled = 0
-                else:
-                    stalled += 1
-                    if stalled >= cfg.early_stop_after:
-                        self._stats.early_stops += 1
-                        break
-        if cfg.eval_reuse:
-            self._store_cost_cache(costs, node_free_times, ref_time)
-        best_cost = float(costs.min())
-        if self._tracer is not None:
-            self._tracer.emit(
-                EvolveStep(
-                    t=float(ref_time),
-                    resource=self._trace_name,
-                    n_tasks=self.n_tasks,
-                    generations=self._generations - generations_before,
-                    best_cost=best_cost,
-                    history=tuple(
-                        best for _, best in self._history[history_before:]
-                    ),
-                    kernel=cfg.effective_kernel,
                 )
             )
         return best_cost
@@ -1390,26 +837,23 @@ class GAScheduler:
     ) -> SolutionString:
         """The lowest-cost individual under the given availability.
 
-        With ``eval_reuse`` on, the cost vector retained by the last
-        :meth:`evolve` (or ``best_solution``) call is reused when the
-        population and the availability key are unchanged — a scheduling
-        event's ``evolve`` → dispatch → ``best_solution`` sequence then
-        pays no second full evaluation.  Any ``add_task`` /
-        ``remove_task`` / availability change recomputes.
+        The cost vector retained by the last :meth:`evolve` (or
+        ``best_solution``) call is reused when the population and the
+        availability key are unchanged — a scheduling event's ``evolve``
+        → dispatch → ``best_solution`` sequence then pays no second full
+        evaluation.  Any ``add_task`` / ``remove_task`` / ``set_floor`` /
+        availability change recomputes.
         """
         if self._order is None:
             raise ScheduleError("population is empty (no tasks)")
         assert self._masks is not None
-        if self._config.eval_reuse:
-            costs = self._cached_costs_for(node_free_times, ref_time)
-            if costs is not None:
-                self._stats.event_cache_hits += 1
-            else:
-                self._stats.event_cache_misses += 1
-                costs = self._population_costs(node_free_times, ref_time)
-                self._store_cost_cache(costs, node_free_times, ref_time)
+        costs = self._cached_costs_for(node_free_times, ref_time)
+        if costs is not None:
+            self._stats.event_cache_hits += 1
         else:
-            costs = self._evaluate(self._order, self._masks, node_free_times, ref_time)
+            self._stats.event_cache_misses += 1
+            costs = self._costs(self._order, self._masks, node_free_times, ref_time)
+            self._store_cost_cache(costs, node_free_times, ref_time)
         return self._solution_at(int(np.argmin(costs)))
 
     def reference_cost(
@@ -1421,7 +865,8 @@ class GAScheduler:
         """Scalar (non-vectorised) eq.-(8) cost of one solution.
 
         The reference implementation used by tests to validate the
-        vectorised evaluator.
+        vectorised evaluator: the scalar schedule builder under the same
+        start floors and precedence constraints the kernel holds.
         """
         from repro.scheduling.cost import IDLE_WEIGHTERS, schedule_cost
         from repro.scheduling.schedule import build_schedule
@@ -1431,6 +876,8 @@ class GAScheduler:
             node_free_times,
             lambda tid, k: float(self._dtable[self._require_row(tid)][k - 1]),
             ref_time=ref_time,
+            floors=self._floor or None,
+            predecessors=self._preds or None,
         )
         deadlines = {tid: float(self._deadline_arr[r]) for tid, r in self._row_of.items()}
         breakdown = schedule_cost(
@@ -1452,7 +899,7 @@ class GAScheduler:
         masks = np.zeros((1, self.n_tasks, self._n), dtype=bool)
         for tid in solution.ordering:
             masks[0, self._row_of[tid]] = solution.mask(tid)
-        return float(self._evaluate(order, masks, node_free_times, ref_time)[0])
+        return float(self._costs(order, masks, node_free_times, ref_time)[0])
 
     # ------------------------------------------------------------- checkpoint
 
@@ -1468,7 +915,6 @@ class GAScheduler:
         from repro.checkpoint.codec import encode_ndarray
 
         state = {
-            "kernel": self._config.effective_kernel,
             "id_order": list(self._id_order),
             "dtable": encode_ndarray(self._dtable),
             "deadlines": [float(d) for d in self._deadline_arr],
@@ -1504,26 +950,9 @@ class GAScheduler:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild the population exactly as snapshot (RNG restored elsewhere).
-
-        The batched and reference kernels share one RNG protocol and are
-        byte-identical, so snapshots move freely between them (and old
-        snapshots without a ``kernel`` key are one of the two).  The
-        vectorized kernel consumes a different stream, so crossing the
-        vectorized/byte-identical boundary in either direction is refused
-        — a resumed run would silently diverge from its uninterrupted
-        twin.
-        """
+        """Rebuild the population exactly as snapshot (RNG restored elsewhere)."""
         from repro.checkpoint.codec import decode_ndarray
 
-        snap_kernel = state.get("kernel")
-        current = self._config.effective_kernel
-        if snap_kernel is not None and snap_kernel != current:
-            if "vectorized" in (snap_kernel, current):
-                raise ScheduleError(
-                    f"snapshot was taken under kernel {snap_kernel!r}, "
-                    f"scheduler is configured for {current!r}"
-                )
         self._id_order = [int(t) for t in state["id_order"]]
         self._row_of = {tid: row for row, tid in enumerate(self._id_order)}
         self._dtable = decode_ndarray(state["dtable"])

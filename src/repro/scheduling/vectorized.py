@@ -1,38 +1,30 @@
-"""The fully vectorised GA kernel: whole-population operators, lean costing.
+"""The GA kernel's array programs: whole-population operators, lean costing.
 
-The batched kernel (:mod:`repro.scheduling.batched`) vectorised the
-crossover *arithmetic* but kept the reference RNG protocol — every pair
-decision, cut and point drawn scalar, in per-pair order — because its
-contract is byte-identity with the per-pair kernel.  Profiling shows that
-at case-study sizes (pop 50, m ≈ 12, n = 16) the remaining cost of a
-generation is almost entirely **python/numpy call overhead**, not array
-arithmetic: scalar RNG draws, the per-individual digest loop, the
-per-generation memetic re-map, and a second full eq.-(8) evaluation for
-the memetic candidate.
-
-This module is the kernel with that overhead designed out, selected with
-``GAConfig(kernel="vectorized")``:
+At case-study sizes (pop 50, m ≈ 12, n = 16) the cost of a generation is
+almost entirely **python/numpy call overhead**, not array arithmetic:
+scalar RNG draws, per-individual loops and per-step temporaries.  This
+module is the kernel with that overhead designed out; the generation loop
+in :meth:`GAScheduler.evolve <repro.scheduling.ga.GAScheduler.evolve>`
+drives it:
 
 * operators are **pure array programs over the whole population**: the
   random choices (pair decisions, cuts, points, swap positions, bit
   flips) are *arguments*, drawn by the caller as arrays — the evolve
   loop draws them in multi-generation blocks, so RNG dispatch is O(1)
   per generation;
-* :func:`vectorized_costs` is a re-derived eq.-(8) evaluator that keeps
-  its per-node state **node-major** (``(n, P)``) so the per-step masked
-  maximum reduces along axis 0 of a contiguous array — measured ~3×
-  cheaper than the row-major reduction at case-study sizes — and defers
-  all idle-pocket accounting to whole-cube operations after the walk;
+* :func:`vectorized_costs` is the kernel's one eq.-(8) evaluator.  It
+  keeps its per-node state **node-major** (``(n, P)``) so the per-step
+  masked maximum reduces along axis 0 of a contiguous array — measured
+  ~3× cheaper than the row-major reduction at case-study sizes — and
+  defers all idle-pocket accounting to whole-cube operations after the
+  walk;
 * cost evaluation runs once per generation over the **children only** —
-  elites carry their costs forward structurally (the vectorised analogue
-  of the eval-reuse memo).
+  elites carry their costs forward structurally.
 
-Byte-identity with the reference kernel is **explicitly relaxed**: this
-kernel consumes a different RNG stream and reorders float arithmetic.
-The gate is *schedule-cost parity* instead — at an equal generation
-budget the vectorised kernel's best cost must not exceed the reference
-kernel's, and every individual must stay a legitimate solution
-(property-tested; see docs/performance.md).
+Float arithmetic is reordered relative to the scalar reference
+(:func:`~repro.scheduling.schedule.build_schedule` +
+:func:`~repro.scheduling.cost.schedule_cost`), so agreement is to
+rounding, asserted by the property tests (see docs/performance.md).
 
 Shape conventions match the packed population of
 :class:`~repro.scheduling.ga.GAScheduler`: orderings are ``(P, m)`` row
@@ -46,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.scheduling.batched import _mask_crossover_core, _order_splice_core
+from repro.scheduling.batched import batched_mask_crossover, batched_order_splice
 
 __all__ = [
     "bernoulli_indices",
@@ -131,13 +123,13 @@ def vectorized_children(
 ) -> tuple:
     """The next generation's non-elite individuals, built batch-at-once.
 
-    Consecutive selected *parents* pair up exactly as in the reference
-    kernel; ``do_cross``/``cuts``/``points`` are the per-pair random
-    choices, drawn by the caller as arrays (the evolve loop draws them in
-    multi-generation blocks).  Both crossover directions go through a
-    single fused order-splice / mask-crossover invocation — the a-head
-    children occupy the first half of the batch, the b-head children the
-    second; child order within a generation is immaterial to selection.
+    Consecutive selected *parents* pair up; ``do_cross``/``cuts``/
+    ``points`` are the per-pair random choices, drawn by the caller as
+    arrays (the evolve loop draws them in multi-generation blocks).  Both
+    crossover directions go through a single fused order-splice /
+    mask-crossover invocation — the a-head children occupy the first half
+    of the batch, the b-head children the second; child order within a
+    generation is immaterial to selection.
     Pairs that do not cross copy their parents through; an odd leftover
     parent is copied verbatim.
 
@@ -156,8 +148,8 @@ def vectorized_children(
     head_orders = order[heads]
     head_masks = masks[heads]
     cuts2 = np.concatenate([cuts, cuts])
-    child_order = _order_splice_core(head_orders, order[tails], cuts2)
-    child_masks = _mask_crossover_core(
+    child_order = batched_order_splice(head_orders, order[tails], cuts2)
+    child_masks = batched_mask_crossover(
         child_order, head_masks, masks[tails], np.concatenate([points, points])
     )
     plain = np.flatnonzero(~np.concatenate([do_cross, do_cross]))
@@ -185,7 +177,7 @@ def vectorized_mutation(
     mutates; each swaps positions ``i = swap_i`` and
     ``j = (i + 1 + swap_j) % m`` — with ``swap_j`` uniform on
     ``0..m-2`` this offset trick is uniform over ordered distinct pairs,
-    the same distribution as the reference's per-individual
+    the same distribution as a per-individual
     ``rng.choice(m, 2, replace=False)``.  *flip_idx* holds the **flat**
     bit positions to toggle in ``masks`` (unique indices into the
     flattened ``(P·m·n,)`` view — :func:`bernoulli_indices` output, the
@@ -255,13 +247,16 @@ def vectorized_costs(
     ref_time: float,
     weights,
     idle_weighting: str = "linear",
+    *,
+    floors: Optional[np.ndarray] = None,
+    preds: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """eq.-(8) cost of every individual — the lean whole-population evaluator.
+    """eq.-(8) cost of every individual — the whole-population evaluator.
 
-    Computes the same quantity as the reference evaluator
-    (:meth:`GAScheduler._evaluate <repro.scheduling.ga.GAScheduler._evaluate>`)
-    with a fraction of the numpy calls per task step, which is what
-    matters at case-study sizes where call overhead dominates arithmetic:
+    Computes the same quantity as the scalar reference (the schedule
+    builder plus :func:`~repro.scheduling.cost.schedule_cost`) with a
+    handful of numpy calls per task step, which is what matters at
+    case-study sizes where call overhead dominates arithmetic:
 
     * everything runs in **time relative to** ``ref_time`` and
       **node-major layout**: free times are a contiguous ``(n, P)``
@@ -279,10 +274,23 @@ def vectorized_costs(
       ``Σ (b² − a²)/2 = (count·start² − Σ_sel frel²)/2`` per step with no
       per-step reductions.
 
+    Workflow constraints are optional and row-keyed, in the layout of
+    :meth:`GAScheduler._constraint_arrays
+    <repro.scheduling.ga.GAScheduler._constraint_arrays>`: *floors* is
+    an ``(m,)`` vector of absolute earliest starts (``-inf`` where
+    unconstrained) and *preds* an ``(m, maxP)`` matrix of predecessor
+    rows padded with the sentinel row ``m``.  A task starts no earlier
+    than its floor or than the completion of any predecessor placed
+    before it in the ordering — the **completion track**, an
+    ``(m + 1, P)`` table of completions by task row whose sentinel row
+    stays ``-inf``.  A raised start only widens the idle pockets on the
+    task's nodes (every selected node is still free by then), so the
+    post-walk pocket accounting holds unchanged.
+
     Caller contract: every mask row selects at least one node (the
     operators' legitimacy repair runs *before* costing) and durations are
     finite and positive.  Float arithmetic is reordered relative to the
-    reference, so agreement is to rounding (asserted with ``allclose`` by
+    reference, so agreement is to rounding (asserted with ``approx`` by
     the property tests), not bit-identity.
     """
     pop, m = order.shape
@@ -301,11 +309,25 @@ def vectorized_costs(
     order_t = order.T
     durs = dtable[order_t, counts - 1]  # (m, pop)
     frel[:] = (free0 - ref_time)[:, None]  # (n, pop) — all >= 0 after clamp
+    if floors is not None:
+        floor_rel = (floors - ref_time)[order_t]  # (m, pop)
+    if preds is not None:
+        pred_rows = preds[order_t].transpose(0, 2, 1)  # (m, maxP, pop)
+        track = np.full((m + 1, pop), -np.inf)
+        cols = rows_idx[:, 0]
     for j in range(m):
         cj = cube[j]
         np.multiply(frel, smask[j], out=cj)  # frel >= 0, so 0-fill is safe
         np.maximum.reduce(cj, axis=0, out=starts[j])
+        if floors is not None:
+            np.maximum(starts[j], floor_rel[j], out=starts[j])
+        if preds is not None:
+            np.maximum(
+                starts[j], track[pred_rows[j], cols].max(axis=0), out=starts[j]
+            )
         np.add(starts[j], durs[j], out=comps[j])
+        if preds is not None:
+            track[order_t[j], cols] = comps[j]
         np.copyto(frel, comps[j][None, :], where=smask[j])
     omega = np.maximum.reduce(comps, axis=0)
     np.maximum(omega, 0.0, out=omega)

@@ -90,6 +90,18 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="version"):
             read_snapshot(path)
 
+    def test_version_one_snapshot_refused(self, path):
+        """Snapshots from the version-1 GA kernels would resume diverged."""
+        assert FORMAT_VERSION == 2
+        write_snapshot(path, {"x": 1})
+        lines = open(path, encoding="utf-8").read().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n" + lines[1] + "\n")
+        with pytest.raises(CheckpointError, match="format version 1"):
+            read_snapshot(path)
+
     def test_malformed_header(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("not json\n{}\n")

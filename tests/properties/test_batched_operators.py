@@ -1,13 +1,10 @@
 """Property tests: the batched GA operators agree with the references.
 
-Three layers of agreement are asserted:
+Two layers of agreement are asserted:
 
 * each pure batched operator (:mod:`repro.scheduling.batched`) equals the
   corresponding reference built from :mod:`repro.scheduling.operators` /
   ``np.insert``, row for row, given the same random choices;
-* a full ``evolve`` under ``GAConfig(batched=True)`` is byte-identical to
-  ``GAConfig(batched=False)`` from the same seed — including through task
-  churn — because both kernels consume one identical RNG stream;
 * swap-remove (``remove_task``) preserves the population abstractly: every
   ordering remains a permutation of the surviving rows and every task
   keeps the mask it had before removal.
@@ -137,51 +134,6 @@ class TestBatchedInsert:
 
 def _duration(task_id: int, count: int) -> float:
     return 10.0 / count + task_id % 3
-
-
-class TestKernelEquivalence:
-    @given(seed=st.integers(0, 2**31), n_tasks=st.integers(1, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_evolve_batched_equals_reference(self, seed, n_tasks):
-        free = [0.0] * 4
-        populations = {}
-        for batched in (True, False):
-            ga = GAScheduler(
-                4,
-                _duration,
-                np.random.default_rng(seed),
-                GAConfig(population_size=12, batched=batched),
-            )
-            for tid in range(n_tasks):
-                ga.add_task(tid, deadline=50.0 + 10.0 * tid)
-            ga.evolve(5, free, 0.0)
-            populations[batched] = (ga._order.copy(), ga._masks.copy(), ga.history)
-        assert np.array_equal(populations[True][0], populations[False][0])
-        assert np.array_equal(populations[True][1], populations[False][1])
-        assert populations[True][2] == populations[False][2]
-
-    @given(seed=st.integers(0, 2**31))
-    @settings(max_examples=10, deadline=None)
-    def test_evolve_equality_survives_churn(self, seed):
-        free = [0.0] * 4
-        populations = {}
-        for batched in (True, False):
-            ga = GAScheduler(
-                4,
-                _duration,
-                np.random.default_rng(seed),
-                GAConfig(population_size=12, batched=batched),
-            )
-            for tid in range(5):
-                ga.add_task(tid, deadline=50.0 + 10.0 * tid)
-            ga.evolve(3, free, 0.0)
-            ga.remove_task(1)
-            ga.remove_task(4)
-            ga.add_task(7, deadline=90.0)
-            ga.evolve(3, free, 5.0)
-            populations[batched] = (ga._order.copy(), ga._masks.copy())
-        assert np.array_equal(populations[True][0], populations[False][0])
-        assert np.array_equal(populations[True][1], populations[False][1])
 
 
 class TestSwapRemoveInvariants:

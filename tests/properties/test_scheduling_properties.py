@@ -3,7 +3,8 @@
 These pin the key equivalences the performance work relies on:
 
 * the vectorised population evaluator equals the scalar reference
-  (schedule builder + cost function) for arbitrary solutions;
+  (schedule builder + cost function) for arbitrary solutions, with and
+  without workflow constraints (start floors and precedence);
 * the O(n log n) FIFO allocation search equals the literal 2^n − 1
   enumeration;
 * schedule construction never double-books a node and always starts
@@ -44,15 +45,40 @@ def scheduling_instances(draw):
     return m, n, durations, deadlines, free, solution
 
 
+@st.composite
+def workflow_constraints(draw, m):
+    """Start floors and an acyclic predecessor map over tasks ``0..m-1``.
+
+    Parents always have lower ids, so the graph is acyclic; the drawn
+    solution's ordering may still place a parent after its child, which
+    both evaluators must treat alike (an unplaced parent does not bind).
+    """
+    floors = {
+        tid: draw(st.floats(0.0, 40.0)) for tid in range(m) if draw(st.booleans())
+    }
+    preds = {}
+    for tid in range(1, m):
+        parents = [p for p in range(tid) if draw(st.booleans())]
+        if parents:
+            preds[tid] = parents
+    return floors, preds
+
+
 class TestVectorisedEvaluatorEquivalence:
     @given(
         instance=scheduling_instances(),
         weighting=st.sampled_from(["linear", "uniform", "exponential"]),
         ref_time=st.floats(0.0, 10.0),
+        constrained=st.booleans(),
+        data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_reference(self, instance, weighting, ref_time):
+    def test_matches_reference(self, instance, weighting, ref_time, constrained,
+                               data):
         m, n, durations, deadlines, free, solution = instance
+        floors, preds = (
+            data.draw(workflow_constraints(m)) if constrained else ({}, {})
+        )
         ga = GAScheduler(
             n,
             lambda tid, k: durations[tid][k - 1],
@@ -60,7 +86,10 @@ class TestVectorisedEvaluatorEquivalence:
             GAConfig(population_size=4, elite_count=0, idle_weighting=weighting),
         )
         for tid in range(m):
-            ga.add_task(tid, deadlines[tid])
+            ga.add_task(
+                tid, deadlines[tid],
+                floor=floors.get(tid), predecessors=preds.get(tid, ()),
+            )
         fast = ga.cost_of(solution, free, ref_time)
         slow = ga.reference_cost(solution, free, ref_time)
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)

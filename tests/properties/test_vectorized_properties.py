@@ -1,23 +1,21 @@
-"""Property tests for the vectorized GA kernel and its warm start.
+"""Property tests for the GA kernel's generation loop and its warm start.
 
-The vectorized kernel (``GAConfig(kernel="vectorized")``) deliberately
-relaxes the byte-identical-RNG-stream contract the batched kernel keeps,
-so its correctness is gated on *properties* rather than stream equality:
+The kernel's correctness is gated on *properties* rather than on a
+particular RNG stream:
 
 * every individual it ever holds is a legitimate solution — row
   permutations and at-least-one-node masks — across seeds and population
   sizes;
-* its lean evaluator agrees with the long-validated population evaluator
-  (itself property-tested against the scalar eq.-(8) reference) to
-  floating-point noise, under every idle weighting and under shifted
-  node availability;
-* its schedule quality is no worse than the reference kernel's on a
-  fixed seed panel at an equal generation budget (per-seed outcomes
-  differ by RNG-stream noise, so the gate is the panel mean — see
-  docs/performance.md);
+* its evaluator agrees with the scalar eq.-(8) reference (schedule
+  builder + cost function) to floating-point noise, under every idle
+  weighting, under shifted node availability, and under workflow
+  constraints;
+* its schedule quality is no worse than the seed kernel's on a fixed
+  seed panel at an equal generation budget — frozen reference costs, not
+  code (per-seed outcomes differ by RNG-stream noise, so the gate is the
+  panel mean — see docs/performance.md);
 * the warm start is deterministic, including through a checkpoint /
-  restore round-trip, and snapshots refuse to cross the vectorized /
-  byte-identical kernel boundary.
+  restore round-trip.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError, ValidationError
+from repro.scheduling.coding import SolutionString
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.vectorized import (
     bernoulli_indices,
@@ -43,8 +42,8 @@ from repro.scheduling.warmstart import (
 N_NODES = 6
 
 
-def make_ga(seed: int, *, kernel="vectorized", population_size=20,
-            n_tasks=8, **config_kwargs) -> GAScheduler:
+def make_ga(seed: int, *, population_size=20, n_tasks=8,
+            **config_kwargs) -> GAScheduler:
     """A small GA over a synthetic sublinear-speedup duration table."""
     def row(tid):
         return [60.0 * (1.0 + 0.37 * (tid % 16)) / (k**0.8)
@@ -55,7 +54,7 @@ def make_ga(seed: int, *, kernel="vectorized", population_size=20,
         N_NODES,
         lambda tid, k: rows.setdefault(tid, row(tid))[k - 1],
         np.random.default_rng(seed),
-        GAConfig(kernel=kernel, population_size=population_size, **config_kwargs),
+        GAConfig(population_size=population_size, **config_kwargs),
         duration_row=lambda tid: rows.setdefault(tid, row(tid)),
     )
     for tid in range(n_tasks):
@@ -166,7 +165,7 @@ class TestChildrenProperties:
 
 
 class TestEvaluatorParity:
-    """The lean evaluator vs the long-validated population evaluator."""
+    """The evaluator vs the scalar eq.-(8) reference."""
 
     @pytest.mark.parametrize("idle_weighting", ["linear", "uniform", "exponential"])
     @pytest.mark.parametrize("seed", range(3))
@@ -178,18 +177,24 @@ class TestEvaluatorParity:
         masks = rng.random((pop, m, N_NODES)) < 0.4
         masks |= ~masks.any(axis=2, keepdims=True)  # legitimacy repair
         free = list(10.0 * rng.random(N_NODES))
+        ids = ga.task_ids
         for ref_time in (0.0, 5.0):
-            expected = ga._evaluate(order, masks, free, ref_time)
             got = vectorized_costs(
                 order, masks, ga._dtable, ga._deadline_arr,
                 free, ref_time, ga.config.weights, idle_weighting,
             )
-            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-9)
+            for p in range(pop):
+                solution = SolutionString(
+                    [ids[r] for r in order[p]],
+                    {ids[r]: masks[p, r] for r in range(m)},
+                )
+                expected = ga.reference_cost(solution, free, ref_time)
+                assert got[p] == pytest.approx(expected, rel=1e-10, abs=1e-9)
 
     def test_wrong_node_count_rejected(self):
         ga = make_ga(0)
         with pytest.raises(ScheduleError):
-            ga._vector_costs(ga._order, ga._masks, [0.0] * (N_NODES + 1), 0.0)
+            ga._costs(ga._order, ga._masks, [0.0] * (N_NODES + 1), 0.0)
 
 
 class TestPopulationLegitimacy:
@@ -214,27 +219,39 @@ class TestPopulationLegitimacy:
         assert_population_legitimate(ga)
 
 
+#: Best cost after ``evolve(50)`` of the seed kernel (the per-pair
+#: reference, whose batched twin was byte-identical to it) on
+#: :func:`repro.perf._make_ga`'s case-study GA, one entry per RNG seed
+#: 0–9 — measured once and frozen, so the gate compares against numbers,
+#: not against code that no longer ships.
+REFERENCE_PANEL = [
+    28.5495, 27.3056, 26.9352, 27.693, 29.6577,
+    28.9733, 28.8356, 30.3153, 26.287, 29.16,
+]
+
+
 class TestQualityParity:
     def test_panel_mean_no_worse_than_reference(self):
-        """Vectorized best-cost panel mean ≤ reference's at equal budget.
+        """Best-cost panel mean ≤ the frozen reference's at equal budget.
 
         Per-seed outcomes legitimately differ (the kernels consume
         different RNG streams); the acceptance gate is the mean over a
-        fixed 10-seed panel, where the vectorized kernel's warm start
-        and identical-distribution operators must not lose ground.
+        fixed 10-seed panel, where the warm start and the
+        identical-distribution operators must not lose ground.
         """
         from repro.perf import _make_ga
 
         free = [0.0] * 16
-        budgets = {"vectorized": [], "reference": []}
-        for kernel, bests in budgets.items():
-            for seed in range(10):
-                ga = _make_ga(batched=False, kernel=kernel)
-                ga._rng = np.random.default_rng(seed)
-                bests.append(ga.evolve(50, free, 0.0))
-        vec = float(np.mean(budgets["vectorized"]))
-        ref = float(np.mean(budgets["reference"]))
-        assert vec <= ref + 1e-9, f"vectorized {vec:.4f} > reference {ref:.4f}"
+        bests = []
+        for seed in range(10):
+            ga = _make_ga()
+            ga._rng = np.random.default_rng(seed)
+            bests.append(ga.evolve(50, free, 0.0))
+        mean = float(np.mean(bests))
+        reference = float(np.mean(REFERENCE_PANEL))
+        assert mean <= reference + 1e-9, (
+            f"kernel panel mean {mean:.4f} > reference {reference:.4f}"
+        )
 
 
 class TestWarmstartProperties:
@@ -304,22 +321,3 @@ class TestCheckpointRoundTrip:
         assert cost_resumed == cost_direct
         assert np.array_equal(ga1._order, ga2._order)
         assert np.array_equal(ga1._masks, ga2._masks)
-
-    def test_vectorized_boundary_refused_both_ways(self):
-        free = [0.0] * N_NODES
-        vec = make_ga(5)
-        vec.evolve(2, free, 0.0)
-        batched = make_ga(5, kernel="batched")
-        with pytest.raises(ScheduleError):
-            batched.restore_state(vec.snapshot_state())
-        batched.evolve(2, free, 0.0)
-        with pytest.raises(ScheduleError):
-            vec.restore_state(batched.snapshot_state())
-
-    def test_byte_identical_kernels_still_interchange(self):
-        free = [0.0] * N_NODES
-        batched = make_ga(5, kernel="batched")
-        batched.evolve(2, free, 0.0)
-        reference = make_ga(5, kernel="reference")
-        reference.restore_state(batched.snapshot_state())
-        assert np.array_equal(reference._order, batched._order)

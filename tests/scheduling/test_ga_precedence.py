@@ -2,16 +2,20 @@
 
 The keyword extensions of :meth:`GAScheduler.add_task` must (a) keep every
 individual's ordering topologically valid through splicing, crossover, and
-mutation, (b) push constrained costs up relative to the unconstrained
-problem (serialisation is real work), and (c) round-trip through the
-snapshot codec — with the workflow keys absent entirely when unused, so
-independent-task snapshots stay byte-identical to the seed format.
+mutation — the whole-population repair rebuilding exactly what a
+per-individual loop would — (b) push constrained costs up relative to the
+unconstrained problem (serialisation is real work), and (c) round-trip
+through the snapshot codec — with the workflow keys absent entirely when
+unused, so independent-task snapshots stay byte-identical to the seed
+format.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scheduling.ga import GAConfig, GAScheduler
 
@@ -60,6 +64,67 @@ class TestOrderingRepair:
         ga.remove_task(9)  # swap-remove must not corrupt the pred mapping
         ga.evolve(2, [0.0] * 4, 0.0)
         _orderings_respect(ga, [(7, 8)])
+
+
+def _repair_loop(order, pred_mat):
+    """Per-individual stable topological repair (the array pass's oracle).
+
+    Each individual's position table is built on its own; individuals
+    already respecting every constraint are skipped, violators are
+    rebuilt by a stable Kahn pass.
+    """
+    m = order.shape[1]
+    pos = np.empty(m + 1, dtype=np.int64)
+    for p in range(order.shape[0]):
+        seq = order[p]
+        pos[m] = -1
+        pos[seq] = np.arange(m)
+        if np.all(pos[:m] > pos[pred_mat].max(axis=1)):
+            continue
+        placed = np.zeros(m + 1, dtype=bool)
+        placed[m] = True
+        out = []
+        pending = [int(r) for r in seq]
+        while pending:
+            for i, r in enumerate(pending):
+                if placed[pred_mat[r]].all():
+                    out.append(r)
+                    placed[r] = True
+                    del pending[i]
+                    break
+        order[p] = out
+
+
+class TestRepairMatchesLoop:
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(2, 9),
+        pop=st.integers(1, 24),
+        density=st.floats(0.05, 0.9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_array_pass_equals_per_individual_loop(self, seed, m, pop, density):
+        rng = np.random.default_rng(seed)
+        ga = GAScheduler(4, const_duration(8.0), rng, GAConfig(population_size=4))
+        # Task ids are a shuffled range and parents always come earlier in
+        # a random topological order, so the graph is acyclic but rows,
+        # ids and precedence disagree.
+        ids = [int(t) for t in rng.permutation(100)[:m]]
+        for k, tid in enumerate(ids):
+            parents = [ids[j] for j in range(k) if rng.random() < density]
+            ga.add_task(tid, 100.0, predecessors=parents)
+        ga.remove_task(ids[0])  # swap-remove re-keys the rows
+        pred_mat, _ = ga._constraint_arrays()
+        rows = ga.n_tasks
+        order = np.stack([rng.permutation(rows) for _ in range(pop)])
+        got = order.copy()
+        ga._repair_orders(got)
+        if pred_mat is None:
+            assert np.array_equal(got, order)
+            return
+        expected = order.copy()
+        _repair_loop(expected, pred_mat)
+        assert np.array_equal(got, expected)
 
 
 class TestConstraintCosts:

@@ -129,22 +129,21 @@ class TestMergeSuiteDoc:
     """``perf --update`` folds a partial run into the committed document."""
 
     def test_fresh_overrides_and_rest_carries_over(self):
-        existing = doc(ga_evolve_reference=(500.0, True), casestudy_wall=(4.0, False))
-        fresh = doc(ga_evolve_reference=(520.0, True),
-                    ga_evolve_vectorized=(2200.0, True))
+        existing = doc(ga_evolve=(500.0, True), casestudy_wall=(4.0, False))
+        fresh = doc(ga_evolve=(520.0, True), ga_warmstart_convergence=(2.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert merged["benchmarks"]["ga_evolve_reference"]["value"] == 520.0
-        assert merged["benchmarks"]["ga_evolve_vectorized"]["value"] == 2200.0
+        assert merged["benchmarks"]["ga_evolve"]["value"] == 520.0
+        assert merged["benchmarks"]["ga_warmstart_convergence"]["value"] == 2.0
         assert merged["benchmarks"]["casestudy_wall"]["value"] == 4.0
 
     def test_derived_ratios_recomputed_from_merged_set(self):
-        # The vectorized numerator comes from the fresh run, the reference
-        # denominator from the existing document: the merge must still
-        # produce the ratio.
-        existing = doc(ga_evolve_reference=(500.0, True))
-        fresh = doc(ga_evolve_vectorized=(2000.0, True))
+        # The partitioned-engine numerator comes from the fresh run, the
+        # single-heap denominator from the existing document: the merge
+        # must still produce the ratio.
+        existing = doc(engine_events_per_s_single_heap=(500.0, True))
+        fresh = doc(engine_events_per_s=(2000.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert merged["derived"]["ga_evolve_vectorized_speedup"] == 4.0
+        assert merged["derived"]["engine_partition_speedup"] == 4.0
 
     def test_meta_comes_from_fresh(self):
         existing = doc(cpu_count=8, a=(1.0, True))
@@ -158,10 +157,10 @@ class TestMergeSuiteDoc:
         assert merge_suite_doc({}, fresh) is fresh
 
     def test_zero_denominator_ratio_dropped(self):
-        existing = doc(ga_evolve_reference=(0.0, True))
-        fresh = doc(ga_evolve_vectorized=(2000.0, True))
+        existing = doc(engine_events_per_s_single_heap=(0.0, True))
+        fresh = doc(engine_events_per_s=(2000.0, True))
         merged = merge_suite_doc(existing, fresh)
-        assert "ga_evolve_vectorized_speedup" not in merged["derived"]
+        assert "engine_partition_speedup" not in merged["derived"]
 
 
 class TestRunPerfCliUpdate:
@@ -178,14 +177,15 @@ class TestRunPerfCliUpdate:
         import json
 
         output = tmp_path / "BENCH_PERF.json"
-        existing = doc(casestudy_wall=(4.0, False), ga_evolve_reference=(500.0, True))
+        existing = doc(casestudy_wall=(4.0, False),
+                       engine_events_per_s_single_heap=(500.0, True))
         output.write_text(json.dumps(existing))
-        self.fake_suite(monkeypatch, ga_evolve_vectorized=(2000.0, True))
+        self.fake_suite(monkeypatch, engine_events_per_s=(2000.0, True))
         assert run_perf_cli(str(output), update=True) == 0
         written = json.loads(output.read_text())
         assert written["benchmarks"]["casestudy_wall"]["value"] == 4.0
-        assert written["benchmarks"]["ga_evolve_vectorized"]["value"] == 2000.0
-        assert written["derived"]["ga_evolve_vectorized_speedup"] == 4.0
+        assert written["benchmarks"]["engine_events_per_s"]["value"] == 2000.0
+        assert written["derived"]["engine_partition_speedup"] == 4.0
 
     def test_without_update_subset_overwrites(self, tmp_path, monkeypatch):
         import json
@@ -193,7 +193,7 @@ class TestRunPerfCliUpdate:
         output = tmp_path / "BENCH_PERF.json"
         existing = doc(casestudy_wall=(4.0, False))
         output.write_text(json.dumps(existing))
-        self.fake_suite(monkeypatch, ga_evolve_vectorized=(2000.0, True))
+        self.fake_suite(monkeypatch, ga_evolve=(2000.0, True))
         assert run_perf_cli(str(output), update=False) == 0
         written = json.loads(output.read_text())
         assert "casestudy_wall" not in written["benchmarks"]
@@ -202,19 +202,19 @@ class TestRunPerfCliUpdate:
         import json
 
         output = tmp_path / "BENCH_PERF.json"
-        existing = doc(ga_evolve_vectorized=(2000.0, True))
+        existing = doc(ga_evolve=(2000.0, True))
         output.write_text(json.dumps(existing))
-        self.fake_suite(monkeypatch, ga_evolve_vectorized=(1000.0, True))  # 50% drop
+        self.fake_suite(monkeypatch, ga_evolve=(1000.0, True))  # 50% drop
         assert run_perf_cli(str(output), update=True) == 1
 
     def test_update_without_existing_file_writes_fresh(self, tmp_path, monkeypatch):
         import json
 
         output = tmp_path / "BENCH_PERF.json"
-        self.fake_suite(monkeypatch, ga_evolve_vectorized=(2000.0, True))
+        self.fake_suite(monkeypatch, ga_evolve=(2000.0, True))
         assert run_perf_cli(str(output), update=True) == 0
         written = json.loads(output.read_text())
-        assert written["benchmarks"]["ga_evolve_vectorized"]["value"] == 2000.0
+        assert written["benchmarks"]["ga_evolve"]["value"] == 2000.0
 
 
 class TestSelectBenchmarks:
@@ -226,29 +226,34 @@ class TestSelectBenchmarks:
 
     def test_no_filter_returns_everything(self):
         all_names = self.names(select_benchmarks(None))
-        assert "ga_evolve_batched" in all_names
-        assert "ga_evaluate_dedup" in all_names
+        assert "ga_evolve" in all_names
         assert "casestudy_wall" in all_names
         assert self.names(select_benchmarks([])) == all_names
 
     def test_vectorized_and_warmstart_in_suite(self):
+        """One GA loop is timed; the retired kernels' benchmarks are gone."""
         all_names = self.names(select_benchmarks(None))
-        assert "ga_evolve_vectorized" in all_names
+        assert "ga_evolve" in all_names
         assert "ga_warmstart_convergence" in all_names
-        assert DERIVED_RATIOS["ga_evolve_vectorized_speedup"] == (
-            "ga_evolve_vectorized", "ga_evolve_reference"
-        )
+        assert not [
+            name for name in all_names
+            if name.startswith(("ga_evolve_", "ga_crossover_", "ga_evaluate_",
+                                "ga_dedup_"))
+        ]
+        assert set(DERIVED_RATIOS) == {
+            "evaluate_bulk_speedup", "engine_partition_speedup",
+        }
 
     def test_substring_selects_matching_group(self):
-        selected = self.names(select_benchmarks(["dedup"]))
-        assert "ga_evaluate_dedup" in selected
-        assert "ga_evaluate_full" in selected  # same group, runs together
+        selected = self.names(select_benchmarks(["engine_events"]))
+        assert "engine_events_per_s" in selected
+        assert "engine_events_per_s_single_heap" in selected  # same group
         assert "casestudy_wall" not in selected
 
     def test_multiple_substrings_union(self):
-        selected = self.names(select_benchmarks(["casestudy", "crossover"]))
+        selected = self.names(select_benchmarks(["casestudy", "warmstart"]))
         assert "casestudy_wall" in selected
-        assert "ga_crossover_batched" in selected
+        assert "ga_warmstart_convergence" in selected
         assert "sweep_speedup" not in selected
 
     def test_unmatched_filter_raises_before_running(self):
