@@ -7,7 +7,9 @@ Commands map one-to-one onto the paper's evaluation artefacts:
 * ``table3`` — run experiments 1–3 and print Table 3 (+ trend checks);
 * ``figures`` — run the experiments and print/plot Figures 8–10;
 * ``workload`` — inspect the seeded §4.1 request workload;
-* ``predict`` — one-off PACE prediction for an application/platform.
+* ``predict`` — one-off PACE prediction for an application/platform;
+* ``experiment4`` … ``experiment7`` — the cell × contender tournaments
+  beyond the paper, one subcommand per spec in :data:`TOURNAMENTS`.
 """
 
 from __future__ import annotations
@@ -16,11 +18,36 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.experiments.config import table2_experiments
+from repro.errors import ReproError
+from repro.experiments.config import ExperimentConfig, table2_experiments
+from repro.experiments.experiment4 import (
+    EXPERIMENT4,
+    degradation_config,
+    experiment4_base_config,
+)
+from repro.experiments.experiment5 import EXPERIMENT5
+from repro.experiments.experiment6 import EXPERIMENT6
+from repro.experiments.experiment7 import EXPERIMENT7
+from repro.experiments.runner import (
+    checkpoint_degraded,
+    checkpoint_experiment,
+    resume_degraded,
+    resume_experiment,
+    run_degraded,
+    run_experiment,
+)
 from repro.experiments.tables import (
     check_paper_trends,
     run_table3,
     table1_rows,
+)
+from repro.experiments.tournament import (
+    add_arguments,
+    plan_tournament,
+    render_tournament,
+    report_checks,
+    run_tournament,
+    tournament_json,
 )
 from repro.experiments.workload import generate_workload, workload_summary
 from repro.metrics.ascii_plot import ascii_line_chart
@@ -30,7 +57,10 @@ from repro.pace.hardware import DEFAULT_CATALOGUE
 from repro.pace.workloads import paper_application_specs
 from repro.utils.tables import render_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "TOURNAMENTS"]
+
+#: The tournament experiments, one subcommand each.
+TOURNAMENTS = (EXPERIMENT4, EXPERIMENT5, EXPERIMENT6, EXPERIMENT7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Agent-based grid load balancing (Cao et al., IPPS 2003) "
         "— reproduction toolkit",
     )
+    parser.set_defaults(tournament=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="print Table 1 (application predictions)")
@@ -51,6 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for the experiment fabric "
             "(1 = sequential; results are seed-identical either way)",
         )
+
+    def add_run_selection(cmd: argparse.ArgumentParser, *, requests: int,
+                          verb: str) -> None:
+        """The one-run selection ``trace`` and ``checkpoint`` share."""
+        cmd.add_argument("--requests", type=int, default=requests)
+        cmd.add_argument("--seed", type=int, default=2003)
+        cmd.add_argument("--experiment", type=int, choices=(1, 2, 3), default=3,
+                         help=f"which Table 2 configuration to {verb} "
+                         "(ignored when --loss/--churn select the degraded runner)")
+        cmd.add_argument("--loss", type=float, default=0.0, metavar="P",
+                         help="per-message drop probability (switches to the "
+                         "resilient experiment-4 runner)")
+        cmd.add_argument("--churn", type=float, default=0.0, metavar="R",
+                         help="fraction of non-head agents crashed once "
+                         "(switches to the resilient experiment-4 runner)")
 
     table3 = sub.add_parser("table3", help="run experiments 1-3, print Table 3")
     table3.add_argument("--requests", type=int, default=600)
@@ -75,98 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--charts", action="store_true", help="draw ASCII curves")
     add_jobs(figures)
 
-    exp4 = sub.add_parser(
-        "experiment4",
-        help="degradation study: case-study workload under loss/churn/jitter",
-    )
-    exp4.add_argument("--requests", type=int, default=600)
-    exp4.add_argument("--seed", type=int, default=2003)
-    exp4.add_argument("--loss", type=float, nargs="+",
-                      default=[0.0, 0.05, 0.1, 0.2], metavar="P",
-                      help="per-message drop probabilities to sweep")
-    exp4.add_argument("--churn", type=float, nargs="+", default=[0.0, 0.25],
-                      metavar="R",
-                      help="fractions of (non-head) agents crashed once")
-    exp4.add_argument("--jitter", type=float, default=0.0, metavar="SECONDS",
-                      help="max uniform extra latency per message")
-    exp4.add_argument("--no-retry", action="store_true",
-                      help="run only the fire-and-forget ablation "
-                      "(default: resilient protocol plus the ablation)")
-    exp4.add_argument("--fault-plan", metavar="PATH",
-                      help="JSON FaultPlanSpec replacing the --loss sweep "
-                      "(link faults, partitions, ...)")
-    exp4.add_argument("--json", metavar="PATH",
-                      help="also write the degradation grid as JSON")
-    exp4.add_argument("--check", action="store_true",
-                      help="exit non-zero unless the robustness invariants "
-                      "hold (full completion at zero faults; retries under "
-                      "loss; resilient >= ablation everywhere)")
-
-    exp5 = sub.add_parser(
-        "experiment5",
-        help="availability study: coordinator churn x grey failures, "
-        "self-healing hierarchy vs static ablation",
-    )
-    exp5.add_argument("--requests", type=int, default=600)
-    exp5.add_argument("--seed", type=int, default=2003)
-    exp5.add_argument("--churn", type=float, nargs="+", default=[0.0, 0.5],
-                      metavar="R",
-                      help="fractions of coordinators crashed permanently")
-    exp5.add_argument("--stragglers", type=int, nargs="+", default=[0, 2],
-                      metavar="N",
-                      help="numbers of grey (slow, not dead) leaf agents")
-    exp5.add_argument("--json", metavar="PATH",
-                      help="also write the availability grid as JSON")
-    exp5.add_argument("--check", action="store_true",
-                      help="exit non-zero unless the healing invariants hold "
-                      "(healing strictly beats static on the deadline SLO in "
-                      "every churn cell; zero confirmed deaths without a "
-                      "crash; every orphan repaired)")
-
-    exp6 = sub.add_parser(
-        "experiment6",
-        help="global-policy tournament: eq10 vs auction vs reservation "
-        "across clean/loss/bursty/churn cells",
-    )
-    exp6.add_argument("--requests", type=int, default=120)
-    exp6.add_argument("--seed", type=int, default=2003)
-    exp6.add_argument("--bursty-agents", type=int, default=60, metavar="N",
-                      help="grid size of the generated MMPP bursty cell")
-    exp6.add_argument("--policies", nargs="+",
-                      default=["eq10", "auction", "reservation"],
-                      choices=("eq10", "auction", "reservation"),
-                      metavar="KIND", help="which global policies to enter")
-    exp6.add_argument("--cells", nargs="+",
-                      default=["clean", "loss", "bursty", "churn"],
-                      choices=("clean", "loss", "bursty", "churn"),
-                      metavar="CELL", help="which standing cells to run")
-    exp6.add_argument("--json", metavar="PATH",
-                      help="also write the tournament grid as JSON")
-    exp6.add_argument("--check", action="store_true",
-                      help="exit non-zero unless the policy invariants hold "
-                      "(eq10 clean cell byte-identical to the seed path; "
-                      "every auction settles or times out; no double-booked "
-                      "reservation windows; reservations released on "
-                      "confirmed death)")
-
-    exp7 = sub.add_parser(
-        "experiment7",
-        help="DAG workloads: precedence-aware vs precedence-naive "
-        "scheduling across graph shapes and arrival processes",
-    )
-    exp7.add_argument("--workflows", type=int, default=8, metavar="N",
-                      help="workflow instances per cell")
-    exp7.add_argument("--seed", type=int, default=2003)
-    exp7.add_argument("--cells", nargs="+", default=None, metavar="CELL",
-                      help="which standing cells to run (default: all; see "
-                      "repro.experiments.experiment7.CELLS)")
-    exp7.add_argument("--json", metavar="PATH",
-                      help="also write the comparison grid as JSON")
-    exp7.add_argument("--check", action="store_true",
-                      help="exit non-zero unless the workflow invariants "
-                      "hold (no task dispatched before its inputs arrived; "
-                      "every workflow resolves; aware never loses to naive "
-                      "on the deadline SLO and beats it overall)")
+    for spec in TOURNAMENTS:
+        cmd = sub.add_parser(spec.name, help=spec.help)
+        add_arguments(cmd, spec)
+        cmd.set_defaults(tournament=spec, usage_error=cmd.error)
 
     perf = sub.add_parser(
         "perf", help="run the performance benchmark suite, write BENCH_PERF.json"
@@ -192,17 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment with structured tracing on and inspect "
         "the resulting record stream",
     )
-    trace.add_argument("--requests", type=int, default=12)
-    trace.add_argument("--seed", type=int, default=2003)
-    trace.add_argument("--experiment", type=int, choices=(1, 2, 3), default=3,
-                       help="which Table 2 configuration to trace "
-                       "(ignored when --loss/--churn select the degraded runner)")
-    trace.add_argument("--loss", type=float, default=0.0, metavar="P",
-                       help="per-message drop probability (switches to the "
-                       "resilient experiment-4 runner)")
-    trace.add_argument("--churn", type=float, default=0.0, metavar="R",
-                       help="fraction of non-head agents crashed once "
-                       "(switches to the resilient experiment-4 runner)")
+    add_run_selection(trace, requests=12, verb="trace")
     trace.add_argument("--out", metavar="PATH",
                        help="write the canonical JSONL trace to PATH")
     trace.add_argument("--request", type=int, default=None, metavar="ID",
@@ -215,18 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint",
         help="run an experiment for N events, then write a resumable snapshot",
     )
-    checkpoint.add_argument("--requests", type=int, default=60)
-    checkpoint.add_argument("--seed", type=int, default=2003)
-    checkpoint.add_argument("--experiment", type=int, choices=(1, 2, 3), default=3,
-                            help="which Table 2 configuration to run "
-                            "(ignored when --loss/--churn select the "
-                            "degraded runner)")
-    checkpoint.add_argument("--loss", type=float, default=0.0, metavar="P",
-                            help="per-message drop probability (switches to "
-                            "the resilient experiment-4 runner)")
-    checkpoint.add_argument("--churn", type=float, default=0.0, metavar="R",
-                            help="fraction of non-head agents crashed once "
-                            "(switches to the resilient experiment-4 runner)")
+    add_run_selection(checkpoint, requests=60, verb="run")
     checkpoint.add_argument("--at-step", type=int, default=1000, metavar="N",
                             help="number of simulation events to run before "
                             "snapshotting")
@@ -413,272 +350,23 @@ def _cmd_figures(requests: int, seed: int, charts: bool, jobs: int = 1) -> None:
             print()
 
 
-def _cmd_experiment4(args) -> int:
-    from dataclasses import asdict
-    import json as json_module
-
-    from repro.experiments.experiment4 import run_experiment4
-    from repro.metrics.reporting import render_experiment4
-    from repro.net.faults import FaultPlanSpec
-
-    fault_spec = None
-    if args.fault_plan:
-        with open(args.fault_plan, encoding="utf-8") as handle:
-            fault_spec = FaultPlanSpec.from_json(handle.read())
-    common = dict(
-        request_count=args.requests,
-        master_seed=args.seed,
-        loss_rates=tuple(args.loss),
-        churn_rates=tuple(args.churn),
-        jitter=args.jitter,
-        fault_spec=fault_spec,
-    )
-    print(f"Running experiment 4 ({args.requests} requests, seed {args.seed}, "
-          f"loss {args.loss}, churn {args.churn})...", file=sys.stderr)
-    ablation = run_experiment4(resilient=False, **common)
-    result = None
-    if not args.no_retry:
-        result = run_experiment4(resilient=True, **common)
-        print(render_experiment4(result, ablation))
-    else:
-        print(render_experiment4(ablation))
-    if args.json:
-        payload = {
-            "request_count": args.requests,
-            "master_seed": args.seed,
-            "ablation": [asdict(p) for p in ablation.points],
-            "resilient": [asdict(p) for p in result.points] if result else None,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if not args.check:
-        return 0
-    failures = []
-    checked = result if result is not None else ablation
-    for p in checked.points:
-        if p.loss_rate == 0.0 and p.churn_rate == 0.0 and p.completion_rate < 1.0:
-            failures.append(
-                f"zero-fault point completed only {p.succeeded}/{p.submitted}"
-            )
-    if result is not None:
-        lossy = [p for p in result.points if p.loss_rate > 0]
-        if lossy and not any(p.counters.retries > 0 for p in lossy):
-            failures.append("no retries observed under message loss")
-        for p in result.points:
-            a = ablation.point(p.loss_rate, p.churn_rate)
-            if p.succeeded < a.succeeded:
-                failures.append(
-                    f"resilient completed {p.succeeded} < ablation {a.succeeded} "
-                    f"at loss={p.loss_rate}, churn={p.churn_rate}"
-                )
-        worst, worst_abl = result.worst_point, ablation.worst_point
-        if worst.fault_dropped > 0 and worst.succeeded <= worst_abl.succeeded:
-            failures.append(
-                "resilient protocol not strictly better at the worst point "
-                f"({worst.succeeded} vs {worst_abl.succeeded})"
-            )
-    for failure in failures:
-        print(f"  FAIL  {failure}")
-    if not failures:
-        print("  PASS  all robustness invariants hold")
-    return 1 if failures else 0
-
-
-def _cmd_experiment5(args) -> int:
-    from dataclasses import asdict
-    import json as json_module
-
-    from repro.experiments.experiment5 import run_experiment5
-    from repro.metrics.reporting import render_experiment5
-
-    print(f"Running experiment 5 ({args.requests} requests, seed {args.seed}, "
-          f"churn {args.churn}, stragglers {args.stragglers})...",
+def _cmd_tournament(args) -> int:
+    spec = args.tournament
+    try:
+        plan = plan_tournament(spec, args)
+    except ReproError as exc:
+        args.usage_error(str(exc))
+    print(f"Running {spec.name} ({len(plan)} points, seed {args.seed})...",
           file=sys.stderr)
-    result = run_experiment5(
-        request_count=args.requests,
-        master_seed=args.seed,
-        churn_rates=tuple(args.churn),
-        straggler_counts=tuple(args.stragglers),
-    )
-    print(render_experiment5(result))
+    result = run_tournament(spec, args, plan)
+    print(render_tournament(spec, result))
     if args.json:
-        payload = {
-            "request_count": result.request_count,
-            "master_seed": result.master_seed,
-            "points": [asdict(p) for p in result.points],
-        }
+        import json as json_module
+
         with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
+            json_module.dump(tournament_json(result), handle, indent=2)
         print(f"wrote {args.json}", file=sys.stderr)
-    if not args.check:
-        return 0
-    failures = []
-    for p in result.points:
-        if p.crashes == 0 and p.membership.confirms > 0:
-            failures.append(
-                f"{p.membership.confirms} confirmed deaths with zero crashes "
-                f"(churn={p.churn_rate}, grey={p.straggler_count}, "
-                f"healing={p.healing}) — false positives"
-            )
-        if p.healing and p.membership.orphaned > (
-            p.membership.adoptions_completed + p.membership.promotions
-        ):
-            failures.append(
-                f"unrepaired orphans at churn={p.churn_rate}, "
-                f"grey={p.straggler_count}: {p.membership.orphaned} orphaned, "
-                f"{p.membership.adoptions_completed} adopted, "
-                f"{p.membership.promotions} promoted"
-            )
-    churn_cells = sorted(
-        {
-            (p.churn_rate, p.straggler_count)
-            for p in result.points
-            if p.churn_rate > 0
-        }
-    )
-    for churn_rate, straggler_count in churn_cells:
-        advantage = result.healing_advantage(churn_rate, straggler_count)
-        if advantage <= 0:
-            failures.append(
-                f"healing does not beat the static hierarchy at "
-                f"churn={churn_rate}, grey={straggler_count} "
-                f"(deadline-SLO delta {advantage:+.1%})"
-            )
-    for failure in failures:
-        print(f"  FAIL  {failure}")
-    if not failures:
-        print("  PASS  all healing invariants hold")
-    return 1 if failures else 0
-
-
-def _cmd_experiment6(args) -> int:
-    from dataclasses import asdict
-    import json as json_module
-
-    from repro.experiments.experiment6 import (
-        run_experiment6,
-        run_policy_invariants,
-    )
-    from repro.metrics.reporting import render_experiment6
-
-    print(f"Running experiment 6 ({args.requests} requests, seed {args.seed}, "
-          f"policies {args.policies}, cells {args.cells})...", file=sys.stderr)
-    result = run_experiment6(
-        request_count=args.requests,
-        master_seed=args.seed,
-        bursty_agents=args.bursty_agents,
-        policies=tuple(args.policies),
-        cells=tuple(args.cells),
-        verify_parity=args.check and "clean" in args.cells,
-    )
-    print(render_experiment6(result))
-    if args.json:
-        payload = {
-            "request_count": result.request_count,
-            "master_seed": result.master_seed,
-            "bursty_agents": result.bursty_agents,
-            "points": [asdict(p) for p in result.points],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if not args.check:
-        return 0
-    failures = []
-    if result.parity:
-        for mismatch in result.parity:
-            failures.append(f"eq10 clean cell is not the seed path: {mismatch}")
-    for p in result.points:
-        if p.cell == "clean" and p.completion_rate < 1.0:
-            failures.append(
-                f"clean cell incomplete under {p.policy}: "
-                f"{p.succeeded}/{p.submitted}"
-            )
-    for probe in run_policy_invariants(
-        request_count=args.requests, master_seed=args.seed
-    ):
-        for violation in probe.violations:
-            failures.append(
-                f"{probe.policy}/{probe.cell} trace violates "
-                f"{violation.rule} at t={violation.t:.3f}: {violation.message}"
-            )
-        fired = {"auction": "auction.settle", "reservation": "resv.book"}
-        kind = fired[probe.policy]
-        if not probe.record_counts.get(kind):
-            failures.append(
-                f"{probe.policy}/{probe.cell} run never produced a "
-                f"{kind} record — the protocol was not exercised"
-            )
-    for failure in failures:
-        print(f"  FAIL  {failure}")
-    if not failures:
-        print("  PASS  all policy invariants hold")
-    return 1 if failures else 0
-
-
-def _cmd_experiment7(args) -> int:
-    from dataclasses import asdict
-    import json as json_module
-
-    from repro.experiments.experiment7 import CELLS, run_experiment7
-    from repro.metrics.reporting import render_experiment7
-
-    cells = tuple(args.cells) if args.cells else CELLS
-    print(f"Running experiment 7 ({args.workflows} workflows/cell, "
-          f"seed {args.seed}, cells {list(cells)})...", file=sys.stderr)
-    result = run_experiment7(
-        workflow_count=args.workflows,
-        master_seed=args.seed,
-        cells=cells,
-        check=args.check,
-    )
-    print(render_experiment7(result))
-    if args.json:
-        payload = {
-            "workflow_count": result.workflow_count,
-            "master_seed": result.master_seed,
-            "points": [
-                {k: v for k, v in asdict(p).items() if k != "violations"}
-                for p in result.points
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if not args.check:
-        return 0
-    failures = []
-    for p in result.points:
-        for violation in p.violations:
-            failures.append(
-                f"{p.cell}/{p.mode} trace violates {violation.rule} "
-                f"at t={violation.t:.3f}: {violation.message}"
-            )
-        if not p.dag_records.get("dag.ready"):
-            failures.append(
-                f"{p.cell}/{p.mode} run produced no dag.ready records — "
-                "the precedence gates were not exercised"
-            )
-        if p.workflows_succeeded < p.workflows:
-            failures.append(
-                f"{p.cell}/{p.mode}: only {p.workflows_succeeded}/"
-                f"{p.workflows} workflows completed"
-            )
-    for regression in result.slo_regressions():
-        failures.append(f"aware lost the deadline SLO in {regression}")
-    total_aware = sum(p.deadline_met for p in result.points if p.mode == "aware")
-    total_naive = sum(p.deadline_met for p in result.points if p.mode == "naive")
-    if total_aware <= total_naive:
-        failures.append(
-            f"aware does not beat naive overall: {total_aware} vs "
-            f"{total_naive} deadlines met"
-        )
-    for failure in failures:
-        print(f"  FAIL  {failure}")
-    if not failures:
-        print("  PASS  all workflow invariants hold")
-    return 1 if failures else 0
+    return report_checks(spec, result, args) if args.check else 0
 
 
 def _cmd_trace(args) -> int:
@@ -688,38 +376,17 @@ def _cmd_trace(args) -> int:
         Tracer,
         build_request_spans,
         canonical_lines,
-        check_trace,
         render_span_tree,
     )
 
     metrics = MetricsRegistry()
     tracer = Tracer(MemorySink(), metrics=metrics)
+    config = _run_config(args)
+    print(f"Tracing {config.name} ({args.requests} requests, "
+          f"seed {args.seed})...", file=sys.stderr)
     if args.loss or args.churn:
-        from repro.experiments.experiment4 import (
-            degradation_config,
-            experiment4_base_config,
-            run_degraded,
-        )
-
-        config = degradation_config(
-            experiment4_base_config(
-                master_seed=args.seed, request_count=args.requests
-            ),
-            loss=args.loss,
-            churn_rate=args.churn,
-            resilient=True,
-        )
-        print(f"Tracing {config.name} ({args.requests} requests, "
-              f"seed {args.seed})...", file=sys.stderr)
         result = run_degraded(config, tracer=tracer).result
     else:
-        from repro.experiments.runner import run_experiment
-
-        config = table2_experiments(
-            master_seed=args.seed, request_count=args.requests
-        )[args.experiment - 1]
-        print(f"Tracing {config.name} ({args.requests} requests, "
-              f"seed {args.seed})...", file=sys.stderr)
         result = run_experiment(config, tracer=tracer)
 
     records = tracer.records
@@ -750,25 +417,27 @@ def _cmd_trace(args) -> int:
             print(line)
 
     if args.check:
-        violations = check_trace(records)
         print()
-        if violations:
-            for violation in violations:
-                print(f"  FAIL  {violation}")
-            return 1
-        print("  PASS  all trace invariants hold "
-              f"({len(records)} records checked)")
+        return _trace_verdict(records)
     return 0
 
 
-def _checkpoint_config(args):
-    """The experiment configuration a ``checkpoint`` invocation describes."""
-    if args.loss or args.churn:
-        from repro.experiments.experiment4 import (
-            degradation_config,
-            experiment4_base_config,
-        )
+def _trace_verdict(records) -> int:
+    """Print the trace invariant checker's verdict; returns the exit code."""
+    from repro.obs import check_trace
 
+    violations = check_trace(records)
+    for violation in violations:
+        print(f"  FAIL  {violation}")
+    if not violations:
+        print("  PASS  all trace invariants hold "
+              f"({len(records)} records checked)")
+    return 1 if violations else 0
+
+
+def _run_config(args):
+    """The configuration a ``trace`` or ``checkpoint`` invocation describes."""
+    if args.loss or args.churn:
         return degradation_config(
             experiment4_base_config(
                 master_seed=args.seed, request_count=args.requests
@@ -783,18 +452,13 @@ def _checkpoint_config(args):
 
 
 def _cmd_checkpoint(args) -> int:
-    config = _checkpoint_config(args)
-    degraded = bool(args.loss or args.churn)
+    config = _run_config(args)
     print(f"Running {config.name} for {args.at_step} events "
           f"(seed {args.seed})...", file=sys.stderr)
-    if degraded:
-        from repro.experiments.experiment4 import checkpoint_degraded
-
-        digest = checkpoint_degraded(config, at_step=args.at_step, path=args.out)
-    else:
-        from repro.experiments.runner import checkpoint_experiment
-
-        digest = checkpoint_experiment(config, at_step=args.at_step, path=args.out)
+    checkpoint = (
+        checkpoint_degraded if args.loss or args.churn else checkpoint_experiment
+    )
+    digest = checkpoint(config, at_step=args.at_step, path=args.out)
     print(f"wrote {args.out}")
     print(f"sha256: {digest}")
     return 0
@@ -802,23 +466,18 @@ def _cmd_checkpoint(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.checkpoint import read_snapshot
-    from repro.metrics.reporting import render_table3
 
     payload = read_snapshot(args.snapshot)
     kind = payload.get("kind")
     print(f"Resuming {kind} snapshot {args.snapshot} "
           f"(step {payload.get('steps')})...", file=sys.stderr)
     if kind == "experiment":
-        from repro.experiments.runner import resume_experiment
-
         result = resume_experiment(
             args.snapshot,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
         )
     elif kind == "degraded":
-        from repro.experiments.experiment4 import resume_degraded
-
         result = resume_degraded(
             args.snapshot,
             checkpoint_every=args.checkpoint_every,
@@ -857,7 +516,6 @@ def _print_soak(result) -> None:
 
 
 def _cmd_soak(args) -> int:
-    from repro.experiments.config import ExperimentConfig
     from repro.experiments.soak import run_soak
     from repro.scheduling.scheduler import SchedulingPolicy
 
@@ -926,8 +584,6 @@ def _cmd_scenario(args) -> int:
     if spec.chaos != "none":
         # Chaos runs lose messages and crash agents: use the degraded
         # (horizon-tolerant) runner rather than the strict loop.
-        from repro.experiments.experiment4 import run_degraded
-
         run = run_degraded(
             config,
             scenario.topology,
@@ -946,8 +602,6 @@ def _cmd_scenario(args) -> int:
                   f"promotions={m.promotions} "
                   f"mean repair={m.mean_repair_seconds:.2f}s")
     else:
-        from repro.experiments.runner import run_experiment
-
         result = run_experiment(
             config,
             scenario.topology,
@@ -957,17 +611,7 @@ def _cmd_scenario(args) -> int:
     print(f"records: {len(result.records)}, rejected: {result.rejected_count}, "
           f"messages: {result.messages_sent}")
     print(f"rng digest: {result.rng_digest}")
-    if args.check:
-        from repro.obs import check_trace
-
-        violations = check_trace(tracer.records)
-        if violations:
-            for violation in violations:
-                print(f"  FAIL  {violation}")
-            return 1
-        print("  PASS  all trace invariants hold "
-              f"({len(tracer.records)} records checked)")
-    return 0
+    return _trace_verdict(tracer.records) if args.check else 0
 
 
 def _cmd_workload(requests: int, seed: int, head: int) -> None:
@@ -1013,6 +657,8 @@ def _cmd_predict(application: str, platform_name: str, max_nproc: int) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if args.tournament is not None:
+        return _cmd_tournament(args)
     if args.command == "table1":
         _cmd_table1()
     elif args.command == "table2":
@@ -1023,14 +669,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_sweep(args.requests, args.seeds, args.jobs)
     elif args.command == "figures":
         _cmd_figures(args.requests, args.seed, args.charts, args.jobs)
-    elif args.command == "experiment4":
-        return _cmd_experiment4(args)
-    elif args.command == "experiment5":
-        return _cmd_experiment5(args)
-    elif args.command == "experiment6":
-        return _cmd_experiment6(args)
-    elif args.command == "experiment7":
-        return _cmd_experiment7(args)
     elif args.command == "perf":
         from repro.perf import run_perf_cli
 

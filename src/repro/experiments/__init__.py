@@ -23,28 +23,12 @@ from repro.experiments.export import (
     results_to_json,
     table3_to_csv,
 )
-from repro.experiments.experiment4 import (
-    DegradedRun,
-    Experiment4Point,
-    Experiment4Result,
-    degradation_config,
-    experiment4_base_config,
-    run_degraded,
-    run_experiment4,
-)
-from repro.experiments.experiment6 import (
-    Experiment6Cell,
-    Experiment6Point,
-    Experiment6Result,
-    experiment6_cells,
-    run_experiment6,
-    run_policy_invariants,
-    verify_clean_parity,
-)
 from repro.experiments.runner import (
+    DegradedRun,
     ExperimentResult,
     GridSystem,
     build_grid,
+    run_degraded,
     run_experiment,
 )
 from repro.experiments.sweep import SeedSweepSummary, run_seed_sweep
@@ -80,22 +64,10 @@ __all__ = [
     "results_to_json",
     "table3_to_csv",
     "DegradedRun",
-    "Experiment4Point",
-    "Experiment4Result",
-    "degradation_config",
-    "experiment4_base_config",
-    "run_degraded",
-    "run_experiment4",
-    "Experiment6Cell",
-    "Experiment6Point",
-    "Experiment6Result",
-    "experiment6_cells",
-    "run_experiment6",
-    "run_policy_invariants",
-    "verify_clean_parity",
     "ExperimentResult",
     "GridSystem",
     "build_grid",
+    "run_degraded",
     "run_experiment",
     "SeedSweepSummary",
     "run_seed_sweep",

@@ -11,65 +11,54 @@ reroutes, give-ups), for either the resilient protocol
 (ACK + retry + registry TTL) or the paper's fire-and-forget baseline
 (``resilient=False`` — the no-retry ablation).
 
-The strict :func:`~repro.experiments.runner.run_experiment` loop raises
-when the event queue drains with requests pending, which is precisely
-what message loss produces; :func:`run_degraded` is the horizon-based
-counterpart that tolerates unresolved requests and reports them.
+Every point runs on :func:`~repro.experiments.runner.run_degraded`, the
+horizon-based runner that counts unresolved requests instead of raising
+on them — message loss produces exactly those.  :data:`EXPERIMENT4` is the
+tournament spec behind ``python -m repro experiment4``: the cells are the
+``loss × churn`` pairs (or one fault plan × churn), the contenders the
+two protocols.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ExperimentError, TransportError
+from repro.agents.resilience import ResilienceConfig
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    MAX_EVENTS,
-    ExperimentResult,
-    GridSystem,
-    _rebuild_from_payload,
-    build_grid,
-    tolerant_submitter,
-    write_checkpoint,
+from repro.experiments.runner import RequestRates, run_degraded, seeded_workload
+from repro.experiments.tournament import (
+    Tournament,
+    TournamentResult,
+    argument,
+    fraction,
+    rounded,
 )
-from repro.experiments.workload import WorkloadItem, generate_workload
-from repro.metrics.balancing import compute_metrics
-from repro.metrics.records import (
-    CompletionRecord,
-    ResilienceCounters,
-    records_from_tasks,
-)
-from repro.net.faults import ChurnSchedule, ChurnSpec, FaultPlanSpec
-from repro.agents.resilience import ResilienceConfig
-from repro.obs.trace import Tracer
-from repro.pace.workloads import paper_application_specs
+from repro.experiments.workload import WorkloadItem
+from repro.metrics.records import ResilienceCounters
+from repro.net.faults import ChurnSpec, FaultPlanSpec
 from repro.scheduling.scheduler import SchedulingPolicy
-from repro.sim.events import Priority
-from repro.tasks.task import Environment
-from repro.utils.rng import RngRegistry
 
 __all__ = [
     "DEFAULT_LOSS_RATES",
     "DEFAULT_CHURN_RATES",
-    "MembershipSummary",
-    "DegradedRun",
+    "CONTENDERS",
+    "EXPERIMENT4",
+    "Experiment4Cell",
     "Experiment4Point",
-    "Experiment4Result",
     "degradation_config",
     "experiment4_base_config",
-    "run_degraded",
-    "checkpoint_degraded",
-    "resume_degraded",
-    "run_experiment4",
 ]
 
 #: The default degradation grid: loss rates per message ...
 DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2)
 #: ... crossed with the fraction of (non-head) agents that crash once.
 DEFAULT_CHURN_RATES: Tuple[float, ...] = (0.0, 0.25)
+
+#: The protocols every cell replays: ACK + retry + registry TTL, and the
+#: paper's fire-and-forget baseline (the no-retry ablation).
+CONTENDERS: Tuple[str, ...] = ("resilient", "no-retry")
 
 
 def experiment4_base_config(
@@ -132,407 +121,12 @@ def degradation_config(
 
 
 @dataclass(frozen=True)
-class MembershipSummary:
-    """Grid-wide failure-detection and self-healing totals for one run."""
-
-    suspects: int = 0
-    recoveries: int = 0
-    confirms: int = 0
-    heartbeats_sent: int = 0
-    orphaned: int = 0
-    adoptions_completed: int = 0
-    promotions: int = 0
-    rejoins: int = 0
-    give_ups: int = 0
-    repair_count: int = 0
-    mean_repair_seconds: float = 0.0
-
-    @classmethod
-    def from_system(cls, system: GridSystem) -> "MembershipSummary":
-        """Aggregate every agent's detector and healer stats."""
-        durations: List[float] = []
-        totals = dict.fromkeys(
-            (
-                "suspects", "recoveries", "confirms", "heartbeats_sent",
-                "orphaned", "adoptions_completed", "promotions", "rejoins",
-                "give_ups",
-            ),
-            0,
-        )
-        for agent in system.agents.values():
-            if agent.detector is not None:
-                stats = agent.detector.stats
-                totals["suspects"] += stats.suspects
-                totals["recoveries"] += stats.recoveries
-                totals["confirms"] += stats.confirms
-                totals["heartbeats_sent"] += stats.heartbeats_sent
-            if agent.healer is not None:
-                stats = agent.healer.stats
-                totals["orphaned"] += stats.orphaned
-                totals["adoptions_completed"] += stats.adoptions_completed
-                totals["promotions"] += stats.promotions
-                totals["rejoins"] += stats.rejoins
-                totals["give_ups"] += stats.give_ups
-                durations.extend(agent.healer.repair_durations)
-        return cls(
-            repair_count=len(durations),
-            mean_repair_seconds=(
-                sum(durations) / len(durations) if durations else 0.0
-            ),
-            **totals,
-        )
-
-
-@dataclass
-class DegradedRun:
-    """Everything one degraded run produced."""
-
-    result: ExperimentResult
-    submitted: int
-    succeeded: int
-    failed: int
-    unresolved: int
-    deadline_met: int
-    counters: ResilienceCounters
-    crashes: int
-    restarts: int
-    fault_dropped: int
-    #: ``None`` when the membership layer was disabled for the run.
-    membership: Optional[MembershipSummary] = None
-
-
-def _arm_churn(
-    system: GridSystem, config: ExperimentConfig
-) -> Tuple[int, int, List[Tuple[str, str, object]]]:
-    """Generate and schedule the run's churn events (if any).
-
-    Returns ``(crashes, restarts, churn_events)``.  A spec targeting
-    coordinators (or leaves) is resolved against the built hierarchy —
-    agents that currently have children.
-    """
-    if config.churn is None or config.churn.rate == 0:
-        return 0, 0, []
-    coordinators = (
-        None
-        if config.churn.target == "any"
-        else [name for name, agent in system.agents.items() if agent.children]
-    )
-    schedule = ChurnSchedule.generate(
-        system.topology.agent_names,
-        config.churn,
-        config.request_phase_seconds,
-        RngRegistry(config.master_seed).stream("churn"),
-        head=system.hierarchy.head.name,
-        coordinators=coordinators,
-    )
-    churn_events: List[Tuple[str, str, object]] = []
-    for event in schedule:
-        agent = system.agents[event.agent]
-        action = agent.deactivate if event.action == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                event.agent,
-                event.action,
-                system.sim.schedule(
-                    event.time,
-                    action,
-                    priority=Priority.MONITORING,
-                    label=f"churn-{event.action}-{event.agent}",
-                ),
-            )
-        )
-    return schedule.crash_count, schedule.restart_count, churn_events
-
-
-def run_degraded(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology] = None,
-    *,
-    workload: Optional[List[WorkloadItem]] = None,
-    tracer: Optional["Tracer"] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> DegradedRun:
-    """Run *config* under its fault plan and churn schedule to a horizon.
-
-    Unlike the strict experiment loop, requests may end the run
-    unresolved (their REQUEST or RESULT was lost and nothing retried);
-    they are counted, not raised.  The run proceeds in two phases:
-
-    1. until every request resolves or the clock passes the last
-       deadline, with periodic processes and churn active;
-    2. a final drain with periodics stopped and leftover churn handles
-       cancelled, letting in-flight completions, retries, and ack
-       timeouts resolve — the queue is finite once nothing re-arms.
-
-    With ``checkpoint_every``/``checkpoint_path``, phase 1 writes a
-    resumable snapshot every N events (see :func:`resume_degraded`).
-    """
-    t_wall = time.perf_counter()
-    system = build_grid(config, topology, tracer=tracer)
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            system.topology.agent_names,
-            system.specs,
-            count=config.request_count,
-            interval=config.request_interval,
-            master_seed=config.master_seed,
-        )
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    return _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=crashes,
-        restarts=restarts,
-        steps=0,
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def checkpoint_degraded(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology] = None,
-    *,
-    workload: Optional[List[WorkloadItem]] = None,
-    tracer: Optional["Tracer"] = None,
-    at_step: int,
-    path: str,
-) -> str:
-    """Run a degraded experiment for *at_step* events, snapshot, stop.
-
-    The counterpart of :func:`~repro.experiments.runner.checkpoint_experiment`
-    for faulty/churny runs; :func:`resume_degraded` continues the written
-    file.  Returns the snapshot digest.
-    """
-    if at_step < 1:
-        raise ExperimentError(f"at_step must be >= 1, got {at_step}")
-    system = build_grid(config, topology, tracer=tracer)
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            system.topology.agent_names,
-            system.specs,
-            count=config.request_count,
-            interval=config.request_interval,
-            master_seed=config.master_seed,
-        )
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    for steps in range(1, at_step + 1):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"run finished after {steps - 1} events, before at_step={at_step}"
-            )
-    return write_checkpoint(
-        path,
-        system,
-        items,
-        arrivals,
-        at_step,
-        kind="degraded",
-        extra={
-            "churn": [
-                {"agent": agent, "action": action, "event": handle.descriptor()}
-                for agent, action, handle in churn_events
-                if handle.pending
-            ],
-            "crashes": crashes,
-            "restarts": restarts,
-        },
-    )
-
-
-def resume_degraded(
-    path: str,
-    *,
-    tracer: Optional["Tracer"] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> DegradedRun:
-    """Resume a degraded run from a snapshot written by :func:`run_degraded`.
-
-    Pending churn timers are re-created alongside the component state, so
-    not-yet-fired crashes and restarts land at their original instants;
-    the continuation is byte-identical to the uninterrupted run.
-    """
-    from repro.checkpoint.format import read_snapshot
-
-    t_wall = time.perf_counter()
-    payload = read_snapshot(path)
-    system, items, arrivals = _rebuild_from_payload(payload, "degraded", tracer)
-    churn_events: List[Tuple[str, str, object]] = []
-    for entry in payload["churn"]:
-        agent = system.agents[str(entry["agent"])]
-        action = agent.deactivate if entry["action"] == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                str(entry["agent"]),
-                str(entry["action"]),
-                system.sim.restore_event(entry["event"], action),
-            )
-        )
-    return _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=int(payload["crashes"]),
-        restarts=int(payload["restarts"]),
-        steps=int(payload["steps"]),
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def _drive_degraded(
-    system: GridSystem,
-    items: List[WorkloadItem],
-    arrivals,
-    churn_events,
-    *,
-    crashes: int,
-    restarts: int,
-    steps: int,
-    t_wall: float,
-    checkpoint_every: Optional[int],
-    checkpoint_path: Optional[str],
-) -> DegradedRun:
-    if checkpoint_every is not None and checkpoint_path is None:
-        raise ExperimentError("checkpoint_every requires checkpoint_path")
-    horizon = max(item.deadline for item in items)
-
-    def resolved() -> bool:
-        return (
-            system.portal.submitted_count >= len(items)
-            and system.portal.pending_count == 0
-        )
-
-    while not resolved():
-        next_time = system.sim.next_event_time()
-        if next_time is None or next_time > horizon:
-            break
-        system.sim.step()
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-        if checkpoint_every is not None and steps % checkpoint_every == 0:
-            write_checkpoint(
-                checkpoint_path,
-                system,
-                items,
-                arrivals,
-                steps,
-                kind="degraded",
-                extra={
-                    "churn": [
-                        {
-                            "agent": agent,
-                            "action": action,
-                            "event": handle.descriptor(),
-                        }
-                        for agent, action, handle in churn_events
-                        if handle.pending
-                    ],
-                    "crashes": crashes,
-                    "restarts": restarts,
-                },
-            )
-    for _, _, handle in churn_events:
-        handle.cancel()
-    system.stop()
-    # Final drain: with periodics and churn off, only completions, retry
-    # timers, and in-flight messages remain — a finite queue.
-    while not resolved():
-        if not system.sim.step():
-            break
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-
-    records: List[CompletionRecord] = []
-    busy = {}
-    nodes = {}
-    for name, scheduler in system.schedulers.items():
-        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
-        busy[name] = scheduler.executor.busy_intervals
-        nodes[name] = scheduler.resource.size
-    metrics = compute_metrics(records, busy, nodes, horizon=max(system.sim.now, 1e-9))
-    result = ExperimentResult(
-        config=system.config,
-        metrics=metrics,
-        records=records,
-        workload=items,
-        agent_stats={name: agent.stats for name, agent in system.agents.items()},
-        cache_stats=system.evaluator.cache.stats,
-        messages_sent=system.transport.sent,
-        rejected_count=len(system.portal.failures()),
-        wall_seconds=time.perf_counter() - t_wall,
-        messages_delivered=system.transport.delivered,
-        rng_digest=system.rngs.state_digest() if system.rngs is not None else "",
-    )
-    successes = system.portal.successes()
-    counters = ResilienceCounters.from_stats(
-        [agent.stats for agent in system.agents.values()] + [system.portal.stats]
-    )
-    plan = system.transport.fault_plan
-    return DegradedRun(
-        result=result,
-        submitted=system.portal.submitted_count,
-        succeeded=len(successes),
-        failed=len(system.portal.failures()),
-        unresolved=system.portal.pending_count,
-        deadline_met=sum(
-            1
-            for r in successes
-            if r.completion_time is not None and r.completion_time <= r.deadline
-        ),
-        counters=counters,
-        crashes=crashes,
-        restarts=restarts,
-        fault_dropped=plan.dropped_count if plan is not None else 0,
-        membership=(
-            MembershipSummary.from_system(system)
-            if system.config.membership.enabled
-            else None
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class Experiment4Point:
-    """One operating point of the degradation grid."""
+class Experiment4Point(RequestRates):
+    """One (operating point, protocol) entry of the degradation grid."""
 
     loss_rate: float
     churn_rate: float
+    resilient: bool
     submitted: int
     succeeded: int
     failed: int
@@ -548,110 +142,165 @@ class Experiment4Point:
     messages_delivered: int
     wall_seconds: float
 
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
 
-    @property
-    def deadline_met_rate(self) -> float:
-        """Requests completed by their deadline / requests submitted."""
-        return self.deadline_met / self.submitted if self.submitted else 0.0
+@dataclass(frozen=True)
+class Experiment4Cell:
+    """One (loss, churn) operating point: a config per protocol, one workload."""
 
-
-@dataclass
-class Experiment4Result:
-    """The full degradation study: one point per (loss, churn) pair."""
-
-    resilient: bool
-    request_count: int
-    master_seed: int
-    points: List[Experiment4Point]
-
-    def point(self, loss_rate: float, churn_rate: float) -> Experiment4Point:
-        """The point at exactly (*loss_rate*, *churn_rate*)."""
-        for p in self.points:
-            if p.loss_rate == loss_rate and p.churn_rate == churn_rate:
-                return p
-        raise ExperimentError(
-            f"no point at loss={loss_rate}, churn={churn_rate}"
-        )
-
-    @property
-    def worst_point(self) -> Experiment4Point:
-        """The highest-stress point (max loss, then max churn)."""
-        return max(self.points, key=lambda p: (p.loss_rate, p.churn_rate))
+    name: str
+    churn_rate: float
+    configs: Dict[str, ExperimentConfig]
+    topology: GridTopology
+    workload: Tuple[WorkloadItem, ...]
 
 
-def run_experiment4(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
-    churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    jitter: float = 0.0,
-    resilient: bool = True,
-    fault_spec: Optional[FaultPlanSpec] = None,
-    base: Optional[ExperimentConfig] = None,
-    topology: Optional[GridTopology] = None,
-) -> Experiment4Result:
-    """Run the degradation grid and collect one point per fault level.
+def _contenders(args) -> Tuple[str, ...]:
+    return ("no-retry",) if args.no_retry else CONTENDERS
 
-    All points replay the identical seeded workload (generated once), so
-    differences between points are attributable to the injected faults
-    alone.  With ``fault_spec`` given, the loss grid is replaced by that
-    single plan (crossed with ``churn_rates`` as usual).
+
+def _cells(args) -> List[Experiment4Cell]:
+    """The grid, churn-major; every cell replays one seeded workload.
+
+    With ``--fault-plan`` the loss axis is that single plan.
     """
-    cfg = base if base is not None else experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
+    base = experiment4_base_config(
+        master_seed=args.seed, request_count=args.requests
     )
-    topo = topology if topology is not None else case_study_topology()
-    workload = generate_workload(
-        topo.agent_names,
-        paper_application_specs(),
-        count=cfg.request_count,
-        interval=cfg.request_interval,
-        master_seed=cfg.master_seed,
-    )
-    losses: Sequence[Optional[float]] = (
-        [None] if fault_spec is not None else list(loss_rates)
-    )
-    points: List[Experiment4Point] = []
-    for churn_rate in churn_rates:
-        for loss in losses:
-            point_config = degradation_config(
-                cfg,
-                loss=loss if loss is not None else 0.0,
-                churn_rate=churn_rate,
-                jitter=jitter,
-                resilient=resilient,
-                fault_spec=fault_spec,
-            )
-            run = run_degraded(point_config, topo, workload=workload)
-            assert point_config.faults is not None
-            points.append(
-                Experiment4Point(
-                    loss_rate=point_config.faults.drop_probability,
-                    churn_rate=churn_rate,
-                    submitted=run.submitted,
-                    succeeded=run.succeeded,
-                    failed=run.failed,
-                    unresolved=run.unresolved,
-                    deadline_met=run.deadline_met,
-                    epsilon=run.result.metrics.total.epsilon,
-                    beta_percent=run.result.metrics.total.beta_percent,
-                    counters=run.counters,
-                    crashes=run.crashes,
-                    restarts=run.restarts,
-                    fault_dropped=run.fault_dropped,
-                    messages_sent=run.result.messages_sent,
-                    messages_delivered=run.result.messages_delivered,
-                    wall_seconds=run.result.wall_seconds,
+    topology = case_study_topology()
+    workload = tuple(seeded_workload(base, topology))
+    fault_spec: Optional[FaultPlanSpec] = None
+    if args.fault_plan:
+        with open(args.fault_plan, encoding="utf-8") as handle:
+            fault_spec = FaultPlanSpec.from_json(handle.read())
+    losses = args.loss if fault_spec is None else [fault_spec.drop_probability]
+    return [
+        Experiment4Cell(
+            name=f"loss{loss:g}-churn{churn:g}",
+            churn_rate=churn,
+            configs={
+                contender: degradation_config(
+                    base,
+                    loss=loss,
+                    churn_rate=churn,
+                    jitter=args.jitter,
+                    resilient=contender == "resilient",
+                    fault_spec=fault_spec,
                 )
-            )
-    return Experiment4Result(
-        resilient=resilient,
-        request_count=cfg.request_count,
-        master_seed=cfg.master_seed,
-        points=points,
+                for contender in _contenders(args)
+            },
+            topology=topology,
+            workload=workload,
+        )
+        for churn in args.churn
+        for loss in losses
+    ]
+
+
+def _run_point(cell: Experiment4Cell, contender: str) -> Experiment4Point:
+    config = cell.configs[contender]
+    run = run_degraded(config, cell.topology, workload=list(cell.workload))
+    assert config.faults is not None
+    return Experiment4Point(
+        loss_rate=config.faults.drop_probability,
+        churn_rate=cell.churn_rate,
+        resilient=contender == "resilient",
+        submitted=run.submitted,
+        succeeded=run.succeeded,
+        failed=run.failed,
+        unresolved=run.unresolved,
+        deadline_met=run.deadline_met,
+        epsilon=run.result.metrics.total.epsilon,
+        beta_percent=run.result.metrics.total.beta_percent,
+        counters=run.counters,
+        crashes=run.crashes,
+        restarts=run.restarts,
+        fault_dropped=run.fault_dropped,
+        messages_sent=run.result.messages_sent,
+        messages_delivered=run.result.messages_delivered,
+        wall_seconds=run.result.wall_seconds,
     )
+
+
+def _checks(result: TournamentResult, args) -> List[str]:
+    """Full completion at zero faults, retries under loss, and the
+    resilient protocol never below the ablation — strictly above it at
+    the worst (highest loss, then churn) point."""
+    resilient = "resilient" in _contenders(args)
+    main = "resilient" if resilient else "no-retry"
+    failures = []
+    for cell in result.cells:
+        p = result.point(cell, main)
+        if p.loss_rate == 0.0 and p.churn_rate == 0.0 and p.completion_rate < 1.0:
+            failures.append(
+                f"zero-fault point completed only {p.succeeded}/{p.submitted}"
+            )
+    if not resilient:
+        return failures
+    pairs = [
+        (result.point(cell, "resilient"), result.point(cell, "no-retry"))
+        for cell in result.cells
+    ]
+    lossy = [p for p, _ in pairs if p.loss_rate > 0]
+    if lossy and not any(p.counters.retries > 0 for p in lossy):
+        failures.append("no retries observed under message loss")
+    for p, a in pairs:
+        if p.succeeded < a.succeeded:
+            failures.append(
+                f"resilient completed {p.succeeded} < ablation {a.succeeded} "
+                f"at loss={p.loss_rate}, churn={p.churn_rate}"
+            )
+    worst, worst_abl = max(
+        pairs, key=lambda pair: (pair[0].loss_rate, pair[0].churn_rate)
+    )
+    if worst.fault_dropped > 0 and worst.succeeded <= worst_abl.succeeded:
+        failures.append(
+            "resilient protocol not strictly better at the worst point "
+            f"({worst.succeeded} vs {worst_abl.succeeded})"
+        )
+    return failures
+
+
+EXPERIMENT4 = Tournament(
+    name="experiment4",
+    title="Experiment 4: degradation under injected faults",
+    help="degradation study: case-study workload under loss/churn/jitter",
+    invariants="the robustness invariants hold (full completion at zero "
+    "faults; retries under loss; resilient >= ablation everywhere)",
+    arguments=(
+        argument("--requests", type=int, default=600),
+        argument("--seed", type=int, default=2003),
+        argument("--loss", type=float, nargs="+",
+                 default=list(DEFAULT_LOSS_RATES), metavar="P",
+                 help="per-message drop probabilities to sweep"),
+        argument("--churn", type=float, nargs="+",
+                 default=list(DEFAULT_CHURN_RATES), metavar="R",
+                 help="fractions of (non-head) agents crashed once"),
+        argument("--jitter", type=float, default=0.0, metavar="SECONDS",
+                 help="max uniform extra latency per message"),
+        argument("--no-retry", action="store_true",
+                 help="run only the fire-and-forget ablation "
+                 "(default: resilient protocol plus the ablation)"),
+        argument("--fault-plan", metavar="PATH",
+                 help="JSON FaultPlanSpec replacing the --loss sweep "
+                 "(link faults, partitions, ...)"),
+    ),
+    header=(("request_count", "requests"), ("master_seed", "seed")),
+    cells=_cells,
+    contenders=_contenders,
+    run_point=_run_point,
+    columns=(
+        ("loss", lambda p: f"{p.loss_rate:.0%}"),
+        ("churn", lambda p: f"{p.churn_rate:.0%}"),
+        ("protocol", lambda p: "resilient" if p.resilient else "no-retry"),
+        ("completed", lambda p: fraction(p.succeeded, p.submitted)),
+        ("met deadline", lambda p: f"{p.deadline_met_rate:.0%}"),
+        ("unresolved", lambda p: p.unresolved),
+        ("retries", lambda p: p.counters.retries),
+        ("reroutes", lambda p: p.counters.reroutes),
+        ("gave up", lambda p: p.counters.gave_up),
+        ("crashes", lambda p: p.crashes),
+        ("ε (s)", lambda p: rounded(p.epsilon)),
+        ("β (%)", lambda p: rounded(p.beta_percent)),
+    ),
+    checks=_checks,
+)

@@ -34,29 +34,38 @@ confirms), and the repair latency (mean seconds from confirmed death to
 re-parented).  All points replay one identical seeded workload, so every
 difference is attributable to the injected failures and the healing knob.
 
-Scale: pass a generated scenario topology/workload (PR 7's
-:mod:`repro.experiments.scenarios` with ``chaos="coordinator-churn"``)
-to run the same study on 500–1000-agent grids.
+:data:`EXPERIMENT5` is the tournament spec behind ``python -m repro
+experiment5``: the cells are the ``churn × stragglers`` pairs, the
+contenders the two arms.  At 500–1000 agents, ``python -m repro scenario
+--chaos coordinator-churn`` folds the same failures into a generated grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.agents.membership import MembershipConfig
 from repro.agents.resilience import ResilienceConfig
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.experiment4 import (
+from repro.experiments.experiment4 import experiment4_base_config
+from repro.experiments.runner import (
     MembershipSummary,
-    experiment4_base_config,
+    RequestRates,
     run_degraded,
+    seeded_workload,
 )
-from repro.experiments.workload import WorkloadItem, generate_workload
+from repro.experiments.tournament import (
+    Tournament,
+    TournamentResult,
+    argument,
+    fraction,
+    rounded,
+)
+from repro.experiments.workload import WorkloadItem
 from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
-from repro.pace.workloads import paper_application_specs
 
 __all__ = [
     "DEFAULT_CHURN_RATES",
@@ -64,17 +73,21 @@ __all__ = [
     "STRAGGLER_RESPONSE_DELAY",
     "STRAGGLER_SERVICE_FACTOR",
     "PERMANENT_DOWNTIME",
+    "CONTENDERS",
+    "EXPERIMENT5",
+    "Experiment5Cell",
     "Experiment5Point",
-    "Experiment5Result",
     "experiment5_config",
     "leaf_names",
-    "run_experiment5",
 ]
 
 #: Default churn axis: no churn, and half the coordinators crashing.
 DEFAULT_CHURN_RATES: Tuple[float, ...] = (0.0, 0.5)
 #: Default straggler axis: clean, and two grey leaves.
 DEFAULT_STRAGGLER_COUNTS: Tuple[int, ...] = (0, 2)
+
+#: The arms every cell replays: full repair, and the static ablation.
+CONTENDERS: Tuple[str, ...] = ("healing", "static")
 
 #: Grey-failure severity (see the detector-tuning note in
 #: :class:`~repro.agents.membership.MembershipConfig`): 3 s mean response
@@ -147,8 +160,8 @@ def experiment5_config(
 
 
 @dataclass(frozen=True)
-class Experiment5Point:
-    """One operating point of the availability grid."""
+class Experiment5Point(RequestRates):
+    """One (operating point, arm) entry of the availability grid."""
 
     churn_rate: float
     straggler_count: int
@@ -165,121 +178,147 @@ class Experiment5Point:
     membership: MembershipSummary
     wall_seconds: float
 
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
 
-    @property
-    def deadline_met_rate(self) -> float:
-        """The SLO success rate: completed by the deadline / submitted.
+@dataclass(frozen=True)
+class Experiment5Cell:
+    """One (churn, stragglers) operating point: a config per arm, one workload."""
 
-        This is the metric the healing-vs-static comparison turns on:
-        orphaned subtrees usually still *complete* requests (they absorb
-        locally), but without re-parenting they cannot load-balance, and
-        deadline attainment is what pays for it.
-        """
-        return self.deadline_met / self.submitted if self.submitted else 0.0
+    name: str
+    churn_rate: float
+    straggler_count: int
+    configs: Dict[str, ExperimentConfig]
+    topology: GridTopology
+    workload: Tuple[WorkloadItem, ...]
 
 
-@dataclass
-class Experiment5Result:
-    """The full availability study: each cell run healed and static."""
-
-    request_count: int
-    master_seed: int
-    points: List[Experiment5Point]
-
-    def point(
-        self, churn_rate: float, straggler_count: int, *, healing: bool
-    ) -> Experiment5Point:
-        """The point at exactly this cell and arm."""
-        for p in self.points:
-            if (
-                p.churn_rate == churn_rate
-                and p.straggler_count == straggler_count
-                and p.healing == healing
-            ):
-                return p
-        raise ExperimentError(
-            f"no point at churn={churn_rate}, stragglers={straggler_count}, "
-            f"healing={healing}"
-        )
-
-    def healing_advantage(
-        self, churn_rate: float, straggler_count: int
-    ) -> float:
-        """Deadline-met-rate delta, healing minus static, for one cell."""
-        healed = self.point(churn_rate, straggler_count, healing=True)
-        static = self.point(churn_rate, straggler_count, healing=False)
-        return healed.deadline_met_rate - static.deadline_met_rate
-
-
-def run_experiment5(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    straggler_counts: Sequence[int] = DEFAULT_STRAGGLER_COUNTS,
-    base: Optional[ExperimentConfig] = None,
-    topology: Optional[GridTopology] = None,
-    workload: Optional[List[WorkloadItem]] = None,
-) -> Experiment5Result:
-    """Run the availability grid; every cell twice (healing and static).
-
-    All points replay the identical seeded workload (generated once for
-    the default topology, or passed in alongside a generated scenario's
-    topology for the 500–1000-agent tier).
-    """
-    cfg = base if base is not None else experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
+def _cells(args) -> List[Experiment5Cell]:
+    """The grid, churn-major; every cell replays one seeded workload."""
+    base = replace(
+        experiment4_base_config(
+            master_seed=args.seed, request_count=args.requests
+        ),
+        name="experiment-5",
     )
-    cfg = replace(cfg, name="experiment-5")
-    topo = topology if topology is not None else case_study_topology()
-    items = (
-        workload
-        if workload is not None
-        else generate_workload(
-            topo.agent_names,
-            paper_application_specs(),
-            count=cfg.request_count,
-            interval=cfg.request_interval,
-            master_seed=cfg.master_seed,
-        )
-    )
-    points: List[Experiment5Point] = []
-    for healing in (True, False):
-        for churn_rate in churn_rates:
-            for straggler_count in straggler_counts:
-                point_config = experiment5_config(
-                    cfg,
-                    topo,
-                    churn_rate=churn_rate,
-                    straggler_count=straggler_count,
-                    healing=healing,
+    topology = case_study_topology()
+    workload = tuple(seeded_workload(base, topology))
+    return [
+        Experiment5Cell(
+            name=f"churn{churn:g}-grey{stragglers}",
+            churn_rate=churn,
+            straggler_count=stragglers,
+            configs={
+                arm: experiment5_config(
+                    base,
+                    topology,
+                    churn_rate=churn,
+                    straggler_count=stragglers,
+                    healing=arm == "healing",
                 )
-                run = run_degraded(point_config, topo, workload=items)
-                assert run.membership is not None  # membership always on here
-                points.append(
-                    Experiment5Point(
-                        churn_rate=churn_rate,
-                        straggler_count=straggler_count,
-                        healing=healing,
-                        submitted=run.submitted,
-                        succeeded=run.succeeded,
-                        failed=run.failed,
-                        unresolved=run.unresolved,
-                        deadline_met=run.deadline_met,
-                        epsilon=run.result.metrics.total.epsilon,
-                        upsilon_percent=run.result.metrics.total.upsilon_percent,
-                        beta_percent=run.result.metrics.total.beta_percent,
-                        crashes=run.crashes,
-                        membership=run.membership,
-                        wall_seconds=run.result.wall_seconds,
-                    )
-                )
-    return Experiment5Result(
-        request_count=cfg.request_count,
-        master_seed=cfg.master_seed,
-        points=points,
+                for arm in CONTENDERS
+            },
+            topology=topology,
+            workload=workload,
+        )
+        for churn in args.churn
+        for stragglers in args.stragglers
+    ]
+
+
+def _run_point(cell: Experiment5Cell, arm: str) -> Experiment5Point:
+    run = run_degraded(
+        cell.configs[arm], cell.topology, workload=list(cell.workload)
     )
+    assert run.membership is not None  # membership always on here
+    return Experiment5Point(
+        churn_rate=cell.churn_rate,
+        straggler_count=cell.straggler_count,
+        healing=arm == "healing",
+        submitted=run.submitted,
+        succeeded=run.succeeded,
+        failed=run.failed,
+        unresolved=run.unresolved,
+        deadline_met=run.deadline_met,
+        epsilon=run.result.metrics.total.epsilon,
+        upsilon_percent=run.result.metrics.total.upsilon_percent,
+        beta_percent=run.result.metrics.total.beta_percent,
+        crashes=run.crashes,
+        membership=run.membership,
+        wall_seconds=run.result.wall_seconds,
+    )
+
+
+def _checks(result: TournamentResult, args) -> List[str]:
+    """No confirmed death without a crash, every orphan repaired, and
+    healing strictly ahead of static on the deadline SLO in every churn
+    cell.  The SLO, not completion, is what healing buys: an orphaned
+    subtree still completes requests by absorbing them locally, but it
+    can no longer balance load, and deadlines pay for that."""
+    failures = []
+    for p in result.points:
+        m = p.membership
+        if p.crashes == 0 and m.confirms > 0:
+            failures.append(
+                f"{m.confirms} confirmed deaths with zero crashes "
+                f"(churn={p.churn_rate}, grey={p.straggler_count}, "
+                f"healing={p.healing}) — false positives"
+            )
+        if p.healing and m.orphaned > m.adoptions_completed + m.promotions:
+            failures.append(
+                f"unrepaired orphans at churn={p.churn_rate}, "
+                f"grey={p.straggler_count}: {m.orphaned} orphaned, "
+                f"{m.adoptions_completed} adopted, {m.promotions} promoted"
+            )
+    for cell in result.cells:
+        healed = result.point(cell, "healing")
+        static = result.point(cell, "static")
+        advantage = healed.deadline_met_rate - static.deadline_met_rate
+        if healed.churn_rate > 0 and advantage <= 0:
+            failures.append(
+                f"healing does not beat the static hierarchy at "
+                f"churn={healed.churn_rate}, grey={healed.straggler_count} "
+                f"(deadline-SLO delta {advantage:+.1%})"
+            )
+    return failures
+
+
+EXPERIMENT5 = Tournament(
+    name="experiment5",
+    title="Experiment 5: availability with a self-healing hierarchy",
+    help="availability study: coordinator churn x grey failures, "
+    "self-healing hierarchy vs static ablation",
+    invariants="the healing invariants hold (healing strictly beats static "
+    "on the deadline SLO in every churn cell; zero confirmed deaths without "
+    "a crash; every orphan repaired)",
+    arguments=(
+        argument("--requests", type=int, default=600),
+        argument("--seed", type=int, default=2003),
+        argument("--churn", type=float, nargs="+",
+                 default=list(DEFAULT_CHURN_RATES), metavar="R",
+                 help="fractions of coordinators crashed permanently"),
+        argument("--stragglers", type=int, nargs="+",
+                 default=list(DEFAULT_STRAGGLER_COUNTS), metavar="N",
+                 help="numbers of grey (slow, not dead) leaf agents"),
+    ),
+    header=(("request_count", "requests"), ("master_seed", "seed")),
+    cells=_cells,
+    contenders=lambda args: CONTENDERS,
+    run_point=_run_point,
+    columns=(
+        ("churn", lambda p: f"{p.churn_rate:.0%}"),
+        ("grey", lambda p: p.straggler_count),
+        ("healing", lambda p: "on" if p.healing else "off"),
+        ("completed", lambda p: fraction(p.succeeded, p.submitted)),
+        ("met deadline", lambda p: f"{p.deadline_met_rate:.0%}"),
+        ("crashes", lambda p: p.crashes),
+        ("suspects", lambda p: p.membership.suspects),
+        ("confirms", lambda p: p.membership.confirms),
+        ("orphaned", lambda p: p.membership.orphaned),
+        ("repaired", lambda p: p.membership.adoptions_completed
+         + p.membership.promotions),
+        ("repair (s)", lambda p: f"{p.membership.mean_repair_seconds:.2f}"
+         if p.membership.repair_count else "-"),
+        ("ε (s)", lambda p: rounded(p.epsilon)),
+        ("β (%)", lambda p: rounded(p.beta_percent)),
+    ),
+    checks=_checks,
+)

@@ -25,8 +25,10 @@ and the §3.3 balancing metrics (ε, υ, β).  Every cell replays one
 identical workload across the three policies, so within a cell every
 difference is attributable to the dispatch rule alone.
 
-:func:`run_policy_invariants` backs ``repro.cli experiment6 --check``:
-it traces an auction run on the clean cell and a reservation run on the
+:data:`EXPERIMENT6` is the tournament spec behind ``python -m repro
+experiment6``: the cells are the standing cells, the contenders the
+policies.  :func:`run_policy_invariants` backs its ``--check``: it
+traces an auction run on the clean cell and a reservation run on the
 churn cell, feeds both streams through
 :func:`~repro.obs.check.check_trace` (which enforces every-auction-
 settles-or-times-out, no-double-booked-windows, and reservations-
@@ -37,9 +39,8 @@ the protocols (at least one settle, at least one booking).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import repro.net.message as message_module
 from repro.agents.policy import POLICY_KINDS, GlobalPolicyConfig
@@ -47,16 +48,33 @@ from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.experiment4 import (
-    DegradedRun,
     degradation_config,
     experiment4_base_config,
-    run_degraded,
 )
 from repro.experiments.experiment5 import experiment5_config
+from repro.experiments.runner import (
+    DegradedRun,
+    RequestRates,
+    run_degraded,
+    seeded_workload,
+)
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
-from repro.experiments.workload import WorkloadItem, generate_workload
-from repro.obs import MemorySink, Tracer, Violation, canonical_lines, check_trace
-from repro.pace.workloads import paper_application_specs
+from repro.experiments.tournament import (
+    Tournament,
+    TournamentResult,
+    argument,
+    fraction,
+    rounded,
+)
+from repro.experiments.workload import WorkloadItem
+from repro.obs import (
+    MemorySink,
+    TraceRecord,
+    Tracer,
+    Violation,
+    canonical_lines,
+    check_trace,
+)
 from repro.scheduling.scheduler import SchedulingPolicy
 
 __all__ = [
@@ -64,12 +82,11 @@ __all__ = [
     "DEFAULT_BURSTY_AGENTS",
     "LOSS_RATE",
     "CHURN_RATE",
+    "EXPERIMENT6",
     "Experiment6Cell",
     "Experiment6Point",
-    "Experiment6Result",
     "InvariantRun",
     "experiment6_cells",
-    "run_experiment6",
     "run_policy_invariants",
     "verify_clean_parity",
 ]
@@ -118,50 +135,15 @@ def experiment6_cells(
     unknown = [c for c in cells if c not in CELLS]
     if unknown:
         raise ExperimentError(f"unknown experiment-6 cells {unknown!r}")
-    base = experiment4_base_config(
-        master_seed=master_seed, request_count=request_count
+    base = replace(
+        experiment4_base_config(master_seed=master_seed, request_count=request_count),
+        name="experiment-6",
     )
-    base = replace(base, name="experiment-6")
     topo = case_study_topology()
+    workload = tuple(seeded_workload(base, topo))
     built: List[Experiment6Cell] = []
-    case_workload: Optional[Tuple[WorkloadItem, ...]] = None
-
-    def shared_workload() -> Tuple[WorkloadItem, ...]:
-        nonlocal case_workload
-        if case_workload is None:
-            case_workload = tuple(
-                generate_workload(
-                    topo.agent_names,
-                    paper_application_specs(),
-                    count=base.request_count,
-                    interval=base.request_interval,
-                    master_seed=base.master_seed,
-                )
-            )
-        return case_workload
-
-    for cell in cells:
-        if cell == "clean":
-            built.append(
-                Experiment6Cell(
-                    name="clean",
-                    config=replace(base, name=f"{base.name}-clean"),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
-        elif cell == "loss":
-            built.append(
-                Experiment6Cell(
-                    name="loss",
-                    config=degradation_config(
-                        base, loss=LOSS_RATE, resilient=True
-                    ),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
-        elif cell == "bursty":
+    for name in cells:
+        if name == "bursty":
             scenario = generate_scenario(
                 ScenarioSpec(
                     name="experiment-6-bursty",
@@ -175,28 +157,27 @@ def experiment6_cells(
             # measures the dispatch rule under load spikes, not the GA.
             built.append(
                 Experiment6Cell(
-                    name="bursty",
+                    name=name,
                     config=scenario.spec.config(policy=SchedulingPolicy.FIFO),
                     topology=scenario.topology,
                     workload=scenario.workload,
                 )
             )
-        elif cell == "churn":
-            built.append(
-                Experiment6Cell(
-                    name="churn",
-                    config=experiment5_config(
-                        base, topo, churn_rate=CHURN_RATE, healing=True
-                    ),
-                    topology=topo,
-                    workload=shared_workload(),
-                )
-            )
+            continue
+        if name == "clean":
+            config = replace(base, name=f"{base.name}-clean")
+        elif name == "loss":
+            config = degradation_config(base, loss=LOSS_RATE, resilient=True)
+        else:
+            config = experiment5_config(base, topo, churn_rate=CHURN_RATE, healing=True)
+        built.append(
+            Experiment6Cell(name=name, config=config, topology=topo, workload=workload)
+        )
     return built
 
 
 @dataclass(frozen=True)
-class Experiment6Point:
+class Experiment6Point(RequestRates):
     """One (policy × cell) entry of the tournament."""
 
     policy: str
@@ -211,125 +192,48 @@ class Experiment6Point:
     beta_percent: float
     wall_seconds: float
 
-    @property
-    def completion_rate(self) -> float:
-        """Requests that produced a successful result / requests submitted."""
-        return self.succeeded / self.submitted if self.submitted else 0.0
 
-    @property
-    def deadline_met_rate(self) -> float:
-        """Requests completed by their deadline / requests submitted."""
-        return self.deadline_met / self.submitted if self.submitted else 0.0
-
-
-@dataclass
-class Experiment6Result:
-    """The full tournament: one point per (policy × cell).
-
-    ``parity`` is ``None`` unless the run was asked to verify the eq10
-    clean-cell anchor (``verify_parity=True``); then it holds the list of
-    mismatch descriptions (empty = byte-identical, as required).
-    """
-
-    request_count: int
-    master_seed: int
-    bursty_agents: int
-    points: List[Experiment6Point]
-    parity: Optional[List[str]] = None
-
-    def point(self, policy: str, cell: str) -> Experiment6Point:
-        """The point at exactly (*policy*, *cell*)."""
-        for p in self.points:
-            if p.policy == policy and p.cell == cell:
-                return p
-        raise ExperimentError(f"no point at policy={policy!r}, cell={cell!r}")
-
-    def cell_points(self, cell: str) -> List[Experiment6Point]:
-        """Every policy's point for one cell, in POLICY_KINDS order."""
-        points = [p for p in self.points if p.cell == cell]
-        return sorted(points, key=lambda p: POLICY_KINDS.index(p.policy))
-
-
-def _run_point(cell: Experiment6Cell, kind: str) -> DegradedRun:
-    config = replace(
+def _policy_config(cell: Experiment6Cell, kind: str) -> ExperimentConfig:
+    """*cell*'s configuration with global policy *kind* stamped in."""
+    return replace(
         cell.config,
         name=f"{cell.config.name}-{kind}",
         global_policy=GlobalPolicyConfig(kind=kind),
     )
-    return run_degraded(config, cell.topology, workload=list(cell.workload))
 
 
-def run_experiment6(
-    *,
-    request_count: int = 600,
-    master_seed: int = 2003,
-    bursty_agents: int = DEFAULT_BURSTY_AGENTS,
-    policies: Sequence[str] = POLICY_KINDS,
-    cells: Sequence[str] = CELLS,
-    verify_parity: bool = False,
-) -> Experiment6Result:
-    """Run the tournament: every policy through every requested cell.
-
-    Within a cell, all policies replay the identical workload.  With
-    ``verify_parity`` the clean cell's eq10 point is additionally
-    re-traced against the default configuration and the result's
-    ``parity`` lists any divergence (it must be empty).
-    """
-    unknown = [p for p in policies if p not in POLICY_KINDS]
-    if unknown:
-        raise ExperimentError(f"unknown global policies {unknown!r}")
-    built = experiment6_cells(
-        request_count=request_count,
-        master_seed=master_seed,
-        bursty_agents=bursty_agents,
-        cells=cells,
+def _run_point(cell: Experiment6Cell, kind: str) -> Experiment6Point:
+    run = run_degraded(
+        _policy_config(cell, kind), cell.topology, workload=list(cell.workload)
     )
-    points: List[Experiment6Point] = []
-    for cell in built:
-        for kind in policies:
-            t_wall = time.perf_counter()
-            run = _run_point(cell, kind)
-            points.append(
-                Experiment6Point(
-                    policy=kind,
-                    cell=cell.name,
-                    submitted=run.submitted,
-                    succeeded=run.succeeded,
-                    failed=run.failed,
-                    unresolved=run.unresolved,
-                    deadline_met=run.deadline_met,
-                    epsilon=run.result.metrics.total.epsilon,
-                    upsilon_percent=run.result.metrics.total.upsilon_percent,
-                    beta_percent=run.result.metrics.total.beta_percent,
-                    wall_seconds=time.perf_counter() - t_wall,
-                )
-            )
-    parity = None
-    if verify_parity:
-        parity = verify_clean_parity(
-            request_count=request_count, master_seed=master_seed
-        )
-    return Experiment6Result(
-        request_count=request_count,
-        master_seed=master_seed,
-        bursty_agents=bursty_agents,
-        points=points,
-        parity=parity,
+    return Experiment6Point(
+        policy=kind,
+        cell=cell.name,
+        submitted=run.submitted,
+        succeeded=run.succeeded,
+        failed=run.failed,
+        unresolved=run.unresolved,
+        deadline_met=run.deadline_met,
+        epsilon=run.result.metrics.total.epsilon,
+        upsilon_percent=run.result.metrics.total.upsilon_percent,
+        beta_percent=run.result.metrics.total.beta_percent,
+        wall_seconds=run.result.wall_seconds,
     )
 
 
 # ------------------------------------------------------------ verification
 
 
-def _traced_clean_run(
-    config: ExperimentConfig,
-    topology: GridTopology,
-    workload: Sequence[WorkloadItem],
-) -> Tuple[DegradedRun, List[str]]:
+def _traced_run(
+    config: ExperimentConfig, cell: Experiment6Cell
+) -> Tuple[DegradedRun, List[TraceRecord]]:
+    """*config* on *cell*'s grid and workload, traced from message id 0."""
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    run = run_degraded(config, topology, workload=list(workload), tracer=tracer)
-    return run, canonical_lines(tracer.records)
+    run = run_degraded(
+        config, cell.topology, workload=list(cell.workload), tracer=tracer
+    )
+    return run, tracer.records
 
 
 def verify_clean_parity(
@@ -354,12 +258,10 @@ def verify_clean_parity(
             kind="eq10", bid_timeout=7.5, reservation_timeout=11.0
         ),
     )
-    base_run, base_lines = _traced_clean_run(
-        baseline_cfg, cell.topology, cell.workload
-    )
-    expl_run, expl_lines = _traced_clean_run(
-        explicit_cfg, cell.topology, cell.workload
-    )
+    base_run, base_records = _traced_run(baseline_cfg, cell)
+    expl_run, expl_records = _traced_run(explicit_cfg, cell)
+    base_lines = canonical_lines(base_records)
+    expl_lines = canonical_lines(expl_records)
     mismatches: List[str] = []
     if base_lines != expl_lines:
         first = next(
@@ -426,29 +328,101 @@ def run_policy_invariants(
     out: List[InvariantRun] = []
     for kind, cell_name in probes:
         cell = cells[cell_name]
-        config = replace(
-            cell.config,
-            name=f"{cell.config.name}-{kind}",
-            global_policy=GlobalPolicyConfig(kind=kind),
-        )
-        message_module.set_message_counter(0)
-        tracer = Tracer(MemorySink())
-        run = run_degraded(
-            config, cell.topology, workload=list(cell.workload), tracer=tracer
-        )
+        run, records = _traced_run(_policy_config(cell, kind), cell)
         counts: Dict[str, int] = {}
-        for record in tracer.records:
+        for record in records:
             if record.kind.startswith(("auction.", "resv.")):
                 counts[record.kind] = counts.get(record.kind, 0) + 1
         out.append(
             InvariantRun(
                 policy=kind,
                 cell=cell_name,
-                violations=tuple(check_trace(tracer.records)),
+                violations=tuple(check_trace(records)),
                 record_counts=counts,
-                completion_rate=(
-                    run.succeeded / run.submitted if run.submitted else 0.0
-                ),
+                completion_rate=run.completion_rate,
             )
         )
     return out
+
+
+def _checks(result: TournamentResult, args) -> List[str]:
+    """The eq10 clean point is the seed path, every policy completes the
+    clean cell, and the probe traces hold the protocol rules with the
+    protocols actually exercised."""
+    failures = []
+    if "clean" in result.cells:
+        failures.extend(
+            f"eq10 clean cell is not the seed path: {mismatch}"
+            for mismatch in verify_clean_parity(
+                request_count=args.requests, master_seed=args.seed
+            )
+        )
+    for p in result.points:
+        if p.cell == "clean" and p.completion_rate < 1.0:
+            failures.append(
+                f"clean cell incomplete under {p.policy}: "
+                f"{p.succeeded}/{p.submitted}"
+            )
+    fired = {"auction": "auction.settle", "reservation": "resv.book"}
+    for probe in run_policy_invariants(
+        request_count=args.requests, master_seed=args.seed
+    ):
+        for violation in probe.violations:
+            failures.append(
+                f"{probe.policy}/{probe.cell} trace violates "
+                f"{violation.rule} at t={violation.t:.3f}: {violation.message}"
+            )
+        kind = fired[probe.policy]
+        if not probe.record_counts.get(kind):
+            failures.append(
+                f"{probe.policy}/{probe.cell} run never produced a "
+                f"{kind} record — the protocol was not exercised"
+            )
+    return failures
+
+
+EXPERIMENT6 = Tournament(
+    name="experiment6",
+    title="Experiment 6: global-policy tournament",
+    help="global-policy tournament: eq10 vs auction vs reservation "
+    "across clean/loss/bursty/churn cells",
+    invariants="the policy invariants hold (eq10 clean cell byte-identical "
+    "to the seed path; every auction settles or times out; no double-booked "
+    "reservation windows; reservations released on confirmed death)",
+    arguments=(
+        argument("--requests", type=int, default=120),
+        argument("--seed", type=int, default=2003),
+        argument("--bursty-agents", type=int, default=DEFAULT_BURSTY_AGENTS,
+                 metavar="N", help="grid size of the generated MMPP bursty cell"),
+        argument("--policies", nargs="+", default=list(POLICY_KINDS),
+                 choices=POLICY_KINDS, metavar="KIND",
+                 help="which global policies to enter"),
+        argument("--cells", nargs="+", default=list(CELLS), choices=CELLS,
+                 metavar="CELL", help="which standing cells to run"),
+    ),
+    header=(
+        ("request_count", "requests"),
+        ("master_seed", "seed"),
+        ("bursty_agents", "bursty_agents"),
+    ),
+    cells=lambda args: experiment6_cells(
+        request_count=args.requests,
+        master_seed=args.seed,
+        bursty_agents=args.bursty_agents,
+        cells=args.cells,
+    ),
+    contenders=lambda args: args.policies,
+    run_point=_run_point,
+    columns=(
+        ("cell", lambda p: p.cell),
+        ("policy", lambda p: p.policy),
+        ("completed", lambda p: fraction(p.succeeded, p.submitted)),
+        ("met deadline", lambda p: f"{p.deadline_met_rate:.0%}"),
+        ("unresolved", lambda p: p.unresolved),
+        ("ε (s)", lambda p: rounded(p.epsilon)),
+        ("υ (%)", lambda p: rounded(p.upsilon_percent)),
+        ("β (%)", lambda p: rounded(p.beta_percent)),
+        ("wall (s)", lambda p: f"{p.wall_seconds:.2f}"),
+    ),
+    checks=_checks,
+)

@@ -28,31 +28,44 @@ optimising whole graphs under in-scheduler precedence constraints.
 
 Reported per (cell × mode) point: workflow completion and deadline-SLO
 rates, task counts, bytes moved across clusters (sum of ``dag.transfer``
-sizes), and the §3.3 balancing metrics (ε, υ, β).  Every run is traced;
-with ``check=True`` each trace additionally goes through
-:func:`~repro.obs.check.check_trace`, whose ``dispatch-after-inputs``
-rule proves no task started before all parent outputs arrived at its
-cluster.
+sizes), and the §3.3 balancing metrics (ε, υ, β).  Every run is traced,
+and every trace goes through :func:`~repro.obs.check.check_trace`, whose
+``dispatch-after-inputs`` rule proves no task started before all parent
+outputs arrived at its cluster.
+
+:data:`EXPERIMENT7` is the tournament spec behind ``python -m repro
+experiment7``: the cells are the standing cells, the contenders the two
+modes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Sequence, Tuple
 
 import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import MAX_EVENTS, GridSystem, build_grid
+from repro.experiments.runner import (
+    MAX_EVENTS,
+    GridSystem,
+    build_grid,
+    grid_metrics,
+)
 from repro.experiments.scenarios import (
     ScenarioSpec,
     WorkflowItem,
     generate_workflows,
 )
-from repro.metrics.balancing import compute_metrics
-from repro.metrics.records import CompletionRecord, records_from_tasks
+from repro.experiments.tournament import (
+    Tournament,
+    TournamentResult,
+    argument,
+    fraction,
+    rounded,
+)
 from repro.obs import MemorySink, Tracer, Violation, check_trace
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.sim.events import Priority
@@ -63,11 +76,11 @@ __all__ = [
     "ARRIVALS",
     "CELLS",
     "MODES",
+    "EXPERIMENT7",
     "Experiment7Cell",
     "Experiment7Point",
-    "Experiment7Result",
     "experiment7_cells",
-    "run_experiment7",
+    "slo_regressions",
 ]
 
 #: Arrival processes the standing cells sweep.
@@ -181,49 +194,11 @@ class Experiment7Point:
     beta_percent: float
     wall_seconds: float
     dag_records: Dict[str, int]
-    violations: Tuple[Violation, ...] = ()
-
-    @property
-    def completion_rate(self) -> float:
-        """Workflows with every node succeeded / workflows started."""
-        return self.workflows_succeeded / self.workflows if self.workflows else 0.0
-
-    @property
-    def slo_rate(self) -> float:
-        """Workflows completing by their whole-graph deadline / started."""
-        return self.deadline_met / self.workflows if self.workflows else 0.0
-
-
-@dataclass
-class Experiment7Result:
-    """The full comparison: one point per (cell × mode)."""
-
-    workflow_count: int
-    master_seed: int
-    points: List[Experiment7Point]
-
-    def point(self, cell: str, mode: str) -> Experiment7Point:
-        """The point at exactly (*cell*, *mode*)."""
-        for p in self.points:
-            if p.cell == cell and p.mode == mode:
-                return p
-        raise ExperimentError(f"no point at cell={cell!r}, mode={mode!r}")
-
-    def slo_regressions(self) -> List[str]:
-        """Cells where the aware contender loses to naive on deadline SLO."""
-        out = []
-        for cell in sorted({p.cell for p in self.points}):
-            aware, naive = self.point(cell, "aware"), self.point(cell, "naive")
-            if aware.deadline_met < naive.deadline_met:
-                out.append(
-                    f"{cell}: aware met {aware.deadline_met} deadlines vs "
-                    f"naive {naive.deadline_met}"
-                )
-        return out
-
-    def violations(self) -> List[Violation]:
-        """Every checker violation across every traced point."""
-        return [v for p in self.points for v in p.violations]
+    #: The run's trace-checker findings; ``--check`` reports them, the
+    #: JSON document leaves them out.
+    violations: Tuple[Violation, ...] = field(
+        default=(), metadata={"json": False}
+    )
 
 
 def _node_durations(
@@ -246,10 +221,8 @@ def _node_durations(
     }
 
 
-def _run_cell_mode(
-    cell: Experiment7Cell, mode: str, *, check: bool = False
-) -> Experiment7Point:
-    """Replay *cell*'s workflow stream under one contender, traced."""
+def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
+    """Replay *cell*'s workflow stream under one contender, traced and checked."""
     t_wall = time.perf_counter()
     config = replace(cell.config, name=f"{cell.config.name}-{mode}")
     if mode == "aware" and cell.release_mode == "staged":
@@ -318,14 +291,7 @@ def _run_cell_mode(
         if completion is not None and completion <= item.deadline:
             deadline_met += 1
     runs = coordinator.runs.values()
-    records: List[CompletionRecord] = []
-    busy = {}
-    nodes = {}
-    for name, scheduler in system.schedulers.items():
-        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
-        busy[name] = scheduler.executor.busy_intervals
-        nodes[name] = scheduler.resource.size
-    metrics = compute_metrics(records, busy, nodes)
+    _, metrics = grid_metrics(system)
     bytes_moved = 0.0
     dag_records: Dict[str, int] = {}
     for record in tracer.records:
@@ -333,9 +299,6 @@ def _run_cell_mode(
             dag_records[record.kind] = dag_records.get(record.kind, 0) + 1
             if record.kind == "dag.transfer":
                 bytes_moved += record.size
-    violations: Tuple[Violation, ...] = ()
-    if check:
-        violations = tuple(check_trace(tracer.records))
     return Experiment7Point(
         cell=cell.name,
         mode=mode,
@@ -350,38 +313,92 @@ def _run_cell_mode(
         beta_percent=metrics.total.beta_percent,
         wall_seconds=time.perf_counter() - t_wall,
         dag_records=dag_records,
-        violations=violations,
+        violations=tuple(check_trace(tracer.records)),
     )
 
 
-def run_experiment7(
-    *,
-    workflow_count: int = 8,
-    master_seed: int = 2003,
-    cells: Sequence[str] = CELLS,
-    modes: Sequence[str] = MODES,
-    check: bool = False,
-) -> Experiment7Result:
-    """Run the comparison: both contenders through every requested cell.
+def slo_regressions(result: TournamentResult) -> List[str]:
+    """Cells where the aware contender meets fewer deadlines than naive."""
+    out = []
+    for cell in result.cells:
+        aware, naive = result.point(cell, "aware"), result.point(cell, "naive")
+        if aware.deadline_met < naive.deadline_met:
+            out.append(
+                f"{cell}: aware met {aware.deadline_met} deadlines vs "
+                f"naive {naive.deadline_met}"
+            )
+    return out
 
-    Within a cell both modes replay the identical workflow stream, so
-    every difference is attributable to the precedence metadata (and, in
-    staged cells, data gravity) alone.  With ``check=True`` every traced
-    run also goes through :func:`~repro.obs.check.check_trace` and the
-    violations land on the points.
-    """
-    unknown = [m for m in modes if m not in MODES]
-    if unknown:
-        raise ExperimentError(f"unknown experiment-7 modes {unknown!r}")
-    built = experiment7_cells(
-        workflow_count=workflow_count, master_seed=master_seed, cells=cells
-    )
-    points: List[Experiment7Point] = []
-    for cell in built:
-        for mode in modes:
-            points.append(_run_cell_mode(cell, mode, check=check))
-    return Experiment7Result(
-        workflow_count=workflow_count,
-        master_seed=master_seed,
-        points=points,
-    )
+
+def _checks(result: TournamentResult, args) -> List[str]:
+    """Clean traces, exercised gates, every workflow resolved, and aware
+    never behind naive on the deadline SLO in a cell — ahead overall."""
+    failures = []
+    for p in result.points:
+        for violation in p.violations:
+            failures.append(
+                f"{p.cell}/{p.mode} trace violates {violation.rule} "
+                f"at t={violation.t:.3f}: {violation.message}"
+            )
+        if not p.dag_records.get("dag.ready"):
+            failures.append(
+                f"{p.cell}/{p.mode} run produced no dag.ready records — "
+                "the precedence gates were not exercised"
+            )
+        if p.workflows_succeeded < p.workflows:
+            failures.append(
+                f"{p.cell}/{p.mode}: only {p.workflows_succeeded}/"
+                f"{p.workflows} workflows completed"
+            )
+    for regression in slo_regressions(result):
+        failures.append(f"aware lost the deadline SLO in {regression}")
+    total = {
+        mode: sum(p.deadline_met for p in result.points if p.mode == mode)
+        for mode in MODES
+    }
+    if total["aware"] <= total["naive"]:
+        failures.append(
+            f"aware does not beat naive overall: {total['aware']} vs "
+            f"{total['naive']} deadlines met"
+        )
+    return failures
+
+
+EXPERIMENT7 = Tournament(
+    name="experiment7",
+    title="Experiment 7: precedence-aware vs naive DAG scheduling",
+    help="DAG workloads: precedence-aware vs precedence-naive "
+    "scheduling across graph shapes and arrival processes",
+    invariants="the workflow invariants hold (no task dispatched before its "
+    "inputs arrived; every workflow resolves; aware never loses to naive on "
+    "the deadline SLO and beats it overall)",
+    arguments=(
+        argument("--workflows", type=int, default=8, metavar="N",
+                 help="workflow instances per cell"),
+        argument("--seed", type=int, default=2003),
+        argument("--cells", nargs="+", default=None, choices=CELLS,
+                 metavar="CELL", help="which standing cells to run (default: "
+                 "all; see repro.experiments.experiment7.CELLS)"),
+    ),
+    header=(("workflow_count", "workflows"), ("master_seed", "seed")),
+    cells=lambda args: experiment7_cells(
+        workflow_count=args.workflows,
+        master_seed=args.seed,
+        cells=args.cells or CELLS,
+    ),
+    contenders=lambda args: MODES,
+    run_point=_run_point,
+    columns=(
+        ("cell", lambda p: p.cell),
+        ("mode", lambda p: p.mode),
+        ("workflows", lambda p: fraction(p.workflows_succeeded, p.workflows)),
+        ("met deadline", lambda p: fraction(p.deadline_met, p.workflows)),
+        ("tasks", lambda p: f"{p.tasks_succeeded}/{p.tasks_submitted}"),
+        ("bytes moved", lambda p: rounded(p.bytes_moved, 1)),
+        ("ε (s)", lambda p: rounded(p.epsilon)),
+        ("υ (%)", lambda p: rounded(p.upsilon_percent)),
+        ("β (%)", lambda p: rounded(p.beta_percent)),
+        ("wall (s)", lambda p: f"{p.wall_seconds:.2f}"),
+    ),
+    checks=_checks,
+)

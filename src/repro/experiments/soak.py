@@ -26,14 +26,14 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     MAX_EVENTS,
     GridSystem,
-    build_grid,
+    _arm_grid,
+    _restore,
     tolerant_submitter,
     write_checkpoint,
 )
-from repro.experiments.workload import WorkloadItem, generate_workload
+from repro.experiments.workload import WorkloadItem
 from repro.metrics.records import records_from_tasks
 from repro.obs.trace import Tracer
-from repro.sim.events import Priority
 
 __all__ = ["SoakWindow", "SoakResult", "run_soak", "checkpoint_soak", "resume_soak"]
 
@@ -159,29 +159,6 @@ def _close_window(system: GridSystem, progress: _SoakProgress, end: float) -> No
     )
 
 
-def _soak_workload(system: GridSystem, config: ExperimentConfig) -> List[WorkloadItem]:
-    return generate_workload(
-        system.topology.agent_names,
-        system.specs,
-        count=config.request_count,
-        interval=config.request_interval,
-        master_seed=config.master_seed,
-    )
-
-
-def _schedule_arrivals(system: GridSystem, items: List[WorkloadItem]) -> Dict[int, object]:
-    return {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-            lane=item.agent_name,
-        )
-        for index, item in enumerate(items)
-    }
-
-
 def run_soak(
     config: ExperimentConfig,
     topology: Optional[GridTopology] = None,
@@ -203,10 +180,9 @@ def run_soak(
     if window_seconds <= 0:
         raise ExperimentError(f"window_seconds must be > 0, got {window_seconds}")
     t_wall = time.perf_counter()
-    system = build_grid(config, topology, tracer=tracer)
-    items = workload if workload is not None else _soak_workload(system, config)
-    system.start()
-    arrivals = _schedule_arrivals(system, items)
+    system, items, arrivals = _arm_grid(
+        config, topology, workload, tracer, tolerant_submitter, entry_lanes=True
+    )
     progress = _SoakProgress(
         window_seconds=window_seconds, next_boundary=window_seconds
     )
@@ -240,10 +216,9 @@ def checkpoint_soak(
         raise ExperimentError(f"at_step must be >= 1, got {at_step}")
     if window_seconds <= 0:
         raise ExperimentError(f"window_seconds must be > 0, got {window_seconds}")
-    system = build_grid(config, topology, tracer=tracer)
-    items = _soak_workload(system, config)
-    system.start()
-    arrivals = _schedule_arrivals(system, items)
+    system, items, arrivals = _arm_grid(
+        config, topology, None, tracer, tolerant_submitter, entry_lanes=True
+    )
     progress = _SoakProgress(
         window_seconds=window_seconds, next_boundary=window_seconds
     )
@@ -273,12 +248,8 @@ def resume_soak(
     checkpoint_path: Optional[str] = None,
 ) -> SoakResult:
     """Resume a soak from a snapshot; windows continue byte-identically."""
-    from repro.checkpoint.format import read_snapshot
-    from repro.experiments.runner import _rebuild_from_payload
-
     t_wall = time.perf_counter()
-    payload = read_snapshot(path)
-    system, items, arrivals = _rebuild_from_payload(payload, "soak", tracer)
+    payload, system, items, arrivals = _restore(path, "soak", tracer)
     progress = _SoakProgress.decode(payload["soak"])
     return _drive_soak(
         system,

@@ -7,28 +7,17 @@ experiments, one series per agent plus the total.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.metrics.balancing import GridMetrics
 from repro.utils.tables import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - layering: metrics never imports
-    # experiments at runtime; the renderer duck-types its input.
-    from repro.experiments.experiment4 import Experiment4Result
-    from repro.experiments.experiment5 import Experiment5Result
-    from repro.experiments.experiment6 import Experiment6Result
-    from repro.experiments.experiment7 import Experiment7Result
 
 __all__ = [
     "table3_rows",
     "render_table3",
     "figure_series",
     "render_figure_series",
-    "render_experiment4",
-    "render_experiment5",
-    "render_experiment6",
-    "render_experiment7",
 ]
 
 
@@ -87,161 +76,6 @@ def figure_series(
     for name, cells in rows:
         series[name] = [cells[3 * i + offset] for i in range(len(results))]
     return series
-
-
-def render_experiment4(
-    result: "Experiment4Result",
-    ablation: Optional["Experiment4Result"] = None,
-    *,
-    title: str = "Experiment 4: degradation under injected faults",
-) -> str:
-    """Monospace rendering of the degradation grid.
-
-    One row per (loss, churn) operating point; when *ablation* (the
-    no-retry run of the same grid) is given, its completion rate appears
-    alongside for direct comparison.
-    """
-    if not result.points:
-        raise ValidationError("experiment-4 result has no points")
-    headers = [
-        "loss", "churn", "completed", "met deadline", "unresolved",
-        "retries", "reroutes", "gave up", "crashes", "ε (s)", "β (%)",
-    ]
-    if ablation is not None:
-        headers.append("no-retry completed")
-    data: List[List[object]] = []
-    for p in result.points:
-        row: List[object] = [
-            f"{p.loss_rate:.0%}",
-            f"{p.churn_rate:.0%}",
-            f"{p.succeeded}/{p.submitted} ({p.completion_rate:.0%})",
-            f"{p.deadline_met_rate:.0%}",
-            p.unresolved,
-            p.counters.retries,
-            p.counters.reroutes,
-            p.counters.gave_up,
-            p.crashes,
-            round(p.epsilon) if p.epsilon == p.epsilon else None,
-            round(p.beta_percent) if p.beta_percent == p.beta_percent else None,
-        ]
-        if ablation is not None:
-            a = ablation.point(p.loss_rate, p.churn_rate)
-            row.append(f"{a.succeeded}/{a.submitted} ({a.completion_rate:.0%})")
-        data.append(row)
-    mode = "resilient protocol" if result.resilient else "no-retry baseline"
-    return render_table(headers, data, title=f"{title} — {mode}")
-
-
-def render_experiment5(
-    result: "Experiment5Result",
-    *,
-    title: str = "Experiment 5: availability with a self-healing hierarchy",
-) -> str:
-    """Monospace rendering of the availability grid.
-
-    One row per (churn, stragglers) cell and healing arm, pairing the
-    SLO rates with the detection/repair counters that explain them.
-    """
-    if not result.points:
-        raise ValidationError("experiment-5 result has no points")
-    headers = [
-        "churn", "grey", "healing", "completed", "met deadline", "crashes",
-        "suspects", "confirms", "orphaned", "repaired", "repair (s)",
-        "ε (s)", "β (%)",
-    ]
-    data: List[List[object]] = []
-    for p in sorted(
-        result.points,
-        key=lambda p: (p.churn_rate, p.straggler_count, not p.healing),
-    ):
-        m = p.membership
-        data.append([
-            f"{p.churn_rate:.0%}",
-            p.straggler_count,
-            "on" if p.healing else "off",
-            f"{p.succeeded}/{p.submitted} ({p.completion_rate:.0%})",
-            f"{p.deadline_met_rate:.0%}",
-            p.crashes,
-            m.suspects,
-            m.confirms,
-            m.orphaned,
-            m.adoptions_completed + m.promotions,
-            f"{m.mean_repair_seconds:.2f}" if m.repair_count else "-",
-            round(p.epsilon) if p.epsilon == p.epsilon else None,
-            round(p.beta_percent) if p.beta_percent == p.beta_percent else None,
-        ])
-    return render_table(headers, data, title=title)
-
-
-def render_experiment6(
-    result: "Experiment6Result",
-    *,
-    title: str = "Experiment 6: global-policy tournament",
-) -> str:
-    """Monospace rendering of the policy tournament.
-
-    Rows grouped by cell, one per policy, pairing the SLO rates with the
-    balancing metrics so a dispatch rule's cost shows up next to its
-    spread.
-    """
-    if not result.points:
-        raise ValidationError("experiment-6 result has no points")
-    headers = [
-        "cell", "policy", "completed", "met deadline", "unresolved",
-        "ε (s)", "υ (%)", "β (%)", "wall (s)",
-    ]
-    cells: List[str] = []
-    for p in result.points:
-        if p.cell not in cells:
-            cells.append(p.cell)
-    data: List[List[object]] = []
-    for cell in cells:
-        for p in result.cell_points(cell):
-            data.append([
-                p.cell,
-                p.policy,
-                f"{p.succeeded}/{p.submitted} ({p.completion_rate:.0%})",
-                f"{p.deadline_met_rate:.0%}",
-                p.unresolved,
-                round(p.epsilon) if p.epsilon == p.epsilon else None,
-                round(p.upsilon_percent) if p.upsilon_percent == p.upsilon_percent else None,
-                round(p.beta_percent) if p.beta_percent == p.beta_percent else None,
-                f"{p.wall_seconds:.2f}",
-            ])
-    return render_table(headers, data, title=title)
-
-
-def render_experiment7(
-    result: "Experiment7Result",
-    *,
-    title: str = "Experiment 7: precedence-aware vs naive DAG scheduling",
-) -> str:
-    """Monospace rendering of the workflow comparison.
-
-    Rows grouped by cell, aware above naive, pairing the workflow SLO
-    with the data-movement bill and the balancing metrics.
-    """
-    if not result.points:
-        raise ValidationError("experiment-7 result has no points")
-    headers = [
-        "cell", "mode", "workflows", "met deadline", "tasks",
-        "bytes moved", "ε (s)", "υ (%)", "β (%)", "wall (s)",
-    ]
-    data: List[List[object]] = []
-    for p in result.points:
-        data.append([
-            p.cell,
-            p.mode,
-            f"{p.workflows_succeeded}/{p.workflows} ({p.completion_rate:.0%})",
-            f"{p.deadline_met}/{p.workflows} ({p.slo_rate:.0%})",
-            f"{p.tasks_succeeded}/{p.tasks_submitted}",
-            round(p.bytes_moved, 1),
-            round(p.epsilon) if p.epsilon == p.epsilon else None,
-            round(p.upsilon_percent) if p.upsilon_percent == p.upsilon_percent else None,
-            round(p.beta_percent) if p.beta_percent == p.beta_percent else None,
-            f"{p.wall_seconds:.2f}",
-        ])
-    return render_table(headers, data, title=title)
 
 
 def render_figure_series(

@@ -24,9 +24,9 @@ import repro.net.message as message_module
 from repro.agents.policy import GlobalPolicyConfig
 from repro.checkpoint.format import read_snapshot
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.experiment4 import (
+from repro.experiments.experiment4 import experiment4_base_config
+from repro.experiments.runner import (
     checkpoint_degraded,
-    experiment4_base_config,
     resume_degraded,
     run_degraded,
 )

@@ -18,14 +18,15 @@ import repro.net.message as message_module
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.experiment4 import (
-    checkpoint_degraded,
     degradation_config,
     experiment4_base_config,
-    resume_degraded,
 )
 from repro.experiments.runner import (
+    checkpoint_degraded,
     checkpoint_experiment,
+    resume_degraded,
     resume_experiment,
+    run_degraded,
     run_experiment,
 )
 from repro.obs.records import canonical_lines
@@ -125,8 +126,6 @@ class TestDegradedResume:
     def test_faulty_cell_resume_is_byte_identical(self, tmp_path):
         """The Experiment-4 acceptance cell: 20% loss, 25% churn."""
         path = str(tmp_path / "snap.json")
-        from repro.experiments.experiment4 import run_degraded
-
         message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_degraded(degraded_config(), tracer=tracer_full)
@@ -147,6 +146,21 @@ class TestDegradedResume:
             + canonical_lines(tracer_post.records),
         )
         assert full.counters == resumed.counters
+
+
+class TestCheckpointCadence:
+    @pytest.mark.parametrize("kind", ["experiment", "degraded"])
+    def test_zero_cadence_rejected_for_both_kinds(self, kind, tmp_path):
+        """``resume --checkpoint-every 0`` is a usage error, not a crash."""
+        snap, again = str(tmp_path / "snap.json"), str(tmp_path / "again.json")
+        if kind == "experiment":
+            checkpoint_experiment(strict_config(2003), at_step=AT_STEP, path=snap)
+            resume = resume_experiment
+        else:
+            checkpoint_degraded(degraded_config(), at_step=AT_STEP, path=snap)
+            resume = resume_degraded
+        with pytest.raises(ExperimentError, match="checkpoint_every must be >= 1"):
+            resume(snap, checkpoint_every=0, checkpoint_path=again)
 
 
 def healing_cell_config() -> ExperimentConfig:
@@ -192,8 +206,6 @@ class TestMidHealResume:
 
     def test_resume_is_byte_identical_across_the_repair(self, tmp_path):
         from repro.checkpoint.format import read_snapshot
-        from repro.experiments.experiment4 import run_degraded
-
         config = healing_cell_config()
         message_module.set_message_counter(0)
         tracer_full = Tracer()

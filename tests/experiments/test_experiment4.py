@@ -4,29 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError, ValidationError
+from repro.errors import ExperimentError
 from repro.experiments.experiment4 import (
-    Experiment4Result,
+    CONTENDERS,
+    EXPERIMENT4,
     degradation_config,
     experiment4_base_config,
-    run_degraded,
-    run_experiment4,
 )
-from repro.metrics.reporting import render_experiment4
+from repro.experiments.runner import run_degraded
+from repro.experiments.tournament import TournamentResult, render_tournament
 from repro.net.faults import ChurnSpec, FaultPlanSpec, LinkFault
 
 REQUESTS = 30
+CLEAN, LOSSY = "loss0-churn0", "loss0.2-churn0"
 
 
 @pytest.fixture(scope="module")
-def grids():
-    """One small degradation grid, resilient and ablation, shared by tests."""
-    common = dict(
-        request_count=REQUESTS, loss_rates=(0.0, 0.2), churn_rates=(0.0,)
-    )
-    resilient = run_experiment4(resilient=True, **common)
-    ablation = run_experiment4(resilient=False, **common)
-    return resilient, ablation
+def result(tournament_run):
+    """One small degradation grid, both protocols, shared by tests."""
+    return tournament_run("experiment4")[1]
 
 
 class TestDegradationConfig:
@@ -90,67 +86,61 @@ class TestRunDegraded:
 
 
 class TestExperiment4Grid:
-    def test_grid_shape_and_lookup(self, grids):
-        resilient, ablation = grids
-        for result in grids:
-            assert isinstance(result, Experiment4Result)
-            assert len(result.points) == 2
-            assert result.request_count == REQUESTS
-        assert resilient.resilient and not ablation.resilient
-        point = resilient.point(0.2, 0.0)
-        assert point.loss_rate == 0.2
-        assert resilient.worst_point is point
+    def test_grid_shape_and_lookup(self, result):
+        assert result.header == {"request_count": REQUESTS, "master_seed": 2003}
+        assert list(result.grid) == [
+            (cell, contender) for cell in (CLEAN, LOSSY) for contender in CONTENDERS
+        ]
+        point = result.point(LOSSY, "resilient")
+        assert point.loss_rate == 0.2 and point.resilient
+        assert not result.point(LOSSY, "no-retry").resilient
         with pytest.raises(ExperimentError):
-            resilient.point(0.99, 0.0)
+            result.point("loss0.99-churn0", "resilient")
 
-    def test_zero_fault_point_completes_fully(self, grids):
-        for result in grids:
-            clean = result.point(0.0, 0.0)
+    def test_zero_fault_point_completes_fully(self, result):
+        for contender in CONTENDERS:
+            clean = result.point(CLEAN, contender)
             assert clean.completion_rate == 1.0
             assert clean.unresolved == 0
             assert clean.fault_dropped == 0
 
-    def test_loss_point_exercises_the_resilience_layer(self, grids):
-        resilient, _ = grids
-        lossy = resilient.point(0.2, 0.0)
+    def test_loss_point_exercises_the_resilience_layer(self, result):
+        lossy = result.point(LOSSY, "resilient")
         assert lossy.fault_dropped > 0
         assert lossy.counters.retries > 0
         assert lossy.counters.acks_received > 0
 
-    def test_resilient_never_below_ablation(self, grids):
-        resilient, ablation = grids
-        for point in resilient.points:
-            twin = ablation.point(point.loss_rate, point.churn_rate)
+    def test_resilient_never_below_ablation(self, result):
+        for cell in result.cells:
+            point = result.point(cell, "resilient")
+            twin = result.point(cell, "no-retry")
             assert point.submitted == twin.submitted
             assert point.succeeded >= twin.succeeded
 
-    def test_resilient_strictly_better_under_stress(self, grids):
-        # The PR's acceptance criterion: with real message loss, retrying
+    def test_resilient_strictly_better_under_stress(self, result):
+        # The acceptance criterion: with real message loss, retrying
         # recovers strictly more requests than fire-and-forget.
-        resilient, ablation = grids
-        worst, twin = resilient.worst_point, ablation.worst_point
+        worst, twin = result.point(LOSSY, "resilient"), result.point(LOSSY, "no-retry")
         assert worst.fault_dropped > 0
         assert worst.succeeded > twin.succeeded
 
 
 class TestRenderExperiment4:
-    def test_render_with_ablation_column(self, grids):
-        resilient, ablation = grids
-        text = render_experiment4(resilient, ablation)
-        assert "resilient protocol" in text
-        assert "no-retry completed" in text
+    def test_render_has_one_row_per_protocol(self, result):
+        text = render_tournament(EXPERIMENT4, result)
+        assert "protocol" in text
+        assert text.count("resilient") == text.count("no-retry") == 2
         assert "20%" in text
         assert f"/{REQUESTS}" in text
 
-    def test_render_ablation_alone(self, grids):
-        _, ablation = grids
-        text = render_experiment4(ablation)
-        assert "no-retry baseline" in text
-        assert "no-retry completed" not in text
-
-    def test_empty_result_rejected(self):
-        empty = Experiment4Result(
-            resilient=True, request_count=0, master_seed=0, points=[]
+    def test_render_ablation_alone(self, result):
+        ablation = TournamentResult(
+            result.header,
+            {key: p for key, p in result.grid.items() if key[1] == "no-retry"},
         )
-        with pytest.raises(ValidationError):
-            render_experiment4(empty)
+        text = render_tournament(EXPERIMENT4, ablation)
+        assert text.count("no-retry") == 2
+        assert "resilient" not in text
+
+    def test_json_matches_golden(self, result, assert_golden_json):
+        assert_golden_json("experiment4", result)

@@ -20,61 +20,63 @@ from repro.errors import ExperimentError
 from repro.experiments.casestudy import case_study_topology
 from repro.experiments.experiment4 import experiment4_base_config
 from repro.experiments.experiment5 import (
+    CONTENDERS,
+    EXPERIMENT5,
     experiment5_config,
     leaf_names,
-    run_experiment5,
 )
-from repro.metrics.reporting import render_experiment5
+from repro.experiments.tournament import render_tournament
 
 CHURN_RATES = (0.0, 0.5)
 STRAGGLER_COUNTS = (0, 2)
 
 
+def cell(churn: float, stragglers: int) -> str:
+    return f"churn{churn:g}-grey{stragglers}"
+
+
 @pytest.fixture(scope="module")
-def result():
-    return run_experiment5(
-        request_count=120,
-        master_seed=2003,
-        churn_rates=CHURN_RATES,
-        straggler_counts=STRAGGLER_COUNTS,
-    )
+def result(tournament_run):
+    return tournament_run("experiment5")[1]
 
 
 class TestHealingAdvantage:
     def test_healing_beats_static_in_every_churn_cell(self, result):
         for stragglers in STRAGGLER_COUNTS:
-            assert result.healing_advantage(0.5, stragglers) > 0, (
+            healed = result.point(cell(0.5, stragglers), "healing")
+            static = result.point(cell(0.5, stragglers), "static")
+            assert healed.deadline_met_rate > static.deadline_met_rate, (
                 f"healing must strictly beat static at churn=0.5, "
                 f"grey={stragglers}"
             )
 
     def test_churn_actually_crashed_coordinators(self, result):
-        for healing in (True, False):
-            point = result.point(0.5, 0, healing=healing)
+        for arm in CONTENDERS:
+            point = result.point(cell(0.5, 0), arm)
             assert point.crashes > 0
             assert point.membership.confirms > 0
 
     def test_repairs_terminate_and_balance(self, result):
         for churn in CHURN_RATES:
             for stragglers in STRAGGLER_COUNTS:
-                m = result.point(churn, stragglers, healing=True).membership
+                m = result.point(cell(churn, stragglers), "healing").membership
                 assert m.orphaned <= m.adoptions_completed + m.promotions
         # The ablation never repairs anything.
         for churn in CHURN_RATES:
-            m = result.point(churn, 0, healing=False).membership
+            m = result.point(cell(churn, 0), "static").membership
             assert m.adoptions_completed == 0 and m.promotions == 0
 
 
 class TestNoFalsePositives:
     def test_straggler_only_cell_confirms_nobody_dead(self, result):
         """Grey failures are slow, not dead: zero confirms, zero crashes."""
-        for healing in (True, False):
-            point = result.point(0.0, 2, healing=healing)
+        for arm in CONTENDERS:
+            point = result.point(cell(0.0, 2), arm)
             assert point.crashes == 0
             assert point.membership.confirms == 0
 
     def test_clean_cell_is_quiet(self, result):
-        point = result.point(0.0, 0, healing=True)
+        point = result.point(cell(0.0, 0), "healing")
         assert point.crashes == 0
         assert point.membership.confirms == 0
         assert point.membership.orphaned == 0
@@ -84,12 +86,23 @@ class TestNoFalsePositives:
 class TestPlumbing:
     def test_point_lookup_raises_on_unknown_cell(self, result):
         with pytest.raises(ExperimentError, match="no point"):
-            result.point(0.9, 7, healing=True)
+            result.point(cell(0.9, 7), "healing")
+
+    def test_grid_is_cell_major(self, result):
+        assert list(result.grid) == [
+            (cell(churn, stragglers), arm)
+            for churn in CHURN_RATES
+            for stragglers in STRAGGLER_COUNTS
+            for arm in CONTENDERS
+        ]
 
     def test_render_includes_every_cell(self, result):
-        table = render_experiment5(result)
+        table = render_tournament(EXPERIMENT5, result)
         assert "healing" in table and "met deadline" in table
         assert table.count("\n") >= len(result.points)
+
+    def test_json_matches_golden(self, result, assert_golden_json):
+        assert_golden_json("experiment5", result)
 
     def test_config_wires_the_chaos(self):
         topology = case_study_topology()

@@ -18,33 +18,29 @@ from __future__ import annotations
 import pytest
 
 from repro.agents.policy import POLICY_KINDS
+from repro.cli import build_parser
 from repro.errors import ExperimentError
 from repro.experiments.experiment6 import (
     CELLS,
+    EXPERIMENT6,
     experiment6_cells,
-    run_experiment6,
     run_policy_invariants,
     verify_clean_parity,
 )
-from repro.metrics.reporting import render_experiment6
+from repro.experiments.tournament import render_tournament
 
 REQUESTS = 24
 BURSTY_AGENTS = 24
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_experiment6(
-        request_count=REQUESTS,
-        master_seed=2003,
-        bursty_agents=BURSTY_AGENTS,
-        verify_parity=True,
-    )
+def result(tournament_run):
+    return tournament_run("experiment6")[1]
 
 
 class TestParityAnchor:
-    def test_tournament_parity_is_clean(self, result):
-        assert result.parity == []
+    def test_tournament_parity_is_clean(self):
+        assert verify_clean_parity(request_count=REQUESTS, master_seed=2003) == []
 
     def test_standalone_parity_is_clean(self):
         assert verify_clean_parity(request_count=12, master_seed=7) == []
@@ -52,21 +48,25 @@ class TestParityAnchor:
 
 class TestTournamentShape:
     def test_one_point_per_policy_and_cell(self, result):
-        assert len(result.points) == len(POLICY_KINDS) * len(CELLS)
-        seen = {(p.policy, p.cell) for p in result.points}
-        assert seen == {(p, c) for p in POLICY_KINDS for c in CELLS}
+        assert [(p.cell, p.policy) for p in result.points] == [
+            (c, p) for c in CELLS for p in POLICY_KINDS
+        ]
+        assert list(result.grid) == [
+            (p.cell, p.policy) for p in result.points
+        ]
 
     def test_cell_points_ordered_by_policy(self, result):
         for cell in CELLS:
-            points = result.cell_points(cell)
+            points = [p for p in result.points if p.cell == cell]
             assert [p.policy for p in points] == list(POLICY_KINDS)
 
     def test_point_lookup_raises_on_unknown(self, result):
         with pytest.raises(ExperimentError, match="no point"):
-            result.point("eq10", "quiet")
+            result.point("quiet", "eq10")
 
     def test_every_policy_completes_the_clean_cell(self, result):
-        for point in result.cell_points("clean"):
+        for kind in POLICY_KINDS:
+            point = result.point("clean", kind)
             assert point.completion_rate == 1.0
             assert point.unresolved == 0
 
@@ -80,11 +80,14 @@ class TestTournamentShape:
             assert point.deadline_met <= point.succeeded
 
     def test_render_includes_every_cell(self, result):
-        table = render_experiment6(result)
+        table = render_tournament(EXPERIMENT6, result)
         for cell in CELLS:
             assert cell in table
         assert "met deadline" in table
         assert table.count("\n") >= len(result.points)
+
+    def test_json_matches_golden(self, result, assert_golden_json):
+        assert_golden_json("experiment6", result)
 
 
 class TestCellBuilder:
@@ -115,8 +118,8 @@ class TestCellBuilder:
             experiment6_cells(cells=("clean", "calm"))
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ExperimentError, match="unknown global policies"):
-            run_experiment6(request_count=4, policies=("dictator",))
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment6", "--policies", "dictator"])
 
 
 class TestStructuralInvariants:

@@ -11,26 +11,27 @@ Asserted on a reduced-size run of the real grid:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.experiment7 import (
     CELLS,
+    EXPERIMENT7,
     MODES,
     experiment7_cells,
-    run_experiment7,
+    slo_regressions,
 )
-from repro.metrics.reporting import render_experiment7
+from repro.experiments.tournament import TournamentResult, render_tournament
 
 RUN_CELLS = ("fork-join-uniform", "pipeline")
 WORKFLOWS = 3
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_experiment7(
-        workflow_count=WORKFLOWS, master_seed=2003, cells=RUN_CELLS, check=True
-    )
+def result(tournament_run):
+    return tournament_run("experiment7")[1]
 
 
 class TestCellBuilder:
@@ -63,11 +64,11 @@ class TestCellBuilder:
 
 class TestTournamentRun:
     def test_one_point_per_cell_and_mode(self, result):
-        seen = {(p.cell, p.mode) for p in result.points}
-        assert seen == {(c, m) for c in RUN_CELLS for m in MODES}
+        assert list(result.grid) == [(c, m) for c in RUN_CELLS for m in MODES]
+        assert [(p.cell, p.mode) for p in result.points] == list(result.grid)
 
     def test_checked_run_has_no_violations(self, result):
-        assert result.violations() == []
+        assert [v for p in result.points for v in p.violations] == []
 
     def test_clean_cells_resolve_every_workflow(self, result):
         for point in result.points:
@@ -88,15 +89,26 @@ class TestTournamentRun:
             result.point("fork-join-uniform", "psychic")
 
     def test_slo_regressions_structure(self, result):
-        for cell, aware, naive in result.slo_regressions():
-            assert cell in RUN_CELLS
-            assert aware < naive
+        assert slo_regressions(result) == []
+        aware = result.point("pipeline", "aware")
+        grid = dict(result.grid)
+        grid["pipeline", "naive"] = replace(
+            grid["pipeline", "naive"], deadline_met=aware.deadline_met + 1
+        )
+        (regression,) = slo_regressions(TournamentResult(result.header, grid))
+        assert regression == (
+            f"pipeline: aware met {aware.deadline_met} deadlines vs "
+            f"naive {aware.deadline_met + 1}"
+        )
 
 
 class TestReporting:
     def test_render_has_one_row_per_point(self, result):
-        text = render_experiment7(result)
+        text = render_tournament(EXPERIMENT7, result)
         for point in result.points:
             assert point.cell in text
         assert text.count("aware") >= len(RUN_CELLS)
         assert "bytes" in text or "moved" in text
+
+    def test_json_matches_golden(self, result, assert_golden_json):
+        assert_golden_json("experiment7", result)

@@ -39,10 +39,9 @@ from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
-    run_degraded,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_grid, run_experiment
+from repro.experiments.runner import build_grid, run_degraded, run_experiment
 from repro.obs import MemorySink, Tracer, canonical_lines
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import fork_join

@@ -30,11 +30,10 @@ from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
-    run_degraded,
 )
 from repro.experiments.experiment5 import experiment5_config
 from repro.experiments.casestudy import case_study_topology
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_degraded, run_experiment
 from repro.obs import MemorySink, Tracer, canonical_lines
 
 SEEDS = (2003, 7, 41, 97, 1234)

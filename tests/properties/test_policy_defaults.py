@@ -29,9 +29,8 @@ from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
-    run_degraded,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_degraded, run_experiment
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.obs import MemorySink, Tracer, canonical_lines
 

@@ -23,18 +23,18 @@ import pytest
 import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
-    _arm_churn,
-    _drive_degraded,
     degradation_config,
     experiment4_base_config,
-    run_degraded,
-    tolerant_submitter,
 )
 from repro.experiments.runner import (
+    _arm_churn,
+    _drive_degraded,
     _drive_experiment,
     _submitter,
     build_grid,
     generate_workload,
+    run_degraded,
+    tolerant_submitter,
 )
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.obs import MemorySink, Tracer, canonical_lines

@@ -93,23 +93,7 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "Experiment 4" in out
-        assert "no-retry baseline" in out
-
-    def test_experiment4_check_and_json(self, capsys, tmp_path):
-        json_path = tmp_path / "exp4.json"
-        assert main([
-            "experiment4", "--requests", "30",
-            "--loss", "0.0", "0.2", "--churn", "0.0",
-            "--check", "--json", str(json_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "resilient protocol" in out
-        assert "PASS" in out
-        import json as json_mod
-
-        parsed = json_mod.loads(json_path.read_text())
-        assert len(parsed["ablation"]) == 2
-        assert len(parsed["resilient"]) == 2
+        assert "no-retry" in out and "resilient" not in out
 
     def test_trace_clean_run_with_check(self, capsys):
         assert main(["trace", "--requests", "12", "--check"]) == 0
@@ -164,7 +148,7 @@ class TestCommands:
             "experiment4", "--requests", "12", "--churn", "0.0",
             "--fault-plan", str(plan_path), "--no-retry",
         ]) == 0
-        assert "no-retry baseline" in capsys.readouterr().out
+        assert "no-retry" in capsys.readouterr().out
 
     def test_checkpoint_then_resume(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
@@ -225,3 +209,63 @@ class TestCommands:
         second = capsys.readouterr().out
         # The resumed soak reports the same windows and final digest.
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+
+#: Every tournament subcommand at a size that keeps one run to a few
+#: seconds and still passes --check: (argv, --json header keys, points).
+TOURNAMENT_RUNS = {
+    "experiment4": (
+        ["--requests", "12", "--loss", "0.0", "0.2", "--churn", "0.0"],
+        {"request_count", "master_seed"},
+        4,
+    ),
+    "experiment5": (
+        ["--requests", "40", "--churn", "0.5", "--stragglers", "0"],
+        {"request_count", "master_seed"},
+        2,
+    ),
+    "experiment6": (
+        ["--requests", "12", "--bursty-agents", "24", "--cells", "clean",
+         "loss", "--policies", "eq10", "auction"],
+        {"request_count", "master_seed", "bursty_agents"},
+        4,
+    ),
+    "experiment7": (
+        ["--workflows", "3", "--cells", "fork-join-uniform"],
+        {"workflow_count", "master_seed"},
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOURNAMENT_RUNS))
+def test_tournament_check_and_json(command, capsys, tmp_path):
+    import json as json_mod
+
+    argv, header, points = TOURNAMENT_RUNS[command]
+    json_path = tmp_path / f"{command}.json"
+    assert main([command, *argv, "--check", "--json", str(json_path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+    doc = json_mod.loads(json_path.read_text())
+    assert set(doc) == header | {"points"}
+    assert len(doc["points"]) == points
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment7", "--cells", "fork-join-hourly"],
+        ["experiment7", "--workflows", "0"],
+        ["experiment4", "--requests", "0"],
+        ["experiment5", "--stragglers", "99"],
+    ],
+    ids=["unknown-cell", "no-workflows", "no-requests", "too-many-stragglers"],
+)
+def test_bad_tournament_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: " in err
+    assert "Traceback" not in err
