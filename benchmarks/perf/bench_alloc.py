@@ -43,13 +43,12 @@ class DictEvent:
     """
 
     def __init__(self, time, priority, sequence, callback, label="",
-                 lane="", on_cancel=None):
+                 on_cancel=None):
         self.time = time
         self.priority = priority
         self.sequence = sequence
         self.callback = callback
         self.label = label
-        self.lane = lane
         self.cancelled = False
         self.fired = False
         self.on_cancel = on_cancel

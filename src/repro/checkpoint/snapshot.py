@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any, Dict, List
 
 from repro.errors import CheckpointError
@@ -138,7 +138,9 @@ def decode_config(data: Dict[str, Any]):
     """Inverse of :func:`encode_config`.
 
     Unknown keys (a snapshot written by a different build) raise
-    :class:`CheckpointError` rather than being silently dropped.
+    :class:`CheckpointError` rather than being silently dropped, at the top
+    level and in nested dicts alike.  The one exception is the retired
+    ``engine`` key, dropped when it holds one of its old values.
     """
     from repro.agents.discovery import DiscoveryConfig
     from repro.agents.membership import MembershipConfig
@@ -150,6 +152,16 @@ def decode_config(data: Dict[str, Any]):
     from repro.scheduling.ga import GAConfig
     from repro.scheduling.scheduler import SchedulingPolicy
 
+    known = {f.name for f in fields(ExperimentConfig)}
+    for key in sorted(set(data) - known):
+        # The retired engine selector chose between two engines that fired
+        # in the same order, so a snapshot holding either value resumes
+        # identically without it.
+        if key == "engine" and data[key] in ("partitioned", "single-heap"):
+            continue
+        raise CheckpointError(
+            f"snapshot config key {key}={data[key]!r} does not match this build"
+        )
     try:
         ga_raw = dict(data["ga_config"])
         weights = CostWeights(**ga_raw.pop("weights"))
@@ -182,10 +194,6 @@ def decode_config(data: Dict[str, Any]):
                 None if faults is None else FaultPlanSpec.from_json(json.dumps(faults))
             ),
             churn=churn_spec,
-            # Snapshots written before engine selection existed carry no
-            # "engine" key; they restore onto the partitioned engine, which
-            # replays byte-identically (the engines are equivalence-tested).
-            engine=str(data.get("engine", "partitioned")),
             # Pre-membership snapshots carry no "membership" key; they
             # restore with the detector disabled (the seed behaviour).
             membership=MembershipConfig(**data.get("membership") or {}),

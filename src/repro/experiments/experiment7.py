@@ -265,7 +265,6 @@ def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
             _starter(item),
             priority=Priority.ARRIVAL,
             label=f"workflow-{item.shape}",
-            lane=item.agent_name,
         )
     steps = 0
     while (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.agents.advertisement import (
     AdvertisementStrategy,
@@ -49,8 +49,7 @@ from repro.pace.resource import ResourceModel
 from repro.pace.workloads import ApplicationSpec, paper_application_specs
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.sim.engine import Engine
-from repro.sim.events import DEFAULT_LANE, Priority
-from repro.sim.reference import SingleHeapEngine
+from repro.sim.events import Priority
 from repro.tasks.execution import ExecutionMode
 from repro.tasks.task import Environment
 from repro.utils.rng import RngRegistry
@@ -78,12 +77,6 @@ __all__ = [
 #: far above any legitimate run (the full case study fires ~10^5 events).
 MAX_EVENTS = 20_000_000
 
-#: The engines :func:`build_grid` can assemble — selected by
-#: ``ExperimentConfig.engine``.  Identical surface, property-tested
-#: byte-identical outputs; the single-heap engine is the preserved seed
-#: implementation kept as oracle and perf baseline.
-EngineType = Union[Engine, SingleHeapEngine]
-
 
 @dataclass
 class GridSystem:
@@ -91,7 +84,7 @@ class GridSystem:
 
     config: ExperimentConfig
     topology: GridTopology
-    sim: EngineType
+    sim: Engine
     transport: Transport
     evaluator: EvaluationEngine
     schedulers: Dict[str, LocalScheduler]
@@ -234,11 +227,7 @@ def build_grid(
     """
     topo = topology if topology is not None else case_study_topology()
     rngs = RngRegistry(config.master_seed)
-    sim: EngineType = (
-        Engine(tracer=tracer)
-        if config.engine == "partitioned"
-        else SingleHeapEngine(tracer=tracer)
-    )
+    sim = Engine(tracer=tracer)
     transport = Transport(sim, tracer=tracer)
     evaluator = EvaluationEngine(
         noise_factor=config.prediction_noise,
@@ -263,11 +252,8 @@ def build_grid(
         service_factor = (
             config.faults.service_factor_for(name) if config.faults is not None else 1.0
         )
-        # Each cluster's scheduler (and its executor, monitor, and agent
-        # timers downstream) schedules through its own event lane; only
-        # cross-cluster traffic shares the default lane.
         scheduler = LocalScheduler(
-            sim.lane_view(name),
+            sim,
             resource,
             evaluator,
             policy=config.policy,
@@ -307,16 +293,14 @@ def build_grid(
             jitter_rng=jitter_rng,
             tracer=tracer,
         )
-        transport.assign_lane(agents[name].endpoint, name)
     hierarchy = wire_hierarchy(agents, dict(topo.parent_of))
     portal = UserPortal(
         transport,
-        sim.lane_view(PORTAL_NAME),
+        sim,
         resilience=config.resilience,
         jitter_rng=jitter_rng,
         tracer=tracer,
     )
-    transport.assign_lane(portal.endpoint, PORTAL_NAME)
     if config.faults is not None:
         endpoints = {name: agent.endpoint for name, agent in agents.items()}
         endpoints[PORTAL_NAME] = portal.endpoint
@@ -372,15 +356,11 @@ def _arm_grid(
     workload: Optional[List[WorkloadItem]],
     tracer: Optional[Tracer],
     make_submitter: Callable[["GridSystem", WorkloadItem], Callable[[], None]],
-    *,
-    entry_lanes: bool,
 ) -> Tuple[GridSystem, List[WorkloadItem], Dict[int, "object"]]:
     """Build and start the grid, then schedule one arrival per request.
 
-    *workload* defaults to :func:`seeded_workload`.  Strict and soak runs
-    schedule each arrival in its entry agent's lane (``entry_lanes=True``),
-    degraded runs in the default lane.  Returns ``(system, items,
-    arrivals)``, arrivals keyed by workload index.
+    *workload* defaults to :func:`seeded_workload`.  Returns ``(system,
+    items, arrivals)``, arrivals keyed by workload index.
     """
     system = build_grid(config, topology, tracer=tracer)
     items = (
@@ -393,7 +373,6 @@ def _arm_grid(
             make_submitter(system, item),
             priority=Priority.ARRIVAL,
             label=f"arrival-{item.application}",
-            lane=item.agent_name if entry_lanes else DEFAULT_LANE,
         )
         for index, item in enumerate(items)
     }
@@ -447,7 +426,7 @@ def run_experiment(
     """
     t_wall = time.perf_counter()
     system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, _submitter, entry_lanes=True
+        config, topology, workload, tracer, _submitter
     )
     return _drive_experiment(
         system,
@@ -480,7 +459,7 @@ def checkpoint_experiment(
         If the run's event queue drains before *at_step* events fire.
     """
     system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, _submitter, entry_lanes=True
+        config, topology, workload, tracer, _submitter
     )
     _step_to(system, at_step)
     return write_checkpoint(path, system, items, arrivals, at_step)
@@ -625,7 +604,7 @@ def run_degraded(
     """
     t_wall = time.perf_counter()
     system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, tolerant_submitter, entry_lanes=False
+        config, topology, workload, tracer, tolerant_submitter
     )
     crashes, restarts, churn_events = _arm_churn(system, config)
     return _drive_degraded(
@@ -658,7 +637,7 @@ def checkpoint_degraded(
     the snapshot digest.
     """
     system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, tolerant_submitter, entry_lanes=False
+        config, topology, workload, tracer, tolerant_submitter
     )
     crashes, restarts, churn_events = _arm_churn(system, config)
     _step_to(system, at_step)

@@ -181,7 +181,7 @@ def run_soak(
         raise ExperimentError(f"window_seconds must be > 0, got {window_seconds}")
     t_wall = time.perf_counter()
     system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, tolerant_submitter, entry_lanes=True
+        config, topology, workload, tracer, tolerant_submitter
     )
     progress = _SoakProgress(
         window_seconds=window_seconds, next_boundary=window_seconds
@@ -217,7 +217,7 @@ def checkpoint_soak(
     if window_seconds <= 0:
         raise ExperimentError(f"window_seconds must be > 0, got {window_seconds}")
     system, items, arrivals = _arm_grid(
-        config, topology, None, tracer, tolerant_submitter, entry_lanes=True
+        config, topology, None, tracer, tolerant_submitter
     )
     progress = _SoakProgress(
         window_seconds=window_seconds, next_boundary=window_seconds

@@ -23,7 +23,7 @@ from repro.net.message import Endpoint, Message, MessageKind
 from repro.obs.records import MessageDelivered, MessageDropped, MessageSent
 from repro.obs.trace import Tracer
 from repro.sim.engine import Engine
-from repro.sim.events import DEFAULT_LANE, EventHandle, Priority
+from repro.sim.events import EventHandle, Priority
 from repro.utils.validation import check_non_negative
 
 __all__ = ["Transport", "DEFAULT_DROP_RING_SIZE"]
@@ -90,11 +90,6 @@ class Transport:
         # fired, keyed by message id.  Checkpoints serialise these so a
         # restored run re-delivers exactly what was on the wire.
         self._in_flight: Dict[int, Tuple[Message, EventHandle]] = {}
-        # Endpoint -> event-lane routing for delivery events.  Intra-cluster
-        # messages land in the cluster's own lane; anything else (including
-        # endpoints never assigned a lane) goes to the cross-cluster lane.
-        # Purely a partitioning hint — delivery order is lane-independent.
-        self._endpoint_lanes: Dict[Endpoint, str] = {}
         self._taps: List[Callable[[Message], None]] = []
         self._tracer = tracer
 
@@ -165,27 +160,6 @@ class Transport:
         """Observe every delivered message (tracing/tests)."""
         self._taps.append(observer)
 
-    def assign_lane(self, endpoint: Endpoint, lane: str) -> None:
-        """Route future deliveries involving *endpoint* through *lane*.
-
-        A message whose sender and recipient share a lane is delivered in
-        that lane; every other message — inter-cluster traffic, or traffic
-        touching an unassigned endpoint — is delivered in the cross-cluster
-        lane.  Lane assignment never changes delivery order (the engine
-        merges lanes under the global ``(time, priority, sequence)`` key);
-        it only keeps intra-cluster traffic out of the shared heap.
-        """
-        self._endpoint_lanes[endpoint] = lane
-
-    def _delivery_lane(self, message: Message) -> str:
-        lanes = self._endpoint_lanes
-        recipient_lane = lanes.get(message.recipient, DEFAULT_LANE)
-        if recipient_lane != DEFAULT_LANE and (
-            lanes.get(message.sender, DEFAULT_LANE) == recipient_lane
-        ):
-            return recipient_lane
-        return DEFAULT_LANE
-
     # ------------------------------------------------------------------- send
 
     def send(self, message: Message, *, extra_latency: float = 0.0) -> None:
@@ -239,7 +213,6 @@ class Transport:
             partial(self._deliver, message),
             priority=Priority.DEFAULT,
             label=_DELIVER_LABELS[message.kind],
-            lane=self._delivery_lane(message),
         )
         self._in_flight[message.message_id] = (message, handle)
 

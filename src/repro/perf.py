@@ -17,10 +17,10 @@ The suite times the hot kernels this codebase optimises:
   :func:`~repro.experiments.sweep.run_seed_sweep` on the experiment
   fabric.
 * ``engine_events_per_s`` / ``engine_events_per_s_single_heap`` —
-  events/second of the lane-partitioned engine versus the preserved
-  single-heap seed engine on an identical 1000-lane self-rescheduling
-  timer workload (the event pattern a 1000-agent grid produces); the
-  derived ``engine_partition_speedup`` is the scale gate's ≥2× claim.
+  events/second of the engine versus the preserved single-heap seed
+  engine on an identical 1000-agent arrival-cascade workload (the event
+  pattern a 1000-agent grid produces); the derived
+  ``engine_partition_speedup`` is their quotient.
 * ``engine_event_alloc`` — Event+Message allocations/second, the
   ``__slots__`` hot-path win.
 * ``scale_grid_1000`` — completed requests/second of a full generated
@@ -283,71 +283,59 @@ def bench_sweep_speedup(requests: int, jobs: int = 4) -> List[BenchResult]:
 
 
 def bench_engine_events(
-    n_lanes: int = 1000,
-    arrivals_per_lane: int = 150,
+    n_agents: int = 1000,
+    arrivals_per_agent: int = 150,
     burst: int = 48,
     events: int = 250_000,
     warmup: int = 30_000,
     repeats: int = 6,
 ) -> List[BenchResult]:
-    """Events/second: partitioned lanes versus the single-heap reference.
+    """Events/second: the engine versus the single-heap reference.
 
-    Both engines drive the identical workload — per-lane request arrivals
-    each fanning out a same-instant burst of dispatch events.  That is the
-    measured shape of the real simulator: transport latency defaults to
-    0.0 with asynchronous delivery, so an arrival's request/response/
-    dispatch chain fires as one same-time cascade in the agent's lane (a
-    probe of a generated 300-agent scenario put 75 % of fires inside
-    same-``(time, lane)`` runs of ~1200 events; ``burst`` stays far below
-    that, which is *conservative* — longer cascades favour the partitioned
-    engine's carry path).  A ~2 % cross-lane stream rides in the shared
-    default lane.  The single-heap engine pays ``O(log n_pending)``
-    *Python-level* ``Event.__lt__`` comparisons per operation across one
-    six-figure-entry heap; the partitioned engine pays C tuple comparisons
-    on small per-lane heaps and skips the lane index entirely while a
-    cascade holds the minimum.  Firing order is identical by construction
-    — the engine equivalence property suite asserts byte-identity — so
-    this pair measures pure heap mechanics on the same event sequence.
+    Both engines drive the identical workload through ``schedule`` —
+    per-agent request arrivals, each fanning out a same-instant burst of
+    dispatch events.  That is the measured shape of the real simulator:
+    transport latency defaults to 0.0 with asynchronous delivery, so an
+    arrival's request/response/dispatch chain fires as one same-time
+    cascade (a probe of a generated 300-agent scenario put 75 % of fires
+    inside same-time runs of ~1200 events).  A second, ~2 % stream of
+    arrivals is spread over fewer, sparser timers.  The backlog is
+    six-figure, so every heap operation is ``O(log n_pending)``
+    comparisons: C tuple comparisons in the engine, Python-level
+    ``Event.__lt__`` calls in the reference.  Firing order is identical
+    by construction — the engine equivalence property suite asserts
+    byte-identity — so this pair measures pure heap mechanics on the same
+    event sequence.
 
     The two engines are interleaved within each repeat (not timed in
     separate blocks) so slow machine windows hit both alike, and each
     takes its best repeat; the derived ``engine_partition_speedup`` ratio
-    is the scale gate.
+    is their quotient (the name predates the single engine and is kept so
+    committed baselines stay comparable).
     """
     from repro.sim.engine import Engine
-    from repro.sim.events import DEFAULT_LANE, Priority
+    from repro.sim.events import Priority
     from repro.sim.reference import SingleHeapEngine
 
     def noop() -> None:
         return None
 
     def build(engine) -> None:
-        def make_arrival(view):
-            sched = view.schedule
+        sched = engine.schedule
 
-            def arrival(sched=sched, noop=noop, burst=burst):
-                t = view.now
-                for _ in range(burst):
-                    sched(t, noop, Priority.SCHEDULING, "dispatch")
+        def arrival() -> None:
+            t = engine.now
+            for _ in range(burst):
+                sched(t, noop, priority=Priority.SCHEDULING, label="dispatch")
 
-            return arrival
-
-        for i in range(n_lanes):
-            view = engine.lane_view(f"L{i:04d}")
-            arrival = make_arrival(view)
-            for j in range(arrivals_per_lane):
-                view.schedule(
-                    0.5 + j * 1.0 + (i % 97) / 97.0,
-                    arrival, Priority.ARRIVAL, "arrival",
-                )
-        for i in range(max(1, n_lanes // 50)):
-            view = engine.lane_view(DEFAULT_LANE)
-            arrival = make_arrival(view)
+        for i in range(n_agents):
+            for j in range(arrivals_per_agent):
+                sched(0.5 + j * 1.0 + (i % 97) / 97.0, arrival,
+                      priority=Priority.ARRIVAL, label="arrival")
+        for i in range(max(1, n_agents // 50)):
             for j in range(40):
-                view.schedule(
-                    1.0 + j * 2.5 + (i % 13) / 13.0,
-                    arrival, Priority.ARRIVAL, "cross",
-                )
+                sched(1.0 + j * 2.5 + (i % 13) / 13.0, arrival,
+                      priority=Priority.ARRIVAL, label="cross")
 
     def measure(engine) -> float:
         build(engine)
@@ -356,12 +344,12 @@ def bench_engine_events(
         engine.run(max_events=events)
         return events / (time.perf_counter() - start)
 
-    partitioned = single = 0.0
+    tuple_heap = single = 0.0
     gc_was_enabled = gc.isenabled()
     gc.disable()  # collector pauses land unevenly; both sides run without
     try:
         for _ in range(repeats):
-            partitioned = max(partitioned, measure(Engine()))
+            tuple_heap = max(tuple_heap, measure(Engine()))
             single = max(single, measure(SingleHeapEngine()))
     finally:
         if gc_was_enabled:
@@ -369,12 +357,11 @@ def bench_engine_events(
 
     detail = (
         f"best of {repeats} interleaved, {events} events after {warmup} "
-        f"warmup; {n_lanes} lanes x {arrivals_per_lane} arrivals, "
-        f"burst {burst}, {max(1, n_lanes // 50)}x40 cross-lane"
+        f"warmup; {n_agents} agents x {arrivals_per_agent} arrivals, "
+        f"burst {burst}, {max(1, n_agents // 50)}x40 cross-agent"
     )
     return [
-        BenchResult("engine_events_per_s", partitioned,
-                    "events/s", True, detail),
+        BenchResult("engine_events_per_s", tuple_heap, "events/s", True, detail),
         BenchResult("engine_events_per_s_single_heap", single,
                     "events/s", True, detail),
     ]
@@ -422,10 +409,10 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     """Completed requests/second of a full generated 1000-agent scenario.
 
     End to end: ``ScenarioSpec`` → topology + Poisson workload →
-    ``build_grid`` → event loop to drain, FIFO policy on the partitioned
-    engine.  The scale gate's integration number — it moves with engine
-    throughput, transport lane routing, and scheduler bookkeeping,
-    unlike ``engine_events_per_s`` which isolates the heap mechanics.
+    ``build_grid`` → event loop to drain, FIFO policy.  The scale gate's
+    integration number — it moves with engine throughput, transport
+    delivery, and scheduler bookkeeping, unlike ``engine_events_per_s``
+    which isolates the heap mechanics.
     """
     from repro.experiments.runner import run_experiment
     from repro.experiments.scenarios import ScenarioSpec, generate_scenario
@@ -451,7 +438,7 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
         unit="requests/s",
         higher_is_better=True,
         detail=f"1000 agents, {requests} poisson requests (rate 2/s), FIFO, "
-        f"{len(result.records)} completed, partitioned engine",
+        f"{len(result.records)} completed",
     )
 
 
@@ -505,7 +492,7 @@ def _suite_specs(requests: int, jobs: int):
          f"sweep speedup (4 seeds, jobs={jobs})...",
          lambda: bench_sweep_speedup(requests, jobs=jobs)),
         (("engine_events_per_s", "engine_events_per_s_single_heap"),
-         "event engine throughput (partitioned vs single-heap, 1000 lanes)...",
+         "event engine throughput (engine vs single-heap, 1000 agents)...",
          bench_engine_events),
         (("engine_event_alloc",),
          "hot-path allocation (slotted Event + Message)...",

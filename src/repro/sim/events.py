@@ -10,7 +10,7 @@ and must replay identically.
 engine allocates one per scheduled callback, which makes construction and
 attribute access the hottest allocation path in the simulator (see
 ``engine_event_alloc`` in the perf suite for the measured win).  The
-partitioned engine never calls :meth:`Event.__lt__` — its heaps hold
+engine never calls :meth:`Event.__lt__` — its heap holds
 ``(time, priority, sequence, event)`` tuples that compare in C — but the
 method is kept so the single-heap reference engine can order raw events.
 """
@@ -19,12 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["Event", "EventHandle", "Priority", "DEFAULT_LANE"]
-
-#: The lane events land in when the scheduler does not name one.  The
-#: default lane doubles as the *cross-cluster* lane: inter-cluster message
-#: deliveries, portal arrivals, and any unrouted event share it.
-DEFAULT_LANE = ""
+__all__ = ["Event", "EventHandle", "Priority"]
 
 
 class Priority:
@@ -55,13 +50,9 @@ class Event:
         Zero-argument callable fired when the event is due.
     label:
         Debug label (also recorded in traces).
-    lane:
-        The event lane this event is queued in (see
-        :class:`~repro.sim.engine.Engine`); purely a performance
-        partitioning — firing order is lane-independent.
     cancelled:
         Lazily honoured: the engine skips cancelled events when popped and
-        compacts its heaps when too many accumulate.
+        compacts its heap when too many accumulate.
     fired:
         Set by the engine the moment the event is popped to fire, so a
         ``cancel()`` from inside its own callback (e.g. a periodic process
@@ -78,7 +69,6 @@ class Event:
         "sequence",
         "callback",
         "label",
-        "lane",
         "cancelled",
         "fired",
         "on_cancel",
@@ -91,7 +81,6 @@ class Event:
         sequence: int,
         callback: Callable[[], None],
         label: str = "",
-        lane: str = DEFAULT_LANE,
         on_cancel: Optional[Callable[[], None]] = None,
     ) -> None:
         # All parameters are positional-capable: the engine constructs one
@@ -102,7 +91,6 @@ class Event:
         self.sequence = sequence
         self.callback = callback
         self.label = label
-        self.lane = lane
         self.cancelled = False
         self.fired = False
         self.on_cancel = on_cancel
@@ -138,10 +126,10 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    # The partitioned engine returns events directly as their own handles
-    # (one object allocation per schedule instead of two), so Event carries
-    # the full handle surface; :class:`EventHandle` remains as the wrapper
-    # the single-heap reference engine hands out.
+    # The engine returns events directly as their own handles (one object
+    # allocation per schedule instead of two), so Event carries the full
+    # handle surface; :class:`EventHandle` remains as the wrapper the
+    # single-heap reference engine hands out.
 
     @property
     def pending(self) -> bool:
@@ -149,7 +137,7 @@ class Event:
         return not (self.fired or self.cancelled)
 
     def descriptor(self) -> dict:
-        """The ``(time, priority, sequence, label, lane)`` identity of this event.
+        """The ``(time, priority, sequence, label)`` identity of this event.
 
         Checkpoints store descriptors instead of handles; restore re-creates
         the event with its *original* triple via
@@ -161,13 +149,12 @@ class Event:
             "priority": self.priority,
             "sequence": self.sequence,
             "label": self.label,
-            "lane": self.lane,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Event(t={self.time:.3f}, prio={self.priority}, "
-            f"seq={self.sequence}, label={self.label!r}, lane={self.lane!r})"
+            f"seq={self.sequence}, label={self.label!r})"
         )
 
 
@@ -200,11 +187,6 @@ class EventHandle:
         return self._event.sequence
 
     @property
-    def lane(self) -> str:
-        """The event lane this event is queued in."""
-        return self._event.lane
-
-    @property
     def cancelled(self) -> bool:
         """Whether the event has been cancelled."""
         return self._event.cancelled
@@ -220,23 +202,14 @@ class EventHandle:
         return not (self._event.fired or self._event.cancelled)
 
     def descriptor(self) -> dict:
-        """The ``(time, priority, sequence, label, lane)`` identity of this event.
+        """The ``(time, priority, sequence, label)`` identity of this event.
 
         Checkpoints store descriptors instead of handles; restore re-creates
         the event with its *original* triple via
         :meth:`~repro.sim.engine.Engine.restore_event`, so heap order — and
-        therefore replay — is preserved exactly.  The lane is carried so a
-        restored run rebuilds the same partitioning; descriptors written
-        before lanes existed restore into the default lane, which fires
-        identically (ordering is lane-independent).
+        therefore replay — is preserved exactly.
         """
-        return {
-            "time": self._event.time,
-            "priority": self._event.priority,
-            "sequence": self._event.sequence,
-            "label": self._event.label,
-            "lane": self._event.lane,
-        }
+        return self._event.descriptor()
 
     def cancel(self) -> None:
         """Cancel the event; a no-op if it already fired or was cancelled."""

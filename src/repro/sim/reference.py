@@ -1,111 +1,30 @@
-"""The single-heap reference engine — the pre-partitioning implementation.
+"""The single-heap reference engine — the seed implementation.
 
 This is the seed engine preserved verbatim in behaviour: one global binary
 heap of :class:`~repro.sim.events.Event` objects ordered by
 ``Event.__lt__`` over ``(time, priority, sequence)``, with lazy-deleted
-cancellations and no compaction.  It exists for two reasons:
-
-* **Correctness oracle.**  The lane-partitioned :class:`~repro.sim.engine.
-  Engine` must fire events in exactly this engine's order; the equivalence
-  property suite runs paper-scale experiments on both and requires
-  byte-identical completion records, metrics JSON, canonical traces, and
-  RNG digests (the same reference-oracle pattern the GA kernels use).
-* **Perf baseline.**  The ``engine_events_per_s`` benchmark measures the
-  partitioned engine against this one at 1000-agent scale, so the speedup
-  claimed in BENCH_PERF.json is versus the real seed implementation, not a
-  strawman.
-
-It accepts the partitioned engine's full surface — ``lane=`` keywords and
-``lane_view`` — so ``build_grid`` can swap engines via
-``ExperimentConfig.engine`` with no call-site branching; lanes are recorded
-on events (descriptors round-trip through checkpoints) but play no part in
-ordering, which is the whole point.
+cancellations and no compaction.  It is the **correctness oracle** for
+:class:`~repro.sim.engine.Engine`, which must fire events in exactly this
+engine's order: the equivalence property suite runs scripted workloads and
+paper-scale experiments on both and requires identical fire sequences,
+completion records, metrics JSON and RNG digests.  The
+``engine_events_per_s_single_heap`` benchmark times it on the same event
+pattern as the engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs.records import EventFired
-from repro.sim.events import DEFAULT_LANE, Event, EventHandle, Priority
+from repro.sim.events import Event, EventHandle, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.obs.trace import Tracer
 
 __all__ = ["SingleHeapEngine"]
-
-
-class _ReferenceLane:
-    """Purely delegating lane facade for the reference engine.
-
-    The partitioned :class:`~repro.sim.engine.EngineLane` replicates its
-    engine's scheduling internals as a single-frame fast path, so it cannot
-    front this engine; components only duck-type the view surface, so this
-    plain delegator is interchangeable at every call site.
-    """
-
-    __slots__ = ("_engine", "_lane")
-
-    def __init__(self, engine: "SingleHeapEngine", lane: str) -> None:
-        self._engine = engine
-        self._lane = lane
-
-    @property
-    def now(self) -> float:
-        """The current virtual time in seconds."""
-        return self._engine.now
-
-    @property
-    def lane(self) -> str:
-        """The lane name this view schedules into (inert here)."""
-        return self._lane
-
-    @property
-    def engine(self) -> "SingleHeapEngine":
-        """The underlying engine (for run control and checkpointing)."""
-        return self._engine
-
-    @property
-    def tracer(self) -> Optional["Tracer"]:
-        """The tracer event dispatch is reported to, if any."""
-        return self._engine.tracer
-
-    def schedule(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = Priority.DEFAULT,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule *callback* at absolute virtual *time* in this lane."""
-        return self._engine.schedule(
-            time, callback, priority=priority, label=label, lane=self._lane
-        )
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = Priority.DEFAULT,
-        label: str = "",
-    ) -> EventHandle:
-        """Schedule *callback* after *delay* virtual seconds in this lane."""
-        return self._engine.schedule_in(
-            delay, callback, priority=priority, label=label, lane=self._lane
-        )
-
-    def restore_event(
-        self, descriptor: dict, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Restore a checkpointed event, defaulting lane-less descriptors here."""
-        return self._engine.restore_event(
-            descriptor, callback, default_lane=self._lane
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_ReferenceLane(lane={self._lane!r}, engine={self._engine!r})"
 
 
 class SingleHeapEngine:
@@ -129,7 +48,6 @@ class SingleHeapEngine:
         self._start_time = float(start_time)
         self._now = float(start_time)
         self._heap: List[Event] = []
-        self._views: Dict[str, _ReferenceLane] = {}
         self._sequence = 0
         self._running = False
         self._fired = 0
@@ -163,11 +81,6 @@ class SingleHeapEngine:
         """Entries in the global heap, including lazy-deleted garbage."""
         return len(self._heap)
 
-    @property
-    def lane_count(self) -> int:
-        """Distinct lanes among queued events (informational only here)."""
-        return len({e.lane for e in self._heap if not e.cancelled})
-
     def __len__(self) -> int:
         return self.pending
 
@@ -180,10 +93,8 @@ class SingleHeapEngine:
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
-        lane: str = DEFAULT_LANE,
     ) -> EventHandle:
-        """Schedule *callback* at absolute virtual *time* (*lane* is recorded
-        on the event for descriptor parity but never affects ordering)."""
+        """Schedule *callback* at absolute virtual *time*."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
@@ -194,7 +105,6 @@ class SingleHeapEngine:
             self._sequence,
             callback,
             label,
-            lane=lane,
             on_cancel=self._on_event_cancelled,
         )
         self._sequence += 1
@@ -209,21 +119,16 @@ class SingleHeapEngine:
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
-        lane: str = DEFAULT_LANE,
     ) -> EventHandle:
         """Schedule *callback* after a relative *delay* in virtual seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self.schedule(
-            self._now + delay, callback, priority=priority, label=label, lane=lane
+            self._now + delay, callback, priority=priority, label=label
         )
 
     def restore_event(
-        self,
-        descriptor: dict,
-        callback: Callable[[], None],
-        *,
-        default_lane: str = DEFAULT_LANE,
+        self, descriptor: dict, callback: Callable[[], None]
     ) -> EventHandle:
         """Re-create a checkpointed event with its **original** identity."""
         time = float(descriptor["time"])
@@ -243,19 +148,11 @@ class SingleHeapEngine:
             sequence,
             callback,
             str(descriptor.get("label", "")),
-            lane=str(descriptor.get("lane", default_lane)),
             on_cancel=self._on_event_cancelled,
         )
         heapq.heappush(self._heap, event)
         self._pending += 1
         return EventHandle(event)
-
-    def lane_view(self, lane: str) -> _ReferenceLane:
-        """Lane facade for API parity; lanes are inert in this engine."""
-        view = self._views.get(lane)
-        if view is None:
-            view = self._views[lane] = _ReferenceLane(self, lane)
-        return view
 
     # ------------------------------------------------------------- checkpoint
 
@@ -327,10 +224,8 @@ class SingleHeapEngine:
         self._running = True
         fired = 0
         try:
-            while self.step():
+            while (max_events is None or fired < max_events) and self.step():
                 fired += 1
-                if max_events is not None and fired >= max_events:
-                    break
         finally:
             self._running = False
         return fired

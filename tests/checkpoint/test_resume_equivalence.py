@@ -15,6 +15,8 @@ from dataclasses import asdict
 import pytest
 
 import repro.net.message as message_module
+from repro.checkpoint.format import read_snapshot, write_snapshot
+from repro.checkpoint.snapshot import decode_config, encode_config
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.experiment4 import (
@@ -112,6 +114,49 @@ class TestStrictResume:
         checkpoint_degraded(degraded_config(), at_step=AT_STEP, path=path)
         with pytest.raises(CheckpointError, match="kind|checkpoint"):
             resume_experiment(path)
+
+
+class TestSnapshotCompatibility:
+    def test_unknown_top_level_config_key_rejected(self):
+        data = encode_config(strict_config(2003)) | {"bogus_knob": 1}
+        with pytest.raises(CheckpointError, match="bogus_knob"):
+            decode_config(data)
+
+    def test_snapshot_from_the_lane_engine_resumes(self, tmp_path):
+        # Older builds wrote a config "engine" key and a "lane" key in
+        # every event descriptor; both are dropped on resume.
+        message_module.set_message_counter(0)
+        full = run_experiment(strict_config(2003))
+
+        path = str(tmp_path / "legacy.json")
+        message_module.set_message_counter(0)
+        checkpoint_experiment(strict_config(2003), at_step=AT_STEP, path=path)
+        payload = read_snapshot(path)
+        payload["config"]["engine"] = "single-heap"
+        descriptors = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                if set(node) == {"time", "priority", "sequence", "label"}:
+                    descriptors.append(node)
+                for child in node.values():
+                    collect(child)
+            elif isinstance(node, list):
+                for child in node:
+                    collect(child)
+
+        collect(payload)
+        assert descriptors
+        for descriptor in descriptors:
+            descriptor["lane"] = "cluster"
+        write_snapshot(path, payload)
+
+        resumed = resume_experiment(path)
+        assert [asdict(r) for r in full.records] == [
+            asdict(r) for r in resumed.records
+        ]
+        assert metrics_json(full.metrics) == metrics_json(resumed.metrics)
+        assert full.rng_digest == resumed.rng_digest
 
 
 def degraded_config() -> ExperimentConfig:

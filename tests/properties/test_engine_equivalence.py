@@ -1,42 +1,38 @@
-"""Partitioned-engine equivalence: lanes must never change firing order.
+"""Engine equivalence: the engine must fire in the seed engine's order.
 
-The lane-partitioned :class:`~repro.sim.engine.Engine` is a pure
-performance refactor; :class:`~repro.sim.reference.SingleHeapEngine` is
-the seed implementation kept as the correctness oracle.  Two layers of
-evidence here:
+:class:`~repro.sim.reference.SingleHeapEngine` is the seed implementation
+kept as the correctness oracle for :class:`~repro.sim.engine.Engine`.  Two
+layers of evidence here:
 
 * **Paper-scale byte-identity** — the three Table-2 experiment configs run
   on both engines across five master seeds must agree on completion
-  records, metrics JSON, and the final RNG digest, byte for byte.
+  records, metrics JSON, and the final RNG digest, byte for byte.  The
+  oracle is swapped in for the engine ``build_grid`` constructs.
 * **Hypothesis-driven run() equivalence** — random scripted workloads
-  (same-instant cascades, cross-lane scheduling from callbacks, cancels,
-  chunked ``run(max_events=...)`` that stops mid-cascade) must produce the
-  identical fire sequence on both engines.  This drives the partitioned
-  engine's fused run loop directly — including the deferred head publish
-  and the cascade carry path — which the experiment drivers (``step()``
-  based) do not exercise.
+  (same-instant cascades scheduled from callbacks, cancels, and chunked
+  ``run(max_events=...)`` that stops mid-cascade) must produce the
+  identical fire sequence on both engines.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.runner as runner_module
 import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import Engine
-from repro.sim.events import DEFAULT_LANE, Priority
+from repro.sim.events import Priority
 from repro.sim.reference import SingleHeapEngine
 
 SEEDS = (2003, 7, 41, 97, 1234)
-
-LANES = (DEFAULT_LANE, "cluster-a", "cluster-b", "cluster-c", "cluster-d")
 
 PRIORITIES = (
     Priority.COMPLETION,
@@ -59,18 +55,17 @@ class TestPaperScaleByteIdentity:
     """Table-2 configs agree byte-for-byte on both engines, five seeds."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_table2_experiments_identical(self, seed):
+    def test_table2_experiments_identical(self, seed, monkeypatch):
         for config in table2_experiments(master_seed=seed, request_count=60):
             results = {}
-            for engine in ("partitioned", "single-heap"):
+            for engine_type in (Engine, SingleHeapEngine):
+                monkeypatch.setattr(runner_module, "Engine", engine_type)
                 message_module.set_message_counter(0)
-                results[engine] = run_experiment(
-                    replace(config, engine=engine)
-                )
-            part, single = results["partitioned"], results["single-heap"]
-            assert records_json(part) == records_json(single), config.name
-            assert metrics_json(part.metrics) == metrics_json(single.metrics)
-            assert part.rng_digest == single.rng_digest, config.name
+                results[engine_type] = run_experiment(config)
+            engine, single = results[Engine], results[SingleHeapEngine]
+            assert records_json(engine) == records_json(single), config.name
+            assert metrics_json(engine.metrics) == metrics_json(single.metrics)
+            assert engine.rng_digest == single.rng_digest, config.name
 
 
 class _ScriptedRun:
@@ -79,10 +74,8 @@ class _ScriptedRun:
     Every random decision is drawn from a private ``random.Random``; the
     two engines fire callbacks in the same order iff they are equivalent,
     so the nth draw — and therefore the whole script — matches between
-    them.  Callbacks schedule same-instant cascades (routed through lane
-    views, like transports do), jump lanes, cancel pending events, and
-    occasionally schedule from inside a cascade into the past-most lane,
-    covering the deferred-publish and carry invariants.
+    them.  Callbacks schedule same-instant cascades, like transports do,
+    and cancel pending events.
     """
 
     #: Hard cap on scheduled events per script — each fire spawns 0–3
@@ -105,11 +98,12 @@ class _ScriptedRun:
             return
         self.budget -= 1
         rng = self.rng
-        view = self.engine.lane_view(rng.choice(LANES))
         time = base_time + rng.choice((0.0, 0.0, 0.25, 1.0, 3.5))
         priority = rng.choice(PRIORITIES)
         label = f"ev{len(self.log)}-{len(self.live)}"
-        handle = view.schedule(time, self._fire, priority, label)
+        handle = self.engine.schedule(
+            time, self._fire, priority=priority, label=label
+        )
         self.live.append(handle)
 
     def _fire(self) -> None:
@@ -122,8 +116,7 @@ class _ScriptedRun:
             victim.cancel()
 
     def drain(self, chunk: int) -> None:
-        # Chunked draining stops runs mid-cascade, exercising the carry
-        # restore on exit and re-entry.
+        # Chunked draining stops runs mid-cascade and re-enters them.
         while self.engine.run(max_events=chunk):
             pass
 
@@ -142,17 +135,17 @@ class TestScriptedRunEquivalence:
             scripted.seed_events(initial)
             scripted.drain(chunk)
             runs.append(scripted)
-        part, single = runs
-        assert part.log == single.log
-        assert part.engine.fired_count == single.engine.fired_count
-        assert part.engine.now == single.engine.now
-        assert part.engine.pending == single.engine.pending == 0
+        engine, single = runs
+        assert engine.log == single.log
+        assert engine.engine.fired_count == single.engine.fired_count
+        assert engine.engine.now == single.engine.now
+        assert engine.engine.pending == single.engine.pending == 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), initial=st.integers(2, 10))
     def test_single_run_matches_chunked_run(self, seed, initial):
-        # The fused run loop (one run() call) and repeated small chunks
-        # must fire identically on the partitioned engine itself.
+        # One run() call and repeated small chunks must fire identically
+        # on the engine itself.
         runs = []
         for chunk in (10**9, 3):
             scripted = _ScriptedRun(Engine(), seed)

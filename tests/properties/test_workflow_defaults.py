@@ -86,7 +86,6 @@ def run_strict(config, *, coordinator: bool):
             _submitter(system, item),
             priority=Priority.ARRIVAL,
             label=f"arrival-{item.application}",
-            lane=item.agent_name,
         )
         for index, item in enumerate(items)
     }

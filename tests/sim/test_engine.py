@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine
-from repro.sim.events import Priority
+from repro.net.message import Endpoint, Message, MessageKind
+from repro.sim.engine import COMPACT_MIN, Engine
+from repro.sim.events import Event, EventHandle, Priority
+from repro.sim.reference import SingleHeapEngine
 
 
 class TestScheduling:
@@ -105,6 +107,17 @@ class TestRunModes:
         assert sim.run(max_events=2) == 2
         assert sim.pending == 1
 
+    @pytest.mark.parametrize("engine_type", [Engine, SingleHeapEngine])
+    def test_max_events_limit_checked_before_firing(self, engine_type):
+        engine = engine_type()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            engine.schedule(t, lambda t=t: fired.append(t))
+        assert engine.run(max_events=0) == 0
+        assert fired == [] and engine.pending == 3
+        assert engine.run(max_events=2) == 2
+        assert fired == [1.0, 2.0] and engine.pending == 1
+
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
 
@@ -132,3 +145,61 @@ class TestRunModes:
         assert eng.now == 100.0
         with pytest.raises(SimulationError):
             eng.schedule(99.0, lambda: None)
+
+    def test_reset_empties_the_heap(self, sim):
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, lambda: None)
+        sim.schedule(4.0, lambda: None).cancel()
+        sim.reset()
+        assert sim.heap_size == 0
+        assert sim.pending == 0
+        for t in (1.0, 2.0):
+            sim.schedule(t, lambda: None)
+        assert sim.run() == 2
+
+
+class TestCompaction:
+    def test_schedule_cancel_loop_keeps_heap_bounded(self, sim):
+        # The lazy-delete regression: cancelled events must not pile up.
+        # Without compaction this loop leaves ~10k garbage entries.
+        live = sim.schedule(1000.0, lambda: None)
+        for _ in range(100):
+            handles = [sim.schedule(500.0, lambda: None) for _ in range(100)]
+            for handle in handles:
+                handle.cancel()
+            assert sim.heap_size <= 2 * COMPACT_MIN + sim.pending
+        assert sim.pending == 1
+        assert not live.cancelled
+
+    def test_compaction_preserves_order_and_events(self, sim):
+        fired = []
+        for t in (5.0, 3.0, 4.0, 1.0, 2.0):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        for _ in range(3 * COMPACT_MIN):
+            sim.schedule(999.0, lambda: None).cancel()
+        assert sim.heap_size < COMPACT_MIN + sim.pending
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_cancel_of_fired_event_is_not_garbage(self, sim):
+        handle = sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle.cancel()  # no-op: already fired
+        assert sim.pending == 0
+        assert sim.heap_size == 0
+
+
+class TestSlots:
+    @pytest.mark.parametrize("obj", [
+        Event(1.0, 50, 0, lambda: None),
+        EventHandle(Event(1.0, 50, 1, lambda: None)),
+        Message(MessageKind.REQUEST, Endpoint("a", 1), Endpoint("b", 2), None),
+        Endpoint("a", 1),
+    ], ids=["Event", "EventHandle", "Message", "Endpoint"])
+    def test_hot_path_objects_have_no_dict(self, obj):
+        assert not hasattr(obj, "__dict__")
+        # Frozen slotted dataclasses raise TypeError instead of
+        # FrozenInstanceError on 3.11 (stale __class__ cell after the
+        # slots=True class rebuild); either way the write must fail.
+        with pytest.raises((AttributeError, TypeError)):
+            obj.arbitrary_new_attribute = 1
