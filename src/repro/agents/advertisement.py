@@ -36,6 +36,9 @@ __all__ = [
 #: The case study's cadence: "every ten seconds".
 DEFAULT_PULL_INTERVAL = 10.0
 
+#: Minimum virtual seconds between two event-driven pushes of one agent.
+PUSH_MIN_INTERVAL = 1.0
+
 
 class AdvertisementStrategy(ABC):
     """How an agent keeps its neighbours' view of it (and vice versa) fresh."""
@@ -130,14 +133,11 @@ class EventPushStrategy(AdvertisementStrategy):
 
     The scheduler signals a possible service change on every arrival and
     completion; pushing each one would flood the hierarchy, so pushes are
-    rate-limited to at most one per *min_interval* seconds (trailing
-    changes are swept by the next triggering event).
+    rate-limited to at most one per :data:`PUSH_MIN_INTERVAL` seconds
+    (trailing changes are swept by the next triggering event).
     """
 
-    def __init__(self, min_interval: float = 1.0) -> None:
-        if min_interval < 0:
-            raise ValidationError("min_interval must be >= 0")
-        self._min_interval = float(min_interval)
+    def __init__(self) -> None:
         self._agent: Optional["Agent"] = None
         self._last_push: float = float("-inf")
         self._active = False
@@ -167,7 +167,7 @@ class EventPushStrategy(AdvertisementStrategy):
         if not self._active or self._agent is None:
             return
         now = self._agent.sim.now
-        if now - self._last_push >= self._min_interval:
+        if now - self._last_push >= PUSH_MIN_INTERVAL:
             self._last_push = now
             self._agent.push_to_neighbours()
 

@@ -22,7 +22,7 @@ An agent:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.agents.advertisement import AdvertisementStrategy, NoAdvertisement
 from repro.net.payloads import KinInfo, RequestEnvelope, TaskResult, TransferPayload
@@ -31,7 +31,7 @@ from repro.agents.healing import Healer
 from repro.agents.matchmaking import MatchResult, match_request
 from repro.agents.membership import FailureDetector, MembershipConfig
 from repro.agents.policy import GlobalPolicy, GlobalPolicyConfig, make_policy
-from repro.agents.resilience import ResilienceConfig
+from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.agents.service_info import ServiceInfo
 from repro.errors import AgentError, TransportError
 from repro.net.message import Endpoint, Message, MessageKind
@@ -53,10 +53,17 @@ from repro.tasks.task import Task, TaskRequest
 
 __all__ = ["RequestEnvelope", "TaskResult", "Agent"]
 
+#: Data units per second a workflow input stages in at: moving an input of
+#: size *s* between clusters delays its consumer by ``s / TRANSFER_BANDWIDTH``.
+TRANSFER_BANDWIDTH = 1.0
+#: Retransmission-dedup keys an agent remembers; the least-recently-seen
+#: are evicted first, which bounds memory over soak horizons while staying
+#: far above any plausible in-flight retransmission window.
+DEDUP_CAP = 65536
 
-# RequestEnvelope and TaskResult are protocol payloads shared with the
-# stand-alone scheduler endpoint; they live in repro.net.payloads and are
-# re-exported here under their paper-facing home.
+
+# RequestEnvelope and TaskResult are protocol payloads; they live in
+# repro.net.payloads and are re-exported here under their paper-facing home.
 
 
 @dataclass
@@ -133,16 +140,10 @@ class Agent:
         resilience: ResilienceConfig = ResilienceConfig(),
         membership: MembershipConfig = MembershipConfig(),
         global_policy: GlobalPolicyConfig = GlobalPolicyConfig(),
-        jitter_rng: Optional[Any] = None,
-        transfer_bandwidth: float = 1.0,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if not name:
             raise AgentError("agent name must be non-empty")
-        if not (transfer_bandwidth > 0):
-            raise AgentError(
-                f"transfer_bandwidth must be > 0, got {transfer_bandwidth}"
-            )
         self._name = name
         self._tracer = tracer
         self._endpoint = endpoint
@@ -150,10 +151,6 @@ class Agent:
         self._transport = transport
         self._catalogue = catalogue
         self._discovery_config = discovery_config
-        # Data units per second a workflow input stages in at (§ tasks
-        # moving between clusters); the transport's base latency rides on
-        # top of the size/bandwidth serialisation delay.
-        self._transfer_bandwidth = float(transfer_bandwidth)
         self._resilience = resilience
         self._advertisement = advertisement or NoAdvertisement()
         self._parent: Optional["Agent"] = None
@@ -172,15 +169,10 @@ class Agent:
         # retransmissions an at-least-once sender produces when its ACK,
         # not the REQUEST itself, was lost.  Only populated when enabled.
         # Keyed in recency order (values are last-seen times) so the
-        # resilience config's TTL/cap eviction drops the oldest keys first.
+        # DEDUP_CAP eviction drops the least-recently-seen keys first.
         self._seen_forwards: Dict[Tuple[Endpoint, int, int], float] = {}
-        # Dedicated RNG stream for backoff jitter; None when jitter is off
-        # (the stream's very existence would perturb the rng digest).
-        self._jitter_rng = jitter_rng
         self._membership = membership
-        self._detector = (
-            FailureDetector(self, membership) if membership.enabled else None
-        )
+        self._detector = FailureDetector(self) if membership.enabled else None
         self._healer = Healer(self, membership) if membership.enabled else None
         # Endpoint → agent directory (set by wire_hierarchy): the sim's
         # stand-in for dialling an arbitrary address, which adoption needs
@@ -690,7 +682,7 @@ class Agent:
         if self._resilience.enabled:
             request_id = envelope.request_id
             handle = self.sim.schedule_in(
-                self._backoff_delay(attempt),
+                timeout_for(attempt),
                 lambda: self._on_ack_timeout(request_id),
                 priority=Priority.MONITORING,
                 label=f"ack-timeout-{self._name}-{request_id}",
@@ -705,18 +697,6 @@ class Agent:
             )
         return True
 
-    def _backoff_delay(self, attempt: int) -> float:
-        """The retry delay for *attempt*: exponential backoff plus jitter.
-
-        With ``backoff_jitter == 0`` (default) no draw happens and the
-        delay equals :meth:`ResilienceConfig.timeout_for` exactly.
-        """
-        delay = self._resilience.timeout_for(attempt)
-        jitter = self._resilience.backoff_jitter
-        if jitter > 0.0 and self._jitter_rng is not None:
-            delay *= 1.0 + jitter * float(self._jitter_rng.random())
-        return delay
-
     def _on_ack_timeout(self, request_id: int) -> None:
         """A forwarded REQUEST went unacknowledged: retry or give up."""
         pending = self._pending_acks.pop(request_id, None)
@@ -727,7 +707,7 @@ class Agent:
         self._registry.pop(pending.target, None)
         self._registry_time.pop(pending.target, None)
         next_attempt = pending.attempt + 1
-        if next_attempt > self._resilience.max_retries:
+        if next_attempt > MAX_RETRIES:
             self._stats.gave_up += 1
             if self._tracer is not None:
                 self._tracer.emit(
@@ -808,35 +788,29 @@ class Agent:
         if envelope.request.workflow is not None:
             self._stage_in_inputs(task.task_id, envelope.request)
 
-    @property
-    def transfer_bandwidth(self) -> float:
-        """Data units per second workflow inputs stage in at."""
-        return self._transfer_bandwidth
-
     def transfer_penalty(self, request: TaskRequest, resource_name: str) -> float:
         """Data-gravity term: seconds to stage *request*'s remote inputs.
 
         Inputs already on *resource_name* (or bound to an in-flight
         co-located parent, marked by an empty source) cost nothing; each
-        of the others charges its serialisation delay plus one transport
-        latency.  Zero for independent tasks.
+        of the others charges its serialisation delay.  Zero for
+        independent tasks.
         """
         binding = request.workflow
         if binding is None:
             return 0.0
-        latency = self._transport.latency
         total = 0.0
         for _parent, source, size in binding.inputs:
             if source and source != resource_name:
-                total += size / self._transfer_bandwidth + latency
+                total += size / TRANSFER_BANDWIDTH
         return total
 
     def _stage_in_inputs(self, task_id: int, request: TaskRequest) -> None:
         """Pull every remote input of a just-accepted workflow task.
 
         Each remote input becomes a TRANSFER message this agent sends to
-        itself with the serialisation delay (``size / bandwidth``) as
-        extra transport latency — data movement rides the same delivery,
+        itself, delayed by its serialisation time (``size /
+        TRANSFER_BANDWIDTH``) — data movement rides the same delivery,
         fault, and checkpoint machinery as protocol traffic.  The
         scheduler's gate for the task was registered during submit; each
         arrival clears one key.
@@ -845,12 +819,11 @@ class Agent:
         assert binding is not None
         own = self._scheduler.resource.name
         now = self.sim.now
-        latency = self._transport.latency
         for parent_node, source, size in binding.inputs:
             if not source or source == own:
                 continue  # co-located (gated on completion) or already local
-            delay = size / self._transfer_bandwidth
-            self._scheduler.set_start_floor(task_id, now + latency + delay)
+            delay = size / TRANSFER_BANDWIDTH
+            self._scheduler.set_start_floor(task_id, now + delay)
             self._transport.send(
                 Message(
                     MessageKind.TRANSFER,
@@ -976,30 +949,17 @@ class Agent:
     def _remember_forward(self, key: Tuple[Endpoint, int, int]) -> bool:
         """Record a forward-dedup key; returns whether it was already known.
 
-        The map is kept in recency order: expired keys (``dedup_ttl``) are
-        evicted from the front before the duplicate check — a retransmission
-        arriving after the window is treated as new work — and the size cap
-        evicts least-recently-seen keys after insertion.  With the TTL off
-        and the cap unreached this is byte-identical to the unbounded set
-        it replaces.
+        The map is kept in recency order: a known key moves to the tail,
+        and past :data:`DEDUP_CAP` keys the least-recently-seen one is
+        evicted, so a retransmission older than the cap horizon counts as
+        new work.
         """
-        now = self.sim.now
-        ttl = self._resilience.dedup_ttl
-        if ttl is not None:
-            while self._seen_forwards:
-                oldest = next(iter(self._seen_forwards))
-                if now - self._seen_forwards[oldest] > ttl:
-                    del self._seen_forwards[oldest]
-                else:
-                    break
         duplicate = key in self._seen_forwards
         if duplicate:
             del self._seen_forwards[key]  # re-insert at the recency tail
-        self._seen_forwards[key] = now
-        cap = self._resilience.dedup_cap
-        if cap is not None:
-            while len(self._seen_forwards) > cap:
-                del self._seen_forwards[next(iter(self._seen_forwards))]
+        self._seen_forwards[key] = self.sim.now
+        while len(self._seen_forwards) > DEDUP_CAP:
+            del self._seen_forwards[next(iter(self._seen_forwards))]
         return duplicate
 
     # ----------------------------------------------------------------- results
@@ -1144,10 +1104,9 @@ class Agent:
             decode_task_result,
         )
 
-        # Pre-membership snapshots carry no "held" key: nothing was held.
         self._held_results = [
             (decode_envelope(raw_env, applications), decode_task_result(raw_res))
-            for raw_env, raw_res in state.get("held", [])
+            for raw_env, raw_res in state["held"]
         ]
         self._registry = {
             decode_endpoint(ep): decode_service_info(info)
@@ -1178,14 +1137,9 @@ class Agent:
             )
             for raw in state["outcomes"]
         ]
-        # Pre-cap snapshots stored sorted (endpoint, rid, hops) triples
-        # with no timestamps; restore them at time zero, which with the
-        # default TTL-off policy behaves identically.
         self._seen_forwards = {
-            (decode_endpoint(entry[0]), int(entry[1]), int(entry[2])): (
-                float(entry[3]) if len(entry) > 3 else 0.0
-            )
-            for entry in state["seen_forwards"]
+            (decode_endpoint(ep), int(rid), int(hops)): float(t)
+            for ep, rid, hops, t in state["seen_forwards"]
         }
         for pending in self._pending_acks.values():
             pending.handle.cancel()
@@ -1204,11 +1158,8 @@ class Agent:
                 handle=handle,
             )
         self._advertisement.restore_state(state["advertisement"], self)
-        # Pre-policy snapshots carry no "policy" key: nothing was in flight.
-        self._policy.restore_state(
-            state.get("policy") or {}, applications=applications
-        )
-        member_state = state.get("membership")
+        self._policy.restore_state(state["policy"], applications=applications)
+        member_state = state["membership"]
         if (
             member_state is not None
             and self._detector is not None

@@ -15,7 +15,7 @@ messaging machinery.  Two pragmatic guards extend the paper's procedure
 (see DESIGN.md §4):
 
 * a **hop budget** — advertised freetimes are stale, so two agents could in
-  principle forward a request back and forth; past ``max_hops`` the request
+  principle forward a request back and forth; past :data:`MAX_HOPS` the request
   is absorbed by the best-effort rule below rather than forwarded again;
 * **best-effort termination** — the paper's experiments execute all 600
   requests, so "terminates unsuccessfully" cannot mean the task is lost.
@@ -30,11 +30,13 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.errors import ValidationError
 from repro.net.message import Endpoint
 from repro.agents.matchmaking import MatchResult
 
 __all__ = ["DiscoveryConfig", "Decision", "DiscoveryOutcome", "discover"]
+
+#: Forwards a request may take before the best-effort rule absorbs it.
+MAX_HOPS = 10
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,16 @@ class DiscoveryConfig:
 
     ``data_gravity`` extends eq. (10) for workflow tasks: a candidate's
     expected completion is charged the staging time of every input not
-    already on that resource (``size / bandwidth`` plus transport
-    latency), pulling children toward their parents' outputs.  Off by
+    already on that resource (``size / bandwidth``), pulling children
+    toward their parents' outputs.  Off by
     default — independent tasks carry no inputs, so the term is zero for
     them either way, but the flag keeps even the workflow code path
     byte-identical when disabled.
     """
 
-    max_hops: int = 10
     strict: bool = False
     local_only: bool = False
     data_gravity: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_hops < 1:
-            raise ValidationError(f"max_hops must be >= 1, got {self.max_hops}")
 
 
 class Decision(enum.Enum):
@@ -139,7 +136,7 @@ def discover(
     }
 
     # Hop budget exhausted: absorb the request here if at all possible.
-    if hops >= config.max_hops:
+    if hops >= MAX_HOPS:
         if local.supported:
             return DiscoveryOutcome(
                 Decision.LOCAL, None, local.eta, "hop budget exhausted"

@@ -15,10 +15,10 @@ repair target without any global view:
 * an orphan with **no kin knowledge** (its parent died before the first
   heartbeat) soldiers on as a self-rooted subtree.
 
-Adoption is at-least-once: the orphan re-sends ``ADOPT`` on a fixed retry
-timer until ``ADOPTED`` lands, and the adopter answers duplicates
-idempotently.  If the preferred target never answers
-(``max_heal_attempts``), the orphan falls back down a fixed ladder
+Adoption is at-least-once: the orphan re-sends ``ADOPT`` every
+:data:`HEAL_RETRY` seconds until ``ADOPTED`` lands, and the adopter answers
+duplicates idempotently.  If the preferred target never answers
+(:data:`MAX_HEAL_ATTEMPTS`), the orphan falls back down a fixed ladder
 (eldest → grandparent → self-root), so healing always terminates.  After
 re-parenting the orphan replays its service advertisement up the new path
 and pulls its new parent, rebuilding the eq.-(10) registries.
@@ -46,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.agents.membership import MembershipConfig
 
 __all__ = ["HealerStats", "Healer"]
+
+#: Virtual seconds between ADOPT re-sends to an unanswering target.
+HEAL_RETRY = 4.0
+#: ADOPT attempts per target before falling down the ladder.
+MAX_HEAL_ATTEMPTS = 8
 
 
 @dataclass
@@ -228,7 +233,7 @@ class Healer:
         # at-least-once loop, and exhaustion falls down the target ladder.
         agent.send_membership(MessageKind.ADOPT, endpoint, agent.name)
         self._retry = agent.sim.schedule_in(
-            self._config.heal_retry,
+            HEAL_RETRY,
             self._on_retry,
             priority=Priority.MONITORING,
             label=f"adopt-retry-{agent.name}",
@@ -238,7 +243,7 @@ class Healer:
         self._retry = None
         if not self._agent.active or self._pending is None:
             return
-        if self._attempt >= self._config.max_heal_attempts:
+        if self._attempt >= MAX_HEAL_ATTEMPTS:
             self._give_up()
             return
         self._send_adopt()

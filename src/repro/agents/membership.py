@@ -6,12 +6,12 @@ severs its whole subtree.  This module adds the *membership* half of the
 self-healing layer: a seeded, deterministic failure detector that each
 agent runs over its parent/child links.
 
-Every ``heartbeat_interval`` virtual seconds an agent beacons a HEARTBEAT
-to each neighbour and sweeps its per-link liveness leases::
+Every :data:`HEARTBEAT_INTERVAL` virtual seconds an agent beacons a
+HEARTBEAT to each neighbour and sweeps its per-link liveness leases::
 
-    alive ──(silence ≥ suspect_after)──▶ suspected
+    alive ──(silence ≥ SUSPECT_AFTER)──▶ suspected
     suspected ──(heartbeat arrives)────▶ alive        (slow, not dead)
-    suspected ──(silence ≥ confirm_after)──▶ confirmed-dead
+    suspected ──(silence ≥ CONFIRM_AFTER)──▶ confirmed-dead
 
 Suspicion *quarantines*: eq.-(10) discovery stops dispatching to a
 suspected neighbour (its stale performance record may describe a corpse),
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.errors import ValidationError
 from repro.net.message import Endpoint
 from repro.obs.records import MemberAlive, MemberDead, MemberSuspected
 from repro.sim.events import Priority
@@ -50,6 +49,15 @@ __all__ = ["MembershipConfig", "DetectorStats", "FailureDetector"]
 ALIVE = "alive"
 SUSPECTED = "suspected"
 
+#: Detector timings in virtual seconds.  ``SUSPECT_AFTER`` exceeds the
+#: worst *expected* heartbeat gap (interval + grey-failure response delay)
+#: so stragglers do not flap in and out of quarantine; ``CONFIRM_AFTER``
+#: exceeds the worst *possible* gap of a live peer so a slow node is not
+#: killed.
+HEARTBEAT_INTERVAL = 2.0
+SUSPECT_AFTER = 6.0
+CONFIRM_AFTER = 15.0
+
 
 @dataclass(frozen=True)
 class MembershipConfig:
@@ -60,42 +68,10 @@ class MembershipConfig:
     neighbours and leases their liveness; ``heal`` additionally turns on
     deterministic re-parenting of orphaned subtrees (see
     :mod:`repro.agents.healing`).
-
-    Tuning rule of thumb: ``suspect_after`` should exceed the worst
-    *expected* heartbeat gap (interval + grey-failure response delay) or
-    stragglers flap in and out of quarantine; ``confirm_after`` must exceed
-    the worst *possible* gap of a live peer or a slow node gets killed.
     """
 
     enabled: bool = False
-    heartbeat_interval: float = 2.0
-    suspect_after: float = 6.0
-    confirm_after: float = 15.0
     heal: bool = True
-    heal_retry: float = 4.0
-    max_heal_attempts: int = 8
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValidationError(
-                f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
-            )
-        if self.suspect_after <= self.heartbeat_interval:
-            raise ValidationError(
-                "suspect_after must exceed heartbeat_interval "
-                f"({self.suspect_after} <= {self.heartbeat_interval})"
-            )
-        if self.confirm_after <= self.suspect_after:
-            raise ValidationError(
-                "confirm_after must exceed suspect_after "
-                f"({self.confirm_after} <= {self.suspect_after})"
-            )
-        if self.heal_retry <= 0:
-            raise ValidationError(f"heal_retry must be > 0, got {self.heal_retry}")
-        if self.max_heal_attempts < 1:
-            raise ValidationError(
-                f"max_heal_attempts must be >= 1, got {self.max_heal_attempts}"
-            )
 
 
 @dataclass
@@ -124,18 +100,12 @@ class FailureDetector:
     deterministic.
     """
 
-    def __init__(self, agent: "Agent", config: MembershipConfig) -> None:
+    def __init__(self, agent: "Agent") -> None:
         self._agent = agent
-        self._config = config
         self._last_seen: Dict[Endpoint, float] = {}
         self._state: Dict[Endpoint, str] = {}
         self._process: Optional[PeriodicProcess] = None
         self.stats = DetectorStats()
-
-    @property
-    def config(self) -> MembershipConfig:
-        """The membership policy this detector runs."""
-        return self._config
 
     @property
     def running(self) -> bool:
@@ -159,7 +129,7 @@ class FailureDetector:
         if self._process is None:
             self._process = PeriodicProcess(
                 self._agent.sim,
-                self._config.heartbeat_interval,
+                HEARTBEAT_INTERVAL,
                 self._tick,
                 priority=Priority.MONITORING,
                 fire_immediately=True,
@@ -230,12 +200,11 @@ class FailureDetector:
         """
         agent = self._agent
         now = agent.sim.now
-        config = self._config
         for neighbour in agent.neighbours():
             ep = neighbour.endpoint
             silence = now - self._last_seen.setdefault(ep, now)
             state = self._state.get(ep, ALIVE)
-            if state is ALIVE and silence >= config.suspect_after:
+            if state is ALIVE and silence >= SUSPECT_AFTER:
                 self._state[ep] = SUSPECTED
                 state = SUSPECTED
                 self.stats.suspects += 1
@@ -248,7 +217,7 @@ class FailureDetector:
                             silence=silence,
                         )
                     )
-            if state == SUSPECTED and silence >= config.confirm_after:
+            if state == SUSPECTED and silence >= CONFIRM_AFTER:
                 self.forget(ep)
                 self.stats.confirms += 1
                 if agent.tracer is not None:
@@ -296,7 +265,7 @@ class FailureDetector:
         if state["process"] is not None:
             self._process = PeriodicProcess(
                 self._agent.sim,
-                self._config.heartbeat_interval,
+                HEARTBEAT_INTERVAL,
                 self._tick,
                 priority=Priority.MONITORING,
                 fire_immediately=True,

@@ -50,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.agents.discovery import Decision, discover
+from repro.agents.discovery import MAX_HOPS, Decision, discover
 from repro.agents.matchmaking import match_request
 from repro.errors import ValidationError
 from repro.net.message import Endpoint, Message, MessageKind
@@ -377,7 +377,7 @@ class AuctionPolicy(GlobalPolicy):
         if local_match.supported and local_match.meets_deadline:
             agent._submit_locally(envelope)
             return
-        if hops >= config.max_hops:
+        if hops >= MAX_HOPS:
             agent._absorb_or_fail(envelope, local_match)
             return
         detector = agent._detector
@@ -746,7 +746,7 @@ class ReservationPolicy(GlobalPolicy):
         if local_match.supported and local_match.meets_deadline:
             agent._submit_locally(envelope)
             return
-        if hops >= config.max_hops:
+        if hops >= MAX_HOPS:
             agent._absorb_or_fail(envelope, local_match)
             return
         matches = agent.neighbour_matches(request, exclude=exclude, now=now)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.agents.agent import Agent, RequestEnvelope, TaskResult
-from repro.agents.resilience import ResilienceConfig
+from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.errors import AgentError, TransportError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.transport import Transport
@@ -87,7 +87,6 @@ class UserPortal:
         endpoint: Endpoint = Endpoint("portal.grid", 8000),
         email: str = "user@portal.grid",
         resilience: ResilienceConfig = ResilienceConfig(),
-        jitter_rng=None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._tracer = tracer
@@ -96,7 +95,6 @@ class UserPortal:
         self._endpoint = endpoint
         self._email = email
         self._resilience = resilience
-        self._jitter_rng = jitter_rng
         self._next_request_id = 0
         self._submitted: Dict[int, RequestEnvelope] = {}
         self._results: Dict[int, TaskResult] = {}
@@ -186,10 +184,8 @@ class UserPortal:
     ) -> int:
         """Submit one request to *target*; returns the request id.
 
-        *target* is anything with a transport ``endpoint`` — a grid
-        :class:`~repro.agents.agent.Agent`, or a stand-alone
-        :class:`~repro.scheduling.endpoint.SchedulerServer` (the paper's
-        "system functions independently" mode).  *deadline* is absolute
+        *target* is anything with a transport ``endpoint``, normally a
+        grid :class:`~repro.agents.agent.Agent`.  *deadline* is absolute
         virtual time (δ_r of Fig. 6).
         """
         now = self._sim.now
@@ -244,29 +240,16 @@ class UserPortal:
             # before trying again.
             self._stats.submit_failures += 1
             self._retry_or_fail(
-                request_id, target, attempt,
-                delay=self._backoff_delay(attempt),
+                request_id, target, attempt, delay=timeout_for(attempt)
             )
             return
         handle = self._sim.schedule_in(
-            self._backoff_delay(attempt),
+            timeout_for(attempt),
             lambda: self._on_ack_timeout(request_id),
             priority=Priority.MONITORING,
             label=f"portal-ack-{request_id}",
         )
         self._pending[request_id] = _PendingSubmit(target, attempt, handle)
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """The backoff for *attempt*, jittered when the knob is on.
-
-        Jitter zero (the default) draws nothing and returns the exact
-        deterministic timeout — byte-identical to the unjittered portal.
-        """
-        delay = self._resilience.timeout_for(attempt)
-        jitter = self._resilience.backoff_jitter
-        if jitter > 0 and self._jitter_rng is not None:
-            delay *= 1.0 + jitter * float(self._jitter_rng.random())
-        return delay
 
     def _on_ack_timeout(self, request_id: int) -> None:
         pending = self._pending.pop(request_id, None)
@@ -278,7 +261,7 @@ class UserPortal:
         self, request_id: int, target: Endpoint, attempt: int, delay: float
     ) -> None:
         next_attempt = attempt + 1
-        if next_attempt > self._resilience.max_retries:
+        if next_attempt > MAX_RETRIES:
             self._stats.gave_up += 1
             self._record_result(self._failure_result(request_id), synthetic=True)
             return

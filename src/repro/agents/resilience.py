@@ -8,9 +8,10 @@ tasks.  :class:`ResilienceConfig` gates the counter-measures:
 
 * **Acknowledgement + retry** (``enabled``): every received REQUEST is
   acknowledged to its sender; senders arm a sim-timer per forward and,
-  on timeout, retry with exponential backoff, excluding already-tried
-  targets so the request re-routes to the next-best neighbour (or is
-  absorbed/rejected once ``max_retries`` is exhausted).
+  on timeout, retry with exponential backoff (:func:`timeout_for`),
+  excluding already-tried targets so the request re-routes to the
+  next-best neighbour (or is absorbed/rejected once :data:`MAX_RETRIES`
+  is exhausted).
 * **Registry TTL** (``registry_ttl``): advertised
   :class:`~repro.agents.service_info.ServiceInfo` older than the TTL is
   ignored by matchmaking and dropped from the registry, so a crashed
@@ -28,7 +29,21 @@ from typing import Optional
 
 from repro.errors import ValidationError
 
-__all__ = ["ResilienceConfig"]
+__all__ = ["ResilienceConfig", "timeout_for"]
+
+#: Virtual seconds to wait for a REQUEST acknowledgement before the first
+#: retry.
+ACK_TIMEOUT = 3.0
+#: Retries per request per station; after the last one the request is
+#: absorbed locally when possible, else rejected.
+MAX_RETRIES = 3
+#: Timeout multiplier per attempt (see :func:`timeout_for`).
+BACKOFF_BASE = 2.0
+
+
+def timeout_for(attempt: int) -> float:
+    """The ack timeout for *attempt* (0-based), with backoff applied."""
+    return ACK_TIMEOUT * BACKOFF_BASE ** attempt
 
 
 @dataclass(frozen=True)
@@ -41,74 +56,18 @@ class ResilienceConfig:
         Master switch for the ACK/retry machinery.  ``False`` (default)
         sends no ACKs, arms no timers, and is byte-identical to the seed
         protocol.
-    ack_timeout:
-        Virtual seconds to wait for a REQUEST acknowledgement before the
-        first retry.
-    max_retries:
-        Retries per request per station; after the last one the request is
-        absorbed locally when possible, else rejected.
-    backoff_base:
-        Timeout multiplier per attempt (attempt *k* waits
-        ``ack_timeout * backoff_base**k``).
     registry_ttl:
         Age in virtual seconds beyond which an advertised service record
         is ignored and dropped.  ``None`` (default) never expires —
         the seed behaviour.  Applies even when ``enabled`` is false (it is
         a discovery-freshness knob, not an ACK knob).
-    backoff_jitter:
-        Fractional jitter on every retry delay: attempt *k* waits
-        ``timeout_for(k) * (1 + backoff_jitter * u)`` with ``u`` drawn
-        uniformly from ``[0, 1)`` on the dedicated ``backoff-jitter`` RNG
-        stream.  De-synchronises the retry storm after a partition heals
-        so a recovering agent is not thundering-herded.  ``0`` (default)
-        draws nothing and is byte-identical to the unjittered backoff.
-    dedup_cap:
-        Maximum retransmission-dedup keys an agent remembers
-        (``Agent._seen_forwards``); the least-recently-seen keys are
-        evicted first.  ``None`` never evicts (the pre-cap behaviour); the
-        default bounds memory over soak horizons while staying far above
-        any plausible in-flight retransmission window.
-    dedup_ttl:
-        Age in virtual seconds beyond which a dedup key is evicted and a
-        late retransmission is treated as new work.  ``None`` (default)
-        keeps keys until the cap evicts them.
     """
 
     enabled: bool = False
-    ack_timeout: float = 3.0
-    max_retries: int = 3
-    backoff_base: float = 2.0
     registry_ttl: Optional[float] = None
-    backoff_jitter: float = 0.0
-    dedup_cap: Optional[int] = 65536
-    dedup_ttl: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ack_timeout <= 0:
-            raise ValidationError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 1.0:
-            raise ValidationError(
-                f"backoff_base must be >= 1, got {self.backoff_base}"
-            )
         if self.registry_ttl is not None and self.registry_ttl <= 0:
             raise ValidationError(
                 f"registry_ttl must be > 0 or None, got {self.registry_ttl}"
             )
-        if self.backoff_jitter < 0:
-            raise ValidationError(
-                f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
-            )
-        if self.dedup_cap is not None and self.dedup_cap < 1:
-            raise ValidationError(
-                f"dedup_cap must be >= 1 or None, got {self.dedup_cap}"
-            )
-        if self.dedup_ttl is not None and self.dedup_ttl <= 0:
-            raise ValidationError(
-                f"dedup_ttl must be > 0 or None, got {self.dedup_ttl}"
-            )
-
-    def timeout_for(self, attempt: int) -> float:
-        """The ack timeout for *attempt* (0-based), with backoff applied."""
-        return self.ack_timeout * self.backoff_base ** attempt

@@ -7,9 +7,9 @@ hardware model and processor count, supported execution environments, and
 (approximate) time that corresponding processors become available for more
 tasks" (§3.2).
 
-The record class itself lives in :mod:`repro.net.payloads` (both agents and
-stand-alone scheduler endpoints speak the protocol); this module is its
-paper-facing home within the agent layer.
+The record class itself lives in :mod:`repro.net.payloads` with the other
+protocol payloads; this module is its paper-facing home within the agent
+layer.
 """
 
 from repro.net.payloads import ServiceInfo

@@ -139,8 +139,8 @@ def decode_config(data: Dict[str, Any]):
 
     Unknown keys (a snapshot written by a different build) raise
     :class:`CheckpointError` rather than being silently dropped, at the top
-    level and in nested dicts alike.  The one exception is the retired
-    ``engine`` key, dropped when it holds one of its old values.
+    level and in nested dicts alike, so a snapshot does not resume across a
+    change to the config surface.
     """
     from repro.agents.discovery import DiscoveryConfig
     from repro.agents.membership import MembershipConfig
@@ -152,13 +152,9 @@ def decode_config(data: Dict[str, Any]):
     from repro.scheduling.ga import GAConfig
     from repro.scheduling.scheduler import SchedulingPolicy
 
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in sorted(set(data) - known):
-        # The retired engine selector chose between two engines that fired
-        # in the same order, so a snapshot holding either value resumes
-        # identically without it.
-        if key == "engine" and data[key] in ("partitioned", "single-heap"):
-            continue
+    unknown = sorted(set(data) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        key = unknown[0]
         raise CheckpointError(
             f"snapshot config key {key}={data[key]!r} does not match this build"
         )
@@ -187,19 +183,14 @@ def decode_config(data: Dict[str, Any]):
             prediction_noise=float(data["prediction_noise"]),
             runtime_noise=float(data["runtime_noise"]),
             advertisement=str(data["advertisement"]),
-            monitor_poll_interval=float(data["monitor_poll_interval"]),
             freetime_mode=str(data["freetime_mode"]),
             resilience=ResilienceConfig(**data["resilience"]),
             faults=(
                 None if faults is None else FaultPlanSpec.from_json(json.dumps(faults))
             ),
             churn=churn_spec,
-            # Pre-membership snapshots carry no "membership" key; they
-            # restore with the detector disabled (the seed behaviour).
-            membership=MembershipConfig(**data.get("membership") or {}),
-            # Pre-policy snapshots carry no "global_policy" key; they
-            # restore on eq10, the seed dispatch rule.
-            global_policy=GlobalPolicyConfig(**data.get("global_policy") or {}),
+            membership=MembershipConfig(**data["membership"]),
+            global_policy=GlobalPolicyConfig(**data["global_policy"]),
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"snapshot config does not match this build: {exc}")

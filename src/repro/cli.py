@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.experiments.config import ExperimentConfig, table2_experiments
 from repro.experiments.experiment4 import (
     EXPERIMENT4,
@@ -180,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "resuming (experiment/degraded kinds)")
     resume.add_argument("--checkpoint-path", metavar="PATH", default=None,
                         help="where the periodic re-snapshots go")
+    resume.set_defaults(usage_error=resume.error)
 
     soak = sub.add_parser(
         "soak",
@@ -675,7 +676,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "checkpoint":
         return _cmd_checkpoint(args)
     elif args.command == "resume":
-        return _cmd_resume(args)
+        try:
+            return _cmd_resume(args)
+        except CheckpointError as exc:
+            # A snapshot this build refuses is an input error, not a crash.
+            args.usage_error(str(exc))
     elif args.command == "soak":
         return _cmd_soak(args)
     elif args.command == "scenario":

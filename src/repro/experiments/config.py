@@ -10,10 +10,11 @@ GA algorithm                      ✓      ✓
 Agent-based discovery                    ✓
 ========================  =====  =====  =====
 
-:func:`table2_experiments` returns exactly those three configurations;
-every knob (workload size, pull cadence, GA tunables, prediction noise) is
-exposed so the ablation benches can depart from the paper's settings
-explicitly.
+:func:`table2_experiments` returns exactly those three configurations.
+A field stays a knob only while an experiment, ablation, benchmark or CLI
+flag sets it (workload size, pull cadence, GA tunables, prediction noise,
+the robustness layers); fixed protocol values are module constants where
+they are read (see docs/tuning.md).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class ExperimentConfig:
     prediction_noise: float = 0.0
     runtime_noise: float = 0.0
     advertisement: str = "pull"  # "pull" | "push" | "none"
-    monitor_poll_interval: float = 300.0
     freetime_mode: str = "makespan"  # "makespan" (paper) | "mean" | "min"
     # Robustness layer (Experiment 4).  All three default to "off" and the
     # defaults are property-tested byte-identical to the seed behaviour.

@@ -48,6 +48,11 @@ __all__ = [
     "run_many",
 ]
 
+#: Multiprocessing start method of the worker pool: the only one that
+#: exists on every platform, and the one that flushes out hidden
+#: unpicklable state.
+MP_CONTEXT = "spawn"
+
 
 @dataclass(frozen=True)
 class ExperimentJob:
@@ -165,7 +170,6 @@ def run_many(
     configs: Sequence[ExperimentJob],
     *,
     jobs: int = 1,
-    mp_context: str = "spawn",
     manifest_dir: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run every experiment, optionally across worker processes; ordered results.
@@ -183,10 +187,7 @@ def run_many(
         committed ``sweep_speedup < 1`` on a 1-CPU runner is exactly that
         failure mode), and a clamp that lands on one worker short-circuits
         to the in-process path, skipping pool and pickling entirely.
-    mp_context:
-        Multiprocessing start method.  ``"spawn"`` (default) is the only
-        method that exists on every platform and the one that flushes out
-        hidden unpicklable state; ``"fork"`` is faster to start on Linux.
+        Workers start with :data:`MP_CONTEXT`.
     manifest_dir:
         When given, the sweep becomes crash-resumable: each finished job's
         result is pickled into this directory and indexed in
@@ -232,9 +233,8 @@ def run_many(
         for index in pending:
             finish(index, _run_job(configs[index]))
     else:
-        context = get_context(mp_context)
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
+            max_workers=workers, mp_context=get_context(MP_CONTEXT)
         ) as pool:
             futures = [(index, pool.submit(_run_job, configs[index])) for index in pending]
             # Collect in submission order — deterministic regardless of

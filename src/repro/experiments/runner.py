@@ -236,12 +236,6 @@ def build_grid(
     specs = paper_application_specs()
     schedulers: Dict[str, LocalScheduler] = {}
     agents: Dict[str, Agent] = {}
-    # The jitter stream exists only when the knob is on: stream creation
-    # alone perturbs the registry digest, and jitter-off must stay
-    # byte-identical to the seed.
-    jitter_rng = (
-        rngs.stream("backoff-jitter") if config.resilience.backoff_jitter > 0 else None
-    )
     for i, name in enumerate(topo.agent_names):
         resource = ResourceModel.homogeneous(
             name, topo.platform(name), topo.nproc[name]
@@ -269,7 +263,6 @@ def build_grid(
             execution_rng=(
                 rngs.stream(f"exec-{name}") if config.runtime_noise > 0 else None
             ),
-            monitor_poll_interval=config.monitor_poll_interval,
             freetime_mode=config.freetime_mode,
             tracer=tracer,
             load_profile=(
@@ -290,16 +283,11 @@ def build_grid(
             resilience=config.resilience,
             membership=config.membership,
             global_policy=config.global_policy,
-            jitter_rng=jitter_rng,
             tracer=tracer,
         )
     hierarchy = wire_hierarchy(agents, dict(topo.parent_of))
     portal = UserPortal(
-        transport,
-        sim,
-        resilience=config.resilience,
-        jitter_rng=jitter_rng,
-        tracer=tracer,
+        transport, sim, resilience=config.resilience, tracer=tracer
     )
     if config.faults is not None:
         endpoints = {name: agent.endpoint for name, agent in agents.items()}

@@ -9,11 +9,11 @@ processes real portals exhibit:
 uniform    the paper's metronomic arrivals (one per ``1/rate`` seconds)
 poisson    memoryless arrivals at mean *rate*
 mmpp       2-state Markov-modulated Poisson process: quiet periods
-           punctuated by bursts at ``burst_multiplier`` × the base rate
+           punctuated by bursts at ``BURST_MULTIPLIER`` × the base rate
 diurnal    sinusoidally rate-modulated Poisson (Lewis–Shedler thinning),
-           a day/night load cycle compressed to ``diurnal_period`` seconds
+           a day/night load cycle compressed to ``DIURNAL_PERIOD_S`` seconds
 pareto     heavy-tailed inter-arrival gaps (Pareto-I with shape
-           ``pareto_alpha``), same mean gap as the Poisson case
+           ``PARETO_ALPHA``), same mean gap as the Poisson case
 ========== ==============================================================
 
 Everything is drawn from named :class:`~repro.utils.rng.RngRegistry`
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.agents.membership import MembershipConfig
@@ -41,7 +41,6 @@ from repro.experiments.casestudy import GridTopology
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workload import WorkloadItem
 from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
-from repro.pace.hardware import DEFAULT_CATALOGUE
 from repro.pace.workloads import paper_application_specs
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import (
@@ -103,8 +102,8 @@ _SHAPE_DEPTH: Mapping[str, int] = {
 }
 
 #: The case study's hardware proportions (Fig. 7: 2/2/3/3/2 agents across
-#: the PACE platform table) as sampling weights — the default mix keeps
-#: generated grids as heterogeneous as the paper's.
+#: the PACE platform table) as sampling weights — generated grids stay as
+#: heterogeneous as the paper's.
 CASE_STUDY_MIX: Mapping[str, float] = {
     "SGIOrigin2000": 2.0,
     "SunUltra10": 2.0,
@@ -112,6 +111,21 @@ CASE_STUDY_MIX: Mapping[str, float] = {
     "SunUltra1": 3.0,
     "SunSPARCstation2": 2.0,
 }
+
+#: MMPP shape: bursts arrive at ``rate × BURST_MULTIPLIER``; the burst and
+#: calm state holding times are exponential with these means (seconds).
+BURST_MULTIPLIER = 8.0
+BURST_MEAN_S = 10.0
+CALM_MEAN_S = 60.0
+#: Diurnal shape:
+#: ``rate(t) = rate · (1 + DIURNAL_AMPLITUDE·sin(2πt / DIURNAL_PERIOD_S))``.
+DIURNAL_PERIOD_S = 600.0
+DIURNAL_AMPLITUDE = 0.8
+#: Pareto tail index (above 1 so the mean gap exists; smaller is heavier).
+PARETO_ALPHA = 1.5
+#: Every generated workflow graph's fan width and per-edge output size.
+WORKFLOW_WIDTH = 4
+WORKFLOW_OUTPUT_SIZE = 4.0
 
 
 @dataclass(frozen=True)
@@ -127,22 +141,12 @@ class ScenarioSpec:
         (depth therefore ≈ ``log_branching(agent_count)``).
     nproc:
         Processing nodes per cluster (the paper uses 16).
-    hardware_mix:
-        Platform-name → sampling weight over the PACE catalogue; defaults
-        to the case study's proportions.
     request_count / rate:
         Workload length and mean arrival rate (requests per virtual
         second) — every arrival process is parameterised to this mean.
     arrival:
-        One of :data:`ARRIVAL_PROCESSES`.
-    burst_multiplier / burst_mean_s / calm_mean_s:
-        MMPP shape: bursts arrive at ``rate × burst_multiplier`` and the
-        state holding times are exponential with these means.
-    diurnal_period_s / diurnal_amplitude:
-        Diurnal shape: ``rate(t) = rate · (1 + amplitude·sin(2πt/period))``.
-    pareto_alpha:
-        Pareto tail index (must exceed 1 so the mean gap exists; smaller
-        = heavier tail).
+        One of :data:`ARRIVAL_PROCESSES`; the shape of each process is
+        fixed by the module constants above.
     deadline_scale:
         Multiplier on every drawn Table-1 deadline offset.
     master_seed:
@@ -159,18 +163,9 @@ class ScenarioSpec:
     agent_count: int
     branching: int = 3
     nproc: int = 16
-    hardware_mix: Mapping[str, float] = field(
-        default_factory=lambda: dict(CASE_STUDY_MIX)
-    )
     request_count: int = 600
     rate: float = 1.0
     arrival: str = "poisson"
-    burst_multiplier: float = 8.0
-    burst_mean_s: float = 10.0
-    calm_mean_s: float = 60.0
-    diurnal_period_s: float = 600.0
-    diurnal_amplitude: float = 0.8
-    pareto_alpha: float = 1.5
     deadline_scale: float = 1.0
     master_seed: int = 2003
     chaos: str = "none"
@@ -179,8 +174,6 @@ class ScenarioSpec:
     # fingerprint — byte-identical to the pre-workflow generator.
     workflow_count: int = 0
     workflow_shape: str = "mixed"  # one of WORKFLOW_SHAPES or "mixed"
-    workflow_width: int = 4
-    workflow_output_size: float = 4.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -193,33 +186,12 @@ class ScenarioSpec:
             raise ExperimentError(f"branching must be >= 1, got {self.branching}")
         if self.nproc < 1:
             raise ExperimentError(f"nproc must be >= 1, got {self.nproc}")
-        if not self.hardware_mix:
-            raise ExperimentError("hardware_mix must not be empty")
-        for platform, weight in self.hardware_mix.items():
-            if platform not in DEFAULT_CATALOGUE:
-                raise ExperimentError(f"unknown platform {platform!r} in mix")
-            if weight <= 0:
-                raise ExperimentError(
-                    f"platform {platform!r} has non-positive weight {weight}"
-                )
         if self.request_count < 1:
             raise ExperimentError("request_count must be >= 1")
         if self.rate <= 0:
             raise ExperimentError(f"rate must be > 0, got {self.rate}")
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ExperimentError(f"unknown arrival process {self.arrival!r}")
-        if self.burst_multiplier < 1:
-            raise ExperimentError("burst_multiplier must be >= 1")
-        if self.burst_mean_s <= 0 or self.calm_mean_s <= 0:
-            raise ExperimentError("MMPP state holding means must be > 0")
-        if self.diurnal_period_s <= 0:
-            raise ExperimentError("diurnal_period_s must be > 0")
-        if not (0.0 <= self.diurnal_amplitude <= 1.0):
-            raise ExperimentError("diurnal_amplitude must be in [0, 1]")
-        if self.pareto_alpha <= 1:
-            raise ExperimentError(
-                f"pareto_alpha must be > 1 (finite mean), got {self.pareto_alpha}"
-            )
         if self.deadline_scale <= 0:
             raise ExperimentError("deadline_scale must be > 0")
         if self.master_seed < 0:
@@ -235,10 +207,6 @@ class ScenarioSpec:
                 f"unknown workflow shape {self.workflow_shape!r} "
                 f"(choose from {WORKFLOW_SHAPES + ('mixed',)})"
             )
-        if self.workflow_width < 2:
-            raise ExperimentError("workflow_width must be >= 2")
-        if self.workflow_output_size < 0:
-            raise ExperimentError("workflow_output_size must be >= 0")
 
     def straggler_names(self) -> Tuple[str, ...]:
         """The agents the chaos presets turn grey — a pure spec function.
@@ -411,14 +379,14 @@ def generate_topology(spec: ScenarioSpec) -> GridTopology:
     """The spec's grid: a branching-ary tree with a seeded hardware mix.
 
     Agents are named G1..Gn; G1 heads the hierarchy.  Platforms are drawn
-    independently per agent from ``hardware_mix`` via the
+    independently per agent from :data:`CASE_STUDY_MIX` via the
     ``scenario-topology`` stream, so the same seed always builds the same
     grid and a different seed redraws only the hardware assignment.
     """
     rng = RngRegistry(spec.master_seed).stream("scenario-topology")
     names = [f"G{i + 1}" for i in range(spec.agent_count)]
-    platform_names = sorted(spec.hardware_mix)
-    weights = [spec.hardware_mix[p] for p in platform_names]
+    platform_names = sorted(CASE_STUDY_MIX)
+    weights = [CASE_STUDY_MIX[p] for p in platform_names]
     total = sum(weights)
     probabilities = [w / total for w in weights]
     draws = rng.choice(len(platform_names), size=len(names), p=probabilities)
@@ -456,7 +424,7 @@ def generate_arrival_times(spec: ScenarioSpec) -> List[float]:
     if spec.arrival == "pareto":
         # Pareto-I gaps: scale x_m chosen so the mean gap α·x_m/(α-1)
         # equals 1/rate.  Inverse-CDF sampling on u ∈ (0, 1].
-        alpha = spec.pareto_alpha
+        alpha = PARETO_ALPHA
         x_m = (alpha - 1.0) * mean_gap / alpha
         for _ in range(count):
             u = 1.0 - float(rng.random())
@@ -468,8 +436,8 @@ def generate_arrival_times(spec: ScenarioSpec) -> List[float]:
         # state, Poisson arrivals at that state's rate.  A gap crossing
         # the state boundary is redrawn in the new state (memorylessness
         # makes the discard exact, not an approximation).
-        rates = (spec.rate, spec.rate * spec.burst_multiplier)
-        holds = (spec.calm_mean_s, spec.burst_mean_s)
+        rates = (spec.rate, spec.rate * BURST_MULTIPLIER)
+        holds = (CALM_MEAN_S, BURST_MEAN_S)
         state = 0
         state_end = t + float(rng.exponential(holds[state]))
         while len(times) < count:
@@ -484,11 +452,11 @@ def generate_arrival_times(spec: ScenarioSpec) -> List[float]:
         return times
     # Diurnal: Lewis–Shedler thinning of the peak-rate Poisson process
     # against rate(t) = rate·(1 + amplitude·sin(2πt/period)).
-    peak = spec.rate * (1.0 + spec.diurnal_amplitude)
-    omega = 2.0 * math.pi / spec.diurnal_period_s
+    peak = spec.rate * (1.0 + DIURNAL_AMPLITUDE)
+    omega = 2.0 * math.pi / DIURNAL_PERIOD_S
     while len(times) < count:
         t += float(rng.exponential(1.0 / peak))
-        current = spec.rate * (1.0 + spec.diurnal_amplitude * math.sin(omega * t))
+        current = spec.rate * (1.0 + DIURNAL_AMPLITUDE * math.sin(omega * t))
         if float(rng.random()) * peak <= current:
             times.append(t)
     return times
@@ -536,8 +504,8 @@ def generate_workflows(
                 submit_time=t,
                 agent_name=agent,
                 shape=shape,
-                width=spec.workflow_width,
-                output_size=spec.workflow_output_size,
+                width=WORKFLOW_WIDTH,
+                output_size=WORKFLOW_OUTPUT_SIZE,
                 deadline=t + offset,
             )
         )

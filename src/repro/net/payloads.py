@@ -1,11 +1,9 @@
 """Protocol payloads: service records, request envelopes, results.
 
 These are the bodies of the ADVERTISE / REQUEST / RESULT messages.  They
-live in :mod:`repro.net` (not :mod:`repro.agents`) because both the agents
-*and* a stand-alone scheduler endpoint speak this protocol — the paper's
-scheduler "can be received directly from a user when the system functions
-independently or from an agent" (§2.2).  :mod:`repro.agents` re-exports
-them under their paper-facing names.
+live in :mod:`repro.net`, beside the messages that carry them, so the
+transport and checkpoint codecs need no agent-layer import.
+:mod:`repro.agents` re-exports them under their paper-facing names.
 """
 
 from __future__ import annotations

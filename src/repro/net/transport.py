@@ -2,9 +2,10 @@
 
 Replaces the original system's TCP sockets (see DESIGN.md §2): endpoints
 register a handler under their (address, port) identity; ``send`` delivers
-the message through the discrete-event engine after a configurable latency
-(default 0, matching the paper's LAN-scale deployment where network delay
-is negligible against 1-second request intervals).
+the message through the discrete-event engine with no base latency,
+matching the paper's LAN-scale deployment where network delay is
+negligible against 1-second request intervals.  Only a bulk payload's
+serialisation delay and the fault plan's jitter postpone a delivery.
 
 Delivery is asynchronous even at zero latency — the handler runs in its own
 event — so agent logic never re-enters itself, exactly like a real
@@ -26,14 +27,14 @@ from repro.sim.engine import Engine
 from repro.sim.events import EventHandle, Priority
 from repro.utils.validation import check_non_negative
 
-__all__ = ["Transport", "DEFAULT_DROP_RING_SIZE"]
+__all__ = ["Transport", "DROP_RING_SIZE"]
 
 Handler = Callable[[Message], None]
 
 #: How many recently dropped messages are retained for debugging.  Drops
 #: are *counted* without bound; only the message objects are ring-buffered
 #: (a long churny run used to accumulate every dropped Message forever).
-DEFAULT_DROP_RING_SIZE = 32
+DROP_RING_SIZE = 32
 
 # One interned delivery label per message kind.  Labels used to embed the
 # message id (``deliver-request-123``), minting a fresh string per send —
@@ -53,39 +54,24 @@ class Transport:
     ----------
     sim:
         The discrete-event engine.
-    latency:
-        Seconds between send and delivery (applied to every message).
-    fault_plan:
-        Optional :class:`~repro.net.faults.FaultPlan` consulted on every
-        send; ``None`` (default) is the faultless seed behaviour.
-    drop_ring_size:
-        How many recently dropped messages to retain for inspection.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when set, every send,
         delivery, and drop (with fault attribution) is recorded.
+
+    A :class:`~repro.net.faults.FaultPlan` is installed with
+    :meth:`set_fault_plan`; without one the transport is faultless (the
+    seed behaviour).
     """
 
-    def __init__(
-        self,
-        sim: Engine,
-        *,
-        latency: float = 0.0,
-        fault_plan: Optional[FaultPlan] = None,
-        drop_ring_size: int = DEFAULT_DROP_RING_SIZE,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        check_non_negative(latency, "latency")
-        if drop_ring_size < 1:
-            raise TransportError(f"drop_ring_size must be >= 1, got {drop_ring_size}")
+    def __init__(self, sim: Engine, *, tracer: Optional[Tracer] = None) -> None:
         self._sim = sim
-        self._latency = float(latency)
-        self._fault_plan = fault_plan
+        self._fault_plan: Optional[FaultPlan] = None
         self._handlers: Dict[Endpoint, Handler] = {}
         self._sent = 0
         self._delivered = 0
         self._dropped_count = 0
         self._fault_dropped_count = 0
-        self._drop_ring: Deque[Message] = deque(maxlen=drop_ring_size)
+        self._drop_ring: Deque[Message] = deque(maxlen=DROP_RING_SIZE)
         # Messages accepted by send() whose delivery event has not yet
         # fired, keyed by message id.  Checkpoints serialise these so a
         # restored run re-delivers exactly what was on the wire.
@@ -94,11 +80,6 @@ class Transport:
         self._tracer = tracer
 
     # ------------------------------------------------------------------ state
-
-    @property
-    def latency(self) -> float:
-        """Per-message delivery latency in seconds."""
-        return self._latency
 
     @property
     def sent(self) -> int:
@@ -163,17 +144,17 @@ class Transport:
     # ------------------------------------------------------------------- send
 
     def send(self, message: Message, *, extra_latency: float = 0.0) -> None:
-        """Queue *message* for delivery after the transport latency.
+        """Queue *message* for delivery after *extra_latency* seconds.
 
         Parameters
         ----------
         message:
             The message to deliver.
         extra_latency:
-            Additional seconds on top of the base transport latency for
-            this one message — the serialisation delay of a bulk payload
-            (workflow data staging charges ``size / bandwidth`` here).
-            Fault-plan jitter stacks on top.
+            Seconds this one message spends on the wire — the
+            serialisation delay of a bulk payload (workflow data staging
+            charges ``size / bandwidth`` here).  Fault-plan jitter stacks
+            on top.
 
         Raises
         ------
@@ -209,7 +190,7 @@ class Transport:
                 return
             extra_latency += verdict.extra_latency
         handle = self._sim.schedule_in(
-            self._latency + extra_latency,
+            extra_latency,
             partial(self._deliver, message),
             priority=Priority.DEFAULT,
             label=_DELIVER_LABELS[message.kind],

@@ -295,7 +295,7 @@ def bench_engine_events(
     Both engines drive the identical workload through ``schedule`` —
     per-agent request arrivals, each fanning out a same-instant burst of
     dispatch events.  That is the measured shape of the real simulator:
-    transport latency defaults to 0.0 with asynchronous delivery, so an
+    the transport has no base latency and delivers asynchronously, so an
     arrival's request/response/dispatch chain fires as one same-time
     cascade (a probe of a generated 300-agent scenario put 75 % of fires
     inside same-time runs of ~1200 events).  A second, ~2 % stream of

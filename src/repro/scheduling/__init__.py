@@ -6,7 +6,6 @@ from repro.scheduling.baselines import (
     StaticPlacement,
 )
 from repro.scheduling.coding import SolutionString, random_solution
-from repro.scheduling.endpoint import SchedulerServer
 from repro.scheduling.cost import (
     IDLE_WEIGHTERS,
     CostBreakdown,
@@ -46,7 +45,6 @@ __all__ = [
     "RandomScheduler",
     "RoundRobinScheduler",
     "StaticPlacement",
-    "SchedulerServer",
     "SolutionString",
     "random_solution",
     "IDLE_WEIGHTERS",

@@ -3,8 +3,8 @@
 The paper compares its GA only against FIFO; the surrounding literature it
 cites (Abraham et al.'s heuristics survey, batch systems like Condor/LSF)
 routinely includes *random* and *round-robin* dispatch as the naive
-baselines.  Both are implemented here behind the same fixed-placement
-protocol as :class:`~repro.scheduling.fifo.FIFOScheduler` — tasks are
+baselines.  Both share :class:`~repro.scheduling.fifo.FIFOScheduler`'s
+booking base (:class:`~repro.scheduling.fifo.BookingBase`) — tasks are
 placed in arrival order and the decision never changes — so the policy
 comparison bench isolates exactly one variable: how the allocation is
 chosen.
@@ -17,12 +17,11 @@ chosen.
 
 from __future__ import annotations
 
-from typing import Dict, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.errors import ScheduleError
-from repro.scheduling.fifo import Allocation, SizeDurationFn
+from repro.scheduling.fifo import Allocation, BookingBase, SizeDurationFn
 
 __all__ = ["StaticPlacement", "RandomScheduler", "RoundRobinScheduler"]
 
@@ -51,89 +50,7 @@ class StaticPlacement(Protocol):
         """Drop a cancelled task's placement (bookings stay reserved)."""
 
 
-class _BookingBase:
-    """Shared booking state for the fixed-placement baselines."""
-
-    def __init__(self, n_nodes: int) -> None:
-        if n_nodes < 1:
-            raise ScheduleError(f"n_nodes must be >= 1, got {n_nodes}")
-        self._free = np.zeros(n_nodes, dtype=float)
-        self._placements: Dict[int, Allocation] = {}
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of processing nodes."""
-        return self._free.size
-
-    @property
-    def makespan(self) -> float:
-        """Latest booked completion."""
-        return float(self._free.max())
-
-    @property
-    def booked_free_times(self) -> np.ndarray:
-        """Per-node booked-until times (copy)."""
-        return self._free.copy()
-
-    def placement(self, task_id: int) -> Allocation:
-        """The fixed allocation previously booked for *task_id*."""
-        try:
-            return self._placements[task_id]
-        except KeyError:
-            raise ScheduleError(f"no placement booked for task {task_id}") from None
-
-    def sync_availability(self, node_free_times: Sequence[float]) -> None:
-        """Raise bookings to at least actual availability (never earlier)."""
-        actual = np.asarray(node_free_times, dtype=float)
-        if actual.size != self._free.size:
-            raise ScheduleError(
-                f"expected {self._free.size} node times, got {actual.size}"
-            )
-        self._free = np.maximum(self._free, actual)
-
-    def forget(self, task_id: int) -> None:
-        """Drop a cancelled task's placement.
-
-        The node bookings it made are left in place — later placements
-        may already have been stacked on top of them, so releasing the
-        window would double-book.  The hole is the price of cancelling
-        under a fixed-placement policy.
-        """
-        self._placements.pop(task_id, None)
-
-    def snapshot_state(self) -> dict:
-        """Booked free times and fixed placements (checkpoint support)."""
-        return {
-            "free": [float(x) for x in self._free],
-            "placements": {
-                str(tid): [list(a.node_ids), a.start, a.completion]
-                for tid, a in sorted(self._placements.items())
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild bookings from a :meth:`snapshot_state` dict."""
-        self._free = np.asarray(state["free"], dtype=float)
-        self._placements = {
-            int(tid): Allocation(tuple(int(n) for n in nodes), float(s), float(c))
-            for tid, (nodes, s, c) in state["placements"].items()
-        }
-
-    def _book(self, task_id: int, node_ids: tuple, duration: float, now: float) -> Allocation:
-        if task_id in self._placements:
-            raise ScheduleError(f"task {task_id} already placed")
-        if not (duration > 0 and np.isfinite(duration)):
-            raise ScheduleError(f"duration must be finite and > 0, got {duration}")
-        free = np.maximum(self._free, now)
-        start = float(max(free[list(node_ids)]))
-        allocation = Allocation(tuple(sorted(node_ids)), start, start + duration)
-        for nid in allocation.node_ids:
-            self._free[nid] = allocation.completion
-        self._placements[task_id] = allocation
-        return allocation
-
-
-class RandomScheduler(_BookingBase):
+class RandomScheduler(BookingBase):
     """Place each task on a uniformly random non-empty node subset.
 
     The weakest sensible baseline: no performance prediction, no load
@@ -150,10 +67,10 @@ class RandomScheduler(_BookingBase):
         node_ids = tuple(
             int(i) for i in self._rng.choice(self.n_nodes, size=k, replace=False)
         )
-        return self._book(task_id, node_ids, float(duration(k)), now)
+        return self._book_nodes(task_id, node_ids, float(duration(k)), now)
 
 
-class RoundRobinScheduler(_BookingBase):
+class RoundRobinScheduler(BookingBase):
     """Stripe tasks across the nodes in cyclic order.
 
     Each task gets its duration-optimal processor count (so the baseline
@@ -173,7 +90,7 @@ class RoundRobinScheduler(_BookingBase):
             (self._cursor + offset) % self.n_nodes for offset in range(k)
         )
         self._cursor = (self._cursor + k) % self.n_nodes
-        return self._book(task_id, node_ids, durations[k - 1], now)
+        return self._book_nodes(task_id, node_ids, durations[k - 1], now)
 
     def snapshot_state(self) -> dict:
         state = super().snapshot_state()

@@ -9,7 +9,8 @@ is found, it is fixed and will not change as new tasks enter the system."
 Two search strategies implement the allocation choice:
 
 * :func:`exhaustive_allocation` — the literal 2^n − 1 subset enumeration,
-  practical only for small n; kept as the reference implementation.
+  practical only for small n; kept as the reference the property tests
+  check the fast search against.
 * :func:`earliest_free_allocation` — for each size k the optimal subset is
   the k earliest-free nodes (on a homogeneous resource the duration depends
   only on k, and replacing any chosen node by an earlier-free one can only
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from repro.utils.validation import check_non_empty
 
 __all__ = [
     "Allocation",
+    "BookingBase",
     "exhaustive_allocation",
     "earliest_free_allocation",
     "FIFOScheduler",
@@ -115,29 +117,17 @@ def _check_duration(dur: float, k: int) -> None:
         raise ScheduleError(f"duration for {k} nodes must be finite and > 0, got {dur}")
 
 
-class FIFOScheduler:
-    """Arrival-order scheduler with fixed, never-revised allocations.
+class BookingBase:
+    """Booking state shared by the fixed-placement schedulers.
 
-    Parameters
-    ----------
-    n_nodes:
-        Number of processing nodes.
-    exhaustive:
-        Use the literal subset enumeration (reference mode, small n only).
-
-    The scheduler maintains booked free times per node; ``place`` books the
-    best allocation for an arriving task and returns it.
+    Keeps per-node booked-until times and the allocation fixed for every
+    placed task; subclasses only choose the allocation in ``place``.
     """
 
-    def __init__(self, n_nodes: int, *, exhaustive: bool = False) -> None:
+    def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ScheduleError(f"n_nodes must be >= 1, got {n_nodes}")
-        if exhaustive and n_nodes > 20:
-            raise ScheduleError(
-                f"exhaustive search over {n_nodes} nodes is intractable"
-            )
         self._free = np.zeros(n_nodes, dtype=float)
-        self._exhaustive = exhaustive
         self._placements: Dict[int, Allocation] = {}
 
     @property
@@ -163,19 +153,19 @@ class FIFOScheduler:
             raise ScheduleError(f"no placement booked for task {task_id}") from None
 
     def forget(self, task_id: int) -> None:
-        """Drop a placement whose task was cancelled before launching.
+        """Drop a cancelled task's placement.
 
-        The booked node times are deliberately left as they are — the
-        conservative choice shared with the other static policies: a
-        too-late booking only delays later placements, never breaks them,
-        and FIFO bookings are monotonic (see :meth:`sync_availability`).
+        The node bookings it made are left in place — later placements
+        may already have been stacked on top of them, so releasing the
+        window would double-book.  The hole is the price of cancelling
+        under a fixed-placement policy.
         """
         self._placements.pop(task_id, None)
 
     def sync_availability(self, node_free_times: Sequence[float]) -> None:
         """Raise bookings to at least the executor's actual availability.
 
-        Bookings only ever move later: FIFO placements are fixed, so actual
+        Bookings only ever move later: placements are fixed, so actual
         availability (e.g. a node marked down) can delay but never undo.
         """
         actual = np.asarray(node_free_times, dtype=float)
@@ -203,16 +193,40 @@ class FIFOScheduler:
             for tid, (nodes, s, c) in state["placements"].items()
         }
 
-    def place(
-        self, task_id: int, duration: SizeDurationFn, now: float
-    ) -> Allocation:
-        """Book the best allocation for an arriving task; fixed thereafter."""
+    def _free_from(self, task_id: int, now: float) -> np.ndarray:
+        """Booked free times floored at *now*, for a task not yet placed."""
         if task_id in self._placements:
             raise ScheduleError(f"task {task_id} already placed")
-        free = np.maximum(self._free, now)
-        search = exhaustive_allocation if self._exhaustive else earliest_free_allocation
-        allocation = search(free, duration)
+        return np.maximum(self._free, now)
+
+    def _book(self, task_id: int, allocation: Allocation) -> Allocation:
+        """Fix *allocation* for *task_id*, booking its nodes until completion."""
         for nid in allocation.node_ids:
             self._free[nid] = allocation.completion
         self._placements[task_id] = allocation
         return allocation
+
+    def _book_nodes(
+        self, task_id: int, node_ids: Tuple[int, ...], duration: float, now: float
+    ) -> Allocation:
+        """Book *node_ids* for *duration* from the moment all of them are free."""
+        free = self._free_from(task_id, now)
+        _check_duration(duration, len(node_ids))
+        start = float(max(free[list(node_ids)]))
+        allocation = Allocation(tuple(sorted(node_ids)), start, start + duration)
+        return self._book(task_id, allocation)
+
+
+class FIFOScheduler(BookingBase):
+    """Arrival-order scheduler with fixed, never-revised allocations.
+
+    ``place`` books the earliest-completion allocation for an arriving
+    task (:func:`earliest_free_allocation`) and never revisits it.
+    """
+
+    def place(
+        self, task_id: int, duration: SizeDurationFn, now: float
+    ) -> Allocation:
+        """Book the best allocation for an arriving task; fixed thereafter."""
+        free = self._free_from(task_id, now)
+        return self._book(task_id, earliest_free_allocation(free, duration))

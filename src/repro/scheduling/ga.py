@@ -59,20 +59,27 @@ __all__ = ["GAConfig", "GAScheduler"]
 #: duration(task_id, n_allocated) -> predicted seconds on that many nodes.
 DurationFn = Callable[[int, int], float]
 
+#: Operator rates of the generation loop: conventional values the paper
+#: does not publish.  Each child pair crosses over with
+#: ``CROSSOVER_PROBABILITY``; each child swaps two ordering positions with
+#: ``SWAP_PROBABILITY`` and flips every mapping bit with
+#: ``BITFLIP_PROBABILITY``.
+CROSSOVER_PROBABILITY = 0.8
+SWAP_PROBABILITY = 0.2
+BITFLIP_PROBABILITY = 0.005
+#: Best individuals copied unchanged into every next generation.
+ELITE_COUNT = 2
+
 
 @dataclass(frozen=True)
 class GAConfig:
     """Tunables of the GA kernel.
 
-    Defaults follow §2.2's description (population of 50); operator rates
-    are conventional values the paper does not publish.
+    Defaults follow §2.2's description (population of 50); the operator
+    rates are the module constants above.
     """
 
     population_size: int = 50
-    crossover_probability: float = 0.8
-    swap_probability: float = 0.2
-    bitflip_probability: float = 0.005
-    elite_count: int = 2
     weights: CostWeights = field(default_factory=CostWeights)
     idle_weighting: str = "linear"  # "linear" | "uniform" | "exponential"
     #: Memetic refinement: each generation, the best individual's *ordering*
@@ -92,16 +99,10 @@ class GAConfig:
     warmstart_count: int = 8
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValidationError("population_size must be >= 2")
-        if not (0 <= self.crossover_probability <= 1):
-            raise ValidationError("crossover_probability must be in [0, 1]")
-        if not (0 <= self.swap_probability <= 1):
-            raise ValidationError("swap_probability must be in [0, 1]")
-        if not (0 <= self.bitflip_probability <= 1):
-            raise ValidationError("bitflip_probability must be in [0, 1]")
-        if not (0 <= self.elite_count < self.population_size):
-            raise ValidationError("elite_count must be in [0, population_size)")
+        if self.population_size <= ELITE_COUNT:
+            raise ValidationError(
+                f"population_size must exceed ELITE_COUNT ({ELITE_COUNT})"
+            )
         if self.idle_weighting not in ("linear", "uniform", "exponential"):
             raise ValidationError(f"unknown idle weighting {self.idle_weighting!r}")
         if self.warmstart_count < 0:
@@ -743,13 +744,9 @@ class GAScheduler:
         pop = cfg.population_size
         m = len(self._id_order)
         n = self._n
-        elite = cfg.elite_count
-        n_children = pop - elite
+        n_children = pop - ELITE_COUNT
         pairs = n_children // 2
-        p_cross = cfg.crossover_probability
-        p_swap = cfg.swap_probability
-        p_flip = cfg.bitflip_probability
-        do_swaps = m >= 2 and p_swap > 0
+        do_swaps = m >= 2
         last_memetic: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
         done = 0
         while done < generations:
@@ -758,16 +755,16 @@ class GAScheduler:
             # much as a whole-population array draw).
             block = min(32, generations - done)
             if pairs:
-                cross_flags = rng.random((block, pairs)) < p_cross
+                cross_flags = rng.random((block, pairs)) < CROSSOVER_PROBABILITY
                 cuts_b = rng.integers(0, m + 1, size=(block, pairs))
                 points_b = rng.integers(0, m * n + 1, size=(block, pairs))
             if do_swaps:
-                swap_flags = rng.random((block, n_children)) < p_swap
+                swap_flags = rng.random((block, n_children)) < SWAP_PROBABILITY
                 swap_i = rng.integers(0, m, size=(block, n_children))
                 swap_j = rng.integers(0, m - 1, size=(block, n_children))
             for t in range(block):
                 fitness = scale_fitness(costs)
-                elite_idx = np.argsort(costs, kind="stable")[:elite]
+                elite_idx = np.argsort(costs, kind="stable")[:ELITE_COUNT]
                 parents = vectorized_selection(fitness, n_children, rng)
                 if pairs:
                     child_order, child_masks = vectorized_children(
@@ -781,10 +778,8 @@ class GAScheduler:
                 else:
                     child_order = self._order[parents].copy()
                     child_masks = self._masks[parents].copy()
-                flip_idx = (
-                    bernoulli_indices(rng, n_children * m * n, p_flip)
-                    if p_flip > 0
-                    else None
+                flip_idx = bernoulli_indices(
+                    rng, n_children * m * n, BITFLIP_PROBABILITY
                 )
                 vectorized_mutation(
                     child_order,

@@ -132,7 +132,6 @@ class LocalScheduler:
         execution_mode: str = ExecutionMode.TEST,
         runtime_noise: float = 0.0,
         execution_rng: Optional[np.random.Generator] = None,
-        monitor_poll_interval: float = 300.0,
         freetime_mode: str = "makespan",
         load_profile: Optional[Callable[[float], float]] = None,
         duration_correction: Optional[Callable[[], float]] = None,
@@ -167,9 +166,7 @@ class LocalScheduler:
         # correct static PACE predictions for background load.
         self._duration_correction = duration_correction
         self._executor.on_completion(self._handle_completion)
-        self._monitor = ResourceMonitor(
-            sim, resource.size, poll_interval=monitor_poll_interval
-        )
+        self._monitor = ResourceMonitor(sim, resource.size)
         self._monitor.subscribe(self._notify_service_change)
         self._platform = resource.slowest_platform()
         self._ga: Optional[GAScheduler] = None

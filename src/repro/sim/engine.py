@@ -184,8 +184,6 @@ class Engine:
         exactly the order the interrupted run would have.  Must only be
         called after :meth:`restore_state` has set the clock and sequence
         counter; the descriptor's sequence must predate the restored counter.
-        Any other descriptor key, such as the ``lane`` that older snapshots
-        carry, is ignored.
         """
         time = float(descriptor["time"])
         priority = int(descriptor["priority"])

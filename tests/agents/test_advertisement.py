@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.agents.advertisement import (
+    PUSH_MIN_INTERVAL,
     EventPushStrategy,
     NoAdvertisement,
     PeriodicPullStrategy,
@@ -84,8 +85,8 @@ class TestEventPush:
         assert agents["P"].endpoint in agents["C"].registry
 
     def test_push_on_service_change(self, sim):
-        agents = build_pair(sim, lambda: EventPushStrategy(min_interval=0.0))
-        sim.run_until(1.0)
+        agents = build_pair(sim, lambda: EventPushStrategy())
+        sim.run_until(PUSH_MIN_INTERVAL)
         before = agents["P"].stats.advertisements_received
         # Submitting to C changes its service state -> push to P.
         request = TaskRequest(
@@ -100,8 +101,8 @@ class TestEventPush:
         assert agents["P"].stats.advertisements_received > before
 
     def test_rate_limit(self, sim):
-        agents = build_pair(sim, lambda: EventPushStrategy(min_interval=1000.0))
-        sim.run_until(1.0)
+        agents = build_pair(sim, lambda: EventPushStrategy())
+        sim.run_until(PUSH_MIN_INTERVAL / 2)
         baseline = agents["P"].stats.advertisements_received
         for _ in range(5):
             request = TaskRequest(
@@ -112,13 +113,9 @@ class TestEventPush:
                 submit_time=sim.now,
             )
             agents["C"].scheduler.submit(request)
-        sim.run_until(50.0)
-        # All changes inside the min_interval window collapse.
+        sim.run_until(PUSH_MIN_INTERVAL * 0.9)
+        # All changes inside the PUSH_MIN_INTERVAL window collapse.
         assert agents["P"].stats.advertisements_received == baseline
-
-    def test_negative_min_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            EventPushStrategy(min_interval=-1.0)
 
     def test_churn_cycles_do_not_leak_listeners(self, sim):
         # Regression: stop() used to leave the service-change listener

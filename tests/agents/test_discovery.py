@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.agents.discovery import Decision, DiscoveryConfig, discover
+from repro.agents.discovery import MAX_HOPS, Decision, DiscoveryConfig, discover
 from repro.agents.matchmaking import MatchResult
 from repro.agents.service_info import ServiceInfo
-from repro.errors import ValidationError
 from repro.net.message import Endpoint
 from repro.tasks.task import Environment
 
@@ -182,8 +179,7 @@ class TestHopBudget:
             local=match("self", eta=500.0, meets=False),
             neighbours={EP_B: match("b", eta=10.0, meets=True)},
             parent=EP_PARENT,
-            hops=10,
-            config=DiscoveryConfig(max_hops=10),
+            hops=MAX_HOPS,
         )
         assert outcome.decision is Decision.LOCAL
 
@@ -192,15 +188,10 @@ class TestHopBudget:
             local=match("self", eta=0.0, meets=False, supported=False),
             neighbours={EP_B: match("b", eta=10.0, meets=True)},
             parent=None,
-            hops=10,
-            config=DiscoveryConfig(max_hops=10),
+            hops=MAX_HOPS,
         )
         assert outcome.decision is Decision.FORWARD
         assert outcome.target == EP_B
-
-    def test_bad_max_hops_rejected(self):
-        with pytest.raises(ValidationError):
-            DiscoveryConfig(max_hops=0)
 
 
 class TestLocalOnly:

@@ -18,7 +18,6 @@ from repro.agents.discovery import DiscoveryConfig
 from repro.agents.hierarchy import wire_hierarchy
 from repro.agents.membership import ALIVE, SUSPECTED, MembershipConfig
 from repro.agents.portal import UserPortal
-from repro.errors import ValidationError
 from repro.net.message import Endpoint
 from repro.net.transport import Transport
 from repro.pace.evaluation import EvaluationEngine
@@ -26,12 +25,7 @@ from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 
-MEMBERSHIP = MembershipConfig(
-    enabled=True,
-    heartbeat_interval=2.0,
-    suspect_after=6.0,
-    confirm_after=15.0,
-)
+MEMBERSHIP = MembershipConfig(enabled=True)
 
 
 class DeepGrid:
@@ -80,20 +74,6 @@ class TestMembershipConfig:
     def test_defaults_are_off(self):
         assert not MembershipConfig().enabled
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"heartbeat_interval": 0.0},
-            {"heartbeat_interval": 5.0, "suspect_after": 5.0},
-            {"suspect_after": 6.0, "confirm_after": 6.0},
-            {"heal_retry": 0.0},
-            {"max_heal_attempts": 0},
-        ],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValidationError):
-            MembershipConfig(**kwargs)
-
 
 class TestFailureDetector:
     def test_heartbeats_keep_links_alive(self, deep, sim):
@@ -116,7 +96,7 @@ class TestFailureDetector:
         sim.run_until(1.0)
         b2 = deep.agents["B2"]
         b2.deactivate()
-        sim.run_until(9.0)  # silence >= suspect_after at A1's sweep
+        sim.run_until(9.0)  # silence >= SUSPECT_AFTER at A1's sweep
         a1 = deep.agents["A1"]
         assert a1.detector.state_of(b2.endpoint) == SUSPECTED
         assert a1.detector.is_quarantined(b2.endpoint)
@@ -142,7 +122,7 @@ class TestFailureDetector:
         sim.run_until(1.0)
         b2 = deep.agents["B2"]
         b2.deactivate()
-        sim.run_until(20.0)  # silence >= confirm_after
+        sim.run_until(20.0)  # silence >= CONFIRM_AFTER
         a1 = deep.agents["A1"]
         assert a1.detector.stats.confirms >= 1
         assert b2 not in a1.children

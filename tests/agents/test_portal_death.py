@@ -2,7 +2,7 @@
 
 The resilience layer's worst case: every dispatch attempt fails (or goes
 unanswered) because the one agent the user submits through never comes
-back.  The portal must give up after ``max_retries``, synthesize a
+back.  The portal must give up after ``MAX_RETRIES``, synthesize a
 terminal failure result, tear down every timer it armed, and leave a
 trace the invariant checker accepts.
 """
@@ -14,31 +14,38 @@ import pytest
 
 from repro.agents.agent import Agent
 from repro.agents.portal import UserPortal
-from repro.agents.resilience import ResilienceConfig
+from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.net.message import Endpoint
 from repro.net.transport import Transport
 from repro.obs import MemorySink, Tracer
 from repro.obs.check import check_trace
 from repro.obs.records import PortalResult, PortalRetry
 from repro.pace.evaluation import EvaluationEngine
-from repro.pace.hardware import SGI_ORIGIN_2000
+from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment
 
-RESILIENCE = ResilienceConfig(
-    enabled=True, ack_timeout=1.0, max_retries=2, backoff_base=2.0
-)
+RESILIENCE = ResilienceConfig(enabled=True)
+
+#: Virtual time by which a corpse-bound submission has used every backoff.
+EXHAUSTED = sum(timeout_for(attempt) for attempt in range(MAX_RETRIES + 1))
 
 
 class DeadEntryRig:
     """One agent + one resilient portal, with a full trace attached."""
 
-    def __init__(self, sim, *, agent_resilience: ResilienceConfig = RESILIENCE):
+    def __init__(
+        self,
+        sim,
+        *,
+        agent_resilience: ResilienceConfig = RESILIENCE,
+        platform=SGI_ORIGIN_2000,
+    ):
         self.sim = sim
         self.tracer = Tracer(MemorySink())
         self.transport = Transport(sim)
-        resource = ResourceModel.homogeneous("A1", SGI_ORIGIN_2000, 4)
+        resource = ResourceModel.homogeneous("A1", platform, 4)
         self.scheduler = LocalScheduler(
             sim,
             resource,
@@ -73,8 +80,8 @@ class TestPermanentEntryAgentDeath:
             rig.agent, specs["sweep3d"].model, Environment.TEST,
             rig.sim.now + 100.0,
         )
-        # Backoffs: 1 + 2 + 4 virtual seconds; run well past exhaustion.
-        rig.sim.run_until(20.0)
+        # Run past the last backoff, when the portal gives up.
+        rig.sim.run_until(EXHAUSTED)
         return rid
 
     def test_gives_up_with_a_terminal_failure(self, rig, specs):
@@ -85,8 +92,8 @@ class TestPermanentEntryAgentDeath:
         assert rig.portal.pending_count == 0
         assert rig.portal.stats.gave_up == 1
         # The first dispatch plus every retry hit the dead endpoint.
-        assert rig.portal.stats.submit_failures == RESILIENCE.max_retries + 1
-        assert rig.portal.stats.retries == RESILIENCE.max_retries
+        assert rig.portal.stats.submit_failures == MAX_RETRIES + 1
+        assert rig.portal.stats.retries == MAX_RETRIES
 
     def test_tears_down_every_timer(self, rig, specs):
         self.submit_to_corpse(rig, specs)
@@ -97,7 +104,7 @@ class TestPermanentEntryAgentDeath:
         rid = self.submit_to_corpse(rig, specs)
         records = rig.tracer.records
         retries = [r for r in records if isinstance(r, PortalRetry)]
-        assert [r.attempt for r in retries] == [1, 2]
+        assert [r.attempt for r in retries] == list(range(1, MAX_RETRIES + 1))
         results = [r for r in records if isinstance(r, PortalResult)]
         assert len(results) == 1
         assert results[0].request_id == rid
@@ -112,9 +119,12 @@ class TestPermanentEntryAgentDeath:
 
         The portal exhausts its retries and synthesizes a failure, but
         the agent did accept the request — when the real result lands,
-        it overwrites the synthetic failure.
+        it overwrites the synthetic failure.  Slow hardware makes the real
+        result land after the portal has used every backoff.
         """
-        rig = DeadEntryRig(sim, agent_resilience=ResilienceConfig())
+        rig = DeadEntryRig(
+            sim, agent_resilience=ResilienceConfig(), platform=SUN_SPARC_STATION_2
+        )
         rid = rig.portal.submit(
             rig.agent, specs["sweep3d"].model, Environment.TEST,
             sim.now + 500.0,

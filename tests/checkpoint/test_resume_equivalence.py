@@ -122,41 +122,24 @@ class TestSnapshotCompatibility:
         with pytest.raises(CheckpointError, match="bogus_knob"):
             decode_config(data)
 
-    def test_snapshot_from_the_lane_engine_resumes(self, tmp_path):
-        # Older builds wrote a config "engine" key and a "lane" key in
-        # every event descriptor; both are dropped on resume.
-        message_module.set_message_counter(0)
-        full = run_experiment(strict_config(2003))
-
-        path = str(tmp_path / "legacy.json")
+    def test_retired_knob_refused(self, tmp_path):
+        """A snapshot from a build with a wider config surface is refused."""
+        path = str(tmp_path / "snap.json")
         message_module.set_message_counter(0)
         checkpoint_experiment(strict_config(2003), at_step=AT_STEP, path=path)
-        payload = read_snapshot(path)
-        payload["config"]["engine"] = "single-heap"
-        descriptors = []
-
-        def collect(node):
-            if isinstance(node, dict):
-                if set(node) == {"time", "priority", "sequence", "label"}:
-                    descriptors.append(node)
-                for child in node.values():
-                    collect(child)
-            elif isinstance(node, list):
-                for child in node:
-                    collect(child)
-
-        collect(payload)
-        assert descriptors
-        for descriptor in descriptors:
-            descriptor["lane"] = "cluster"
-        write_snapshot(path, payload)
-
-        resumed = resume_experiment(path)
-        assert [asdict(r) for r in full.records] == [
-            asdict(r) for r in resumed.records
-        ]
-        assert metrics_json(full.metrics) == metrics_json(resumed.metrics)
-        assert full.rng_digest == resumed.rng_digest
+        current = read_snapshot(path)
+        for section, key, value in (
+            ((), "monitor_poll_interval", 300.0),
+            (("resilience",), "ack_timeout", 3.0),
+        ):
+            payload = json.loads(json.dumps(current))
+            target = payload["config"]
+            for name in section:
+                target = target[name]
+            target[key] = value
+            write_snapshot(path, payload)
+            with pytest.raises(CheckpointError, match=key):
+                resume_experiment(path)
 
 
 def degraded_config() -> ExperimentConfig:

@@ -1,7 +1,7 @@
 """Robustness and edge-condition integration tests.
 
-Failure injection, transport latency, strict discovery, heterogeneous
-resources, and execution noise — conditions the paper's deployed system
+Failure injection, strict discovery, heterogeneous resources, and
+execution noise — conditions the paper's deployed system
 would face that the clean §4 experiments do not exercise.
 """
 
@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.agents.discovery import DiscoveryConfig
 from repro.experiments.casestudy import scaled_topology
 from repro.experiments.config import ExperimentConfig, table2_experiments
 from repro.experiments.runner import build_grid, run_experiment
-from repro.net.message import Endpoint
-from repro.net.transport import Transport
-from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_ULTRA_10
 from repro.pace.resource import Node, ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
-from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.tasks.task import Environment, TaskState
 
@@ -75,45 +70,6 @@ class TestNodeFailureDuringExperiment:
                     and task.start_time > 5.0
                 ):
                     assert not (set(task.allocated_nodes or ()) & {0, 1, 2, 3})
-
-
-class TestTransportLatency:
-    def test_agent_grid_with_latency_completes(self, specs):
-        sim = Engine()
-        transport = Transport(sim, latency=0.05)
-        evaluator = EvaluationEngine()
-        from repro.agents import Agent, PeriodicPullStrategy, UserPortal, wire_hierarchy
-
-        agents = {}
-        for i, name in enumerate(("P", "C")):
-            scheduler = LocalScheduler(
-                sim,
-                ResourceModel.homogeneous(name, SGI_ORIGIN_2000, 4),
-                evaluator,
-                policy=SchedulingPolicy.GA,
-                rng=np.random.default_rng(i),
-                generations_per_event=3,
-            )
-            agents[name] = Agent(
-                name,
-                Endpoint(f"{name.lower()}.grid", 1000 + i),
-                scheduler,
-                transport,
-                advertisement=PeriodicPullStrategy(10.0),
-            )
-        hierarchy = wire_hierarchy(agents, {"P": None, "C": "P"})
-        hierarchy.start_all()
-        portal = UserPortal(transport, sim)
-        rids = [
-            portal.submit(agents["C"], specs["closure"].model, Environment.TEST, 200.0)
-            for _ in range(5)
-        ]
-        steps = 0
-        while portal.pending_count:
-            assert sim.step()
-            steps += 1
-            assert steps < 100_000
-        assert all(portal.result(r).success for r in rids)
 
 
 class TestStrictDiscoveryExperiment:

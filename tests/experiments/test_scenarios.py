@@ -26,6 +26,7 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import (
     ARRIVAL_PROCESSES,
     MAX_AGENTS,
+    PARETO_ALPHA,
     ScenarioSpec,
     generate_arrival_times,
     generate_scenario,
@@ -114,15 +115,15 @@ class TestArrivalProcesses:
 
     def test_pareto_gaps_respect_scale_floor(self):
         # Pareto-I support starts at x_m = (α-1)/(α·rate); no gap below.
-        spec = spec_for("pareto", rate=2.0, pareto_alpha=1.5)
+        spec = spec_for("pareto", rate=2.0)
         times = generate_arrival_times(spec)
-        x_m = (1.5 - 1.0) * 0.5 / 1.5
+        x_m = (PARETO_ALPHA - 1.0) * 0.5 / PARETO_ALPHA
         gaps = [b - a for a, b in zip([0.0] + times, times)]
         assert min(gaps) >= x_m
         assert max(gaps) > 3 * x_m  # heavy tail actually shows up
 
     def test_mmpp_is_burstier_than_poisson(self):
-        spec = spec_for("mmpp", request_count=2000, burst_multiplier=10.0)
+        spec = spec_for("mmpp", request_count=2000)
         times = generate_arrival_times(spec)
         gaps = [b - a for a, b in zip(times, times[1:])]
         mean = sum(gaps) / len(gaps)
@@ -136,10 +137,8 @@ class TestArrivalProcesses:
             spec_for("poisson", agent_count=MAX_AGENTS + 1)
         with pytest.raises(ExperimentError, match="arrival"):
             spec_for("sawtooth")
-        with pytest.raises(ExperimentError, match="pareto_alpha"):
-            spec_for("pareto", pareto_alpha=1.0)
-        with pytest.raises(ExperimentError, match="unknown platform"):
-            spec_for("poisson", hardware_mix={"Cray": 1.0})
+        with pytest.raises(ExperimentError, match="rate"):
+            spec_for("poisson", rate=0.0)
 
 
 class TestGeneratedScenarioCheckpointing:

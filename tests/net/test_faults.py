@@ -16,7 +16,7 @@ from repro.net.faults import (
     StragglerFault,
 )
 from repro.net.message import Endpoint, Message, MessageKind
-from repro.net.transport import Transport
+from repro.net.transport import DROP_RING_SIZE, Transport
 
 A, B, C = Endpoint("a", 1), Endpoint("b", 1), Endpoint("c", 1)
 NAMES = {"A": A, "B": B, "C": C}
@@ -145,7 +145,8 @@ class TestTransportIntegration:
         plan = FaultPlan(
             FaultPlanSpec(drop_probability=1.0), rng=np.random.default_rng(0)
         )
-        transport = Transport(sim, fault_plan=plan)
+        transport = Transport(sim)
+        transport.set_fault_plan(plan)
         transport.register(A, lambda m: None)
         transport.register(B, lambda m: None)
         transport.send(_msg(A, B))
@@ -160,7 +161,8 @@ class TestTransportIntegration:
         plan = FaultPlan(
             FaultPlanSpec(latency_jitter=2.0), rng=np.random.default_rng(1)
         )
-        transport = Transport(sim, fault_plan=plan)
+        transport = Transport(sim)
+        transport.set_fault_plan(plan)
         times = []
         transport.register(A, lambda m: None)
         transport.register(B, lambda m: times.append(sim.now))
@@ -169,15 +171,16 @@ class TestTransportIntegration:
         assert len(times) == 1 and 0.0 < times[0] <= 2.0
 
     def test_drop_ring_is_bounded(self, sim):
-        transport = Transport(sim, drop_ring_size=4)
+        transport = Transport(sim)
         transport.register(A, lambda m: None)
         transport.register(B, lambda m: None)
-        for _ in range(10):
+        sent = DROP_RING_SIZE + 10
+        for _ in range(sent):
             transport.send(_msg(A, B))
         transport.unregister(B)
         sim.run()
-        assert transport.dropped_count == 10
-        assert len(transport.dropped_recent) == 4
+        assert transport.dropped_count == sent
+        assert len(transport.dropped_recent) == DROP_RING_SIZE
 
     def test_set_fault_plan_installs_and_clears(self, sim):
         transport = Transport(sim)

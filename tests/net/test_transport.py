@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError
+from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.transport import Transport
 
@@ -60,15 +60,15 @@ class TestDelivery:
         sim.run()
         assert order == ["after-send", "delivered"]
 
-    def test_latency_delays_delivery(self, sim):
-        transport = Transport(sim, latency=2.5)
+    def test_latency_delays_delivery(self, sim, transport):
         a, b = Endpoint("a", 1), Endpoint("b", 1)
         times = []
         transport.register(b, lambda m: times.append(sim.now))
         transport.register(a, lambda m: None)
+        transport.send(_msg(a, b), extra_latency=2.5)
         transport.send(_msg(a, b))
         sim.run()
-        assert times == [2.5]
+        assert times == [0.0, 2.5]
 
     def test_in_flight_to_unregistered_is_dropped(self, sim, transport):
         a, b = Endpoint("a", 1), Endpoint("b", 1)
@@ -103,9 +103,11 @@ class TestDelivery:
         sim.run()
         assert seen == [MessageKind.ADVERTISE]
 
-    def test_negative_latency_rejected(self, sim):
-        with pytest.raises(Exception):
-            Transport(sim, latency=-1.0)
+    def test_negative_latency_rejected(self, transport):
+        a, b = Endpoint("a", 1), Endpoint("b", 1)
+        transport.register(b, lambda m: None)
+        with pytest.raises(ValidationError):
+            transport.send(_msg(a, b), extra_latency=-1.0)
 
     def test_fifo_order_between_same_pair(self, sim, transport):
         a, b = Endpoint("a", 1), Endpoint("b", 1)

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.ga import GAConfig, GAScheduler
+from repro.scheduling.ga import ELITE_COUNT, GAConfig, GAScheduler
 
 
 def _duration(task_id: int, count: int) -> float:
@@ -91,5 +91,5 @@ class TestEvalReuseEquivalence:
         ga.best_solution([1.0, 0.0, 0.0, 0.0], 0.0)  # a cache miss
         stats = ga.stats
         assert stats.rows_costed == stats.rows_evaluated + stats.carry_hits
-        assert stats.carry_hits == 5 * ga.config.elite_count
+        assert stats.carry_hits == 5 * ELITE_COUNT
         assert 0.0 <= stats.hit_rate <= 1.0

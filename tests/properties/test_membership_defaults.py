@@ -1,17 +1,14 @@
 """Property: the membership layer's defaults are byte-identical to the seed.
 
 Mirrors ``test_fault_defaults.py`` one layer up: constructing a
-*disabled* :class:`MembershipConfig` — even with wildly non-default
-detection knobs — must not change a single completion record, metric,
-message count, or RNG stream position, for any seed, in the strict loop
-*and* in an Experiment-4 faulty cell (loss + churn + resilience).  The
-detector, healer, heartbeats, quarantine checks, and the held-results
-path are all gated on ``enabled``; the ``backoff-jitter`` RNG stream must
-not even be *created* when ``backoff_jitter == 0`` (stream creation alone
-perturbs the registry digest).
+*disabled* :class:`MembershipConfig` — even with healing switched off —
+must not change a single completion record, metric, message count, or
+RNG stream position, for any seed, in the strict loop *and* in an
+Experiment-4 faulty cell (loss + churn + resilience).  The detector,
+healer, heartbeats, quarantine checks, and the held-results path are all
+gated on ``enabled``.
 
-The flip side is pinned too: turning the jitter knob on creates and
-draws the stream (digest moves), and fully-enabled chaos cells remain
+The flip side is pinned too: fully-enabled chaos cells remain
 deterministic (same seed → same canonical trace).
 """
 
@@ -25,7 +22,6 @@ import pytest
 
 import repro.net.message as message_module
 from repro.agents.membership import MembershipConfig
-from repro.agents.resilience import ResilienceConfig
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
@@ -39,17 +35,9 @@ from repro.obs import MemorySink, Tracer, canonical_lines
 SEEDS = (2003, 7, 41, 97, 1234)
 REQUESTS = 12
 
-#: Disabled, but with every other knob moved off its default: if any of
-#: these values leaks into a run, the layer's gating is incomplete.
-DISABLED = MembershipConfig(
-    enabled=False,
-    heartbeat_interval=7.0,
-    suspect_after=9.0,
-    confirm_after=33.0,
-    heal=False,
-    heal_retry=1.0,
-    max_heal_attempts=2,
-)
+#: Disabled, with the other knob moved off its default: if it leaks into
+#: a run, the layer's gating is incomplete.
+DISABLED = MembershipConfig(enabled=False, heal=False)
 
 
 def metrics_json(metrics) -> str:
@@ -93,38 +81,6 @@ class TestDisabledMembershipIsByteIdentical:
         )
         # Membership stayed fully dormant: no summary was even collected.
         assert baseline.membership is None and variant.membership is None
-
-
-class TestBackoffJitterStream:
-    def faulty(self, jitter: float):
-        config = degradation_config(
-            experiment4_base_config(request_count=20), loss=0.2, churn_rate=0.25
-        )
-        config = dataclasses.replace(
-            config,
-            resilience=dataclasses.replace(
-                config.resilience, backoff_jitter=jitter
-            ),
-        )
-        message_module.set_message_counter(0)
-        return run_degraded(config)
-
-    def test_zero_jitter_is_byte_identical(self):
-        """jitter=0 must not even create the backoff-jitter RNG stream."""
-        baseline = self.faulty(0.0)
-        explicit = self.faulty(0.0)
-        assert_same_run(baseline.result, explicit.result)
-        assert baseline.counters == explicit.counters
-
-    def test_jitter_moves_only_when_on(self):
-        baseline = self.faulty(0.0)
-        jittered = self.faulty(0.5)
-        # The stream now exists (and retry timing shifted): digests split.
-        assert baseline.result.rng_digest != jittered.result.rng_digest
-        # But a jittered run is still deterministic in itself.
-        again = self.faulty(0.5)
-        assert jittered.result.rng_digest == again.result.rng_digest
-        assert jittered.result.records == again.result.records
 
 
 class TestChaosCellsAreDeterministic:

@@ -83,7 +83,7 @@ class TestVectorisedEvaluatorEquivalence:
             n,
             lambda tid, k: durations[tid][k - 1],
             np.random.default_rng(0),
-            GAConfig(population_size=4, elite_count=0, idle_weighting=weighting),
+            GAConfig(population_size=4, idle_weighting=weighting),
         )
         for tid in range(m):
             ga.add_task(

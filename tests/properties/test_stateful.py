@@ -38,7 +38,7 @@ class GASchedulerMachine(RuleBasedStateMachine):
             4,
             lambda tid, k: 10.0 / k + 0.3 * k,
             np.random.default_rng(1234),
-            GAConfig(population_size=8, elite_count=1),
+            GAConfig(population_size=8),
         )
 
     @rule(deadline=st.floats(1.0, 500.0))

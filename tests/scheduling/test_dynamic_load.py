@@ -106,7 +106,6 @@ class TestSchedulerCorrection:
             small_resource,
             evaluator,
             policy=SchedulingPolicy.FIFO,
-            monitor_poll_interval=1.0,
             load_profile=lambda t: load["value"],
             duration_correction=None,  # attached below, via the monitor
         )

@@ -109,19 +109,6 @@ class TestFIFOScheduler:
         with pytest.raises(ScheduleError):
             FIFOScheduler(2).sync_availability([0.0])
 
-    def test_exhaustive_mode_matches_fast_mode(self):
-        durations = {1: 9.0, 2: 5.0, 3: 4.0}
-        a = FIFOScheduler(3, exhaustive=True)
-        b = FIFOScheduler(3)
-        for tid in range(4):
-            pa = a.place(tid, table(durations), now=float(tid))
-            pb = b.place(tid, table(durations), now=float(tid))
-            assert pa.completion == pb.completion
-
-    def test_exhaustive_large_n_rejected(self):
-        with pytest.raises(ScheduleError):
-            FIFOScheduler(30, exhaustive=True)
-
     def test_bookings_never_overlap_per_node(self):
         """Fixed placements occupy each node for disjoint intervals."""
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ScheduleError, ValidationError
 from repro.scheduling.cost import CostWeights
-from repro.scheduling.ga import GAConfig, GAScheduler
+from repro.scheduling.ga import ELITE_COUNT, GAConfig, GAScheduler
 
 
 def table_duration(rows: dict):
@@ -38,11 +38,9 @@ class TestConfig:
         "kwargs",
         [
             {"population_size": 1},
-            {"crossover_probability": 1.5},
-            {"swap_probability": -0.1},
-            {"bitflip_probability": 2.0},
-            {"elite_count": 50},
+            {"population_size": ELITE_COUNT},
             {"idle_weighting": "bogus"},
+            {"warmstart_count": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):

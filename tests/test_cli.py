@@ -163,6 +163,26 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "resumed" in out and "rng digest: " in out
 
+    def test_resume_refused_snapshot_exits_2(self, capsys, tmp_path):
+        from repro.checkpoint import read_snapshot, write_snapshot
+
+        snap = tmp_path / "snap.json"
+        assert main([
+            "checkpoint", "--requests", "12", "--at-step", "300",
+            "--out", str(snap),
+        ]) == 0
+        payload = read_snapshot(str(snap))
+        payload["config"]["monitor_poll_interval"] = 300.0
+        write_snapshot(str(snap), payload)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(snap)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro resume: error: " in err
+        assert "monitor_poll_interval" in err
+        assert "Traceback" not in err
+
     def test_checkpoint_then_resume_degraded(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
         assert main([

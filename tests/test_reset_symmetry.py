@@ -94,7 +94,8 @@ def _loopback_transport(loss: float = 0.0):
             rng=np.random.default_rng(7),
             endpoints=endpoints,
         )
-    transport = Transport(sim, fault_plan=plan)
+    transport = Transport(sim)
+    transport.set_fault_plan(plan)
     inbox = []
     transport.register(endpoints["a"], inbox.append)
     transport.register(endpoints["b"], inbox.append)
