@@ -74,6 +74,23 @@ class TestMembershipConfig:
     def test_defaults_are_off(self):
         assert not MembershipConfig().enabled
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"heartbeat_interval": 0.0},
+            {"heartbeat_interval": 5.0, "suspect_after": 5.0},
+            {"suspect_after": 6.0, "confirm_after": 6.0},
+            {"heal_retry": 0.0},
+            {"max_heal_attempts": 0},
+        ],
+    )
+    def test_rejects_bad_knobs(self, kwargs):
+        # The detector timings and healing budget are module constants
+        # (their relations are checked in tests/test_config_surface.py);
+        # a caller passing one is refused, not silently ignored.
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            MembershipConfig(**kwargs)
+
 
 class TestFailureDetector:
     def test_heartbeats_keep_links_alive(self, deep, sim):

@@ -38,9 +38,11 @@ class TestConfig:
         "kwargs",
         [
             {"population_size": 1},
+            {"population_size": 0},
+            {"warmstart_count": -1},
+            {"idle_weighting": "Linear"},
             {"population_size": ELITE_COUNT},
             {"idle_weighting": "bogus"},
-            {"warmstart_count": -1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
