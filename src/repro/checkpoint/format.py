@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 2,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 3,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -12,9 +12,11 @@ before parsing a potentially large payload, and the canonical payload
 encoding makes snapshot files themselves diffable and digest-stable.
 
 The version changes whenever a snapshot of the old format would restore
-into a run that diverges from its uninterrupted twin.  Version 2 marks the
-single GA generation loop: its RNG stream differs from the version-1
-kernels', so a version-1 snapshot is refused rather than resumed.
+into a run that diverges from its uninterrupted twin, or would not restore
+at all.  Version 2 marks the single GA generation loop: its RNG stream
+differs from the version-1 kernels', so a version-1 snapshot is refused
+rather than resumed.  Version 3 marks the single run driver: one payload
+layout with a ``mode`` field replaces the three per-kind layouts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

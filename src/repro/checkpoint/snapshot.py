@@ -3,9 +3,9 @@
 :func:`snapshot_system` gathers every component's ``snapshot_state()`` into
 one JSON-ready payload section; :func:`restore_system` rewinds a **freshly
 built, not-yet-started** :class:`~repro.experiments.runner.GridSystem` to
-that state.  The experiment drivers add their own progress (pending arrival
-events, churn timers, the step counter) around this section — see
-:mod:`repro.experiments.runner`.
+that state.  The run driver adds its own progress (pending arrival,
+churn and workflow events, the coordinator, soak windows, the step
+counter) around this section — see :mod:`repro.experiments.runner`.
 
 Restore order matters: the engine is rewound first (clearing the heap and
 re-establishing the clock and sequence counter), after which every
@@ -13,8 +13,8 @@ component re-creates its pending events with their *original*
 ``(time, priority, sequence)`` identities, reproducing the heap exactly.
 
 The module also provides codecs for the run *inputs* — the experiment
-configuration, topology, and workload — so a snapshot file is
-self-contained: resuming needs nothing but the file.
+configuration, topology, workload and workflow stream — so a snapshot
+file is self-contained: resuming needs nothing but the file.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ __all__ = [
     "encode_workload_item",
     "decode_workload_item",
     "workload_fingerprint",
+    "encode_workflow_item",
+    "decode_workflow_item",
 ]
 
 
@@ -285,3 +287,29 @@ def workload_fingerprint(items) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def encode_workflow_item(item) -> List[Any]:
+    """``WorkflowItem`` → ``[submit_time, agent, shape, width, output_size, deadline]``."""
+    return [
+        item.submit_time,
+        item.agent_name,
+        item.shape,
+        item.width,
+        item.output_size,
+        item.deadline,
+    ]
+
+
+def decode_workflow_item(data: List[Any]):
+    """Inverse of :func:`encode_workflow_item`."""
+    from repro.experiments.scenarios import WorkflowItem
+
+    return WorkflowItem(
+        submit_time=float(data[0]),
+        agent_name=str(data[1]),
+        shape=str(data[2]),
+        width=int(data[3]),
+        output_size=float(data[4]),
+        deadline=float(data[5]),
+    )

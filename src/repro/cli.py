@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.errors import CheckpointError, ReproError
+from repro.errors import CheckpointError, ExperimentError, ReproError
 from repro.experiments.config import ExperimentConfig, table2_experiments
 from repro.experiments.experiment4 import (
     EXPERIMENT4,
@@ -29,13 +29,14 @@ from repro.experiments.experiment5 import EXPERIMENT5
 from repro.experiments.experiment6 import EXPERIMENT6
 from repro.experiments.experiment7 import EXPERIMENT7
 from repro.experiments.runner import (
-    checkpoint_degraded,
-    checkpoint_experiment,
-    resume_degraded,
-    resume_experiment,
+    DegradedRun,
+    checkpoint_run,
+    resume_run,
     run_degraded,
     run_experiment,
+    run_soak,
 )
+from repro.experiments.soak import SoakResult
 from repro.experiments.tables import (
     check_paper_trends,
     run_table3,
@@ -169,17 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "snapshotting")
     checkpoint.add_argument("--out", metavar="PATH", required=True,
                             help="snapshot file to write")
+    checkpoint.set_defaults(usage_error=checkpoint.error)
 
     resume = sub.add_parser(
         "resume",
-        help="resume a snapshot (experiment, degraded, or soak) to completion",
+        help="resume a snapshot (strict, degraded or soak run) to completion",
     )
     resume.add_argument("snapshot", metavar="PATH", help="snapshot file to resume")
     resume.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                         help="keep re-snapshotting every N events while "
-                        "resuming (experiment/degraded kinds)")
+                        "resuming (needs --checkpoint-path)")
     resume.add_argument("--checkpoint-path", metavar="PATH", default=None,
-                        help="where the periodic re-snapshots go")
+                        help="where the periodic re-snapshots go (a soak "
+                        "run also rewrites it at every window boundary)")
     resume.set_defaults(usage_error=resume.error)
 
     soak = sub.add_parser(
@@ -453,10 +456,12 @@ def _cmd_checkpoint(args) -> int:
     config = _run_config(args)
     print(f"Running {config.name} for {args.at_step} events "
           f"(seed {args.seed})...", file=sys.stderr)
-    checkpoint = (
-        checkpoint_degraded if args.loss or args.churn else checkpoint_experiment
+    digest = checkpoint_run(
+        config,
+        mode="degraded" if args.loss or args.churn else "strict",
+        at_step=args.at_step,
+        path=args.out,
     )
-    digest = checkpoint(config, at_step=args.at_step, path=args.out)
     print(f"wrote {args.out}")
     print(f"sha256: {digest}")
     return 0
@@ -466,30 +471,18 @@ def _cmd_resume(args) -> int:
     from repro.checkpoint import read_snapshot
 
     payload = read_snapshot(args.snapshot)
-    kind = payload.get("kind")
-    print(f"Resuming {kind} snapshot {args.snapshot} "
+    print(f"Resuming {payload.get('mode')} snapshot {args.snapshot} "
           f"(step {payload.get('steps')})...", file=sys.stderr)
-    if kind == "experiment":
-        result = resume_experiment(
-            args.snapshot,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path,
-        )
-    elif kind == "degraded":
-        result = resume_degraded(
-            args.snapshot,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path,
-        ).result
-    elif kind == "soak":
-        from repro.experiments.soak import resume_soak
-
-        soak = resume_soak(args.snapshot)
-        _print_soak(soak)
+    result = resume_run(
+        args.snapshot,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=args.checkpoint_path,
+    )
+    if isinstance(result, SoakResult):
+        _print_soak(result)
         return 0
-    else:
-        print(f"unknown snapshot kind {kind!r}", file=sys.stderr)
-        return 1
+    if isinstance(result, DegradedRun):
+        result = result.result
     print(render_table3([result.metrics], title=f"{result.config.name} (resumed)"))
     print(f"records: {len(result.records)}, rejected: {result.rejected_count}")
     print(f"rng digest: {result.rng_digest}")
@@ -514,7 +507,6 @@ def _print_soak(result) -> None:
 
 
 def _cmd_soak(args) -> int:
-    from repro.experiments.soak import run_soak
     from repro.scheduling.scheduler import SchedulingPolicy
 
     config = ExperimentConfig(
@@ -580,7 +572,7 @@ def _cmd_scenario(args) -> int:
           f"{args.agents} agents)...", file=sys.stderr)
     if spec.chaos != "none":
         # Chaos runs lose messages and crash agents: use the degraded
-        # (horizon-tolerant) runner rather than the strict loop.
+        # (horizon-tolerant) stop rule rather than the strict one.
         run = run_degraded(
             config,
             scenario.topology,
@@ -673,13 +665,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             only=args.only, update=args.update)
     elif args.command == "trace":
         return _cmd_trace(args)
-    elif args.command == "checkpoint":
-        return _cmd_checkpoint(args)
-    elif args.command == "resume":
+    elif args.command in ("checkpoint", "resume"):
+        command = _cmd_checkpoint if args.command == "checkpoint" else _cmd_resume
         try:
-            return _cmd_resume(args)
-        except CheckpointError as exc:
-            # A snapshot this build refuses is an input error, not a crash.
+            return command(args)
+        except (CheckpointError, ExperimentError) as exc:
+            # A refused snapshot, an out-of-range step or a bad cadence is
+            # an input error, not a crash.
             args.usage_error(str(exc))
     elif args.command == "soak":
         return _cmd_soak(args)

@@ -48,12 +48,7 @@ import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    MAX_EVENTS,
-    GridSystem,
-    build_grid,
-    grid_metrics,
-)
+from repro.experiments.runner import WorkflowStream, run_experiment
 from repro.experiments.scenarios import (
     ScenarioSpec,
     WorkflowItem,
@@ -68,9 +63,7 @@ from repro.experiments.tournament import (
 )
 from repro.obs import MemorySink, Tracer, Violation, check_trace
 from repro.scheduling.scheduler import SchedulingPolicy
-from repro.sim.events import Priority
-from repro.tasks.graph import WORKFLOW_SHAPES, TaskGraph
-from repro.tasks.workflow import WorkflowCoordinator
+from repro.tasks.graph import WORKFLOW_SHAPES
 
 __all__ = [
     "ARRIVALS",
@@ -201,26 +194,6 @@ class Experiment7Point:
     )
 
 
-def _node_durations(
-    system: GridSystem, graph: TaskGraph, agent_name: str
-) -> Dict[str, float]:
-    """Estimated seconds per node, measured on the entry agent's hardware.
-
-    The portable estimate the coordinator's b-levels need: PACE's best
-    predicted time on the cluster the graph enters at.  Where a node is
-    later routed elsewhere the estimate is off by that platform's speed
-    ratio — an estimate, exactly like the paper's prediction data.
-    """
-    platform = system.topology.platform(agent_name)
-    nproc = system.topology.nproc[agent_name]
-    return {
-        node: system.evaluator.best_count(
-            system.specs[graph.application(node)].model, platform, nproc
-        )[1]
-        for node in graph.node_names
-    }
-
-
 def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
     """Replay *cell*'s workflow stream under one contender, traced and checked."""
     t_wall = time.perf_counter()
@@ -231,66 +204,16 @@ def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
         )
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    system = build_grid(config, cell.topology, tracer=tracer)
-    coordinator = WorkflowCoordinator(
-        system.portal,
-        {name: spec.model for name, spec in system.specs.items()},
+    result = run_experiment(
+        config,
+        cell.topology,
+        workload=[],
+        workflows=WorkflowStream(
+            cell.workflows, cell.release_mode, aware=(mode == "aware")
+        ),
         tracer=tracer,
     )
-    system.start()
-    started: List[Tuple[WorkflowItem, int]] = []
-
-    def _starter(item: WorkflowItem):
-        def start() -> None:
-            graph = item.graph()
-            durations = (
-                _node_durations(system, graph, item.agent_name)
-                if mode == "aware"
-                else None
-            )
-            workflow_id = coordinator.start_workflow(
-                graph,
-                system.agents[item.agent_name],
-                item.deadline,
-                mode=cell.release_mode,
-                durations=durations,
-            )
-            started.append((item, workflow_id))
-
-        return start
-
-    for item in cell.workflows:
-        system.sim.schedule(
-            item.submit_time,
-            _starter(item),
-            priority=Priority.ARRIVAL,
-            label=f"workflow-{item.shape}",
-        )
-    steps = 0
-    while (
-        len(started) < len(cell.workflows)
-        or system.portal.pending_count > 0
-        or not coordinator.all_resolved
-    ):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"experiment-7 {cell.name}/{mode}: event queue drained with "
-                f"{system.portal.pending_count} requests pending"
-            )
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-    system.stop()
-
-    deadline_met = 0
-    for item, workflow_id in started:
-        completion = coordinator.run(workflow_id).completion_time(
-            system.portal.results
-        )
-        if completion is not None and completion <= item.deadline:
-            deadline_met += 1
-    runs = coordinator.runs.values()
-    _, metrics = grid_metrics(system)
+    outcomes = result.workflows
     bytes_moved = 0.0
     dag_records: Dict[str, int] = {}
     for record in tracer.records:
@@ -301,15 +224,15 @@ def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
     return Experiment7Point(
         cell=cell.name,
         mode=mode,
-        workflows=len(started),
-        workflows_succeeded=sum(1 for run in runs if run.succeeded),
-        deadline_met=deadline_met,
-        tasks_submitted=sum(len(run.released) for run in runs),
-        tasks_succeeded=sum(len(run.sources) for run in runs),
+        workflows=len(outcomes),
+        workflows_succeeded=sum(1 for o in outcomes if o.succeeded),
+        deadline_met=sum(1 for o in outcomes if o.deadline_met),
+        tasks_submitted=sum(o.tasks_released for o in outcomes),
+        tasks_succeeded=sum(o.tasks_succeeded for o in outcomes),
         bytes_moved=bytes_moved,
-        epsilon=metrics.total.epsilon,
-        upsilon_percent=metrics.total.upsilon_percent,
-        beta_percent=metrics.total.beta_percent,
+        epsilon=result.metrics.total.epsilon,
+        upsilon_percent=result.metrics.total.upsilon_percent,
+        beta_percent=result.metrics.total.beta_percent,
         wall_seconds=time.perf_counter() - t_wall,
         dag_records=dag_records,
         violations=tuple(check_trace(tracer.records)),

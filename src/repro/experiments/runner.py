@@ -1,24 +1,38 @@
-"""Wiring and running one case-study experiment end-to-end.
+"""Wiring and running one experiment end to end.
 
 :func:`build_grid` assembles the full system for a configuration — one
 shared discrete-event engine and transport, one PACE evaluation engine (one
 shared cache, as §2.2 describes), a scheduler + executor + monitor + agent
-per resource, the Fig. 7 hierarchy, and a user portal.  :func:`run_experiment`
-replays the seeded §4.1 workload through it and reduces the outcome to the
-§3.3 metrics.
+per resource, the Fig. 7 hierarchy, and a user portal.
 
-:func:`run_degraded` is the horizon-based counterpart for faulty and
-churny grids: the strict loop raises when the event queue drains with
-requests pending, which is precisely what message loss produces, while
-the degraded loop tolerates unresolved requests and reports them.  Both
-runners checkpoint and resume byte-identically.
+One driver replays a seeded request stream, and optionally a workflow
+stream, through that grid in three steps: it arms the grid, the arrivals
+and churn; it steps under one of three stop rules; it collects the result.
+The stop rule is the run's *mode*:
+
+``strict`` (:func:`run_experiment`)
+    Until every arrival has fired and every request and workflow has
+    resolved — the paper measures final scheduling scenarios, not a
+    truncated horizon.  A queue that drains first is an error.
+``degraded`` (:func:`run_degraded`)
+    For faulty and churny grids, where lost messages leave requests
+    unresolved: until everything resolves or the clock passes the last
+    deadline, then a drain with churn cancelled and the periodic
+    processes stopped.  Unresolved requests are counted, not raised.
+``soak`` (:func:`run_soak`)
+    The strict rule, closing a metrics window at each boundary (see
+    :mod:`repro.experiments.soak`).
+
+Every run writes one snapshot layout — periodically, or once at a chosen
+step through :func:`checkpoint_run` — and :func:`resume_run` continues any
+snapshot byte-identically to the uninterrupted run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.agents.advertisement import (
     AdvertisementStrategy,
@@ -29,9 +43,11 @@ from repro.agents.advertisement import (
 from repro.agents.agent import Agent, AgentStats
 from repro.agents.hierarchy import Hierarchy, wire_hierarchy
 from repro.agents.portal import UserPortal
-from repro.errors import ExperimentError, TransportError
+from repro.errors import CheckpointError, ExperimentError, TransportError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.scenarios import WorkflowItem
+from repro.experiments.soak import SoakProgress, SoakResult
 from repro.experiments.workload import WorkloadItem, generate_workload
 from repro.metrics.balancing import GridMetrics, compute_metrics
 from repro.metrics.records import (
@@ -47,11 +63,13 @@ from repro.pace.cache import CacheStats
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.resource import ResourceModel
 from repro.pace.workloads import ApplicationSpec, paper_application_specs
-from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from repro.scheduling.scheduler import LocalScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.tasks.execution import ExecutionMode
+from repro.tasks.graph import TaskGraph
 from repro.tasks.task import Environment
+from repro.tasks.workflow import WorkflowCoordinator
 from repro.utils.rng import RngRegistry
 
 __all__ = [
@@ -60,21 +78,19 @@ __all__ = [
     "MembershipSummary",
     "DegradedRun",
     "RequestRates",
+    "WorkflowStream",
+    "WorkflowOutcome",
     "build_grid",
-    "grid_metrics",
     "seeded_workload",
     "run_experiment",
-    "checkpoint_experiment",
-    "resume_experiment",
     "run_degraded",
-    "checkpoint_degraded",
-    "resume_degraded",
-    "write_checkpoint",
-    "tolerant_submitter",
+    "run_soak",
+    "checkpoint_run",
+    "resume_run",
 ]
 
-#: Hard ceiling on simulation events per experiment — a liveness backstop,
-#: far above any legitimate run (the full case study fires ~10^5 events).
+#: Hard ceiling on simulation events per run — a liveness backstop, far
+#: above any legitimate run (the full case study fires ~10^5 events).
 MAX_EVENTS = 20_000_000
 
 
@@ -108,6 +124,43 @@ class GridSystem:
             scheduler.monitor.stop()
 
 
+@dataclass(frozen=True)
+class WorkflowStream:
+    """A run's workflow arrivals, passed as data so a snapshot can re-arm them.
+
+    ``release_mode`` is the coordinator's (``"staged"`` or ``"eager"``).
+    ``aware`` stamps precedence-aware metadata on every node — b-level
+    priorities and per-node deadlines from PACE estimates on the entry
+    agent's hardware; ``False`` is the precedence-naive baseline.
+    """
+
+    items: Tuple[WorkflowItem, ...]
+    release_mode: str
+    aware: bool
+
+
+@dataclass(frozen=True)
+class WorkflowOutcome:
+    """How one workflow of a run's stream ended."""
+
+    workflow_id: int
+    deadline: float
+    #: Latest sink completion; ``None`` unless every node succeeded.
+    completion_time: Optional[float]
+    tasks_released: int
+    tasks_succeeded: int
+
+    @property
+    def succeeded(self) -> bool:
+        """Every node completed successfully."""
+        return self.completion_time is not None
+
+    @property
+    def deadline_met(self) -> bool:
+        """The whole graph finished by its deadline."""
+        return self.completion_time is not None and self.completion_time <= self.deadline
+
+
 @dataclass
 class ExperimentResult:
     """Everything one experiment produced."""
@@ -126,6 +179,11 @@ class ExperimentResult:
     #: :meth:`repro.utils.rng.RngRegistry.state_digest`) — the witness the
     #: tracing-changes-nothing property tests compare.
     rng_digest: str = ""
+    #: Events the run fired.
+    steps: int = 0
+    #: One outcome per started workflow, in start order (empty without a
+    #: workflow stream).
+    workflows: Tuple[WorkflowOutcome, ...] = ()
 
     @property
     def horizon(self) -> float:
@@ -338,58 +396,7 @@ def seeded_workload(
     )
 
 
-def _arm_grid(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology],
-    workload: Optional[List[WorkloadItem]],
-    tracer: Optional[Tracer],
-    make_submitter: Callable[["GridSystem", WorkloadItem], Callable[[], None]],
-) -> Tuple[GridSystem, List[WorkloadItem], Dict[int, "object"]]:
-    """Build and start the grid, then schedule one arrival per request.
-
-    *workload* defaults to :func:`seeded_workload`.  Returns ``(system,
-    items, arrivals)``, arrivals keyed by workload index.
-    """
-    system = build_grid(config, topology, tracer=tracer)
-    items = (
-        workload if workload is not None else seeded_workload(config, system.topology)
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            make_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    return system, items, arrivals
-
-
-def _step_to(system: GridSystem, at_step: int) -> None:
-    """Fire exactly *at_step* events — the run-up to a checkpoint."""
-    if at_step < 1:
-        raise ExperimentError(f"at_step must be >= 1, got {at_step}")
-    for steps in range(1, at_step + 1):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"run finished after {steps - 1} events, before at_step={at_step}"
-            )
-
-
-def _check_cadence(
-    checkpoint_every: Optional[int], checkpoint_path: Optional[str]
-) -> None:
-    """Validate a periodic-checkpoint request before the run starts."""
-    if checkpoint_every is None:
-        return
-    if checkpoint_every < 1:
-        raise ExperimentError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
-    if checkpoint_path is None:
-        raise ExperimentError("checkpoint_every requires checkpoint_path")
+# ------------------------------------------------------------ entry points
 
 
 def run_experiment(
@@ -397,173 +404,27 @@ def run_experiment(
     topology: Optional[GridTopology] = None,
     *,
     workload: Optional[List[WorkloadItem]] = None,
+    workflows: Optional[WorkflowStream] = None,
     tracer: Optional[Tracer] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
 ) -> ExperimentResult:
-    """Run one experiment to completion and compute the §3.3 metrics.
+    """Run one experiment to completion under the strict rule.
 
-    The run finishes when every submitted request has produced a result
-    (execution completed, or rejection in strict mode) — the paper measures
-    final scheduling scenarios, not a truncated horizon.
-
-    With ``checkpoint_every=N`` (events) and ``checkpoint_path``, the run
-    writes a resumable snapshot every N processed events; resuming it via
-    :func:`resume_experiment` continues byte-identical to the uninterrupted
-    run (property-tested).
+    *workload* defaults to :func:`seeded_workload`; *workflows* adds a
+    workflow stream run through one
+    :class:`~repro.tasks.workflow.WorkflowCoordinator` (refused on a grid
+    with a fault plan or churn).  With ``checkpoint_every=N`` (events)
+    and ``checkpoint_path``, the run rewrites a resumable snapshot every N
+    events; :func:`resume_run` continues it byte-identically to the
+    uninterrupted run (property-tested).
     """
-    t_wall = time.perf_counter()
-    system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, _submitter
-    )
-    return _drive_experiment(
-        system,
-        items,
-        arrivals,
-        steps=0,
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def checkpoint_experiment(
-    config: ExperimentConfig,
-    topology: Optional[GridTopology] = None,
-    *,
-    workload: Optional[List[WorkloadItem]] = None,
-    tracer: Optional[Tracer] = None,
-    at_step: int,
-    path: str,
-) -> str:
-    """Run a strict experiment for exactly *at_step* events, snapshot, stop.
-
-    The abandoned half-run is discarded; :func:`resume_experiment` on the
-    written file continues it to completion.  Returns the snapshot digest.
-
-    Raises
-    ------
-    ExperimentError
-        If the run's event queue drains before *at_step* events fire.
-    """
-    system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, _submitter
-    )
-    _step_to(system, at_step)
-    return write_checkpoint(path, system, items, arrivals, at_step)
-
-
-def resume_experiment(
-    path: str,
-    *,
-    tracer: Optional[Tracer] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> ExperimentResult:
-    """Resume a strict experiment from a snapshot written by :func:`run_experiment`.
-
-    The grid is rebuilt from the snapshot's own configuration and
-    topology, every component is rewound, pending arrival events are
-    re-created with their original identities, and the run continues to
-    completion.  Everything downstream of the snapshot instant —
-    completion records, metrics, trace records, the final RNG digest —
-    is byte-identical to the uninterrupted run.
-    """
-    t_wall = time.perf_counter()
-    payload, system, items, arrivals = _restore(path, "experiment", tracer)
-    return _drive_experiment(
-        system,
-        items,
-        arrivals,
-        steps=int(payload["steps"]),
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def _drive_experiment(
-    system: GridSystem,
-    items: List[WorkloadItem],
-    arrivals: Dict[int, "object"],
-    *,
-    steps: int,
-    t_wall: float,
-    checkpoint_every: Optional[int],
-    checkpoint_path: Optional[str],
-) -> ExperimentResult:
-    _check_cadence(checkpoint_every, checkpoint_path)
-    while system.portal.pending_count > 0 or system.portal.submitted_count < len(items):
-        if not system.sim.step():
-            raise ExperimentError(
-                f"event queue drained with {system.portal.pending_count} "
-                "requests still pending"
-            )
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-        if checkpoint_every is not None and steps % checkpoint_every == 0:
-            write_checkpoint(checkpoint_path, system, items, arrivals, steps)
-    system.stop()
-    return _collect_result(system, items, t_wall)
-
-
-def _arm_churn(
-    system: GridSystem, config: ExperimentConfig
-) -> Tuple[int, int, List[Tuple[str, str, object]]]:
-    """Generate and schedule the run's churn events (if any).
-
-    Returns ``(crashes, restarts, churn_events)``.  A spec targeting
-    coordinators (or leaves) is resolved against the built hierarchy —
-    agents that currently have children.
-    """
-    if config.churn is None or config.churn.rate == 0:
-        return 0, 0, []
-    coordinators = (
-        None
-        if config.churn.target == "any"
-        else [name for name, agent in system.agents.items() if agent.children]
-    )
-    schedule = ChurnSchedule.generate(
-        system.topology.agent_names,
-        config.churn,
-        config.request_phase_seconds,
-        RngRegistry(config.master_seed).stream("churn"),
-        head=system.hierarchy.head.name,
-        coordinators=coordinators,
-    )
-    churn_events: List[Tuple[str, str, object]] = []
-    for event in schedule:
-        agent = system.agents[event.agent]
-        action = agent.deactivate if event.action == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                event.agent,
-                event.action,
-                system.sim.schedule(
-                    event.time,
-                    action,
-                    priority=Priority.MONITORING,
-                    label=f"churn-{event.action}-{event.agent}",
-                ),
-            )
+    return _complete(
+        _arm(
+            "strict", config, topology, workload, workflows, tracer,
+            checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
         )
-    return schedule.crash_count, schedule.restart_count, churn_events
-
-
-def _degraded_extra(
-    churn_events: List[Tuple[str, str, object]], crashes: int, restarts: int
-) -> Dict[str, object]:
-    """The churn state a degraded snapshot carries beyond the grid's own."""
-    return {
-        "churn": [
-            {"agent": agent, "action": action, "event": handle.descriptor()}
-            for agent, action, handle in churn_events
-            if handle.pending
-        ],
-        "crashes": crashes,
-        "restarts": restarts,
-    }
+    )
 
 
 def run_degraded(
@@ -575,168 +436,592 @@ def run_degraded(
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
 ) -> DegradedRun:
-    """Run *config* under its fault plan and churn schedule to a horizon.
+    """Run *config* under its fault plan and churn schedule (degraded rule).
 
-    Unlike the strict experiment loop, requests may end the run
-    unresolved (their REQUEST or RESULT was lost and nothing retried);
-    they are counted, not raised.  The run proceeds in two phases:
-
-    1. until every request resolves or the clock passes the last
-       deadline, with periodic processes and churn active;
-    2. a final drain with periodics stopped and leftover churn handles
-       cancelled, letting in-flight completions, retries, and ack
-       timeouts resolve — the queue is finite once nothing re-arms.
-
-    With ``checkpoint_every``/``checkpoint_path``, phase 1 writes a
-    resumable snapshot every N events (see :func:`resume_degraded`).
+    Requests may end the run unresolved (their REQUEST or RESULT was lost
+    and nothing retried); they are counted, not raised.  Periodic
+    snapshots are written only before the degraded rule stops, never
+    during the final drain.
     """
-    t_wall = time.perf_counter()
-    system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, tolerant_submitter
-    )
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    return _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=crashes,
-        restarts=restarts,
-        steps=0,
-        t_wall=t_wall,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
+    return _complete(
+        _arm(
+            "degraded", config, topology, workload, None, tracer,
+            checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        )
     )
 
 
-def checkpoint_degraded(
+def run_soak(
     config: ExperimentConfig,
     topology: Optional[GridTopology] = None,
     *,
+    window_seconds: float = 500.0,
     workload: Optional[List[WorkloadItem]] = None,
+    tracer: Optional[Tracer] = None,
+    checkpoint_path: Optional[str] = None,
+) -> SoakResult:
+    """Run a continuous-arrival soak to completion, one window at a time.
+
+    ``config.request_count`` sets the stream length (soak runs typically
+    use thousands); pass *workload* to drive the soak with an explicit
+    item list instead — generated scenarios use this to supply bursty or
+    heavy-tailed arrival streams.  With ``checkpoint_path``, one resumable
+    snapshot is rewritten at every window boundary.
+    """
+    return _complete(
+        _arm(
+            "soak", config, topology, workload, None, tracer,
+            soak=SoakProgress.begin(window_seconds),
+            checkpoint_path=checkpoint_path,
+        )
+    )
+
+
+def checkpoint_run(
+    config: ExperimentConfig,
+    topology: Optional[GridTopology] = None,
+    *,
+    mode: str = "strict",
+    workload: Optional[List[WorkloadItem]] = None,
+    workflows: Optional[WorkflowStream] = None,
+    window_seconds: float = 500.0,
     tracer: Optional[Tracer] = None,
     at_step: int,
     path: str,
 ) -> str:
-    """Run a degraded experiment for *at_step* events, snapshot, stop.
+    """Run for exactly *at_step* events under *mode*'s stop rule, snapshot, stop.
 
-    The counterpart of :func:`checkpoint_experiment` for faulty/churny
-    runs; :func:`resume_degraded` continues the written file.  Returns
-    the snapshot digest.
+    *mode* is ``"strict"``, ``"degraded"`` or ``"soak"`` (*window_seconds*
+    applies to soak only).  The abandoned half-run is discarded;
+    :func:`resume_run` on the written file continues it.  Returns the
+    snapshot digest.
+
+    Raises
+    ------
+    ExperimentError
+        If *at_step* < 1, or if the stop rule ends stepping before
+        *at_step* events fire — a snapshot there would hold a world the
+        uninterrupted run never enters.  Nothing is written then.
     """
-    system, items, arrivals = _arm_grid(
-        config, topology, workload, tracer, tolerant_submitter
+    if at_step < 1:
+        raise ExperimentError(f"at_step must be >= 1, got {at_step}")
+    run = _arm(
+        mode, config, topology, workload, workflows, tracer,
+        soak=SoakProgress.begin(window_seconds) if mode == "soak" else None,
     )
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    _step_to(system, at_step)
-    return write_checkpoint(
-        path,
-        system,
-        items,
-        arrivals,
-        at_step,
-        kind="degraded",
-        extra=_degraded_extra(churn_events, crashes, restarts),
-    )
+    _drive(run, _RULES[mode], at_step=at_step)
+    if run.steps < at_step:
+        raise ExperimentError(
+            f"the {mode} stop rule ended the run after {run.steps} events, "
+            f"before at_step={at_step}"
+        )
+    return _write(run, path)
 
 
-def resume_degraded(
+def resume_run(
     path: str,
     *,
     tracer: Optional[Tracer] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
-) -> DegradedRun:
-    """Resume a degraded run from a snapshot written by :func:`run_degraded`.
+) -> Union[ExperimentResult, DegradedRun, SoakResult]:
+    """Resume any snapshot to completion under the stop rule it was taken in.
 
-    Pending churn timers are re-created alongside the component state, so
-    not-yet-fired crashes and restarts land at their original instants;
-    the continuation is byte-identical to the uninterrupted run.
+    The grid is rebuilt from the snapshot's own configuration and
+    topology, every component is rewound, pending arrival, churn and
+    workflow events are re-created with their original identities, and
+    the run continues.  Everything downstream of the snapshot instant —
+    completion records, metrics, windows, workflow outcomes, trace
+    records, the final RNG digest — is byte-identical to the
+    uninterrupted run.  Returns what the mode's run function returns.
+    The cadence arguments mean what they mean there; for soak snapshots
+    ``checkpoint_path`` is also rewritten at every window boundary.
     """
-    t_wall = time.perf_counter()
-    payload, system, items, arrivals = _restore(path, "degraded", tracer)
-    churn_events: List[Tuple[str, str, object]] = []
-    for entry in payload["churn"]:
-        agent = system.agents[str(entry["agent"])]
-        action = agent.deactivate if entry["action"] == "crash" else agent.reactivate
-        churn_events.append(
-            (
-                str(entry["agent"]),
-                str(entry["action"]),
-                system.sim.restore_event(entry["event"], action),
+    _check_cadence(checkpoint_every, checkpoint_path)
+    run = _restore(path, tracer)
+    run.checkpoint_every = checkpoint_every
+    run.checkpoint_path = checkpoint_path
+    return _complete(run)
+
+
+# ------------------------------------------------------------------ driver
+
+
+@dataclass
+class _Run:
+    """One run's driver state: what the stop rules read and a snapshot holds."""
+
+    mode: str
+    system: GridSystem
+    items: List[WorkloadItem]
+    workflows: Optional[WorkflowStream] = None
+    soak: Optional[SoakProgress] = None
+    steps: int = 0
+    checkpoint_every: Optional[int] = None
+    checkpoint_path: Optional[str] = None
+    t_wall: float = field(default_factory=time.perf_counter)
+    #: Request arrivals fired so far; arrival events by workload index.
+    arrived: int = 0
+    arrivals: Dict[int, object] = field(default_factory=dict)
+    #: Workflow arrival events by stream index.
+    workflow_arrivals: Dict[int, object] = field(default_factory=dict)
+    #: ``(agent, action, event)`` per churn event, and the schedule's totals.
+    churn: List[Tuple[str, str, object]] = field(default_factory=list)
+    crashes: int = 0
+    restarts: int = 0
+    #: The degraded rule's horizon: the last deadline.
+    horizon: float = field(init=False)
+    coordinator: Optional[WorkflowCoordinator] = field(init=False)
+
+    def __post_init__(self) -> None:
+        deadlines = [item.deadline for item in self.items]
+        if self.workflows is not None:
+            deadlines += [item.deadline for item in self.workflows.items]
+        self.horizon = max(deadlines, default=0.0)
+        self.coordinator = (
+            None
+            if self.workflows is None
+            else WorkflowCoordinator(
+                self.system.portal,
+                {name: spec.model for name, spec in self.system.specs.items()},
+                tracer=self.system.tracer,
             )
         )
-    return _drive_degraded(
+
+
+def _resolved(run: _Run) -> bool:
+    """Every arrival has fired and every request and workflow has resolved."""
+    if run.arrived < len(run.items) or run.system.portal.pending_count:
+        return False
+    coordinator = run.coordinator
+    return coordinator is None or (
+        len(coordinator.runs) == len(run.workflows.items)
+        and coordinator.all_resolved
+    )
+
+
+def _strict(run: _Run) -> bool:
+    """Step until everything resolves; the queue draining first is an error."""
+    return not _resolved(run)
+
+
+def _degraded(run: _Run) -> bool:
+    """Step until everything resolves or the next event lies past the
+    last deadline."""
+    if _resolved(run):
+        return False
+    next_time = run.system.sim.next_event_time()
+    return next_time is not None and next_time <= run.horizon
+
+
+def _soak(run: _Run) -> bool:
+    """The strict rule, closing a window at each boundary the clock passed
+    (and rewriting the run's snapshot there, when it has a path)."""
+    if run.soak.close_passed(run.system) and run.checkpoint_path is not None:
+        _write(run, run.checkpoint_path)
+    return _strict(run)
+
+
+def _drain(run: _Run) -> bool:
+    """Step until everything resolves or the queue empties."""
+    return not _resolved(run) and run.system.sim.next_event_time() is not None
+
+
+#: The stop rule of each run mode (a snapshot's ``mode`` field).
+_RULES: Dict[str, Callable[[_Run], bool]] = {
+    "strict": _strict,
+    "degraded": _degraded,
+    "soak": _soak,
+}
+
+
+def _drive(
+    run: _Run,
+    rule: Callable[[_Run], bool],
+    *,
+    at_step: Optional[int] = None,
+    every: Optional[int] = None,
+) -> None:
+    """Fire events while *rule* holds, stopping early at *at_step* events.
+
+    The one place a run fires events.  With *every*, a snapshot goes to
+    the run's checkpoint path every *every* events.
+    """
+    sim = run.system.sim
+    while rule(run):
+        if run.steps == at_step:
+            return
+        if not sim.step():
+            raise ExperimentError(
+                f"event queue drained with {run.system.portal.pending_count} "
+                "requests still pending"
+            )
+        run.steps += 1
+        if run.steps > MAX_EVENTS:
+            raise ExperimentError(f"run exceeded {MAX_EVENTS} events")
+        if every is not None and run.steps % every == 0:
+            _write(run, run.checkpoint_path)
+
+
+def _complete(run: _Run):
+    """Step *run* to its end under its stop rule, then collect its result."""
+    _drive(run, _RULES[run.mode], every=run.checkpoint_every)
+    for _, _, event in run.churn:
+        event.cancel()
+    run.system.stop()
+    # With churn and the periodic processes off, only completions, retry
+    # timers and in-flight messages remain: a finite queue.  A no-op
+    # unless the degraded rule stopped at the horizon.
+    _drive(run, _drain)
+    return _collect(run)
+
+
+def _check_cadence(
+    checkpoint_every: Optional[int], checkpoint_path: Optional[str]
+) -> None:
+    """Validate a periodic-checkpoint request before the grid is built."""
+    if checkpoint_every is None:
+        return
+    if checkpoint_every < 1:
+        raise ExperimentError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+        )
+    if checkpoint_path is None:
+        raise ExperimentError("checkpoint_every requires checkpoint_path")
+
+
+def _arm(
+    mode: str,
+    config: ExperimentConfig,
+    topology: Optional[GridTopology],
+    workload: Optional[List[WorkloadItem]],
+    workflows: Optional[WorkflowStream],
+    tracer: Optional[Tracer],
+    *,
+    soak: Optional[SoakProgress] = None,
+    checkpoint_every: Optional[int] = None,
+    checkpoint_path: Optional[str] = None,
+) -> _Run:
+    """Build and start the grid, then schedule the arrivals and churn."""
+    t_wall = time.perf_counter()
+    if mode not in _RULES:
+        raise ExperimentError(f"unknown run mode {mode!r}")
+    _check_cadence(checkpoint_every, checkpoint_path)
+    if workflows is not None and (
+        (config.faults is not None and not config.faults.is_noop)
+        or (config.churn is not None and config.churn.rate > 0)
+    ):
+        # Staged releases and data transfers do not yet survive lost
+        # messages or crashed clusters: such runs strand workflows and
+        # break the dispatch-after-inputs and ack-resolution invariants.
+        raise ExperimentError(
+            "workflow streams cannot run under a fault plan or churn"
+        )
+    system = build_grid(config, topology, tracer=tracer)
+    run = _Run(
+        mode,
         system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=int(payload["crashes"]),
-        restarts=int(payload["restarts"]),
-        steps=int(payload["steps"]),
-        t_wall=t_wall,
+        workload if workload is not None else seeded_workload(config, system.topology),
+        workflows,
+        soak,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
+        t_wall=t_wall,
     )
+    system.start()
+    sim = system.sim
+    for index, item in enumerate(run.items):
+        run.arrivals[index] = sim.schedule(
+            item.submit_time,
+            _arrival(run, index),
+            priority=Priority.ARRIVAL,
+            label=f"arrival-{item.application}",
+        )
+    for index, item in enumerate(workflows.items if workflows is not None else ()):
+        run.workflow_arrivals[index] = sim.schedule(
+            item.submit_time,
+            _workflow_arrival(run, index),
+            priority=Priority.ARRIVAL,
+            label=f"workflow-{item.shape}",
+        )
+    if mode == "degraded":
+        _arm_churn(run)
+    return run
 
 
-def _drive_degraded(
-    system: GridSystem,
-    items: List[WorkloadItem],
-    arrivals,
-    churn_events,
-    *,
-    crashes: int,
-    restarts: int,
-    steps: int,
-    t_wall: float,
-    checkpoint_every: Optional[int],
-    checkpoint_path: Optional[str],
-) -> DegradedRun:
-    _check_cadence(checkpoint_every, checkpoint_path)
-    horizon = max(item.deadline for item in items)
+def _arrival(run: _Run, index: int) -> Callable[[], None]:
+    """The submit callback of workload item *index*.
 
-    def resolved() -> bool:
-        return (
-            system.portal.submitted_count >= len(items)
-            and system.portal.pending_count == 0
+    Outside the strict rule a crashed entry agent is tolerated: the
+    request registers, the send is lost, and the request counts as
+    unresolved unless the portal's retries recover it.
+    """
+    item = run.items[index]
+
+    def submit() -> None:
+        run.arrived += 1
+        system = run.system
+        try:
+            system.portal.submit(
+                system.agents[item.agent_name],
+                system.specs[item.application].model,
+                Environment.TEST,
+                item.deadline,
+            )
+        except TransportError:
+            if run.mode == "strict":
+                raise
+
+    return submit
+
+
+def _workflow_arrival(run: _Run, index: int) -> Callable[[], None]:
+    """The callback starting workflow *index* of the run's stream."""
+    item = run.workflows.items[index]
+
+    def start() -> None:
+        system = run.system
+        graph = item.graph()
+        run.coordinator.start_workflow(
+            graph,
+            system.agents[item.agent_name],
+            item.deadline,
+            mode=run.workflows.release_mode,
+            durations=(
+                _node_durations(system, graph, item.agent_name)
+                if run.workflows.aware
+                else None
+            ),
         )
 
-    while not resolved():
-        next_time = system.sim.next_event_time()
-        if next_time is None or next_time > horizon:
-            break
-        system.sim.step()
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
-        if checkpoint_every is not None and steps % checkpoint_every == 0:
-            write_checkpoint(
-                checkpoint_path,
-                system,
-                items,
-                arrivals,
-                steps,
-                kind="degraded",
-                extra=_degraded_extra(churn_events, crashes, restarts),
-            )
-    for _, _, handle in churn_events:
-        handle.cancel()
-    system.stop()
-    # Final drain: with periodics and churn off, only completions, retry
-    # timers, and in-flight messages remain — a finite queue.
-    while not resolved():
-        if not system.sim.step():
-            break
-        steps += 1
-        if steps > MAX_EVENTS:
-            raise ExperimentError(f"experiment exceeded {MAX_EVENTS} events")
+    return start
 
-    # Observed to the clock, not to the last completion: a degraded run
-    # may complete nothing at all.
-    result = _collect_result(
-        system, items, t_wall, horizon=max(system.sim.now, 1e-9)
+
+def _node_durations(
+    system: GridSystem, graph: TaskGraph, agent_name: str
+) -> Dict[str, float]:
+    """Estimated seconds per node, measured on the entry agent's hardware.
+
+    The portable estimate the coordinator's b-levels need: PACE's best
+    predicted time on the cluster the graph enters at.  Where a node is
+    later routed elsewhere the estimate is off by that platform's speed
+    ratio — an estimate, exactly like the paper's prediction data.
+    """
+    platform = system.topology.platform(agent_name)
+    nproc = system.topology.nproc[agent_name]
+    return {
+        node: system.evaluator.best_count(
+            system.specs[graph.application(node)].model, platform, nproc
+        )[1]
+        for node in graph.node_names
+    }
+
+
+def _arm_churn(run: _Run) -> None:
+    """Generate and schedule the run's churn events (if any).
+
+    A spec targeting coordinators (or leaves) is resolved against the
+    built hierarchy — agents that currently have children.
+    """
+    system = run.system
+    spec = system.config.churn
+    if spec is None or spec.rate == 0:
+        return
+    coordinators = (
+        None
+        if spec.target == "any"
+        else [name for name, agent in system.agents.items() if agent.children]
     )
+    schedule = ChurnSchedule.generate(
+        system.topology.agent_names,
+        spec,
+        system.config.request_phase_seconds,
+        RngRegistry(system.config.master_seed).stream("churn"),
+        head=system.hierarchy.head.name,
+        coordinators=coordinators,
+    )
+    run.crashes, run.restarts = schedule.crash_count, schedule.restart_count
+    for event in schedule:
+        run.churn.append(
+            (
+                event.agent,
+                event.action,
+                system.sim.schedule(
+                    event.time,
+                    _churn_action(system, event.agent, event.action),
+                    priority=Priority.MONITORING,
+                    label=f"churn-{event.action}-{event.agent}",
+                ),
+            )
+        )
+
+
+def _churn_action(system: GridSystem, agent: str, action: str) -> Callable[[], None]:
+    target = system.agents[agent]
+    return target.deactivate if action == "crash" else target.reactivate
+
+
+# ---------------------------------------------------------------- snapshots
+
+
+def _pending(events: Dict[int, object]) -> List[dict]:
+    return [
+        {"index": index, "event": event.descriptor()}
+        for index, event in sorted(events.items())
+        if event.pending
+    ]
+
+
+def _write(run: _Run, path: str) -> str:
+    """Write one resumable snapshot of *run*; returns its digest.
+
+    Every mode writes the same sections; the ones a mode does not use
+    hold an empty list or ``None``.
+    """
+    from repro.checkpoint.format import write_snapshot
+    from repro.checkpoint.snapshot import (
+        encode_config,
+        encode_topology,
+        encode_workflow_item,
+        encode_workload_item,
+        snapshot_system,
+    )
+
+    system, stream = run.system, run.workflows
+    return write_snapshot(
+        path,
+        {
+            "mode": run.mode,
+            "config": encode_config(system.config),
+            "topology": encode_topology(system.topology),
+            "workload": [encode_workload_item(item) for item in run.items],
+            "steps": run.steps,
+            "system": snapshot_system(system),
+            "arrivals": _pending(run.arrivals),
+            "churn": {
+                "crashes": run.crashes,
+                "restarts": run.restarts,
+                "events": [
+                    {"agent": agent, "action": action, "event": event.descriptor()}
+                    for agent, action, event in run.churn
+                    if event.pending
+                ],
+            },
+            "soak": None if run.soak is None else run.soak.encode(),
+            "workflows": None if stream is None else {
+                "items": [encode_workflow_item(item) for item in stream.items],
+                "release_mode": stream.release_mode,
+                "aware": stream.aware,
+                "arrivals": _pending(run.workflow_arrivals),
+                "coordinator": run.coordinator.snapshot_state(),
+            },
+        },
+    )
+
+
+def _restore(path: str, tracer: Optional[Tracer]) -> _Run:
+    """Read the snapshot at *path*, rebuild and rewind its grid, re-arm its events."""
+    from repro.checkpoint.format import read_snapshot
+    from repro.checkpoint.snapshot import (
+        decode_config,
+        decode_topology,
+        decode_workflow_item,
+        decode_workload_item,
+        restore_system,
+    )
+
+    t_wall = time.perf_counter()
+    payload = read_snapshot(path)
+    mode = payload.get("mode")
+    if mode not in _RULES:
+        raise CheckpointError(
+            f"snapshot mode {mode!r} is not one of {', '.join(_RULES)}"
+        )
+    system = build_grid(
+        decode_config(payload["config"]),
+        decode_topology(payload["topology"]),
+        tracer=tracer,
+    )
+    restore_system(system, payload["system"])
+    stream = payload["workflows"]
+    run = _Run(
+        mode,
+        system,
+        [decode_workload_item(raw) for raw in payload["workload"]],
+        None if stream is None else WorkflowStream(
+            items=tuple(decode_workflow_item(raw) for raw in stream["items"]),
+            release_mode=str(stream["release_mode"]),
+            aware=bool(stream["aware"]),
+        ),
+        None if payload["soak"] is None else SoakProgress.decode(payload["soak"]),
+        steps=int(payload["steps"]),
+        t_wall=t_wall,
+    )
+    sim = system.sim
+    for entry in payload["arrivals"]:
+        index = int(entry["index"])
+        run.arrivals[index] = sim.restore_event(entry["event"], _arrival(run, index))
+    run.arrived = len(run.items) - len(run.arrivals)
+    churn = payload["churn"]
+    run.crashes, run.restarts = int(churn["crashes"]), int(churn["restarts"])
+    for entry in churn["events"]:
+        agent, action = str(entry["agent"]), str(entry["action"])
+        run.churn.append(
+            (
+                agent,
+                action,
+                sim.restore_event(entry["event"], _churn_action(system, agent, action)),
+            )
+        )
+    if stream is not None:
+        run.coordinator.restore_state(stream["coordinator"], targets=system.agents)
+        for entry in stream["arrivals"]:
+            index = int(entry["index"])
+            run.workflow_arrivals[index] = sim.restore_event(
+                entry["event"], _workflow_arrival(run, index)
+            )
+    return run
+
+
+# ----------------------------------------------------------------- results
+
+
+def _collect(run: _Run) -> Union[ExperimentResult, DegradedRun, SoakResult]:
+    """The finished run's result, in its mode's shape."""
+    system = run.system
+    wall_seconds = time.perf_counter() - run.t_wall
+    if run.mode == "soak":
+        return run.soak.result(system, run.steps, wall_seconds)
+    records: List[CompletionRecord] = []
+    busy, nodes = {}, {}
+    for name, scheduler in system.schedulers.items():
+        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
+        busy[name] = scheduler.executor.busy_intervals
+        nodes[name] = scheduler.resource.size
+    degraded = run.mode == "degraded"
+    # The observation period ``t``: the latest completion, as the paper
+    # measures final scheduling scenarios — except that a degraded run is
+    # observed to the clock, since it may complete nothing at all.
+    metrics = compute_metrics(
+        records, busy, nodes, horizon=max(system.sim.now, 1e-9) if degraded else None
+    )
+    result = ExperimentResult(
+        config=system.config,
+        metrics=metrics,
+        records=records,
+        workload=run.items,
+        agent_stats={name: agent.stats for name, agent in system.agents.items()},
+        cache_stats=system.evaluator.cache.stats,
+        messages_sent=system.transport.sent,
+        rejected_count=len(system.portal.failures()),
+        wall_seconds=wall_seconds,
+        messages_delivered=system.transport.delivered,
+        rng_digest=system.rngs.state_digest() if system.rngs is not None else "",
+        steps=run.steps,
+        workflows=_outcomes(run),
+    )
+    if not degraded:
+        return result
     successes = system.portal.successes()
     plan = system.transport.fault_plan
     return DegradedRun(
@@ -753,8 +1038,8 @@ def _drive_degraded(
         counters=ResilienceCounters.from_stats(
             [agent.stats for agent in system.agents.values()] + [system.portal.stats]
         ),
-        crashes=crashes,
-        restarts=restarts,
+        crashes=run.crashes,
+        restarts=run.restarts,
         fault_dropped=plan.dropped_count if plan is not None else 0,
         membership=(
             MembershipSummary.from_system(system)
@@ -764,151 +1049,17 @@ def _drive_degraded(
     )
 
 
-def write_checkpoint(
-    path: str,
-    system: GridSystem,
-    items: List[WorkloadItem],
-    arrivals: Dict[int, "object"],
-    steps: int,
-    *,
-    kind: str = "experiment",
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """Write one resumable snapshot of a running experiment; returns its digest."""
-    from repro.checkpoint.format import write_snapshot
-    from repro.checkpoint.snapshot import (
-        encode_config,
-        encode_topology,
-        encode_workload_item,
-        snapshot_system,
-    )
-
-    payload: Dict[str, object] = {
-        "kind": kind,
-        "config": encode_config(system.config),
-        "topology": encode_topology(system.topology),
-        "workload": [encode_workload_item(item) for item in items],
-        "steps": steps,
-        "arrivals": [
-            {"index": index, "event": handle.descriptor()}
-            for index, handle in sorted(arrivals.items())
-            if handle.pending
-        ],
-        "system": snapshot_system(system),
-    }
-    if extra:
-        payload.update(extra)
-    return write_snapshot(path, payload)
-
-
-def _restore(path: str, expected_kind: str, tracer: Optional[Tracer]):
-    """Read the snapshot at *path*, rebuild and rewind its grid, re-arm arrivals.
-
-    Shared by every resume entry point; returns ``(payload, system, items,
-    arrivals)``.  The submit callback is the strict one for
-    ``"experiment"`` snapshots and the fault-tolerant one otherwise
-    (degraded/soak runs must survive a crashed entry agent).
-    """
-    from repro.errors import CheckpointError
-    from repro.checkpoint.format import read_snapshot
-    from repro.checkpoint.snapshot import (
-        decode_config,
-        decode_topology,
-        decode_workload_item,
-        restore_system,
-    )
-
-    payload = read_snapshot(path)
-    kind = payload.get("kind")
-    if kind != expected_kind:
-        raise CheckpointError(
-            f"snapshot is a {kind!r} checkpoint, not {expected_kind!r}"
+def _outcomes(run: _Run) -> Tuple[WorkflowOutcome, ...]:
+    if run.coordinator is None:
+        return ()
+    results = run.system.portal.results
+    return tuple(
+        WorkflowOutcome(
+            workflow_id=workflow_id,
+            deadline=workflow.deadline,
+            completion_time=workflow.completion_time(results),
+            tasks_released=len(workflow.released),
+            tasks_succeeded=len(workflow.sources),
         )
-    config = decode_config(payload["config"])
-    topology = decode_topology(payload["topology"])
-    system = build_grid(config, topology, tracer=tracer)
-    items = [decode_workload_item(raw) for raw in payload["workload"]]
-    restore_system(system, payload["system"])
-    make_submitter = _submitter if expected_kind == "experiment" else tolerant_submitter
-    arrivals = {}
-    for entry in payload["arrivals"]:
-        index = int(entry["index"])
-        arrivals[index] = system.sim.restore_event(
-            entry["event"], make_submitter(system, items[index])
-        )
-    return payload, system, items, arrivals
-
-
-def grid_metrics(
-    system: GridSystem, *, horizon: Optional[float] = None
-) -> Tuple[List[CompletionRecord], GridMetrics]:
-    """Every completion record on *system* and the §3.3 metrics over them.
-
-    *horizon* is the observation period ``t`` (default: the latest
-    completion, as the paper measures final scheduling scenarios).
-    """
-    records: List[CompletionRecord] = []
-    busy = {}
-    nodes = {}
-    for name, scheduler in system.schedulers.items():
-        records.extend(records_from_tasks(scheduler.executor.completed_tasks))
-        busy[name] = scheduler.executor.busy_intervals
-        nodes[name] = scheduler.resource.size
-    return records, compute_metrics(records, busy, nodes, horizon=horizon)
-
-
-def _collect_result(
-    system: GridSystem,
-    items: List[WorkloadItem],
-    t_wall: float,
-    *,
-    horizon: Optional[float] = None,
-) -> ExperimentResult:
-    records, metrics = grid_metrics(system, horizon=horizon)
-    return ExperimentResult(
-        config=system.config,
-        metrics=metrics,
-        records=records,
-        workload=items,
-        agent_stats={name: agent.stats for name, agent in system.agents.items()},
-        cache_stats=system.evaluator.cache.stats,
-        messages_sent=system.transport.sent,
-        rejected_count=len(system.portal.failures()),
-        wall_seconds=time.perf_counter() - t_wall,
-        messages_delivered=system.transport.delivered,
-        rng_digest=system.rngs.state_digest() if system.rngs is not None else "",
+        for workflow_id, workflow in run.coordinator.runs.items()
     )
-
-
-def _submitter(system: GridSystem, item: WorkloadItem):
-    def submit() -> None:
-        system.portal.submit(
-            system.agents[item.agent_name],
-            system.specs[item.application].model,
-            Environment.TEST,
-            item.deadline,
-        )
-
-    return submit
-
-
-def tolerant_submitter(system: GridSystem, item: WorkloadItem):
-    """A submitter that tolerates a crashed entry agent (degraded runs).
-
-    The request registers, the send is lost, and the request counts as
-    unresolved unless the portal's retry machinery (when enabled)
-    recovers it.
-    """
-
-    def submit() -> None:
-        try:
-            system.portal.submit(
-                system.agents[item.agent_name],
-                system.specs[item.application].model,
-                Environment.TEST,
-                item.deadline,
-            )
-        except TransportError:
-            pass
-
-    return submit

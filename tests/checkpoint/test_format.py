@@ -21,6 +21,15 @@ def path(tmp_path):
     return str(tmp_path / "snap.json")
 
 
+def stamp_version(path, version):
+    """Rewrite the snapshot header at *path* to claim *version*."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = json.loads(lines[0])
+    header["version"] = version
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n" + lines[1] + "\n")
+
+
 class TestRoundTrip:
     def test_payload_round_trips(self, path):
         payload = {"kind": "experiment", "steps": 42, "nested": {"a": [1, 2.5, None]}}
@@ -82,24 +91,23 @@ class TestRejection:
 
     def test_wrong_version(self, path):
         write_snapshot(path, {"x": 1})
-        lines = open(path, encoding="utf-8").read().splitlines()
-        header = json.loads(lines[0])
-        header["version"] = FORMAT_VERSION + 1
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n" + lines[1] + "\n")
+        stamp_version(path, FORMAT_VERSION + 1)
         with pytest.raises(CheckpointError, match="version"):
             read_snapshot(path)
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         write_snapshot(path, {"x": 1})
-        lines = open(path, encoding="utf-8").read().splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 1
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n" + lines[1] + "\n")
+        stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
+            read_snapshot(path)
+
+    def test_version_two_snapshot_refused(self, path):
+        """Version-2 snapshots hold the per-kind layouts, not one with a mode."""
+        write_snapshot(path, {"kind": "experiment"})
+        stamp_version(path, 2)
+        with pytest.raises(CheckpointError, match="format version 2"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

@@ -25,11 +25,7 @@ from repro.agents.policy import GlobalPolicyConfig
 from repro.checkpoint.format import read_snapshot
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.experiment4 import experiment4_base_config
-from repro.experiments.runner import (
-    checkpoint_degraded,
-    resume_degraded,
-    run_degraded,
-)
+from repro.experiments.runner import checkpoint_run, resume_run, run_degraded
 from repro.obs.records import canonical_lines
 from repro.obs.trace import Tracer
 
@@ -83,12 +79,16 @@ class PolicyResumeHarness:
             path = str(tmp_path / f"{self.kind}-{at_step}.json")
             message_module.set_message_counter(0)
             tracer_pre = Tracer()
-            checkpoint_degraded(
-                config, tracer=tracer_pre, at_step=at_step, path=path
+            checkpoint_run(
+                config,
+                mode="degraded",
+                tracer=tracer_pre,
+                at_step=at_step,
+                path=path,
             )
             mid_hits += self.mid_protocol(read_snapshot(path))
             tracer_post = Tracer()
-            resumed = resume_degraded(path, tracer=tracer_post)
+            resumed = resume_run(path, tracer=tracer_post)
             assert_equivalent(
                 full.result,
                 resumed.result,
@@ -105,9 +105,9 @@ class PolicyResumeHarness:
 class TestMidAuctionResume(PolicyResumeHarness):
     kind = "auction"
     # 160 and 240 land inside open CFP rounds (bid timer armed, bids
-    # partially collected); 600 is late but still inside phase 1 (the
-    # run resolves near step 629 — checkpoint_degraded steps blindly,
-    # so a later snapshot would enter a world the full run never does).
+    # partially collected); 600 is late but still inside the degraded
+    # rule (the run resolves near step 629; checkpoint_run refuses a
+    # step the rule never reaches).
     steps = (160, 240, 600)
 
     @staticmethod
@@ -118,8 +118,8 @@ class TestMidAuctionResume(PolicyResumeHarness):
 class TestMidReservationResume(PolicyResumeHarness):
     kind = "reservation"
     # 80 lands with a booked window open; 220 with a RESERVE awaiting
-    # CONFIRM *and* a window; 590 is late but still inside phase 1
-    # (the run resolves near step 607; see the auction grid note).
+    # CONFIRM *and* a window; 590 is late but still inside the degraded
+    # rule (the run resolves near step 607; see the auction grid note).
     steps = (80, 220, 590)
 
     @staticmethod
@@ -133,7 +133,9 @@ class TestMidReservationResume(PolicyResumeHarness):
         """Step 220's snapshot holds both halves of the protocol state."""
         path = str(tmp_path / "resv-220.json")
         message_module.set_message_counter(0)
-        checkpoint_degraded(policy_config(self.kind), at_step=220, path=path)
+        checkpoint_run(
+            policy_config(self.kind), mode="degraded", at_step=220, path=path
+        )
         states = policy_states(read_snapshot(path))
         assert any(state.get("pending") for state in states)
         assert any(state.get("bookings") for state in states)

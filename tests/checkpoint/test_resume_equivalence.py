@@ -24,10 +24,8 @@ from repro.experiments.experiment4 import (
     experiment4_base_config,
 )
 from repro.experiments.runner import (
-    checkpoint_degraded,
-    checkpoint_experiment,
-    resume_degraded,
-    resume_experiment,
+    checkpoint_run,
+    resume_run,
     run_degraded,
     run_experiment,
 )
@@ -71,13 +69,18 @@ class TestStrictResume:
         tracer_full = Tracer()
         full = run_experiment(strict_config(seed), tracer=tracer_full)
 
+        # Seed 11's run ends after 332 events: each seed is snapshotted
+        # inside its own run.
         message_module.set_message_counter(0)
         tracer_pre = Tracer()
-        checkpoint_experiment(
-            strict_config(seed), tracer=tracer_pre, at_step=AT_STEP, path=path
+        checkpoint_run(
+            strict_config(seed),
+            tracer=tracer_pre,
+            at_step=min(AT_STEP, full.steps - 1),
+            path=path,
         )
         tracer_post = Tracer()
-        resumed = resume_experiment(path, tracer=tracer_post)
+        resumed = resume_run(path, tracer=tracer_post)
 
         assert_equivalent(
             full,
@@ -99,21 +102,46 @@ class TestStrictResume:
         assert metrics_json(plain.metrics) == metrics_json(rolling.metrics)
         # The rolling snapshot itself must be resumable.
         message_module.set_message_counter(0)
-        checkpoint_experiment(strict_config(2003), at_step=300, path=path)
-        resumed = resume_experiment(path)
+        checkpoint_run(strict_config(2003), at_step=300, path=path)
+        resumed = resume_run(path)
         assert resumed.rng_digest == plain.rng_digest
 
     def test_at_step_must_be_positive(self, tmp_path):
         with pytest.raises(ExperimentError, match="at_step"):
-            checkpoint_experiment(
+            checkpoint_run(
                 strict_config(2003), at_step=0, path=str(tmp_path / "never.json")
             )
 
+    def test_unknown_mode_refused(self, tmp_path):
+        with pytest.raises(ExperimentError, match="unknown run mode"):
+            checkpoint_run(
+                strict_config(2003),
+                mode="experiment",
+                at_step=1,
+                path=str(tmp_path / "never.json"),
+            )
+
+    def test_step_past_the_stop_rule_refused(self, tmp_path):
+        """Seed 11's 12-request run ends after 332 events: a snapshot at
+        step 400 would hold a world the uninterrupted run never enters."""
+        path = tmp_path / "never.json"
+        message_module.set_message_counter(0)
+        assert run_experiment(strict_config(11)).steps == 332
+        with pytest.raises(ExperimentError, match="after 332 events"):
+            checkpoint_run(strict_config(11), at_step=AT_STEP, path=str(path))
+        assert not path.exists()
+
     def test_resume_rejects_wrong_kind(self, tmp_path):
+        """A snapshot whose mode names no stop rule is refused."""
         path = str(tmp_path / "deg.json")
-        checkpoint_degraded(degraded_config(), at_step=AT_STEP, path=path)
-        with pytest.raises(CheckpointError, match="kind|checkpoint"):
-            resume_experiment(path)
+        checkpoint_run(
+            degraded_config(), mode="degraded", at_step=AT_STEP, path=path
+        )
+        payload = read_snapshot(path)
+        payload["mode"] = "experiment"
+        write_snapshot(path, payload)
+        with pytest.raises(CheckpointError, match="mode 'experiment'"):
+            resume_run(path)
 
 
 class TestSnapshotCompatibility:
@@ -126,7 +154,7 @@ class TestSnapshotCompatibility:
         """A snapshot from a build with a wider config surface is refused."""
         path = str(tmp_path / "snap.json")
         message_module.set_message_counter(0)
-        checkpoint_experiment(strict_config(2003), at_step=AT_STEP, path=path)
+        checkpoint_run(strict_config(2003), at_step=AT_STEP, path=path)
         current = read_snapshot(path)
         for section, key, value in (
             ((), "monitor_poll_interval", 300.0),
@@ -139,7 +167,7 @@ class TestSnapshotCompatibility:
             target[key] = value
             write_snapshot(path, payload)
             with pytest.raises(CheckpointError, match=key):
-                resume_experiment(path)
+                resume_run(path)
 
 
 def degraded_config() -> ExperimentConfig:
@@ -160,11 +188,15 @@ class TestDegradedResume:
 
         message_module.set_message_counter(0)
         tracer_pre = Tracer()
-        checkpoint_degraded(
-            degraded_config(), tracer=tracer_pre, at_step=600, path=path
+        checkpoint_run(
+            degraded_config(),
+            mode="degraded",
+            tracer=tracer_pre,
+            at_step=600,
+            path=path,
         )
         tracer_post = Tracer()
-        resumed = resume_degraded(path, tracer=tracer_post)
+        resumed = resume_run(path, tracer=tracer_post)
 
         assert_equivalent(
             full.result,
@@ -182,13 +214,13 @@ class TestCheckpointCadence:
         """``resume --checkpoint-every 0`` is a usage error, not a crash."""
         snap, again = str(tmp_path / "snap.json"), str(tmp_path / "again.json")
         if kind == "experiment":
-            checkpoint_experiment(strict_config(2003), at_step=AT_STEP, path=snap)
-            resume = resume_experiment
+            checkpoint_run(strict_config(2003), at_step=AT_STEP, path=snap)
         else:
-            checkpoint_degraded(degraded_config(), at_step=AT_STEP, path=snap)
-            resume = resume_degraded
+            checkpoint_run(
+                degraded_config(), mode="degraded", at_step=AT_STEP, path=snap
+            )
         with pytest.raises(ExperimentError, match="checkpoint_every must be >= 1"):
-            resume(snap, checkpoint_every=0, checkpoint_path=again)
+            resume_run(snap, checkpoint_every=0, checkpoint_path=again)
 
 
 def healing_cell_config() -> ExperimentConfig:
@@ -218,9 +250,8 @@ class TestMidHealResume:
 
     # 380 and 490 land inside the two repair windows (t=18 and t=22, an
     # in-flight ADOPT each); the later points cover steady post-repair
-    # state.  All must stay inside the run's phase-1 step count —
-    # checkpoint_degraded steps blindly, so a step past the horizon break
-    # would snapshot a world the uninterrupted run never entered.
+    # state.  All must stay inside the degraded rule's step count:
+    # checkpoint_run refuses a step the rule never reaches.
     STEPS = (380, 490, 1500, 3000)
 
     @staticmethod
@@ -245,12 +276,16 @@ class TestMidHealResume:
             path = str(tmp_path / f"heal-{at_step}.json")
             message_module.set_message_counter(0)
             tracer_pre = Tracer()
-            checkpoint_degraded(
-                config, tracer=tracer_pre, at_step=at_step, path=path
+            checkpoint_run(
+                config,
+                mode="degraded",
+                tracer=tracer_pre,
+                at_step=at_step,
+                path=path,
             )
             mid_heal_hits += self.snapshot_mid_heal(read_snapshot(path))
             tracer_post = Tracer()
-            resumed = resume_degraded(path, tracer=tracer_post)
+            resumed = resume_run(path, tracer=tracer_post)
             assert_equivalent(
                 full.result,
                 resumed.result,

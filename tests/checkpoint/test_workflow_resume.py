@@ -1,7 +1,13 @@
-"""Checkpoint property: mid-workflow scheduler state resumes byte-identical.
+"""Checkpoint property: mid-workflow state resumes byte-identical.
 
-A scheduler snapshotted while workflow tasks are gated, floored, and
-precedence-constrained must restore into a fresh scheduler such that
+Whole workflow runs first: an Experiment 7 stream checkpointed mid-run —
+workflows started and pending, a TRANSFER in flight — must resume to the
+records, metrics, RNG digest, canonical trace and per-workflow outcomes
+of the uninterrupted run.
+
+Then the scheduler alone: one snapshotted while workflow tasks are gated,
+floored, and precedence-constrained must restore into a fresh scheduler
+such that
 
 * the re-snapshot equals the original snapshot byte for byte (the codec
   loses nothing — gates, floors, constraints, completion watches, node
@@ -17,10 +23,22 @@ readable and new independent-task snapshots stay byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import repro.net.message as message_module
+from repro.checkpoint.format import read_snapshot
+from repro.cli import main
+from repro.experiments.experiment7 import experiment7_cells
+from repro.experiments.runner import (
+    WorkflowStream,
+    checkpoint_run,
+    resume_run,
+    run_experiment,
+)
+from repro.obs import Tracer, canonical_lines
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel
@@ -30,6 +48,67 @@ from repro.sim.engine import Engine
 from repro.tasks.task import Environment, TaskRequest, TaskState, WorkflowBinding
 
 SPECS = paper_application_specs()
+
+
+class TestWholeRunResume:
+    """Experiment 7 cells, four workflows each, seed 2003."""
+
+    @pytest.mark.parametrize(
+        "cell_name, at_step, in_flight",
+        [
+            # Three workflows started, one pending, a staged input in transit.
+            ("fork-join-uniform", 524, "transfer"),
+            # Eager: three whole graphs queued on their clusters, one pending.
+            ("pipeline", 30, None),
+        ],
+    )
+    def test_resume_is_byte_identical(
+        self, cell_name, at_step, in_flight, tmp_path, capsys
+    ):
+        (cell,) = experiment7_cells(workflow_count=4, cells=[cell_name])
+        stream = WorkflowStream(cell.workflows, cell.release_mode, aware=True)
+        path = str(tmp_path / "snap.json")
+        message_module.set_message_counter(0)
+        tracer_full = Tracer()
+        full = run_experiment(
+            cell.config, cell.topology, workload=[], workflows=stream,
+            tracer=tracer_full,
+        )
+        assert all(outcome.succeeded for outcome in full.workflows)
+
+        message_module.set_message_counter(0)
+        tracer_pre = Tracer()
+        checkpoint_run(
+            cell.config, cell.topology, workload=[], workflows=stream,
+            tracer=tracer_pre, at_step=at_step, path=path,
+        )
+        payload = read_snapshot(path)
+        assert len(payload["workflows"]["coordinator"]["runs"]) == 3
+        assert len(payload["workflows"]["arrivals"]) == 1
+        if in_flight is not None:
+            kinds = [
+                entry["message"]["kind"]
+                for entry in payload["system"]["transport"]["in_flight"]
+            ]
+            assert in_flight in kinds
+        tracer_post = Tracer()
+        resumed = resume_run(path, tracer=tracer_post)
+
+        assert [asdict(r) for r in full.records] == [
+            asdict(r) for r in resumed.records
+        ]
+        assert json.dumps(asdict(full.metrics), sort_keys=True) == json.dumps(
+            asdict(resumed.metrics), sort_keys=True
+        )
+        assert full.rng_digest == resumed.rng_digest
+        assert full.workflows == resumed.workflows
+        assert canonical_lines(tracer_full.records) == canonical_lines(
+            tracer_pre.records
+        ) + canonical_lines(tracer_post.records)
+
+        capsys.readouterr()
+        assert main(["resume", path]) == 0
+        assert f"rng digest: {full.rng_digest}" in capsys.readouterr().out
 
 
 def fresh_scheduler(seed: int = 2003):

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.casestudy import scaled_topology
 from repro.experiments.config import ExperimentConfig, table2_experiments
-from repro.experiments.runner import build_grid, run_experiment
+from repro.experiments.experiment4 import (
+    degradation_config,
+    experiment4_base_config,
+)
+from repro.experiments.experiment7 import experiment7_cells
+from repro.experiments.runner import WorkflowStream, build_grid, run_experiment
 from repro.scheduling.scheduler import SchedulingPolicy
 
 SMALL = 24  # requests; keeps each runner test under a couple of seconds
@@ -115,3 +121,25 @@ class TestCustomTopology:
         )
         result = run_experiment(cfg, scaled_topology(3, nproc=4))
         assert result.metrics.total.n_tasks == 8
+
+
+class TestWorkflowStreams:
+    @staticmethod
+    def stream():
+        (cell,) = experiment7_cells(workflow_count=1, cells=["fork-join-uniform"])
+        return WorkflowStream(cell.workflows, cell.release_mode, aware=True)
+
+    @pytest.mark.parametrize(
+        "loss, churn", [(0.1, 0.0), (0.0, 0.25)], ids=["loss", "churn"]
+    )
+    def test_refused_under_faults_or_churn(self, loss, churn):
+        config = degradation_config(
+            experiment4_base_config(request_count=4), loss=loss, churn_rate=churn
+        )
+        with pytest.raises(ExperimentError, match="fault plan or churn"):
+            run_experiment(config, workload=[], workflows=self.stream())
+
+    def test_zero_fault_plan_runs(self):
+        config = degradation_config(experiment4_base_config(request_count=4))
+        result = run_experiment(config, workload=[], workflows=self.stream())
+        assert [outcome.succeeded for outcome in result.workflows] == [True]

@@ -21,7 +21,7 @@ import pytest
 
 import repro.net.message as message_module
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
-from repro.experiments.soak import run_soak
+from repro.experiments.runner import run_soak
 from repro.obs import Tracer, check_trace
 from repro.obs.records import (
     AckSent,

@@ -19,8 +19,8 @@ import pytest
 import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
-    checkpoint_experiment,
-    resume_experiment,
+    checkpoint_run,
+    resume_run,
     run_experiment,
 )
 from repro.experiments.scenarios import (
@@ -160,14 +160,14 @@ class TestGeneratedScenarioCheckpointing:
             config, scenario.topology, workload=list(scenario.workload)
         )
         message_module.set_message_counter(0)
-        checkpoint_experiment(
+        checkpoint_run(
             config,
             scenario.topology,
             workload=list(scenario.workload),
             at_step=250,
             path=path,
         )
-        resumed = resume_experiment(path)
+        resumed = resume_run(path)
 
         assert [asdict(r) for r in full.records] == [
             asdict(r) for r in resumed.records

@@ -7,15 +7,16 @@ import os
 import pytest
 
 import repro.net.message as message_module
+from repro.checkpoint import read_snapshot, write_snapshot
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import MAX_EVENTS
-from repro.experiments.soak import (
-    SoakWindow,
-    checkpoint_soak,
-    resume_soak,
+from repro.experiments.runner import (
+    MAX_EVENTS,
+    checkpoint_run,
+    resume_run,
     run_soak,
 )
+from repro.experiments.soak import SoakWindow
 from repro.scheduling.scheduler import SchedulingPolicy
 
 
@@ -80,10 +81,14 @@ class TestResumeSoak:
         full = run_soak(soak_config(), window_seconds=30.0)
 
         message_module.set_message_counter(0)
-        checkpoint_soak(
-            soak_config(), window_seconds=30.0, at_step=full.steps // 2, path=path
+        checkpoint_run(
+            soak_config(),
+            mode="soak",
+            window_seconds=30.0,
+            at_step=full.steps // 2,
+            path=path,
         )
-        resumed = resume_soak(path)
+        resumed = resume_run(path)
         assert resumed.windows == full.windows
         assert resumed.rng_digest == full.rng_digest
         assert resumed.total_completed == full.total_completed
@@ -96,17 +101,19 @@ class TestResumeSoak:
         path = str(tmp_path / "rolling.json")
         message_module.set_message_counter(0)
         full = run_soak(soak_config(), window_seconds=30.0, checkpoint_path=path)
-        resumed = resume_soak(path)
+        resumed = resume_run(path)
         assert resumed.windows == full.windows
         assert resumed.rng_digest == full.rng_digest
 
     def test_resume_rejects_other_kinds(self, tmp_path):
-        from repro.experiments.runner import checkpoint_experiment
-
+        """A snapshot whose mode names no stop rule is refused."""
         path = str(tmp_path / "exp.json")
-        checkpoint_experiment(soak_config(12), at_step=200, path=path)
-        with pytest.raises(CheckpointError, match="kind|checkpoint"):
-            resume_soak(path)
+        checkpoint_run(soak_config(12), mode="soak", at_step=200, path=path)
+        payload = read_snapshot(path)
+        payload["mode"] = "windowed"
+        write_snapshot(path, payload)
+        with pytest.raises(CheckpointError, match="mode 'windowed'"):
+            resume_run(path)
 
 
 @pytest.mark.skipif(

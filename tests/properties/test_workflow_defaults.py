@@ -6,8 +6,8 @@ defaults to ``None``, schedulers carry empty gate/floor tables, and a
 the portal of any run.  None of that may perturb an independent-task
 run: with zero workflows started, every completion record, metric,
 message count, RNG stream position, and canonical trace line must be
-byte-identical to a run without the coordinator — per seed, in the
-strict loop and in the Experiment-4 acceptance cell (20% loss, 25%
+byte-identical to a run without the coordinator — per seed, under the
+strict rule and in the Experiment-4 acceptance cell (20% loss, 25%
 churn).  Scenario generation gets the same treatment: requesting
 workflows must not shift the independent workload's RNG stream.
 """
@@ -15,30 +15,20 @@ workflows must not shift the independent workload's RNG stream.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict
 
 import pytest
 
+import repro.experiments.runner as runner
 import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
 )
-from repro.experiments.runner import (
-    _arm_churn,
-    _drive_degraded,
-    _drive_experiment,
-    _submitter,
-    build_grid,
-    generate_workload,
-    run_degraded,
-    tolerant_submitter,
-)
+from repro.experiments.runner import WorkflowStream, run_degraded, run_experiment
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.obs import MemorySink, Tracer, canonical_lines
-from repro.sim.events import Priority
 from repro.tasks.workflow import WorkflowCoordinator
 
 SEEDS = (2003, 7, 41, 97, 1234)
@@ -57,87 +47,39 @@ def assert_same_run(baseline, variant) -> None:
     assert baseline.rng_digest == variant.rng_digest
 
 
-def _attach_coordinator(system, tracer):
-    WorkflowCoordinator(
-        system.portal,
-        {name: spec.model for name, spec in system.specs.items()},
-        tracer=tracer,
-    )
-
-
 def run_strict(config, *, coordinator: bool):
-    """run_experiment's exact body, with an optional idle coordinator."""
+    """A strict run; the idle coordinator comes from an empty workflow
+    stream, armed exactly as Experiment 7 arms its streams."""
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    system = build_grid(config, tracer=tracer)
-    if coordinator:
-        _attach_coordinator(system, tracer)
-    items = generate_workload(
-        system.topology.agent_names,
-        system.specs,
-        count=config.request_count,
-        interval=config.request_interval,
-        master_seed=config.master_seed,
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            _submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    result = _drive_experiment(
-        system,
-        items,
-        arrivals,
-        steps=0,
-        t_wall=time.perf_counter(),
-        checkpoint_every=None,
-        checkpoint_path=None,
+    result = run_experiment(
+        config,
+        tracer=tracer,
+        workflows=WorkflowStream((), "staged", aware=True) if coordinator else None,
     )
     return result, canonical_lines(tracer.records)
 
 
 def run_faulty(config, *, coordinator: bool):
-    """run_degraded's exact body, with an optional idle coordinator."""
+    """A degraded run.  The driver refuses workflow streams under faults,
+    so the idle coordinator is attached to the portal as the grid is built."""
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
-    system = build_grid(config, tracer=tracer)
-    if coordinator:
-        _attach_coordinator(system, tracer)
-    items = generate_workload(
-        system.topology.agent_names,
-        system.specs,
-        count=config.request_count,
-        interval=config.request_interval,
-        master_seed=config.master_seed,
-    )
-    system.start()
-    arrivals = {
-        index: system.sim.schedule(
-            item.submit_time,
-            tolerant_submitter(system, item),
-            priority=Priority.ARRIVAL,
-            label=f"arrival-{item.application}",
-        )
-        for index, item in enumerate(items)
-    }
-    crashes, restarts, churn_events = _arm_churn(system, config)
-    run = _drive_degraded(
-        system,
-        items,
-        arrivals,
-        churn_events,
-        crashes=crashes,
-        restarts=restarts,
-        steps=0,
-        t_wall=time.perf_counter(),
-        checkpoint_every=None,
-        checkpoint_path=None,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if coordinator:
+            build = runner.build_grid
+
+            def build_with_coordinator(*args, **kwargs):
+                system = build(*args, **kwargs)
+                WorkflowCoordinator(
+                    system.portal,
+                    {name: spec.model for name, spec in system.specs.items()},
+                    tracer=tracer,
+                )
+                return system
+
+            patch.setattr(runner, "build_grid", build_with_coordinator)
+        run = run_degraded(config, tracer=tracer)
     return run, canonical_lines(tracer.records)
 
 
@@ -163,9 +105,7 @@ class TestIdleCoordinatorIsByteIdentical:
         assert base_lines == var_lines
 
     def test_matches_public_entry_points(self):
-        """The replicated drive bodies above haven't drifted from the real ones."""
-        from repro.experiments.runner import run_experiment
-
+        """The traced helpers above match plain calls of the entry points."""
         config = table2_experiments(master_seed=2003, request_count=REQUESTS)[2]
         ours, _ = run_strict(config, coordinator=False)
         theirs = run_experiment(config)

@@ -193,6 +193,41 @@ class TestCommands:
         assert main(["resume", str(snap)]) == 0
         assert "rng digest: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("at_step", ["3000", "0"], ids=["past-the-run", "zero"])
+    def test_checkpoint_unreachable_step_exits_2(self, at_step, capsys, tmp_path):
+        """The degraded rule stops this run after 976 events."""
+        snap = tmp_path / "snap.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "checkpoint", "--requests", "20", "--loss", "0.2",
+                "--churn", "0.25", "--at-step", at_step, "--out", str(snap),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro checkpoint: error: " in err and "at_step" in err
+        assert "Traceback" not in err
+        assert not snap.exists()
+
+    @pytest.mark.parametrize(
+        "cadence",
+        [["--checkpoint-every", "0", "--checkpoint-path", "again.json"],
+         ["--checkpoint-every", "50"]],
+        ids=["zero", "no-path"],
+    )
+    def test_resume_bad_cadence_exits_2(self, cadence, capsys, tmp_path):
+        snap = tmp_path / "snap.json"
+        assert main([
+            "checkpoint", "--requests", "12", "--at-step", "300",
+            "--out", str(snap),
+        ]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(snap), *cadence])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro resume: error: checkpoint_every" in err
+        assert "Traceback" not in err
+
     def test_experiment6_reduced_grid(self, capsys, tmp_path):
         json_path = tmp_path / "exp6.json"
         assert main([
@@ -229,6 +264,20 @@ class TestCommands:
         second = capsys.readouterr().out
         # The resumed soak reports the same windows and final digest.
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+    def test_soak_resume_honours_checkpoint_flags(self, capsys, tmp_path):
+        snap, again = tmp_path / "soak.json", tmp_path / "again.json"
+        assert main([
+            "soak", "--requests", "40", "--window", "30",
+            "--checkpoint", str(snap),
+        ]) == 0
+        first = capsys.readouterr().out
+        assert main([
+            "resume", str(snap), "--checkpoint-every", "50",
+            "--checkpoint-path", str(again),
+        ]) == 0
+        assert again.exists()
+        assert capsys.readouterr().out.splitlines()[-1] == first.splitlines()[-1]
 
 
 #: Every tournament subcommand at a size that keeps one run to a few

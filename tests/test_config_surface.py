@@ -36,6 +36,13 @@ from repro.agents.resilience import (
 from repro.errors import ValidationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import MP_CONTEXT, run_many
+from repro.experiments.runner import (
+    checkpoint_run,
+    resume_run,
+    run_degraded,
+    run_experiment,
+    run_soak,
+)
 from repro.experiments.scenarios import (
     BURST_MEAN_S,
     BURST_MULTIPLIER,
@@ -100,6 +107,23 @@ KEYWORDS = {
     EventPushStrategy: (),
     FIFOScheduler: ("n_nodes",),
     run_many: ("configs", "jobs", "manifest_dir"),
+    run_experiment: (
+        "config", "topology", "workload", "workflows", "tracer",
+        "checkpoint_every", "checkpoint_path",
+    ),
+    run_degraded: (
+        "config", "topology", "workload", "tracer", "checkpoint_every",
+        "checkpoint_path",
+    ),
+    run_soak: (
+        "config", "topology", "window_seconds", "workload", "tracer",
+        "checkpoint_path",
+    ),
+    checkpoint_run: (
+        "config", "topology", "mode", "workload", "workflows",
+        "window_seconds", "tracer", "at_step", "path",
+    ),
+    resume_run: ("path", "tracer", "checkpoint_every", "checkpoint_path"),
 }
 
 
