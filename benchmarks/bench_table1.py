@@ -50,6 +50,7 @@ def test_bench_evaluation_warm(benchmark):
     for model in models.values():  # pre-warm
         for k in range(1, 17):
             engine.evaluate_count(model, k, SGI_ORIGIN_2000)
+    engine.cache.stats.reset()
 
     def evaluate_all():
         total = 0.0
@@ -59,4 +60,6 @@ def test_bench_evaluation_warm(benchmark):
         return total
 
     benchmark(evaluate_all)
-    assert engine.cache.stats.hit_rate > 0.99
+    # Every timed call hits, however often the benchmark repeats it.
+    assert engine.cache.stats.misses == 0
+    assert engine.cache.stats.hits > 0

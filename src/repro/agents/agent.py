@@ -148,6 +148,15 @@ class Agent:
         self._tracer = tracer
         self._endpoint = endpoint
         self._scheduler = scheduler
+        # The Fig. 5 record minus its freetime: fixed for the agent's life.
+        self._static_info = ServiceInfo(
+            agent_endpoint=endpoint,
+            scheduler_endpoint=Endpoint(endpoint.address, endpoint.port + 9000),
+            hardware_type=scheduler.resource.slowest_platform().name,
+            nproc=scheduler.resource.size,
+            environments=scheduler.environments,
+            freetime=0.0,
+        )
         self._transport = transport
         self._catalogue = catalogue
         self._discovery_config = discovery_config
@@ -356,15 +365,7 @@ class Agent:
 
     def service_info(self) -> ServiceInfo:
         """This agent's *fresh* service record (Fig. 5)."""
-        scheduler = self._scheduler
-        return ServiceInfo(
-            agent_endpoint=self._endpoint,
-            scheduler_endpoint=Endpoint(self._endpoint.address, self._endpoint.port + 9000),
-            hardware_type=scheduler.resource.slowest_platform().name,
-            nproc=scheduler.resource.size,
-            environments=scheduler.environments,
-            freetime=scheduler.freetime(),
-        )
+        return self._static_info.with_freetime(self._scheduler.freetime())
 
     def start(self) -> None:
         """Activate the advertisement strategy and the failure detector."""

@@ -197,6 +197,11 @@ class LocalScheduler:
         # Incumbent-schedule per-node free times, refreshed at each
         # scheduling event; None = recompute on the next freetime() query.
         self._cached_node_free: Optional[np.ndarray] = None
+        # (executor free-time vector, max — min in "min" mode — of
+        # _freetime_per_node()): static placement and GA dispatch drop it,
+        # and every executor booking replaces the vector it is keyed on.
+        # Derived state, never checkpointed.
+        self._freetime_memo: Optional[Tuple[np.ndarray, float]] = None
         # task id -> pending static-launch event (checkpoint support).
         self._static_launch_handles: dict[int, "EventHandle"] = {}
         # Workflow gating state — all empty for independent-task runs, in
@@ -298,9 +303,7 @@ class LocalScheduler:
 
     def effective_free_times(self) -> np.ndarray:
         """Per-node availability: executor bookings, down nodes pushed out."""
-        free = np.array(
-            [self._executor.node_free_at(n.node_id) for n in self._resource.nodes]
-        )
+        free = self._executor.free_times.copy()
         now = self._sim.now
         for nid in self._monitor.unavailable_ids():
             free[nid] = max(free[nid], now + UNAVAILABLE_HORIZON)
@@ -318,20 +321,24 @@ class LocalScheduler:
         * ``"makespan"`` (paper, default) — latest per-node free time;
         * ``"mean"`` — average per-node free time (optimistic);
         * ``"min"`` — earliest per-node free time (most optimistic).
+
+        The max and the min commute with the ``max(·, now)`` clamp, so the
+        mode's reduction is memoised between scheduling events and clamped
+        on read.
         """
         now = self._sim.now
-        per_node = np.maximum(self._freetime_per_node(), now)
         if self._freetime_mode == "mean":
-            return float(per_node.mean())
-        if self._freetime_mode == "min":
-            return float(per_node.min())
-        return float(per_node.max())
+            return float(np.maximum(self._freetime_per_node(), now).mean())
+        booked = self._executor.free_times
+        if self._freetime_memo is None or self._freetime_memo[0] is not booked:
+            per_node = self._freetime_per_node()
+            edge = per_node.min() if self._freetime_mode == "min" else per_node.max()
+            self._freetime_memo = (booked, float(edge))
+        return float(max(self._freetime_memo[1], now))
 
     def _freetime_per_node(self) -> np.ndarray:
         """Per-node booked-or-scheduled free times for the estimator."""
-        base = np.array(
-            [self._executor.node_free_at(n.node_id) for n in self._resource.nodes]
-        )
+        base = self._executor.free_times
         if self._policy.is_static:
             assert self._static is not None
             return np.maximum(self._static.booked_free_times, base)
@@ -527,6 +534,7 @@ class LocalScheduler:
     def _place_static(self, task: Task) -> None:
         """Book a fixed allocation (FIFO/random/round-robin) and arm launch."""
         assert self._static is not None
+        self._freetime_memo = None
         self._static.sync_availability(self.effective_free_times())
         allocation = self._static.place(
             task.task_id,
@@ -573,6 +581,7 @@ class LocalScheduler:
 
     def _evolve_and_dispatch(self) -> None:
         assert self._ga is not None
+        self._freetime_memo = None
         if self._queue.is_empty:
             self._cached_node_free = None
             return

@@ -113,6 +113,9 @@ class ExecutionEngine:
         self._load_profile = load_profile
         # node id -> virtual time it becomes free (0 = free now)
         self._node_free_at: Dict[int, float] = {n.node_id: 0.0 for n in resource.nodes}
+        # The same times as one read-only vector in node order; rebuilt on
+        # the next read after launch, cancel or restore_state change them.
+        self._free_times: Optional[np.ndarray] = None
         self._busy_intervals: List[BusyInterval] = []
         self._running: Dict[int, Task] = {}
         self._completed: List[Task] = []
@@ -161,6 +164,21 @@ class ExecutionEngine:
                 f"resource {self._resource.name!r} has no node {node_id}"
             ) from None
 
+    @property
+    def free_times(self) -> np.ndarray:
+        """Every node's booked-until time, in node order (read-only).
+
+        The vector is shared until the next booking change replaces it,
+        so callers that need to edit it take a copy.
+        """
+        if self._free_times is None:
+            free = np.array(
+                [self._node_free_at[n.node_id] for n in self._resource.nodes]
+            )
+            free.flags.writeable = False
+            self._free_times = free
+        return self._free_times
+
     def free_nodes(self, at_time: Optional[float] = None) -> List[int]:
         """Ids of nodes free at *at_time* (default: now)."""
         t = self._sim.now if at_time is None else at_time
@@ -202,6 +220,7 @@ class ExecutionEngine:
             self._busy_intervals.append(
                 BusyInterval(nid, now, completion, task.task_id)
             )
+        self._free_times = None
         self._completion_handles[task.task_id] = self._sim.schedule(
             completion,
             lambda: self._complete(task),
@@ -257,6 +276,7 @@ class ExecutionEngine:
         allocated = set(task.allocated_nodes)
         for nid in allocated:
             self._node_free_at[nid] = min(self._node_free_at[nid], now)
+        self._free_times = None
         self._busy_intervals = [
             b
             if b.task_id != task_id
@@ -294,6 +314,7 @@ class ExecutionEngine:
         self._node_free_at = {
             int(nid): float(t) for nid, t in state["node_free_at"].items()
         }
+        self._free_times = None
         self._busy_intervals = [
             BusyInterval(int(n), float(s), float(e), int(tid))
             for n, s, e, tid in state["busy_intervals"]
