@@ -72,11 +72,6 @@ class PeriodicPullStrategy(AdvertisementStrategy):
         self._interval = float(interval)
         self._process: Optional[PeriodicProcess] = None
 
-    @property
-    def interval(self) -> float:
-        """Seconds between pulls."""
-        return self._interval
-
     def start(self, agent: "Agent") -> None:
         if self._process is not None:
             raise ValidationError("strategy already started")

@@ -48,7 +48,7 @@ from repro.obs.records import (
 from repro.obs.trace import Tracer
 from repro.pace.hardware import DEFAULT_CATALOGUE, HardwareCatalogue
 from repro.scheduling.scheduler import LocalScheduler
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.tasks.task import Task, TaskRequest
 
 __all__ = ["RequestEnvelope", "TaskResult", "Agent"]
@@ -87,11 +87,6 @@ class AgentStats:
     duplicates_ignored: int = 0
     registry_expired: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
 
 @dataclass
 class _PendingForward:
@@ -102,7 +97,7 @@ class _PendingForward:
     target: Endpoint
     attempt: int
     tried: FrozenSet[Endpoint]
-    handle: EventHandle
+    handle: Event
 
 
 class Agent:
@@ -226,11 +221,6 @@ class Agent:
         return list(self._children)
 
     @property
-    def is_head(self) -> bool:
-        """Whether this agent heads the hierarchy."""
-        return self._parent is None
-
-    @property
     def stats(self) -> AgentStats:
         """Routing counters."""
         return self._stats
@@ -239,16 +229,6 @@ class Agent:
     def active(self) -> bool:
         """Whether the agent is on the grid (not crashed)."""
         return self._active
-
-    @property
-    def resilience(self) -> ResilienceConfig:
-        """The resilience policy this agent runs."""
-        return self._resilience
-
-    @property
-    def membership(self) -> MembershipConfig:
-        """The membership policy this agent runs."""
-        return self._membership
 
     @property
     def detector(self) -> Optional[FailureDetector]:
@@ -261,29 +241,9 @@ class Agent:
         return self._healer
 
     @property
-    def policy(self) -> GlobalPolicy:
-        """The global balancing policy this agent runs."""
-        return self._policy
-
-    @property
     def tracer(self) -> Optional[Tracer]:
         """The trace sink this agent emits to (``None`` when off)."""
         return self._tracer
-
-    @property
-    def pending_ack_count(self) -> int:
-        """Forwarded requests still awaiting acknowledgement."""
-        return len(self._pending_acks)
-
-    @property
-    def registry(self) -> Dict[Endpoint, ServiceInfo]:
-        """Advertised neighbour service information (copy)."""
-        return dict(self._registry)
-
-    @property
-    def outcomes(self) -> List[Tuple[int, DiscoveryOutcome]]:
-        """Per-request discovery decisions ``(request_id, outcome)`` (copy)."""
-        return list(self._outcomes)
 
     def neighbours(self) -> List["Agent"]:
         """Upper and lower agents — the only agents this one is aware of."""
@@ -682,6 +642,11 @@ class Agent:
             self._stats.reroutes += 1
         if self._resilience.enabled:
             request_id = envelope.request_id
+            superseded = self._pending_acks.get(request_id)
+            if superseded is not None:
+                # The request bounced back here before its earlier hop was
+                # ACKed: that forward's timer no longer guards anything.
+                superseded.handle.cancel()
             handle = self.sim.schedule_in(
                 timeout_for(attempt),
                 lambda: self._on_ack_timeout(request_id),
@@ -870,6 +835,7 @@ class Agent:
                         self._endpoint,
                         message.sender,
                         payload=envelope.request_id,
+                        hops=message.hops,
                     )
                 )
                 if duplicate:
@@ -879,9 +845,15 @@ class Agent:
         elif message.kind is MessageKind.ACK:
             self._stats.acks_received += 1
             pending = self._pending_acks.get(message.payload)
-            # Ignore a late ACK from a prior attempt's target: the pending
-            # entry now belongs to the re-routed forward.
-            if pending is not None and pending.target == message.sender:
+            # An ACK clears only the forward it acknowledges: a late ACK
+            # from a prior attempt's target, or of an earlier hop of a
+            # request that bounced back here, leaves the pending entry to
+            # the forward that superseded it.
+            if (
+                pending is not None
+                and pending.target == message.sender
+                and message.hops == pending.hops + 1
+            ):
                 pending.handle.cancel()
                 del self._pending_acks[message.payload]
         elif message.kind is MessageKind.PULL:
@@ -1185,7 +1157,3 @@ class Agent:
             self._active = False
             if self._transport.is_registered(self._endpoint):
                 self._transport.unregister(self._endpoint)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        role = "head" if self.is_head else "node"
-        return f"Agent({self._name!r}, {role}, children={len(self._children)})"

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.net.message import Endpoint, MessageKind
 from repro.net.payloads import KinInfo
 from repro.obs.records import AdoptRequested, AdoptionCompleted
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.agents.agent import Agent
@@ -65,11 +65,6 @@ class HealerStats:
     promotions: int = 0
     give_ups: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
 
 class Healer:
     """One agent's side of the ADOPT/ADOPTED re-parenting protocol."""
@@ -82,20 +77,10 @@ class Healer:
         self._pending: Optional[Tuple[str, Endpoint]] = None
         self._reason = ""
         self._attempt = 0
-        self._retry: Optional[EventHandle] = None
+        self._retry: Optional[Event] = None
         #: Confirmed-death → re-parented durations (time-to-repair study).
         self.repair_durations: List[float] = []
         self.stats = HealerStats()
-
-    @property
-    def kin(self) -> Optional[KinInfo]:
-        """The latest next-of-kin gossip from the current parent."""
-        return self._kin
-
-    @property
-    def orphaned(self) -> bool:
-        """Whether a repair is currently in flight."""
-        return self._pending is not None
 
     # -------------------------------------------------------------- lifecycle
 

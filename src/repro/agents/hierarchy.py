@@ -13,7 +13,7 @@ rooted tree (exactly one head, no cycles, no orphans).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.agents.agent import Agent
 from repro.errors import HierarchyError
@@ -33,35 +33,6 @@ class Hierarchy:
         """The agent at the head of the hierarchy (S1 in the case study)."""
         return self._head
 
-    @property
-    def agents(self) -> Dict[str, Agent]:
-        """All agents by name (copy)."""
-        return dict(self._agents)
-
-    def agent(self, name: str) -> Agent:
-        """Look up an agent by name."""
-        try:
-            return self._agents[name]
-        except KeyError:
-            raise HierarchyError(f"no agent named {name!r}") from None
-
-    def __len__(self) -> int:
-        return len(self._agents)
-
-    def __iter__(self) -> Iterator[Agent]:
-        return iter(self._agents.values())
-
-    def depth(self, name: str) -> int:
-        """Distance from *name* to the head (head itself is depth 0)."""
-        agent = self.agent(name)
-        depth = 0
-        while agent.parent is not None:
-            agent = agent.parent
-            depth += 1
-            if depth > len(self._agents):
-                raise HierarchyError("cycle detected while computing depth")
-        return depth
-
     def start_all(self) -> None:
         """Activate every agent's advertisement strategy."""
         for agent in self._agents.values():
@@ -71,50 +42,6 @@ class Hierarchy:
         """Deactivate every agent's advertisement strategy."""
         for agent in self._agents.values():
             agent.stop()
-
-    def leaves(self) -> List[Agent]:
-        """Agents with no children, sorted by name."""
-        return sorted(
-            (a for a in self._agents.values() if not a.children),
-            key=lambda a: a.name,
-        )
-
-    def rewire(self, child_name: str, new_parent_name: str) -> None:
-        """Move *child_name* (and its subtree) under *new_parent_name*.
-
-        The paper's agents are homogeneous and "can be reconfigured with
-        different roles at run time" — a role is just the agent's position
-        in the tree.  Rewiring takes effect immediately: the next
-        advertisement round populates the new neighbourhood, and stale
-        registry entries for former neighbours simply stop being consulted
-        (discovery only evaluates *current* neighbours).
-
-        Raises
-        ------
-        HierarchyError
-            If the move would detach the head, create a cycle, or
-            self-parent.
-        """
-        child = self.agent(child_name)
-        new_parent = self.agent(new_parent_name)
-        if child is self._head:
-            raise HierarchyError("cannot rewire the hierarchy head")
-        if child is new_parent:
-            raise HierarchyError(f"{child_name!r} cannot be its own parent")
-        # Reject moves under the child's own subtree (would create a cycle).
-        cursor: Optional[Agent] = new_parent
-        while cursor is not None:
-            if cursor is child:
-                raise HierarchyError(
-                    f"moving {child_name!r} under {new_parent_name!r} "
-                    "would create a cycle"
-                )
-            cursor = cursor.parent
-        old_parent = child.parent
-        assert old_parent is not None  # only the head has no parent
-        old_parent._children.remove(child)  # noqa: SLF001 - wiring
-        new_parent._add_child(child)  # noqa: SLF001 - wiring
-        child._set_parent(new_parent)  # noqa: SLF001 - wiring
 
 
 def wire_hierarchy(

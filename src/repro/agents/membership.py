@@ -83,11 +83,6 @@ class DetectorStats:
     recoveries: int = 0
     confirms: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
 
 class FailureDetector:
     """Per-link liveness leases for one agent's neighbours.
@@ -153,10 +148,6 @@ class FailureDetector:
     def is_quarantined(self, endpoint: Endpoint) -> bool:
         """Whether discovery must not dispatch to *endpoint* right now."""
         return self._state.get(endpoint, ALIVE) is not ALIVE
-
-    def state_of(self, endpoint: Endpoint) -> str:
-        """The lease state of one neighbour link (``alive`` when unknown)."""
-        return self._state.get(endpoint, ALIVE)
 
     # ----------------------------------------------------------------- inputs
 

@@ -65,7 +65,7 @@ from repro.obs.records import (
     ReservationReleased,
     ReservationRequested,
 )
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.agents.agent import Agent
@@ -304,7 +304,7 @@ class _OpenAuction:
     local_meets: bool
     pending: Set[Endpoint]
     bids: Dict[Endpoint, BidInfo] = field(default_factory=dict)
-    handle: Optional[EventHandle] = None
+    handle: Optional[Event] = None
 
 
 def _candidate_key(item):
@@ -340,11 +340,6 @@ class AuctionPolicy(GlobalPolicy):
     def __init__(self, config: GlobalPolicyConfig, agent: "Agent") -> None:
         super().__init__(config, agent)
         self._open: Dict[int, _OpenAuction] = {}
-
-    @property
-    def open_auctions(self) -> Dict[int, "_OpenAuction"]:
-        """In-flight CFP rounds keyed by request id (live view)."""
-        return self._open
 
     def route(
         self,
@@ -661,7 +656,7 @@ class _PendingReservation:
     target: Endpoint
     candidates: List[Endpoint]
     tried: int = 0
-    handle: Optional[EventHandle] = None
+    handle: Optional[Event] = None
 
 
 class ReservationPolicy(GlobalPolicy):
@@ -689,16 +684,6 @@ class ReservationPolicy(GlobalPolicy):
         self._pending: Dict[int, _PendingReservation] = {}
         # request id -> (booker endpoint, window start, window end)
         self._bookings: Dict[int, Tuple[Endpoint, float, float]] = {}
-
-    @property
-    def pending_reservations(self) -> Dict[int, "_PendingReservation"]:
-        """RESERVEs awaiting their CONFIRM/REJECT (live view)."""
-        return self._pending
-
-    @property
-    def bookings(self) -> Dict[int, Tuple[Endpoint, float, float]]:
-        """Open windows booked at this agent (copy)."""
-        return dict(self._bookings)
 
     def route(
         self,

@@ -25,7 +25,7 @@ from repro.net.xmlio import request_to_xml
 from repro.obs.records import PortalResult, PortalRetry, PortalSubmitted
 from repro.obs.trace import Tracer
 from repro.pace.application import ApplicationModel
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.tasks.task import Environment, TaskRequest
 
 __all__ = ["UserPortal", "PortalStats"]
@@ -45,11 +45,6 @@ class PortalStats:
     duplicate_results: int = 0
     submit_failures: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
 
 @dataclass
 class _PendingSubmit:
@@ -61,7 +56,7 @@ class _PendingSubmit:
 
     target: Endpoint
     attempt: int
-    handle: EventHandle
+    handle: Event
 
 
 class UserPortal:
@@ -132,16 +127,6 @@ class UserPortal:
     def stats(self) -> PortalStats:
         """Submission/resilience counters."""
         return self._stats
-
-    @property
-    def resilience(self) -> ResilienceConfig:
-        """The resilience policy this portal runs."""
-        return self._resilience
-
-    @property
-    def pending_ack_count(self) -> int:
-        """Submitted requests still awaiting their entry agent's ACK."""
-        return len(self._pending)
 
     def result(self, request_id: int) -> Optional[TaskResult]:
         """The result for *request_id*, or ``None`` if still pending."""

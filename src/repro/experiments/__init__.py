@@ -8,17 +8,8 @@ from repro.experiments.casestudy import (
     scaled_topology,
 )
 from repro.experiments.config import ExperimentConfig, table2_experiments
-from repro.experiments.ablations import (
-    base_config,
-    sweep_advertisement,
-    sweep_agent_count,
-    sweep_freetime_mode,
-    sweep_prediction_noise,
-    sweep_pull_interval,
-)
 from repro.experiments.export import (
     metrics_to_dict,
-    records_to_csv,
     result_to_dict,
     results_to_json,
     table3_to_csv,
@@ -45,12 +36,6 @@ from repro.experiments.tables import (
 from repro.experiments.workload import WorkloadItem, generate_workload, workload_summary
 
 __all__ = [
-    "base_config",
-    "sweep_advertisement",
-    "sweep_agent_count",
-    "sweep_freetime_mode",
-    "sweep_prediction_noise",
-    "sweep_pull_interval",
     "CASE_STUDY_PLATFORMS",
     "CASE_STUDY_TREE",
     "GridTopology",
@@ -59,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "table2_experiments",
     "metrics_to_dict",
-    "records_to_csv",
     "result_to_dict",
     "results_to_json",
     "table3_to_csv",

@@ -110,10 +110,6 @@ class ExperimentConfig:
         """Duration of the request phase (600 s in the paper)."""
         return self.request_count * self.request_interval
 
-    def scaled(self, request_count: int) -> "ExperimentConfig":
-        """A copy with a smaller workload (tests and quick benches)."""
-        return replace(self, request_count=request_count)
-
 
 def table2_experiments(
     *, master_seed: int = 2003, request_count: int = 600

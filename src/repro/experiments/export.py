@@ -6,8 +6,6 @@ serialise :class:`~repro.experiments.runner.ExperimentResult` objects:
 
 * :func:`metrics_to_dict` / :func:`results_to_json` — the full metric
   structure, workload digest, and per-agent routing counters;
-* :func:`records_to_csv` — one row per completed task (the raw data the
-  §3.3 metrics reduce);
 * :func:`table3_to_csv` — Table 3's layout as CSV.
 """
 
@@ -22,13 +20,11 @@ from typing import Any, Dict, List, Sequence
 from repro.errors import ValidationError
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.balancing import GridMetrics
-from repro.metrics.records import CompletionRecord
 
 __all__ = [
     "metrics_to_dict",
     "result_to_dict",
     "results_to_json",
-    "records_to_csv",
     "table3_to_csv",
 ]
 
@@ -94,27 +90,6 @@ def results_to_json(results: Sequence[ExperimentResult], *, indent: int = 2) -> 
     if not results:
         raise ValidationError("results must not be empty")
     return json.dumps([result_to_dict(r) for r in results], indent=indent)
-
-
-def records_to_csv(records: Sequence[CompletionRecord]) -> str:
-    """One CSV row per completed task."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "task_id", "application", "resource", "nodes", "submit_time",
-            "start", "completion", "deadline", "advance", "met_deadline",
-        ]
-    )
-    for r in records:
-        writer.writerow(
-            [
-                r.task_id, r.application, r.resource_name, len(r.node_ids),
-                r.submit_time, r.start, r.completion, r.deadline,
-                round(r.advance_time, 6), int(r.met_deadline),
-            ]
-        )
-    return buffer.getvalue()
 
 
 def table3_to_csv(results: Sequence[ExperimentResult]) -> str:

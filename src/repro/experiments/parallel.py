@@ -1,8 +1,8 @@
 """The process-parallel experiment fabric.
 
 Every entry point that re-runs the same seeded workload under many
-configurations — :func:`~repro.experiments.tables.run_table3`, the
-multi-seed sweep, the ablation sweeps — is embarrassingly parallel: the
+configurations — :func:`~repro.experiments.tables.run_table3` and the
+multi-seed sweep — is embarrassingly parallel: the
 experiments share *inputs* (dataclass configs, topologies, workload items)
 but no runtime state, because each run builds its own discrete-event
 engine, transport, schedulers and evaluation cache.  :func:`run_many`
@@ -38,13 +38,10 @@ from repro.experiments.casestudy import GridTopology
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.workload import WorkloadItem
-from repro.pace.cache import CacheStats
 
 __all__ = [
     "ExperimentJob",
-    "default_jobs",
     "job_key",
-    "merge_cache_stats",
     "run_many",
 ]
 
@@ -67,14 +64,6 @@ class ExperimentJob:
     config: ExperimentConfig
     topology: Optional[GridTopology] = None
     workload: Optional[Tuple[WorkloadItem, ...]] = None
-
-
-def default_jobs() -> int:
-    """A sensible worker count: ``REPRO_JOBS`` env var, else the CPU count."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _run_job(job: ExperimentJob) -> ExperimentResult:
@@ -242,16 +231,3 @@ def run_many(
             for index, future in futures:
                 finish(index, future.result())
     return [result for result in results if result is not None]
-
-
-def merge_cache_stats(results: Sequence[ExperimentResult]) -> CacheStats:
-    """Aggregate per-experiment evaluation-cache statistics.
-
-    Each experiment owns one evaluation cache (per worker process in a
-    parallel run); :class:`CacheStats` is mergeable, so the grid-wide
-    redundancy figure of §2.2 is just the sum.
-    """
-    total = CacheStats()
-    for result in results:
-        total += result.cache_stats
-    return total

@@ -52,10 +52,6 @@ class SoakResult:
     wall_seconds: float
     rng_digest: str = ""
 
-    @property
-    def total_requests(self) -> int:
-        return self.total_completed + self.total_failed
-
 
 @dataclass
 class SoakProgress:

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.tables import check_paper_trends, run_table3
+from repro.experiments.tables import check_paper_trends, table3_jobs
 
 __all__ = ["SeedSweepSummary", "run_seed_sweep"]
 
@@ -37,12 +37,6 @@ class SeedSweepSummary:
     totals: Dict[Tuple[int, str], Tuple[float, float]]
     per_seed: Dict[int, List[ExperimentResult]]
 
-    def supported(self, threshold: float = 1.0) -> List[str]:
-        """Checks that held in at least *threshold* of the seeds."""
-        return sorted(
-            name for name, frac in self.trend_support.items() if frac >= threshold
-        )
-
     def total(self, experiment_index: int, metric: str) -> Tuple[float, float]:
         """``(mean, std)`` of a grid total; metric in ε/υ/β naming."""
         try:
@@ -51,19 +45,6 @@ class SeedSweepSummary:
             raise ExperimentError(
                 f"no total for experiment {experiment_index}, metric {metric!r}"
             ) from None
-
-    def cache_stats(self):
-        """Evaluation-cache statistics merged across every run of the sweep.
-
-        Each experiment (one per worker in a parallel run) owns its own
-        cache; :class:`~repro.pace.cache.CacheStats` merges, so the §2.2
-        redundancy argument can be made sweep-wide.
-        """
-        from repro.experiments.parallel import merge_cache_stats
-
-        return merge_cache_stats(
-            [r for results in self.per_seed.values() for r in results]
-        )
 
 
 def run_seed_sweep(
@@ -77,27 +58,31 @@ def run_seed_sweep(
 
     Each seed generates its own workload (agents, applications, deadlines
     all redrawn); within one seed the three experiments still share the
-    identical workload, as §4.1 requires.  ``jobs > 1`` flattens the
-    ``len(seeds) × 3`` independent experiments onto the process-parallel
-    fabric; per-seed workloads are generated once in the parent and pinned
-    into every job, so the summary is identical to the sequential run.
+    identical workload, as §4.1 requires.  The ``len(seeds) × 3``
+    independent experiments form one job list for the process-parallel
+    fabric (``jobs > 1`` fans it out); per-seed workloads are generated
+    once in the parent and pinned into every job, so the summary is the
+    same for every ``jobs``.
     """
     if not seeds:
         raise ExperimentError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ExperimentError("seeds must be unique")
-    per_seed: Dict[int, List[ExperimentResult]] = {}
+    from repro.experiments.parallel import run_many
+
+    flat = [
+        job
+        for seed in seeds
+        for job in table3_jobs(
+            master_seed=int(seed), request_count=request_count, topology=topology
+        )
+    ]
+    ordered = run_many(flat, jobs=jobs)
+    per_seed: Dict[int, List[ExperimentResult]] = {
+        int(seed): ordered[3 * i : 3 * i + 3] for i, seed in enumerate(seeds)
+    }
     support: Dict[str, List[bool]] = {}
     samples: Dict[Tuple[int, str], List[float]] = {}
-    if jobs == 1:
-        for seed in seeds:
-            per_seed[int(seed)] = run_table3(
-                master_seed=int(seed), request_count=request_count, topology=topology
-            )
-    else:
-        per_seed = _sweep_parallel(
-            seeds, request_count=request_count, topology=topology, jobs=jobs
-        )
     for seed in seeds:
         results = per_seed[int(seed)]
         for check in check_paper_trends(results):
@@ -121,39 +106,3 @@ def run_seed_sweep(
         totals=totals,
         per_seed=per_seed,
     )
-
-
-def _sweep_parallel(
-    seeds: Sequence[int],
-    *,
-    request_count: int,
-    topology: GridTopology | None,
-    jobs: int,
-) -> Dict[int, List[ExperimentResult]]:
-    """Fan the full (seed × experiment) grid out over the parallel fabric."""
-    from repro.experiments.casestudy import case_study_topology
-    from repro.experiments.config import table2_experiments
-    from repro.experiments.parallel import ExperimentJob, run_many
-    from repro.experiments.workload import generate_workload
-    from repro.pace.workloads import paper_application_specs
-
-    topo = topology if topology is not None else case_study_topology()
-    specs = paper_application_specs()
-    flat: List[ExperimentJob] = []
-    for seed in seeds:
-        cfgs = table2_experiments(master_seed=int(seed), request_count=request_count)
-        workload = tuple(
-            generate_workload(
-                topo.agent_names,
-                specs,
-                count=cfgs[0].request_count,
-                interval=cfgs[0].request_interval,
-                master_seed=cfgs[0].master_seed,
-            )
-        )
-        flat.extend(ExperimentJob(cfg, topo, workload) for cfg in cfgs)
-    results = run_many(flat, jobs=jobs)
-    per_seed: Dict[int, List[ExperimentResult]] = {}
-    for i, seed in enumerate(seeds):
-        per_seed[int(seed)] = results[3 * i : 3 * i + 3]
-    return per_seed

@@ -15,28 +15,31 @@ Each public function maps onto one evaluation artefact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.casestudy import GridTopology
+from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig, table2_experiments
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.workload import generate_workload
-from repro.metrics.balancing import GridMetrics
 from repro.metrics.reporting import figure_series
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.workloads import (
-    APPLICATION_NAMES,
     TABLE1_DEADLINE_BOUNDS,
     TABLE1_TIMES,
+    paper_application_specs,
     paper_applications,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.experiments.parallel import ExperimentJob
 
 __all__ = [
     "table1_rows",
     "validate_table1",
     "run_table3",
+    "table3_jobs",
     "figure8_series",
     "figure9_series",
     "figure10_series",
@@ -78,6 +81,43 @@ def validate_table1() -> None:
             )
 
 
+def table3_jobs(
+    *,
+    master_seed: int = 2003,
+    request_count: int = 600,
+    topology: Optional[GridTopology] = None,
+    configs: Optional[Sequence[ExperimentConfig]] = None,
+) -> List["ExperimentJob"]:
+    """Experiments 1–3 over one shared workload, as fabric jobs.
+
+    The workload is generated once and pinned into every job, making the
+    three experiments differ *only* in their load-balancing configuration,
+    exactly as §4.1 requires.
+    """
+    # Imported here so that importing the tables does not import the
+    # fabric's multiprocessing machinery.
+    from repro.experiments.parallel import ExperimentJob
+
+    cfgs = (
+        list(configs)
+        if configs is not None
+        else table2_experiments(master_seed=master_seed, request_count=request_count)
+    )
+    if not cfgs:
+        raise ExperimentError("no experiment configurations given")
+    topo = topology if topology is not None else case_study_topology()
+    workload = tuple(
+        generate_workload(
+            topo.agent_names,
+            paper_application_specs(),
+            count=cfgs[0].request_count,
+            interval=cfgs[0].request_interval,
+            master_seed=cfgs[0].master_seed,
+        )
+    )
+    return [ExperimentJob(cfg, topo, workload) for cfg in cfgs]
+
+
 def run_table3(
     *,
     master_seed: int = 2003,
@@ -88,36 +128,20 @@ def run_table3(
 ) -> List[ExperimentResult]:
     """Run experiments 1–3 over one shared workload; returns their results.
 
-    The workload is generated once and passed to every run, making the
-    three experiments differ *only* in their load-balancing configuration,
-    exactly as §4.1 requires.  ``jobs > 1`` fans the (independent)
-    experiments out over the process-parallel fabric; results are ordered
-    and seed-identical either way.
+    ``jobs > 1`` fans the (independent) experiments out over the
+    process-parallel fabric; results are ordered and seed-identical
+    either way.
     """
-    cfgs = (
-        list(configs)
-        if configs is not None
-        else table2_experiments(master_seed=master_seed, request_count=request_count)
-    )
-    if not cfgs:
-        raise ExperimentError("no experiment configurations given")
-    # One workload for all experiments (same agents, same seed).
-    from repro.experiments.casestudy import case_study_topology
-    from repro.experiments.parallel import ExperimentJob, run_many
-    from repro.pace.workloads import paper_application_specs
+    from repro.experiments.parallel import run_many
 
-    topo = topology if topology is not None else case_study_topology()
-    workload = generate_workload(
-        topo.agent_names,
-        paper_application_specs(),
-        count=cfgs[0].request_count,
-        interval=cfgs[0].request_interval,
-        master_seed=cfgs[0].master_seed,
-    )
-    if jobs == 1:
-        return [run_experiment(cfg, topo, workload=workload) for cfg in cfgs]
     return run_many(
-        [ExperimentJob(cfg, topo, tuple(workload)) for cfg in cfgs], jobs=jobs
+        table3_jobs(
+            master_seed=master_seed,
+            request_count=request_count,
+            topology=topology,
+            configs=configs,
+        ),
+        jobs=jobs,
     )
 
 

@@ -44,11 +44,6 @@ class CompletionRecord:
         return self.deadline - self.completion
 
     @property
-    def execution_time(self) -> float:
-        """``η_j − τ_j``."""
-        return self.completion - self.start
-
-    @property
     def met_deadline(self) -> bool:
         """Whether the task completed by its deadline."""
         return self.completion <= self.deadline
@@ -107,14 +102,6 @@ class ResilienceCounters:
             for name in totals:
                 totals[name] += int(getattr(s, name, 0))
         return cls(**totals)
-
-    def __add__(self, other: "ResilienceCounters") -> "ResilienceCounters":
-        return ResilienceCounters(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
 
 
 def records_from_tasks(tasks: List[Task]) -> List[CompletionRecord]:

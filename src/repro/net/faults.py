@@ -24,7 +24,7 @@ of crash/restart times that the simulation engine executes by calling
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,10 +193,6 @@ class FaultPlanSpec:
 
     # --------------------------------------------------------------- JSON I/O
 
-    def to_json(self, *, indent: int = 2) -> str:
-        """Serialise for ``repro.cli experiment4 --fault-plan``."""
-        return json.dumps(asdict(self), indent=indent)
-
     @classmethod
     def from_json(cls, document: str) -> "FaultPlanSpec":
         """Parse a ``--fault-plan`` JSON document.
@@ -346,21 +342,9 @@ class FaultPlan:
             ) from None
 
     @property
-    def spec(self) -> FaultPlanSpec:
-        """The spec this plan was built from."""
-        return self._spec
-
-    @property
     def dropped_count(self) -> int:
         """Total messages this plan dropped (chance + partition)."""
         return self.dropped_by_chance + self.dropped_by_partition
-
-    def reset_counters(self) -> None:
-        """Zero the attribution counters (the rng stream is untouched)."""
-        self.dropped_by_chance = 0
-        self.dropped_by_partition = 0
-        self.jittered = 0
-        self.straggled = 0
 
     def on_send(self, message: Message, now: float) -> FaultVerdict:
         """Decide one send's fate; called by the transport for every message.
@@ -468,11 +452,6 @@ class ChurnSchedule:
         self._events = sorted(events, key=lambda e: (e.time, e.agent, e.action))
 
     @property
-    def events(self) -> List[ChurnEvent]:
-        """All events in firing order (copy)."""
-        return list(self._events)
-
-    @property
     def crash_count(self) -> int:
         """Number of crash events."""
         return sum(1 for e in self._events if e.action == "crash")
@@ -481,9 +460,6 @@ class ChurnSchedule:
     def restart_count(self) -> int:
         """Number of restart events."""
         return sum(1 for e in self._events if e.action == "restart")
-
-    def __len__(self) -> int:
-        return len(self._events)
 
     def __iter__(self):
         return iter(self._events)

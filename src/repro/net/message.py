@@ -109,13 +109,3 @@ class Message:
     payload: Any
     hops: int = 0
     message_id: int = field(default_factory=next_message_id)
-
-    def forwarded(self, sender: Endpoint, recipient: Endpoint) -> "Message":
-        """A copy routed onward with the hop count incremented."""
-        return Message(
-            kind=self.kind,
-            sender=sender,
-            recipient=recipient,
-            payload=self.payload,
-            hops=self.hops + 1,
-        )

@@ -201,11 +201,6 @@ class TaskResult:
     trace: Tuple[str, ...] = ()
 
     @property
-    def advance_time(self) -> float:
-        """δ − η; positive when the deadline was met (eq. 11 term)."""
-        return self.deadline - self.completion_time
-
-    @property
     def met_deadline(self) -> bool:
         """Whether the task finished by its deadline."""
         return self.success and self.completion_time <= self.deadline

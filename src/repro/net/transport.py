@@ -24,7 +24,7 @@ from repro.net.message import Endpoint, Message, MessageKind
 from repro.obs.records import MessageDelivered, MessageDropped, MessageSent
 from repro.obs.trace import Tracer
 from repro.sim.engine import Engine
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.utils.validation import check_non_negative
 
 __all__ = ["Transport", "DROP_RING_SIZE"]
@@ -75,7 +75,7 @@ class Transport:
         # Messages accepted by send() whose delivery event has not yet
         # fired, keyed by message id.  Checkpoints serialise these so a
         # restored run re-delivers exactly what was on the wire.
-        self._in_flight: Dict[int, Tuple[Message, EventHandle]] = {}
+        self._in_flight: Dict[int, Tuple[Message, Event]] = {}
         self._taps: List[Callable[[Message], None]] = []
         self._tracer = tracer
 
@@ -102,11 +102,6 @@ class Transport:
         return self._fault_dropped_count
 
     @property
-    def dropped_recent(self) -> List[Message]:
-        """The last few dropped messages, oldest first (bounded copy)."""
-        return list(self._drop_ring)
-
-    @property
     def fault_plan(self) -> Optional[FaultPlan]:
         """The installed fault plan, if any."""
         return self._fault_plan
@@ -114,10 +109,6 @@ class Transport:
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear) the fault plan consulted on every send."""
         self._fault_plan = plan
-
-    def endpoints(self) -> List[Endpoint]:
-        """Registered endpoints, sorted."""
-        return sorted(self._handlers)
 
     # -------------------------------------------------------------- lifecycle
 
@@ -136,10 +127,6 @@ class Transport:
     def is_registered(self, endpoint: Endpoint) -> bool:
         """Whether *endpoint* currently has a handler."""
         return endpoint in self._handlers
-
-    def tap(self, observer: Callable[[Message], None]) -> None:
-        """Observe every delivered message (tracing/tests)."""
-        self._taps.append(observer)
 
     # ------------------------------------------------------------------- send
 
@@ -299,22 +286,3 @@ class Transport:
                 plan_state["dropped_by_partition"]
             )
             self._fault_plan.jittered = int(plan_state["jittered"])
-
-    # ------------------------------------------------------------------ reset
-
-    def reset_counters(self) -> None:
-        """Zero every stateful counter and the drop ring.
-
-        Covers the sent/delivered/dropped tallies, the bounded ring of
-        recent drops, and — because its counters are part of the same
-        observable surface — the installed fault plan's attribution
-        counters.  Endpoint registrations and the fault plan itself are
-        configuration, not state, and survive the reset.
-        """
-        self._sent = 0
-        self._delivered = 0
-        self._dropped_count = 0
-        self._fault_dropped_count = 0
-        self._drop_ring.clear()
-        if self._fault_plan is not None:
-            self._fault_plan.reset_counters()

@@ -7,12 +7,7 @@ function of ``(configuration, master seed)``.  See docs/observability.md.
 """
 
 from repro.obs.check import Violation, check_trace
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.records import (
     CANONICAL_FIELDS,
     AckSent,
@@ -43,10 +38,9 @@ from repro.obs.records import (
     TraceRecord,
     canonical_dict,
     canonical_lines,
-    record_to_dict,
 )
 from repro.obs.spans import RequestSpan, build_request_spans, render_span_tree
-from repro.obs.trace import FileSink, MemorySink, TeeSink, Tracer, TraceSink
+from repro.obs.trace import MemorySink, Tracer, TraceSink
 
 __all__ = [
     "AckSent",
@@ -58,14 +52,11 @@ __all__ = [
     "CANONICAL_FIELDS",
     "CostComponents",
     "Counter",
-    "DEFAULT_BUCKETS",
     "DiscoveryEvaluated",
     "EventFired",
     "EvolveStep",
-    "FileSink",
     "ForwardGiveUp",
     "ForwardRetry",
-    "Histogram",
     "LocalSubmit",
     "MemorySink",
     "MessageDelivered",
@@ -82,7 +73,6 @@ __all__ = [
     "TaskCompleted",
     "TaskDispatched",
     "TaskQueued",
-    "TeeSink",
     "TraceRecord",
     "TraceSink",
     "Tracer",
@@ -91,6 +81,5 @@ __all__ = [
     "canonical_dict",
     "canonical_lines",
     "check_trace",
-    "record_to_dict",
     "render_span_tree",
 ]

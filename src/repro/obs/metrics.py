@@ -1,24 +1,18 @@
-"""Counter and histogram metrics for the observability layer.
+"""Counter metrics for the observability layer.
 
-A :class:`MetricsRegistry` hands out named :class:`Counter` and
-:class:`Histogram` instances on first use.  Everything is deterministic —
-counts and bucket boundaries only, no wall-clock rates — so a metrics
-snapshot is as replayable as the trace stream it accompanies.
+A :class:`MetricsRegistry` hands out named :class:`Counter` instances on
+first use.  Everything is deterministic — counts only, no wall-clock
+rates — so a metrics snapshot is as replayable as the trace stream it
+accompanies.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict
 
 from repro.errors import ValidationError
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
-
-#: Default histogram bucket upper bounds (an implicit +inf bucket follows).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 300.0, 1800.0, 7200.0,
-)
+__all__ = ["Counter", "MetricsRegistry"]
 
 
 class Counter:
@@ -41,98 +35,12 @@ class Counter:
             raise ValidationError(f"counter increment must be >= 0, got {amount}")
         self._value += amount
 
-    def reset(self) -> None:
-        """Return the counter to zero."""
-        self._value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self._value})"
-
-
-class Histogram:
-    """A fixed-bucket histogram over observed values.
-
-    Buckets are upper bounds; an observation lands in the first bucket
-    whose bound is >= the value, or the overflow bucket past the last
-    bound.  ``sum``/``min``/``max``/``count`` are tracked exactly.
-    """
-
-    __slots__ = ("name", "_bounds", "_counts", "_count", "_sum", "_min", "_max")
-
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValidationError("histogram needs at least one bucket bound")
-        if any(b >= a for b, a in zip(bounds, bounds[1:])):
-            raise ValidationError(f"bucket bounds must strictly increase: {bounds}")
-        self.name = name
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # + overflow
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    @property
-    def bounds(self) -> Tuple[float, ...]:
-        """The bucket upper bounds (the overflow bucket is implicit)."""
-        return self._bounds
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        """Sum of observed values."""
-        return self._sum
-
-    @property
-    def bucket_counts(self) -> List[int]:
-        """Per-bucket observation counts, overflow last (copy)."""
-        return list(self._counts)
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        self._counts[bisect.bisect_left(self._bounds, value)] += 1
-        self._count += 1
-        self._sum += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
-
-    def reset(self) -> None:
-        """Drop all observations."""
-        self._counts = [0] * (len(self._bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = None
-        self._max = None
-
-    def snapshot(self) -> Dict[str, object]:
-        """A plain-dict copy (deterministic key order)."""
-        return {
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-            "buckets": dict(zip([str(b) for b in self._bounds] + ["inf"],
-                                self._counts)),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name!r}, count={self._count})"
-
 
 class MetricsRegistry:
-    """Named counters and histograms, created on first use."""
+    """Named counters, created on first use."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         """The (cached) counter named *name*."""
@@ -141,31 +49,11 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        """The (cached) histogram named *name* (buckets fix on first use)."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, buckets)
-        return histogram
-
-    def reset(self) -> None:
-        """Zero every metric (instruments stay registered)."""
-        for counter in self._counters.values():
-            counter.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()
-
     def snapshot(self) -> Dict[str, object]:
         """All metrics as one plain dict, names sorted."""
         return {
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
-            },
-            "histograms": {
-                name: self._histograms[name].snapshot()
-                for name in sorted(self._histograms)
             },
         }

@@ -51,7 +51,7 @@ compact while still localising which decision diverged.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "DagTransfer",
     "DagReady",
     "CANONICAL_FIELDS",
-    "record_to_dict",
     "canonical_dict",
     "canonical_lines",
 ]
@@ -595,19 +594,6 @@ CANONICAL_FIELDS: Mapping[str, Tuple[str, ...]] = {
     "dag.transfer": ("agent", "workflow", "node", "source", "size"),
     "dag.ready": ("resource", "task_id", "workflow", "node"),
 }
-
-
-def record_to_dict(record: TraceRecord) -> Dict[str, object]:
-    """The full JSON-ready dict of *record* (``kind`` and ``t`` first)."""
-    out: Dict[str, object] = {"kind": record.kind, "t": record.t}
-    for f in fields(record):
-        if f.name == "t":
-            continue
-        value = getattr(record, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
 
 
 def canonical_dict(record: TraceRecord) -> Optional[Dict[str, object]]:

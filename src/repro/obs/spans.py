@@ -53,21 +53,6 @@ class RequestSpan:
     completed: List[TaskCompleted] = field(default_factory=list)
     result: Optional[PortalResult] = None
 
-    @property
-    def local(self) -> Optional[LocalSubmit]:
-        """The first local absorption (the common, exactly-once case)."""
-        return self.locals[0] if self.locals else None
-
-    @property
-    def hops(self) -> int:
-        """Discovery decisions taken while routing this request."""
-        return len(self.discovery)
-
-    @property
-    def resolved(self) -> bool:
-        """Whether the portal recorded any result (success or failure)."""
-        return self.result is not None
-
 
 def build_request_spans(
     records: Sequence[TraceRecord],

@@ -12,24 +12,21 @@ no environment-variable lookup, and no disabled-logger call overhead.
 
 Sinks
 -----
-* :class:`MemorySink` — a ring buffer (unbounded by default) for tests,
-  the golden-trace tier, and the CLI;
-* :class:`FileSink` — deterministic JSONL (sorted keys, sim-time stamps
-  only) for offline diffing;
-* :class:`TeeSink` — fan out to several sinks.
+:class:`MemorySink`, a ring buffer (unbounded by default), serves the
+CLI, the golden-trace tier and the tests; ``repro trace --out`` writes its
+records as canonical JSONL (:func:`~repro.obs.records.canonical_lines`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import IO, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.records import TraceRecord, record_to_dict
+from repro.obs.records import TraceRecord
 
-__all__ = ["TraceSink", "MemorySink", "FileSink", "TeeSink", "Tracer"]
+__all__ = ["TraceSink", "MemorySink", "Tracer"]
 
 
 class TraceSink:
@@ -37,9 +34,6 @@ class TraceSink:
 
     def emit(self, record: TraceRecord) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources (default: nothing to release)."""
 
 
 class MemorySink(TraceSink):
@@ -64,67 +58,9 @@ class MemorySink(TraceSink):
         """The retained records, oldest first (copy)."""
         return list(self._records)
 
-    @property
-    def emitted(self) -> int:
-        """Total records ever emitted (including any evicted)."""
-        return self._emitted
-
     def emit(self, record: TraceRecord) -> None:
         self._records.append(record)
         self._emitted += 1
-
-    def clear(self) -> None:
-        """Drop all retained records and zero the emitted count."""
-        self._records.clear()
-        self._emitted = 0
-
-
-class FileSink(TraceSink):
-    """Writes one deterministic JSON object per record to a file."""
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        self._emitted = 0
-
-    @property
-    def path(self) -> str:
-        """The output path."""
-        return self._path
-
-    @property
-    def emitted(self) -> int:
-        """Records written so far."""
-        return self._emitted
-
-    def emit(self, record: TraceRecord) -> None:
-        if self._handle is None:
-            raise ValidationError(f"file sink {self._path!r} already closed")
-        self._handle.write(json.dumps(record_to_dict(record), sort_keys=True))
-        self._handle.write("\n")
-        self._emitted += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-class TeeSink(TraceSink):
-    """Forwards every record to several sinks."""
-
-    def __init__(self, sinks: Sequence[TraceSink]) -> None:
-        if not sinks:
-            raise ValidationError("tee sink needs at least one sink")
-        self._sinks = tuple(sinks)
-
-    def emit(self, record: TraceRecord) -> None:
-        for sink in self._sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
 
 
 class Tracer:
@@ -146,11 +82,6 @@ class Tracer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     @property
-    def sink(self) -> TraceSink:
-        """The destination sink."""
-        return self._sink
-
-    @property
     def records(self) -> List[TraceRecord]:
         """The retained records, when the sink keeps them in memory."""
         if not isinstance(self._sink, MemorySink):
@@ -164,7 +95,3 @@ class Tracer:
         """Record one trace event."""
         self.metrics.counter("records." + record.kind).inc()
         self._sink.emit(record)
-
-    def close(self) -> None:
-        """Close the underlying sink."""
-        self._sink.close()

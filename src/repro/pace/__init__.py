@@ -52,14 +52,12 @@ from repro.pace.structural import (
     SerialCompute,
     Step,
     StructuralModel,
-    structural_from_parametric,
 )
 from repro.pace.workloads import (
     APPLICATION_NAMES,
     TABLE1_DEADLINE_BOUNDS,
     TABLE1_TIMES,
     ApplicationSpec,
-    fitted_paper_models,
     paper_application_specs,
     paper_applications,
 )
@@ -106,12 +104,10 @@ __all__ = [
     "SerialCompute",
     "Step",
     "StructuralModel",
-    "structural_from_parametric",
     "APPLICATION_NAMES",
     "TABLE1_DEADLINE_BOUNDS",
     "TABLE1_TIMES",
     "ApplicationSpec",
-    "fitted_paper_models",
     "paper_application_specs",
     "paper_applications",
 ]

@@ -20,7 +20,7 @@ Three families of model are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ModelError
 from repro.pace.hardware import PlatformSpec
@@ -61,27 +61,6 @@ class ApplicationModel(ABC):
         if not isinstance(nproc, (int,)) or isinstance(nproc, bool) or nproc < 1:
             raise ModelError(f"nproc must be a positive integer, got {nproc!r}")
         return nproc
-
-    def curve(self, platform: PlatformSpec, max_nproc: int) -> Tuple[float, ...]:
-        """Convenience: predictions for 1..max_nproc on *platform*."""
-        return tuple(self.predict(k, platform) for k in range(1, max_nproc + 1))
-
-    def optimal_nproc(self, platform: PlatformSpec, max_nproc: int) -> int:
-        """The processor count in 1..max_nproc minimising predicted time.
-
-        Ties resolve to the *smallest* count — fewer nodes for equal time
-        frees capacity for other tasks (e.g. sweep3d flattens at 15–16
-        processors in Table 1).
-        """
-        best_k, best_t = 1, self.predict(1, platform)
-        for k in range(2, max_nproc + 1):
-            t = self.predict(k, platform)
-            if t < best_t:
-                best_k, best_t = k, t
-        return best_k
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self._name!r})"
 
 
 class TabulatedModel(ApplicationModel):
@@ -133,21 +112,6 @@ class TabulatedModel(ApplicationModel):
         self._baseline_speed_factor = float(baseline_speed_factor)
         self._clamp = clamp
 
-    @property
-    def baseline_times(self) -> Tuple[float, ...]:
-        """The profiled curve on the baseline platform (index 0 = 1 processor)."""
-        return self._times
-
-    @property
-    def max_profiled(self) -> int:
-        """Largest processor count the curve was profiled at."""
-        return len(self._times)
-
-    @property
-    def baseline_platform_name(self) -> str:
-        """Name of the platform the curve was measured on."""
-        return self._baseline_platform_name
-
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)
         if nproc > len(self._times):
@@ -159,7 +123,3 @@ class TabulatedModel(ApplicationModel):
             nproc = len(self._times)
         base = self._times[nproc - 1]
         return base * platform.speed_factor / self._baseline_speed_factor
-
-    def as_mapping(self, platform: PlatformSpec) -> Mapping[int, float]:
-        """Predictions for each profiled processor count on *platform*."""
-        return {k: self.predict(k, platform) for k in range(1, self.max_profiled + 1)}

@@ -52,23 +52,6 @@ class CacheStats:
         """Zero all counters."""
         self.hits = self.misses = self.evictions = 0
 
-    def __iadd__(self, other: "CacheStats") -> "CacheStats":
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        return self
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
-
 
 class EvaluationCache:
     """Memoisation layer between a scheduler and the evaluation engine.
@@ -105,16 +88,6 @@ class EvaluationCache:
     def stats(self) -> CacheStats:
         """Live hit/miss statistics."""
         return self._stats
-
-    @property
-    def size(self) -> int:
-        """Number of cached entries."""
-        return len(self._entries)
-
-    @property
-    def max_size(self) -> Optional[int]:
-        """The capacity bound, or ``None`` for unbounded."""
-        return self._max_size
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], float]) -> float:
         """Return the cached value for *key*, computing and storing on miss."""
@@ -163,20 +136,6 @@ class EvaluationCache:
     def peek(self, key: Hashable) -> Optional[float]:
         """Return the cached value without affecting statistics, or None."""
         return self._entries.get(key)
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present."""
-        return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Drop all entries (statistics are preserved)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
 
     # ------------------------------------------------------------- checkpoint
 

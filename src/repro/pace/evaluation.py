@@ -19,7 +19,7 @@ noise-free value remains available for "actual" runtimes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.errors import EvaluationError
 from repro.pace.application import ApplicationModel
 from repro.pace.cache import EvaluationCache
 from repro.pace.hardware import PlatformSpec
-from repro.pace.resource import Node, ResourceModel
 
 __all__ = ["EvaluationEngine"]
 
@@ -74,11 +73,6 @@ class EvaluationEngine:
     def evaluations(self) -> int:
         """Number of raw (uncached) model evaluations performed."""
         return self._evaluations
-
-    @property
-    def noise_factor(self) -> float:
-        """Log-normal σ of the prediction perturbation (0 = exact)."""
-        return self._noise_factor
 
     # ------------------------------------------------------------- checkpoint
 
@@ -153,29 +147,6 @@ class EvaluationEngine:
         if self._noise_factor > 0.0:
             values = [self._perturb(v, k) for v, k in zip(values, keys)]
         return np.asarray(values, dtype=float)
-
-    def evaluate_nodes(
-        self, application: ApplicationModel, nodes: Sequence[Node]
-    ) -> float:
-        """Predicted time for *application* on an explicit node allocation ρ_j.
-
-        The slowest platform in the allocation sets the pace (tightly
-        coupled parallelism, §3: co-allocation across resources is out of
-        scope precisely because slow links dominate).
-        """
-        if len(nodes) == 0:
-            raise EvaluationError("allocation must contain at least one node")
-        slowest = max(nodes, key=lambda n: n.platform.speed_factor).platform
-        return self.evaluate_count(application, len(nodes), slowest)
-
-    def evaluate_on_resource(
-        self,
-        application: ApplicationModel,
-        resource: ResourceModel,
-        node_ids: Sequence[int],
-    ) -> float:
-        """Predicted time for an allocation given by node ids within *resource*."""
-        return self.evaluate_nodes(application, resource.subset(node_ids))
 
     def true_time(
         self, application: ApplicationModel, nproc: int, platform: PlatformSpec

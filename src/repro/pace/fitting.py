@@ -46,12 +46,6 @@ class FitResult:
     rmse: float
     max_abs_error: float
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FitResult({type(self.model).__name__} {self.model.name!r}, "
-            f"rmse={self.rmse:.3f}, max={self.max_abs_error:.3f})"
-        )
-
 
 def _validate_curve(times: Sequence[float]) -> np.ndarray:
     arr = np.asarray(times, dtype=float)

@@ -29,7 +29,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ValidationError
-from repro.utils.validation import check_positive
 
 __all__ = [
     "Predictor",
@@ -239,11 +238,6 @@ class LoadTracker:
     def __init__(self, forecaster: Optional[AdaptiveForecaster] = None) -> None:
         self._forecaster = forecaster if forecaster is not None else AdaptiveForecaster()
         self._samples = 0
-
-    @property
-    def samples(self) -> int:
-        """Number of load samples observed."""
-        return self._samples
 
     def observe(self, load: float) -> None:
         """Record one load-average sample (must be >= 0)."""

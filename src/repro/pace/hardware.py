@@ -19,7 +19,7 @@ documented substitution (see DESIGN.md §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator
 
 from repro.errors import ModelError
@@ -73,10 +73,6 @@ class PlatformSpec:
         check_positive(self.flop_rate, "flop_rate")
         check_positive(self.network_latency, "network_latency")
         check_positive(self.network_bandwidth, "network_bandwidth")
-
-    def scale(self, baseline_seconds: float) -> float:
-        """Scale a baseline (SGIOrigin2000) execution time to this platform."""
-        return baseline_seconds * self.speed_factor
 
 
 #: The five platforms of the paper's case study (Fig. 7), ordered fastest to

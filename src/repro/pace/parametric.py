@@ -17,7 +17,6 @@ their speed factor, mirroring :class:`~repro.pace.application.TabulatedModel`.
 
 from __future__ import annotations
 
-from typing import Tuple
 
 from repro.errors import ModelError
 from repro.pace.application import ApplicationModel
@@ -43,19 +42,10 @@ class AmdahlModel(ApplicationModel):
         self._serial = float(serial)
         self._parallel = float(parallel)
 
-    @property
-    def parameters(self) -> Tuple[float, float]:
-        """``(serial, parallel)`` in baseline seconds."""
-        return (self._serial, self._parallel)
-
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)
         base = self._serial + self._parallel / nproc
         return base * platform.speed_factor
-
-    def speedup(self, nproc: int) -> float:
-        """Predicted speedup over one processor (platform-independent)."""
-        return (self._serial + self._parallel) / (self._serial + self._parallel / nproc)
 
 
 class CommOverheadModel(ApplicationModel):
@@ -77,25 +67,10 @@ class CommOverheadModel(ApplicationModel):
         self._parallel = float(parallel)
         self._overhead = float(overhead)
 
-    @property
-    def parameters(self) -> Tuple[float, float, float]:
-        """``(serial, parallel, overhead)`` in baseline seconds."""
-        return (self._serial, self._parallel, self._overhead)
-
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)
         base = self._serial + self._parallel / nproc + self._overhead * (nproc - 1)
         return base * platform.speed_factor
-
-    def optimum(self) -> float:
-        """The real-valued processor count minimising t(n).
-
-        Setting ``dt/dn = −parallel/n² + overhead = 0`` gives
-        ``n* = sqrt(parallel / overhead)``; infinite when overhead is 0.
-        """
-        if self._overhead == 0:
-            return float("inf")
-        return (self._parallel / self._overhead) ** 0.5
 
 
 class PowerOverheadModel(ApplicationModel):
@@ -129,16 +104,6 @@ class PowerOverheadModel(ApplicationModel):
         self._overhead = float(overhead)
         self._degree = float(degree)
 
-    @property
-    def parameters(self) -> Tuple[float, float, float]:
-        """``(serial, parallel, overhead)`` in baseline seconds."""
-        return (self._serial, self._parallel, self._overhead)
-
-    @property
-    def degree(self) -> float:
-        """The overhead exponent."""
-        return self._degree
-
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)
         base = (
@@ -162,11 +127,6 @@ class LinearModel(ApplicationModel):
         super().__init__(name)
         self._intercept = float(intercept)
         self._slope = float(slope)
-
-    @property
-    def parameters(self) -> Tuple[float, float]:
-        """``(intercept, slope)`` in baseline seconds."""
-        return (self._intercept, self._slope)
 
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)

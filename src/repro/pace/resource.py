@@ -12,7 +12,7 @@ evaluation engine then charges the set at the pace of its slowest member
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.pace.hardware import PlatformSpec
@@ -53,8 +53,6 @@ class ResourceModel:
     >>> res = ResourceModel.homogeneous("S1", SGI_ORIGIN_2000, 16)
     >>> res.size
     16
-    >>> res.is_homogeneous
-    True
     """
 
     def __init__(self, name: str, nodes: Sequence[Node]) -> None:
@@ -92,25 +90,6 @@ class ResourceModel:
         """Number of processing nodes ``n``."""
         return len(self._nodes)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        """Whether all nodes share one platform."""
-        first = self._nodes[0].platform
-        return all(n.platform == first for n in self._nodes)
-
-    @property
-    def platform(self) -> PlatformSpec:
-        """The common platform of a homogeneous resource.
-
-        Raises
-        ------
-        ModelError
-            If the resource mixes platforms.
-        """
-        if not self.is_homogeneous:
-            raise ModelError(f"resource {self._name!r} is heterogeneous")
-        return self._nodes[0].platform
-
     def node(self, node_id: int) -> Node:
         """Look up a node by id."""
         try:
@@ -135,13 +114,3 @@ class ResourceModel:
         """
         nodes = self.subset(node_ids) if node_ids is not None else self._nodes
         return max((n.platform for n in nodes), key=lambda p: p.speed_factor)
-
-    def __iter__(self) -> Iterator[Node]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kinds = sorted({n.platform.name for n in self._nodes})
-        return f"ResourceModel({self._name!r}, n={self.size}, platforms={kinds})"

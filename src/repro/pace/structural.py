@@ -36,7 +36,6 @@ __all__ = [
     "Exchange",
     "Reduction",
     "StructuralModel",
-    "structural_from_parametric",
 ]
 
 
@@ -176,16 +175,6 @@ class StructuralModel(ApplicationModel):
         self._steps: Tuple[Step, ...] = tuple(steps)
         self._iterations = int(iterations)
 
-    @property
-    def steps(self) -> Tuple[Step, ...]:
-        """The per-iteration step sequence."""
-        return self._steps
-
-    @property
-    def iterations(self) -> int:
-        """How many times the step sequence repeats."""
-        return self._iterations
-
     def predict(self, nproc: int, platform: PlatformSpec) -> float:
         self._check_nproc(nproc)
         per_iteration = sum(step.time(nproc, platform) for step in self._steps)
@@ -195,51 +184,3 @@ class StructuralModel(ApplicationModel):
                 f"structural model {self._name!r} predicts non-positive time {total}"
             )
         return total
-
-
-def structural_from_parametric(
-    name: str,
-    serial_seconds: float,
-    parallel_seconds: float,
-    overhead_seconds: float,
-    platform: PlatformSpec,
-) -> StructuralModel:
-    """Realise a ``t(n) = s + p/n + o·(n−1)`` curve as physical steps.
-
-    The three closed-form terms have direct structural counterparts on the
-    calibration *platform*:
-
-    * ``s`` seconds of non-parallelisable work → a :class:`SerialCompute`
-      of ``s × flop_rate`` Mflop;
-    * ``p`` seconds of divisible work → a :class:`ParallelCompute`;
-    * ``o`` seconds per extra processor → an :class:`Exchange` with
-      ``n − 1`` partners costing ``o`` seconds each (latency + volume).
-
-    The resulting model *equals* the parametric curve on the calibration
-    platform, but extrapolates physically elsewhere: computation scales
-    with the target's flop rate while communication scales with its
-    network — unlike the single speed factor of the parametric families.
-    This is the bridge from a fitted Table 1 curve back to a PACE-style
-    layered model.
-    """
-    check_non_negative(serial_seconds, "serial_seconds")
-    check_non_negative(parallel_seconds, "parallel_seconds")
-    check_non_negative(overhead_seconds, "overhead_seconds")
-    if serial_seconds + parallel_seconds <= 0:
-        raise ModelError("serial + parallel seconds must be > 0")
-    steps: list = []
-    if serial_seconds > 0:
-        steps.append(SerialCompute(mflop=serial_seconds * platform.flop_rate))
-    if parallel_seconds > 0:
-        steps.append(ParallelCompute(mflop=parallel_seconds * platform.flop_rate))
-    if overhead_seconds >= platform.network_latency:
-        # One partner costs latency + mbytes/bandwidth; choose the message
-        # volume so each partner costs exactly `overhead_seconds`.
-        mbytes = (
-            overhead_seconds - platform.network_latency
-        ) * platform.network_bandwidth
-        steps.append(Exchange(mbytes=mbytes, neighbours=10**9))
-    # Overheads below one message latency cannot be realised physically —
-    # an exchange costs at least the latency — and are dropped (the curve
-    # error is below network_latency × (n − 1) seconds).
-    return StructuralModel(name, steps=steps)

@@ -21,7 +21,6 @@ from typing import Dict, Mapping, Tuple
 
 from repro.errors import ModelError
 from repro.pace.application import ApplicationModel, TabulatedModel
-from repro.pace.fitting import FitResult, fit_best
 
 __all__ = [
     "ApplicationSpec",
@@ -30,7 +29,6 @@ __all__ = [
     "APPLICATION_NAMES",
     "paper_applications",
     "paper_application_specs",
-    "fitted_paper_models",
 ]
 
 #: Table 1 execution times (seconds) on 1..16 SGIOrigin2000 processors.
@@ -87,11 +85,6 @@ class ApplicationSpec:
                 f"deadline bounds must satisfy 0 < low <= high, got {self.deadline_bounds}"
             )
 
-    @property
-    def name(self) -> str:
-        """The application's name."""
-        return self.model.name
-
 
 def paper_applications() -> Dict[str, TabulatedModel]:
     """The seven Table 1 applications as tabulated models (fresh instances)."""
@@ -108,13 +101,3 @@ def paper_application_specs() -> Dict[str, ApplicationSpec]:
         name: ApplicationSpec(models[name], TABLE1_DEADLINE_BOUNDS[name])
         for name in APPLICATION_NAMES
     }
-
-
-def fitted_paper_models() -> Dict[str, FitResult]:
-    """Best-fit parametric models for each Table 1 curve.
-
-    Used to validate that the closed-form families reproduce the published
-    shapes (monotone vs V-shaped, optima locations) and to extrapolate the
-    curves in the scalability extension.
-    """
-    return {name: fit_best(name, TABLE1_TIMES[name]) for name in APPLICATION_NAMES}

@@ -5,7 +5,7 @@ from repro.scheduling.baselines import (
     RoundRobinScheduler,
     StaticPlacement,
 )
-from repro.scheduling.coding import SolutionString, random_solution
+from repro.scheduling.coding import SolutionString
 from repro.scheduling.cost import (
     IDLE_WEIGHTERS,
     CostBreakdown,
@@ -21,17 +21,10 @@ from repro.scheduling.fifo import (
     Allocation,
     FIFOScheduler,
     earliest_free_allocation,
-    exhaustive_allocation,
 )
 from repro.scheduling.fitness import scale_fitness
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.monitor import DEFAULT_POLL_INTERVAL, ResourceMonitor
-from repro.scheduling.operators import (
-    crossover,
-    mutate,
-    order_splice,
-    stochastic_remainder_selection,
-)
 from repro.scheduling.schedule import (
     IdlePocket,
     Schedule,
@@ -46,7 +39,6 @@ __all__ = [
     "RoundRobinScheduler",
     "StaticPlacement",
     "SolutionString",
-    "random_solution",
     "IDLE_WEIGHTERS",
     "CostBreakdown",
     "CostWeights",
@@ -59,16 +51,11 @@ __all__ = [
     "Allocation",
     "FIFOScheduler",
     "earliest_free_allocation",
-    "exhaustive_allocation",
     "scale_fitness",
     "GAConfig",
     "GAScheduler",
     "DEFAULT_POLL_INTERVAL",
     "ResourceMonitor",
-    "crossover",
-    "mutate",
-    "order_splice",
-    "stochastic_remainder_selection",
     "IdlePocket",
     "Schedule",
     "ScheduledTask",

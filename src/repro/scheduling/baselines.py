@@ -30,10 +30,6 @@ class StaticPlacement(Protocol):
     """The fixed-placement protocol shared by FIFO/random/round-robin."""
 
     @property
-    def makespan(self) -> float:
-        """Latest booked completion."""
-
-    @property
     def booked_free_times(self) -> np.ndarray:
         """Per-node booked-until times (copy)."""
 

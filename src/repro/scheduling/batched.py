@@ -1,8 +1,7 @@
 """Whole-population batched forms of the two-part genetic operators.
 
-The object-level operators in :mod:`repro.scheduling.operators` are the
-*reference* implementations — clear, validated, and kept for the property
-tests.  These functions re-express the same operators as single array
+The object-level operators in ``tests/oracles.py`` are the *reference*
+implementations — clear, validated, and kept for the property tests.  These functions re-express the same operators as single array
 programs over a whole batch of parent pairs; the generation loop of
 :mod:`repro.scheduling.vectorized` builds every child through them.
 
@@ -41,7 +40,7 @@ def batched_order_splice(
 
     For every batch row ``b`` the child is ``orders_a[b, :cuts[b]]``
     followed by the remaining rows in ``orders_b[b]``'s order, exactly as
-    :func:`repro.scheduling.operators.order_splice` builds it.  Membership
+    the reference ``order_splice`` in ``tests/oracles.py`` builds it.  Membership
     of the head is resolved through a scattered lookup table rather than a
     per-pair ``np.isin``, so the whole batch is O(B·m).
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import CodingError
 
-__all__ = ["SolutionString", "random_solution"]
+__all__ = ["SolutionString"]
 
 
 class SolutionString:
@@ -123,29 +123,6 @@ class SolutionString:
         new_mapping[task_id] = np.asarray(mask, dtype=bool)
         return SolutionString(self._ordering, new_mapping)
 
-    def with_task(
-        self, task_id: int, mask: np.ndarray, position: int | None = None
-    ) -> "SolutionString":
-        """A copy with a new task spliced in at *position* (default: end)."""
-        if task_id in self._mapping:
-            raise CodingError(f"task {task_id} already encoded")
-        ordering = list(self._ordering)
-        pos = len(ordering) if position is None else position
-        if not (0 <= pos <= len(ordering)):
-            raise CodingError(f"position {pos} out of range 0..{len(ordering)}")
-        ordering.insert(pos, task_id)
-        new_mapping = dict(self._mapping)
-        new_mapping[task_id] = np.asarray(mask, dtype=bool)
-        return SolutionString(ordering, new_mapping)
-
-    def without_task(self, task_id: int) -> "SolutionString":
-        """A copy with *task_id* excised (e.g. after it starts executing)."""
-        if task_id not in self._mapping:
-            raise CodingError(f"solution does not encode task {task_id}")
-        ordering = [t for t in self._ordering if t != task_id]
-        new_mapping = {t: m for t, m in self._mapping.items() if t != task_id}
-        return SolutionString(ordering, new_mapping)
-
     # ------------------------------------------------------------ presentation
 
     def to_figure2_string(self) -> str:
@@ -181,26 +158,3 @@ class SolutionString:
                 tuple(self._mapping[t].tobytes() for t in self._ordering),
             )
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SolutionString({self.to_figure2_string()!r})"
-
-
-def random_solution(
-    task_ids: Sequence[int], n_nodes: int, rng: np.random.Generator
-) -> SolutionString:
-    """A uniformly random legitimate solution over *task_ids* and *n_nodes*.
-
-    Each node mask is drawn uniformly from the non-empty subsets.
-    """
-    if n_nodes <= 0:
-        raise CodingError(f"n_nodes must be > 0, got {n_nodes}")
-    ids = list(task_ids)
-    ordering = [ids[i] for i in rng.permutation(len(ids))]
-    mapping: Dict[int, np.ndarray] = {}
-    for tid in ids:
-        mask = rng.random(n_nodes) < 0.5
-        if not mask.any():
-            mask[int(rng.integers(n_nodes))] = True
-        mapping[tid] = mask
-    return SolutionString(ordering, mapping)

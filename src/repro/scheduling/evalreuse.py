@@ -55,20 +55,8 @@ class EvalReuseStats:
     #: :mod:`repro.scheduling.warmstart`).
     warmstart_seeds: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requested costs served without re-evaluation."""
-        if self.rows_costed == 0:
-            return 0.0
-        return 1.0 - self.rows_evaluated / self.rows_costed
-
-    def reset(self) -> None:
-        """Zero every counter (reset symmetry with the other stats objects)."""
-        for f in fields(self):
-            setattr(self, f.name, f.default)
-
     def snapshot_counters(self) -> Dict[str, int]:
-        """The raw counter fields alone (checkpoint support; no hit_rate)."""
+        """The raw counter fields alone (checkpoint support)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def restore_counters(self, counters: Dict[str, int]) -> None:
@@ -79,10 +67,6 @@ class EvalReuseStats:
         """
         for f in fields(self):
             setattr(self, f.name, int(counters.get(f.name, f.default)))
-
-    def snapshot(self) -> Dict[str, float]:
-        """A plain-dict copy (for benchmarks and reports)."""
-        return {**self.snapshot_counters(), "hit_rate": self.hit_rate}
 
 
 def availability_key(

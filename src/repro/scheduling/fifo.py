@@ -6,22 +6,18 @@ PACE predictive data).  All of the possible resource allocations (a total
 of 2^16 − 1 possibilities) are tried.  As soon as the current best solution
 is found, it is fixed and will not change as new tasks enter the system."
 
-Two search strategies implement the allocation choice:
-
-* :func:`exhaustive_allocation` — the literal 2^n − 1 subset enumeration,
-  practical only for small n; kept as the reference the property tests
-  check the fast search against.
-* :func:`earliest_free_allocation` — for each size k the optimal subset is
-  the k earliest-free nodes (on a homogeneous resource the duration depends
-  only on k, and replacing any chosen node by an earlier-free one can only
-  lower the start time), so searching sizes 1..n over the free-time order
-  is equivalent and O(n log n).  A property test asserts equivalence.
+:func:`earliest_free_allocation` makes the allocation choice: for each
+size k the optimal subset is the k earliest-free nodes (on a homogeneous
+resource the duration depends only on k, and replacing any chosen node by
+an earlier-free one can only lower the start time), so searching sizes
+1..n over the free-time order is equivalent to the literal 2^n − 1 subset
+enumeration and O(n log n).  A property test asserts the equivalence
+against that enumeration, kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +28,6 @@ from repro.utils.validation import check_non_empty
 __all__ = [
     "Allocation",
     "BookingBase",
-    "exhaustive_allocation",
     "earliest_free_allocation",
     "FIFOScheduler",
 ]
@@ -50,11 +45,6 @@ class Allocation:
     completion: float
 
     @property
-    def duration(self) -> float:
-        """Booked execution time."""
-        return self.completion - self.start
-
-    @property
     def size(self) -> int:
         """Number of allocated nodes."""
         return len(self.node_ids)
@@ -67,26 +57,6 @@ def _best(candidates: List[Allocation]) -> Allocation:
     )
 
 
-def exhaustive_allocation(
-    free_times: Sequence[float], duration: SizeDurationFn
-) -> Allocation:
-    """Try every non-empty node subset; return the earliest-completion one.
-
-    The literal strategy the paper describes.  Exponential in the node
-    count — use :func:`earliest_free_allocation` beyond ~16 nodes.
-    """
-    check_non_empty(free_times, "free_times")
-    n = len(free_times)
-    candidates: List[Allocation] = []
-    for k in range(1, n + 1):
-        dur = float(duration(k))
-        _check_duration(dur, k)
-        for subset in combinations(range(n), k):
-            start = max(free_times[i] for i in subset)
-            candidates.append(Allocation(subset, start, start + dur))
-    return _best(candidates)
-
-
 def earliest_free_allocation(
     free_times: Sequence[float], duration: SizeDurationFn
 ) -> Allocation:
@@ -95,7 +65,7 @@ def earliest_free_allocation(
     For each size k the k earliest-free nodes minimise the start time, and
     duration depends only on k, so only n candidates need comparing.  Node
     order within equal free times follows ascending id, matching the
-    tie-break of :func:`exhaustive_allocation`.
+    tie-break of the exhaustive subset search.
     """
     check_non_empty(free_times, "free_times")
     free = np.asarray(free_times, dtype=float)
@@ -139,11 +109,6 @@ class BookingBase:
     def booked_free_times(self) -> np.ndarray:
         """Per-node booked-until times (copy)."""
         return self._free.copy()
-
-    @property
-    def makespan(self) -> float:
-        """Latest booked completion — the resource's freetime estimate."""
-        return float(self._free.max())
 
     def placement(self, task_id: int) -> Allocation:
         """The fixed allocation previously booked for *task_id*."""

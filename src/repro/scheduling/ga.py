@@ -9,12 +9,11 @@ or deletion of tasks" — :meth:`GAScheduler.add_task` and
 :meth:`GAScheduler.remove_task` repair the live population instead of
 restarting it.
 
-Performance note (see the HPC guides' profile-first rule): the object-level
-operators in :mod:`repro.scheduling.operators` and the scalar schedule
-builder are the *reference* implementation — clear, validated, and used by
-the property tests.  The kernel keeps its population packed in NumPy
-arrays and runs one whole-population generation loop
-(:mod:`repro.scheduling.vectorized`):
+Performance note: the object-level operators in ``tests/oracles.py`` and
+the scalar schedule builder are the *reference* implementation — clear,
+validated, and used by the property tests.  The kernel keeps its
+population packed in NumPy arrays and runs one whole-population generation
+loop (:mod:`repro.scheduling.vectorized`):
 
 * ``order``   — ``(P, m)`` task-row indices in execution order;
 * ``masks``   — ``(P, m, n)`` node allocations **keyed by task row**, not by
@@ -193,11 +192,6 @@ class GAScheduler:
         return self._config
 
     @property
-    def n_nodes(self) -> int:
-        """Node count of the managed resource."""
-        return self._n
-
-    @property
     def task_ids(self) -> Tuple[int, ...]:
         """The optimisation set T, in row order.
 
@@ -220,7 +214,7 @@ class GAScheduler:
 
     @property
     def stats(self) -> EvalReuseStats:
-        """Costing counters (live object; see ``stats.snapshot()``).
+        """Costing counters (live object).
 
         Rows costed and evaluated, elite carries, event-cache hits/misses
         and warm-start replacements — the observability behind

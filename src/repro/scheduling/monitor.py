@@ -26,7 +26,7 @@ forecasts.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional
 
 from repro.errors import ValidationError
 from repro.pace.forecast import LoadTracker
@@ -86,30 +86,6 @@ class ResourceMonitor:
         )
 
     # ------------------------------------------------------------------ state
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of monitored nodes."""
-        return len(self._actual_up)
-
-    @property
-    def polls(self) -> int:
-        """Number of polls performed."""
-        return self._polls
-
-    @property
-    def poll_interval(self) -> float:
-        """The polling cadence in seconds."""
-        return self._process.interval
-
-    def is_available(self, node_id: int) -> bool:
-        """Availability of *node_id* as of the last poll."""
-        self._check_node(node_id)
-        return self._observed_up[node_id]
-
-    def available_ids(self) -> List[int]:
-        """Node ids observed available at the last poll."""
-        return [i for i, up in enumerate(self._observed_up) if up]
 
     def unavailable_ids(self) -> List[int]:
         """Node ids observed down at the last poll."""
@@ -172,11 +148,6 @@ class ResourceMonitor:
 
     # -------------------------------------------------------- load forecasts
 
-    @property
-    def tracks_load(self) -> bool:
-        """Whether load sampling (the NWS extension) is enabled."""
-        return self._trackers is not None
-
     def slowdown(self, node_id: int) -> float:
         """Forecast execution-time multiplier for *node_id* (>= 1).
 
@@ -186,19 +157,6 @@ class ResourceMonitor:
         if self._trackers is None:
             return 1.0
         return self._trackers[node_id].slowdown()
-
-    def load_tracker(self, node_id: int) -> LoadTracker:
-        """The adaptive tracker behind *node_id*'s forecasts.
-
-        Raises
-        ------
-        ValidationError
-            If load tracking is disabled.
-        """
-        self._check_node(node_id)
-        if self._trackers is None:
-            raise ValidationError("load tracking is not enabled on this monitor")
-        return self._trackers[node_id]
 
     # ----------------------------------------------------- failure injection
 

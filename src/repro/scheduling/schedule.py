@@ -127,12 +127,6 @@ class Schedule:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Schedule(tasks={len(self._entries)}, "
-            f"makespan={self.relative_makespan:.2f}, idle={self.total_idle():.2f})"
-        )
-
 
 def build_schedule(
     solution: SolutionString,

@@ -54,7 +54,7 @@ from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.monitor import ResourceMonitor
 from repro.scheduling.schedule import build_schedule
 from repro.sim.engine import Engine
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.tasks.execution import ExecutionEngine, ExecutionMode
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import Environment, Task, TaskRequest, TaskState
@@ -203,7 +203,7 @@ class LocalScheduler:
         # Derived state, never checkpointed.
         self._freetime_memo: Optional[Tuple[np.ndarray, float]] = None
         # task id -> pending static-launch event (checkpoint support).
-        self._static_launch_handles: dict[int, "EventHandle"] = {}
+        self._static_launch_handles: dict[int, "Event"] = {}
         # Workflow gating state — all empty for independent-task runs, in
         # which case every path below is byte-identical to the seed:
         # * _gate: task id -> parent node names whose inputs have not yet
@@ -244,11 +244,6 @@ class LocalScheduler:
         return self._resource
 
     @property
-    def policy(self) -> SchedulingPolicy:
-        """The active scheduling policy."""
-        return self._policy
-
-    @property
     def queue(self) -> TaskQueue:
         """The task-management queue (the optimisation set T)."""
         return self._queue
@@ -272,15 +267,6 @@ class LocalScheduler:
     def ga(self) -> Optional[GAScheduler]:
         """The GA kernel (None under FIFO)."""
         return self._ga
-
-    @property
-    def all_tasks(self) -> List[Task]:
-        """Every task ever submitted here, in submission order."""
-        return list(self._all_tasks)
-
-    def task(self, task_id: int) -> Optional[Task]:
-        """The task submitted here under *task_id*, or ``None``."""
-        return self._task_by_id.get(task_id)
 
     def supports(self, environment: Environment) -> bool:
         """Whether this resource provides *environment* (matchmaking gate)."""
@@ -917,9 +903,3 @@ class LocalScheduler:
             (int(wf), str(node)): int(tid)
             for wf, node, tid in workflow.get("node_tasks", [])
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LocalScheduler({self._resource.name!r}, policy={self._policy.value}, "
-            f"queued={len(self._queue)}, running={len(self._executor.running_tasks)})"
-        )

@@ -80,7 +80,7 @@ def vectorized_selection(
     """Stochastic remainder selection drawn with O(1) RNG calls — ``(count,)``.
 
     Distribution-identical to
-    :func:`repro.scheduling.operators.stochastic_remainder_selection`:
+    the object-level ``stochastic_remainder_selection`` in ``tests/oracles.py``:
     each individual receives ``floor(expected)`` deterministic copies and
     the remaining slots are weighted draws on the fractional remainders;
     the result is returned in shuffled order so consecutive entries pair

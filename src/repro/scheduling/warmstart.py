@@ -30,7 +30,7 @@ including through a checkpoint/restore round-trip.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "greedy_allocation_masks",
     "greedy_allocation_masks_batch",
     "warmstart_orders",
-    "warmstart_population",
 ]
 
 
@@ -154,25 +153,3 @@ def warmstart_orders(
             a, b = rng.choice(m, size=2, replace=False)
             orders[i, a], orders[i, b] = orders[i, b], orders[i, a]
     return orders
-
-
-def warmstart_population(
-    dtable: np.ndarray,
-    deadlines: np.ndarray,
-    node_free_times: Sequence[float],
-    ref_time: float,
-    count: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """*count* list-scheduling seeds — ``(orders (count, m), masks (count, m, n))``.
-
-    Each candidate ordering from :func:`warmstart_orders` is mapped with
-    the greedy allocator under the given availability.  Every seed is a
-    legitimate solution by construction: orderings are permutations,
-    every task's mask selects at least one node.
-    """
-    orders = warmstart_orders(dtable, deadlines, count, rng)
-    masks = greedy_allocation_masks_batch(
-        orders, dtable, node_free_times, ref_time
-    )
-    return orders, masks

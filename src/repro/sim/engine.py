@@ -91,31 +91,9 @@ class Engine:
         return self._now
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
-        """The tracer event dispatch is reported to, if any."""
-        return self._tracer
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued, excluding cancelled ones — O(1)."""
-        return self._pending
-
-    @property
     def fired_count(self) -> int:
         """Total number of events that have fired."""
         return self._fired
-
-    @property
-    def heap_size(self) -> int:
-        """Heap entries, *including* cancelled garbage.
-
-        ``heap_size - pending`` is the current lazy-delete garbage, which
-        compaction keeps within ``max(pending, COMPACT_MIN)``.
-        """
-        return len(self._heap)
-
-    def __len__(self) -> int:
-        return self._pending
 
     # -------------------------------------------------------------- scheduling
 
@@ -303,27 +281,6 @@ class Engine:
             self._running = False
         return fired
 
-    def reset(self) -> None:
-        """Return the engine to its just-constructed state.
-
-        Pending events are discarded (their cancel hooks are not invoked —
-        the whole queue is gone), the clock rewinds to the construction
-        ``start_time``, and the sequence/fired/pending counters zero, so a
-        reset engine replays a seeded scenario identically to a fresh one.
-
-        Raises
-        ------
-        SimulationError
-            If called re-entrantly from inside a running event callback.
-        """
-        self._guard_reentrancy()
-        self._heap.clear()
-        self._now = self._start_time
-        self._sequence = 0
-        self._fired = 0
-        self._pending = 0
-        self._garbage = 0
-
     def next_event_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or ``None`` if empty."""
         heap = self._heap
@@ -352,9 +309,3 @@ class Engine:
     def _guard_reentrancy(self) -> None:
         if self._running:
             raise SimulationError("engine is already running (reentrant run call)")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Engine(now={self._now:.3f}, pending={self._pending}, "
-            f"fired={self._fired})"
-        )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-__all__ = ["Event", "EventHandle", "Priority"]
+__all__ = ["Event", "Priority"]
 
 
 class Priority:
@@ -102,18 +102,6 @@ class Event:
             return self.priority < other.priority
         return self.sequence < other.sequence
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.priority == other.priority
-            and self.sequence == other.sequence
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.priority, self.sequence))
-
     def cancel(self) -> None:
         """Mark the event cancelled; the engine will skip it when popped.
 
@@ -126,10 +114,9 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    # The engine returns events directly as their own handles (one object
+    # Both engines return events directly as their own handles (one object
     # allocation per schedule instead of two), so Event carries the full
-    # handle surface; :class:`EventHandle` remains as the wrapper the
-    # single-heap reference engine hands out.
+    # handle surface.
 
     @property
     def pending(self) -> bool:
@@ -150,71 +137,3 @@ class Event:
             "sequence": self.sequence,
             "label": self.label,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(t={self.time:.3f}, prio={self.priority}, "
-            f"seq={self.sequence}, label={self.label!r})"
-        )
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`Engine.schedule`; supports cancel."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """The virtual time the event is scheduled for."""
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        """The debug label the event was scheduled with."""
-        return self._event.label
-
-    @property
-    def priority(self) -> int:
-        """The priority band the event was scheduled in."""
-        return self._event.priority
-
-    @property
-    def sequence(self) -> int:
-        """The engine-assigned insertion sequence (tie-break identity)."""
-        return self._event.sequence
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._event.cancelled
-
-    @property
-    def fired(self) -> bool:
-        """Whether the event has already fired."""
-        return self._event.fired
-
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still waiting in the heap (not fired/cancelled)."""
-        return not (self._event.fired or self._event.cancelled)
-
-    def descriptor(self) -> dict:
-        """The ``(time, priority, sequence, label)`` identity of this event.
-
-        Checkpoints store descriptors instead of handles; restore re-creates
-        the event with its *original* triple via
-        :meth:`~repro.sim.engine.Engine.restore_event`, so heap order — and
-        therefore replay — is preserved exactly.
-        """
-        return self._event.descriptor()
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op if it already fired or was cancelled."""
-        self._event.cancel()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(t={self.time:.3f}, label={self.label!r}, {state})"

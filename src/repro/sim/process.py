@@ -1,4 +1,4 @@
-"""Process helpers layered on the engine: periodic and one-shot activities.
+"""Periodic activities layered on the engine.
 
 Agents pull service information every 10 seconds and the resource monitor
 polls hosts every 5 minutes (§2.2, §4.1); :class:`PeriodicProcess` models
@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.utils.validation import check_positive
 
-__all__ = ["PeriodicProcess", "delayed"]
+__all__ = ["PeriodicProcess"]
 
 
 class PeriodicProcess:
@@ -54,7 +53,7 @@ class PeriodicProcess:
         self._priority = priority
         self._fire_immediately = fire_immediately
         self._label = label
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
         self._fired = 0
 
@@ -62,16 +61,6 @@ class PeriodicProcess:
     def running(self) -> bool:
         """Whether the process is currently scheduled."""
         return self._running
-
-    @property
-    def fired(self) -> int:
-        """Number of times the callback has fired."""
-        return self._fired
-
-    @property
-    def interval(self) -> float:
-        """The firing interval in virtual seconds."""
-        return self._interval
 
     def start(self) -> None:
         """Begin periodic firing; idempotent if already running."""
@@ -125,17 +114,3 @@ class PeriodicProcess:
         pending = state.get("pending")
         if pending is not None:
             self._handle = self._engine.restore_event(pending, self._fire)
-
-
-def delayed(
-    engine: Engine,
-    delay: float,
-    callback: Callable[[], None],
-    *,
-    priority: int = Priority.DEFAULT,
-    label: str = "delayed",
-) -> EventHandle:
-    """Schedule a one-shot callback after *delay* seconds; returns its handle."""
-    if delay < 0:
-        raise SimulationError(f"delay must be >= 0, got {delay}")
-    return engine.schedule_in(delay, callback, priority=priority, label=label)

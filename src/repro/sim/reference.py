@@ -15,11 +15,11 @@ pattern as the engine.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.obs.records import EventFired
-from repro.sim.events import Event, EventHandle, Priority
+from repro.sim.events import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.obs.trace import Tracer
@@ -45,7 +45,6 @@ class SingleHeapEngine:
     def __init__(
         self, start_time: float = 0.0, *, tracer: Optional["Tracer"] = None
     ) -> None:
-        self._start_time = float(start_time)
         self._now = float(start_time)
         self._heap: List[Event] = []
         self._sequence = 0
@@ -62,11 +61,6 @@ class SingleHeapEngine:
         return self._now
 
     @property
-    def tracer(self) -> Optional["Tracer"]:
-        """The tracer event dispatch is reported to, if any."""
-        return self._tracer
-
-    @property
     def pending(self) -> int:
         """Number of events still queued, excluding cancelled ones — O(1)."""
         return self._pending
@@ -75,14 +69,6 @@ class SingleHeapEngine:
     def fired_count(self) -> int:
         """Total number of events that have fired."""
         return self._fired
-
-    @property
-    def heap_size(self) -> int:
-        """Entries in the global heap, including lazy-deleted garbage."""
-        return len(self._heap)
-
-    def __len__(self) -> int:
-        return self.pending
 
     # -------------------------------------------------------------- scheduling
 
@@ -93,7 +79,7 @@ class SingleHeapEngine:
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule *callback* at absolute virtual *time*."""
         if time < self._now:
             raise SimulationError(
@@ -110,7 +96,7 @@ class SingleHeapEngine:
         self._sequence += 1
         heapq.heappush(self._heap, event)
         self._pending += 1
-        return EventHandle(event)
+        return event
 
     def schedule_in(
         self,
@@ -119,61 +105,13 @@ class SingleHeapEngine:
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule *callback* after a relative *delay* in virtual seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self.schedule(
             self._now + delay, callback, priority=priority, label=label
         )
-
-    def restore_event(
-        self, descriptor: dict, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Re-create a checkpointed event with its **original** identity."""
-        time = float(descriptor["time"])
-        sequence = int(descriptor["sequence"])
-        if time < self._now:
-            raise SimulationError(
-                f"cannot restore event at t={time} before current time t={self._now}"
-            )
-        if sequence >= self._sequence:
-            raise SimulationError(
-                f"restored event sequence {sequence} not below engine "
-                f"sequence counter {self._sequence}"
-            )
-        event = Event(
-            time,
-            int(descriptor["priority"]),
-            sequence,
-            callback,
-            str(descriptor.get("label", "")),
-            on_cancel=self._on_event_cancelled,
-        )
-        heapq.heappush(self._heap, event)
-        self._pending += 1
-        return EventHandle(event)
-
-    # ------------------------------------------------------------- checkpoint
-
-    def snapshot_state(self) -> dict:
-        """Clock and counter state (events are snapshot by their owners)."""
-        return {
-            "now": self._now,
-            "start_time": self._start_time,
-            "sequence": self._sequence,
-            "fired": self._fired,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rewind to a snapshot; pending events must be restored afterwards."""
-        self._guard_reentrancy()
-        self._heap.clear()
-        self._pending = 0
-        self._start_time = float(state["start_time"])
-        self._now = float(state["now"])
-        self._sequence = int(state["sequence"])
-        self._fired = int(state["fired"])
 
     # ------------------------------------------------------------------- run
 
@@ -200,24 +138,6 @@ class SingleHeapEngine:
             return True
         return False
 
-    def run_until(self, end_time: float) -> None:
-        """Fire every event with ``time <= end_time``; advance the clock to it."""
-        if end_time < self._now:
-            raise SimulationError(
-                f"cannot run to t={end_time}, already at t={self._now}"
-            )
-        self._guard_reentrancy()
-        self._running = True
-        try:
-            while self._heap:
-                head = self._peek()
-                if head is None or head.time > end_time:
-                    break
-                self.step()
-            self._now = float(end_time)
-        finally:
-            self._running = False
-
     def run(self, max_events: Optional[int] = None) -> int:
         """Fire events until the queue drains (or *max_events* fire)."""
         self._guard_reentrancy()
@@ -230,42 +150,12 @@ class SingleHeapEngine:
             self._running = False
         return fired
 
-    def reset(self) -> None:
-        """Return the engine to its just-constructed state."""
-        self._guard_reentrancy()
-        self._heap.clear()
-        self._now = self._start_time
-        self._sequence = 0
-        self._fired = 0
-        self._pending = 0
-
     # --------------------------------------------------------------- helpers
 
     def _on_event_cancelled(self) -> None:
         """Event.cancel hook: keep the live pending count exact."""
         self._pending -= 1
 
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
-    def next_event_time(self) -> Optional[float]:
-        """Virtual time of the next pending event, or ``None`` if empty."""
-        head = self._peek()
-        return head.time if head is not None else None
-
     def _guard_reentrancy(self) -> None:
         if self._running:
             raise SimulationError("engine is already running (reentrant run call)")
-
-    def iter_labels(self) -> Iterator[str]:
-        """Labels of pending events, in heap (not firing) order — debug aid."""
-        return (e.label for e in self._heap if not e.cancelled)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SingleHeapEngine(now={self._now:.3f}, "
-            f"pending={self.pending}, fired={self._fired})"
-        )

@@ -33,7 +33,7 @@ from repro.errors import TaskError
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.resource import ResourceModel
 from repro.sim.engine import Engine
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.tasks.task import Task
 
 __all__ = ["BusyInterval", "ExecutionEngine", "ExecutionMode"]
@@ -121,24 +121,9 @@ class ExecutionEngine:
         self._completed: List[Task] = []
         self._completion_listeners: List[Callable[[Task], None]] = []
         # task id -> its pending complete-task event (checkpoint support).
-        self._completion_handles: Dict[int, EventHandle] = {}
+        self._completion_handles: Dict[int, Event] = {}
 
     # ------------------------------------------------------------------ state
-
-    @property
-    def sim(self) -> Engine:
-        """The discrete-event engine supplying the virtual clock."""
-        return self._sim
-
-    @property
-    def resource(self) -> ResourceModel:
-        """The resource tasks execute on."""
-        return self._resource
-
-    @property
-    def mode(self) -> str:
-        """The execution mode."""
-        return self._mode
 
     @property
     def busy_intervals(self) -> List[BusyInterval]:
@@ -178,11 +163,6 @@ class ExecutionEngine:
             free.flags.writeable = False
             self._free_times = free
         return self._free_times
-
-    def free_nodes(self, at_time: Optional[float] = None) -> List[int]:
-        """Ids of nodes free at *at_time* (default: now)."""
-        t = self._sim.now if at_time is None else at_time
-        return [nid for nid, free in self._node_free_at.items() if free <= t]
 
     def earliest_all_free(self, node_ids: Sequence[int]) -> float:
         """Earliest time all of *node_ids* are simultaneously free."""

@@ -96,11 +96,6 @@ class TaskGraph:
         """All node names in insertion order."""
         return tuple(self._apps)
 
-    @property
-    def edge_count(self) -> int:
-        """Number of data edges."""
-        return sum(len(v) for v in self._children.values())
-
     def application(self, node: str) -> str:
         """The application spec name bound to *node*."""
         try:
@@ -149,7 +144,7 @@ class TaskGraph:
     # -------------------------------------------------------------- serialise
 
     def to_dict(self) -> dict:
-        """A JSON-ready description (checkpoint / golden-scenario support)."""
+        """A JSON-ready description (checkpoint support)."""
         return {
             "nodes": [[name, app] for name, app in self._apps.items()],
             "edges": [
@@ -165,17 +160,6 @@ class TaskGraph:
         return cls(
             nodes={name: app for name, app in data["nodes"]},
             edges=[(p, c, float(s)) for p, c, s in data["edges"]],
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaskGraph):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TaskGraph({len(self._apps)} nodes, {self.edge_count} edges, "
-            f"roots={list(self.roots())}, sinks={list(self.sinks())})"
         )
 
 

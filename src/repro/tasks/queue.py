@@ -14,7 +14,7 @@ the GA can repair its population incrementally.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import TaskError
 from repro.tasks.task import Task, TaskRequest
@@ -33,17 +33,6 @@ class TaskQueue:
 
     # ---------------------------------------------------------------- listing
 
-    @property
-    def tasks(self) -> List[Task]:
-        """The queued tasks in arrival order (copy; mutation-safe)."""
-        return list(self._tasks)
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def __iter__(self) -> Iterator[Task]:
-        return iter(list(self._tasks))
-
     def __contains__(self, task_id: int) -> bool:
         return task_id in self._by_id
 
@@ -53,14 +42,6 @@ class TaskQueue:
         return not self._tasks
 
     # ---------------------------------------------------------------- changes
-
-    def subscribe(self, listener: Callable[[str, Task], None]) -> None:
-        """Register a change listener called as ``listener(op, task)``.
-
-        ``op`` is ``"add"`` or ``"remove"``.  The GA scheduler subscribes to
-        repair its population when the optimisation set changes.
-        """
-        self._listeners.append(listener)
 
     def _notify(self, op: str, task: Task) -> None:
         for listener in self._listeners:
@@ -72,20 +53,6 @@ class TaskQueue:
         self._next_id += 1
         task.mark_queued()
         self._tasks.append(task)
-        self._by_id[task.task_id] = task
-        self._notify("add", task)
-        return task
-
-    def insert(self, request: TaskRequest, position: int) -> Task:
-        """Insert a request at *position* in arrival order (§2.2 'inserting')."""
-        if not (0 <= position <= len(self._tasks)):
-            raise TaskError(
-                f"insert position {position} out of range 0..{len(self._tasks)}"
-            )
-        task = Task(self._next_id, request)
-        self._next_id += 1
-        task.mark_queued()
-        self._tasks.insert(position, task)
         self._by_id[task.task_id] = task
         self._notify("add", task)
         return task

@@ -21,7 +21,7 @@ work.)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import TaskError, TaskStateError
@@ -139,11 +139,6 @@ class TaskRequest:
                 f"deadline {self.deadline} must be after submit time {self.submit_time}"
             )
 
-    @property
-    def relative_deadline(self) -> float:
-        """Seconds between submission and deadline."""
-        return self.deadline - self.submit_time
-
 
 class Task:
     """The scheduler-side record of one accepted request (T_j of eq. 3)."""
@@ -259,9 +254,3 @@ class Task:
     def mark_cancelled(self) -> None:
         """Cancel a task — queued, submitted, or already running."""
         self._transition(TaskState.CANCELLED)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Task(id={self._task_id}, app={self.application.name!r}, "
-            f"state={self._state.name}, deadline={self.deadline:.1f})"
-        )

@@ -6,8 +6,6 @@ from repro.utils.stats import (
     mean,
     mean_square_deviation,
     relative_deviation,
-    summary,
-    weighted_mean,
 )
 from repro.utils.tables import format_cell, render_table
 from repro.utils.timefmt import EPOCH, format_duration, format_timestamp, parse_timestamp
@@ -20,8 +18,6 @@ __all__ = [
     "mean",
     "mean_square_deviation",
     "relative_deviation",
-    "summary",
-    "weighted_mean",
     "format_cell",
     "render_table",
     "EPOCH",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -65,11 +65,6 @@ class RngRegistry:
         self._master_seed = int(master_seed)
         self._streams: Dict[str, np.random.Generator] = {}
 
-    @property
-    def master_seed(self) -> int:
-        """The master seed this registry was created with."""
-        return self._master_seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the (cached) generator for stream *name*."""
         gen = self._streams.get(name)
@@ -77,16 +72,6 @@ class RngRegistry:
             gen = np.random.default_rng(derive_seed(self._master_seed, name))
             self._streams[name] = gen
         return gen
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for *name*, resetting any cached state."""
-        gen = np.random.default_rng(derive_seed(self._master_seed, name))
-        self._streams[name] = gen
-        return gen
-
-    def names(self) -> Iterator[str]:
-        """Iterate over the names of streams created so far."""
-        return iter(sorted(self._streams))
 
     def state_digest(self) -> str:
         """A hex digest of every stream's current generator state.
@@ -138,9 +123,6 @@ class RngRegistry:
                 gen = np.random.default_rng(derive_seed(self._master_seed, name))
                 self._streams[name] = gen
             gen.bit_generator.state = bg_state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngRegistry(master_seed={self._master_seed}, streams={sorted(self._streams)})"
 
 
 def stream(master_seed: int, name: str) -> np.random.Generator:

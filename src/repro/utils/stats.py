@@ -18,8 +18,6 @@ __all__ = [
     "mean_square_deviation",
     "relative_deviation",
     "balance_level",
-    "weighted_mean",
-    "summary",
 ]
 
 
@@ -74,31 +72,3 @@ def balance_level(values: Sequence[float]) -> float:
     the paper's formula also permits.
     """
     return 1.0 - relative_deviation(values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean; weights must be non-negative, not all zero."""
-    arr = _as_array(values, "values")
-    w = _as_array(weights, "weights")
-    if arr.shape != w.shape:
-        raise ValidationError(
-            f"values and weights must have equal length, got {arr.size} and {w.size}"
-        )
-    if np.any(w < 0):
-        raise ValidationError("weights must be non-negative")
-    total = w.sum()
-    if total == 0:
-        raise ValidationError("weights must not all be zero")
-    return float((arr * w).sum() / total)
-
-
-def summary(values: Sequence[float]) -> dict[str, float]:
-    """Convenience bundle of the statistics the reporting layer prints."""
-    arr = _as_array(values, "values")
-    return {
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "deviation": mean_square_deviation(arr),
-        "balance": balance_level(arr) if arr.mean() != 0 or np.allclose(arr, 0) else float("nan"),
-    }

@@ -12,22 +12,11 @@ from typing import Any, Iterable, Sequence
 from repro.errors import ValidationError
 
 __all__ = [
-    "require",
     "check_positive",
     "check_non_negative",
-    "check_in_range",
-    "check_probability",
-    "check_type",
     "check_non_empty",
     "check_unique",
-    "check_permutation",
 ]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValidationError` with *message* unless *condition* holds."""
-    if not condition:
-        raise ValidationError(message)
 
 
 def check_positive(value: float, name: str) -> float:
@@ -41,32 +30,6 @@ def check_non_negative(value: float, name: str) -> float:
     """Validate that *value* is >= 0; return it."""
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
-def check_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Validate ``low <= value <= high``; return *value*."""
-    if not (low <= value <= high):
-        raise ValidationError(f"{name} must be in [{low}, {high}], got {value!r}")
-    return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Validate that *value* is a probability in ``[0, 1]``; return it."""
-    return check_in_range(value, 0.0, 1.0, name)
-
-
-def check_type(value: Any, expected: type | tuple[type, ...], name: str) -> Any:
-    """Validate ``isinstance(value, expected)``; return *value*."""
-    if not isinstance(value, expected):
-        exp = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " | ".join(t.__name__ for t in expected)
-        )
-        raise ValidationError(
-            f"{name} must be of type {exp}, got {type(value).__name__}"
-        )
     return value
 
 
@@ -84,9 +47,3 @@ def check_unique(values: Iterable[Any], name: str) -> None:
         if v in seen:
             raise ValidationError(f"{name} contains duplicate element {v!r}")
         seen.add(v)
-
-
-def check_permutation(values: Sequence[int], n: int, name: str) -> None:
-    """Validate that *values* is a permutation of ``range(n)``."""
-    if len(values) != n or sorted(values) != list(range(n)):
-        raise ValidationError(f"{name} must be a permutation of range({n}), got {list(values)!r}")

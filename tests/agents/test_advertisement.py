@@ -21,6 +21,7 @@ from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment, TaskRequest
+from tests.oracles import registry
 
 
 def build_pair(sim, strategy_factory):
@@ -81,8 +82,8 @@ class TestEventPush:
     def test_initial_push_seeds_registry(self, sim):
         agents = build_pair(sim, lambda: EventPushStrategy())
         sim.run_until(0.5)
-        assert agents["C"].endpoint in agents["P"].registry
-        assert agents["P"].endpoint in agents["C"].registry
+        assert agents["C"].endpoint in registry(agents["P"])
+        assert agents["P"].endpoint in registry(agents["C"])
 
     def test_push_on_service_change(self, sim):
         agents = build_pair(sim, lambda: EventPushStrategy())
@@ -154,5 +155,5 @@ class TestNoAdvertisement:
     def test_registries_stay_empty(self, sim):
         agents = build_pair(sim, NoAdvertisement)
         sim.run_until(60.0)
-        assert agents["P"].registry == {}
-        assert agents["C"].registry == {}
+        assert registry(agents["P"]) == {}
+        assert registry(agents["C"]) == {}

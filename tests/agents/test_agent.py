@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.tasks.task import Environment
+from tests.oracles import is_head, registry
 
 
 class TestServiceInfo:
@@ -20,28 +21,28 @@ class TestServiceInfo:
         assert {a.name for a in head.neighbours()} == {"A2", "A3"}
         leaf = grid.agents["A2"]
         assert [a.name for a in leaf.neighbours()] == ["A1"]
-        assert head.is_head and not leaf.is_head
+        assert is_head(head) and not is_head(leaf)
 
 
 class TestAdvertisement:
     def test_pull_populates_registries(self, grid, sim):
         sim.run_until(0.5)  # immediate pulls + replies at t=0
         head = grid.agents["A1"]
-        assert len(head.registry) == 2
-        leaf_registry = grid.agents["A2"].registry
+        assert len(registry(head)) == 2
+        leaf_registry = registry(grid.agents["A2"])
         assert list(leaf_registry) == [grid.agents["A1"].endpoint]
 
     def test_periodic_refresh_updates_freetime(self, grid, sim, specs):
         sim.run_until(0.5)
         head = grid.agents["A1"]
         a2_ep = grid.agents["A2"].endpoint
-        assert head.registry[a2_ep].freetime == 0.0
+        assert registry(head)[a2_ep].freetime == 0.0
         # Load A2 directly, then wait for the next pull round.
         grid.portal.submit(
             grid.agents["A2"], specs["sweep3d"].model, Environment.TEST, 500.0
         )
         sim.run_until(10.5)
-        assert head.registry[a2_ep].freetime > 0.0
+        assert registry(head)[a2_ep].freetime > 0.0
 
     def test_pull_counters(self, grid, sim):
         sim.run_until(0.5)

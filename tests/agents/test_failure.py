@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.tasks.task import Environment
+from tests.oracles import registry
 
 
 class TestAgentDeath:
@@ -22,7 +23,7 @@ class TestAgentDeath:
         head = grid.agents["A1"]
         assert head.stats.send_failures >= 3
         # The dead agent's stale record is dropped from the registry.
-        assert grid.agents["A2"].endpoint not in head.registry
+        assert grid.agents["A2"].endpoint not in registry(head)
 
     def test_requests_survive_neighbour_death(self, grid, sim, specs):
         """Requests routed while a target is dead get absorbed, not lost."""

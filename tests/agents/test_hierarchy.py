@@ -14,6 +14,7 @@ from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from tests.oracles import depth, hierarchy_agent, hierarchy_size, leaves
 
 
 def make_agents(sim, names):
@@ -40,25 +41,25 @@ class TestWiring:
         assert hierarchy.head is agents["H"]
         assert agents["L"].parent is agents["H"]
         assert {c.name for c in agents["H"].children} == {"L", "R"}
-        assert len(hierarchy) == 3
+        assert hierarchy_size(hierarchy) == 3
 
     def test_depth(self, sim):
         agents = make_agents(sim, ["a", "b", "c"])
         hierarchy = wire_hierarchy(agents, {"a": None, "b": "a", "c": "b"})
-        assert hierarchy.depth("a") == 0
-        assert hierarchy.depth("c") == 2
+        assert depth(hierarchy, "a") == 0
+        assert depth(hierarchy, "c") == 2
 
     def test_leaves(self, sim):
         agents = make_agents(sim, ["a", "b", "c"])
         hierarchy = wire_hierarchy(agents, {"a": None, "b": "a", "c": "b"})
-        assert [a.name for a in hierarchy.leaves()] == ["c"]
+        assert [a.name for a in leaves(hierarchy)] == ["c"]
 
     def test_agent_lookup(self, sim):
         agents = make_agents(sim, ["a", "b"])
         hierarchy = wire_hierarchy(agents, {"a": None, "b": "a"})
-        assert hierarchy.agent("b").name == "b"
+        assert hierarchy_agent(hierarchy, "b").name == "b"
         with pytest.raises(HierarchyError):
-            hierarchy.agent("zz")
+            hierarchy_agent(hierarchy, "zz")
 
 
 class TestValidation:

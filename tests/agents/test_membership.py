@@ -24,6 +24,7 @@ from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from tests.oracles import next_of_kin, orphaned, state_of
 
 MEMBERSHIP = MembershipConfig(enabled=True)
 
@@ -99,7 +100,7 @@ class TestFailureDetector:
         assert a1.detector is not None
         assert a1.detector.stats.heartbeats_sent > 0
         for name in ("B1", "B2"):
-            assert a1.detector.state_of(deep.agents[name].endpoint) == ALIVE
+            assert state_of(a1.detector, deep.agents[name].endpoint) == ALIVE
         assert a1.detector.stats.suspects == 0
 
     def test_disabled_membership_builds_no_detector(self, sim):
@@ -115,7 +116,7 @@ class TestFailureDetector:
         b2.deactivate()
         sim.run_until(9.0)  # silence >= SUSPECT_AFTER at A1's sweep
         a1 = deep.agents["A1"]
-        assert a1.detector.state_of(b2.endpoint) == SUSPECTED
+        assert state_of(a1.detector, b2.endpoint) == SUSPECTED
         assert a1.detector.is_quarantined(b2.endpoint)
         assert a1.detector.stats.suspects >= 1
         # The link is quarantined, not severed: B2 is still a child.
@@ -130,7 +131,7 @@ class TestFailureDetector:
         assert a1.detector.is_quarantined(b2.endpoint)
         b2.reactivate()  # slow, not dead: its next heartbeat clears it
         sim.run_until(12.0)
-        assert a1.detector.state_of(b2.endpoint) == ALIVE
+        assert state_of(a1.detector, b2.endpoint) == ALIVE
         assert not a1.detector.is_quarantined(b2.endpoint)
         assert a1.detector.stats.recoveries >= 1
         assert a1.detector.stats.confirms == 0
@@ -144,7 +145,7 @@ class TestFailureDetector:
         assert a1.detector.stats.confirms >= 1
         assert b2 not in a1.children
         # Lease state for the severed link is garbage-collected.
-        assert a1.detector.state_of(b2.endpoint) == ALIVE
+        assert state_of(a1.detector, b2.endpoint) == ALIVE
 
     def test_crash_wipes_detector_leases(self, deep, sim):
         """A crashed process keeps no lease memory (counters are reports)."""
@@ -162,7 +163,7 @@ class TestFailureDetector:
 class TestHealing:
     def test_heartbeats_gossip_kin(self, deep, sim):
         sim.run_until(5.0)
-        kin = deep.agents["C2"].healer.kin
+        kin = next_of_kin(deep.agents["C2"].healer)
         assert kin is not None
         assert kin.parent == "B1"
         assert kin.grandparent is not None and kin.grandparent[0] == "A1"
@@ -213,11 +214,11 @@ class TestHealing:
     def test_orphan_without_kin_roots_itself(self, deep, sim):
         # Unit-level: a confirmed death before any kin gossip arrived.
         c2 = deep.agents["C2"]
-        assert c2.healer.kin is None
+        assert next_of_kin(c2.healer) is None
         c2.healer.on_parent_dead(deep.agents["B1"])
         assert c2.parent is None
         assert c2.healer.stats.promotions == 1
-        assert not c2.healer.orphaned
+        assert not orphaned(c2.healer)
 
     def test_adopter_rejects_cycles(self, deep, sim):
         sim.run_until(5.0)

@@ -35,6 +35,7 @@ from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment, TaskRequest
+from tests.oracles import bookings, open_auctions, pending_reservations, policy
 
 
 class PolicyGrid:
@@ -126,14 +127,14 @@ class TestFactory:
     def test_make_policy(self, sim, kind, cls):
         grid = make_grid(sim, kind)
         agent = grid.agents["A1"]
-        assert type(agent.policy) is cls
-        assert agent.policy.kind == kind
-        assert agent.policy.agent is agent
+        assert type(policy(agent)) is cls
+        assert policy(agent).kind == kind
+        assert policy(agent).agent is agent
 
     def test_every_registered_kind_constructs(self, sim):
         for kind in POLICY_KINDS:
             grid = PolicyGrid(sim, policy=GlobalPolicyConfig(kind=kind))
-            assert grid.agents["A1"].policy.kind == kind
+            assert policy(grid.agents["A1"]).kind == kind
 
 
 class TestCandidateKey:
@@ -171,16 +172,16 @@ class TestAuctionFlow:
         grid.run_for(600.0)
         assert all(grid.portal.result(rid).success for rid in rids)
         for agent in grid.agents.values():
-            assert agent.policy.open_auctions == {}
+            assert open_auctions(policy(agent)) == {}
 
     def test_impossible_deadline_opens_auction(self, sim, specs):
         """A locally-infeasible request goes to CFP with both children."""
         grid = make_grid(sim, "auction")
         a1 = grid.agents["A1"]
         env = envelope_for(specs, sim, request_id=7001, deadline=sim.now + 1e-3)
-        a1.policy.route(env, 0, exclude=frozenset(), attempt=0)
-        assert 7001 in a1.policy.open_auctions
-        auction = a1.policy.open_auctions[7001]
+        policy(a1).route(env, 0, exclude=frozenset(), attempt=0)
+        assert 7001 in open_auctions(policy(a1))
+        auction = open_auctions(policy(a1))[7001]
         assert auction.pending == {
             grid.agents["A2"].endpoint,
             grid.agents["A3"].endpoint,
@@ -192,10 +193,10 @@ class TestAuctionFlow:
         grid = make_grid(sim, "auction")
         a1 = grid.agents["A1"]
         env = envelope_for(specs, sim, request_id=7002, deadline=sim.now + 1e-3)
-        a1.policy.route(env, 0, exclude=frozenset(), attempt=0)
+        policy(a1).route(env, 0, exclude=frozenset(), attempt=0)
         # Both bids arrive over the transport within a round trip.
         grid.run_for(1.0)
-        assert 7002 not in a1.policy.open_auctions
+        assert 7002 not in open_auctions(policy(a1))
 
     def test_late_bid_is_ignored(self, sim, specs):
         grid = make_grid(sim, "auction")
@@ -207,8 +208,8 @@ class TestAuctionFlow:
             a1.endpoint,
             payload=BidInfo(request_id=424242, eta=1.0, supported=True),
         )
-        assert a1.policy.handle_message(stray)
-        assert a1.policy.open_auctions == {}
+        assert policy(a1).handle_message(stray)
+        assert open_auctions(policy(a1)) == {}
         assert a1.stats.forwarded == forwarded
 
 
@@ -227,17 +228,17 @@ class TestReservationFlow:
         grid.run_for(600.0)
         assert all(grid.portal.result(rid).success for rid in rids)
         for agent in grid.agents.values():
-            assert agent.policy.pending_reservations == {}
+            assert pending_reservations(policy(agent)) == {}
 
     def test_reserve_books_and_confirms(self, sim, specs):
         grid = make_grid(sim, "reservation")
         a1, a2 = grid.agents["A1"], grid.agents["A2"]
         env = envelope_for(specs, sim, request_id=8001, deadline=sim.now + 500)
-        a2.policy._on_reserve(
+        policy(a2)._on_reserve(
             Message(MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=env)
         )
-        assert 8001 in a2.policy.bookings
-        booker, start, end = a2.policy.bookings[8001]
+        assert 8001 in bookings(policy(a2))
+        booker, start, end = bookings(policy(a2))[8001]
         assert booker == a1.endpoint
         assert start < end <= env.request.deadline + 1e-9
 
@@ -248,13 +249,13 @@ class TestReservationFlow:
             env = envelope_for(
                 specs, sim, request_id=rid, deadline=sim.now + 5000
             )
-            a2.policy._on_reserve(
+            policy(a2)._on_reserve(
                 Message(
                     MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=env
                 )
             )
         windows = sorted(
-            (start, end) for _, start, end in a2.policy.bookings.values()
+            (start, end) for _, start, end in bookings(policy(a2)).values()
         )
         assert len(windows) == 3
         for (_, prev_end), (next_start, _) in zip(windows, windows[1:]):
@@ -264,22 +265,22 @@ class TestReservationFlow:
         grid = make_grid(sim, "reservation")
         a1, a2 = grid.agents["A1"], grid.agents["A2"]
         env = envelope_for(specs, sim, request_id=8201, deadline=sim.now + 1e-3)
-        a2.policy._on_reserve(
+        policy(a2)._on_reserve(
             Message(MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=env)
         )
-        assert 8201 not in a2.policy.bookings
+        assert 8201 not in bookings(policy(a2))
 
     def test_stale_confirm_releases_window(self, sim, specs):
         """A CONFIRM nobody is waiting for must free the holder's window."""
         grid = make_grid(sim, "reservation")
         a1, a2 = grid.agents["A1"], grid.agents["A2"]
         env = envelope_for(specs, sim, request_id=8301, deadline=sim.now + 500)
-        a2.policy._on_reserve(
+        policy(a2)._on_reserve(
             Message(MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=env)
         )
-        _, start, end = a2.policy.bookings[8301]
+        _, start, end = bookings(policy(a2))[8301]
         # A1 never asked (no pending entry): the grant is stale.
-        a1.policy.handle_message(
+        policy(a1).handle_message(
             Message(
                 MessageKind.CONFIRM,
                 a2.endpoint,
@@ -288,7 +289,7 @@ class TestReservationFlow:
             )
         )
         grid.run_for(1.0)  # deliver the RELEASE
-        assert 8301 not in a2.policy.bookings
+        assert 8301 not in bookings(policy(a2))
 
 
 class TestChurnRegression:
@@ -298,12 +299,12 @@ class TestChurnRegression:
         grid = make_grid(sim, "auction")
         a1 = grid.agents["A1"]
         env = envelope_for(specs, sim, request_id=9001, deadline=sim.now + 1e-3)
-        a1.policy.route(env, 0, exclude=frozenset(), attempt=0)
-        handle = a1.policy.open_auctions[9001].handle
+        policy(a1).route(env, 0, exclude=frozenset(), attempt=0)
+        handle = open_auctions(policy(a1))[9001].handle
         assert handle is not None and handle.pending
 
         a1.deactivate()
-        assert a1.policy.open_auctions == {}
+        assert open_auctions(policy(a1)) == {}
         assert not handle.pending  # the bid timer died with the round
 
         a1.reactivate()
@@ -314,30 +315,30 @@ class TestChurnRegression:
             a1.endpoint,
             payload=BidInfo(request_id=9001, eta=1.0, supported=True),
         )
-        assert a1.policy.handle_message(late)
+        assert policy(a1).handle_message(late)
         # The previous incarnation's auction is gone; the bid is a stranger.
-        assert a1.policy.open_auctions == {}
+        assert open_auctions(policy(a1)) == {}
         assert a1.stats.forwarded == forwarded
 
     def test_deactivate_clears_bookings_and_pending(self, sim, specs):
         grid = make_grid(sim, "reservation")
         a1, a2 = grid.agents["A1"], grid.agents["A2"]
         held = envelope_for(specs, sim, request_id=9101, deadline=sim.now + 500)
-        a2.policy._on_reserve(
+        policy(a2)._on_reserve(
             Message(MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=held)
         )
         asked = envelope_for(
             specs, sim, request_id=9102, deadline=sim.now + 1e-3
         )
-        a2.policy.route(asked, 0, exclude=frozenset(), attempt=0)
-        assert 9101 in a2.policy.bookings
-        assert 9102 in a2.policy.pending_reservations
-        handle = a2.policy.pending_reservations[9102].handle
+        policy(a2).route(asked, 0, exclude=frozenset(), attempt=0)
+        assert 9101 in bookings(policy(a2))
+        assert 9102 in pending_reservations(policy(a2))
+        handle = pending_reservations(policy(a2))[9102].handle
         assert handle is not None and handle.pending
 
         a2.deactivate()
-        assert a2.policy.bookings == {}
-        assert a2.policy.pending_reservations == {}
+        assert bookings(policy(a2)) == {}
+        assert pending_reservations(policy(a2)) == {}
         assert not handle.pending
 
         a2.reactivate()
@@ -346,17 +347,17 @@ class TestChurnRegression:
         fresh = envelope_for(
             specs, sim, request_id=9101, deadline=sim.now + 500
         )
-        a2.policy.route(fresh, 0, exclude=frozenset(), attempt=0)
-        assert 9101 not in a2.policy.bookings
-        assert a2.policy.pending_reservations == {}
+        policy(a2).route(fresh, 0, exclude=frozenset(), attempt=0)
+        assert 9101 not in bookings(policy(a2))
+        assert pending_reservations(policy(a2)) == {}
 
     def test_dead_peers_windows_released(self, sim, specs):
         grid = make_grid(sim, "reservation")
         a1, a2 = grid.agents["A1"], grid.agents["A2"]
         env = envelope_for(specs, sim, request_id=9201, deadline=sim.now + 500)
-        a2.policy._on_reserve(
+        policy(a2)._on_reserve(
             Message(MessageKind.RESERVE, a1.endpoint, a2.endpoint, payload=env)
         )
-        assert 9201 in a2.policy.bookings
-        a2.policy.on_peer_dead(a1)
-        assert a2.policy.bookings == {}
+        assert 9201 in bookings(policy(a2))
+        policy(a2).on_peer_dead(a1)
+        assert bookings(policy(a2)) == {}

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import AgentError
 from repro.net.xmlio import parse_request
 from repro.tasks.task import Environment
+from tests.oracles import advance_time
 
 
 class TestSubmission:
@@ -79,6 +80,6 @@ class TestResultContents:
         assert result.submit_time == 2.0
         assert result.completion_time > result.start_time >= 2.0
         assert result.met_deadline
-        assert result.advance_time == pytest.approx(
+        assert advance_time(result) == pytest.approx(
             result.deadline - result.completion_time
         )

@@ -25,6 +25,7 @@ from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment
+from tests.oracles import pending_ack_count
 
 RESILIENCE = ResilienceConfig(enabled=True)
 
@@ -97,7 +98,7 @@ class TestPermanentEntryAgentDeath:
 
     def test_tears_down_every_timer(self, rig, specs):
         self.submit_to_corpse(rig, specs)
-        assert rig.portal.pending_ack_count == 0
+        assert pending_ack_count(rig.portal) == 0
         assert not rig.portal._redispatches  # noqa: SLF001 - teardown proof
 
     def test_trace_records_the_failure(self, rig, specs):

@@ -25,6 +25,7 @@ from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment, TaskRequest
+from tests.oracles import pending_ack_count, registry
 
 
 class ResilientGrid:
@@ -112,7 +113,7 @@ class TestAckFlow:
         rgrid.run_for(1.0)
         assert rgrid.agents["A1"].stats.acks_sent >= 1
         assert rgrid.portal.stats.acks_received >= 1
-        assert rgrid.portal.pending_ack_count == 0
+        assert pending_ack_count(rgrid.portal) == 0
         rgrid.run_for(200.0)
         assert rgrid.portal.result(rid).success
 
@@ -182,7 +183,7 @@ class TestRetryAndReroute:
         )
         rgrid.run_for(300.0)
         # Healthy links: the forward was acknowledged, nothing retried.
-        assert a3.pending_ack_count == 0
+        assert pending_ack_count(a3) == 0
         assert a3.stats.retries == 0
 
 
@@ -195,14 +196,14 @@ class TestRegistryTTL:
         )
         grid.run_for(1.0)
         a3 = grid.agents["A3"]
-        assert len(a3.registry) > 0
+        assert len(registry(a3)) > 0
         grid.run_for(20.0)  # clock now far past the TTL
         grid.portal.submit(
             a3, specs["sweep3d"].model, Environment.TEST, sim.now + 30.0
         )
         grid.run_for(1.0)
         assert a3.stats.registry_expired >= 1
-        assert len(a3.registry) == 0
+        assert len(registry(a3)) == 0
 
     def test_ttl_applies_with_ack_layer_disabled(self, sim, specs):
         grid = ResilientGrid(
@@ -238,7 +239,7 @@ class TestCrashAndRestart:
         assert a2.active
         # The restarted pull strategy warms the registry again.
         rgrid.run_for(1.0)
-        assert len(a2.registry) > 0
+        assert len(registry(a2)) > 0
 
     def test_crash_cancels_pending_ack_timers(self, sim, rgrid, specs):
         rgrid.install_faults(
@@ -250,10 +251,10 @@ class TestCrashAndRestart:
             a3, specs["sweep3d"].model, Environment.TEST, sim.now + 30.0
         )
         rgrid.run_for(0.5)  # REQUEST forwarded, ACK timer armed
-        if a3.pending_ack_count == 0:
+        if pending_ack_count(a3) == 0:
             pytest.skip("forward did not arm a timer under this workload")
         a3.deactivate()
-        assert a3.pending_ack_count == 0
+        assert pending_ack_count(a3) == 0
         rgrid.run_for(60.0)  # well past every backoff timeout
         assert a3.stats.retries == 0  # cancelled timer never fired
 

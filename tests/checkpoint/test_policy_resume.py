@@ -57,11 +57,21 @@ def policy_states(payload):
     ]
 
 
+def in_flight_types(payload):
+    """Payload types of the messages a snapshot holds in flight."""
+    return {
+        entry["message"]["payload"]["type"]
+        for entry in payload["system"]["transport"]["in_flight"]
+    }
+
+
 class PolicyResumeHarness:
     """Shared sweep: full run once, then checkpoint/resume per step."""
 
     kind: str
     steps: tuple
+    #: a message payload type some snapshot must hold in flight, if any
+    in_flight = None
     #: payload predicate: "this snapshot landed mid-protocol"
     @staticmethod
     def mid_protocol(payload) -> bool:
@@ -75,6 +85,7 @@ class PolicyResumeHarness:
         assert full.succeeded == full.submitted  # clean cell completes
 
         mid_hits = 0
+        carried = set()
         for at_step in self.steps:
             path = str(tmp_path / f"{self.kind}-{at_step}.json")
             message_module.set_message_counter(0)
@@ -86,7 +97,9 @@ class PolicyResumeHarness:
                 at_step=at_step,
                 path=path,
             )
-            mid_hits += self.mid_protocol(read_snapshot(path))
+            snapshot = read_snapshot(path)
+            mid_hits += self.mid_protocol(snapshot)
+            carried |= in_flight_types(snapshot)
             tracer_post = Tracer()
             resumed = resume_run(path, tracer=tracer_post)
             assert_equivalent(
@@ -100,15 +113,21 @@ class PolicyResumeHarness:
         assert mid_hits > 0, (
             f"no snapshot landed mid-{self.kind}; re-tune the step grid"
         )
+        assert self.in_flight is None or self.in_flight in carried, (
+            f"no snapshot held a {self.in_flight!r} message in flight; "
+            "re-tune the step grid"
+        )
 
 
 class TestMidAuctionResume(PolicyResumeHarness):
     kind = "auction"
-    # 160 and 240 land inside open CFP rounds (bid timer armed, bids
-    # partially collected); 600 is late but still inside the degraded
-    # rule (the run resolves near step 629; checkpoint_run refuses a
-    # step the rule never reaches).
-    steps = (160, 240, 600)
+    # 71 lands with two BIDs in flight, so the snapshot carries "bid"
+    # message payloads; 160 and 240 land inside open CFP rounds (bid
+    # timer armed, bids partially collected); 600 is late but still
+    # inside the degraded rule (the run resolves near step 629;
+    # checkpoint_run refuses a step the rule never reaches).
+    steps = (71, 160, 240, 600)
+    in_flight = "bid"
 
     @staticmethod
     def mid_protocol(payload) -> bool:

@@ -46,6 +46,7 @@ from repro.pace.workloads import paper_application_specs
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.sim.engine import Engine
 from repro.tasks.task import Environment, TaskRequest, TaskState, WorkflowBinding
+from tests.oracles import scheduler_task
 
 SPECS = paper_application_specs()
 
@@ -214,12 +215,12 @@ class TestMidWorkflowRoundTrip:
         sim_b, sched_b = fresh_scheduler()
         restore_into(sim_b, sched_b, engine_state, state)
         sim_b.run_until(50.0)
-        restored_gated = sched_b.task(gated.task_id)
+        restored_gated = scheduler_task(sched_b, gated.task_id)
         assert restored_gated.state is TaskState.QUEUED
         sched_b.notify_input_arrived(root.task_id, "ext")
         sched_b.notify_input_arrived(gated.task_id, "remote")
         sim_b.run()
-        assert sched_b.task(gated.task_id).state is TaskState.COMPLETED
+        assert scheduler_task(sched_b, gated.task_id).state is TaskState.COMPLETED
 
 
 class TestIndependentSnapshotsStayLean:

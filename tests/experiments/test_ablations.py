@@ -1,18 +1,8 @@
-"""Tests for the library-level ablation sweeps."""
+"""Tests for the experiment-3 configuration helper the ablation tests share."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ExperimentError
-from repro.experiments.ablations import (
-    base_config,
-    sweep_advertisement,
-    sweep_agent_count,
-    sweep_freetime_mode,
-    sweep_prediction_noise,
-    sweep_pull_interval,
-)
+from tests.oracles import base_config
 
 TINY = 8  # requests — these tests exercise the plumbing, not the science
 
@@ -28,43 +18,3 @@ class TestBaseConfig:
         cfg = base_config(TINY, prediction_noise=0.2, name="custom")
         assert cfg.prediction_noise == 0.2
         assert cfg.name == "custom"
-
-
-class TestSweeps:
-    def test_prediction_noise(self):
-        results = sweep_prediction_noise([0.0, 0.4], request_count=TINY)
-        assert set(results) == {0.0, 0.4}
-        for result in results.values():
-            assert result.metrics.total.n_tasks == TINY
-
-    def test_advertisement(self):
-        results = sweep_advertisement(["pull", "none"], request_count=TINY)
-        assert set(results) == {"pull", "none"}
-
-    def test_freetime_mode(self):
-        results = sweep_freetime_mode(["makespan", "min"], request_count=TINY)
-        assert set(results) == {"makespan", "min"}
-
-    def test_agent_count(self):
-        results = sweep_agent_count([3], requests_per_agent=2, nproc=4)
-        assert set(results) == {3}
-        assert results[3].metrics.total.n_tasks == 6
-        assert len(results[3].metrics.per_resource) == 3
-
-    def test_pull_interval(self):
-        results = sweep_pull_interval([5.0], request_count=TINY)
-        assert set(results) == {5.0}
-
-    @pytest.mark.parametrize(
-        "sweep",
-        [
-            lambda: sweep_prediction_noise([]),
-            lambda: sweep_advertisement([]),
-            lambda: sweep_freetime_mode([]),
-            lambda: sweep_agent_count([]),
-            lambda: sweep_pull_interval([]),
-        ],
-    )
-    def test_empty_rejected(self, sweep):
-        with pytest.raises(ExperimentError):
-            sweep()

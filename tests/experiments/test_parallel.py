@@ -14,17 +14,11 @@ import pickle
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.ablations import base_config
-from repro.experiments.parallel import (
-    ExperimentJob,
-    default_jobs,
-    job_key,
-    merge_cache_stats,
-    run_many,
-)
+from repro.experiments.parallel import ExperimentJob, job_key, run_many
 from repro.experiments.sweep import run_seed_sweep
 from repro.experiments.tables import run_table3
 from repro.pace.cache import CacheStats
+from tests.oracles import base_config, cache_stats, default_jobs, merge_cache_stats
 
 #: Small enough to keep worker runs cheap; big enough to exercise the GA.
 REQUESTS = 8
@@ -267,6 +261,6 @@ class TestHelpers:
 
     def test_sweep_summary_cache_stats(self):
         summary = run_seed_sweep([2003], request_count=REQUESTS, jobs=1)
-        stats = summary.cache_stats()
+        stats = cache_stats(summary)
         assert stats.requests > 0
         assert stats == merge_cache_stats(summary.per_seed[2003])

@@ -14,6 +14,7 @@ from repro.experiments.experiment4 import (
 from repro.experiments.experiment7 import experiment7_cells
 from repro.experiments.runner import WorkflowStream, build_grid, run_experiment
 from repro.scheduling.scheduler import SchedulingPolicy
+from tests.oracles import policy
 
 SMALL = 24  # requests; keeps each runner test under a couple of seconds
 
@@ -38,11 +39,11 @@ class TestBuildGrid:
     def test_policy_wiring(self):
         fifo_system = build_grid(table2_experiments(request_count=SMALL)[0])
         assert all(
-            s.policy is SchedulingPolicy.FIFO for s in fifo_system.schedulers.values()
+            policy(s) is SchedulingPolicy.FIFO for s in fifo_system.schedulers.values()
         )
         ga_system = build_grid(table2_experiments(request_count=SMALL)[1])
         assert all(
-            s.policy is SchedulingPolicy.GA for s in ga_system.schedulers.values()
+            policy(s) is SchedulingPolicy.GA for s in ga_system.schedulers.values()
         )
 
 

@@ -268,3 +268,37 @@ class TestChaosTiers:
         static = MembershipConfig(enabled=True, heal=False)
         config = spec_for(chaos="coordinator-churn").config(membership=static)
         assert config.membership is static
+
+
+class TestLossTier:
+    @pytest.mark.parametrize("arrival,seed", [("pareto", 2003), ("uniform", 2004)])
+    def test_every_acked_request_resolves(self, arrival, seed):
+        """The 13-agent loss tier passes the trace checker.
+
+        A request can bounce between the head's best-effort forward and
+        the child's escalation, reaching the head a second time before
+        the head's ACK of the earlier hop arrives.  That late ACK must
+        clear only the hop it acknowledges; clearing the new forward's
+        timer instead left a dropped forward with no retry and no
+        failure result (``[ack-resolution] ... never completed``).
+        """
+        from repro.experiments.runner import run_degraded
+        from repro.obs import MemorySink, Tracer, check_trace
+
+        spec = ScenarioSpec(
+            name=f"a13-{arrival}",
+            agent_count=13,
+            request_count=40,
+            arrival=arrival,
+            master_seed=seed,
+            chaos="loss",
+        )
+        scenario = generate_scenario(spec)
+        tracer = Tracer(MemorySink())
+        run_degraded(
+            spec.config(policy=SchedulingPolicy.FIFO),
+            scenario.topology,
+            workload=list(scenario.workload),
+            tracer=tracer,
+        )
+        assert check_trace(tracer.records) == []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.sweep import run_seed_sweep
+from tests.oracles import supported
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ class TestRunSeedSweep:
             summary.total(2, "throughput")
 
     def test_supported_threshold(self, summary):
-        everywhere = summary.supported(1.0)
-        somewhere = summary.supported(0.0)
+        everywhere = supported(summary, 1.0)
+        somewhere = supported(summary, 0.0)
         assert set(everywhere) <= set(somewhere)
 
     def test_workloads_differ_across_seeds(self, summary):

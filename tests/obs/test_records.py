@@ -19,7 +19,6 @@ from repro.obs.records import (
     TraceRecord,
     canonical_dict,
     canonical_lines,
-    record_to_dict,
 )
 
 
@@ -58,25 +57,6 @@ class TestSchema:
         dropped = {"sim.event", "net.send", "net.deliver"}
         for cls in _all_record_classes():
             assert (cls.kind in CANONICAL_FIELDS) != (cls.kind in dropped), cls.kind
-
-
-class TestFullDict:
-    def test_kind_and_time_lead(self):
-        record = MessageSent(
-            t=3.0, msg="request", sender="a:1", recipient="b:2", hops=1
-        )
-        out = record_to_dict(record)
-        assert list(out)[:2] == ["kind", "t"]
-        assert out["kind"] == "net.send"
-        assert out["t"] == 3.0
-        assert out["recipient"] == "b:2"
-
-    def test_tuples_become_lists(self):
-        record = TaskDispatched(
-            t=1.0, resource="S1", task_id=0, node_ids=(3, 5), start=1.0,
-            completion=9.0,
-        )
-        assert record_to_dict(record)["node_ids"] == [3, 5]
 
 
 class TestCanonical:

@@ -15,6 +15,7 @@ from repro.obs.records import (
     TaskQueued,
 )
 from repro.obs.spans import build_request_spans, render_span_tree
+from tests.oracles import hops, local, resolved
 
 
 def _forwarded_request_records():
@@ -49,12 +50,12 @@ class TestBuildSpans:
         assert set(spans) == {7}
         span = spans[7]
         assert span.submitted.application == "fft"
-        assert span.hops == 2
-        assert span.local.task_id == 2
+        assert hops(span) == 2
+        assert local(span).task_id == 2
         assert [q.resource for q in span.queued] == ["S1"]
         assert [d.completion for d in span.dispatched] == [9.5]
         assert [c.t for c in span.completed] == [9.5]
-        assert span.resolved and span.result.success
+        assert resolved(span) and span.result.success
 
     def test_task_id_collisions_across_resources_do_not_join(self):
         """Task ids are per-queue; (resource, task_id) is the identity."""
@@ -86,7 +87,7 @@ class TestBuildSpans:
         assert len(span.forward_retries) == 1
         assert len(span.give_ups) == 1
         # .local stays the first absorption for the common-case API.
-        assert span.local.agent == "S1"
+        assert local(span).agent == "S1"
 
     def test_orphan_sched_records_are_ignored(self):
         """sched.* rows with no agent.local owner join no span."""
@@ -113,7 +114,7 @@ class TestRenderTree:
             PortalSubmitted(t=0.0, request_id=3, agent="S2",
                             application="fft", deadline=30.0),
         ])[3]
-        assert not span.resolved
+        assert not resolved(span)
         assert render_span_tree(span)[-1] == "  (no result recorded)"
 
     def test_synthetic_failure_is_marked(self):

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.records import EventFired, TaskQueued
-from repro.obs.trace import FileSink, MemorySink, TeeSink, Tracer
+from repro.obs.trace import MemorySink, Tracer, TraceSink
+from tests.oracles import clear, emitted
 
 
 def _record(t=0.0, label="tick"):
@@ -27,14 +21,14 @@ class TestMemorySink:
         for i in range(3):
             sink.emit(_record(t=float(i)))
         assert [r.t for r in sink.records] == [0.0, 1.0, 2.0]
-        assert sink.emitted == 3
+        assert emitted(sink) == 3
 
     def test_ring_evicts_oldest(self):
         sink = MemorySink(capacity=2)
         for i in range(5):
             sink.emit(_record(t=float(i)))
         assert [r.t for r in sink.records] == [3.0, 4.0]
-        assert sink.emitted == 5  # eviction does not lose the tally
+        assert emitted(sink) == 5  # eviction does not lose the tally
 
     def test_capacity_validated(self):
         with pytest.raises(ValidationError):
@@ -43,46 +37,9 @@ class TestMemorySink:
     def test_clear(self):
         sink = MemorySink()
         sink.emit(_record())
-        sink.clear()
+        clear(sink)
         assert sink.records == []
-        assert sink.emitted == 0
-
-
-class TestFileSink:
-    def test_writes_deterministic_jsonl(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = FileSink(str(path))
-        sink.emit(TaskQueued(t=1.5, resource="S1", task_id=0))
-        sink.emit(_record(t=2.0))
-        sink.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first == {"kind": "sched.queue", "t": 1.5, "resource": "S1",
-                         "task_id": 0}
-        assert list(json.loads(lines[1])) == sorted(json.loads(lines[1]))
-
-    def test_emit_after_close_raises(self, tmp_path):
-        sink = FileSink(str(tmp_path / "t.jsonl"))
-        sink.close()
-        sink.close()  # idempotent
-        with pytest.raises(ValidationError):
-            sink.emit(_record())
-
-
-class TestTeeSink:
-    def test_fans_out(self, tmp_path):
-        memory = MemorySink()
-        file_sink = FileSink(str(tmp_path / "t.jsonl"))
-        tee = TeeSink([memory, file_sink])
-        tee.emit(_record())
-        tee.close()
-        assert memory.emitted == 1
-        assert file_sink.emitted == 1
-
-    def test_needs_a_sink(self):
-        with pytest.raises(ValidationError):
-            TeeSink([])
+        assert emitted(sink) == 0
 
 
 class TestTracer:
@@ -100,11 +57,10 @@ class TestTracer:
         assert counters["records.sim.event"] == 2
         assert counters["records.sched.queue"] == 1
 
-    def test_records_requires_memory_sink(self, tmp_path):
-        tracer = Tracer(FileSink(str(tmp_path / "t.jsonl")))
+    def test_records_requires_memory_sink(self):
+        tracer = Tracer(TraceSink())
         with pytest.raises(ValidationError):
             tracer.records
-        tracer.close()
 
 
 class TestCounter:
@@ -119,40 +75,10 @@ class TestCounter:
             Counter("c").inc(-1)
 
 
-class TestHistogram:
-    def test_bucket_placement(self):
-        hist = Histogram("h", buckets=(1.0, 10.0))
-        hist.observe(0.5)    # first bucket (<= 1.0)
-        hist.observe(1.0)    # boundary lands in its own bound's bucket
-        hist.observe(5.0)    # second bucket
-        hist.observe(100.0)  # overflow
-        assert hist.bucket_counts == [2, 1, 1]
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(106.5)
-
-    def test_snapshot(self):
-        hist = Histogram("h", buckets=(1.0,))
-        hist.observe(0.25)
-        snap = hist.snapshot()
-        assert snap["count"] == 1
-        assert snap["min"] == snap["max"] == 0.25
-        assert snap["buckets"] == {"1.0": 1, "inf": 0}
-
-    def test_bounds_must_strictly_increase(self):
-        with pytest.raises(ValidationError):
-            Histogram("h", buckets=(1.0, 1.0))
-        with pytest.raises(ValidationError):
-            Histogram("h", buckets=())
-
-    def test_default_buckets(self):
-        assert Histogram("h").bounds == DEFAULT_BUCKETS
-
-
 class TestRegistry:
     def test_instruments_are_cached(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
-        assert registry.histogram("b") is registry.histogram("b")
 
     def test_snapshot_sorted(self):
         registry = MetricsRegistry()

@@ -1,0 +1,861 @@
+"""Oracles the tests compare the shipped code against, and their helpers.
+
+Nothing outside ``tests/`` imports this module.  It holds:
+
+* the object-level GA operators of §2.1 (stochastic remainder selection,
+  two-part crossover and mutation) over :class:`SolutionString`, the
+  reference the batched array kernel in :mod:`repro.scheduling.batched`
+  and :mod:`repro.scheduling.vectorized` is property-tested against;
+* :func:`exhaustive_allocation`, the literal 2^n − 1 subset search of the
+  FIFO baseline (§4.1), which the O(n log n)
+  :func:`repro.scheduling.fifo.earliest_free_allocation` must equal;
+* solution-string builders (:func:`random_solution`, :func:`with_task`,
+  :func:`without_task`) and :func:`warmstart_population`;
+* :func:`base_config`, the experiment-3 configuration at test scale;
+* accessors, resets and helpers that only tests call, as free functions
+  over the objects they read (``is_head(agent)`` for ``agent.is_head``).
+
+The operators' one repair rule is ours: a crossover or bit-flip that would
+leave a task with an empty node mask re-sets one random bit, because an
+empty mask is not a legitimate solution (every task needs at least one
+node).  The paper does not specify its repair; any choice that restores
+legitimacy preserves the algorithm's behaviour.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+from itertools import combinations
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.agents.agent import Agent
+from repro.agents.membership import ALIVE
+from repro.errors import (
+    CodingError,
+    EvaluationError,
+    HierarchyError,
+    ModelError,
+    SimulationError,
+    TaskError,
+    ValidationError,
+)
+from repro.experiments.config import ExperimentConfig, table2_experiments
+from repro.net.message import Message
+from repro.net.transport import Transport
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.trace import MemorySink
+from repro.pace.cache import CacheStats, EvaluationCache
+from repro.pace.fitting import fit_best
+from repro.pace.parametric import AmdahlModel, CommOverheadModel, LinearModel
+from repro.pace.workloads import APPLICATION_NAMES, TABLE1_TIMES
+from repro.scheduling.coding import SolutionString
+from repro.scheduling.fifo import Allocation, SizeDurationFn, _best, _check_duration
+from repro.scheduling.warmstart import greedy_allocation_masks_batch, warmstart_orders
+from repro.sim.engine import Engine
+from repro.sim.events import Priority
+from repro.tasks.task import Task, TaskRequest
+from repro.utils.rng import derive_seed
+from repro.utils.validation import check_non_empty
+
+
+# ------------------------------------------------------------ GA operators
+
+def stochastic_remainder_selection(
+    fitness: Sequence[float], count: int, rng: np.random.Generator
+) -> List[int]:
+    """Select *count* parent indices by stochastic remainder sampling.
+
+    Returns indices into the population; order is shuffled so consecutive
+    entries can be paired for crossover.
+    """
+    f = np.asarray(fitness, dtype=float)
+    if f.size == 0:
+        raise ValidationError("fitness must not be empty")
+    if np.any(f < 0) or not np.all(np.isfinite(f)):
+        raise ValidationError("fitness values must be finite and >= 0")
+    if count <= 0:
+        raise ValidationError(f"count must be > 0, got {count}")
+    mean = f.mean()
+    if mean == 0:
+        # Degenerate population: select uniformly.
+        picks = rng.integers(0, f.size, size=count)
+        return [int(i) for i in picks]
+    expected = f / mean * (count / f.size)
+    guaranteed = np.floor(expected).astype(int)
+    selected: List[int] = []
+    for idx, copies in enumerate(guaranteed):
+        selected.extend([idx] * int(copies))
+    remainder = expected - guaranteed
+    slots = count - len(selected)
+    if slots > 0:
+        total = remainder.sum()
+        if total <= 0:
+            extra = rng.integers(0, f.size, size=slots)
+        else:
+            extra = rng.choice(f.size, size=slots, replace=True, p=remainder / total)
+        selected.extend(int(i) for i in extra)
+    elif slots < 0:
+        # Rounding overshoot: trim random extras.
+        rng.shuffle(selected)
+        selected = selected[:count]
+    result = np.array(selected)
+    rng.shuffle(result)
+    return [int(i) for i in result]
+
+
+def order_splice(
+    order_a: Sequence[int], order_b: Sequence[int], cut: int
+) -> Tuple[int, ...]:
+    """Splice two orderings at *cut*: a's prefix, then b's order for the rest.
+
+    This is the "reorder the pairs to produce legitimate solutions" step —
+    the child is always a permutation of the common task set.
+
+    >>> order_splice([3, 5, 2, 1], [1, 2, 5, 3], 2)
+    (3, 5, 1, 2)
+    """
+    if set(order_a) != set(order_b):
+        raise ValidationError("orderings must cover the same task ids")
+    if not (0 <= cut <= len(order_a)):
+        raise ValidationError(f"cut {cut} out of range 0..{len(order_a)}")
+    head = list(order_a[:cut])
+    head_set = set(head)
+    tail = [t for t in order_b if t not in head_set]
+    return tuple(head + tail)
+
+
+def _repair_empty_masks(
+    masks: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Set one random bit in any all-zero row (legitimacy repair)."""
+    empty = ~masks.any(axis=1)
+    for row in np.flatnonzero(empty):
+        masks[row, int(rng.integers(masks.shape[1]))] = True
+    return masks
+
+
+def crossover(
+    parent_a: SolutionString,
+    parent_b: SolutionString,
+    rng: np.random.Generator,
+) -> Tuple[SolutionString, SolutionString]:
+    """Two-part crossover producing two children.
+
+    The ordering strings are spliced at one random location (both
+    directions, giving two children); the mapping parts — flattened in each
+    child's task order — undergo a shared single-point binary crossover.
+    """
+    if set(parent_a.ordering) != set(parent_b.ordering):
+        raise ValidationError("parents must encode the same task set")
+    m = parent_a.n_tasks
+    if m == 0:
+        return parent_a, parent_b
+    n = parent_a.n_nodes
+    cut = int(rng.integers(0, m + 1))
+    child1_order = order_splice(parent_a.ordering, parent_b.ordering, cut)
+    child2_order = order_splice(parent_b.ordering, parent_a.ordering, cut)
+
+    # Mapping crossover: reorder both parents' maps to the child's task
+    # order (keyed lookup does this for free), flatten, single-point cross.
+    point = int(rng.integers(0, m * n + 1))
+
+    def cross_maps(
+        order: Tuple[int, ...], first: SolutionString, second: SolutionString
+    ) -> dict:
+        flat_first = np.concatenate([first.mask(t) for t in order])
+        flat_second = np.concatenate([second.mask(t) for t in order])
+        child_flat = np.concatenate([flat_first[:point], flat_second[point:]])
+        masks = child_flat.reshape(m, n).copy()
+        masks = _repair_empty_masks(masks, rng)
+        return {t: masks[i] for i, t in enumerate(order)}
+
+    child1 = SolutionString(child1_order, cross_maps(child1_order, parent_a, parent_b))
+    child2 = SolutionString(child2_order, cross_maps(child2_order, parent_b, parent_a))
+    return child1, child2
+
+
+def mutate(
+    solution: SolutionString,
+    rng: np.random.Generator,
+    *,
+    swap_probability: float = 0.2,
+    bitflip_probability: float = 0.02,
+) -> SolutionString:
+    """Two-part mutation: order swap + per-bit mapping flips.
+
+    With probability *swap_probability* two ordering positions are switched;
+    every mapping bit flips independently with *bitflip_probability*.
+    Empty masks are repaired.
+    """
+    if not (0 <= swap_probability <= 1 and 0 <= bitflip_probability <= 1):
+        raise ValidationError("mutation probabilities must be in [0, 1]")
+    m = solution.n_tasks
+    if m == 0:
+        return solution
+    n = solution.n_nodes
+    ordering = list(solution.ordering)
+    if m >= 2 and rng.random() < swap_probability:
+        i, j = rng.choice(m, size=2, replace=False)
+        ordering[i], ordering[j] = ordering[j], ordering[i]
+    masks = np.stack([solution.mask(t) for t in ordering]).copy()
+    flips = rng.random(masks.shape) < bitflip_probability
+    masks ^= flips
+    masks = _repair_empty_masks(masks, rng)
+    return SolutionString(ordering, {t: masks[i] for i, t in enumerate(ordering)})
+
+
+# ------------------------------------------------------------ FIFO search
+
+def exhaustive_allocation(
+    free_times: Sequence[float], duration: SizeDurationFn
+) -> Allocation:
+    """Try every non-empty node subset; return the earliest-completion one.
+
+    The literal strategy the paper describes.  Exponential in the node
+    count — use :func:`earliest_free_allocation` beyond ~16 nodes.
+    """
+    check_non_empty(free_times, "free_times")
+    n = len(free_times)
+    candidates: List[Allocation] = []
+    for k in range(1, n + 1):
+        dur = float(duration(k))
+        _check_duration(dur, k)
+        for subset in combinations(range(n), k):
+            start = max(free_times[i] for i in subset)
+            candidates.append(Allocation(subset, start, start + dur))
+    return _best(candidates)
+
+
+# --------------------------------------------------------- solution strings
+
+def with_task(
+    solution: SolutionString,
+    task_id: int,
+    mask: np.ndarray,
+    position: int | None = None,
+) -> SolutionString:
+    """A copy of *solution* with a new task spliced in at *position* (default: end)."""
+    ordering = list(solution.ordering)
+    if task_id in ordering:
+        raise CodingError(f"task {task_id} already encoded")
+    pos = len(ordering) if position is None else position
+    if not (0 <= pos <= len(ordering)):
+        raise CodingError(f"position {pos} out of range 0..{len(ordering)}")
+    mapping = {tid: solution.mask(tid) for tid in ordering}
+    ordering.insert(pos, task_id)
+    mapping[task_id] = np.asarray(mask, dtype=bool)
+    return SolutionString(ordering, mapping)
+
+
+def without_task(solution: SolutionString, task_id: int) -> SolutionString:
+    """A copy of *solution* with *task_id* excised (e.g. after it starts executing)."""
+    if task_id not in solution.ordering:
+        raise CodingError(f"solution does not encode task {task_id}")
+    ordering = [t for t in solution.ordering if t != task_id]
+    return SolutionString(ordering, {t: solution.mask(t) for t in ordering})
+
+
+def random_solution(
+    task_ids: Sequence[int], n_nodes: int, rng: np.random.Generator
+) -> SolutionString:
+    """A uniformly random legitimate solution over *task_ids* and *n_nodes*.
+
+    Each node mask is drawn uniformly from the non-empty subsets.
+    """
+    if n_nodes <= 0:
+        raise CodingError(f"n_nodes must be > 0, got {n_nodes}")
+    ids = list(task_ids)
+    ordering = [ids[i] for i in rng.permutation(len(ids))]
+    mapping: Dict[int, np.ndarray] = {}
+    for tid in ids:
+        mask = rng.random(n_nodes) < 0.5
+        if not mask.any():
+            mask[int(rng.integers(n_nodes))] = True
+        mapping[tid] = mask
+    return SolutionString(ordering, mapping)
+
+
+# -------------------------------------------------------------- warm starts
+
+def warmstart_population(
+    dtable: np.ndarray,
+    deadlines: np.ndarray,
+    node_free_times: Sequence[float],
+    ref_time: float,
+    count: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """*count* list-scheduling seeds — ``(orders (count, m), masks (count, m, n))``.
+
+    Each candidate ordering from :func:`warmstart_orders` is mapped with
+    the greedy allocator under the given availability.  Every seed is a
+    legitimate solution by construction: orderings are permutations,
+    every task's mask selects at least one node.
+    """
+    orders = warmstart_orders(dtable, deadlines, count, rng)
+    masks = greedy_allocation_masks_batch(
+        orders, dtable, node_free_times, ref_time
+    )
+    return orders, masks
+
+
+# ------------------------------------------------------------- experiments
+
+def base_config(request_count: int = 60, **overrides) -> ExperimentConfig:
+    """The experiment-3 configuration at a configurable scale."""
+    cfg = table2_experiments(request_count=request_count)[2]
+    if overrides:
+        cfg = dataclasses.replace(cfg, **overrides)
+    return cfg
+
+
+# -------------------------------------------------------------- resets
+#
+# No run reuses its plumbing: every run builds a fresh engine, transport
+# and stats objects.  The tests still hold each reset to the seed state.
+
+def reset(obj) -> None:
+    """Return a stats dataclass, counter, registry or engine to its seed state."""
+    if isinstance(obj, Engine):
+        obj._guard_reentrancy()
+        obj._heap.clear()
+        obj._now = obj._start_time
+        obj._sequence = 0
+        obj._fired = 0
+        obj._pending = 0
+        obj._garbage = 0
+    elif isinstance(obj, Counter):
+        obj._value = 0
+    elif isinstance(obj, MetricsRegistry):
+        for counter in obj._counters.values():
+            reset(counter)
+    else:
+        for f in dataclasses.fields(obj):
+            setattr(obj, f.name, f.default)
+
+
+def reset_counters(obj) -> None:
+    """Zero a transport's tallies and drop ring (and its fault plan's), or a
+    fault plan's attribution counters; configuration survives."""
+    if isinstance(obj, Transport):
+        obj._sent = 0
+        obj._delivered = 0
+        obj._dropped_count = 0
+        obj._fault_dropped_count = 0
+        obj._drop_ring.clear()
+        if obj._fault_plan is not None:
+            reset_counters(obj._fault_plan)
+    else:
+        obj.dropped_by_chance = 0
+        obj.dropped_by_partition = 0
+        obj.jittered = 0
+        obj.straggled = 0
+
+
+# ------------------------------------------------------------------ agents
+
+def is_head(agent: Agent) -> bool:
+    """Whether *agent* heads the hierarchy."""
+    return agent.parent is None
+
+
+def policy(obj):
+    """The global policy an agent runs, or a local scheduler's policy."""
+    return obj._policy
+
+
+def pending_ack_count(obj) -> int:
+    """Forwards (agent) or submissions (portal) still awaiting their ACK."""
+    return len(obj._pending_acks) if isinstance(obj, Agent) else len(obj._pending)
+
+
+def registry(agent: Agent) -> dict:
+    """Advertised neighbour service information (copy)."""
+    return dict(agent._registry)
+
+
+def next_of_kin(healer):
+    """The latest next-of-kin gossip from the healer's current parent."""
+    return healer._kin
+
+
+def orphaned(healer) -> bool:
+    """Whether a repair is in flight."""
+    return healer._pending is not None
+
+
+def hierarchy_agent(hierarchy, name: str) -> Agent:
+    """Look up an agent of *hierarchy* by name."""
+    try:
+        return hierarchy._agents[name]
+    except KeyError:
+        raise HierarchyError(f"no agent named {name!r}") from None
+
+
+def hierarchy_size(hierarchy) -> int:
+    """Number of agents in *hierarchy*."""
+    return len(hierarchy._agents)
+
+
+def depth(hierarchy, name: str) -> int:
+    """Distance from *name* to the head (the head itself is depth 0)."""
+    agent = hierarchy_agent(hierarchy, name)
+    steps = 0
+    while agent.parent is not None:
+        agent = agent.parent
+        steps += 1
+        if steps > hierarchy_size(hierarchy):
+            raise HierarchyError("cycle detected while computing depth")
+    return steps
+
+
+def leaves(hierarchy) -> List[Agent]:
+    """Agents with no children, sorted by name."""
+    return sorted(
+        (a for a in hierarchy._agents.values() if not a.children),
+        key=lambda a: a.name,
+    )
+
+
+def state_of(detector, endpoint) -> str:
+    """The lease state of one neighbour link (``alive`` when unknown)."""
+    return detector._state.get(endpoint, ALIVE)
+
+
+def open_auctions(auction_policy) -> dict:
+    """In-flight CFP rounds keyed by request id (live view)."""
+    return auction_policy._open
+
+
+def pending_reservations(reservation_policy) -> dict:
+    """RESERVEs awaiting their CONFIRM/REJECT (live view)."""
+    return reservation_policy._pending
+
+
+def bookings(reservation_policy) -> dict:
+    """Open windows booked at this agent (copy)."""
+    return dict(reservation_policy._bookings)
+
+
+# ------------------------------------------------------------- experiments
+
+def scaled(config: ExperimentConfig, request_count: int) -> ExperimentConfig:
+    """A copy of *config* with a smaller workload."""
+    return dataclasses.replace(config, request_count=request_count)
+
+
+def default_jobs() -> int:
+    """A worker count: the ``REPRO_JOBS`` env var, else the CPU count."""
+    env = os.environ.get("REPRO_JOBS")
+    if env:
+        return max(1, int(env))
+    return os.cpu_count() or 1
+
+
+def merge_cache_stats(results) -> CacheStats:
+    """Evaluation-cache statistics summed over experiment results."""
+    total = CacheStats()
+    for result in results:
+        total = add_stats(total, result.cache_stats)
+    return total
+
+
+def supported(summary, threshold: float = 1.0) -> List[str]:
+    """Trend checks a seed sweep held in at least *threshold* of its seeds."""
+    return sorted(
+        name for name, frac in summary.trend_support.items() if frac >= threshold
+    )
+
+
+def cache_stats(summary) -> CacheStats:
+    """Evaluation-cache statistics merged across every run of a seed sweep."""
+    return merge_cache_stats(
+        [r for results in summary.per_seed.values() for r in results]
+    )
+
+
+# ---------------------------------------------------------------- metrics
+
+def execution_time(record) -> float:
+    """``η_j − τ_j`` of a completion record."""
+    return record.completion - record.start
+
+
+# -------------------------------------------------------------------- net
+
+def to_json(spec, *, indent: int = 2) -> str:
+    """Serialise a fault-plan spec for ``repro experiment4 --fault-plan``."""
+    return json.dumps(dataclasses.asdict(spec), indent=indent)
+
+
+def churn_events(schedule) -> list:
+    """A churn schedule's events in firing order (copy)."""
+    return list(schedule._events)
+
+
+def churn_size(schedule) -> int:
+    """Number of events in a churn schedule."""
+    return len(schedule._events)
+
+
+def forward_message(message, sender, recipient):
+    """A copy of *message* routed onward with the hop count incremented."""
+    return Message(
+        kind=message.kind,
+        sender=sender,
+        recipient=recipient,
+        payload=message.payload,
+        hops=message.hops + 1,
+    )
+
+
+def advance_time(result) -> float:
+    """δ − η of a task result; positive when the deadline was met."""
+    return result.deadline - result.completion_time
+
+
+def dropped_recent(transport) -> list:
+    """The last few dropped messages, oldest first (bounded copy)."""
+    return list(transport._drop_ring)
+
+
+def tap(transport, observer: Callable) -> None:
+    """Observe every message *transport* delivers."""
+    transport._taps.append(observer)
+
+
+# -------------------------------------------------------------------- obs
+
+def emitted(sink: MemorySink) -> int:
+    """Records a memory sink ever received (including any evicted)."""
+    return sink._emitted
+
+
+def clear(obj) -> None:
+    """Empty a memory sink (zeroing its tally) or an evaluation cache
+    (keeping its statistics)."""
+    if isinstance(obj, MemorySink):
+        obj._records.clear()
+        obj._emitted = 0
+    else:
+        obj._entries.clear()
+
+
+def local(span):
+    """A request span's first local absorption, if any."""
+    return span.locals[0] if span.locals else None
+
+
+def hops(span) -> int:
+    """Discovery decisions taken while routing a request span."""
+    return len(span.discovery)
+
+
+def resolved(span) -> bool:
+    """Whether the portal recorded any result for a request span."""
+    return span.result is not None
+
+
+# ------------------------------------------------------------------- pace
+
+def curve(model, platform, max_nproc: int) -> Tuple[float, ...]:
+    """Predictions for 1..max_nproc on *platform*."""
+    return tuple(model.predict(k, platform) for k in range(1, max_nproc + 1))
+
+
+def optimal_nproc(model, platform, max_nproc: int) -> int:
+    """The processor count in 1..max_nproc minimising predicted time
+    (ties resolve to the smallest count)."""
+    best_k, best_t = 1, model.predict(1, platform)
+    for k in range(2, max_nproc + 1):
+        t = model.predict(k, platform)
+        if t < best_t:
+            best_k, best_t = k, t
+    return best_k
+
+
+def max_profiled(model) -> int:
+    """Largest processor count a tabulated curve was profiled at."""
+    return len(model._times)
+
+
+def as_mapping(model, platform) -> Dict[int, float]:
+    """Predictions for each profiled processor count on *platform*."""
+    return {k: model.predict(k, platform) for k in range(1, max_profiled(model) + 1)}
+
+
+def add_stats(a: CacheStats, b: CacheStats) -> CacheStats:
+    """The sum of two cache statistics (neither operand changes)."""
+    if not isinstance(b, CacheStats):
+        raise TypeError(f"cannot add {type(b).__name__} to CacheStats")
+    return CacheStats(
+        hits=a.hits + b.hits,
+        misses=a.misses + b.misses,
+        evictions=a.evictions + b.evictions,
+    )
+
+
+def cache_size(cache: EvaluationCache) -> int:
+    """Number of cached entries."""
+    return len(cache._entries)
+
+
+def invalidate(cache: EvaluationCache, key) -> bool:
+    """Drop one entry; returns whether it was present."""
+    return cache._entries.pop(key, None) is not None
+
+
+def contains(cache: EvaluationCache, key) -> bool:
+    """Whether *key* is cached."""
+    return key in cache._entries
+
+
+def noise_factor(engine) -> float:
+    """Log-normal σ of an evaluation engine's prediction perturbation."""
+    return engine._noise_factor
+
+
+def evaluate_nodes(engine, application, nodes) -> float:
+    """Predicted time on an explicit node allocation; the slowest platform
+    in the allocation sets the pace."""
+    if len(nodes) == 0:
+        raise EvaluationError("allocation must contain at least one node")
+    slowest = max(nodes, key=lambda n: n.platform.speed_factor).platform
+    return engine.evaluate_count(application, len(nodes), slowest)
+
+
+def evaluate_on_resource(engine, application, resource, node_ids) -> float:
+    """Predicted time for an allocation given by node ids within *resource*."""
+    return evaluate_nodes(engine, application, resource.subset(node_ids))
+
+
+def samples(tracker) -> int:
+    """Number of load samples a tracker observed."""
+    return tracker._samples
+
+
+def scale(platform, baseline_seconds: float) -> float:
+    """A baseline (SGIOrigin2000) execution time scaled to *platform*."""
+    return baseline_seconds * platform.speed_factor
+
+
+def parameters(model) -> Tuple[float, ...]:
+    """A parametric model's fitted parameters, in baseline seconds."""
+    if isinstance(model, AmdahlModel):
+        return (model._serial, model._parallel)
+    if isinstance(model, CommOverheadModel):
+        return (model._serial, model._parallel, model._overhead)
+    if isinstance(model, LinearModel):
+        return (model._intercept, model._slope)
+    raise TypeError(f"no parameters for {type(model).__name__}")
+
+
+def speedup(model: AmdahlModel, nproc: int) -> float:
+    """An Amdahl model's predicted speedup over one processor."""
+    return (model._serial + model._parallel) / (model._serial + model._parallel / nproc)
+
+
+def optimum(model: CommOverheadModel) -> float:
+    """The real-valued processor count minimising t(n) = s + p/n + o(n − 1):
+    ``sqrt(p / o)``, infinite when o is 0."""
+    if model._overhead == 0:
+        return float("inf")
+    return (model._parallel / model._overhead) ** 0.5
+
+
+def is_homogeneous(resource) -> bool:
+    """Whether every node of *resource* shares one platform."""
+    first = resource.nodes[0].platform
+    return all(n.platform == first for n in resource.nodes)
+
+
+def resource_platform(resource):
+    """The common platform of a homogeneous resource."""
+    if not is_homogeneous(resource):
+        raise ModelError(f"resource {resource.name!r} is heterogeneous")
+    return resource.nodes[0].platform
+
+
+def spec_name(spec) -> str:
+    """An application spec's name."""
+    return spec.model.name
+
+
+def fitted_paper_models() -> dict:
+    """Best-fit parametric models for each Table 1 curve."""
+    return {name: fit_best(name, TABLE1_TIMES[name]) for name in APPLICATION_NAMES}
+
+
+# -------------------------------------------------------------- scheduling
+
+def hit_rate(stats) -> float:
+    """Fraction of requested GA costs served without re-evaluation."""
+    if stats.rows_costed == 0:
+        return 0.0
+    return 1.0 - stats.rows_evaluated / stats.rows_costed
+
+
+def duration(allocation: Allocation) -> float:
+    """Booked execution time of a fixed allocation."""
+    return allocation.completion - allocation.start
+
+
+def makespan(booking) -> float:
+    """Latest booked completion of a fixed-placement scheduler."""
+    return float(booking._free.max())
+
+
+def polls(monitor) -> int:
+    """Number of polls a resource monitor performed."""
+    return monitor._polls
+
+
+def poll_interval(monitor) -> float:
+    """A resource monitor's polling cadence in seconds."""
+    return interval(monitor._process)
+
+
+def is_available(monitor, node_id: int) -> bool:
+    """Availability of *node_id* as of the monitor's last poll."""
+    monitor._check_node(node_id)
+    return monitor._observed_up[node_id]
+
+
+def available_ids(monitor) -> List[int]:
+    """Node ids observed available at the monitor's last poll."""
+    return [i for i, up in enumerate(monitor._observed_up) if up]
+
+
+def tracks_load(monitor) -> bool:
+    """Whether the monitor samples host load (the NWS extension)."""
+    return monitor._trackers is not None
+
+
+def load_tracker(monitor, node_id: int):
+    """The adaptive tracker behind *node_id*'s load forecasts."""
+    monitor._check_node(node_id)
+    if monitor._trackers is None:
+        raise ValidationError("load tracking is not enabled on this monitor")
+    return monitor._trackers[node_id]
+
+
+def scheduler_task(scheduler, task_id: int) -> Optional[Task]:
+    """The task a local scheduler holds under *task_id*, or ``None``."""
+    return scheduler._task_by_id.get(task_id)
+
+
+def workflow_task_id(scheduler, workflow_id: int, node: str) -> Optional[int]:
+    """The local task id realising *(workflow, node)*, or ``None``."""
+    return scheduler._wf_node_task.get((workflow_id, node))
+
+
+# -------------------------------------------------------------------- sim
+
+def pending(engine) -> int:
+    """Events still queued, excluding cancelled ones."""
+    return engine._pending
+
+
+def heap_size(engine: Engine) -> int:
+    """Heap entries, cancelled garbage included."""
+    return len(engine._heap)
+
+
+def fired(process) -> int:
+    """Number of times a periodic process fired."""
+    return process._fired
+
+
+def interval(process) -> float:
+    """A periodic process's firing interval in virtual seconds."""
+    return process._interval
+
+
+def delayed(
+    engine,
+    delay: float,
+    callback: Callable[[], None],
+    *,
+    priority: int = Priority.DEFAULT,
+    label: str = "delayed",
+):
+    """Schedule a one-shot callback after *delay* seconds; returns its event."""
+    if delay < 0:
+        raise SimulationError(f"delay must be >= 0, got {delay}")
+    return engine.schedule_in(delay, callback, priority=priority, label=label)
+
+
+# ------------------------------------------------------------------ tasks
+
+def free_nodes(executor, at_time: Optional[float] = None) -> List[int]:
+    """Ids of nodes free at *at_time* (default: now)."""
+    t = executor._sim.now if at_time is None else at_time
+    return [nid for nid, free in executor._node_free_at.items() if free <= t]
+
+
+def edge_count(graph) -> int:
+    """Number of data edges of a task graph."""
+    return sum(len(v) for v in graph._children.values())
+
+
+def graphs_equal(a, b) -> bool:
+    """Whether two task graphs have the same nodes and edges."""
+    return a.to_dict() == b.to_dict()
+
+
+def queue_size(queue) -> int:
+    """Number of queued tasks."""
+    return len(queue._tasks)
+
+
+def queued_tasks(queue) -> List[Task]:
+    """A snapshot of the queued tasks in arrival order."""
+    return list(queue._tasks)
+
+
+def subscribe(queue, listener: Callable[[str, Task], None]) -> None:
+    """Register a queue change listener, called as ``listener(op, task)``."""
+    queue._listeners.append(listener)
+
+
+def insert(queue, request: TaskRequest, position: int) -> Task:
+    """Insert a request at *position* in arrival order (§2.2 'inserting')."""
+    if not (0 <= position <= len(queue._tasks)):
+        raise TaskError(
+            f"insert position {position} out of range 0..{len(queue._tasks)}"
+        )
+    task = Task(queue._next_id, request)
+    queue._next_id += 1
+    task.mark_queued()
+    queue._tasks.insert(position, task)
+    queue._by_id[task.task_id] = task
+    queue._notify("add", task)
+    return task
+
+
+def relative_deadline(request: TaskRequest) -> float:
+    """Seconds between a request's submission and its deadline."""
+    return request.deadline - request.submit_time
+
+
+# ------------------------------------------------------------------ utils
+
+def master_seed(rngs) -> int:
+    """The master seed an RNG registry was created with."""
+    return rngs._master_seed
+
+
+def fresh(rngs, name: str) -> np.random.Generator:
+    """A *new* generator for stream *name*, replacing any cached one."""
+    gen = np.random.default_rng(derive_seed(rngs._master_seed, name))
+    rngs._streams[name] = gen
+    return gen
+
+
+def names(rngs) -> Iterator[str]:
+    """Names of the streams an RNG registry created so far."""
+    return iter(sorted(rngs._streams))

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ModelError
 from repro.pace.application import TabulatedModel
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_ULTRA_5, SUN_ULTRA_10
+from tests.oracles import as_mapping, curve, max_profiled, optimal_nproc
 
 
 @pytest.fixture
@@ -50,22 +51,22 @@ class TestTabulatedModel:
             TabulatedModel("", [1.0])
 
     def test_curve_helper(self, model):
-        assert model.curve(SGI_ORIGIN_2000, 4) == (10.0, 6.0, 4.0, 3.0)
+        assert curve(model, SGI_ORIGIN_2000, 4) == (10.0, 6.0, 4.0, 3.0)
 
     def test_optimal_nproc_monotone(self, model):
-        assert model.optimal_nproc(SGI_ORIGIN_2000, 4) == 4
+        assert optimal_nproc(model, SGI_ORIGIN_2000, 4) == 4
 
     def test_optimal_nproc_v_shaped(self):
         v = TabulatedModel("v", [10.0, 6.0, 8.0, 12.0])
-        assert v.optimal_nproc(SGI_ORIGIN_2000, 4) == 2
+        assert optimal_nproc(v, SGI_ORIGIN_2000, 4) == 2
 
     def test_optimal_nproc_tie_prefers_fewer(self):
         flat = TabulatedModel("flat", [10.0, 5.0, 5.0])
-        assert flat.optimal_nproc(SGI_ORIGIN_2000, 3) == 2
+        assert optimal_nproc(flat, SGI_ORIGIN_2000, 3) == 2
 
     def test_as_mapping(self, model):
-        mapping = model.as_mapping(SGI_ORIGIN_2000)
+        mapping = as_mapping(model, SGI_ORIGIN_2000)
         assert mapping == {1: 10.0, 2: 6.0, 3: 4.0, 4: 3.0}
 
     def test_max_profiled(self, model):
-        assert model.max_profiled == 4
+        assert max_profiled(model) == 4

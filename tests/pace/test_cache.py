@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.pace.cache import EvaluationCache
+from tests.oracles import add_stats, cache_size, clear, contains, invalidate
 
 
 class TestGetOrCompute:
@@ -27,7 +28,7 @@ class TestGetOrCompute:
         cache = EvaluationCache()
         cache.get_or_compute(("a", 1), lambda: 1.0)
         cache.get_or_compute(("a", 2), lambda: 2.0)
-        assert cache.size == 2
+        assert cache_size(cache) == 2
 
     def test_hit_rate(self):
         cache = EvaluationCache()
@@ -43,7 +44,7 @@ class TestCapacity:
         cache = EvaluationCache()
         for i in range(1000):
             cache.get_or_compute(i, lambda i=i: float(i))
-        assert cache.size == 1000
+        assert cache_size(cache) == 1000
         assert cache.stats.evictions == 0
 
     def test_bounded_evicts_oldest(self):
@@ -51,9 +52,9 @@ class TestCapacity:
         cache.get_or_compute("a", lambda: 1.0)
         cache.get_or_compute("b", lambda: 2.0)
         cache.get_or_compute("c", lambda: 3.0)
-        assert cache.size == 2
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
+        assert cache_size(cache) == 2
+        assert not contains(cache, "a")
+        assert contains(cache, "b") and contains(cache, "c")
         assert cache.stats.evictions == 1
 
     def test_bad_max_size_rejected(self):
@@ -72,15 +73,15 @@ class TestManagement:
     def test_invalidate(self):
         cache = EvaluationCache()
         cache.get_or_compute("k", lambda: 1.0)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert "k" not in cache
+        assert invalidate(cache, "k") is True
+        assert invalidate(cache, "k") is False
+        assert not contains(cache, "k")
 
     def test_clear_preserves_stats(self):
         cache = EvaluationCache()
         cache.get_or_compute("k", lambda: 1.0)
-        cache.clear()
-        assert cache.size == 0
+        clear(cache)
+        assert cache_size(cache) == 0
         assert cache.stats.misses == 1
 
     def test_stats_reset(self):
@@ -114,7 +115,7 @@ class TestGetMany:
         for key in keys:
             scalar.get_or_compute(key, lambda: 1.0)
         assert bulk.stats == scalar.stats
-        assert bulk.size == scalar.size
+        assert cache_size(bulk) == cache_size(scalar)
 
     def test_repeated_key_hits_within_one_call(self):
         cache = EvaluationCache()
@@ -126,8 +127,8 @@ class TestGetMany:
     def test_bounded_eviction_preserved(self):
         cache = EvaluationCache(max_size=2)
         cache.get_many(["a", "b", "c"], lambda key: 0.0)
-        assert cache.size == 2
-        assert "a" not in cache
+        assert cache_size(cache) == 2
+        assert not contains(cache, "a")
         assert cache.stats.evictions == 1
 
     def test_empty_keys(self):
@@ -142,7 +143,7 @@ class TestCacheStatsMerge:
 
         a = CacheStats(hits=1, misses=2, evictions=3)
         b = CacheStats(hits=10, misses=20, evictions=30)
-        merged = a + b
+        merged = add_stats(a, b)
         assert merged == CacheStats(hits=11, misses=22, evictions=33)
         assert a == CacheStats(hits=1, misses=2, evictions=3)  # unchanged
 
@@ -150,12 +151,12 @@ class TestCacheStatsMerge:
         from repro.pace.cache import CacheStats
 
         total = CacheStats()
-        total += CacheStats(hits=2, misses=1, evictions=0)
-        total += CacheStats(hits=3, misses=0, evictions=1)
+        total = add_stats(total, CacheStats(hits=2, misses=1, evictions=0))
+        total = add_stats(total, CacheStats(hits=3, misses=0, evictions=1))
         assert total == CacheStats(hits=5, misses=1, evictions=1)
 
     def test_merge_rejects_other_types(self):
         from repro.pace.cache import CacheStats
 
         with pytest.raises(TypeError):
-            CacheStats() + 1
+            add_stats(CacheStats(), 1)

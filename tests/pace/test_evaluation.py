@@ -10,6 +10,7 @@ from repro.pace.application import TabulatedModel
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import Node, ResourceModel
+from tests.oracles import evaluate_nodes, evaluate_on_resource, noise_factor
 
 
 @pytest.fixture
@@ -36,19 +37,19 @@ class TestEvaluateCount:
 class TestEvaluateNodes:
     def test_homogeneous(self, evaluator, model, sgi_resource):
         nodes = sgi_resource.subset([0, 1])
-        assert evaluator.evaluate_nodes(model, nodes) == 7.0
+        assert evaluate_nodes(evaluator, model, nodes) == 7.0
 
     def test_heterogeneous_paced_by_slowest(self, evaluator, model):
         nodes = (Node(0, SGI_ORIGIN_2000), Node(1, SUN_SPARC_STATION_2))
         # 2 nodes at SPARCstation2 pace: 7.0 × 8.
-        assert evaluator.evaluate_nodes(model, nodes) == 56.0
+        assert evaluate_nodes(evaluator, model, nodes) == 56.0
 
     def test_empty_allocation_rejected(self, evaluator, model):
         with pytest.raises(EvaluationError):
-            evaluator.evaluate_nodes(model, ())
+            evaluate_nodes(evaluator, model, ())
 
     def test_on_resource(self, evaluator, model, sgi_resource):
-        assert evaluator.evaluate_on_resource(model, sgi_resource, [3, 4, 5]) == 5.0
+        assert evaluate_on_resource(evaluator, model, sgi_resource, [3, 4, 5]) == 5.0
 
 
 class TestBestCount:
@@ -94,7 +95,7 @@ class TestNoise:
         assert noisy != true  # with σ = 0.5 a collision is ~impossible
 
     def test_zero_noise_is_exact(self, evaluator, model):
-        assert evaluator.noise_factor == 0.0
+        assert noise_factor(evaluator) == 0.0
         assert evaluator.evaluate_count(model, 1, SGI_ORIGIN_2000) == 12.0
 
 

@@ -15,6 +15,7 @@ from repro.pace.fitting import (
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.parametric import AmdahlModel, CommOverheadModel, PowerOverheadModel
 from repro.pace.workloads import TABLE1_TIMES
+from tests.oracles import parameters
 
 
 class TestExactRecovery:
@@ -23,7 +24,7 @@ class TestExactRecovery:
         curve = [truth.predict(k, SGI_ORIGIN_2000) for k in range(1, 17)]
         fit = fit_amdahl("t", curve)
         assert fit.rmse < 1e-9
-        serial, parallel = fit.model.parameters  # type: ignore[attr-defined]
+        serial, parallel = parameters(fit.model)
         assert serial == pytest.approx(3.0)
         assert parallel == pytest.approx(24.0)
 
@@ -37,7 +38,7 @@ class TestExactRecovery:
         # Table 1's fft is exactly 26 - n.
         fit = fit_linear("fft", TABLE1_TIMES["fft"])
         assert fit.rmse < 1e-9
-        intercept, slope = fit.model.parameters  # type: ignore[attr-defined]
+        intercept, slope = parameters(fit.model)
         assert intercept == pytest.approx(26.0)
         assert slope == pytest.approx(-1.0)
 
@@ -98,6 +99,6 @@ class TestValidation:
     def test_nnls_coefficients_non_negative(self):
         # An increasing curve must not produce a negative parallel term.
         fit = fit_amdahl("inc", [1.0, 2.0, 3.0, 4.0])
-        serial, parallel = fit.model.parameters  # type: ignore[attr-defined]
+        serial, parallel = parameters(fit.model)
         assert serial >= 0
         assert parallel >= 0

@@ -16,6 +16,7 @@ from repro.pace.forecast import (
     SlidingWindowMean,
     default_predictor_family,
 )
+from tests.oracles import samples
 
 
 class TestPredictors:
@@ -147,7 +148,7 @@ class TestLoadTracker:
         for _ in range(20):
             tracker.observe(1.0)  # one competing process
         assert tracker.slowdown() == pytest.approx(2.0, rel=0.05)
-        assert tracker.samples == 20
+        assert samples(tracker) == 20
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValidationError):

@@ -15,12 +15,13 @@ from repro.pace.hardware import (
     HardwareCatalogue,
     PlatformSpec,
 )
+from tests.oracles import scale
 
 
 class TestPlatformSpec:
     def test_scale(self):
-        assert SUN_ULTRA_10.scale(10.0) == 20.0
-        assert SGI_ORIGIN_2000.scale(10.0) == 10.0
+        assert scale(SUN_ULTRA_10, 10.0) == 20.0
+        assert scale(SGI_ORIGIN_2000, 10.0) == 10.0
 
     def test_empty_name_rejected(self):
         with pytest.raises(ModelError):

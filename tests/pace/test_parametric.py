@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ModelError
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_ULTRA_10
 from repro.pace.parametric import AmdahlModel, CommOverheadModel, LinearModel
+from tests.oracles import optimum, parameters, speedup
 
 
 class TestAmdahlModel:
@@ -26,15 +27,15 @@ class TestAmdahlModel:
 
     def test_speedup_bounded_by_serial_fraction(self):
         m = AmdahlModel("a", serial=1.0, parallel=9.0)
-        assert m.speedup(10_000) < 10.0
-        assert m.speedup(2) == pytest.approx(10.0 / 5.5)
+        assert speedup(m, 10_000) < 10.0
+        assert speedup(m, 2) == pytest.approx(10.0 / 5.5)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ModelError):
             AmdahlModel("a", serial=0.0, parallel=0.0)
 
     def test_parameters_property(self):
-        assert AmdahlModel("a", 1.0, 2.0).parameters == (1.0, 2.0)
+        assert parameters(AmdahlModel("a", 1.0, 2.0)) == (1.0, 2.0)
 
 
 class TestCommOverheadModel:
@@ -52,11 +53,11 @@ class TestCommOverheadModel:
 
     def test_optimum_formula(self):
         m = CommOverheadModel("c", serial=0.0, parallel=64.0, overhead=4.0)
-        assert m.optimum() == 4.0
+        assert optimum(m) == 4.0
 
     def test_zero_overhead_optimum_infinite(self):
         m = CommOverheadModel("c", serial=1.0, parallel=4.0, overhead=0.0)
-        assert m.optimum() == float("inf")
+        assert optimum(m) == float("inf")
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(Exception):

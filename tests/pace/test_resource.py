@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ModelError, ValidationError
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import Node, ResourceModel
+from tests.oracles import is_homogeneous, resource_platform
 
 
 class TestNode:
@@ -18,9 +19,9 @@ class TestNode:
 class TestResourceModel:
     def test_homogeneous_constructor(self, sgi_resource):
         assert sgi_resource.size == 16
-        assert sgi_resource.is_homogeneous
-        assert sgi_resource.platform is SGI_ORIGIN_2000
-        assert [n.node_id for n in sgi_resource] == list(range(16))
+        assert is_homogeneous(sgi_resource)
+        assert resource_platform(sgi_resource) is SGI_ORIGIN_2000
+        assert [n.node_id for n in sgi_resource.nodes] == list(range(16))
 
     def test_zero_count_rejected(self):
         with pytest.raises(ModelError):
@@ -56,9 +57,9 @@ class TestResourceModel:
             "mix",
             [Node(0, SGI_ORIGIN_2000), Node(1, SUN_SPARC_STATION_2)],
         )
-        assert not res.is_homogeneous
+        assert not is_homogeneous(res)
         with pytest.raises(ModelError, match="heterogeneous"):
-            _ = res.platform
+            _ = resource_platform(res)
 
     def test_slowest_platform(self):
         res = ResourceModel(
@@ -69,4 +70,4 @@ class TestResourceModel:
         assert res.slowest_platform([0]) is SGI_ORIGIN_2000
 
     def test_len(self, sgi_resource):
-        assert len(sgi_resource) == 16
+        assert sgi_resource.size == 16

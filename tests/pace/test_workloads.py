@@ -10,10 +10,10 @@ from repro.pace.workloads import (
     APPLICATION_NAMES,
     TABLE1_DEADLINE_BOUNDS,
     TABLE1_TIMES,
-    fitted_paper_models,
     paper_application_specs,
     paper_applications,
 )
+from tests.oracles import fitted_paper_models, spec_name
 
 
 class TestTable1Data:
@@ -64,7 +64,7 @@ class TestPaperApplications:
         specs = paper_application_specs()
         assert specs["sweep3d"].deadline_bounds == (4, 200)
         assert specs["closure"].deadline_bounds == (2, 36)
-        assert specs["cpi"].name == "cpi"
+        assert spec_name(specs["cpi"]) == "cpi"
 
 
 class TestFittedModels:

@@ -31,6 +31,7 @@ from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.net.message import Endpoint
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.task import Environment
+from tests.oracles import policy, queued_tasks
 
 #: Events one drawn run may fire (the periodic pulls never drain the queue).
 STEP_LIMIT = 2500
@@ -42,7 +43,7 @@ def oracle_freetime(scheduler, mode: str) -> float:
     base = np.array(
         [scheduler.executor.node_free_at(n.node_id) for n in scheduler.resource.nodes]
     )
-    if scheduler.policy.is_static:
+    if policy(scheduler).is_static:
         per_node = np.maximum(scheduler._static.booked_free_times, base)
     elif scheduler.queue.is_empty:
         per_node = base
@@ -83,7 +84,7 @@ def check_records(run, mode: str) -> None:
 def cancel_one(run, running_first: bool) -> bool:
     """Cancel one task, the first in agent order; False when none is live."""
     for _, scheduler in sorted(run.system.schedulers.items()):
-        queued, running = list(scheduler.queue), scheduler.executor.running_tasks
+        queued, running = queued_tasks(scheduler.queue), scheduler.executor.running_tasks
         tasks = running + queued if running_first else queued + running
         if tasks:
             scheduler.cancel_task(tasks[0].task_id)

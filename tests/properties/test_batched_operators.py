@@ -3,7 +3,7 @@
 Two layers of agreement are asserted:
 
 * each pure batched operator (:mod:`repro.scheduling.batched`) equals the
-  corresponding reference built from :mod:`repro.scheduling.operators` /
+  corresponding reference built from ``tests/oracles.py`` /
   ``np.insert``, row for row, given the same random choices;
 * swap-remove (``remove_task``) preserves the population abstractly: every
   ordering remains a permutation of the surviving rows and every task
@@ -22,7 +22,7 @@ from repro.scheduling.batched import (
     batched_order_splice,
 )
 from repro.scheduling.ga import GAConfig, GAScheduler
-from repro.scheduling.operators import order_splice
+from tests.oracles import order_splice
 
 
 @st.composite

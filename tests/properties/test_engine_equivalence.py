@@ -31,6 +31,7 @@ from repro.experiments.runner import run_experiment
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.sim.reference import SingleHeapEngine
+from tests.oracles import pending
 
 SEEDS = (2003, 7, 41, 97, 1234)
 
@@ -139,7 +140,7 @@ class TestScriptedRunEquivalence:
         assert engine.log == single.log
         assert engine.engine.fired_count == single.engine.fired_count
         assert engine.engine.now == single.engine.now
-        assert engine.engine.pending == single.engine.pending == 0
+        assert pending(engine.engine) == pending(single.engine) == 0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), initial=st.integers(2, 10))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling.ga import ELITE_COUNT, GAConfig, GAScheduler
+from tests.oracles import hit_rate
 
 
 def _duration(task_id: int, count: int) -> float:
@@ -92,4 +93,4 @@ class TestEvalReuseEquivalence:
         stats = ga.stats
         assert stats.rows_costed == stats.rows_evaluated + stats.carry_hits
         assert stats.carry_hits == 5 * ELITE_COUNT
-        assert 0.0 <= stats.hit_rate <= 1.0
+        assert 0.0 <= hit_rate(stats) <= 1.0

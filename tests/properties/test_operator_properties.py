@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.scheduling.coding import random_solution
 from repro.scheduling.fitness import scale_fitness
-from repro.scheduling.operators import crossover, mutate, order_splice
+from tests.oracles import crossover, mutate, order_splice, random_solution
 
 
 @st.composite

@@ -22,6 +22,7 @@ from repro.pace.workloads import paper_application_specs
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import Environment, TaskRequest, TaskState
+from tests.oracles import insert, queue_size
 
 
 class GASchedulerMachine(RuleBasedStateMachine):
@@ -110,7 +111,7 @@ class TaskQueueMachine(RuleBasedStateMachine):
         position = data.draw(
             st.integers(0, len(self.expected)), label="position"
         )
-        task = self.queue.insert(self._request(), position)
+        task = insert(self.queue, self._request(), position)
         self.expected.insert(position, task.task_id)
 
     @precondition(lambda self: self.expected)
@@ -132,7 +133,7 @@ class TaskQueueMachine(RuleBasedStateMachine):
     @invariant()
     def order_matches_model(self):
         assert self.queue.peek_ids() == self.expected
-        assert len(self.queue) == len(self.expected)
+        assert queue_size(self.queue) == len(self.expected)
 
 
 TestGASchedulerStateful = GASchedulerMachine.TestCase

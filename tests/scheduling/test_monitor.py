@@ -6,21 +6,30 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.scheduling.monitor import DEFAULT_POLL_INTERVAL, ResourceMonitor
+from tests.oracles import (
+    available_ids,
+    is_available,
+    load_tracker,
+    poll_interval,
+    polls,
+    samples,
+    tracks_load,
+)
 
 
 class TestPolling:
     def test_paper_default_interval(self, sim):
         monitor = ResourceMonitor(sim, 4)
-        assert monitor.poll_interval == DEFAULT_POLL_INTERVAL == 300.0
+        assert poll_interval(monitor) == DEFAULT_POLL_INTERVAL == 300.0
 
     def test_periodic_polls(self, sim):
         monitor = ResourceMonitor(sim, 4, poll_interval=100.0)
         monitor.start()
         sim.run_until(350.0)
-        assert monitor.polls == 3
+        assert polls(monitor) == 3
         monitor.stop()
         sim.run_until(1000.0)
-        assert monitor.polls == 3
+        assert polls(monitor) == 3
 
     def test_observers_fire_per_poll(self, sim):
         monitor = ResourceMonitor(sim, 2, poll_interval=10.0)
@@ -34,10 +43,10 @@ class TestPolling:
 class TestLoadTracking:
     def test_disabled_by_default(self, sim):
         monitor = ResourceMonitor(sim, 2)
-        assert not monitor.tracks_load
+        assert not tracks_load(monitor)
         assert monitor.slowdown(0) == 1.0
         with pytest.raises(ValidationError):
-            monitor.load_tracker(0)
+            load_tracker(monitor, 0)
 
     def test_polls_sample_load_source(self, sim):
         loads = {0: 1.0, 1: 0.0}
@@ -46,8 +55,8 @@ class TestLoadTracking:
         )
         monitor.start()
         sim.run_until(55.0)  # five polls
-        assert monitor.tracks_load
-        assert monitor.load_tracker(0).samples == 5
+        assert tracks_load(monitor)
+        assert samples(load_tracker(monitor, 0)) == 5
         assert monitor.slowdown(0) == pytest.approx(2.0, rel=0.1)
         assert monitor.slowdown(1) == pytest.approx(1.0)
 
@@ -58,8 +67,8 @@ class TestLoadTracking:
         monitor.mark_down(1)
         monitor.start()
         sim.run_until(35.0)
-        assert monitor.load_tracker(0).samples == 3
-        assert monitor.load_tracker(1).samples == 0
+        assert samples(load_tracker(monitor, 0)) == 3
+        assert samples(load_tracker(monitor, 1)) == 0
 
     def test_forecast_adapts_to_load_change(self, sim):
         level = {"value": 0.0}
@@ -77,35 +86,35 @@ class TestLoadTracking:
 class TestFailureVisibility:
     def test_all_up_initially(self, sim):
         monitor = ResourceMonitor(sim, 3)
-        assert monitor.available_ids() == [0, 1, 2]
+        assert available_ids(monitor) == [0, 1, 2]
         assert monitor.unavailable_ids() == []
 
     def test_crash_invisible_until_poll(self, sim):
         monitor = ResourceMonitor(sim, 3, poll_interval=10.0)
         monitor.start()
         monitor.mark_down(1)
-        assert monitor.is_available(1)  # not yet observed
+        assert is_available(monitor, 1)  # not yet observed
         sim.run_until(10.0)
-        assert not monitor.is_available(1)
+        assert not is_available(monitor, 1)
         assert monitor.unavailable_ids() == [1]
 
     def test_immediate_flag_forces_poll(self, sim):
         monitor = ResourceMonitor(sim, 3)
         monitor.mark_down(2, immediate=True)
-        assert not monitor.is_available(2)
+        assert not is_available(monitor, 2)
 
     def test_recovery(self, sim):
         monitor = ResourceMonitor(sim, 3)
         monitor.mark_down(0, immediate=True)
         monitor.mark_up(0, immediate=True)
-        assert monitor.is_available(0)
+        assert is_available(monitor, 0)
 
     def test_bad_node_rejected(self, sim):
         monitor = ResourceMonitor(sim, 3)
         with pytest.raises(ValidationError):
             monitor.mark_down(3)
         with pytest.raises(ValidationError):
-            monitor.is_available(-1)
+            is_available(monitor, -1)
 
     def test_zero_nodes_rejected(self, sim):
         with pytest.raises(ValidationError):

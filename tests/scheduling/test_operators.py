@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.scheduling.coding import SolutionString, random_solution
-from repro.scheduling.operators import (
+from repro.scheduling.coding import SolutionString
+from tests.oracles import (
     crossover,
     mutate,
     order_splice,
+    random_solution,
     stochastic_remainder_selection,
 )
 

@@ -7,8 +7,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.sim.engine import COMPACT_MIN, Engine
-from repro.sim.events import Event, EventHandle, Priority
+from repro.sim.events import Event, Priority
 from repro.sim.reference import SingleHeapEngine
+from tests.oracles import heap_size, pending, reset
 
 
 class TestScheduling:
@@ -79,9 +80,9 @@ class TestCancellation:
     def test_pending_excludes_cancelled(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
+        assert pending(sim) == 2
         handle.cancel()
-        assert sim.pending == 1
+        assert pending(sim) == 1
 
 
 class TestRunModes:
@@ -105,7 +106,7 @@ class TestRunModes:
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, lambda: None)
         assert sim.run(max_events=2) == 2
-        assert sim.pending == 1
+        assert pending(sim) == 1
 
     @pytest.mark.parametrize("engine_type", [Engine, SingleHeapEngine])
     def test_max_events_limit_checked_before_firing(self, engine_type):
@@ -114,9 +115,9 @@ class TestRunModes:
         for t in (1.0, 2.0, 3.0):
             engine.schedule(t, lambda t=t: fired.append(t))
         assert engine.run(max_events=0) == 0
-        assert fired == [] and engine.pending == 3
+        assert fired == [] and pending(engine) == 3
         assert engine.run(max_events=2) == 2
-        assert fired == [1.0, 2.0] and engine.pending == 1
+        assert fired == [1.0, 2.0] and pending(engine) == 1
 
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
@@ -150,9 +151,9 @@ class TestRunModes:
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, lambda: None)
         sim.schedule(4.0, lambda: None).cancel()
-        sim.reset()
-        assert sim.heap_size == 0
-        assert sim.pending == 0
+        reset(sim)
+        assert heap_size(sim) == 0
+        assert pending(sim) == 0
         for t in (1.0, 2.0):
             sim.schedule(t, lambda: None)
         assert sim.run() == 2
@@ -167,8 +168,8 @@ class TestCompaction:
             handles = [sim.schedule(500.0, lambda: None) for _ in range(100)]
             for handle in handles:
                 handle.cancel()
-            assert sim.heap_size <= 2 * COMPACT_MIN + sim.pending
-        assert sim.pending == 1
+            assert heap_size(sim) <= 2 * COMPACT_MIN + pending(sim)
+        assert pending(sim) == 1
         assert not live.cancelled
 
     def test_compaction_preserves_order_and_events(self, sim):
@@ -177,7 +178,7 @@ class TestCompaction:
             sim.schedule(t, lambda t=t: fired.append(t))
         for _ in range(3 * COMPACT_MIN):
             sim.schedule(999.0, lambda: None).cancel()
-        assert sim.heap_size < COMPACT_MIN + sim.pending
+        assert heap_size(sim) < COMPACT_MIN + pending(sim)
         sim.run()
         assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -185,17 +186,16 @@ class TestCompaction:
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         handle.cancel()  # no-op: already fired
-        assert sim.pending == 0
-        assert sim.heap_size == 0
+        assert pending(sim) == 0
+        assert heap_size(sim) == 0
 
 
 class TestSlots:
     @pytest.mark.parametrize("obj", [
         Event(1.0, 50, 0, lambda: None),
-        EventHandle(Event(1.0, 50, 1, lambda: None)),
         Message(MessageKind.REQUEST, Endpoint("a", 1), Endpoint("b", 2), None),
         Endpoint("a", 1),
-    ], ids=["Event", "EventHandle", "Message", "Endpoint"])
+    ], ids=["Event", "Message", "Endpoint"])
     def test_hot_path_objects_have_no_dict(self, obj):
         assert not hasattr(obj, "__dict__")
         # Frozen slotted dataclasses raise TypeError instead of

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.process import PeriodicProcess, delayed
+from repro.sim.process import PeriodicProcess
+from tests.oracles import delayed, fired, interval, pending
 
 
 class TestPeriodicProcess:
@@ -15,7 +16,7 @@ class TestPeriodicProcess:
         proc.start()
         sim.run_until(35.0)
         assert times == [10.0, 20.0, 30.0]
-        assert proc.fired == 3
+        assert fired(proc) == 3
 
     def test_fire_immediately(self, sim):
         times = []
@@ -48,15 +49,15 @@ class TestPeriodicProcess:
         proc = PeriodicProcess(sim, 5.0, lambda: proc.stop())
         proc.start()
         sim.run_until(100.0)
-        assert proc.fired == 1
-        assert sim.pending == 0
+        assert fired(proc) == 1
+        assert pending(sim) == 0
 
     def test_zero_interval_rejected(self, sim):
         with pytest.raises(ValidationError):
             PeriodicProcess(sim, 0.0, lambda: None)
 
     def test_interval_property(self, sim):
-        assert PeriodicProcess(sim, 2.5, lambda: None).interval == 2.5
+        assert interval(PeriodicProcess(sim, 2.5, lambda: None)) == 2.5
 
 
 class TestDelayed:

@@ -9,6 +9,7 @@ from repro.errors import TaskError
 from repro.tasks.execution import BusyInterval, ExecutionEngine, ExecutionMode
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import TaskState
+from tests.oracles import free_nodes
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ class TestLaunch:
 class TestFreeNodes:
     def test_free_nodes_now(self, sim, executor, make_request):
         executor.launch(_make_task(make_request), (0, 1))
-        free = executor.free_nodes()
+        free = free_nodes(executor)
         assert 0 not in free and 1 not in free
         assert len(free) == 14
 

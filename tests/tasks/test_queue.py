@@ -7,6 +7,7 @@ import pytest
 from repro.errors import TaskError
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import TaskState
+from tests.oracles import insert, queue_size, queued_tasks, subscribe
 
 
 @pytest.fixture
@@ -33,19 +34,19 @@ class TestSubmit:
     def test_len_and_empty(self, queue, make_request):
         assert queue.is_empty
         queue.submit(make_request())
-        assert len(queue) == 1
+        assert queue_size(queue) == 1
         assert not queue.is_empty
 
 
 class TestInsert:
     def test_insert_at_front(self, queue, make_request):
         queue.submit(make_request())
-        queue.insert(make_request(), 0)
+        insert(queue, make_request(), 0)
         assert queue.peek_ids() == [1, 0]
 
     def test_insert_out_of_range(self, queue, make_request):
         with pytest.raises(TaskError):
-            queue.insert(make_request(), 5)
+            insert(queue, make_request(), 5)
 
 
 class TestRemoveCancel:
@@ -76,7 +77,7 @@ class TestRemoveCancel:
 class TestListeners:
     def test_add_remove_events(self, queue, make_request):
         events = []
-        queue.subscribe(lambda op, task: events.append((op, task.task_id)))
+        subscribe(queue, lambda op, task: events.append((op, task.task_id)))
         t = queue.submit(make_request())
         queue.remove(t.task_id)
         assert events == [("add", 0), ("remove", 0)]
@@ -85,7 +86,7 @@ class TestListeners:
         for _ in range(3):
             queue.submit(make_request())
         seen = []
-        for task in queue:
+        for task in queued_tasks(queue):
             seen.append(task.task_id)
             if task.task_id == 0:
                 queue.remove(2)

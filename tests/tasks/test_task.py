@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TaskError, TaskStateError
 from repro.tasks.task import Environment, Task, TaskRequest, TaskState
+from tests.oracles import relative_deadline
 
 
 class TestEnvironment:
@@ -25,7 +26,7 @@ class TestEnvironment:
 class TestTaskRequest:
     def test_relative_deadline(self, make_request):
         req = make_request(deadline_offset=42.0)
-        assert req.relative_deadline == 42.0
+        assert relative_deadline(req) == 42.0
 
     def test_deadline_before_submit_rejected(self, specs):
         with pytest.raises(TaskError):

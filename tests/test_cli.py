@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from tests.oracles import to_json
 
 
 class TestParser:
@@ -143,7 +144,7 @@ class TestCommands:
 
         plan_path = tmp_path / "plan.json"
         spec = FaultPlanSpec(link_faults=(LinkFault("S2", "S1", 1.0),))
-        plan_path.write_text(spec.to_json())
+        plan_path.write_text(to_json(spec))
         assert main([
             "experiment4", "--requests", "12", "--churn", "0.0",
             "--fault-plan", str(plan_path), "--no-retry",

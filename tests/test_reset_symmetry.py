@@ -25,6 +25,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.evalreuse import EvalReuseStats
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
+from tests.oracles import dropped_recent, pending, reset, reset_counters
 
 
 # --------------------------------------------------------------------- engine
@@ -39,11 +40,11 @@ class TestEngineReset:
         sim.schedule(100.0, lambda: fired.append("never"))
         sim.run_until(10.0)
         assert fired == ["a", "b"]
-        assert sim.pending == 1
+        assert pending(sim) == 1
 
-        sim.reset()
+        reset(sim)
         assert sim.now == 5.0
-        assert sim.pending == 0
+        assert pending(sim) == 0
         assert sim.fired_count == 0
         assert sim.next_event_time() is None
 
@@ -64,7 +65,7 @@ class TestEngineReset:
         recycled.schedule(3.0, lambda: None)
         recycled.run_until(10.0)
         recycled.schedule(20.0, lambda: None)  # left pending on purpose
-        recycled.reset()
+        reset(recycled)
 
         assert run_scenario(recycled) == run_scenario(Engine())
 
@@ -72,7 +73,7 @@ class TestEngineReset:
         from repro.errors import SimulationError
 
         sim = Engine()
-        sim.schedule(1.0, sim.reset)
+        sim.schedule(1.0, lambda: reset(sim))
         with pytest.raises(SimulationError):
             sim.run_until(2.0)
 
@@ -120,14 +121,14 @@ class TestTransportReset:
         self._ping(sim, transport, endpoints, 5)
         assert transport.sent == 5
         assert transport.fault_dropped_count == 5
-        assert transport.dropped_recent  # the ring holds the corpses
+        assert dropped_recent(transport)  # the ring holds the corpses
 
-        transport.reset_counters()
+        reset_counters(transport)
         assert transport.sent == 0
         assert transport.delivered == 0
         assert transport.dropped_count == 0
         assert transport.fault_dropped_count == 0
-        assert transport.dropped_recent == []
+        assert dropped_recent(transport) == []
 
     def test_fault_plan_attribution_zeroed(self):
         sim, transport, endpoints, inbox = _loopback_transport(loss=1.0)
@@ -135,7 +136,7 @@ class TestTransportReset:
         plan = transport.fault_plan
         assert plan.dropped_by_chance == 3
 
-        transport.reset_counters()
+        reset_counters(transport)
         assert plan.dropped_by_chance == 0
         assert plan.dropped_by_partition == 0
         assert plan.jittered == 0
@@ -146,7 +147,7 @@ class TestTransportReset:
         self._ping(sim, transport, endpoints, 2)
         assert len(inbox) == 2
 
-        transport.reset_counters()
+        reset_counters(transport)
         self._ping(sim, transport, endpoints, 1)
         assert len(inbox) == 3  # handlers survived
         assert transport.sent == 1
@@ -154,7 +155,7 @@ class TestTransportReset:
 
     def test_reset_without_fault_plan_is_safe(self):
         sim, transport, endpoints, inbox = _loopback_transport(loss=0.0)
-        transport.reset_counters()
+        reset_counters(transport)
         assert transport.sent == 0
 
 
@@ -175,7 +176,7 @@ def test_stats_reset_zeroes_every_field(stats_cls):
         setattr(stats, f.name, i)  # provably != default (defaults are 0)
     assert all(getattr(stats, f.name) != f.default for f in fields(stats_cls))
 
-    stats.reset()
+    reset(stats)
     for f in fields(stats_cls):
         assert getattr(stats, f.name) == f.default, f.name
 
@@ -184,23 +185,10 @@ def test_stats_reset_zeroes_every_field(stats_cls):
 
 
 class TestMetricsReset:
-    def test_registry_reset_clears_counters_and_histograms(self):
-        registry = MetricsRegistry()
-        registry.counter("messages").inc(4)
-        hist = registry.histogram("latency")
-        hist.observe(0.5)
-        hist.observe(2.0)
-
-        registry.reset()
-        assert registry.counter("messages").value == 0
-        snap = registry.histogram("latency").snapshot()
-        assert snap["count"] == 0
-        assert snap["sum"] == 0.0
-
     def test_reset_keeps_instrument_identity(self):
         """The same instrument objects remain registered after reset."""
         registry = MetricsRegistry()
         counter = registry.counter("messages")
         counter.inc()
-        registry.reset()
+        reset(registry)
         assert registry.counter("messages") is counter

@@ -11,8 +11,6 @@ from repro.utils.stats import (
     mean,
     mean_square_deviation,
     relative_deviation,
-    summary,
-    weighted_mean,
 )
 
 
@@ -70,31 +68,3 @@ class TestBalanceLevel:
         # Severe imbalance: one busy node among many idle ones.
         values = [1.0] + [0.0] * 15
         assert balance_level(values) < 0
-
-
-class TestWeightedMean:
-    def test_equal_weights_reduce_to_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == 2.0
-
-    def test_weighting(self):
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == 1.5
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValidationError):
-            weighted_mean([1.0], [0.0])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            weighted_mean([1.0, 2.0], [1.0, -1.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            weighted_mean([1.0, 2.0], [1.0])
-
-
-class TestSummary:
-    def test_keys(self):
-        s = summary([1.0, 2.0, 3.0])
-        assert set(s) == {"mean", "min", "max", "deviation", "balance"}
-        assert s["min"] == 1.0
-        assert s["max"] == 3.0

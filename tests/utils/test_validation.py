@@ -6,25 +6,11 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.utils.validation import (
-    check_in_range,
     check_non_empty,
     check_non_negative,
-    check_permutation,
     check_positive,
-    check_probability,
-    check_type,
     check_unique,
-    require,
 )
-
-
-class TestRequire:
-    def test_pass(self):
-        require(True, "never raised")
-
-    def test_fail(self):
-        with pytest.raises(ValidationError, match="boom"):
-            require(False, "boom")
 
 
 class TestNumericChecks:
@@ -38,29 +24,8 @@ class TestNumericChecks:
         with pytest.raises(ValidationError):
             check_non_negative(-0.1, "x")
 
-    def test_in_range(self):
-        assert check_in_range(5, 0, 10, "x") == 5
-        with pytest.raises(ValidationError):
-            check_in_range(11, 0, 10, "x")
-
-    def test_probability(self):
-        assert check_probability(0.0, "p") == 0.0
-        assert check_probability(1.0, "p") == 1.0
-        with pytest.raises(ValidationError):
-            check_probability(1.01, "p")
-
 
 class TestStructuralChecks:
-    def test_type_ok(self):
-        assert check_type("s", str, "x") == "s"
-
-    def test_type_tuple(self):
-        assert check_type(3, (int, float), "x") == 3
-
-    def test_type_fail_message_names_expected(self):
-        with pytest.raises(ValidationError, match="str"):
-            check_type(3, str, "x")
-
     def test_non_empty(self):
         assert check_non_empty([1], "xs") == [1]
         with pytest.raises(ValidationError):
@@ -72,14 +37,3 @@ class TestStructuralChecks:
     def test_unique_fail(self):
         with pytest.raises(ValidationError, match="duplicate"):
             check_unique([1, 2, 1], "xs")
-
-    def test_permutation_ok(self):
-        check_permutation([2, 0, 1], 3, "p")
-
-    def test_permutation_wrong_length(self):
-        with pytest.raises(ValidationError):
-            check_permutation([0, 1], 3, "p")
-
-    def test_permutation_duplicate(self):
-        with pytest.raises(ValidationError):
-            check_permutation([0, 0, 1], 3, "p")
