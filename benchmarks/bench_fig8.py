@@ -22,11 +22,20 @@ def test_figure8_series(table3_results, capsys):
                 title="Figure 8: advance time of execution completion ε (s)",
             )
         )
+    metrics = [r.metrics for r in table3_results]
+    # ε is undefined (NaN) exactly where a platform ran no task: at small
+    # workloads the slowest platform may receive none in some experiment.
+    for name, values in series.items():
+        for experiment, value in zip(metrics, values):
+            row = experiment.total if name == "Total" else experiment.resource(name)
+            assert (value != value) == (row.n_tasks == 0), (name, value)
     # The figure's headline: the slowest platforms improve monotonically
-    # once load balancing is introduced.
+    # once load balancing is introduced.  A platform is compared only if
+    # it ran tasks in experiments 1 and 3.
     for slow in ("S11", "S12"):
-        values = series[slow]
-        assert values[2] >= values[0]
+        if metrics[0].resource(slow).n_tasks and metrics[2].resource(slow).n_tasks:
+            values = series[slow]
+            assert values[2] >= values[0]
     assert series["Total"][2] >= series["Total"][0]
 
 

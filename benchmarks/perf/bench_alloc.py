@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Micro-benchmark: the ``__slots__`` win on hot-path object allocation.
+"""Micro-benchmark: hot-path object allocation without ``__dict__``.
 
 The simulator allocates one :class:`~repro.sim.events.Event` per scheduled
 callback and one :class:`~repro.net.message.Message` per transport send —
 at 1000-agent scale that is hundreds of thousands of allocations per
-simulated experiment.  This script measures the committed slotted classes
-against structurally identical ``__dict__``-based doubles, reporting
-allocations/second and per-instance memory, and then runs the suite's
-``engine_event_alloc`` benchmark (the number recorded in BENCH_PERF.json)::
+simulated experiment.  This script measures the committed classes (a
+slotted ``Event``, a tuple-backed ``Message``) against ``__dict__``-based
+doubles, reporting allocations/second and per-instance memory, and then
+runs the suite's ``engine_event_alloc`` benchmark (the number recorded in
+BENCH_PERF.json)::
 
     python benchmarks/perf/bench_alloc.py [--count N] [--repeats N]
 
@@ -56,14 +57,15 @@ class DictEvent:
 
 @dataclass(frozen=True)
 class DictMessage:
-    """``Message`` with ``slots=False`` — identical dataclass machinery
-    (frozen ``object.__setattr__`` init, ``message_id`` default factory),
-    differing only in the per-instance ``__dict__``."""
+    """``Message`` as a frozen dataclass with a per-instance ``__dict__``:
+    the same fields, set one ``object.__setattr__`` at a time, and the
+    same ``message_id`` counter."""
 
     kind: MessageKind
     sender: Endpoint
     recipient: Endpoint
     payload: object
+    hops: int = 0
     message_id: int = field(default_factory=next_message_id)
 
 
@@ -116,7 +118,7 @@ def main() -> int:
 
     slotted = _rate(_slotted, args.count, args.repeats)
     dicted = _rate(_dicted, args.count, args.repeats)
-    print(f"slotted Event+Message : {slotted:12,.0f} objects/s")
+    print(f"Event+Message         : {slotted:12,.0f} objects/s")
     print(f"__dict__ doubles      : {dicted:12,.0f} objects/s")
     print(f"allocation speedup    : {slotted / dicted:12.2f} x")
 
@@ -128,7 +130,7 @@ def main() -> int:
           f"{_instance_bytes(devent)} with __dict__")
     message = Message(MessageKind.REQUEST, sender, recipient, None)
     dmessage = DictMessage(MessageKind.REQUEST, sender, recipient, None)
-    print(f"Message bytes/instance: {_instance_bytes(message):4d} slotted vs "
+    print(f"Message bytes/instance: {_instance_bytes(message):4d} tuple vs "
           f"{_instance_bytes(dmessage)} with __dict__")
 
     result = bench_event_alloc(count=args.count, repeats=args.repeats)

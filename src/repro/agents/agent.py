@@ -21,12 +21,12 @@ An agent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.agents.advertisement import AdvertisementStrategy, NoAdvertisement
 from repro.net.payloads import KinInfo, RequestEnvelope, TaskResult, TransferPayload
-from repro.agents.discovery import Decision, DiscoveryConfig, DiscoveryOutcome
+from repro.agents.discovery import DiscoveryConfig
 from repro.agents.healing import Healer
 from repro.agents.matchmaking import MatchResult, match_request
 from repro.agents.membership import FailureDetector, MembershipConfig
@@ -60,6 +60,18 @@ TRANSFER_BANDWIDTH = 1.0
 #: are evicted first, which bounds memory over soak horizons while staying
 #: far above any plausible in-flight retransmission window.
 DEDUP_CAP = 65536
+
+# Message kinds as module globals: ``_handle_message`` tests the kind of
+# every delivered message, and reading a member off the enum class costs
+# a Python-level lookup each time.
+_PULL = MessageKind.PULL
+_ADVERTISE = MessageKind.ADVERTISE
+_REQUEST = MessageKind.REQUEST
+_ACK = MessageKind.ACK
+_TRANSFER = MessageKind.TRANSFER
+_HEARTBEAT = MessageKind.HEARTBEAT
+_ADOPT = MessageKind.ADOPT
+_ADOPTED = MessageKind.ADOPTED
 
 
 # RequestEnvelope and TaskResult are protocol payloads; they live in
@@ -143,6 +155,7 @@ class Agent:
         self._tracer = tracer
         self._endpoint = endpoint
         self._scheduler = scheduler
+        self._sim = scheduler.sim
         # The Fig. 5 record minus its freetime: fixed for the agent's life.
         self._static_info = ServiceInfo(
             agent_endpoint=endpoint,
@@ -152,6 +165,9 @@ class Agent:
             environments=scheduler.environments,
             freetime=0.0,
         )
+        # The last record service_info() returned: records are immutable,
+        # so it is handed out again while the freetime has not moved.
+        self._info = self._static_info
         self._transport = transport
         self._catalogue = catalogue
         self._discovery_config = discovery_config
@@ -166,7 +182,6 @@ class Agent:
         # crashed, awaiting a restart to be mailed (membership mode only).
         self._held_results: List[Tuple[RequestEnvelope, TaskResult]] = []
         self._stats = AgentStats()
-        self._outcomes: List[Tuple[int, DiscoveryOutcome]] = []
         # request id -> unacknowledged forward (resilience layer).
         self._pending_acks: Dict[int, _PendingForward] = {}
         # (sender, request id, hops) triples already processed — dedups the
@@ -208,7 +223,7 @@ class Agent:
     @property
     def sim(self):
         """The shared discrete-event engine."""
-        return self._scheduler.sim
+        return self._sim
 
     @property
     def parent(self) -> Optional["Agent"]:
@@ -325,7 +340,11 @@ class Agent:
 
     def service_info(self) -> ServiceInfo:
         """This agent's *fresh* service record (Fig. 5)."""
-        return self._static_info.with_freetime(self._scheduler.freetime())
+        freetime = self._scheduler.freetime()
+        info = self._info
+        if info.freetime != freetime:
+            info = self._info = self._static_info.with_freetime(freetime)
+        return info
 
     def start(self) -> None:
         """Activate the advertisement strategy and the failure detector."""
@@ -380,7 +399,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 AgentDown(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     endpoint=str(self._endpoint),
                 )
@@ -407,7 +426,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 AgentUp(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     endpoint=str(self._endpoint),
                 )
@@ -446,17 +465,15 @@ class Agent:
         """Send a PULL to every neighbour (periodic-pull strategy hook).
 
         Dead neighbours are tolerated: the send fails, the failure is
-        counted, and their stale registry entry is dropped.
+        counted, and their stale registry entry is dropped.  Children are
+        pulled first, then the parent: the order of :meth:`neighbours`.
         """
-        for neighbour in self.neighbours():
-            self._send_best_effort(
-                Message(
-                    MessageKind.PULL,
-                    self._endpoint,
-                    neighbour.endpoint,
-                    payload=None,
-                )
-            )
+        endpoint = self._endpoint
+        for child in self._children:
+            self._send_best_effort(Message(_PULL, endpoint, child._endpoint, None))
+        parent = self._parent
+        if parent is not None:
+            self._send_best_effort(Message(_PULL, endpoint, parent._endpoint, None))
 
     def push_to_neighbours(self) -> None:
         """Send an ADVERTISE with fresh info to every neighbour (push hook)."""
@@ -647,7 +664,7 @@ class Agent:
                 # The request bounced back here before its earlier hop was
                 # ACKed: that forward's timer no longer guards anything.
                 superseded.handle.cancel()
-            handle = self.sim.schedule_in(
+            handle = self._sim.schedule_in(
                 timeout_for(attempt),
                 lambda: self._on_ack_timeout(request_id),
                 priority=Priority.MONITORING,
@@ -678,7 +695,7 @@ class Agent:
             if self._tracer is not None:
                 self._tracer.emit(
                     ForwardGiveUp(
-                        t=self.sim.now,
+                        t=self._sim.now,
                         agent=self._name,
                         request_id=request_id,
                     )
@@ -689,7 +706,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 ForwardRetry(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     request_id=request_id,
                     attempt=next_attempt,
@@ -715,7 +732,7 @@ class Agent:
                 self.service_info(),
                 self._evaluator,
                 self._catalogue,
-                self.sim.now,
+                self._sim.now,
             )
         if local_match.supported:
             self._submit_locally(envelope)
@@ -745,7 +762,7 @@ class Agent:
         if self._tracer is not None:
             self._tracer.emit(
                 LocalSubmit(
-                    t=self.sim.now,
+                    t=self._sim.now,
                     agent=self._name,
                     request_id=envelope.request_id,
                     task_id=task.task_id,
@@ -784,7 +801,7 @@ class Agent:
         binding = request.workflow
         assert binding is not None
         own = self._scheduler.resource.name
-        now = self.sim.now
+        now = self._sim.now
         for parent_node, source, size in binding.inputs:
             if not source or source == own:
                 continue  # co-located (gated on completion) or already local
@@ -810,7 +827,25 @@ class Agent:
     # --------------------------------------------------------------- messages
 
     def _handle_message(self, message: Message) -> None:
-        if message.kind is MessageKind.REQUEST:
+        # Kinds are tested most frequent first: at scale nearly every
+        # message is the periodic PULL and the ADVERTISE answering it.
+        kind = message.kind
+        if kind is _PULL:
+            self._stats.pulls_answered += 1
+            # Best-effort: under churn plus delivery delay the puller may
+            # have died (and unregistered) while its PULL was in flight.
+            self._send_best_effort(
+                Message(_ADVERTISE, self._endpoint, message.sender, self.service_info())
+            )
+        elif kind is _ADVERTISE:
+            info = message.payload
+            if not isinstance(info, ServiceInfo):
+                raise AgentError(f"bad ADVERTISE payload: {type(info).__name__}")
+            self._stats.advertisements_received += 1
+            sender = message.sender
+            self._registry[sender] = info
+            self._registry_time[sender] = self._sim.now
+        elif kind is _REQUEST:
             envelope = message.payload
             if not isinstance(envelope, RequestEnvelope):
                 raise AgentError(f"bad REQUEST payload: {type(envelope).__name__}")
@@ -823,7 +858,7 @@ class Agent:
                 if self._tracer is not None:
                     self._tracer.emit(
                         AckSent(
-                            t=self.sim.now,
+                            t=self._sim.now,
                             agent=self._name,
                             request_id=envelope.request_id,
                             duplicate=duplicate,
@@ -831,7 +866,7 @@ class Agent:
                     )
                 self._send_best_effort(
                     Message(
-                        MessageKind.ACK,
+                        _ACK,
                         self._endpoint,
                         message.sender,
                         payload=envelope.request_id,
@@ -842,7 +877,7 @@ class Agent:
                     self._stats.duplicates_ignored += 1
                     return
             self._process_request(envelope, hops=message.hops)
-        elif message.kind is MessageKind.ACK:
+        elif kind is _ACK:
             self._stats.acks_received += 1
             pending = self._pending_acks.get(message.payload)
             # An ACK clears only the forward it acknowledges: a late ACK
@@ -856,26 +891,7 @@ class Agent:
             ):
                 pending.handle.cancel()
                 del self._pending_acks[message.payload]
-        elif message.kind is MessageKind.PULL:
-            self._stats.pulls_answered += 1
-            # Best-effort: under churn plus delivery delay the puller may
-            # have died (and unregistered) while its PULL was in flight.
-            self._send_best_effort(
-                Message(
-                    MessageKind.ADVERTISE,
-                    self._endpoint,
-                    message.sender,
-                    payload=self.service_info(),
-                )
-            )
-        elif message.kind is MessageKind.ADVERTISE:
-            info = message.payload
-            if not isinstance(info, ServiceInfo):
-                raise AgentError(f"bad ADVERTISE payload: {type(info).__name__}")
-            self._stats.advertisements_received += 1
-            self._registry[message.sender] = info
-            self._registry_time[message.sender] = self.sim.now
-        elif message.kind is MessageKind.TRANSFER:
+        elif kind is _TRANSFER:
             payload = message.payload
             if not isinstance(payload, TransferPayload):
                 raise AgentError(
@@ -884,7 +900,7 @@ class Agent:
             if self._tracer is not None:
                 self._tracer.emit(
                     DagTransfer(
-                        t=self.sim.now,
+                        t=self._sim.now,
                         agent=self._name,
                         workflow=payload.workflow_id,
                         node=payload.node,
@@ -893,19 +909,19 @@ class Agent:
                     )
                 )
             self._scheduler.notify_input_arrived(payload.task_id, payload.parent)
-        elif message.kind is MessageKind.HEARTBEAT:
+        elif kind is _HEARTBEAT:
             # Tolerated with membership off: a mixed-config neighbour may
             # still beacon; there is simply nothing to refresh here.
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None and isinstance(message.payload, KinInfo):
                 self._healer.on_heartbeat(message.sender, message.payload)
-        elif message.kind is MessageKind.ADOPT:
+        elif kind is _ADOPT:
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None:
                 self._healer.handle_adopt(message.sender)
-        elif message.kind is MessageKind.ADOPTED:
+        elif kind is _ADOPTED:
             if self._detector is not None:
                 self._detector.observe(message.sender)
             if self._healer is not None:
@@ -916,7 +932,7 @@ class Agent:
             # genuine protocol error.
             if not self._policy.handle_message(message):
                 raise AgentError(
-                    f"agent {self._name!r} cannot handle {message.kind.value!r}"
+                    f"agent {self._name!r} cannot handle {kind.value!r}"
                 )
 
     def _remember_forward(self, key: Tuple[Endpoint, int, int]) -> bool:
@@ -930,7 +946,7 @@ class Agent:
         duplicate = key in self._seen_forwards
         if duplicate:
             del self._seen_forwards[key]  # re-insert at the recency tail
-        self._seen_forwards[key] = self.sim.now
+        self._seen_forwards[key] = self._sim.now
         while len(self._seen_forwards) > DEDUP_CAP:
             del self._seen_forwards[next(iter(self._seen_forwards))]
         return duplicate
@@ -1007,20 +1023,6 @@ class Agent:
                 for tid, env in sorted(self._reply_to.items())
             },
             "stats": {f.name: getattr(self._stats, f.name) for f in fields(self._stats)},
-            "outcomes": [
-                {
-                    "request_id": rid,
-                    "decision": outcome.decision.value,
-                    "target": (
-                        None
-                        if outcome.target is None
-                        else encode_endpoint(outcome.target)
-                    ),
-                    "estimate": outcome.estimate,
-                    "reason": outcome.reason,
-                }
-                for rid, outcome in self._outcomes
-            ],
             "pending_acks": {
                 str(rid): {
                     "envelope": encode_envelope(p.envelope),
@@ -1094,22 +1096,6 @@ class Agent:
         }
         for f in fields(self._stats):
             setattr(self._stats, f.name, int(state["stats"][f.name]))
-        self._outcomes = [
-            (
-                int(raw["request_id"]),
-                DiscoveryOutcome(
-                    decision=Decision(raw["decision"]),
-                    target=(
-                        None
-                        if raw["target"] is None
-                        else decode_endpoint(raw["target"])
-                    ),
-                    estimate=float(raw["estimate"]),
-                    reason=str(raw["reason"]),
-                ),
-            )
-            for raw in state["outcomes"]
-        ]
         self._seen_forwards = {
             (decode_endpoint(ep), int(rid), int(hops)): float(t)
             for ep, rid, hops, t in state["seen_forwards"]
@@ -1119,7 +1105,7 @@ class Agent:
         self._pending_acks = {}
         for rid, raw in state["pending_acks"].items():
             request_id = int(rid)
-            handle = self.sim.restore_event(
+            handle = self._sim.restore_event(
                 raw["event"], lambda r=request_id: self._on_ack_timeout(r)
             )
             self._pending_acks[request_id] = _PendingForward(

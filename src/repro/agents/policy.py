@@ -173,7 +173,7 @@ class GlobalPolicy:
 class Eq10Policy(GlobalPolicy):
     """The paper's discovery rule: eq. (10) + escalate, moved verbatim.
 
-    Stateless — all routing memory (pending acks, outcomes, stats) stays
+    Stateless — all routing memory (pending acks, stats) stays
     on the agent, exactly where the seed kept it, so selecting this
     policy is byte-identical to the pre-policy code path.
     """
@@ -232,7 +232,6 @@ class Eq10Policy(GlobalPolicy):
         outcome = discover(
             local_match, neighbour_matches, parent_ep, hops, agent._discovery_config
         )
-        agent._outcomes.append((envelope.request_id, outcome))
         if agent._tracer is not None:
             agent._tracer.emit(
                 DiscoveryEvaluated(

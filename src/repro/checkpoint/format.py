@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 3,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 4,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -17,6 +17,8 @@ at all.  Version 2 marks the single GA generation loop: its RNG stream
 differs from the version-1 kernels', so a version-1 snapshot is refused
 rather than resumed.  Version 3 marks the single run driver: one payload
 layout with a ``mode`` field replaces the three per-kind layouts.
+Version 4 drops the per-agent ``outcomes`` list, a log of every routing
+decision that nothing read.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

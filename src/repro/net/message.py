@@ -10,8 +10,8 @@ unsolicited (push) or in reply to a pull.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import count
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import TransportError
 
@@ -24,54 +24,71 @@ __all__ = [
     "set_message_counter",
 ]
 
-# Process-wide message-id source.  A plain int (not itertools.count) so a
-# checkpoint can capture and restore it: post-resume sends must mint the
-# same ids as the uninterrupted run, or the transport's in-flight table —
-# keyed and snapshot-ordered by message id — diverges between a resumed
-# and an uninterrupted run.
-_next_message_id = 0
+# Process-wide message-id source, minted in C.  A checkpoint captures and
+# restores its position (see peek_message_counter / set_message_counter):
+# post-resume sends must mint the same ids as the uninterrupted run, or the
+# transport's in-flight table — keyed and snapshot-ordered by message id —
+# diverges between a resumed and an uninterrupted run.
+_message_ids = count()
 
 
 def next_message_id() -> int:
     """Mint the next globally unique message id."""
-    global _next_message_id
-    value = _next_message_id
-    _next_message_id += 1
-    return value
+    return next(_message_ids)
 
 
 def peek_message_counter() -> int:
     """The id the next message will be assigned (checkpoint support)."""
-    return _next_message_id
+    global _message_ids
+    value = next(_message_ids)
+    _message_ids = count(value)
+    return value
 
 
 def set_message_counter(value: int) -> None:
     """Reset the id source so the next message gets *value* (restore support)."""
-    global _next_message_id
+    global _message_ids
     if value < 0:
         raise TransportError(f"message counter must be >= 0, got {value}")
-    _next_message_id = int(value)
+    _message_ids = count(int(value))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Endpoint:
-    """A network identity: the (address, port) tuple of Figs. 5–6."""
-
+class _EndpointFields(NamedTuple):
     address: str
     port: int
 
-    def __post_init__(self) -> None:
-        if not self.address:
+
+class Endpoint(_EndpointFields):
+    """A network identity: the (address, port) tuple of Figs. 5–6.
+
+    Tuple-backed and immutable: hashing, equality and ordering are those
+    of the plain ``(address, port)`` tuple and run in C, so every dict,
+    set and sorted order keyed by endpoints is the tuple's.  Only
+    construction runs Python code, to validate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, address: str, port: int) -> "Endpoint":
+        if not address:
             raise TransportError("endpoint address must be non-empty")
-        if not (0 < self.port < 65536):
-            raise TransportError(f"endpoint port out of range: {self.port}")
+        if not (0 < port < 65536):
+            raise TransportError(f"endpoint port out of range: {port}")
+        return tuple.__new__(cls, (address, port))
 
     def __str__(self) -> str:
         return f"{self.address}:{self.port}"
 
 
 class MessageKind(enum.Enum):
-    """Protocol message types."""
+    """Protocol message types.
+
+    Each kind carries ``label``, the label of the events that deliver its
+    messages: one interned string per kind, never one per message (the
+    labels are observational only; ``sim.event`` records are
+    non-canonical).  It is a plain attribute so a send needs no
+    Python-level enum hash to find it.
+    """
 
     REQUEST = "request"      # an execution request (Fig. 6) seeking a resource
     RESULT = "result"        # execution outcome returned to the submitter
@@ -89,23 +106,46 @@ class MessageKind(enum.Enum):
     RELEASE = "release"      # booker relinquishes a previously granted window
     TRANSFER = "transfer"    # staged-in workflow input arriving at a cluster
 
+    def __init__(self, value: str) -> None:
+        self.label = f"deliver-{value}"
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One transported message.
 
-    ``payload`` is kind-specific: a request record, a task summary, or a
-    service-information record.  ``hops`` counts discovery forwards so a
-    request cannot circulate indefinitely.
-
-    Slotted: a scaled grid keeps tens of thousands of messages in flight,
-    and per-instance dicts dominated their footprint (see the
-    ``engine_event_alloc`` micro-benchmark).
-    """
-
+class _MessageFields(NamedTuple):
     kind: MessageKind
     sender: Endpoint
     recipient: Endpoint
     payload: Any
-    hops: int = 0
-    message_id: int = field(default_factory=next_message_id)
+    hops: int
+    message_id: int
+
+
+class Message(_MessageFields):
+    """One transported message.
+
+    ``payload`` is kind-specific: a request record, a task summary, or a
+    service-information record.  ``hops`` counts discovery forwards so a
+    request cannot circulate indefinitely.  ``message_id`` is minted from
+    the process-wide counter unless given (a checkpoint restore passes the
+    original id).
+
+    Tuple-backed and immutable: a scaled grid sends a message per PULL and
+    per ADVERTISE, so construction is one tuple allocation, field reads are
+    C descriptors, and there is no per-instance dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: MessageKind,
+        sender: Endpoint,
+        recipient: Endpoint,
+        payload: Any,
+        hops: int = 0,
+        message_id: Optional[int] = None,
+    ) -> "Message":
+        if message_id is None:
+            message_id = next(_message_ids)
+        return tuple.__new__(
+            cls, (kind, sender, recipient, payload, hops, message_id)
+        )

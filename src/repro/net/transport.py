@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.errors import TransportError
+from repro.errors import TransportError, ValidationError
 from repro.net.faults import FaultPlan
-from repro.net.message import Endpoint, Message, MessageKind
+from repro.net.message import Endpoint, Message
 from repro.obs.records import MessageDelivered, MessageDropped, MessageSent
 from repro.obs.trace import Tracer
 from repro.sim.engine import Engine
 from repro.sim.events import Event, Priority
-from repro.utils.validation import check_non_negative
 
 __all__ = ["Transport", "DROP_RING_SIZE"]
 
@@ -35,16 +34,6 @@ Handler = Callable[[Message], None]
 #: are *counted* without bound; only the message objects are ring-buffered
 #: (a long churny run used to accumulate every dropped Message forever).
 DROP_RING_SIZE = 32
-
-# One interned delivery label per message kind.  Labels used to embed the
-# message id (``deliver-request-123``), minting a fresh string per send —
-# measurable churn at scaled-grid message volumes (see ``bench_alloc``).
-# The id adds nothing: delivery events already close over their Message,
-# and the labels are observational only (``sim.event`` records are
-# non-canonical, so the format is free to change).
-_DELIVER_LABELS: Dict[MessageKind, str] = {
-    kind: f"deliver-{kind.value}" for kind in MessageKind
-}
 
 
 class Transport:
@@ -76,8 +65,11 @@ class Transport:
         # fired, keyed by message id.  Checkpoints serialise these so a
         # restored run re-delivers exactly what was on the wire.
         self._in_flight: Dict[int, Tuple[Message, Event]] = {}
-        self._taps: List[Callable[[Message], None]] = []
         self._tracer = tracer
+        # One bound method shared by every delivery event instead of a
+        # fresh one per send: each is a GC-tracked allocation, and fewer
+        # allocations per message mean fewer garbage collections.
+        self._deliver_hook = self._deliver
 
     # ------------------------------------------------------------------ state
 
@@ -148,7 +140,10 @@ class Transport:
         TransportError
             If the recipient endpoint is not registered at send time.
         """
-        check_non_negative(extra_latency, "extra_latency")
+        if extra_latency < 0:
+            raise ValidationError(
+                f"extra_latency must be >= 0, got {extra_latency!r}"
+            )
         if message.recipient not in self._handlers:
             raise TransportError(
                 f"no endpoint registered at {message.recipient} "
@@ -178,9 +173,9 @@ class Transport:
             extra_latency += verdict.extra_latency
         handle = self._sim.schedule_in(
             extra_latency,
-            partial(self._deliver, message),
+            partial(self._deliver_hook, message),
             priority=Priority.DEFAULT,
-            label=_DELIVER_LABELS[message.kind],
+            label=message.kind.label,
         )
         self._in_flight[message.message_id] = (message, handle)
 
@@ -204,8 +199,6 @@ class Transport:
                     hops=message.hops,
                 )
             )
-        for tap in self._taps:
-            tap(message)
         handler(message)
 
     def _drop_record(self, message: Message, reason: str) -> MessageDropped:

@@ -21,8 +21,8 @@ The suite times the hot kernels this codebase optimises:
   engine on an identical 1000-agent arrival-cascade workload (the event
   pattern a 1000-agent grid produces); the derived
   ``engine_partition_speedup`` is their quotient.
-* ``engine_event_alloc`` — Event+Message allocations/second, the
-  ``__slots__`` hot-path win.
+* ``engine_event_alloc`` — Event+Message allocations/second on the hot
+  allocation path.
 * ``scale_grid_1000`` — completed requests/second of a full generated
   1000-agent scenario (FIFO policy, Poisson arrivals) end to end through
   ``build_grid``/``run_experiment`` (``REPRO_BENCH_SCALE_REQUESTS``,
@@ -368,18 +368,18 @@ def bench_engine_events(
 
 
 def bench_event_alloc(count: int = 200_000, repeats: int = 5) -> BenchResult:
-    """Hot-path object allocations/second (the ``__slots__`` win).
+    """Hot-path object allocations/second.
 
     Constructs the two objects the simulator allocates per unit of work —
-    an :class:`~repro.sim.events.Event` and a frozen
+    a slotted :class:`~repro.sim.events.Event` and a tuple-backed
     :class:`~repro.net.message.Message` (endpoints interned once, as
-    transports hold them) — in a tight loop.  ``__slots__`` halves the
-    per-instance footprint (no ``__dict__``), the win that matters at
-    1000-agent resident-heap scale; raw construction rate is about even,
-    so this number is a *regression gate* on the hot allocation path
-    (an accidental extra allocation or ``__post_init__`` shows up here).
-    See ``benchmarks/perf/bench_alloc.py`` for the slotted-vs-dict
-    side-by-side.
+    transports hold them) — in a tight loop.  Neither carries a
+    ``__dict__``, the footprint that matters at 1000-agent resident-heap
+    scale, and a message is one tuple allocation; this number is a
+    *regression gate* on the hot allocation path (an accidental extra
+    allocation or validation hook shows up here).  See
+    ``benchmarks/perf/bench_alloc.py`` for the side-by-side with
+    ``__dict__`` doubles.
     """
     from repro.net.message import Endpoint, Message, MessageKind
     from repro.sim.events import Event

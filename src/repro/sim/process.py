@@ -56,6 +56,9 @@ class PeriodicProcess:
         self._handle: Optional[Event] = None
         self._running = False
         self._fired = 0
+        # One bound method shared by every occurrence instead of a fresh
+        # one per re-arm (one GC-tracked allocation fewer per period).
+        self._fire_hook = self._fire
 
     @property
     def running(self) -> bool:
@@ -69,7 +72,7 @@ class PeriodicProcess:
         self._running = True
         delay = 0.0 if self._fire_immediately else self._interval
         self._handle = self._engine.schedule_in(
-            delay, self._fire, priority=self._priority, label=self._label
+            delay, self._fire_hook, priority=self._priority, label=self._label
         )
 
     def stop(self) -> None:
@@ -87,7 +90,10 @@ class PeriodicProcess:
         # Re-arm only if the callback did not stop the process.
         if self._running:
             self._handle = self._engine.schedule_in(
-                self._interval, self._fire, priority=self._priority, label=self._label
+                self._interval,
+                self._fire_hook,
+                priority=self._priority,
+                label=self._label,
             )
 
     # ------------------------------------------------------------- checkpoint
@@ -113,4 +119,4 @@ class PeriodicProcess:
         self._fired = int(state["fired"])
         pending = state.get("pending")
         if pending is not None:
-            self._handle = self._engine.restore_event(pending, self._fire)
+            self._handle = self._engine.restore_event(pending, self._fire_hook)

@@ -7,14 +7,13 @@ interfaces with the operations on the task queue, including adding,
 deleting or inserting tasks.  The task queue is regarded by the GA
 scheduling as the optimisation set of tasks T."
 
-The queue preserves arrival order (FIFO scheduling iterates it directly),
-assigns monotonically increasing ids, and notifies listeners on change so
-the GA can repair its population incrementally.
+The queue preserves arrival order (FIFO scheduling iterates it directly)
+and assigns monotonically increasing ids.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.errors import TaskError
 from repro.tasks.task import Task, TaskRequest
@@ -29,7 +28,6 @@ class TaskQueue:
         self._tasks: List[Task] = []
         self._by_id: Dict[int, Task] = {}
         self._next_id = 0
-        self._listeners: List[Callable[[str, Task], None]] = []
 
     # ---------------------------------------------------------------- listing
 
@@ -43,10 +41,6 @@ class TaskQueue:
 
     # ---------------------------------------------------------------- changes
 
-    def _notify(self, op: str, task: Task) -> None:
-        for listener in self._listeners:
-            listener(op, task)
-
     def submit(self, request: TaskRequest) -> Task:
         """Accept a request: allocate an id, enqueue, return the new task."""
         task = Task(self._next_id, request)
@@ -54,7 +48,6 @@ class TaskQueue:
         task.mark_queued()
         self._tasks.append(task)
         self._by_id[task.task_id] = task
-        self._notify("add", task)
         return task
 
     def get(self, task_id: int) -> Task:
@@ -74,7 +67,6 @@ class TaskQueue:
         task = self.get(task_id)
         self._tasks.remove(task)
         del self._by_id[task_id]
-        self._notify("remove", task)
         return task
 
     def cancel(self, task_id: int) -> Task:
@@ -83,7 +75,6 @@ class TaskQueue:
         task.mark_cancelled()
         self._tasks.remove(task)
         del self._by_id[task_id]
-        self._notify("remove", task)
         return task
 
     def peek_ids(self) -> List[int]:
@@ -97,11 +88,7 @@ class TaskQueue:
         return {"order": self.peek_ids(), "next_id": self._next_id}
 
     def restore_state(self, state: dict, tasks: Dict[int, "Task"]) -> None:
-        """Rebuild the queue from the shared task table, without notifying.
-
-        Listeners (the GA) restore their own state separately; firing
-        ``add`` notifications here would double-apply the queue contents.
-        """
+        """Rebuild the queue from the shared task table."""
         self._tasks = [tasks[int(tid)] for tid in state["order"]]
         self._by_id = {t.task_id: t for t in self._tasks}
         self._next_id = int(state["next_id"])

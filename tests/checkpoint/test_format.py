@@ -97,7 +97,7 @@ class TestRejection:
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         write_snapshot(path, {"x": 1})
         stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -108,6 +108,13 @@ class TestRejection:
         write_snapshot(path, {"kind": "experiment"})
         stamp_version(path, 2)
         with pytest.raises(CheckpointError, match="format version 2"):
+            read_snapshot(path)
+
+    def test_version_three_snapshot_refused(self, path):
+        """Version-3 agent states carry an ``outcomes`` list this build drops."""
+        write_snapshot(path, {"mode": "strict"})
+        stamp_version(path, 3)
+        with pytest.raises(CheckpointError, match="format version 3"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from repro.checkpoint.codec import decode_message, encode_message
 from repro.errors import TransportError
-from repro.net.message import Endpoint, Message, MessageKind
+from repro.net.message import (
+    Endpoint,
+    Message,
+    MessageKind,
+    next_message_id,
+    peek_message_counter,
+)
 from tests.oracles import forward_message
 
 
@@ -28,6 +37,30 @@ class TestEndpoint:
         assert a < b
         assert len({a, b, Endpoint("a", 1)}) == 2
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [(("a", 1), ("a", 2)), (("a", 2), ("b", 1)), (("b", 7), ("b", 7))],
+    )
+    def test_hash_eq_and_order_are_the_tuples(self, left, right):
+        """Dict, set and sorted orders keyed by endpoints stay the tuples'."""
+        a, b = Endpoint(*left), Endpoint(*right)
+        assert hash(a) == hash(left)
+        assert a == left and (a == b) == (left == right)
+        assert (a < b) == (left < right) and (b < a) == (right < left)
+        assert sorted([b, a]) == sorted([right, left])
+
+    def test_fields_cannot_be_assigned(self):
+        ep = Endpoint("a", 1)
+        with pytest.raises(AttributeError):
+            ep.port = 2
+        with pytest.raises(AttributeError):
+            ep.extra = 1
+
+    def test_pickle_round_trip(self):
+        ep = Endpoint("gem", 1000)
+        back = pickle.loads(pickle.dumps(ep))
+        assert back == ep and type(back) is Endpoint and str(back) == "gem:1000"
+
 
 class TestMessage:
     def test_ids_unique(self):
@@ -45,3 +78,36 @@ class TestMessage:
         assert forwarded.recipient == c
         assert forwarded.payload == "req"
         assert original.hops == 2  # immutable
+
+    def test_fields_cannot_be_assigned(self):
+        a = Endpoint("a", 1)
+        message = Message(MessageKind.PULL, a, a, None)
+        with pytest.raises(AttributeError):
+            message.hops = 1
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+    def test_pickle_round_trip_keeps_id(self):
+        a, b = Endpoint("a", 1), Endpoint("b", 2)
+        message = Message(MessageKind.REQUEST, a, b, payload="req", hops=2)
+        before = peek_message_counter()
+        back = pickle.loads(pickle.dumps(message))
+        assert back == message and type(back) is Message
+        assert back.message_id == message.message_id
+        assert peek_message_counter() == before
+
+    def test_codec_round_trip_keeps_id(self):
+        a, b = Endpoint("a", 1), Endpoint("b", 2)
+        message = Message(MessageKind.PULL, a, b, None, hops=3)
+        back = decode_message(encode_message(message), applications={})
+        assert back == message
+        assert back.message_id == message.message_id
+
+    def test_explicit_id_does_not_advance_counter(self):
+        a = Endpoint("a", 1)
+        before = peek_message_counter()
+        message = Message(MessageKind.PULL, a, a, None, message_id=10**9)
+        assert message.message_id == 10**9
+        assert peek_message_counter() == before
+        assert next_message_id() == before
+        assert Message(MessageKind.PULL, a, a, None).message_id == before + 1

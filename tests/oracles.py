@@ -524,8 +524,24 @@ def dropped_recent(transport) -> list:
 
 
 def tap(transport, observer: Callable) -> None:
-    """Observe every message *transport* delivers."""
-    transport._taps.append(observer)
+    """Observe every message *transport* delivers, before its handler runs.
+
+    Wraps the handlers registered now and any registered later, so a
+    dropped message is never observed.
+    """
+
+    def tapped(handler: Callable) -> Callable:
+        def deliver(message) -> None:
+            observer(message)
+            handler(message)
+
+        return deliver
+
+    handlers = transport._handlers
+    for endpoint, handler in handlers.items():
+        handlers[endpoint] = tapped(handler)
+    register = transport.register
+    transport.register = lambda endpoint, handler: register(endpoint, tapped(handler))
 
 
 # -------------------------------------------------------------------- obs
@@ -818,8 +834,23 @@ def queued_tasks(queue) -> List[Task]:
 
 
 def subscribe(queue, listener: Callable[[str, Task], None]) -> None:
-    """Register a queue change listener, called as ``listener(op, task)``."""
-    queue._listeners.append(listener)
+    """Call ``listener(op, task)`` after each change to *queue*.
+
+    *op* is ``"add"`` for a submit and ``"remove"`` for a remove or a
+    cancel; the queue's own methods are wrapped on this instance.
+    """
+
+    def notifying(op: str, method: Callable) -> Callable:
+        def call(*args):
+            task = method(*args)
+            listener(op, task)
+            return task
+
+        return call
+
+    queue.submit = notifying("add", queue.submit)
+    queue.remove = notifying("remove", queue.remove)
+    queue.cancel = notifying("remove", queue.cancel)
 
 
 def insert(queue, request: TaskRequest, position: int) -> Task:
@@ -833,7 +864,6 @@ def insert(queue, request: TaskRequest, position: int) -> Task:
     task.mark_queued()
     queue._tasks.insert(position, task)
     queue._by_id[task.task_id] = task
-    queue._notify("add", task)
     return task
 
 

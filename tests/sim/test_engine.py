@@ -198,8 +198,8 @@ class TestSlots:
     ], ids=["Event", "Message", "Endpoint"])
     def test_hot_path_objects_have_no_dict(self, obj):
         assert not hasattr(obj, "__dict__")
-        # Frozen slotted dataclasses raise TypeError instead of
-        # FrozenInstanceError on 3.11 (stale __class__ cell after the
-        # slots=True class rebuild); either way the write must fail.
+        # Slotted and tuple-backed classes raise AttributeError; a frozen
+        # slotted dataclass would raise TypeError on 3.11.  Either way the
+        # write must fail.
         with pytest.raises((AttributeError, TypeError)):
             obj.arbitrary_new_attribute = 1
