@@ -26,6 +26,9 @@ __all__ = [
     "TransferPayload",
 ]
 
+#: Writes one field of a frozen record (bypassing its ``__setattr__``).
+_set_field = object.__setattr__
+
 
 @dataclass(frozen=True)
 class ServiceInfo:
@@ -55,15 +58,23 @@ class ServiceInfo:
         return environment in self.environments
 
     def with_freetime(self, freetime: float) -> "ServiceInfo":
-        """A copy carrying an updated freetime estimate."""
-        return ServiceInfo(
-            self.agent_endpoint,
-            self.scheduler_endpoint,
-            self.hardware_type,
-            self.nproc,
-            self.environments,
-            freetime,
-        )
+        """A copy carrying an updated freetime estimate.
+
+        The other fields come from a record the constructor has already
+        validated, so the copy takes them as they are and only
+        ``freetime`` is new: neither ``__init__`` nor ``__post_init__``
+        runs (the constructor keeps every check).  The fields are set one
+        by one rather than through ``__dict__``, which would give every
+        record its own attribute dict, 64 bytes larger.
+        """
+        copy = object.__new__(ServiceInfo)
+        _set_field(copy, "agent_endpoint", self.agent_endpoint)
+        _set_field(copy, "scheduler_endpoint", self.scheduler_endpoint)
+        _set_field(copy, "hardware_type", self.hardware_type)
+        _set_field(copy, "nproc", self.nproc)
+        _set_field(copy, "environments", self.environments)
+        _set_field(copy, "freetime", freetime)
+        return copy
 
     # -------------------------------------------------------------------- XML
 

@@ -4,7 +4,11 @@ The suite times the hot kernels this codebase optimises:
 
 * ``ga_evolve`` — generations/second of
   :meth:`~repro.scheduling.ga.GAScheduler.evolve`, the whole-population
-  generation loop of :mod:`repro.scheduling.vectorized`.
+  generation loop of :mod:`repro.scheduling.vectorized`, at twelve
+  queued tasks.
+* ``ga_evolve_event`` — generations/second of 10-generation ``evolve``
+  calls on a one-task queue, the shape of most of the case study's
+  scheduling events (per-call set-up included).
 * ``ga_warmstart_convergence`` — generation-budget saving of the
   list-scheduling warm start: how many fewer generations the seeded
   population needs to match a cold run's final best cost.
@@ -175,6 +179,36 @@ def bench_ga_evolve(generations: int = 25, repeats: int = 5) -> BenchResult:
         higher_is_better=True,
         detail=f"best of {repeats}x{generations} generations, "
         "12 tasks, 16 nodes, pop 50",
+    )
+
+
+def bench_ga_evolve_event(
+    calls: int = 30, generations: int = 10, repeats: int = 5
+) -> BenchResult:
+    """Generations/second of per-event ``evolve`` calls on a one-task queue.
+
+    A scheduling event in the case study evolves ``generations`` (10)
+    generations, and most events find one task queued, where a generation
+    is almost all fixed dispatch cost rather than array arithmetic.  Each
+    sample is *calls* consecutive calls, each paying its per-call set-up
+    (initial costing, warm start); best of *repeats*.
+    """
+    free = [0.0] * 16
+    ga = _make_ga(n_tasks=1)
+    ga.evolve(3, free, 0.0)  # warm-up: population allocation
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for call in range(calls):
+            ga.evolve(generations, free, float(call))
+        best = min(best, time.perf_counter() - start)
+    return BenchResult(
+        name="ga_evolve_event",
+        value=calls * generations / best,
+        unit="generations/s",
+        higher_is_better=True,
+        detail=f"best of {repeats}x{calls} calls of {generations} generations, "
+        "1 task, 16 nodes, pop 50",
     )
 
 
@@ -482,6 +516,8 @@ def _suite_specs(requests: int, jobs: int):
     """(produced names, progress note, thunk) for every benchmark group."""
     return [
         (("ga_evolve",), "GA evolve...", lambda: [bench_ga_evolve()]),
+        (("ga_evolve_event",), "GA evolve per event (one task)...",
+         lambda: [bench_ga_evolve_event()]),
         (("ga_warmstart_convergence",), "warm-start convergence...",
          lambda: [bench_ga_warmstart_convergence()]),
         (("evaluate_scalar", "evaluate_counts"),

@@ -8,8 +8,9 @@ programs over a whole batch of parent pairs; the generation loop of
 All functions are pure: the random choices (cut locations, crossover
 points, insert positions) are *arguments*, drawn by the caller, which is
 what lets the property tests assert exact agreement with the reference
-operators.  The splice and crossover sit on the hot loop and skip input
-validation; callers pass well-formed batches.
+operators.  The splice and crossover sit on the hot loop: they skip input
+validation (callers pass well-formed batches) and can write into an
+``out`` array the caller owns.
 
 Shape conventions (B = batch, m = tasks, n = nodes):
 
@@ -22,27 +23,37 @@ Shape conventions (B = batch, m = tasks, n = nodes):
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import ValidationError
 
 __all__ = [
     "batched_order_splice",
+    "crossover_thresholds",
     "batched_mask_crossover",
     "batched_insert",
 ]
 
 
 def batched_order_splice(
-    orders_a: np.ndarray, orders_b: np.ndarray, cuts: np.ndarray
+    orders_a: np.ndarray,
+    orders_b: np.ndarray,
+    cuts: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Splice each pair of orderings at its cut — the batched order splice.
 
     For every batch row ``b`` the child is ``orders_a[b, :cuts[b]]``
     followed by the remaining rows in ``orders_b[b]``'s order, exactly as
-    the reference ``order_splice`` in ``tests/oracles.py`` builds it.  Membership
-    of the head is resolved through a scattered lookup table rather than a
-    per-pair ``np.isin``, so the whole batch is O(B·m).
+    the reference ``order_splice`` in ``tests/oracles.py`` builds it.  The
+    child is one sort: each of ``orders_b[b]``'s entries is keyed by its
+    position in ``orders_a[b]`` when that position falls in the head, and
+    by ``m`` plus its own position otherwise — head rows then come first
+    in head order and the rest follow in b's order.  The keys are
+    distinct, so the sort is unique, and the whole batch is O(B·m log m)
+    in a handful of array calls.
 
     Parameters
     ----------
@@ -50,31 +61,44 @@ def batched_order_splice(
         ``(B, m)`` row permutations (head source / tail source).
     cuts:
         ``(B,)`` splice locations in ``0..m``.
+    out:
+        Optional ``(B, m)`` destination.
     """
     batch, m = orders_a.shape
     positions = np.arange(m)
     rows = np.arange(batch)[:, None]
-    head_mask = positions[None, :] < cuts[:, None]  # (B, m)
-    # Row-indexed lookup table: in_head[b, r] == r appears in a's head.
-    in_head = np.zeros((batch, m), dtype=bool)
-    in_head[rows, orders_a] = head_mask
-    keep = ~in_head[rows, orders_b]  # b's rows to keep
-    # Kept elements of b land after the head, preserving b's order; they
-    # fill every tail slot exactly (m − cut kept rows per pair), so the
-    # scatter below covers everything the head copy leaves unset.
-    dest = cuts[:, None] + np.cumsum(keep, axis=1) - 1
-    children = np.empty_like(orders_a)
-    np.copyto(children, orders_a, where=head_mask)
-    b_idx, j_idx = np.nonzero(keep)
-    children[b_idx, dest[b_idx, j_idx]] = orders_b[b_idx, j_idx]
-    return children
+    pos_a = np.empty_like(orders_a)
+    pos_a[rows, orders_a] = positions
+    at_a = pos_a[rows, orders_b]  # a-position of each of b's entries
+    key = np.where(at_a < cuts[:, None], at_a, positions + m)
+    children = orders_b[rows, np.argsort(key, axis=1)]
+    if out is None:
+        return children
+    out[...] = children
+    return out
+
+
+def crossover_thresholds(points: np.ndarray, n: int) -> np.ndarray:
+    """Flat crossover points as per-(pair, node) position thresholds.
+
+    Mask crossover takes row ``r``'s bit for node ``j`` from the first
+    parent exactly when ``pos(r) * n + j < point`` (``pos(r)`` is ``r``'s
+    position in the child ordering), and ``pos*n + j < point`` ⟺
+    ``pos < ceil((point − j) / n)`` — so a point collapses to one int32
+    threshold per node.  *points* has any leading shape ``(..., )``; the
+    result is ``(..., n)``.  Integer math is exact, so comparing positions
+    with thresholds is byte-identical to comparing flat indices with the
+    point.
+    """
+    return ((points[..., None] - np.arange(n) + n - 1) // n).astype(np.int32)
 
 
 def batched_mask_crossover(
     child_orders: np.ndarray,
     masks_first: np.ndarray,
     masks_second: np.ndarray,
-    points: np.ndarray,
+    thresholds: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Single-point mask crossover for a batch of children, keyed by row.
 
@@ -83,10 +107,14 @@ def batched_mask_crossover(
     preserve the node mapping associated with a particular task"), crosses
     the flattened strings at the shared point, and scatters back under row
     keys.  Row ``r``'s bit for node ``j`` therefore comes from the first
-    parent exactly when ``pos(r) * n + j < point``, where ``pos(r)`` is
-    ``r``'s position in the child ordering — so the whole gather/cross/
-    scatter collapses to one inverse permutation and an ``np.where`` over
-    the row-keyed masks, never materialising the position-ordered view.
+    parent exactly when ``pos(r) < thresholds[j]``
+    (:func:`crossover_thresholds`), where ``pos(r)`` is ``r``'s position
+    in the child ordering — so the whole gather/cross/scatter collapses to
+    one inverse permutation and a masked copy over the row-keyed masks,
+    never materialising the position-ordered view or the ``(B, m, n)``
+    flat index.  The suffix copy + masked prefix overwrite replaces
+    ``np.where``, which benchmarks ~4× slower on broadcast operands at
+    these sizes.
 
     Parameters
     ----------
@@ -95,32 +123,30 @@ def batched_mask_crossover(
     masks_first, masks_second:
         ``(B, m, n)`` row-keyed parent masks; ``masks_first`` supplies the
         flat prefix up to each point, ``masks_second`` the suffix.
-    points:
-        ``(B,)`` crossover points in ``0..m*n``.
+    thresholds:
+        ``(B, n)`` int32 thresholds of the crossover points.
+    out:
+        Optional ``(B, m, n)`` destination; it may be ``masks_second``
+        itself, which then becomes the children in place.
 
     Note: empty-mask repair is *not* applied here; the mutation step owns
     the legitimacy repair.
     """
     batch, m, n = masks_first.shape
-    rows = np.arange(batch)[:, None]
-    inverse = np.empty((batch, m), dtype=np.int32)
-    inverse[rows, child_orders] = np.arange(m, dtype=np.int32)[None, :]
-    # Flat crossover-string index of (task row r, node j): pos(r)*n + j.
-    # ``pos*n + j < point`` ⟺ ``pos < ceil((point − j) / n)``, so the cut
-    # collapses to a per-(pair, node) position threshold — two small
-    # ``(B, n)`` integer ops instead of materialising the flat index as an
-    # ``(B, m, n)`` cube.  Integer math is exact, so the result is
-    # byte-identical to the flat-index comparison; the suffix copy +
-    # masked prefix overwrite replaces ``np.where``, which benchmarks ~4×
-    # slower on broadcast operands at these sizes.
-    thresholds = (points[:, None] - np.arange(n, dtype=np.int32) + n - 1) // n
-    children = masks_second.copy()
-    np.copyto(
-        children,
-        masks_first,
-        where=inverse[:, :, None] < thresholds.astype(np.int32)[:, None, :],
-    )
-    return children
+    if out is None:
+        out = masks_second.copy()
+    elif out is not masks_second:
+        np.copyto(out, masks_second)
+    if m == 1:  # every child's one task sits at position 0
+        take_first = (thresholds > 0)[:, None, :]
+    else:
+        inverse = np.empty((batch, m), dtype=np.int32)
+        inverse[np.arange(batch)[:, None], child_orders] = np.arange(
+            m, dtype=np.int32
+        )
+        take_first = inverse[:, :, None] < thresholds[:, None, :]
+    np.copyto(out, masks_first, where=take_first)
+    return out
 
 
 def batched_insert(

@@ -14,6 +14,7 @@ constant as the population converges.)
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +38,11 @@ def scale_fitness(costs: Sequence[float]) -> np.ndarray:
     arr = np.asarray(costs, dtype=float)
     if arr.size == 0:
         raise ValidationError("costs must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("costs must be finite")
+    # max and min propagate NaN and reach ±inf, so both finite ⟺ all finite.
     worst = float(arr.max())
     best = float(arr.min())
+    if not (math.isfinite(worst) and math.isfinite(best)):
+        raise ValidationError("costs must be finite")
     if worst == best:
         return np.ones_like(arr)
     return (worst - arr) / (worst - best)

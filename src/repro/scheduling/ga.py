@@ -41,9 +41,11 @@ from repro.scheduling.evalreuse import EvalReuseStats, availability_key
 from repro.scheduling.cost import CostWeights
 from repro.scheduling.fitness import scale_fitness
 from repro.scheduling.vectorized import (
+    CostEvaluator,
     bernoulli_indices,
+    pair_choices,
+    swap_choices,
     vectorized_children,
-    vectorized_costs,
     vectorized_mutation,
     vectorized_selection,
 )
@@ -521,11 +523,9 @@ class GAScheduler:
                     )
             order[p] = out
 
-    def _store_cost_cache(
-        self, costs: np.ndarray, node_free_times: Sequence[float], ref_time: float
-    ) -> None:
+    def _store_cost_cache(self, costs: np.ndarray, key: Tuple[bytes, float]) -> None:
         self._cached_costs = costs
-        self._cost_cache_key = availability_key(node_free_times, ref_time)
+        self._cost_cache_key = key
 
     def _cached_costs_for(
         self, node_free_times: Sequence[float], ref_time: float
@@ -537,25 +537,20 @@ class GAScheduler:
             return None
         return self._cached_costs
 
-    def _costs(
-        self,
-        order: np.ndarray,
-        masks: np.ndarray,
-        node_free_times: Sequence[float],
-        ref_time: float,
-    ) -> np.ndarray:
-        """eq.-(8) cost of every individual in ``(order, masks)``.
+    def _evaluator(
+        self, node_free_times: Sequence[float], ref_time: float
+    ) -> CostEvaluator:
+        """The eq.-(8) evaluator for this availability.
 
         The single evaluator,
-        :func:`~repro.scheduling.vectorized.vectorized_costs`, over this
+        :class:`~repro.scheduling.vectorized.CostEvaluator`, over this
         kernel's duration and deadline tables, carrying the active
         workflow constraints (start floors and the predecessor completion
-        track).  Every row it costs counts as costed *and* evaluated.
+        track).  ``evolve`` builds one per call and costs every batch of
+        the call through it.
         """
         pred_mat, floor_vec = self._constraint_arrays()
-        costs = vectorized_costs(
-            order,
-            masks,
+        return CostEvaluator(
             self._dtable,
             self._deadline_arr,
             node_free_times,
@@ -565,6 +560,31 @@ class GAScheduler:
             floors=floor_vec,
             preds=pred_mat,
         )
+
+    def _costs(
+        self,
+        order: np.ndarray,
+        masks: np.ndarray,
+        node_free_times: Sequence[float],
+        ref_time: float,
+    ) -> np.ndarray:
+        """eq.-(8) cost of every individual in ``(order, masks)``."""
+        return self._evaluate(
+            self._evaluator(node_free_times, ref_time), order, masks
+        )
+
+    def _evaluate(
+        self,
+        evaluate: CostEvaluator,
+        order: np.ndarray,
+        masks: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Cost ``(order, masks)`` through *evaluate* (into *out* if given).
+
+        Every row it costs counts as costed *and* evaluated.
+        """
+        costs = evaluate(order, masks, out)
         stats = self._stats
         stats.evaluate_calls += 1
         stats.rows_costed += costs.size
@@ -595,6 +615,7 @@ class GAScheduler:
     def _warmstart_inject(
         self,
         costs: np.ndarray,
+        evaluate: CostEvaluator,
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> np.ndarray:
@@ -637,7 +658,7 @@ class GAScheduler:
         w_masks = greedy_allocation_masks_batch(
             w_orders, self._dtable, node_free_times, ref_time
         )
-        seed_costs = self._costs(w_orders, w_masks, node_free_times, ref_time)
+        seed_costs = self._evaluate(evaluate, w_orders, w_masks)
         count = min(seed_costs.size, pop - 1)
         seed_rank = np.argsort(seed_costs, kind="stable")[:count]
         worst_rank = np.argsort(costs, kind="stable")[::-1][:count]
@@ -655,45 +676,46 @@ class GAScheduler:
     def _memetic_inject(
         self,
         costs: np.ndarray,
-        cached: Optional[Tuple[np.ndarray, np.ndarray, float]],
+        cached: Optional[Tuple[bytes, np.ndarray, np.ndarray, float]],
+        evaluate: CostEvaluator,
         node_free_times: Sequence[float],
         ref_time: float,
-    ) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray, float]]]:
+    ) -> Optional[Tuple[bytes, np.ndarray, np.ndarray, float]]:
         """The per-generation memetic step, with its candidate cached.
 
         Greedily re-maps the incumbent best ordering and injects the
         result over the worst individual when it wins.  The greedy re-map
         is a pure function of (ordering, availability) and availability
         is fixed within one ``evolve`` call, so this keeps the last
-        ``(ordering, masks, cost)`` candidate and only recomputes when the
-        incumbent's ordering changed — on a converged population almost
-        never.  Re-*injection* still happens every generation the
-        candidate wins (selection churn can drop a previously injected
-        copy), which is a pair of array copies, not an evaluation.
-        Mutates *costs* in place (the caller owns the freshly
-        concatenated vector).
+        ``(ordering bytes, ordering, masks, cost)`` candidate and only
+        recomputes when the incumbent's ordering changed — on a converged
+        population almost never.  Re-*injection* still happens every
+        generation the candidate wins (selection churn can drop a
+        previously injected copy), which is a pair of array copies, not
+        an evaluation.  Mutates *costs* in place (the caller owns the
+        freshly built vector) and returns the candidate.
         """
         assert self._order is not None and self._masks is not None
         best = int(np.argmin(costs))
         border = self._order[best]
-        if cached is None or not np.array_equal(border, cached[0]):
+        key = border.tobytes()
+        if cached is None or key != cached[0]:
             cand_masks = greedy_allocation_masks(
                 border, self._dtable, node_free_times, ref_time
             )
             cand_cost = float(
-                self._costs(
-                    border[None, :], cand_masks[None, :, :],
-                    node_free_times, ref_time,
+                self._evaluate(
+                    evaluate, border[None, :], cand_masks[None, :, :]
                 )[0]
             )
-            cached = (border.copy(), cand_masks, cand_cost)
-        cand_order, cand_masks, cand_cost = cached
+            cached = (key, border.copy(), cand_masks, cand_cost)
+        _, cand_order, cand_masks, cand_cost = cached
         worst = int(np.argmax(costs))
         if worst != best and cand_cost < costs[worst]:
             self._order[worst] = cand_order
             self._masks[worst] = cand_masks
             costs[worst] = cand_cost
-        return costs, cached
+        return cached
 
     def evolve(
         self,
@@ -708,13 +730,19 @@ class GAScheduler:
         two-part mutation → precedence repair → cost the children
         (eq. 8).  Around that cycle:
 
+        * **one evaluator per call** — availability is fixed within a
+          call, so its set-up runs once (:meth:`_evaluator`);
         * **warm-start injection** once per call, before the first
           generation (:meth:`_warmstart_inject`);
         * **children-only costing** — elites re-enter unchanged, so their
           costs are carried structurally (counted as ``carry_hits``);
         * **array-drawn randomness** — a fixed number of RNG calls per
-          generation, drawn in multi-generation blocks (see
+          generation, drawn in blocks of up to 32 generations and turned
+          into operator inputs once per block (see
           :mod:`repro.scheduling.vectorized`);
+        * **one fresh population per generation** — elites and children
+          are written straight into new ``(P, m)``, ``(P, m, n)`` and
+          ``(P,)`` arrays;
         * the **memetic step** while ``memetic`` is on
           (:meth:`_memetic_inject`).
 
@@ -733,78 +761,90 @@ class GAScheduler:
         self._invalidate_cost_cache()
         generations_before = self._generations
         history_before = len(self._history)
-        costs = self._costs(self._order, self._masks, node_free_times, ref_time)
-        costs = self._warmstart_inject(costs, node_free_times, ref_time)
+        evaluate = self._evaluator(node_free_times, ref_time)
+        costs = self._evaluate(evaluate, self._order, self._masks)
+        costs = self._warmstart_inject(costs, evaluate, node_free_times, ref_time)
         pop = cfg.population_size
         m = len(self._id_order)
         n = self._n
         n_children = pop - ELITE_COUNT
         pairs = n_children // 2
-        do_swaps = m >= 2
-        last_memetic: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        flip_total = n_children * m * n
+        order_dtype = self._order.dtype
+        candidate: Optional[Tuple[bytes, np.ndarray, np.ndarray, float]] = None
+        cuts = thresholds = None
+        swaps = None
         done = 0
         while done < generations:
             # Pre-draw a block of generations' positional randomness in a
             # handful of array RNG calls (a scalar `rng.integers` costs as
-            # much as a whole-population array draw).
+            # much as a whole-population array draw) and turn it into
+            # operator inputs once for the whole block.
             block = min(32, generations - done)
             if pairs:
-                cross_flags = rng.random((block, pairs)) < CROSSOVER_PROBABILITY
-                cuts_b = rng.integers(0, m + 1, size=(block, pairs))
-                points_b = rng.integers(0, m * n + 1, size=(block, pairs))
-            if do_swaps:
+                cross = rng.random((block, pairs)) < CROSSOVER_PROBABILITY
+                cut_draws = rng.integers(0, m + 1, size=(block, pairs))
+                point_draws = rng.integers(0, m * n + 1, size=(block, pairs))
+                cuts, thresholds = pair_choices(cross, cut_draws, point_draws, m, n)
+            if m >= 2:
                 swap_flags = rng.random((block, n_children)) < SWAP_PROBABILITY
                 swap_i = rng.integers(0, m, size=(block, n_children))
                 swap_j = rng.integers(0, m - 1, size=(block, n_children))
+                swaps = swap_choices(swap_flags, swap_i, swap_j, m)
             for t in range(block):
                 fitness = scale_fitness(costs)
                 elite_idx = np.argsort(costs, kind="stable")[:ELITE_COUNT]
                 parents = vectorized_selection(fitness, n_children, rng)
-                if pairs:
-                    child_order, child_masks = vectorized_children(
-                        self._order,
-                        self._masks,
-                        parents,
-                        cross_flags[t],
-                        cuts_b[t],
-                        points_b[t],
+                order = np.empty((pop, m), dtype=order_dtype)
+                masks = np.empty((pop, m, n), dtype=bool)
+                next_costs = np.empty(pop)
+                # Elites first.  mode="clip": the indices are in range, and
+                # it skips the buffered copy the default mode makes for out.
+                for source, dest in (
+                    (self._order, order),
+                    (self._masks, masks),
+                    (costs, next_costs),
+                ):
+                    np.take(
+                        source, elite_idx, axis=0, out=dest[:ELITE_COUNT],
+                        mode="clip",
                     )
-                else:
-                    child_order = self._order[parents].copy()
-                    child_masks = self._masks[parents].copy()
-                flip_idx = bernoulli_indices(
-                    rng, n_children * m * n, BITFLIP_PROBABILITY
+                child_order = order[ELITE_COUNT:]
+                child_masks = masks[ELITE_COUNT:]
+                vectorized_children(
+                    self._order,
+                    self._masks,
+                    parents,
+                    cuts[t] if pairs else None,
+                    thresholds[t] if pairs else None,
+                    child_order,
+                    child_masks,
                 )
+                flip_idx = bernoulli_indices(rng, flip_total, BITFLIP_PROBABILITY)
                 vectorized_mutation(
                     child_order,
                     child_masks,
-                    swap_flags[t] if do_swaps else None,
-                    swap_i[t] if do_swaps else None,
-                    swap_j[t] if do_swaps else None,
+                    swaps[t] if swaps is not None else None,
                     flip_idx,
                     rng,
                 )
                 self._repair_orders(child_order)
-                child_costs = self._costs(
-                    child_order, child_masks, node_free_times, ref_time
+                self._evaluate(
+                    evaluate, child_order, child_masks, next_costs[ELITE_COUNT:]
                 )
-                self._order = np.concatenate(
-                    [self._order[elite_idx], child_order]
-                )
-                self._masks = np.concatenate(
-                    [self._masks[elite_idx], child_masks]
-                )
-                costs = np.concatenate([costs[elite_idx], child_costs])
-                stats.rows_costed += elite_idx.size
-                stats.carry_hits += elite_idx.size
+                self._order = order
+                self._masks = masks
+                costs = next_costs
+                stats.rows_costed += ELITE_COUNT
+                stats.carry_hits += ELITE_COUNT
                 if cfg.memetic:
-                    costs, last_memetic = self._memetic_inject(
-                        costs, last_memetic, node_free_times, ref_time
+                    candidate = self._memetic_inject(
+                        costs, candidate, evaluate, node_free_times, ref_time
                     )
                 self._generations += 1
                 self._history.append((self._generations, float(costs.min())))
             done += block
-        self._store_cost_cache(costs, node_free_times, ref_time)
+        self._store_cost_cache(costs, evaluate.key)
         best_cost = float(costs.min())
         if self._tracer is not None:
             self._tracer.emit(
@@ -841,8 +881,9 @@ class GAScheduler:
             self._stats.event_cache_hits += 1
         else:
             self._stats.event_cache_misses += 1
-            costs = self._costs(self._order, self._masks, node_free_times, ref_time)
-            self._store_cost_cache(costs, node_free_times, ref_time)
+            evaluate = self._evaluator(node_free_times, ref_time)
+            costs = self._evaluate(evaluate, self._order, self._masks)
+            self._store_cost_cache(costs, evaluate.key)
         return self._solution_at(int(np.argmin(costs)))
 
     def reference_cost(

@@ -10,16 +10,27 @@ drives it:
 * operators are **pure array programs over the whole population**: the
   random choices (pair decisions, cuts, points, swap positions, bit
   flips) are *arguments*, drawn by the caller as arrays — the evolve
-  loop draws them in multi-generation blocks, so RNG dispatch is O(1)
-  per generation;
-* :func:`vectorized_costs` is the kernel's one eq.-(8) evaluator.  It
-  keeps its per-node state **node-major** (``(n, P)``) so the per-step
-  masked maximum reduces along axis 0 of a contiguous array — measured
-  ~3× cheaper than the row-major reduction at case-study sizes — and
-  defers all idle-pocket accounting to whole-cube operations after the
-  walk;
+  loop draws them in blocks of up to 32 generations and turns each block
+  into operator inputs once (:func:`pair_choices`, :func:`swap_choices`),
+  so RNG dispatch and input preparation are O(1) per generation;
+* the children builder and the mutation write into arrays the caller
+  owns, so a generation fills one fresh ``(P, m)`` / ``(P, m, n)`` /
+  ``(P,)`` set — elites first, then children — with no concatenation;
+* :class:`CostEvaluator` is the kernel's one eq.-(8) evaluator.  It is
+  bound to one availability (clamped free times, relative deadlines and
+  floors, weights, scratch buffers), which ``evolve`` sets up once per
+  call; it keeps its per-node state **node-major** (``(n, P)``) so the
+  per-step masked maximum reduces along axis 0 of a contiguous array —
+  measured ~3× cheaper than the row-major reduction at case-study sizes
+  — and defers all idle-pocket accounting to whole-cube operations after
+  the walk;
 * cost evaluation runs once per generation over the **children only** —
   elites carry their costs forward structurally.
+
+What is left is the dispatch floor: at one queued task a generation is
+about 75 small array calls — 26 in the evaluator, 13 in selection, the
+rest spread over fitness scaling, children, bit flips and the memetic
+check (docs/performance.md, "The GA generation floor").
 
 Float arithmetic is reordered relative to the scalar reference
 (:func:`~repro.scheduling.schedule.build_schedule` +
@@ -33,19 +44,26 @@ permutations, masks are ``(P, m, n)`` bool cubes keyed by task row.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.scheduling.batched import batched_mask_crossover, batched_order_splice
+from repro.scheduling.batched import (
+    batched_mask_crossover,
+    batched_order_splice,
+    crossover_thresholds,
+)
 
 __all__ = [
     "bernoulli_indices",
     "vectorized_selection",
+    "pair_choices",
+    "swap_choices",
     "vectorized_children",
     "vectorized_mutation",
-    "vectorized_costs",
+    "CostEvaluator",
 ]
 
 
@@ -66,7 +84,7 @@ def bernoulli_indices(
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
     mean = total * p
-    chunk = int(mean + 6.0 * np.sqrt(mean)) + 8
+    chunk = int(mean + 6.0 * math.sqrt(mean)) + 8
     positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
     while positions[-1] < total:  # undershoot: extend the walk (rare)
         more = np.cumsum(rng.geometric(p, size=chunk)) + positions[-1]
@@ -88,7 +106,7 @@ def vectorized_selection(
     with ``np.repeat``, the weighted draws are inverse-CDF samples
     (``searchsorted`` over the remainder cumsum, far cheaper than
     ``rng.choice`` with explicit probabilities), and the shuffle is one
-    ``rng.permutation`` instead of per-index scalar draws.
+    ``rng.shuffle`` instead of per-index scalar draws.
     """
     f = np.asarray(fitness, dtype=float)
     total_f = f.sum()
@@ -107,151 +125,164 @@ def vectorized_selection(
             extra = np.searchsorted(
                 cdf, rng.random(slots) * cdf[-1], side="right"
             )
-        base = np.concatenate([base, extra.astype(np.int64)])
-    elif slots < 0:
-        return rng.permutation(base)[:count]
-    return rng.permutation(base)
+        base = np.concatenate([base, extra])
+    # ``base`` is ours, so shuffle it in place: the same draws and result
+    # as ``rng.permutation(base)`` without its copy.
+    rng.shuffle(base)
+    return base[:count] if slots < 0 else base
+
+
+def pair_choices(
+    cross: np.ndarray, cuts: np.ndarray, points: np.ndarray, m: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A block of per-pair crossover draws as :func:`vectorized_children` takes them.
+
+    *cross* (bool), *cuts* (``0..m``) and *points* (``0..m·n``) are
+    ``(B, pairs)`` draws, one row per generation.  A pair that does not
+    cross gets cut ``m`` and point ``m·n``: the splice then keeps the
+    whole head ordering and the mask crossover the whole head mask, which
+    is exactly a non-crossing pair's children, so the builder needs no
+    per-generation fix-up.  Both head directions share their pair's
+    choices, so the results come back doubled — ``(B, 2·pairs)`` cuts and
+    ``(B, 2·pairs, n)`` int32 position thresholds
+    (:func:`~repro.scheduling.batched.crossover_thresholds`).
+    """
+    cuts = np.where(cross, cuts, m)
+    points = np.where(cross, points, m * n)
+    return (
+        np.concatenate([cuts, cuts], axis=-1),
+        crossover_thresholds(np.concatenate([points, points], axis=-1), n),
+    )
+
+
+def swap_choices(
+    flags: np.ndarray, first: np.ndarray, offset: np.ndarray, m: int
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """A block of ordering-swap draws as :func:`vectorized_mutation` takes them.
+
+    Row ``t`` of the ``(B, C)`` arrays holds generation ``t``'s draws for
+    its ``C`` children: *flags* marks the children whose ordering
+    mutates; each swaps positions ``i = first`` and
+    ``j = (i + 1 + offset) % m`` — with *offset* uniform on ``0..m-2``
+    this offset trick is uniform over ordered distinct pairs, the same
+    distribution as a per-individual ``rng.choice(m, 2, replace=False)``.
+    Returns one ``(i, j)`` pair of arrays per generation, as positions in
+    the flattened ``(C·m,)`` child orderings.
+    """
+    gens, rows = np.nonzero(flags)
+    i = first[gens, rows]
+    j = (i + 1 + offset[gens, rows]) % m
+    base = rows * m
+    i += base
+    j += base
+    bounds = np.searchsorted(gens, np.arange(flags.shape[0] + 1)).tolist()
+    return [(i[a:b], j[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def vectorized_children(
     order: np.ndarray,
     masks: np.ndarray,
     parents: np.ndarray,
-    do_cross: np.ndarray,
-    cuts: np.ndarray,
-    points: np.ndarray,
-) -> tuple:
+    cuts: Optional[np.ndarray],
+    thresholds: Optional[np.ndarray],
+    out_order: np.ndarray,
+    out_masks: np.ndarray,
+) -> None:
     """The next generation's non-elite individuals, built batch-at-once.
 
-    Consecutive selected *parents* pair up; ``do_cross``/``cuts``/
-    ``points`` are the per-pair random choices, drawn by the caller as
-    arrays (the evolve loop draws them in multi-generation blocks).  Both
+    Consecutive selected *parents* pair up; *cuts* ``(2·pairs,)`` and
+    *thresholds* ``(2·pairs, n)`` are one generation's row of
+    :func:`pair_choices` (``None`` when *parents* holds no pair).  Both
     crossover directions go through a single fused order-splice /
     mask-crossover invocation — the a-head children occupy the first half
     of the batch, the b-head children the second; child order within a
-    generation is immaterial to selection.
-    Pairs that do not cross copy their parents through; an odd leftover
-    parent is copied verbatim.
+    generation is immaterial to selection.  An odd leftover parent is
+    copied verbatim.  With one task every ordering is the same, so the
+    splice is skipped.
 
-    Returns ``(child_order (C, m), child_masks (C, m, n))`` with
-    ``C == parents.size``.
+    Children are written into *out_order* ``(C, m)`` and *out_masks*
+    ``(C, m, n)``, ``C == parents.size``.
     """
-    parents = np.asarray(parents, dtype=np.int64)
-    pair_count = parents.size // 2
+    count = parents.size
+    crossed = count - count % 2
     m = order.shape[1]
-    if pair_count == 0 or m == 0:
-        return order[parents].copy(), masks[parents].copy()
-    pa = parents[: 2 * pair_count : 2]
-    pb = parents[1 : 2 * pair_count : 2]
-    heads = np.concatenate([pa, pb])
-    tails = np.concatenate([pb, pa])
-    head_orders = order[heads]
-    head_masks = masks[heads]
-    cuts2 = np.concatenate([cuts, cuts])
-    child_order = batched_order_splice(head_orders, order[tails], cuts2)
-    child_masks = batched_mask_crossover(
-        child_order, head_masks, masks[tails], np.concatenate([points, points])
-    )
-    plain = np.flatnonzero(~np.concatenate([do_cross, do_cross]))
-    if plain.size:
-        child_order[plain] = head_orders[plain]
-        child_masks[plain] = head_masks[plain]
-    if parents.size % 2:
-        child_order = np.concatenate([child_order, order[parents[-1:]]])
-        child_masks = np.concatenate([child_masks, masks[parents[-1:]]])
-    return child_order, child_masks
+    if crossed:
+        pa = parents[0:crossed:2]
+        pb = parents[1:crossed:2]
+        heads = np.concatenate([pa, pb])
+        tails = np.concatenate([pb, pa])
+        child_order = out_order[:crossed]
+        child_masks = out_masks[:crossed]
+        # Indices are in range; mode="clip" skips the buffered copy the
+        # default mode makes when writing to ``out``.
+        if m >= 2:
+            batched_order_splice(order[heads], order[tails], cuts, out=child_order)
+        else:
+            np.take(order, heads, axis=0, out=child_order, mode="clip")
+        np.take(masks, tails, axis=0, out=child_masks, mode="clip")
+        batched_mask_crossover(
+            child_order, masks[heads], child_masks, thresholds, out=child_masks
+        )
+    if count % 2:
+        out_order[-1] = order[parents[-1]]
+        out_masks[-1] = masks[parents[-1]]
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """*a* as a flat **view** — ``reshape(-1)`` of a non-contiguous array
+    would silently copy and drop the writes made through it."""
+    if not a.flags.c_contiguous:
+        raise ScheduleError("mutation needs C-contiguous arrays")
+    return a.reshape(-1)
 
 
 def vectorized_mutation(
     order: np.ndarray,
     masks: np.ndarray,
-    swap_sel: Optional[np.ndarray],
-    swap_i: Optional[np.ndarray],
-    swap_j: Optional[np.ndarray],
+    swaps: Optional[Tuple[np.ndarray, np.ndarray]],
     flip_idx: Optional[np.ndarray],
     repair_picks_rng: np.random.Generator,
 ) -> None:
     """In-place two-part mutation from pre-drawn array choices.
 
-    *swap_sel* (``(P,)`` bool) marks the individuals whose ordering
-    mutates; each swaps positions ``i = swap_i`` and
-    ``j = (i + 1 + swap_j) % m`` — with ``swap_j`` uniform on
-    ``0..m-2`` this offset trick is uniform over ordered distinct pairs,
-    the same distribution as a per-individual
-    ``rng.choice(m, 2, replace=False)``.  *flip_idx* holds the **flat**
-    bit positions to toggle in ``masks`` (unique indices into the
-    flattened ``(P·m·n,)`` view — :func:`bernoulli_indices` output, the
-    sparse equivalent of XORing a Bernoulli bit field).  Any of the
-    choices may be ``None`` to skip that part.  The empty-mask
-    legitimacy repair always runs (crossover and flips can zero a row);
-    its rare node picks come from *repair_picks_rng*.
+    *swaps* is one generation's ``(i, j)`` from :func:`swap_choices`:
+    flat positions in ``order`` whose entries exchange.  *flip_idx* holds
+    the **flat** bit positions to toggle in ``masks`` (unique indices
+    into the flattened ``(P·m·n,)`` view — :func:`bernoulli_indices`
+    output, the sparse equivalent of XORing a Bernoulli bit field).
+    Either may be ``None`` to skip that part; both arrays must be
+    C-contiguous.  The empty-mask legitimacy repair always runs
+    (crossover and flips can zero a row); its rare node picks come from
+    *repair_picks_rng*.
     """
-    pop, m = order.shape
     n = masks.shape[2]
-    if swap_sel is not None and m >= 2:
-        rows = np.flatnonzero(swap_sel)
-        if rows.size:
-            i = swap_i[rows]
-            j = (i + 1 + swap_j[rows]) % m
-            vi = order[rows, i]
-            order[rows, i] = order[rows, j]
-            order[rows, j] = vi
+    if swaps is not None and swaps[0].size:
+        i, j = swaps
+        flat = _flat(order)
+        held = flat[i]
+        flat[i] = flat[j]
+        flat[j] = held
     if flip_idx is not None and flip_idx.size:
-        if masks.flags["C_CONTIGUOUS"]:
-            masks.reshape(-1)[flip_idx] ^= True
-        else:  # a flat view would silently copy; scatter through coordinates
-            masks[np.unravel_index(flip_idx, masks.shape)] ^= True
-    flat = masks.reshape(-1, n)
-    empty = ~flat.any(axis=1)
-    if empty.any():
-        picks = repair_picks_rng.integers(n, size=int(empty.sum()))
-        flat[np.flatnonzero(empty), picks] = True
+        _flat(masks)[flip_idx] ^= True
+    rows = _flat(masks).reshape(-1, n)
+    nonempty = rows.any(axis=1)
+    if not nonempty.all():
+        empty = np.flatnonzero(~nonempty)
+        picks = repair_picks_rng.integers(n, size=empty.size)
+        rows[empty, picks] = True
 
 
-#: Reusable evaluator state, keyed by problem shape.  ``evolve`` calls the
-#: evaluator once per generation with an identical shape, so the working
-#: arrays (the ``(n, P)`` free times, the ``(m, P)`` start/completion
-#: tables, and the ``(m, n, P)`` step cube) are allocated once and
-#: rewritten in place.  Every entry is fully overwritten before use, so
-#: the cache carries no state between calls — it only skips allocator
-#: traffic.  Process-local by construction (``run_many`` parallelism is
-#: process-based).
-_SCRATCH: dict = {}
+class CostEvaluator:
+    """eq.-(8) cost of every individual — the kernel's one evaluator.
 
-
-def _cost_scratch(m: int, n: int, pop: int):
-    """The per-shape working arrays of :func:`vectorized_costs`."""
-    key = (m, n, pop)
-    entry = _SCRATCH.get(key)
-    if entry is None:
-        if len(_SCRATCH) > 32:  # unbounded shapes would pin memory
-            _SCRATCH.clear()
-        entry = (
-            np.empty((n, pop)),
-            np.empty((m, pop)),
-            np.empty((m, pop)),
-            np.empty((m, n, pop)),
-            np.ones(m * n),
-            np.arange(pop)[:, None],
-        )
-        _SCRATCH[key] = entry
-    return entry
-
-
-def vectorized_costs(
-    order: np.ndarray,
-    masks: np.ndarray,
-    dtable: np.ndarray,
-    deadlines: np.ndarray,
-    node_free_times: Sequence[float],
-    ref_time: float,
-    weights,
-    idle_weighting: str = "linear",
-    *,
-    floors: Optional[np.ndarray] = None,
-    preds: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """eq.-(8) cost of every individual — the whole-population evaluator.
+    Bound to one availability: construction clamps and validates the
+    free-time vector, moves deadlines and floors into time relative to
+    ``ref_time``, and reads the weights, so an ``evolve`` call pays that
+    set-up once for all its costings; the working arrays (the ``(n, P)``
+    free times, the ``(m, P)`` start/completion tables and the
+    ``(m, n, P)`` step cube) are allocated once per population size seen
+    and fully overwritten on every call.  Calling it costs ``(order,
+    masks)``, optionally into *out*.
 
     Computes the same quantity as the scalar reference (the schedule
     builder plus :func:`~repro.scheduling.cost.schedule_cost`) with a
@@ -289,77 +320,136 @@ def vectorized_costs(
 
     Caller contract: every mask row selects at least one node (the
     operators' legitimacy repair runs *before* costing) and durations are
-    finite and positive.  Float arithmetic is reordered relative to the
-    reference, so agreement is to rounding (asserted with ``approx`` by
-    the property tests), not bit-identity.
+    finite and positive — so with at least one task every completion,
+    and hence the makespan ω, is strictly positive.  Float arithmetic is
+    reordered relative to the reference, so agreement is to rounding
+    (asserted with ``approx`` by the property tests), not bit-identity.
     """
-    pop, m = order.shape
-    n = masks.shape[2]
-    free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
-    if free0.size != n:
-        raise ScheduleError(
-            f"node_free_times has {free0.size} entries, resource has {n}"
-        )
-    if m == 0:
-        return np.zeros(pop)
-    frel, starts, comps, cube, ones_mn, rows_idx = _cost_scratch(m, n, pop)
-    # (m, n, pop): step-major, node-major per step, contiguous.
-    smask = np.ascontiguousarray(masks[rows_idx, order].transpose(1, 2, 0))
-    counts = smask.sum(axis=1)  # (m, pop)
-    order_t = order.T
-    durs = dtable[order_t, counts - 1]  # (m, pop)
-    frel[:] = (free0 - ref_time)[:, None]  # (n, pop) — all >= 0 after clamp
-    if floors is not None:
-        floor_rel = (floors - ref_time)[order_t]  # (m, pop)
-    if preds is not None:
-        pred_rows = preds[order_t].transpose(0, 2, 1)  # (m, maxP, pop)
-        track = np.full((m + 1, pop), -np.inf)
-        cols = rows_idx[:, 0]
-    for j in range(m):
-        cj = cube[j]
-        np.multiply(frel, smask[j], out=cj)  # frel >= 0, so 0-fill is safe
-        np.maximum.reduce(cj, axis=0, out=starts[j])
-        if floors is not None:
-            np.maximum(starts[j], floor_rel[j], out=starts[j])
-        if preds is not None:
-            np.maximum(
-                starts[j], track[pred_rows[j], cols].max(axis=0), out=starts[j]
+
+    def __init__(
+        self,
+        dtable: np.ndarray,
+        deadlines: np.ndarray,
+        node_free_times: Sequence[float],
+        ref_time: float,
+        weights,
+        idle_weighting: str = "linear",
+        *,
+        floors: Optional[np.ndarray] = None,
+        preds: Optional[np.ndarray] = None,
+    ) -> None:
+        m, n = dtable.shape
+        free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
+        if free0.size != n:
+            raise ScheduleError(
+                f"node_free_times has {free0.size} entries, resource has {n}"
             )
-        np.add(starts[j], durs[j], out=comps[j])
-        if preds is not None:
-            track[order_t[j], cols] = comps[j]
-        np.copyto(frel, comps[j][None, :], where=smask[j])
-    omega = np.maximum.reduce(comps, axis=0)
-    np.maximum(omega, 0.0, out=omega)
-    theta = np.maximum(comps - (deadlines[order_t] - ref_time), 0.0).sum(axis=0)
-    # Idle pockets [a, b] on selected nodes: a = frel before the step
-    # (cube holds frel·mask), b = the step's start.
-    if idle_weighting != "exponential":
-        cube2d = cube.reshape(m * n, pop)
-        cs = counts * starts
-        # Σ count·start − Σ_sel frel; the flat matvec is the cheapest
-        # (m·n, P) → (P,) reduction at these sizes (BLAS, one dispatch).
-        idle_len = cs.sum(axis=0) - ones_mn @ cube2d
-        if idle_weighting == "uniform":
-            phi = idle_len
-        else:  # linear
-            cs *= starts
-            sel_sq = np.einsum("ij,ij->j", cube2d, cube2d)
-            idle_sq = (cs.sum(axis=0) - sel_sq) * 0.5
-            safe = np.where(omega > 0, omega, 1.0)
-            phi = np.where(omega > 0, idle_len - idle_sq / safe, 0.0)
-    else:  # exponential: ∫ exp(−3t/ω) dt over each pocket, t relative
-        rate = np.where(omega > 0, 3.0 / np.where(omega > 0, omega, 1.0), 0.0)
-        r = rate[None, None, :]
-        safe_r = np.where(r > 0, r, 1.0)
-        has_gap = smask & (cube < starts[:, None, :])
-        contrib = np.where(
-            has_gap & (r > 0),
-            (np.exp(-safe_r * cube) - np.exp(-safe_r * starts[:, None, :]))
-            / safe_r,
-            0.0,
+        #: The availability key (:func:`~repro.scheduling.evalreuse.availability_key`).
+        self.key = (free0.tobytes(), float(ref_time))
+        self._n = n
+        self._free_rel = (free0 - ref_time)[:, None]  # all >= 0 after clamp
+        self._dtable = dtable
+        self._deadline_rel = deadlines - ref_time
+        self._floor_rel = None if floors is None else floors - ref_time
+        self._preds = preds
+        self._idle_weighting = idle_weighting
+        self._weights = (
+            weights.makespan, weights.idle, weights.deadline, weights.total
         )
-        phi = contrib.sum(axis=(0, 1))
-    return (
-        weights.makespan * omega + weights.idle * phi + weights.deadline * theta
-    ) / weights.total
+        # 1.0·x == x exactly, so unit weights need no multiplications.
+        self._unit_weights = (
+            weights.makespan == weights.idle == weights.deadline == 1.0
+        )
+        self._ones = np.ones(m * n)
+        self._scratch: Dict[int, tuple] = {}
+
+    def __call__(
+        self,
+        order: np.ndarray,
+        masks: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        pop, m = order.shape
+        n = self._n
+        if m == 0:
+            return np.zeros(pop)
+        scratch = self._scratch.get(pop)
+        if scratch is None:
+            scratch = self._scratch[pop] = (
+                np.empty((n, pop)),
+                np.empty((m, pop)),
+                np.empty((m, pop)),
+                np.empty((m, n, pop)),
+                np.arange(pop),
+            )
+        frel, starts, comps, cube, cols = scratch
+        order_t = order.T
+        # (m, n, pop): step-major, node-major per step, as a strided view
+        # of the gathered masks.  A one-task ordering is the identity, so
+        # its masks need no gather.
+        if m == 1:
+            smask = masks.transpose(1, 2, 0)
+        else:
+            smask = masks[cols[None, :], order_t].transpose(0, 2, 1)
+        counts = smask.sum(axis=1)  # (m, pop)
+        durs = self._dtable[order_t, counts - 1]  # (m, pop)
+        np.copyto(frel, self._free_rel)  # (n, pop)
+        floors = self._floor_rel
+        if floors is not None:
+            floor_rel = floors[order_t]  # (m, pop)
+        preds = self._preds
+        if preds is not None:
+            pred_rows = preds[order_t].transpose(0, 2, 1)  # (m, maxP, pop)
+            track = np.full((m + 1, pop), -np.inf)
+        last = m - 1
+        for j in range(m):
+            cj = cube[j]
+            np.multiply(frel, smask[j], out=cj)  # frel >= 0, so 0-fill is safe
+            np.maximum.reduce(cj, axis=0, out=starts[j])
+            if floors is not None:
+                np.maximum(starts[j], floor_rel[j], out=starts[j])
+            if preds is not None:
+                np.maximum(
+                    starts[j], track[pred_rows[j], cols].max(axis=0), out=starts[j]
+                )
+            np.add(starts[j], durs[j], out=comps[j])
+            if preds is not None:
+                track[order_t[j], cols] = comps[j]
+            if j < last:  # the last step's free times are never read
+                np.copyto(frel, comps[j][None, :], where=smask[j])
+        omega = np.maximum.reduce(comps, axis=0)  # > 0: see the contract
+        theta = np.maximum(comps - self._deadline_rel[order_t], 0.0).sum(axis=0)
+        # Idle pockets [a, b] on selected nodes: a = frel before the step
+        # (cube holds frel·mask), b = the step's start.
+        idle_weighting = self._idle_weighting
+        if idle_weighting != "exponential":
+            cube2d = cube.reshape(m * n, pop)
+            cs = counts * starts
+            # Σ count·start − Σ_sel frel; the flat matvec is the cheapest
+            # (m·n, P) → (P,) reduction at these sizes (BLAS, one dispatch).
+            idle_len = cs.sum(axis=0) - self._ones @ cube2d
+            if idle_weighting == "uniform":
+                phi = idle_len
+            else:  # linear; ω > 0, so the division needs no guard
+                cs *= starts
+                sel_sq = np.einsum("ij,ij->j", cube2d, cube2d)
+                idle_sq = (cs.sum(axis=0) - sel_sq) * 0.5
+                phi = idle_len - idle_sq / omega
+        else:  # exponential: ∫ exp(−3t/ω) dt over each pocket, t relative
+            rate = np.where(omega > 0, 3.0 / np.where(omega > 0, omega, 1.0), 0.0)
+            r = rate[None, None, :]
+            safe_r = np.where(r > 0, r, 1.0)
+            has_gap = smask & (cube < starts[:, None, :])
+            contrib = np.where(
+                has_gap & (r > 0),
+                (np.exp(-safe_r * cube) - np.exp(-safe_r * starts[:, None, :]))
+                / safe_r,
+                0.0,
+            )
+            phi = contrib.sum(axis=(0, 1))
+        w_makespan, w_idle, w_deadline, w_total = self._weights
+        if self._unit_weights:
+            combined = omega + phi + theta
+        else:
+            combined = w_makespan * omega + w_idle * phi + w_deadline * theta
+        return np.divide(combined, w_total, out=out)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.agents.service_info import ServiceInfo
@@ -32,6 +34,21 @@ class TestServiceInfo:
         assert updated.freetime == 99.0
         assert updated.hardware_type == info.hardware_type
         assert info.freetime == 45.0
+
+    def test_with_freetime_is_the_record_the_constructor_builds(self, info):
+        """The copy skips re-validation but not equality, hashing or repr."""
+        updated = info.with_freetime(99.5)
+        built = ServiceInfo(
+            info.agent_endpoint, info.scheduler_endpoint, info.hardware_type,
+            info.nproc, info.environments, 99.5,
+        )
+        assert type(updated) is ServiceInfo
+        assert updated == built
+        assert hash(updated) == hash(built)
+        assert repr(updated) == repr(built)
+        assert updated != info
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            updated.freetime = 1.0  # type: ignore[misc]
 
     def test_validation(self):
         with pytest.raises(ValidationError):

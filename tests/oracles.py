@@ -6,6 +6,9 @@ Nothing outside ``tests/`` imports this module.  It holds:
   two-part crossover and mutation) over :class:`SolutionString`, the
   reference the batched array kernel in :mod:`repro.scheduling.batched`
   and :mod:`repro.scheduling.vectorized` is property-tested against;
+* :func:`reference_evolve`, the array generation loop with a set-up per
+  costing, per-generation crossover inputs and concatenated next
+  generations, which ``GAScheduler.evolve`` must match byte for byte;
 * :func:`exhaustive_allocation`, the literal 2^n − 1 subset search of the
   FIFO baseline (§4.1), which the O(n log n)
   :func:`repro.scheduling.fifo.earliest_free_allocation` must equal;
@@ -39,6 +42,7 @@ from repro.errors import (
     EvaluationError,
     HierarchyError,
     ModelError,
+    ScheduleError,
     SimulationError,
     TaskError,
     ValidationError,
@@ -54,7 +58,11 @@ from repro.pace.parametric import AmdahlModel, CommOverheadModel, LinearModel
 from repro.pace.workloads import APPLICATION_NAMES, TABLE1_TIMES
 from repro.scheduling.coding import SolutionString
 from repro.scheduling.fifo import Allocation, SizeDurationFn, _best, _check_duration
-from repro.scheduling.warmstart import greedy_allocation_masks_batch, warmstart_orders
+from repro.scheduling.warmstart import (
+    greedy_allocation_masks,
+    greedy_allocation_masks_batch,
+    warmstart_orders,
+)
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.tasks.task import Task, TaskRequest
@@ -206,6 +214,423 @@ def mutate(
     masks ^= flips
     masks = _repair_empty_masks(masks, rng)
     return SolutionString(ordering, {t: masks[i] for i, t in enumerate(ordering)})
+
+
+# ----------------------------------------------- the reference GA loop
+#
+# ``reference_evolve`` is the generation loop of ``GAScheduler.evolve`` as
+# it stood before the per-call evaluator set-up, the block-drawn
+# crossover inputs and the in-place next generation, together with the
+# array operator forms it called.  The shipped loop must stay
+# byte-identical to it: same RNG draws, same orderings, masks, costs,
+# history and counters (tests/properties/test_evolve_identity.py).
+
+
+def reference_scale_fitness(costs: np.ndarray) -> np.ndarray:
+    """eq. (9) with an explicit all-finite check."""
+    arr = np.asarray(costs, dtype=float)
+    if arr.size == 0:
+        raise ValidationError("costs must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("costs must be finite")
+    worst = float(arr.max())
+    best = float(arr.min())
+    if worst == best:
+        return np.ones_like(arr)
+    return (worst - arr) / (worst - best)
+
+
+def reference_bernoulli_indices(
+    rng: np.random.Generator, total: int, p: float
+) -> np.ndarray:
+    """Successes of *total* Bernoulli(*p*) trials via geometric gaps."""
+    if p <= 0.0 or total <= 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(total, dtype=np.int64)
+    mean = total * p
+    chunk = int(mean + 6.0 * np.sqrt(mean)) + 8
+    positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
+    while positions[-1] < total:
+        more = np.cumsum(rng.geometric(p, size=chunk)) + positions[-1]
+        positions = np.concatenate([positions, more])
+    return positions[: np.searchsorted(positions, total)]
+
+
+def reference_selection(
+    fitness: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Stochastic remainder selection, shuffled by ``rng.permutation``."""
+    f = np.asarray(fitness, dtype=float)
+    total_f = f.sum()
+    if total_f == 0.0:
+        return rng.integers(0, f.size, size=count)
+    expected = f * (count / total_f)
+    guaranteed = expected.astype(np.int64)
+    base = np.repeat(np.arange(f.size, dtype=np.int64), guaranteed)
+    slots = count - base.size
+    if slots > 0:
+        remainder = expected - guaranteed
+        cdf = np.cumsum(remainder)
+        if cdf[-1] <= 0:
+            extra = rng.integers(0, f.size, size=slots)
+        else:
+            extra = np.searchsorted(
+                cdf, rng.random(slots) * cdf[-1], side="right"
+            )
+        base = np.concatenate([base, extra.astype(np.int64)])
+    elif slots < 0:
+        return rng.permutation(base)[:count]
+    return rng.permutation(base)
+
+
+def reference_batched_splice(
+    orders_a: np.ndarray, orders_b: np.ndarray, cuts: np.ndarray
+) -> np.ndarray:
+    """The batched order splice through a scattered head-membership table."""
+    batch, m = orders_a.shape
+    positions = np.arange(m)
+    rows = np.arange(batch)[:, None]
+    head_mask = positions[None, :] < cuts[:, None]
+    in_head = np.zeros((batch, m), dtype=bool)
+    in_head[rows, orders_a] = head_mask
+    keep = ~in_head[rows, orders_b]
+    dest = cuts[:, None] + np.cumsum(keep, axis=1) - 1
+    children = np.empty_like(orders_a)
+    np.copyto(children, orders_a, where=head_mask)
+    b_idx, j_idx = np.nonzero(keep)
+    children[b_idx, dest[b_idx, j_idx]] = orders_b[b_idx, j_idx]
+    return children
+
+
+def reference_batched_mask_crossover(
+    child_orders: np.ndarray,
+    masks_first: np.ndarray,
+    masks_second: np.ndarray,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Row-keyed single-point mask crossover at flat *points*."""
+    batch, m, n = masks_first.shape
+    rows = np.arange(batch)[:, None]
+    inverse = np.empty((batch, m), dtype=np.int32)
+    inverse[rows, child_orders] = np.arange(m, dtype=np.int32)[None, :]
+    thresholds = (points[:, None] - np.arange(n, dtype=np.int32) + n - 1) // n
+    children = masks_second.copy()
+    np.copyto(
+        children,
+        masks_first,
+        where=inverse[:, :, None] < thresholds.astype(np.int32)[:, None, :],
+    )
+    return children
+
+
+def reference_children(
+    order: np.ndarray,
+    masks: np.ndarray,
+    parents: np.ndarray,
+    do_cross: np.ndarray,
+    cuts: np.ndarray,
+    points: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Children of paired parents: splice and cross every pair, then copy
+    the non-crossing pairs' heads back over their children."""
+    parents = np.asarray(parents, dtype=np.int64)
+    pair_count = parents.size // 2
+    m = order.shape[1]
+    if pair_count == 0 or m == 0:
+        return order[parents].copy(), masks[parents].copy()
+    pa = parents[: 2 * pair_count : 2]
+    pb = parents[1 : 2 * pair_count : 2]
+    heads = np.concatenate([pa, pb])
+    tails = np.concatenate([pb, pa])
+    head_orders = order[heads]
+    head_masks = masks[heads]
+    cuts2 = np.concatenate([cuts, cuts])
+    child_order = reference_batched_splice(head_orders, order[tails], cuts2)
+    child_masks = reference_batched_mask_crossover(
+        child_order, head_masks, masks[tails], np.concatenate([points, points])
+    )
+    plain = np.flatnonzero(~np.concatenate([do_cross, do_cross]))
+    if plain.size:
+        child_order[plain] = head_orders[plain]
+        child_masks[plain] = head_masks[plain]
+    if parents.size % 2:
+        child_order = np.concatenate([child_order, order[parents[-1:]]])
+        child_masks = np.concatenate([child_masks, masks[parents[-1:]]])
+    return child_order, child_masks
+
+
+def reference_mutation(
+    order: np.ndarray,
+    masks: np.ndarray,
+    swap_sel: Optional[np.ndarray],
+    swap_i: Optional[np.ndarray],
+    swap_j: Optional[np.ndarray],
+    flip_idx: Optional[np.ndarray],
+    repair_picks_rng: np.random.Generator,
+) -> None:
+    """In-place swap (``j = (i + 1 + swap_j) % m``), flips and repair."""
+    pop, m = order.shape
+    n = masks.shape[2]
+    if swap_sel is not None and m >= 2:
+        rows = np.flatnonzero(swap_sel)
+        if rows.size:
+            i = swap_i[rows]
+            j = (i + 1 + swap_j[rows]) % m
+            vi = order[rows, i]
+            order[rows, i] = order[rows, j]
+            order[rows, j] = vi
+    if flip_idx is not None and flip_idx.size:
+        if masks.flags["C_CONTIGUOUS"]:
+            masks.reshape(-1)[flip_idx] ^= True
+        else:
+            masks[np.unravel_index(flip_idx, masks.shape)] ^= True
+    flat = masks.reshape(-1, n)
+    empty = ~flat.any(axis=1)
+    if empty.any():
+        picks = repair_picks_rng.integers(n, size=int(empty.sum()))
+        flat[np.flatnonzero(empty), picks] = True
+
+
+def reference_costs(
+    order: np.ndarray,
+    masks: np.ndarray,
+    dtable: np.ndarray,
+    deadlines: np.ndarray,
+    node_free_times: Sequence[float],
+    ref_time: float,
+    weights,
+    idle_weighting: str = "linear",
+    *,
+    floors: Optional[np.ndarray] = None,
+    preds: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The node-major eq.-(8) evaluator, set up afresh on every call."""
+    pop, m = order.shape
+    n = masks.shape[2]
+    free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
+    if free0.size != n:
+        raise ScheduleError(
+            f"node_free_times has {free0.size} entries, resource has {n}"
+        )
+    if m == 0:
+        return np.zeros(pop)
+    frel, starts, comps = np.empty((n, pop)), np.empty((m, pop)), np.empty((m, pop))
+    cube, ones_mn, rows_idx = np.empty((m, n, pop)), np.ones(m * n), np.arange(pop)[:, None]
+    smask = np.ascontiguousarray(masks[rows_idx, order].transpose(1, 2, 0))
+    counts = smask.sum(axis=1)
+    order_t = order.T
+    durs = dtable[order_t, counts - 1]
+    frel[:] = (free0 - ref_time)[:, None]
+    if floors is not None:
+        floor_rel = (floors - ref_time)[order_t]
+    if preds is not None:
+        pred_rows = preds[order_t].transpose(0, 2, 1)
+        track = np.full((m + 1, pop), -np.inf)
+        cols = rows_idx[:, 0]
+    for j in range(m):
+        cj = cube[j]
+        np.multiply(frel, smask[j], out=cj)
+        np.maximum.reduce(cj, axis=0, out=starts[j])
+        if floors is not None:
+            np.maximum(starts[j], floor_rel[j], out=starts[j])
+        if preds is not None:
+            np.maximum(
+                starts[j], track[pred_rows[j], cols].max(axis=0), out=starts[j]
+            )
+        np.add(starts[j], durs[j], out=comps[j])
+        if preds is not None:
+            track[order_t[j], cols] = comps[j]
+        np.copyto(frel, comps[j][None, :], where=smask[j])
+    omega = np.maximum.reduce(comps, axis=0)
+    np.maximum(omega, 0.0, out=omega)
+    theta = np.maximum(comps - (deadlines[order_t] - ref_time), 0.0).sum(axis=0)
+    if idle_weighting != "exponential":
+        cube2d = cube.reshape(m * n, pop)
+        cs = counts * starts
+        idle_len = cs.sum(axis=0) - ones_mn @ cube2d
+        if idle_weighting == "uniform":
+            phi = idle_len
+        else:
+            cs *= starts
+            sel_sq = np.einsum("ij,ij->j", cube2d, cube2d)
+            idle_sq = (cs.sum(axis=0) - sel_sq) * 0.5
+            safe = np.where(omega > 0, omega, 1.0)
+            phi = np.where(omega > 0, idle_len - idle_sq / safe, 0.0)
+    else:
+        rate = np.where(omega > 0, 3.0 / np.where(omega > 0, omega, 1.0), 0.0)
+        r = rate[None, None, :]
+        safe_r = np.where(r > 0, r, 1.0)
+        has_gap = smask & (cube < starts[:, None, :])
+        contrib = np.where(
+            has_gap & (r > 0),
+            (np.exp(-safe_r * cube) - np.exp(-safe_r * starts[:, None, :]))
+            / safe_r,
+            0.0,
+        )
+        phi = contrib.sum(axis=(0, 1))
+    return (
+        weights.makespan * omega + weights.idle * phi + weights.deadline * theta
+    ) / weights.total
+
+
+def _reference_ga_costs(ga, order, masks, free, ref_time) -> np.ndarray:
+    pred_mat, floor_vec = ga._constraint_arrays()
+    costs = reference_costs(
+        order, masks, ga._dtable, ga._deadline_arr, free, ref_time,
+        ga.config.weights, ga.config.idle_weighting,
+        floors=floor_vec, preds=pred_mat,
+    )
+    ga.stats.evaluate_calls += 1
+    ga.stats.rows_costed += costs.size
+    ga.stats.rows_evaluated += costs.size
+    return costs
+
+
+def _reference_warmstart(ga, costs, free, ref_time) -> np.ndarray:
+    cfg = ga.config
+    pop = ga._order.shape[0]
+    order_parts = []
+    if cfg.warmstart_count > 0:
+        priorities = ga._priority_arr if np.any(ga._priority_arr != 0.0) else None
+        order_parts.append(
+            warmstart_orders(
+                ga._dtable, ga._deadline_arr, cfg.warmstart_count, ga._rng,
+                priorities=priorities,
+            )
+        )
+    if cfg.memetic:
+        order_parts.append(ga._order[int(np.argmin(costs))][None, :])
+    if not order_parts:
+        return costs
+    w_orders = np.concatenate(order_parts)
+    ga._repair_orders(w_orders)
+    w_masks = greedy_allocation_masks_batch(w_orders, ga._dtable, free, ref_time)
+    seed_costs = _reference_ga_costs(ga, w_orders, w_masks, free, ref_time)
+    count = min(seed_costs.size, pop - 1)
+    seed_rank = np.argsort(seed_costs, kind="stable")[:count]
+    worst_rank = np.argsort(costs, kind="stable")[::-1][:count]
+    take = seed_costs[seed_rank] < costs[worst_rank]
+    if take.any():
+        rows = worst_rank[take]
+        seeds = seed_rank[take]
+        ga._order[rows] = w_orders[seeds]
+        ga._masks[rows] = w_masks[seeds]
+        costs = costs.copy()
+        costs[rows] = seed_costs[seeds]
+        ga.stats.warmstart_seeds += int(take.sum())
+    return costs
+
+
+def _reference_memetic(ga, costs, cached, free, ref_time):
+    best = int(np.argmin(costs))
+    border = ga._order[best]
+    if cached is None or not np.array_equal(border, cached[0]):
+        cand_masks = greedy_allocation_masks(border, ga._dtable, free, ref_time)
+        cand_cost = float(
+            _reference_ga_costs(
+                ga, border[None, :], cand_masks[None, :, :], free, ref_time
+            )[0]
+        )
+        cached = (border.copy(), cand_masks, cand_cost)
+    cand_order, cand_masks, cand_cost = cached
+    worst = int(np.argmax(costs))
+    if worst != best and cand_cost < costs[worst]:
+        ga._order[worst] = cand_order
+        ga._masks[worst] = cand_masks
+        costs[worst] = cand_cost
+    return costs, cached
+
+
+def reference_evolve(
+    ga, generations: int, free: Sequence[float], ref_time: float
+) -> float:
+    """``ga.evolve(generations, free, ref_time)`` through the reference loop.
+
+    Drives *ga*'s own population, RNG, counters, history and cost cache,
+    so a kernel evolved here and one evolved by ``GAScheduler.evolve``
+    can be compared field for field.  Trace emission is left out (the
+    identity test runs untraced).
+    """
+    from repro.scheduling.evalreuse import availability_key
+    from repro.scheduling.ga import (
+        BITFLIP_PROBABILITY,
+        CROSSOVER_PROBABILITY,
+        ELITE_COUNT,
+        SWAP_PROBABILITY,
+    )
+
+    if generations < 0:
+        raise ValidationError(f"generations must be >= 0, got {generations}")
+    if ga._order is None:
+        return 0.0
+    cfg = ga.config
+    stats = ga.stats
+    rng = ga._rng
+    ga._invalidate_cost_cache()
+    costs = _reference_ga_costs(ga, ga._order, ga._masks, free, ref_time)
+    costs = _reference_warmstart(ga, costs, free, ref_time)
+    pop = cfg.population_size
+    m = ga.n_tasks
+    n = ga._n
+    n_children = pop - ELITE_COUNT
+    pairs = n_children // 2
+    do_swaps = m >= 2
+    last_memetic = None
+    done = 0
+    while done < generations:
+        block = min(32, generations - done)
+        if pairs:
+            cross_flags = rng.random((block, pairs)) < CROSSOVER_PROBABILITY
+            cuts_b = rng.integers(0, m + 1, size=(block, pairs))
+            points_b = rng.integers(0, m * n + 1, size=(block, pairs))
+        if do_swaps:
+            swap_flags = rng.random((block, n_children)) < SWAP_PROBABILITY
+            swap_i = rng.integers(0, m, size=(block, n_children))
+            swap_j = rng.integers(0, m - 1, size=(block, n_children))
+        for t in range(block):
+            fitness = reference_scale_fitness(costs)
+            elite_idx = np.argsort(costs, kind="stable")[:ELITE_COUNT]
+            parents = reference_selection(fitness, n_children, rng)
+            if pairs:
+                child_order, child_masks = reference_children(
+                    ga._order, ga._masks, parents,
+                    cross_flags[t], cuts_b[t], points_b[t],
+                )
+            else:
+                child_order = ga._order[parents].copy()
+                child_masks = ga._masks[parents].copy()
+            flip_idx = reference_bernoulli_indices(
+                rng, n_children * m * n, BITFLIP_PROBABILITY
+            )
+            reference_mutation(
+                child_order,
+                child_masks,
+                swap_flags[t] if do_swaps else None,
+                swap_i[t] if do_swaps else None,
+                swap_j[t] if do_swaps else None,
+                flip_idx,
+                rng,
+            )
+            ga._repair_orders(child_order)
+            child_costs = _reference_ga_costs(
+                ga, child_order, child_masks, free, ref_time
+            )
+            ga._order = np.concatenate([ga._order[elite_idx], child_order])
+            ga._masks = np.concatenate([ga._masks[elite_idx], child_masks])
+            costs = np.concatenate([costs[elite_idx], child_costs])
+            stats.rows_costed += elite_idx.size
+            stats.carry_hits += elite_idx.size
+            if cfg.memetic:
+                costs, last_memetic = _reference_memetic(
+                    ga, costs, last_memetic, free, ref_time
+                )
+            ga._generations += 1
+            ga._history.append((ga._generations, float(costs.min())))
+        done += block
+    ga._cached_costs = costs
+    ga._cost_cache_key = availability_key(free, ref_time)
+    return float(costs.min())
 
 
 # ------------------------------------------------------------ FIFO search

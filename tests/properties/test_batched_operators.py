@@ -20,9 +20,14 @@ from repro.scheduling.batched import (
     batched_insert,
     batched_mask_crossover,
     batched_order_splice,
+    crossover_thresholds,
 )
 from repro.scheduling.ga import GAConfig, GAScheduler
-from tests.oracles import order_splice
+from tests.oracles import (
+    order_splice,
+    reference_batched_mask_crossover,
+    reference_batched_splice,
+)
 
 
 @st.composite
@@ -73,6 +78,27 @@ class TestBatchedOrderSplice:
         for row in children:
             assert sorted(row) == list(range(m))
 
+    @given(data=splice_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_out_matches_the_membership_table_splice(self, data):
+        """Written into ``out``, byte-equal to the scattered-table form."""
+        orders_a, orders_b, cuts = data
+        out = np.full_like(orders_a, -1)
+        returned = batched_order_splice(orders_a, orders_b, cuts, out=out)
+        assert returned is out
+        expected = reference_batched_splice(orders_a, orders_b, cuts)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @given(data=splice_batches())
+    @settings(max_examples=50, deadline=None)
+    def test_full_cut_keeps_the_head(self, data):
+        """Cut ``m`` is how a non-crossing pair passes its head through."""
+        orders_a, orders_b, _ = data
+        batch, m = orders_a.shape
+        children = batched_order_splice(orders_a, orders_b, np.full(batch, m))
+        assert np.array_equal(children, orders_a)
+
 
 class TestBatchedMaskCrossover:
     @staticmethod
@@ -90,8 +116,11 @@ class TestBatchedMaskCrossover:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_rowwise(self, data):
         orders_a, orders_b, cuts, masks_a, masks_b, points = data
+        n = masks_a.shape[2]
         child_orders = batched_order_splice(orders_a, orders_b, cuts)
-        children = batched_mask_crossover(child_orders, masks_a, masks_b, points)
+        children = batched_mask_crossover(
+            child_orders, masks_a, masks_b, crossover_thresholds(points, n)
+        )
         for i in range(orders_a.shape[0]):
             expected = self.reference_cross_maps(
                 child_orders[i], masks_a[i], masks_b[i], int(points[i])
@@ -106,13 +135,52 @@ class TestBatchedMaskCrossover:
         n = masks_a.shape[2]
         child_orders = batched_order_splice(orders_a, orders_b, cuts)
         all_first = batched_mask_crossover(
-            child_orders, masks_a, masks_b, np.full(batch, m * n)
+            child_orders, masks_a, masks_b,
+            crossover_thresholds(np.full(batch, m * n), n),
         )
         all_second = batched_mask_crossover(
-            child_orders, masks_a, masks_b, np.zeros(batch, dtype=int)
+            child_orders, masks_a, masks_b,
+            crossover_thresholds(np.zeros(batch, dtype=int), n),
         )
         assert np.array_equal(all_first, masks_a)
         assert np.array_equal(all_second, masks_b)
+
+    @given(data=crossover_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_thresholds_match_flat_index_cut(self, data):
+        """``pos < thresholds[j]`` ⟺ ``pos·n + j < point``, for every pos."""
+        _, _, _, masks_a, _, points = data
+        m, n = masks_a.shape[1:]
+        thresholds = crossover_thresholds(points, n)
+        assert thresholds.dtype == np.int32
+        pos = np.arange(m)[None, :, None]
+        flat = pos * n + np.arange(n)[None, None, :]
+        assert np.array_equal(
+            pos < thresholds[:, None, :], flat < points[:, None, None]
+        )
+
+    @given(data=crossover_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_and_out_match_the_points_form(self, data):
+        """Into a fresh ``out`` or over ``masks_second`` itself, byte-equal
+        to the form that takes the flat points."""
+        orders_a, orders_b, cuts, masks_a, masks_b, points = data
+        n = masks_a.shape[2]
+        child_orders = batched_order_splice(orders_a, orders_b, cuts)
+        expected = reference_batched_mask_crossover(
+            child_orders, masks_a, masks_b, points
+        )
+        thresholds = crossover_thresholds(points, n)
+        out = np.zeros_like(masks_b)
+        assert batched_mask_crossover(
+            child_orders, masks_a, masks_b, thresholds, out=out
+        ) is out
+        assert out.tobytes() == expected.tobytes()
+        in_place = masks_b.copy()
+        batched_mask_crossover(
+            child_orders, masks_a, in_place, thresholds, out=in_place
+        )
+        assert in_place.tobytes() == expected.tobytes()
 
 
 class TestBatchedInsert:

@@ -27,9 +27,12 @@ from repro.errors import ScheduleError, ValidationError
 from repro.scheduling.coding import SolutionString
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.vectorized import (
+    CostEvaluator,
     bernoulli_indices,
+    pair_choices,
+    swap_choices,
     vectorized_children,
-    vectorized_costs,
+    vectorized_mutation,
     vectorized_selection,
 )
 from repro.scheduling.warmstart import (
@@ -37,7 +40,13 @@ from repro.scheduling.warmstart import (
     greedy_allocation_masks_batch,
     warmstart_orders,
 )
-from tests.oracles import warmstart_population
+from tests.oracles import (
+    reference_children,
+    reference_costs,
+    reference_mutation,
+    reference_selection,
+    warmstart_population,
+)
 
 N_NODES = 6
 
@@ -123,6 +132,39 @@ class TestSelectionProperties:
         picks = vectorized_selection(np.array([1.0, 1.0, 1.0, 1.0]), 3, rng)
         assert picks.size == 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_in_place_shuffle_matches_permutation(self, seed):
+        """The in-place shuffle draws and returns what ``rng.permutation``
+        did, on the underfull, exact and overfull paths."""
+        for fitness, count in (
+            (np.array([0.3, 1.0, 0.0, 0.7, 0.2]), 9),
+            (np.array([1.0, 1.0, 1.0]), 3),
+            (np.array([1.0, 1.0, 1.0, 1.0]), 3),
+        ):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = vectorized_selection(fitness, count, a)
+            want = reference_selection(fitness, count, b)
+            assert got.tobytes() == want.tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def one_generation(do_cross, cuts, points, m, n):
+    """One generation's :func:`pair_choices` row from per-pair draws."""
+    cuts2, thresholds = pair_choices(
+        do_cross[None], cuts[None], points[None], m, n
+    )
+    return cuts2[0], thresholds[0]
+
+
+def children(order, masks, parents, cuts, thresholds):
+    """:func:`vectorized_children` into freshly allocated arrays."""
+    child_order = np.empty((parents.size,) + order.shape[1:], dtype=order.dtype)
+    child_masks = np.empty((parents.size,) + masks.shape[1:], dtype=bool)
+    vectorized_children(
+        order, masks, parents, cuts, thresholds, child_order, child_masks
+    )
+    return child_order, child_masks
+
 
 class TestChildrenProperties:
     @pytest.mark.parametrize("seed", range(4))
@@ -133,11 +175,14 @@ class TestChildrenProperties:
         masks = rng.random((pop, m, n)) < 0.5
         parents = rng.integers(0, pop, size=9)  # odd: leftover path too
         pairs = parents.size // 2
-        child_order, child_masks = vectorized_children(
+        child_order, child_masks = children(
             order, masks, parents,
-            rng.random(pairs) < 0.6,
-            rng.integers(0, m + 1, size=pairs),
-            rng.integers(0, m * n + 1, size=pairs),
+            *one_generation(
+                rng.random(pairs) < 0.6,
+                rng.integers(0, m + 1, size=pairs),
+                rng.integers(0, m * n + 1, size=pairs),
+                m, n,
+            ),
         )
         assert child_order.shape == (parents.size, m)
         assert child_masks.shape == (parents.size, m, n)
@@ -153,15 +198,82 @@ class TestChildrenProperties:
         order = np.array([rng.permutation(m) for _ in range(pop)])
         masks = rng.random((pop, m, n)) < 0.5
         parents = np.array([0, 1, 2, 3])
-        child_order, child_masks = vectorized_children(
+        child_order, child_masks = children(
             order, masks, parents,
-            np.array([False, False]),
-            np.array([2, 3]), np.array([7, 4]),
+            *one_generation(
+                np.array([False, False]),
+                np.array([2, 3]), np.array([7, 4]),
+                m, n,
+            ),
         )
         # a-head children are parents 0 and 2; b-head children 1 and 3.
         for slot, parent in ((0, 0), (1, 2), (2, 1), (3, 3)):
             assert np.array_equal(child_order[slot], order[parent])
             assert np.array_equal(child_masks[slot], masks[parent])
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("count", [1, 8, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_patched_form_byte_for_byte(self, seed, count, m):
+        """Cut m / point m·n for non-crossing pairs, written into caller
+        arrays, equals splicing every pair and patching the non-crossing
+        ones back — including one task (no splice) and a lone parent."""
+        rng = np.random.default_rng(seed)
+        pop, n = 10, 5
+        order = np.array([rng.permutation(m) for _ in range(pop)])
+        masks = rng.random((pop, m, n)) < 0.5
+        parents = rng.integers(0, pop, size=count)
+        pairs = count // 2
+        do_cross = rng.random(pairs) < 0.6
+        cuts = rng.integers(0, m + 1, size=pairs)
+        points = rng.integers(0, m * n + 1, size=pairs)
+        want_order, want_masks = reference_children(
+            order, masks, parents, do_cross, cuts, points
+        )
+        out_order = np.full((count, m), -1, dtype=order.dtype)
+        out_masks = np.zeros((count, m, n), dtype=bool)
+        inputs = one_generation(do_cross, cuts, points, m, n) if pairs else (None, None)
+        vectorized_children(
+            order, masks, parents, *inputs, out_order, out_masks
+        )
+        assert out_order.tobytes() == want_order.tobytes()
+        assert out_masks.tobytes() == want_masks.tobytes()
+
+
+class TestMutationInputs:
+    @pytest.mark.parametrize("m", [2, 3, 9])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_swaps_match_per_generation_swaps(self, seed, m):
+        """A block's flat swap pairs, applied generation by generation,
+        mutate exactly as the per-generation (flags, i, offset) form."""
+        rng = np.random.default_rng(seed)
+        block, count, n = 5, 11, 4
+        flags = rng.random((block, count)) < 0.3
+        first = rng.integers(0, m, size=(block, count))
+        offset = rng.integers(0, m - 1, size=(block, count))
+        swaps = swap_choices(flags, first, offset, m)
+        assert len(swaps) == block
+        for t in range(block):
+            order = np.array([rng.permutation(m) for _ in range(count)])
+            masks = rng.random((count, m, n)) < 0.5
+            flips = bernoulli_indices(rng, count * m * n, 0.05)
+            got_order, got_masks = order.copy(), masks.copy()
+            picks = np.random.default_rng(t)
+            vectorized_mutation(got_order, got_masks, swaps[t], flips, picks)
+            ref_picks = np.random.default_rng(t)
+            reference_mutation(
+                order, masks, flags[t], first[t], offset[t], flips, ref_picks
+            )
+            assert got_order.tobytes() == order.tobytes()
+            assert got_masks.tobytes() == masks.tobytes()
+            assert picks.bit_generator.state == ref_picks.bit_generator.state
+
+    def test_non_contiguous_arrays_refused(self, rng):
+        """A flat write through a copy would be lost, so it is refused."""
+        masks = np.ones((4, 3, 2), dtype=bool)[:, :, ::2]
+        order = np.tile(np.arange(3), (4, 1))
+        with pytest.raises(ScheduleError):
+            vectorized_mutation(order, masks, None, np.array([0]), rng)
 
 
 class TestEvaluatorParity:
@@ -179,10 +291,10 @@ class TestEvaluatorParity:
         free = list(10.0 * rng.random(N_NODES))
         ids = ga.task_ids
         for ref_time in (0.0, 5.0):
-            got = vectorized_costs(
-                order, masks, ga._dtable, ga._deadline_arr,
+            got = CostEvaluator(
+                ga._dtable, ga._deadline_arr,
                 free, ref_time, ga.config.weights, idle_weighting,
-            )
+            )(order, masks)
             for p in range(pop):
                 solution = SolutionString(
                     [ids[r] for r in order[p]],
@@ -195,6 +307,36 @@ class TestEvaluatorParity:
         ga = make_ga(0)
         with pytest.raises(ScheduleError):
             ga._costs(ga._order, ga._masks, [0.0] * (N_NODES + 1), 0.0)
+
+    @pytest.mark.parametrize("idle_weighting", ["linear", "uniform", "exponential"])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5)])
+    def test_one_evaluator_matches_a_set_up_per_call(self, weights, idle_weighting):
+        """One evaluator costing batches of several sizes, into ``out`` or
+        not, is byte-equal to the evaluator set up afresh for each batch."""
+        from repro.scheduling.cost import CostWeights
+
+        ga = make_ga(4)
+        rng = np.random.default_rng(8)
+        m = ga.n_tasks
+        free, ref_time = list(12.0 * rng.random(N_NODES)), 3.0
+        w = CostWeights(*weights)
+        floors = np.where(rng.random(m) < 0.5, 5.0 * rng.random(m), -np.inf)
+        evaluate = CostEvaluator(
+            ga._dtable, ga._deadline_arr, free, ref_time, w, idle_weighting,
+            floors=floors,
+        )
+        for pop in (7, 1, 7, 20):
+            order = np.array([rng.permutation(m) for _ in range(pop)])
+            masks = rng.random((pop, m, N_NODES)) < 0.4
+            masks |= ~masks.any(axis=2, keepdims=True)
+            want = reference_costs(
+                order, masks, ga._dtable, ga._deadline_arr, free, ref_time,
+                w, idle_weighting, floors=floors,
+            )
+            assert evaluate(order, masks).tobytes() == want.tobytes()
+            out = np.empty(pop + 2)
+            evaluate(order, masks, out[2:])
+            assert out[2:].tobytes() == want.tobytes()
 
 
 class TestPopulationLegitimacy:

@@ -231,14 +231,21 @@ class TestSelectBenchmarks:
         assert self.names(select_benchmarks([])) == all_names
 
     def test_vectorized_and_warmstart_in_suite(self):
-        """One GA loop is timed; the retired kernels' benchmarks are gone."""
+        """One GA loop is timed (at two shapes); the retired kernels'
+        benchmarks are gone."""
         all_names = self.names(select_benchmarks(None))
         assert "ga_evolve" in all_names
+        assert "ga_evolve_event" in all_names
         assert "ga_warmstart_convergence" in all_names
+        retired_evolve = {
+            "ga_evolve_batched", "ga_evolve_reference", "ga_evolve_vectorized",
+            "ga_evolve_hit_rate", "ga_evolve_speedup",
+            "ga_evolve_vectorized_speedup",
+        }
+        assert not retired_evolve & set(all_names)
         assert not [
             name for name in all_names
-            if name.startswith(("ga_evolve_", "ga_crossover_", "ga_evaluate_",
-                                "ga_dedup_"))
+            if name.startswith(("ga_crossover_", "ga_evaluate_", "ga_dedup_"))
         ]
         assert set(DERIVED_RATIOS) == {
             "evaluate_bulk_speedup", "engine_partition_speedup",
