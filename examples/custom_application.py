@@ -17,24 +17,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pace import (
-    DEFAULT_CATALOGUE,
-    SGI_ORIGIN_2000,
+from repro.pace.evaluation import EvaluationEngine
+from repro.pace.fitting import fit_best
+from repro.pace.hardware import DEFAULT_CATALOGUE, SGI_ORIGIN_2000
+from repro.pace.resource import ResourceModel
+from repro.pace.structural import (
     Broadcast,
-    EvaluationEngine,
     Exchange,
     ParallelCompute,
     Reduction,
-    ResourceModel,
     SerialCompute,
     StructuralModel,
-    fit_best,
-    paper_application_specs,
 )
-from repro.scheduling import LocalScheduler, SchedulingPolicy
-from repro.sim import Engine
-from repro.tasks import Environment, TaskRequest
-from repro.utils import render_table
+from repro.pace.workloads import paper_application_specs
+from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from repro.sim.engine import Engine
+from repro.tasks.task import Environment, TaskRequest
+from repro.utils.tables import render_table
 
 
 def build_model() -> StructuralModel:

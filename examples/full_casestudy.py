@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import check_paper_trends, run_table3, table1_rows
-from repro.metrics import (
-    ascii_line_chart,
-    figure_series,
-    render_figure_series,
-    render_table3,
-)
-from repro.utils import format_duration, render_table
+from repro.experiments.tables import check_paper_trends, run_table3, table1_rows
+from repro.metrics.ascii_plot import ascii_line_chart
+from repro.metrics.reporting import figure_series, render_figure_series, render_table3
+from repro.utils.tables import render_table
+from repro.utils.timefmt import format_duration
 
 
 def main() -> None:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pace import SGI_ORIGIN_2000, EvaluationEngine, paper_applications
-from repro.scheduling import (
-    CostWeights,
-    GAConfig,
-    GAScheduler,
-    SolutionString,
-    build_schedule,
-    render_gantt,
-)
+from repro.pace.evaluation import EvaluationEngine
+from repro.pace.hardware import SGI_ORIGIN_2000
+from repro.pace.workloads import paper_applications
+from repro.scheduling.coding import SolutionString
+from repro.scheduling.cost import CostWeights
+from repro.scheduling.ga import GAConfig, GAScheduler
+from repro.scheduling.schedule import build_schedule, render_gantt
 
 
 def figure2_demo() -> None:
@@ -89,7 +87,7 @@ def convergence_demo() -> None:
     )
 
     # Convergence curve from the kernel's per-generation history.
-    from repro.metrics import ascii_line_chart
+    from repro.metrics.ascii_plot import ascii_line_chart
 
     costs = [cost for _, cost in ga.history]
     print()

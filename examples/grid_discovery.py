@@ -13,13 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agents import Agent, DiscoveryConfig, PeriodicPullStrategy, UserPortal, wire_hierarchy
-from repro.net import Endpoint, Transport
-from repro.pace import DEFAULT_CATALOGUE, EvaluationEngine, ResourceModel, paper_application_specs
-from repro.scheduling import LocalScheduler, SchedulingPolicy
-from repro.sim import Engine
-from repro.tasks import Environment
-from repro.utils import render_table
+from repro.agents.advertisement import PeriodicPullStrategy
+from repro.agents.agent import Agent
+from repro.agents.discovery import DiscoveryConfig
+from repro.agents.hierarchy import wire_hierarchy
+from repro.agents.portal import UserPortal
+from repro.net.message import Endpoint
+from repro.net.transport import Transport
+from repro.pace.evaluation import EvaluationEngine
+from repro.pace.hardware import DEFAULT_CATALOGUE
+from repro.pace.resource import ResourceModel
+from repro.pace.workloads import paper_application_specs
+from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from repro.sim.engine import Engine
+from repro.tasks.task import Environment
+from repro.utils.tables import render_table
 
 PLATFORMS = {
     "head": "SGIOrigin2000",

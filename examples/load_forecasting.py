@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pace import AdaptiveForecaster, LoadTracker
-from repro.utils import render_table
+from repro.pace.forecast import AdaptiveForecaster, LoadTracker
+from repro.utils.tables import render_table
 
 
 def synth_trace(rng: np.random.Generator, hours: int = 48) -> np.ndarray:

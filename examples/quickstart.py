@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics import compute_metrics, records_from_tasks
-from repro.pace import (
-    SGI_ORIGIN_2000,
-    SUN_ULTRA_5,
-    EvaluationEngine,
-    ResourceModel,
-    paper_application_specs,
-)
-from repro.scheduling import LocalScheduler, SchedulingPolicy
-from repro.sim import Engine
-from repro.tasks import Environment, TaskRequest
-from repro.utils import render_table
+from repro.metrics.balancing import compute_metrics
+from repro.metrics.records import records_from_tasks
+from repro.pace.evaluation import EvaluationEngine
+from repro.pace.hardware import SGI_ORIGIN_2000, SUN_ULTRA_5
+from repro.pace.resource import ResourceModel
+from repro.pace.workloads import paper_application_specs
+from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
+from repro.sim.engine import Engine
+from repro.tasks.task import Environment, TaskRequest
+from repro.utils.tables import render_table
 
 
 def main() -> None:

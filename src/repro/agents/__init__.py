@@ -1,55 +1,1 @@
 """Agent-based grid load balancing (§3): hierarchy, advertisement, discovery."""
-
-from repro.agents.advertisement import (
-    DEFAULT_PULL_INTERVAL,
-    AdvertisementStrategy,
-    EventPushStrategy,
-    NoAdvertisement,
-    PeriodicPullStrategy,
-)
-from repro.agents.agent import Agent, RequestEnvelope, TaskResult
-from repro.agents.discovery import Decision, DiscoveryConfig, DiscoveryOutcome, discover
-from repro.agents.hierarchy import Hierarchy, wire_hierarchy
-from repro.agents.matchmaking import MatchResult, match_request
-from repro.agents.policy import (
-    POLICY_KINDS,
-    AuctionPolicy,
-    Eq10Policy,
-    GlobalPolicy,
-    GlobalPolicyConfig,
-    ReservationPolicy,
-    make_policy,
-)
-from repro.agents.portal import PortalStats, UserPortal
-from repro.agents.resilience import ResilienceConfig
-from repro.agents.service_info import ServiceInfo
-
-__all__ = [
-    "DEFAULT_PULL_INTERVAL",
-    "AdvertisementStrategy",
-    "EventPushStrategy",
-    "NoAdvertisement",
-    "PeriodicPullStrategy",
-    "Agent",
-    "RequestEnvelope",
-    "TaskResult",
-    "Decision",
-    "DiscoveryConfig",
-    "DiscoveryOutcome",
-    "discover",
-    "Hierarchy",
-    "wire_hierarchy",
-    "MatchResult",
-    "match_request",
-    "POLICY_KINDS",
-    "AuctionPolicy",
-    "Eq10Policy",
-    "GlobalPolicy",
-    "GlobalPolicyConfig",
-    "ReservationPolicy",
-    "make_policy",
-    "PortalStats",
-    "ResilienceConfig",
-    "UserPortal",
-    "ServiceInfo",
-]

@@ -22,36 +22,34 @@ An agent:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.agents.advertisement import AdvertisementStrategy, NoAdvertisement
-from repro.net.payloads import KinInfo, RequestEnvelope, TaskResult, TransferPayload
 from repro.agents.discovery import DiscoveryConfig
-from repro.agents.healing import Healer
 from repro.agents.matchmaking import MatchResult, match_request
 from repro.agents.membership import FailureDetector, MembershipConfig
 from repro.agents.policy import GlobalPolicy, GlobalPolicyConfig, make_policy
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
-from repro.agents.service_info import ServiceInfo
 from repro.errors import AgentError, TransportError
 from repro.net.message import Endpoint, Message, MessageKind
-from repro.net.transport import Transport
-from repro.obs.records import (
-    AckSent,
-    AgentDown,
-    AgentUp,
-    DagTransfer,
-    ForwardGiveUp,
-    ForwardRetry,
-    LocalSubmit,
+from repro.net.payloads import (
+    KinInfo,
+    RequestEnvelope,
+    ServiceInfo,
+    TaskResult,
+    TransferPayload,
 )
-from repro.obs.trace import Tracer
+from repro.net.transport import Transport
 from repro.pace.hardware import DEFAULT_CATALOGUE, HardwareCatalogue
 from repro.scheduling.scheduler import LocalScheduler
 from repro.sim.events import Event, Priority
 from repro.tasks.task import Task, TaskRequest
 
-__all__ = ["RequestEnvelope", "TaskResult", "Agent"]
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.agents.healing import Healer
+    from repro.obs.trace import Tracer
+
+__all__ = ["Agent"]
 
 #: Data units per second a workflow input stages in at: moving an input of
 #: size *s* between clusters delays its consumer by ``s / TRANSFER_BANDWIDTH``.
@@ -72,10 +70,6 @@ _TRANSFER = MessageKind.TRANSFER
 _HEARTBEAT = MessageKind.HEARTBEAT
 _ADOPT = MessageKind.ADOPT
 _ADOPTED = MessageKind.ADOPTED
-
-
-# RequestEnvelope and TaskResult are protocol payloads; they live in
-# repro.net.payloads and are re-exported here under their paper-facing home.
 
 
 @dataclass
@@ -191,8 +185,13 @@ class Agent:
         # DEDUP_CAP eviction drops the least-recently-seen keys first.
         self._seen_forwards: Dict[Tuple[Endpoint, int, int], float] = {}
         self._membership = membership
-        self._detector = FailureDetector(self) if membership.enabled else None
-        self._healer = Healer(self, membership) if membership.enabled else None
+        self._detector: Optional[FailureDetector] = None
+        self._healer: Optional[Healer] = None
+        if membership.enabled:
+            from repro.agents.healing import Healer
+
+            self._detector = FailureDetector(self)
+            self._healer = Healer(self, membership)
         # Endpoint → agent directory (set by wire_hierarchy): the sim's
         # stand-in for dialling an arbitrary address, which adoption needs
         # to reach beyond the current neighbour links.
@@ -397,6 +396,8 @@ class Agent:
         if self._healer is not None:
             self._healer.reset()
         if self._tracer is not None:
+            from repro.obs.records import AgentDown
+
             self._tracer.emit(
                 AgentDown(
                     t=self._sim.now,
@@ -424,6 +425,8 @@ class Agent:
         # appear after the agent.up record, or a trace reader would see a
         # "down" endpoint sending.
         if self._tracer is not None:
+            from repro.obs.records import AgentUp
+
             self._tracer.emit(
                 AgentUp(
                     t=self._sim.now,
@@ -693,6 +696,8 @@ class Agent:
         if next_attempt > MAX_RETRIES:
             self._stats.gave_up += 1
             if self._tracer is not None:
+                from repro.obs.records import ForwardGiveUp
+
                 self._tracer.emit(
                     ForwardGiveUp(
                         t=self._sim.now,
@@ -704,6 +709,8 @@ class Agent:
             return
         self._stats.retries += 1
         if self._tracer is not None:
+            from repro.obs.records import ForwardRetry
+
             self._tracer.emit(
                 ForwardRetry(
                     t=self._sim.now,
@@ -760,6 +767,8 @@ class Agent:
         task = self._scheduler.submit(envelope.request)
         self._reply_to[task.task_id] = envelope
         if self._tracer is not None:
+            from repro.obs.records import LocalSubmit
+
             self._tracer.emit(
                 LocalSubmit(
                     t=self._sim.now,
@@ -856,6 +865,8 @@ class Agent:
                 # sender never saw the first ACK.
                 self._stats.acks_sent += 1
                 if self._tracer is not None:
+                    from repro.obs.records import AckSent
+
                     self._tracer.emit(
                         AckSent(
                             t=self._sim.now,
@@ -898,6 +909,8 @@ class Agent:
                     f"bad TRANSFER payload: {type(payload).__name__}"
                 )
             if self._tracer is not None:
+                from repro.obs.records import DagTransfer
+
                 self._tracer.emit(
                     DagTransfer(
                         t=self._sim.now,

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.net.message import Endpoint, MessageKind
 from repro.net.payloads import KinInfo
-from repro.obs.records import AdoptRequested, AdoptionCompleted
 from repro.sim.events import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -167,6 +166,8 @@ class Healer:
             agent._adopt_child(child)  # noqa: SLF001 - healing hook
             self.stats.children_adopted += 1
             if agent.tracer is not None:
+                from repro.obs.records import AdoptionCompleted
+
                 agent.tracer.emit(
                     AdoptionCompleted(
                         t=agent.sim.now, parent=agent.name, child=child.name
@@ -205,6 +206,8 @@ class Healer:
         self._attempt += 1
         self.stats.adoptions_requested += 1
         if agent.tracer is not None:
+            from repro.obs.records import AdoptRequested
+
             agent.tracer.emit(
                 AdoptRequested(
                     t=agent.sim.now,
@@ -254,6 +257,8 @@ class Healer:
         agent._attach_parent(None)  # noqa: SLF001 - healing hook
         self.stats.promotions += 1
         if agent.tracer is not None:
+            from repro.obs.records import AdoptRequested
+
             agent.tracer.emit(
                 AdoptRequested(
                     t=agent.sim.now,

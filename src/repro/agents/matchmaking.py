@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import AgentError
+from repro.net.payloads import ServiceInfo
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import HardwareCatalogue
-from repro.agents.service_info import ServiceInfo
 from repro.tasks.task import TaskRequest
 
 __all__ = ["MatchResult", "match_request"]

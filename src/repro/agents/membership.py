@@ -36,7 +36,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.net.message import Endpoint
-from repro.obs.records import MemberAlive, MemberDead, MemberSuspected
 from repro.sim.events import Priority
 from repro.sim.process import PeriodicProcess
 
@@ -166,6 +165,8 @@ class FailureDetector:
             self.stats.recoveries += 1
             tracer = self._agent.tracer
             if tracer is not None:
+                from repro.obs.records import MemberAlive
+
                 tracer.emit(
                     MemberAlive(
                         t=self._agent.sim.now,
@@ -200,6 +201,8 @@ class FailureDetector:
                 state = SUSPECTED
                 self.stats.suspects += 1
                 if agent.tracer is not None:
+                    from repro.obs.records import MemberSuspected
+
                     agent.tracer.emit(
                         MemberSuspected(
                             t=now,
@@ -212,6 +215,8 @@ class FailureDetector:
                 self.forget(ep)
                 self.stats.confirms += 1
                 if agent.tracer is not None:
+                    from repro.obs.records import MemberDead
+
                     agent.tracer.emit(
                         MemberDead(
                             t=now,

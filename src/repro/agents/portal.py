@@ -5,8 +5,8 @@ for the grid resources.  A user is required to specify the details of the
 application, the requirements and contact information for each request."
 
 The portal assigns globally unique request ids, wraps each submission in a
-:class:`~repro.agents.agent.RequestEnvelope`, sends it to the chosen agent
-over the transport, and collects :class:`~repro.agents.agent.TaskResult`
+:class:`~repro.net.payloads.RequestEnvelope`, sends it to the chosen agent
+over the transport, and collects :class:`~repro.net.payloads.TaskResult`
 messages posted back when execution finishes (standing in for the paper's
 result e-mails).
 """
@@ -14,19 +14,20 @@ result e-mails).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.agents.agent import Agent, RequestEnvelope, TaskResult
+from repro.agents.agent import Agent
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.errors import AgentError, TransportError
 from repro.net.message import Endpoint, Message, MessageKind
+from repro.net.payloads import RequestEnvelope, TaskResult
 from repro.net.transport import Transport
-from repro.net.xmlio import request_to_xml
-from repro.obs.records import PortalResult, PortalRetry, PortalSubmitted
-from repro.obs.trace import Tracer
 from repro.pace.application import ApplicationModel
 from repro.sim.events import Event, Priority
 from repro.tasks.task import Environment, TaskRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.obs.trace import Tracer
 
 __all__ = ["UserPortal", "PortalStats"]
 
@@ -190,6 +191,8 @@ class UserPortal:
         )
         self._submitted[request_id] = envelope
         if self._tracer is not None:
+            from repro.obs.records import PortalSubmitted
+
             self._tracer.emit(
                 PortalSubmitted(
                     t=now,
@@ -252,6 +255,8 @@ class UserPortal:
             return
         self._stats.retries += 1
         if self._tracer is not None:
+            from repro.obs.records import PortalRetry
+
             self._tracer.emit(
                 PortalRetry(
                     t=self._sim.now,
@@ -292,6 +297,8 @@ class UserPortal:
 
     def request_document(self, request_id: int) -> str:
         """The Fig. 6 XML document for a submitted request (for tracing)."""
+        from repro.net.xmlio import request_to_xml
+
         envelope = self.envelope(request_id)
         request = envelope.request
         return request_to_xml(
@@ -445,6 +452,8 @@ class UserPortal:
 
     def _trace_result(self, result: TaskResult, synthetic: bool) -> None:
         if self._tracer is not None:
+            from repro.obs.records import PortalResult
+
             self._tracer.emit(
                 PortalResult(
                     t=self._sim.now,

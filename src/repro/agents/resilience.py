@@ -13,7 +13,7 @@ tasks.  :class:`ResilienceConfig` gates the counter-measures:
   next-best neighbour (or is absorbed/rejected once :data:`MAX_RETRIES`
   is exhausted).
 * **Registry TTL** (``registry_ttl``): advertised
-  :class:`~repro.agents.service_info.ServiceInfo` older than the TTL is
+  :class:`~repro.net.payloads.ServiceInfo` older than the TTL is
   ignored by matchmaking and dropped from the registry, so a crashed
   neighbour stops attracting forwards one TTL after its last advert.
 

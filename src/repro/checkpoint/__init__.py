@@ -11,20 +11,3 @@ trace, same final RNG digest.
 
 See ``docs/checkpointing.md`` for the format and guarantees.
 """
-
-from repro.checkpoint.format import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.checkpoint.snapshot import restore_system, snapshot_system
-
-__all__ = [
-    "FORMAT_NAME",
-    "FORMAT_VERSION",
-    "read_snapshot",
-    "write_snapshot",
-    "snapshot_system",
-    "restore_system",
-]

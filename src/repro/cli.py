@@ -138,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes for the parallel-speedup benchmark")
     perf.add_argument("--only", action="append", metavar="SUBSTRING",
                       help="run only benchmarks whose name contains this "
-                      "substring (repeatable); the written output then holds "
-                      "just that subset unless --update is given")
+                      "substring (repeatable); refused when the output is the "
+                      "baseline it compares against, unless --update is given")
     perf.add_argument("--update", action="store_true",
                       help="rewrite the output file in place: merge fresh "
                       "results over the existing document (benchmarks not "
@@ -371,14 +371,10 @@ def _cmd_tournament(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import (
-        MemorySink,
-        MetricsRegistry,
-        Tracer,
-        build_request_spans,
-        canonical_lines,
-        render_span_tree,
-    )
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.records import canonical_lines
+    from repro.obs.spans import build_request_spans, render_span_tree
+    from repro.obs.trace import MemorySink, Tracer
 
     metrics = MetricsRegistry()
     tracer = Tracer(MemorySink(), metrics=metrics)
@@ -425,7 +421,7 @@ def _cmd_trace(args) -> int:
 
 def _trace_verdict(records) -> int:
     """Print the trace invariant checker's verdict; returns the exit code."""
-    from repro.obs import check_trace
+    from repro.obs.check import check_trace
 
     violations = check_trace(records)
     for violation in violations:
@@ -468,7 +464,7 @@ def _cmd_checkpoint(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.checkpoint import read_snapshot
+    from repro.checkpoint.format import read_snapshot
 
     payload = read_snapshot(args.snapshot)
     print(f"Resuming {payload.get('mode')} snapshot {args.snapshot} "
@@ -565,7 +561,7 @@ def _cmd_scenario(args) -> int:
     )
     tracer = None
     if args.check:
-        from repro.obs import MemorySink, Tracer
+        from repro.obs.trace import MemorySink, Tracer
 
         tracer = Tracer(MemorySink())
     print(f"Running {config.name} ({len(scenario.workload)} requests, "

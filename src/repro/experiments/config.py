@@ -20,16 +20,18 @@ they are read (see docs/tuning.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.agents.discovery import DiscoveryConfig
 from repro.agents.membership import MembershipConfig
 from repro.agents.policy import GlobalPolicyConfig
 from repro.agents.resilience import ResilienceConfig
 from repro.errors import ExperimentError
-from repro.net.faults import ChurnSpec, FaultPlanSpec
 from repro.scheduling.ga import GAConfig
 from repro.scheduling.scheduler import SchedulingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.net.faults import ChurnSpec, FaultPlanSpec
 
 __all__ = ["ExperimentConfig", "table2_experiments"]
 

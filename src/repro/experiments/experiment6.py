@@ -67,14 +67,9 @@ from repro.experiments.tournament import (
     rounded,
 )
 from repro.experiments.workload import WorkloadItem
-from repro.obs import (
-    MemorySink,
-    TraceRecord,
-    Tracer,
-    Violation,
-    canonical_lines,
-    check_trace,
-)
+from repro.obs.check import Violation, check_trace
+from repro.obs.records import TraceRecord, canonical_lines
+from repro.obs.trace import MemorySink, Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
 
 __all__ = [

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import repro.net.message as message_module
 from repro.errors import ExperimentError
@@ -61,9 +61,11 @@ from repro.experiments.tournament import (
     fraction,
     rounded,
 )
-from repro.obs import MemorySink, Tracer, Violation, check_trace
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import WORKFLOW_SHAPES
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.obs.check import Violation
 
 __all__ = [
     "ARRIVALS",
@@ -196,6 +198,9 @@ class Experiment7Point:
 
 def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
     """Replay *cell*'s workflow stream under one contender, traced and checked."""
+    from repro.obs.check import check_trace
+    from repro.obs.trace import MemorySink, Tracer
+
     t_wall = time.perf_counter()
     config = replace(cell.config, name=f"{cell.config.name}-{mode}")
     if mode == "aware" and cell.release_mode == "staged":

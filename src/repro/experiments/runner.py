@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.agents.advertisement import (
     AdvertisementStrategy,
@@ -47,7 +47,6 @@ from repro.errors import CheckpointError, ExperimentError, TransportError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scenarios import WorkflowItem
-from repro.experiments.soak import SoakProgress, SoakResult
 from repro.experiments.workload import WorkloadItem, generate_workload
 from repro.metrics.balancing import GridMetrics, compute_metrics
 from repro.metrics.records import (
@@ -55,10 +54,8 @@ from repro.metrics.records import (
     ResilienceCounters,
     records_from_tasks,
 )
-from repro.net.faults import PORTAL_NAME, ChurnSchedule, FaultPlan
 from repro.net.message import Endpoint
 from repro.net.transport import Transport
-from repro.obs.trace import Tracer
 from repro.pace.cache import CacheStats
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.resource import ResourceModel
@@ -71,6 +68,10 @@ from repro.tasks.graph import TaskGraph
 from repro.tasks.task import Environment
 from repro.tasks.workflow import WorkflowCoordinator
 from repro.utils.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.experiments.soak import SoakProgress, SoakResult
+    from repro.obs.trace import Tracer
 
 __all__ = [
     "GridSystem",
@@ -348,6 +349,8 @@ def build_grid(
         transport, sim, resilience=config.resilience, tracer=tracer
     )
     if config.faults is not None:
+        from repro.net.faults import PORTAL_NAME, FaultPlan
+
         endpoints = {name: agent.endpoint for name, agent in agents.items()}
         endpoints[PORTAL_NAME] = portal.endpoint
         # The plan's stream exists even for a zero plan (creating it never
@@ -468,6 +471,8 @@ def run_soak(
     heavy-tailed arrival streams.  With ``checkpoint_path``, one resumable
     snapshot is rewritten at every window boundary.
     """
+    from repro.experiments.soak import SoakProgress
+
     return _complete(
         _arm(
             "soak", config, topology, workload, None, tracer,
@@ -503,6 +508,8 @@ def checkpoint_run(
         *at_step* events fire — a snapshot there would hold a world the
         uninterrupted run never enters.  Nothing is written then.
     """
+    from repro.experiments.soak import SoakProgress
+
     if at_step < 1:
         raise ExperimentError(f"at_step must be >= 1, got {at_step}")
     run = _arm(
@@ -827,6 +834,8 @@ def _arm_churn(run: _Run) -> None:
     spec = system.config.churn
     if spec is None or spec.rate == 0:
         return
+    from repro.net.faults import ChurnSchedule
+
     coordinators = (
         None
         if spec.target == "any"
@@ -929,6 +938,7 @@ def _restore(path: str, tracer: Optional[Tracer]) -> _Run:
         decode_workload_item,
         restore_system,
     )
+    from repro.experiments.soak import SoakProgress
 
     t_wall = time.perf_counter()
     payload = read_snapshot(path)

@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.agents.membership import MembershipConfig
 from repro.agents.resilience import ResilienceConfig
@@ -40,7 +40,6 @@ from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workload import WorkloadItem
-from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
 from repro.pace.workloads import paper_application_specs
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import (
@@ -51,6 +50,9 @@ from repro.tasks.graph import (
     montage,
 )
 from repro.utils.rng import RngRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.net.faults import ChurnSpec, FaultPlanSpec
 
 __all__ = [
     "ARRIVAL_PROCESSES",
@@ -225,6 +227,8 @@ class ScenarioSpec:
 
     def chaos_fault_spec(self) -> Optional[FaultPlanSpec]:
         """The fault plan for this spec's chaos tier (``None`` for none)."""
+        from repro.net.faults import FaultPlanSpec, StragglerFault
+
         stragglers = tuple(
             StragglerFault(
                 node=name,
@@ -246,6 +250,8 @@ class ScenarioSpec:
     def chaos_churn_spec(self) -> Optional[ChurnSpec]:
         """The churn spec for this spec's chaos tier (``None`` for none)."""
         if self.chaos in ("coordinator-churn", "grey-combo"):
+            from repro.net.faults import ChurnSpec
+
             return ChurnSpec(
                 rate=CHAOS_CHURN_RATE,
                 downtime=CHAOS_CHURN_DOWNTIME,

@@ -1,30 +1,1 @@
 """Grid load-balancing performance metrics (§3.3): ε, υ, β."""
-
-from repro.metrics.ascii_plot import ascii_line_chart
-from repro.metrics.balancing import (
-    GridMetrics,
-    ResourceMetrics,
-    compute_metrics,
-    node_utilisations,
-)
-from repro.metrics.records import CompletionRecord, records_from_tasks
-from repro.metrics.reporting import (
-    figure_series,
-    render_figure_series,
-    render_table3,
-    table3_rows,
-)
-
-__all__ = [
-    "ascii_line_chart",
-    "GridMetrics",
-    "ResourceMetrics",
-    "compute_metrics",
-    "node_utilisations",
-    "CompletionRecord",
-    "records_from_tasks",
-    "figure_series",
-    "render_figure_series",
-    "render_table3",
-    "table3_rows",
-]

@@ -1,41 +1,1 @@
 """Communication substrate: typed messages, XML templates, in-memory transport."""
-
-from repro.net.faults import (
-    ChurnEvent,
-    ChurnSchedule,
-    ChurnSpec,
-    FaultPlan,
-    FaultPlanSpec,
-    LinkFault,
-    PartitionWindow,
-)
-from repro.net.message import Endpoint, Message, MessageKind
-from repro.net.payloads import RequestEnvelope, ServiceInfo, TaskResult
-from repro.net.transport import Transport
-from repro.net.xmlio import (
-    parse_request,
-    parse_service_info,
-    request_to_xml,
-    service_info_to_xml,
-)
-
-__all__ = [
-    "ChurnEvent",
-    "ChurnSchedule",
-    "ChurnSpec",
-    "FaultPlan",
-    "FaultPlanSpec",
-    "LinkFault",
-    "PartitionWindow",
-    "Endpoint",
-    "Message",
-    "MessageKind",
-    "RequestEnvelope",
-    "ServiceInfo",
-    "TaskResult",
-    "Transport",
-    "parse_request",
-    "parse_service_info",
-    "request_to_xml",
-    "service_info_to_xml",
-]

@@ -3,7 +3,6 @@
 These are the bodies of the ADVERTISE / REQUEST / RESULT messages.  They
 live in :mod:`repro.net`, beside the messages that carry them, so the
 transport and checkpoint codecs need no agent-layer import.
-:mod:`repro.agents` re-exports them under their paper-facing names.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.net.message import Endpoint
-from repro.net.xmlio import parse_service_info, service_info_to_xml
 from repro.tasks.task import Environment, TaskRequest
 
 __all__ = [
@@ -80,6 +78,8 @@ class ServiceInfo:
 
     def to_xml(self) -> str:
         """Render as the Fig. 5 document."""
+        from repro.net.xmlio import service_info_to_xml
+
         return service_info_to_xml(
             {
                 "agent_address": self.agent_endpoint.address,
@@ -96,6 +96,8 @@ class ServiceInfo:
     @classmethod
     def from_xml(cls, document: str) -> "ServiceInfo":
         """Parse a Fig. 5 document."""
+        from repro.net.xmlio import parse_service_info
+
         fields = parse_service_info(document)
         return cls(
             agent_endpoint=Endpoint(fields["agent_address"], fields["agent_port"]),

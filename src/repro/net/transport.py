@@ -16,15 +16,17 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
 
 from repro.errors import TransportError, ValidationError
-from repro.net.faults import FaultPlan
 from repro.net.message import Endpoint, Message
-from repro.obs.records import MessageDelivered, MessageDropped, MessageSent
-from repro.obs.trace import Tracer
 from repro.sim.engine import Engine
 from repro.sim.events import Event, Priority
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.net.faults import FaultPlan
+    from repro.obs.records import MessageDropped
+    from repro.obs.trace import Tracer
 
 __all__ = ["Transport", "DROP_RING_SIZE"]
 
@@ -151,6 +153,8 @@ class Transport:
             )
         self._sent += 1
         if self._tracer is not None:
+            from repro.obs.records import MessageSent
+
             self._tracer.emit(
                 MessageSent(
                     t=self._sim.now,
@@ -190,6 +194,8 @@ class Transport:
             return
         self._delivered += 1
         if self._tracer is not None:
+            from repro.obs.records import MessageDelivered
+
             self._tracer.emit(
                 MessageDelivered(
                     t=self._sim.now,
@@ -202,6 +208,8 @@ class Transport:
         handler(message)
 
     def _drop_record(self, message: Message, reason: str) -> MessageDropped:
+        from repro.obs.records import MessageDropped
+
         return MessageDropped(
             t=self._sim.now,
             msg=message.kind.value,

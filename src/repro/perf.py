@@ -31,6 +31,8 @@ The suite times the hot kernels this codebase optimises:
   1000-agent scenario (FIFO policy, Poisson arrivals) end to end through
   ``build_grid``/``run_experiment`` (``REPRO_BENCH_SCALE_REQUESTS``,
   default 200).
+* ``startup_import_s`` — seconds a fresh interpreter spends importing the
+  end-to-end benchmark's run path, compiling every module from source.
 
 Results are written as JSON with machine info and the git SHA so numbers
 are attributable; :func:`check_regression` compares two such documents
@@ -51,8 +53,10 @@ import gc
 import json
 import os
 import platform as platform_module
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -476,6 +480,60 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     )
 
 
+#: The run-path imports of an end-to-end benchmark child, in its order.
+STARTUP_IMPORTS = (
+    "repro.experiments",
+    "repro.experiments.experiment7",
+    "repro.experiments.scenarios",
+    "repro.tasks.workflow",
+)
+
+#: Run by each fresh interpreter: NumPy before the timer (it is not
+#: repro's cost), then the timed imports; prints their seconds.
+_STARTUP_PROBE = "\n".join(
+    ["import time", "import numpy", "t0 = time.perf_counter()"]
+    + [f"import {name}" for name in STARTUP_IMPORTS]
+    + ["print(time.perf_counter() - t0)"]
+)
+
+
+def bench_startup_import(interpreters: int = 7) -> BenchResult:
+    """Seconds a fresh interpreter spends importing the run path.
+
+    The median of *interpreters* children.  Each compiles every module
+    from source, as the end-to-end benchmark's children do in a tree
+    without bytecode caches: ``PYTHONDONTWRITEBYTECODE=1`` and a
+    ``PYTHONPYCACHEPREFIX`` pointing at an empty directory, so no cached
+    bytecode is read or written.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pythonpath = os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path
+    )
+    seconds = []
+    with tempfile.TemporaryDirectory() as empty_cache:
+        env = dict(
+            os.environ,
+            PYTHONDONTWRITEBYTECODE="1",
+            PYTHONPYCACHEPREFIX=empty_cache,
+            PYTHONPATH=pythonpath,
+        )
+        for _ in range(interpreters):
+            out = subprocess.run(
+                [sys.executable, "-c", _STARTUP_PROBE],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            seconds.append(float(out.stdout.split()[-1]))
+    return BenchResult(
+        name="startup_import_s",
+        value=statistics.median(seconds),
+        unit="s",
+        higher_is_better=False,
+        detail=f"median of {interpreters} fresh interpreters compiling from "
+        "source; numpy imported before the timer",
+    )
+
+
 # -------------------------------------------------------------------- suite
 
 
@@ -536,6 +594,8 @@ def _suite_specs(requests: int, jobs: int):
         (("scale_grid_1000",),
          f"1000-agent generated scenario ({BENCH_SCALE_REQUESTS} requests)...",
          lambda: [bench_scale_grid()]),
+        (("startup_import_s",), "run-path import in fresh interpreters...",
+         lambda: [bench_startup_import()]),
     ]
 
 
@@ -707,19 +767,33 @@ def run_perf_cli(
     """Run the suite, write *output*, compare against *baseline* if present.
 
     Returns a process exit code: 0 on success, 1 when any benchmark
-    regressed by more than 25 % against the baseline.  When *baseline* is
-    ``None`` the pre-existing *output* file (the committed baseline)
-    serves as the comparison point.  *only* restricts the run to
-    benchmarks whose names contain any of the given substrings — note the
-    written *output* then holds just that subset, so either point
-    ``--output`` elsewhere when iterating against a committed full
-    baseline, or pass *update* to rewrite the file in place: fresh
-    results are merged over the existing document (untouched benchmarks
-    carried over, derived ratios recomputed, ``meta`` refreshed with the
-    current git SHA and machine), which is how a committed
-    ``BENCH_PERF.json`` is re-baselined without re-running everything.
+    regressed by more than 25 % against the baseline, 2 when the run is
+    refused before anything is timed.  When *baseline* is ``None`` the
+    pre-existing *output* file (the committed baseline) serves as the
+    comparison point.  *only* restricts the run to benchmarks whose names
+    contain any of the given substrings; written as-is, *output* would
+    then hold just that subset, so a subset run whose *output* is the
+    existing file it compares against is refused unless *update* is
+    given.  With *update* the file is rewritten in place: fresh results
+    are merged over the existing document (untouched benchmarks carried
+    over, derived ratios recomputed, ``meta`` refreshed with the current
+    git SHA and machine), which is how a committed ``BENCH_PERF.json`` is
+    re-baselined without re-running everything.
     """
     baseline_path = baseline if baseline is not None else output
+    if (
+        only
+        and not update
+        and os.path.exists(output)
+        and os.path.realpath(output) == os.path.realpath(baseline_path)
+    ):
+        print(
+            f"refusing to overwrite the baseline {output} with an --only "
+            "subset: pass --update to merge the subset into it, or "
+            "--output PATH to write it elsewhere",
+            file=sys.stderr,
+        )
+        return 2
     baseline_doc = None
     if baseline_path and os.path.exists(baseline_path):
         with open(baseline_path, "r", encoding="utf-8") as handle:

@@ -28,13 +28,11 @@ reference implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ScheduleError, ValidationError
-from repro.obs.records import EvolveStep
-from repro.obs.trace import Tracer
 from repro.scheduling.batched import batched_insert
 from repro.scheduling.coding import SolutionString
 from repro.scheduling.evalreuse import EvalReuseStats, availability_key
@@ -54,6 +52,9 @@ from repro.scheduling.warmstart import (
     greedy_allocation_masks_batch,
     warmstart_orders,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.obs.trace import Tracer
 
 __all__ = ["GAConfig", "GAScheduler"]
 
@@ -847,6 +848,8 @@ class GAScheduler:
         self._store_cost_cache(costs, evaluate.key)
         best_cost = float(costs.min())
         if self._tracer is not None:
+            from repro.obs.records import EvolveStep
+
             self._tracer.emit(
                 EvolveStep(
                     t=float(ref_time),

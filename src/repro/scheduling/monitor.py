@@ -26,13 +26,15 @@ forecasts.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import ValidationError
-from repro.pace.forecast import LoadTracker
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
 from repro.sim.process import PeriodicProcess
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.pace.forecast import LoadTracker
 
 __all__ = ["ResourceMonitor", "DEFAULT_POLL_INTERVAL"]
 
@@ -72,11 +74,11 @@ class ResourceMonitor:
         self._observers: List[Callable[[], None]] = []
         self._polls = 0
         self._load_source = load_source
-        self._trackers: Optional[List[LoadTracker]] = (
-            [LoadTracker() for _ in range(n_nodes)]
-            if load_source is not None
-            else None
-        )
+        self._trackers: Optional[List[LoadTracker]] = None
+        if load_source is not None:
+            from repro.pace.forecast import LoadTracker
+
+            self._trackers = [LoadTracker() for _ in range(n_nodes)]
         self._process = PeriodicProcess(
             sim,
             poll_interval,

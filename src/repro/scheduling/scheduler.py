@@ -28,19 +28,11 @@ launch event is booked for each placement's start time.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TaskError, ValidationError
-from repro.obs.records import (
-    CostComponents,
-    DagReady,
-    TaskCompleted,
-    TaskDispatched,
-    TaskQueued,
-)
-from repro.obs.trace import Tracer
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.resource import ResourceModel
 from repro.scheduling.baselines import (
@@ -58,6 +50,9 @@ from repro.sim.events import Event, Priority
 from repro.tasks.execution import ExecutionEngine, ExecutionMode
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import Environment, Task, TaskRequest, TaskState
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.obs.trace import Tracer
 
 __all__ = ["SchedulingPolicy", "LocalScheduler"]
 
@@ -389,6 +384,8 @@ class LocalScheduler:
         self._all_tasks.append(task)
         self._task_by_id[task.task_id] = task
         if self._tracer is not None:
+            from repro.obs.records import TaskQueued
+
             self._tracer.emit(
                 TaskQueued(
                     t=self._sim.now,
@@ -479,6 +476,8 @@ class LocalScheduler:
         """Trace ``dag.ready``: every input of a workflow task is local."""
         if self._tracer is None:
             return
+        from repro.obs.records import DagReady
+
         binding = task.request.workflow
         assert binding is not None
         self._tracer.emit(
@@ -552,6 +551,8 @@ class LocalScheduler:
         self._queue.remove(task.task_id)
         completion = self._executor.launch(task, allocation.node_ids)
         if self._tracer is not None:
+            from repro.obs.records import TaskDispatched
+
             self._tracer.emit(
                 TaskDispatched(
                     t=self._sim.now,
@@ -606,6 +607,8 @@ class LocalScheduler:
             [schedule.node_free_after(n.node_id) for n in self._resource.nodes]
         )
         if self._tracer is not None:
+            from repro.obs.records import CostComponents
+
             # eq. (8) breakdown of the incumbent — pure recomputation (no
             # RNG, no state), so tracing cannot perturb the run.
             breakdown = schedule_cost(
@@ -635,6 +638,8 @@ class LocalScheduler:
                 if self._dependants:
                     self._release_dependants(entry.task_id, completion)
                 if self._tracer is not None:
+                    from repro.obs.records import TaskDispatched
+
                     self._tracer.emit(
                         TaskDispatched(
                             t=now,
@@ -736,6 +741,8 @@ class LocalScheduler:
 
     def _handle_completion(self, task: Task) -> None:
         if self._tracer is not None:
+            from repro.obs.records import TaskCompleted
+
             self._tracer.emit(
                 TaskCompleted(
                     t=self._sim.now,

@@ -35,7 +35,6 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.records import EventFired
 from repro.sim.events import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -234,6 +233,8 @@ class Engine:
             self._now = time
             self._fired += 1
             if self._tracer is not None:
+                from repro.obs.records import EventFired
+
                 self._tracer.emit(
                     EventFired(
                         t=time, label=event.label, priority=int(priority), seq=sequence

@@ -1,40 +1,1 @@
 """Task model, task-management queue, and virtual-time execution (§2.2)."""
-
-from repro.tasks.execution import BusyInterval, ExecutionEngine, ExecutionMode
-from repro.tasks.graph import (
-    WORKFLOW_SHAPES,
-    TaskGraph,
-    b_levels,
-    fork_join,
-    map_reduce,
-    montage,
-)
-from repro.tasks.queue import TaskQueue
-from repro.tasks.task import (
-    Environment,
-    Task,
-    TaskRequest,
-    TaskState,
-    WorkflowBinding,
-)
-from repro.tasks.workflow import WorkflowCoordinator, WorkflowRun
-
-__all__ = [
-    "BusyInterval",
-    "ExecutionEngine",
-    "ExecutionMode",
-    "TaskQueue",
-    "Environment",
-    "Task",
-    "TaskRequest",
-    "TaskState",
-    "WorkflowBinding",
-    "TaskGraph",
-    "b_levels",
-    "fork_join",
-    "map_reduce",
-    "montage",
-    "WORKFLOW_SHAPES",
-    "WorkflowCoordinator",
-    "WorkflowRun",
-]

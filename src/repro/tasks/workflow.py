@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import TaskError, ValidationError
-from repro.obs.records import DagRelease
 from repro.tasks.graph import TaskGraph, b_levels
 from repro.tasks.task import Environment, TaskState, WorkflowBinding
 
@@ -242,6 +241,8 @@ class WorkflowCoordinator:
         run.released[node] = request_id
         self._request_index[request_id] = (run.workflow_id, node)
         if self._tracer is not None:
+            from repro.obs.records import DagRelease
+
             self._tracer.emit(
                 DagRelease(
                     t=self._portal._sim.now,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.agents.discovery import MAX_HOPS, Decision, DiscoveryConfig, discover
 from repro.agents.matchmaking import MatchResult
-from repro.agents.service_info import ServiceInfo
 from repro.net.message import Endpoint
+from repro.net.payloads import ServiceInfo
 from repro.tasks.task import Environment
 
 

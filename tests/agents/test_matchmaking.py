@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.agents.matchmaking import MatchResult, match_request
-from repro.agents.service_info import ServiceInfo
 from repro.errors import AgentError
 from repro.net.message import Endpoint
+from repro.net.payloads import ServiceInfo
 from repro.pace.hardware import DEFAULT_CATALOGUE
 from repro.tasks.task import Environment
 

@@ -16,15 +16,14 @@ import pytest
 from repro.agents.advertisement import PeriodicPullStrategy
 from repro.agents.agent import Agent
 from repro.agents.hierarchy import wire_hierarchy
+from repro.agents.auction import AuctionPolicy, _candidate_key
 from repro.agents.policy import (
     POLICY_KINDS,
-    AuctionPolicy,
     Eq10Policy,
     GlobalPolicyConfig,
-    ReservationPolicy,
-    _candidate_key,
     make_policy,
 )
+from repro.agents.reservation import ReservationPolicy
 from repro.agents.portal import UserPortal
 from repro.errors import ValidationError
 from repro.net.message import Endpoint, Message, MessageKind

@@ -17,7 +17,7 @@ from repro.agents.portal import UserPortal
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.net.message import Endpoint
 from repro.net.transport import Transport
-from repro.obs import MemorySink, Tracer
+from repro.obs.trace import MemorySink, Tracer
 from repro.obs.check import check_trace
 from repro.obs.records import PortalResult, PortalRetry
 from repro.pace.evaluation import EvaluationEngine

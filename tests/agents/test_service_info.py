@@ -6,9 +6,9 @@ import dataclasses
 
 import pytest
 
-from repro.agents.service_info import ServiceInfo
 from repro.errors import ValidationError
 from repro.net.message import Endpoint
+from repro.net.payloads import ServiceInfo
 from repro.tasks.task import Environment
 
 

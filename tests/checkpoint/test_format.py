@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.checkpoint import (
+from repro.checkpoint.format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     read_snapshot,

@@ -38,7 +38,8 @@ from repro.experiments.runner import (
     resume_run,
     run_experiment,
 )
-from repro.obs import Tracer, canonical_lines
+from repro.obs.records import canonical_lines
+from repro.obs.trace import Tracer
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
 from repro.pace.resource import ResourceModel

@@ -22,7 +22,8 @@ import pytest
 import repro.net.message as message_module
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.experiments.runner import run_soak
-from repro.obs import Tracer, check_trace
+from repro.obs.check import check_trace
+from repro.obs.trace import Tracer
 from repro.obs.records import (
     AckSent,
     AgentDown,

@@ -283,7 +283,8 @@ class TestLossTier:
         failure result (``[ack-resolution] ... never completed``).
         """
         from repro.experiments.runner import run_degraded
-        from repro.obs import MemorySink, Tracer, check_trace
+        from repro.obs.check import check_trace
+        from repro.obs.trace import MemorySink, Tracer
 
         spec = ScenarioSpec(
             name=f"a13-{arrival}",

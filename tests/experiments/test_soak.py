@@ -7,7 +7,7 @@ import os
 import pytest
 
 import repro.net.message as message_module
-from repro.checkpoint import read_snapshot, write_snapshot
+from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (

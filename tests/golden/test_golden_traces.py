@@ -42,7 +42,8 @@ from repro.experiments.experiment4 import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_grid, run_degraded, run_experiment
-from repro.obs import MemorySink, Tracer, canonical_lines
+from repro.obs.records import canonical_lines
+from repro.obs.trace import MemorySink, Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import fork_join
 from repro.tasks.workflow import WorkflowCoordinator

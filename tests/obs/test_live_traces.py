@@ -17,7 +17,9 @@ from repro.experiments.experiment4 import (
     experiment4_base_config,
 )
 from repro.experiments.runner import run_degraded, run_experiment
-from repro.obs import MemorySink, Tracer, build_request_spans, check_trace
+from repro.obs.check import check_trace
+from repro.obs.spans import build_request_spans
+from repro.obs.trace import MemorySink, Tracer
 from tests.oracles import resolved
 
 REQUESTS = 12

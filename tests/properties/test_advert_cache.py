@@ -24,11 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.service_info import ServiceInfo
 from repro.checkpoint.snapshot import restore_system, snapshot_system
 from repro.experiments import runner
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.net.message import Endpoint
+from repro.net.payloads import ServiceInfo
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.task import Environment
 from tests.oracles import policy, queued_tasks

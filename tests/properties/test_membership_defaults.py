@@ -30,7 +30,8 @@ from repro.experiments.experiment4 import (
 from repro.experiments.experiment5 import experiment5_config
 from repro.experiments.casestudy import case_study_topology
 from repro.experiments.runner import run_degraded, run_experiment
-from repro.obs import MemorySink, Tracer, canonical_lines
+from repro.obs.records import canonical_lines
+from repro.obs.trace import MemorySink, Tracer
 
 SEEDS = (2003, 7, 41, 97, 1234)
 REQUESTS = 12

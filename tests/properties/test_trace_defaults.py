@@ -22,7 +22,9 @@ import pytest
 
 from repro.experiments.config import table2_experiments
 from repro.experiments.runner import run_experiment
-from repro.obs import MemorySink, MetricsRegistry, Tracer, canonical_lines
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.records import canonical_lines
+from repro.obs.trace import MemorySink, Tracer
 
 SEEDS = (2003, 7, 41, 97, 1234)
 REQUESTS = 12

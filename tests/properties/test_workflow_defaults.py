@@ -28,7 +28,8 @@ from repro.experiments.experiment4 import (
 )
 from repro.experiments.runner import WorkflowStream, run_degraded, run_experiment
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
-from repro.obs import MemorySink, Tracer, canonical_lines
+from repro.obs.records import canonical_lines
+from repro.obs.trace import MemorySink, Tracer
 from repro.tasks.workflow import WorkflowCoordinator
 
 SEEDS = (2003, 7, 41, 97, 1234)

@@ -126,9 +126,10 @@ class TestPolicyIntegration:
         """Performance-driven FIFO beats random placement on makespan."""
         import numpy as np
 
-        from repro.pace import SGI_ORIGIN_2000, ResourceModel
-        from repro.sim import Engine
-        from repro.tasks import Environment, TaskRequest
+        from repro.pace.hardware import SGI_ORIGIN_2000
+        from repro.pace.resource import ResourceModel
+        from repro.sim.engine import Engine
+        from repro.tasks.task import Environment, TaskRequest
 
         names = list(specs)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TaskError
-from repro.obs import MemorySink, Tracer
+from repro.obs.trace import MemorySink, Tracer
 from repro.obs.records import DagReady
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment, TaskRequest, TaskState, WorkflowBinding

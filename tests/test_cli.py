@@ -165,7 +165,7 @@ class TestCommands:
         assert "resumed" in out and "rng digest: " in out
 
     def test_resume_refused_snapshot_exits_2(self, capsys, tmp_path):
-        from repro.checkpoint import read_snapshot, write_snapshot
+        from repro.checkpoint.format import read_snapshot, write_snapshot
 
         snap = tmp_path / "snap.json"
         assert main([

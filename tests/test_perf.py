@@ -217,6 +217,63 @@ class TestRunPerfCliUpdate:
         assert written["benchmarks"]["ga_evolve"]["value"] == 2000.0
 
 
+class TestRunPerfCliSubsetGuard:
+    """``--only`` without ``--update`` never replaces its own baseline."""
+
+    @staticmethod
+    def forbid_suite(monkeypatch):
+        def run_suite(**kwargs):
+            raise AssertionError("the suite must not run")
+
+        monkeypatch.setattr("repro.perf.run_suite", run_suite)
+
+    def test_subset_over_own_baseline_refused(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        output = tmp_path / "BENCH_PERF.json"
+        output.write_text(json.dumps(doc(casestudy_wall=(4.0, False))))
+        before = output.read_bytes()
+        self.forbid_suite(monkeypatch)
+        assert run_perf_cli(str(output), only=["ga_"]) == 2
+        assert output.read_bytes() == before
+        message = capsys.readouterr().err
+        assert "--update" in message and "--output" in message
+
+    def test_explicit_baseline_of_the_same_file_refused(self, tmp_path, monkeypatch):
+        import json
+
+        output = tmp_path / "BENCH_PERF.json"
+        output.write_text(json.dumps(doc(casestudy_wall=(4.0, False))))
+        before = output.read_bytes()
+        self.forbid_suite(monkeypatch)
+        assert run_perf_cli(
+            str(output), baseline=str(tmp_path / "." / "BENCH_PERF.json"),
+            only=["ga_"],
+        ) == 2
+        assert output.read_bytes() == before
+
+    def test_subset_to_another_output_runs(self, tmp_path, monkeypatch):
+        """CI's perf smoke: ``--output perf_pr.json --baseline BENCH_PERF.json``."""
+        import json
+
+        baseline = tmp_path / "BENCH_PERF.json"
+        baseline.write_text(json.dumps(doc(ga_evolve=(2000.0, True))))
+        output = tmp_path / "perf_pr.json"
+        TestRunPerfCliUpdate.fake_suite(monkeypatch, ga_evolve=(1900.0, True))
+        assert run_perf_cli(str(output), baseline=str(baseline), only=["ga_"]) == 0
+        assert json.loads(output.read_text())["benchmarks"]["ga_evolve"]["value"] == 1900.0
+
+    def test_subset_with_update_merges(self, tmp_path, monkeypatch):
+        import json
+
+        output = tmp_path / "BENCH_PERF.json"
+        output.write_text(json.dumps(doc(casestudy_wall=(4.0, False))))
+        TestRunPerfCliUpdate.fake_suite(monkeypatch, ga_evolve=(2000.0, True))
+        assert run_perf_cli(str(output), only=["ga_"], update=True) == 0
+        written = json.loads(output.read_text())
+        assert set(written["benchmarks"]) == {"casestudy_wall", "ga_evolve"}
+
+
 class TestSelectBenchmarks:
     """``--only SUBSTRING`` narrows the suite without running anything."""
 
@@ -250,6 +307,11 @@ class TestSelectBenchmarks:
         assert set(DERIVED_RATIOS) == {
             "evaluate_bulk_speedup", "engine_partition_speedup",
         }
+
+    def test_startup_import_in_suite(self):
+        """The run-path import time of a fresh interpreter is a suite row."""
+        assert "startup_import_s" in self.names(select_benchmarks(None))
+        assert self.names(select_benchmarks(["startup_"])) == ["startup_import_s"]
 
     def test_substring_selects_matching_group(self):
         selected = self.names(select_benchmarks(["engine_events"]))
