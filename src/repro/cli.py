@@ -36,7 +36,6 @@ from repro.experiments.runner import (
     run_experiment,
     run_soak,
 )
-from repro.experiments.soak import SoakResult
 from repro.experiments.tables import (
     check_paper_trends,
     run_table3,
@@ -465,6 +464,7 @@ def _cmd_checkpoint(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.checkpoint.format import read_snapshot
+    from repro.experiments.soak import SoakResult
 
     payload = read_snapshot(args.snapshot)
     print(f"Resuming {payload.get('mode')} snapshot {args.snapshot} "

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import repro.net.message as message_module
 from repro.agents.policy import POLICY_KINDS, GlobalPolicyConfig
@@ -67,10 +67,11 @@ from repro.experiments.tournament import (
     rounded,
 )
 from repro.experiments.workload import WorkloadItem
-from repro.obs.check import Violation, check_trace
-from repro.obs.records import TraceRecord, canonical_lines
-from repro.obs.trace import MemorySink, Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports
+    from repro.obs.check import Violation
+    from repro.obs.records import TraceRecord
 
 __all__ = [
     "CELLS",
@@ -223,6 +224,8 @@ def _traced_run(
     config: ExperimentConfig, cell: Experiment6Cell
 ) -> Tuple[DegradedRun, List[TraceRecord]]:
     """*config* on *cell*'s grid and workload, traced from message id 0."""
+    from repro.obs.trace import MemorySink, Tracer
+
     message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     run = run_degraded(
@@ -243,6 +246,8 @@ def verify_clean_parity(
     the RNG digest.  Returns the list of divergences; byte-identity means
     an empty list.
     """
+    from repro.obs.records import canonical_lines
+
     (cell,) = experiment6_cells(
         request_count=request_count, master_seed=master_seed, cells=("clean",)
     )
@@ -311,6 +316,8 @@ def run_policy_invariants(
     violations *and* that the protocols actually fired (≥ 1
     ``auction.settle``, ≥ 1 ``resv.book``).
     """
+    from repro.obs.check import check_trace
+
     cells = {
         cell.name: cell
         for cell in experiment6_cells(

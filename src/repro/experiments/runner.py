@@ -295,10 +295,18 @@ def build_grid(
     specs = paper_application_specs()
     schedulers: Dict[str, LocalScheduler] = {}
     agents: Dict[str, Agent] = {}
+    # Resources of one hardware type share one node table, built and
+    # validated once per build.
+    node_tables: Dict[Tuple[str, int], ResourceModel] = {}
     for i, name in enumerate(topo.agent_names):
-        resource = ResourceModel.homogeneous(
-            name, topo.platform(name), topo.nproc[name]
-        )
+        hardware = (topo.platforms[name], topo.nproc[name])
+        template = node_tables.get(hardware)
+        if template is None:
+            resource = node_tables[hardware] = ResourceModel.homogeneous(
+                name, topo.platform(name), topo.nproc[name]
+            )
+        else:
+            resource = template.renamed(name)
         # A straggler node's tasks run slower than their PACE predictions
         # (grey failure): the fault spec's service factor becomes a
         # constant background load on the execution engine.
@@ -310,7 +318,8 @@ def build_grid(
             resource,
             evaluator,
             policy=config.policy,
-            rng=rngs.stream(f"ga-{name}"),
+            # A component gets a random stream only if it draws from it.
+            rng=rngs.stream(f"ga-{name}") if config.policy.draws else None,
             ga_config=config.ga_config,
             generations_per_event=config.generations_per_event,
             execution_mode=(

@@ -63,6 +63,9 @@ class ResourceModel:
         self._name = name
         self._nodes: Tuple[Node, ...] = tuple(nodes)
         self._by_id = {n.node_id: n for n in self._nodes}
+        self._slowest = max(
+            (n.platform for n in self._nodes), key=lambda p: p.speed_factor
+        )
 
     # ------------------------------------------------------------ constructors
 
@@ -72,6 +75,22 @@ class ResourceModel:
         if count <= 0:
             raise ModelError(f"count must be > 0, got {count}")
         return cls(name, [Node(i, platform) for i in range(count)])
+
+    def renamed(self, name: str) -> "ResourceModel":
+        """The same nodes under another *name*.
+
+        The twin shares this resource's node tuple, id map and slowest
+        platform, which never change once validated, so a grid of many
+        identical resources builds and checks each node table once.
+        """
+        if not name:
+            raise ModelError("resource name must be non-empty")
+        twin = ResourceModel.__new__(ResourceModel)
+        twin._name = name
+        twin._nodes = self._nodes
+        twin._by_id = self._by_id
+        twin._slowest = self._slowest
+        return twin
 
     # ------------------------------------------------------------------ access
 
@@ -112,5 +131,8 @@ class ResourceModel:
         member, so the evaluation engine charges the whole allocation at
         this platform's speed.
         """
-        nodes = self.subset(node_ids) if node_ids is not None else self._nodes
-        return max((n.platform for n in nodes), key=lambda p: p.speed_factor)
+        if node_ids is None:
+            return self._slowest
+        return max(
+            (n.platform for n in self.subset(node_ids)), key=lambda p: p.speed_factor
+        )

@@ -33,6 +33,9 @@ The suite times the hot kernels this codebase optimises:
   default 200).
 * ``startup_import_s`` — seconds a fresh interpreter spends importing the
   end-to-end benchmark's run path, compiling every module from source.
+* ``startup_grid_1000_s`` — seconds to set up the ``scale_grid_1000``
+  scenario in a warm process: ``generate_scenario`` + ``build_grid`` +
+  ``start``.
 
 Results are written as JSON with machine info and the git SHA so numbers
 are attributable; :func:`check_regression` compares two such documents
@@ -443,6 +446,19 @@ def bench_event_alloc(count: int = 200_000, repeats: int = 5) -> BenchResult:
     )
 
 
+def _scale_spec(requests: int):
+    """The generated 1000-agent scenario both scale benchmarks run."""
+    from repro.experiments.scenarios import ScenarioSpec
+
+    return ScenarioSpec(
+        name="bench-1000",
+        agent_count=1000,
+        request_count=requests,
+        rate=2.0,
+        arrival="poisson",
+    )
+
+
 def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     """Completed requests/second of a full generated 1000-agent scenario.
 
@@ -453,16 +469,10 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     which isolates the heap mechanics.
     """
     from repro.experiments.runner import run_experiment
-    from repro.experiments.scenarios import ScenarioSpec, generate_scenario
+    from repro.experiments.scenarios import generate_scenario
     from repro.scheduling.scheduler import SchedulingPolicy
 
-    spec = ScenarioSpec(
-        name="bench-1000",
-        agent_count=1000,
-        request_count=requests,
-        rate=2.0,
-        arrival="poisson",
-    )
+    spec = _scale_spec(requests)
     scenario = generate_scenario(spec)
     config = spec.config(policy=SchedulingPolicy.FIFO)
     start = time.perf_counter()
@@ -477,6 +487,39 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
         higher_is_better=True,
         detail=f"1000 agents, {requests} poisson requests (rate 2/s), FIFO, "
         f"{len(result.records)} completed",
+    )
+
+
+def bench_startup_grid(builds: int = 5) -> BenchResult:
+    """Seconds to set up the 1000-agent FIFO scenario in a warm process.
+
+    ``generate_scenario`` + ``build_grid`` + ``start`` for the
+    ``scale_grid_1000`` spec: the median of *builds* after one warm-up,
+    each after a ``gc.collect()`` so that no build pays for collecting
+    the grid before it.
+    """
+    from repro.experiments.runner import build_grid
+    from repro.experiments.scenarios import generate_scenario
+    from repro.scheduling.scheduler import SchedulingPolicy
+
+    spec = _scale_spec(BENCH_SCALE_REQUESTS)
+    config = spec.config(policy=SchedulingPolicy.FIFO)
+
+    def build() -> float:
+        gc.collect()
+        start = time.perf_counter()
+        build_grid(config, generate_scenario(spec).topology).start()
+        return time.perf_counter() - start
+
+    build()  # warm-up
+    seconds = [build() for _ in range(builds)]
+    return BenchResult(
+        name="startup_grid_1000_s",
+        value=statistics.median(seconds),
+        unit="s",
+        higher_is_better=False,
+        detail=f"median of {builds} builds after a warm-up: generate_scenario "
+        "+ build_grid + start, 1000 agents, FIFO, gc.collect() before each",
     )
 
 
@@ -596,6 +639,9 @@ def _suite_specs(requests: int, jobs: int):
          lambda: [bench_scale_grid()]),
         (("startup_import_s",), "run-path import in fresh interpreters...",
          lambda: [bench_startup_import()]),
+        (("startup_grid_1000_s",),
+         "1000-agent set-up (generate + build_grid + start)...",
+         lambda: [bench_startup_grid()]),
     ]
 
 

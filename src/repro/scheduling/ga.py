@@ -493,9 +493,9 @@ class GAScheduler:
         Individuals already respecting every active precedence
         constraint are untouched (the common case: crossover splices and
         most swap mutations preserve validity); violators are rebuilt by
-        a stable Kahn pass — tasks keep their relative order except where
-        a predecessor must be pulled ahead.  A no-op when no constraints
-        are active.
+        a stable Kahn pass over per-row predecessor tuples — tasks keep
+        their relative order except where a predecessor must be pulled
+        ahead.  A no-op when no constraints are active.
         """
         pred_mat, _ = self._constraint_arrays()
         if pred_mat is None:
@@ -506,16 +506,18 @@ class GAScheduler:
         pos[np.arange(pop)[:, None], order] = np.arange(m)
         latest_pred = pos[:, pred_mat].max(axis=2)  # (P, m)
         violators = np.flatnonzero((pos[:, :m] <= latest_pred).any(axis=1))
-        for p in violators:
-            placed = np.zeros(m + 1, dtype=bool)
-            placed[m] = True
+        if violators.size == 0:
+            return
+        preds = [tuple(q for q in row if q != m) for row in pred_mat.tolist()]
+        for p in violators.tolist():
+            placed: set = set()
             out: List[int] = []
-            pending = [int(r) for r in order[p]]
+            pending = order[p].tolist()
             while pending:
                 for i, r in enumerate(pending):
-                    if placed[pred_mat[r]].all():
+                    if placed.issuperset(preds[r]):
                         out.append(r)
-                        placed[r] = True
+                        placed.add(r)
                         del pending[i]
                         break
                 else:  # pragma: no cover - graphs are validated acyclic

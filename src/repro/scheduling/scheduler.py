@@ -82,6 +82,11 @@ class SchedulingPolicy(str, enum.Enum):
         """Whether placements are fixed at arrival (everything but GA)."""
         return self is not SchedulingPolicy.GA
 
+    @property
+    def draws(self) -> bool:
+        """Whether the policy draws from a random stream (GA and random)."""
+        return self is SchedulingPolicy.GA or self is SchedulingPolicy.RANDOM
+
 
 class LocalScheduler:
     """A performance-driven scheduler for one local grid resource.
@@ -97,7 +102,9 @@ class LocalScheduler:
     policy:
         FIFO or GA.
     rng:
-        Random generator for the GA's stochastic choices.
+        Random generator for the policy's draws: required under the GA
+        and random policies (:attr:`SchedulingPolicy.draws`), unused by
+        the others.
     ga_config:
         GA tunables; ignored under FIFO.
     generations_per_event:
@@ -136,8 +143,8 @@ class LocalScheduler:
             raise ValidationError("generations_per_event must be >= 0")
         if freetime_mode not in ("makespan", "mean", "min"):
             raise ValidationError(f"unknown freetime_mode {freetime_mode!r}")
-        if policy is SchedulingPolicy.GA and rng is None:
-            raise ValidationError("GA policy requires an rng")
+        if policy.draws and rng is None:
+            raise ValidationError(f"{policy.name} policy requires an rng")
         self._sim = sim
         self._resource = resource
         self._evaluator = evaluator
@@ -180,8 +187,7 @@ class LocalScheduler:
         elif policy is SchedulingPolicy.FIFO:
             self._static = FIFOScheduler(resource.size)
         elif policy is SchedulingPolicy.RANDOM:
-            if rng is None:
-                raise ValidationError("RANDOM policy requires an rng")
+            assert rng is not None
             self._static = RandomScheduler(resource.size, rng)
         else:
             self._static = RoundRobinScheduler(resource.size)

@@ -6,6 +6,9 @@ Nothing outside ``tests/`` imports this module.  It holds:
   two-part crossover and mutation) over :class:`SolutionString`, the
   reference the batched array kernel in :mod:`repro.scheduling.batched`
   and :mod:`repro.scheduling.vectorized` is property-tested against;
+* :func:`reference_repair_orders`, the precedence repair with a NumPy
+  test per Kahn candidate, which ``GAScheduler._repair_orders`` must
+  match row for row;
 * :func:`reference_evolve`, the array generation loop with a set-up per
   costing, per-generation crossover inputs and concatenated next
   generations, which ``GAScheduler.evolve`` must match byte for byte;
@@ -214,6 +217,43 @@ def mutate(
     masks ^= flips
     masks = _repair_empty_masks(masks, rng)
     return SolutionString(ordering, {t: masks[i] for i, t in enumerate(ordering)})
+
+
+# ----------------------------------------------------- precedence repair
+
+def reference_repair_orders(order: np.ndarray, pred_mat: Optional[np.ndarray]) -> None:
+    """Stable topological repair of every row of *order*, in place.
+
+    ``GAScheduler._repair_orders`` as it stood with a NumPy test per
+    candidate: *pred_mat* is ``(m, maxP)`` of predecessor rows padded
+    with the sentinel row ``m`` (``None`` = no active constraint).  One
+    array pass finds the rows that put a task at or before a
+    predecessor; each is rebuilt by a stable Kahn pass that places, at
+    every step, the first pending task whose predecessors are placed.
+    """
+    if pred_mat is None:
+        return
+    pop, m = order.shape
+    pos = np.empty((pop, m + 1), dtype=np.int64)
+    pos[:, m] = -1  # the sentinel row never binds
+    pos[np.arange(pop)[:, None], order] = np.arange(m)
+    latest_pred = pos[:, pred_mat].max(axis=2)  # (P, m)
+    violators = np.flatnonzero((pos[:, :m] <= latest_pred).any(axis=1))
+    for p in violators:
+        placed = np.zeros(m + 1, dtype=bool)
+        placed[m] = True
+        out: List[int] = []
+        pending = [int(r) for r in order[p]]
+        while pending:
+            for i, r in enumerate(pending):
+                if placed[pred_mat[r]].all():
+                    out.append(r)
+                    placed[r] = True
+                    del pending[i]
+                    break
+            else:
+                raise ScheduleError("precedence constraints contain a cycle")
+        order[p] = out
 
 
 # ----------------------------------------------- the reference GA loop
@@ -504,7 +544,7 @@ def _reference_warmstart(ga, costs, free, ref_time) -> np.ndarray:
     if not order_parts:
         return costs
     w_orders = np.concatenate(order_parts)
-    ga._repair_orders(w_orders)
+    reference_repair_orders(w_orders, ga._constraint_arrays()[0])
     w_masks = greedy_allocation_masks_batch(w_orders, ga._dtable, free, ref_time)
     seed_costs = _reference_ga_costs(ga, w_orders, w_masks, free, ref_time)
     count = min(seed_costs.size, pop - 1)
@@ -612,7 +652,7 @@ def reference_evolve(
                 flip_idx,
                 rng,
             )
-            ga._repair_orders(child_order)
+            reference_repair_orders(child_order, ga._constraint_arrays()[0])
             child_costs = _reference_ga_costs(
                 ga, child_order, child_masks, free, ref_time
             )

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduling.ga import GAConfig, GAScheduler
+from tests.oracles import reference_repair_orders
 
 
 def const_duration(seconds: float):
@@ -125,6 +126,41 @@ class TestRepairMatchesLoop:
         expected = order.copy()
         _repair_loop(expected, pred_mat)
         assert np.array_equal(got, expected)
+
+
+class TestRepairMatchesOracle:
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(1, 14),
+        pop=st.integers(1, 48),
+        density=st.floats(0.0, 1.0),
+        dropped=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repair_equals_numpy_kahn_row_for_row(
+        self, seed, m, pop, density, dropped
+    ):
+        """The plain-Python Kahn pass rebuilds every row as the oracle does.
+
+        Random DAG constraints over shuffled task ids (rows with fewer
+        predecessors are padded with the sentinel row), a few tasks
+        swap-removed so rows and ids disagree, and random orderings.
+        """
+        rng = np.random.default_rng(seed)
+        ga = GAScheduler(4, const_duration(8.0), rng, GAConfig(population_size=4))
+        ids = [int(t) for t in rng.permutation(200)[: m + dropped]]
+        for k, tid in enumerate(ids):
+            parents = [ids[j] for j in range(k) if rng.random() < density]
+            ga.add_task(tid, 100.0, predecessors=parents)
+        for tid in rng.choice(ids, size=dropped, replace=False):
+            ga.remove_task(int(tid))
+        pred_mat, _ = ga._constraint_arrays()
+        order = np.stack([rng.permutation(ga.n_tasks) for _ in range(pop)])
+        got, expected = order.copy(), order.copy()
+        ga._repair_orders(got)
+        reference_repair_orders(expected, pred_mat)
+        for row, (g, e) in enumerate(zip(got.tolist(), expected.tolist())):
+            assert g == e, f"row {row}: {g} != {e}"
 
 
 class TestConstraintCosts:

@@ -8,7 +8,9 @@ forecasting, checkpointing) load only when a run switches them on.  A
 fresh interpreter pays for every module it imports — compiling it, and
 running each dataclass decorator in it — so this test is the contract:
 it imports what the end-to-end benchmark imports, runs a small untraced
-case study, and lists what was loaded.
+case study, and lists what was loaded.  A second probe imports the CLI,
+which every command pays for before it runs: the trace layer and soak
+windows load with the commands that use them.
 """
 
 from __future__ import annotations
@@ -58,8 +60,22 @@ FORBIDDEN_MODULES = (
 )
 
 
-def loaded_modules() -> list:
-    probe = PROBE.format(src=str(SRC), e2e=str(E2E))
+#: A fresh ``import repro.cli``: what every command pays before it runs.
+CLI_PROBE = """
+import json, sys
+sys.path[:0] = [{src!r}]
+import repro.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: What importing the CLI may not load: the trace layer and soak windows
+#: load with the commands that use them.
+CLI_FORBIDDEN_PACKAGES = ("repro.obs",)
+CLI_FORBIDDEN_MODULES = ("repro.experiments.soak",)
+
+
+def loaded_modules(template: str = PROBE) -> list:
+    probe = template.format(src=str(SRC), e2e=str(E2E))
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -71,22 +87,37 @@ def loaded_modules() -> list:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def crossed(loaded: list, modules: tuple, packages: tuple) -> list:
+    return sorted(
+        name
+        for name in loaded
+        if name in modules
+        or any(
+            name == package or name.startswith(package + ".")
+            for package in packages
+        )
+    )
+
+
 def test_untraced_case_study_stays_inside_the_boundary():
     loaded = loaded_modules()
     assert "repro.experiments.runner" in loaded  # the probe really ran
-    crossed = sorted(
-        name
-        for name in loaded
-        if name in FORBIDDEN_MODULES
-        or any(
-            name == package or name.startswith(package + ".")
-            for package in FORBIDDEN_PACKAGES
-        )
-    )
-    assert crossed == []
+    assert crossed(loaded, FORBIDDEN_MODULES, FORBIDDEN_PACKAGES) == []
+
+
+def test_cli_import_stays_inside_the_boundary():
+    loaded = loaded_modules(CLI_PROBE)
+    assert "repro.cli" in loaded  # the probe really ran
+    assert crossed(loaded, CLI_FORBIDDEN_MODULES, CLI_FORBIDDEN_PACKAGES) == []
 
 
 def test_every_listed_module_exists():
     """A renamed or deleted module must not make the boundary vacuous."""
-    for name in FORBIDDEN_MODULES + FORBIDDEN_PACKAGES:
+    listed = (
+        FORBIDDEN_MODULES
+        + FORBIDDEN_PACKAGES
+        + CLI_FORBIDDEN_MODULES
+        + CLI_FORBIDDEN_PACKAGES
+    )
+    for name in listed:
         assert importlib.util.find_spec(name) is not None, name

@@ -309,9 +309,12 @@ class TestSelectBenchmarks:
         }
 
     def test_startup_import_in_suite(self):
-        """The run-path import time of a fresh interpreter is a suite row."""
+        """The run-path import time of a fresh interpreter is a suite row,
+        and ``--only startup_`` selects it with the 1000-agent set-up."""
         assert "startup_import_s" in self.names(select_benchmarks(None))
-        assert self.names(select_benchmarks(["startup_"])) == ["startup_import_s"]
+        assert self.names(select_benchmarks(["startup_"])) == [
+            "startup_import_s", "startup_grid_1000_s",
+        ]
 
     def test_substring_selects_matching_group(self):
         selected = self.names(select_benchmarks(["engine_events"]))
