@@ -22,6 +22,7 @@ An agent:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.agents.advertisement import AdvertisementStrategy, NoAdvertisement
@@ -31,6 +32,7 @@ from repro.agents.membership import FailureDetector, MembershipConfig
 from repro.agents.policy import GlobalPolicy, GlobalPolicyConfig, make_policy
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.errors import AgentError, TransportError
+from repro.net import message as _wire
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.payloads import (
     KinInfo,
@@ -70,6 +72,13 @@ _TRANSFER = MessageKind.TRANSFER
 _HEARTBEAT = MessageKind.HEARTBEAT
 _ADOPT = MessageKind.ADOPT
 _ADOPTED = MessageKind.ADOPTED
+
+# PULL and ADVERTISE, nearly every message at scale, are built as
+# ``_tuple_new(Message, (kind, sender, recipient, payload, 0, id))``:
+# exactly what ``Message(...)`` returns, without its Python frame.  The id
+# is ``next(_wire._message_ids)``, read through the module at every call
+# because a checkpoint restore re-seats that counter.
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -458,11 +467,15 @@ class Agent:
         try:
             self._transport.send(message)
         except TransportError:
-            self._stats.send_failures += 1
-            self._registry.pop(message.recipient, None)  # stale record
-            self._registry_time.pop(message.recipient, None)
+            self._send_failed(message.recipient)
             return False
         return True
+
+    def _send_failed(self, recipient: Endpoint) -> None:
+        """Count a send to a dead *recipient* and drop its stale record."""
+        self._stats.send_failures += 1
+        self._registry.pop(recipient, None)
+        self._registry_time.pop(recipient, None)
 
     def pull_neighbours(self) -> None:
         """Send a PULL to every neighbour (periodic-pull strategy hook).
@@ -470,13 +483,26 @@ class Agent:
         Dead neighbours are tolerated: the send fails, the failure is
         counted, and their stale registry entry is dropped.  Children are
         pulled first, then the parent: the order of :meth:`neighbours`.
+        The sends are :meth:`_send_best_effort` written out in place.
         """
         endpoint = self._endpoint
-        for child in self._children:
-            self._send_best_effort(Message(_PULL, endpoint, child._endpoint, None))
+        send = self._transport.send
         parent = self._parent
-        if parent is not None:
-            self._send_best_effort(Message(_PULL, endpoint, parent._endpoint, None))
+        neighbours = (
+            self._children if parent is None else chain(self._children, (parent,))
+        )
+        for neighbour in neighbours:
+            recipient = neighbour._endpoint
+            try:
+                send(
+                    _tuple_new(
+                        Message,
+                        (_PULL, endpoint, recipient, None, 0,
+                         next(_wire._message_ids)),
+                    )
+                )
+            except TransportError:
+                self._send_failed(recipient)
 
     def push_to_neighbours(self) -> None:
         """Send an ADVERTISE with fresh info to every neighbour (push hook)."""
@@ -843,9 +869,17 @@ class Agent:
             self._stats.pulls_answered += 1
             # Best-effort: under churn plus delivery delay the puller may
             # have died (and unregistered) while its PULL was in flight.
-            self._send_best_effort(
-                Message(_ADVERTISE, self._endpoint, message.sender, self.service_info())
-            )
+            recipient = message.sender
+            try:
+                self._transport.send(
+                    _tuple_new(
+                        Message,
+                        (_ADVERTISE, self._endpoint, recipient,
+                         self.service_info(), 0, next(_wire._message_ids)),
+                    )
+                )
+            except TransportError:
+                self._send_failed(recipient)
         elif kind is _ADVERTISE:
             info = message.payload
             if not isinstance(info, ServiceInfo):

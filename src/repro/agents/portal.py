@@ -63,6 +63,12 @@ class _PendingSubmit:
 class UserPortal:
     """Submits requests to agents and gathers their results.
 
+    ``submitted_count`` (requests sent so far) and ``pending_count``
+    (requests still awaiting a result) are plain attributes, read-only by
+    convention: every run driver polls them after every event, so the
+    portal keeps them as counters in :meth:`submit`, when a request's
+    first result is recorded, and in :meth:`restore_state`.
+
     Parameters
     ----------
     transport:
@@ -94,6 +100,8 @@ class UserPortal:
         self._next_request_id = 0
         self._submitted: Dict[int, RequestEnvelope] = {}
         self._results: Dict[int, TaskResult] = {}
+        self.submitted_count = 0
+        self.pending_count = 0
         # Result observers (e.g. a workflow coordinator releasing
         # children); called after a result is stored or upgraded.
         self._result_listeners: List = []
@@ -110,19 +118,9 @@ class UserPortal:
         return self._endpoint
 
     @property
-    def submitted_count(self) -> int:
-        """Requests sent so far."""
-        return len(self._submitted)
-
-    @property
     def results(self) -> Dict[int, TaskResult]:
         """Results received so far, by request id (copy)."""
         return dict(self._results)
-
-    @property
-    def pending_count(self) -> int:
-        """Requests still awaiting a result."""
-        return len(self._submitted) - len(self._results)
 
     @property
     def stats(self) -> PortalStats:
@@ -190,6 +188,8 @@ class UserPortal:
             request_id=request_id, request=request, reply_to=self._endpoint
         )
         self._submitted[request_id] = envelope
+        self.submitted_count += 1
+        self.pending_count += 1
         if self._tracer is not None:
             from repro.obs.records import PortalSubmitted
 
@@ -378,6 +378,8 @@ class UserPortal:
         self._results = {
             int(rid): decode_task_result(result) for rid, result in state["results"]
         }
+        self.submitted_count = len(self._submitted)
+        self.pending_count = len(self._submitted) - len(self._results)
         for p in self._pending.values():
             p.handle.cancel()
         self._pending = {}
@@ -434,6 +436,7 @@ class UserPortal:
         existing = self._results.get(result.request_id)
         if existing is None:
             self._results[result.request_id] = result
+            self.pending_count -= 1
             self._trace_result(result, synthetic)
             self._notify_result(result)
             return

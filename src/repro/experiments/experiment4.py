@@ -22,7 +22,7 @@ two protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.agents.resilience import ResilienceConfig
 from repro.experiments.casestudy import GridTopology, case_study_topology
@@ -37,8 +37,10 @@ from repro.experiments.tournament import (
 )
 from repro.experiments.workload import WorkloadItem
 from repro.metrics.records import ResilienceCounters
-from repro.net.faults import ChurnSpec, FaultPlanSpec
 from repro.scheduling.scheduler import SchedulingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.net.faults import ChurnSpec, FaultPlanSpec
 
 __all__ = [
     "DEFAULT_LOSS_RATES",
@@ -92,6 +94,8 @@ def degradation_config(
     fire-and-forget protocol — the ablation every resilient point is
     measured against.
     """
+    from repro.net.faults import ChurnSpec, FaultPlanSpec
+
     faults = (
         fault_spec
         if fault_spec is not None
@@ -170,6 +174,8 @@ def _cells(args) -> List[Experiment4Cell]:
     workload = tuple(seeded_workload(base, topology))
     fault_spec: Optional[FaultPlanSpec] = None
     if args.fault_plan:
+        from repro.net.faults import FaultPlanSpec
+
         with open(args.fault_plan, encoding="utf-8") as handle:
             fault_spec = FaultPlanSpec.from_json(handle.read())
     losses = args.loss if fault_spec is None else [fault_spec.drop_probability]

@@ -65,7 +65,6 @@ from repro.experiments.tournament import (
     rounded,
 )
 from repro.experiments.workload import WorkloadItem
-from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
 
 __all__ = [
     "DEFAULT_CHURN_RATES",
@@ -123,6 +122,8 @@ def experiment5_config(
     arms (healing and static) run identical detection; only the repair
     protocol differs.
     """
+    from repro.net.faults import ChurnSpec, FaultPlanSpec, StragglerFault
+
     leaves = leaf_names(topology)
     if straggler_count > len(leaves):
         raise ExperimentError(

@@ -27,8 +27,10 @@ __all__ = [
 # Process-wide message-id source, minted in C.  A checkpoint captures and
 # restores its position (see peek_message_counter / set_message_counter):
 # post-resume sends must mint the same ids as the uninterrupted run, or the
-# transport's in-flight table — keyed and snapshot-ordered by message id —
-# diverges between a resumed and an uninterrupted run.
+# transport's in-flight deliveries — snapshot-ordered by message id —
+# diverge between a resumed and an uninterrupted run.  Both functions
+# rebind the name, so the agent's PULL/ADVERTISE path, which mints ids
+# without a call frame, reads it through this module at every send.
 _message_ids = count()
 
 

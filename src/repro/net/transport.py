@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message
@@ -63,14 +63,12 @@ class Transport:
         self._dropped_count = 0
         self._fault_dropped_count = 0
         self._drop_ring: Deque[Message] = deque(maxlen=DROP_RING_SIZE)
-        # Messages accepted by send() whose delivery event has not yet
-        # fired, keyed by message id.  Checkpoints serialise these so a
-        # restored run re-delivers exactly what was on the wire.
-        self._in_flight: Dict[int, Tuple[Message, Event]] = {}
         self._tracer = tracer
         # One bound method shared by every delivery event instead of a
         # fresh one per send: each is a GC-tracked allocation, and fewer
-        # allocations per message mean fewer garbage collections.
+        # allocations per message mean fewer garbage collections.  It
+        # also marks the transport's own events on the engine's queues:
+        # a delivery's callback is ``partial(_deliver_hook, message)``.
         self._deliver_hook = self._deliver
 
     # ------------------------------------------------------------------ state
@@ -175,16 +173,14 @@ class Transport:
                     self._tracer.emit(self._drop_record(message, verdict.reason))
                 return
             extra_latency += verdict.extra_latency
-        handle = self._sim.schedule_in(
+        self._sim.schedule_in(
             extra_latency,
             partial(self._deliver_hook, message),
             priority=Priority.DEFAULT,
             label=message.kind.label,
         )
-        self._in_flight[message.message_id] = (message, handle)
 
     def _deliver(self, message: Message) -> None:
-        self._in_flight.pop(message.message_id, None)
         handler = self._handlers.get(message.recipient)
         if handler is None:
             self._dropped_count += 1
@@ -221,6 +217,22 @@ class Transport:
 
     # ------------------------------------------------------------- checkpoint
 
+    def _in_flight(self) -> List[Tuple[Message, Event]]:
+        """Messages accepted by :meth:`send` whose delivery has not fired,
+        with their delivery events, by message id.
+
+        Derived from the engine's queues rather than kept on every send:
+        only checkpoints read it.
+        """
+        deliver = self._deliver_hook
+        in_flight = []
+        for event in self._sim.queued():
+            callback = event.callback
+            if type(callback) is partial and callback.func is deliver:
+                in_flight.append((callback.args[0], event))
+        in_flight.sort(key=lambda pair: pair[0].message_id)
+        return in_flight
+
     def snapshot_state(self) -> dict:
         """Counters, the drop ring, in-flight messages, and fault attribution.
 
@@ -240,10 +252,9 @@ class Transport:
             "in_flight": [
                 {
                     "message": encode_message(message),
-                    "event": handle.descriptor(),
+                    "event": event.descriptor(),
                 }
-                for _, (message, handle) in sorted(self._in_flight.items())
-                if not handle.cancelled
+                for message, event in self._in_flight()
             ],
         }
         if self._fault_plan is not None:
@@ -271,15 +282,15 @@ class Transport:
         self._drop_ring.clear()
         for raw in state["drop_ring"]:
             self._drop_ring.append(decode_message(raw, applications))
-        for _, (_, handle) in list(self._in_flight.items()):
-            handle.cancel()
-        self._in_flight.clear()
+        for _, event in self._in_flight():
+            event.cancel()
         for entry in state["in_flight"]:
+            # The callback has send()'s shape, so the next snapshot finds
+            # the restored delivery as well.
             message = decode_message(entry["message"], applications)
-            handle = self._sim.restore_event(
-                entry["event"], lambda m=message: self._deliver(m)
+            self._sim.restore_event(
+                entry["event"], partial(self._deliver_hook, message)
             )
-            self._in_flight[message.message_id] = (message, handle)
         plan_state = state.get("fault_plan")
         if plan_state is not None and self._fault_plan is not None:
             self._fault_plan.dropped_by_chance = int(plan_state["dropped_by_chance"])

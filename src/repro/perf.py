@@ -346,7 +346,10 @@ def bench_engine_events(
     ``Event.__lt__`` calls in the reference.  Firing order is identical
     by construction — the engine equivalence property suite asserts
     byte-identity — so this pair measures pure heap mechanics on the same
-    event sequence.
+    event sequence.  It times the heap path only: ``schedule`` never
+    takes the engine's FIFO, which holds zero-delay ``schedule_in``
+    deliveries; those are timed end to end by the ``grid1000`` workload
+    of ``benchmarks/e2e``.
 
     The two engines are interleaved within each repeat (not timed in
     separate blocks) so slow machine windows hit both alike, and each

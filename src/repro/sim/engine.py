@@ -14,14 +14,23 @@ Design notes
   so replays are exact.  The order is the one the seed engine
   (:class:`repro.sim.reference.SingleHeapEngine`) fires in, property-tested
   for byte-identity.
-* One binary heap holds ``(time, priority, sequence, event)`` tuples, which
+* Two queues hold ``(time, priority, sequence, event)`` tuples, which
   compare in C; sequences are unique, so the event itself is never
-  compared.
-* Cancelled events are lazy-deleted but **compacted**: a live garbage
-  counter (maintained by the ``Event.on_cancel`` hook and the pop-time
-  sweeps) triggers an in-place rebuild of the heap once cancelled entries
-  both exceed :data:`COMPACT_MIN` and outnumber live pending events, so
-  schedule/cancel loops cannot grow the heap without bound.
+  compared.  A binary heap takes every event but one kind: a
+  ``schedule_in(0.0, …)`` at :attr:`Priority.DEFAULT` (a zero-delay
+  message delivery) is appended to a FIFO instead.  Each FIFO key is
+  ``(now, DEFAULT, next sequence)``, and neither the clock nor the
+  sequence counter ever goes back (``restore_state``, which resets both,
+  empties the queues), so the FIFO is sorted by construction.
+  :meth:`Engine.step` fires whichever head, heap or FIFO, has the smaller
+  key: the fire order is exactly the single heap's, and a same-instant
+  delivery costs an append and a pop instead of a heap push and pop.
+* Cancelled events are lazy-deleted, in whichever queue holds them, but
+  **compacted**: a live garbage counter over both queues (maintained by
+  the ``Event.on_cancel`` hook and the pop-time sweeps) triggers an
+  in-place filter of both once cancelled entries both exceed
+  :data:`COMPACT_MIN` and outnumber live pending events, so
+  schedule/cancel loops cannot grow either queue without bound.
 * Scheduling an event in the past raises :class:`SimulationError` (a
   virtual clock can only move forward).
 * :meth:`Engine.step` is the one firing path; ``run`` and ``run_until``
@@ -31,8 +40,18 @@ Design notes
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from itertools import chain
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Priority
@@ -45,6 +64,10 @@ __all__ = ["Engine", "COMPACT_MIN"]
 #: Minimum number of cancelled-but-queued events before compaction is even
 #: considered; below this the lazy-delete garbage is cheaper than a rebuild.
 COMPACT_MIN = 64
+
+_DEFAULT = Priority.DEFAULT
+
+_Entry = Tuple[float, int, int, Event]
 
 
 class Engine:
@@ -67,14 +90,16 @@ class Engine:
     ) -> None:
         self._start_time = float(start_time)
         self._now = float(start_time)
-        self._heap: List[Tuple[float, int, int, Event]] = []
+        self._heap: List[_Entry] = []
+        # Zero-delay DEFAULT-priority events, in key order by construction.
+        self._fifo: Deque[_Entry] = deque()
         self._sequence = 0
         self._running = False
         self._fired = 0
         # Live count of non-cancelled queued events, kept exact on
         # schedule/fire/cancel so ``pending`` is O(1).
         self._pending = 0
-        # Cancelled events still in the heap: raised by the cancel hook,
+        # Cancelled events still queued: raised by the cancel hook,
         # lowered by the pop-time sweeps, zeroed by compaction.
         self._garbage = 0
         self._tracer = tracer
@@ -139,14 +164,21 @@ class Engine:
         priority: int = Priority.DEFAULT,
         label: str = "",
     ) -> Event:
-        """Schedule *callback* after a relative *delay* in virtual seconds."""
+        """Schedule *callback* after a relative *delay* in virtual seconds.
+
+        A zero *delay* at :attr:`Priority.DEFAULT` appends the event to the
+        FIFO (module notes); every other event goes on the heap.
+        """
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
         event = Event(time, priority, sequence, callback, label, self._cancel_hook)
-        heappush(self._heap, (time, priority, sequence, event))
+        if delay == 0.0 and priority == _DEFAULT:
+            self._fifo.append((time, priority, sequence, event))
+        else:
+            heappush(self._heap, (time, priority, sequence, event))
         self._pending += 1
         return event
 
@@ -157,10 +189,12 @@ class Engine:
 
         Unlike :meth:`schedule`, the sequence number comes from the
         *descriptor* (captured by :meth:`Event.descriptor` at snapshot
-        time) rather than the engine counter, so the restored heap fires in
-        exactly the order the interrupted run would have.  Must only be
-        called after :meth:`restore_state` has set the clock and sequence
-        counter; the descriptor's sequence must predate the restored counter.
+        time) rather than the engine counter, so the restored queue fires in
+        exactly the order the interrupted run would have.  A restored event
+        always goes on the heap, whatever its key: the merge in :meth:`step`
+        orders it against the FIFO by key.  Must only be called after
+        :meth:`restore_state` has set the clock and sequence counter; the
+        descriptor's sequence must predate the restored counter.
         """
         time = float(descriptor["time"])
         priority = int(descriptor["priority"])
@@ -185,11 +219,11 @@ class Engine:
     def snapshot_state(self) -> dict:
         """Clock and counter state (events are snapshot by their owners).
 
-        Every pending event is owned by exactly one component (transport
-        in-flight registry, executor completion handles, periodic processes,
-        …) which serialises its descriptor and re-creates it on restore;
-        the engine itself only carries the clock, the sequence counter, and
-        the fired total.
+        Every pending event is owned by exactly one component (executor
+        completion handles, periodic processes, the transport's deliveries,
+        which it finds through :meth:`queued`, …) which serialises its
+        descriptor and re-creates it on restore; the engine itself only
+        carries the clock, the sequence counter, and the fired total.
         """
         return {
             "now": self._now,
@@ -204,10 +238,11 @@ class Engine:
         Discards any queued events (a freshly built system has only
         construction-time events, all superseded by the snapshot's
         descriptors) and resets the clock/counters so subsequent
-        :meth:`restore_event` calls rebuild the heap exactly.
+        :meth:`restore_event` calls rebuild the queue exactly.
         """
         self._guard_reentrancy()
         self._heap.clear()
+        self._fifo.clear()
         self._pending = 0
         self._garbage = 0
         self._start_time = float(state["start_time"])
@@ -215,16 +250,39 @@ class Engine:
         self._sequence = int(state["sequence"])
         self._fired = int(state["fired"])
 
+    def queued(self) -> Iterator[Event]:
+        """Every pending event, heap first, then FIFO (read-only view).
+
+        For components that keep no handle on their own events: the
+        transport reads its in-flight deliveries off the queues here when
+        it is checkpointed.  The order is not the fire order.
+        """
+        for entry in chain(self._heap, self._fifo):
+            event = entry[3]
+            if not event.cancelled:
+                yield event
+
     # ------------------------------------------------------------------- run
 
     def step(self) -> bool:
         """Fire the single next non-cancelled event.
 
-        Returns ``True`` if an event fired, ``False`` if the heap drained.
+        The next event is the head of the heap or of the FIFO, whichever
+        has the smaller ``(time, priority, sequence)`` key.  Returns
+        ``True`` if an event fired, ``False`` if both queues drained.
         """
         heap = self._heap
-        while heap:
-            time, priority, sequence, event = heappop(heap)
+        fifo = self._fifo
+        while True:
+            if fifo:
+                if heap and heap[0] < fifo[0]:
+                    time, priority, sequence, event = heappop(heap)
+                else:
+                    time, priority, sequence, event = fifo.popleft()
+            elif heap:
+                time, priority, sequence, event = heappop(heap)
+            else:
+                return False
             if event.cancelled:
                 self._garbage -= 1
                 continue
@@ -242,7 +300,6 @@ class Engine:
                 )
             event.callback()
             return True
-        return False
 
     def run_until(self, end_time: float) -> None:
         """Fire every event with ``time <= end_time``; advance the clock to it.
@@ -267,7 +324,7 @@ class Engine:
             self._running = False
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Fire events until the heap drains (or *max_events* fire).
+        """Fire events until the queues drain (or *max_events* fire).
 
         Returns the number of events fired by this call.
         """
@@ -288,6 +345,12 @@ class Engine:
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._garbage -= 1
+        fifo = self._fifo
+        while fifo and fifo[0][3].cancelled:
+            fifo.popleft()
+            self._garbage -= 1
+        if fifo and not (heap and heap[0] < fifo[0]):
+            return fifo[0][0]
         return heap[0][0] if heap else None
 
     # --------------------------------------------------------------- helpers
@@ -295,9 +358,10 @@ class Engine:
     def _on_event_cancelled(self) -> None:
         """Event.cancel hook: keep the live counters exact; maybe compact.
 
-        Compaction filters the heap in place and re-heapifies it — O(heap)
-        and triggered only once garbage outnumbers live events, so its
-        amortised cost per cancellation is O(1).
+        Compaction filters both queues in place and re-heapifies the heap
+        (filtering keeps the FIFO sorted) — O(queued) and triggered only
+        once garbage outnumbers live events, so its amortised cost per
+        cancellation is O(1).
         """
         self._pending -= 1
         self._garbage += 1
@@ -305,6 +369,10 @@ class Engine:
             heap = self._heap
             heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapify(heap)
+            fifo = self._fifo
+            live = [entry for entry in fifo if not entry[3].cancelled]
+            fifo.clear()
+            fifo.extend(live)
             self._garbage = 0
 
     def _guard_reentrancy(self) -> None:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.agents.portal import UserPortal
 from repro.errors import AgentError
+from repro.net.message import Endpoint, Message, MessageKind
+from repro.net.transport import Transport
 from repro.net.xmlio import parse_request
+from repro.sim.engine import Engine
 from repro.tasks.task import Environment
-from tests.oracles import advance_time
+from tests.oracles import advance_time, submitted
 
 
 class TestSubmission:
@@ -83,3 +87,79 @@ class TestResultContents:
         assert advance_time(result) == pytest.approx(
             result.deadline - result.completion_time
         )
+
+
+class TestProgressCounters:
+    """``submitted_count`` and ``pending_count`` are counters the portal
+    keeps; they must always equal what the submitted and result maps
+    say, whatever order results arrive in."""
+
+    @staticmethod
+    def assert_consistent(portal):
+        assert portal.submitted_count == len(submitted(portal))
+        assert portal.pending_count == portal.submitted_count - len(portal.results)
+
+    def test_counters_follow_the_maps(self, grid, sim, specs):
+        portal = grid.portal
+        self.assert_consistent(portal)
+        done = portal.submit(
+            grid.agents["A1"], specs["closure"].model, Environment.TEST, 100.0
+        )
+        self.assert_consistent(portal)
+        grid.drain()
+        self.assert_consistent(portal)
+        assert (portal.submitted_count, portal.pending_count) == (1, 0)
+
+        # At-least-once delivery: the same result arrives twice.
+        grid.transport.send(
+            Message(
+                MessageKind.RESULT,
+                grid.agents["A1"].endpoint,
+                portal.endpoint,
+                payload=portal.result(done),
+            )
+        )
+        sim.step()
+        assert portal.stats.duplicate_results == 1
+        self.assert_consistent(portal)
+        assert portal.pending_count == 0
+
+        # A routing failure resolves a request before its real result,
+        # which then upgrades it: resolved once, counted once.
+        late = portal.submit(
+            grid.agents["A2"], specs["closure"].model, Environment.TEST,
+            sim.now + 100.0,
+        )
+        self.assert_consistent(portal)
+        assert portal.pending_count == 1
+        portal._record_result(portal._failure_result(late), synthetic=True)
+        self.assert_consistent(portal)
+        assert portal.pending_count == 0
+        for _ in range(100_000):
+            if portal.result(late).success:
+                break
+            assert sim.step()
+        assert portal.result(late).success
+        assert portal.stats.duplicate_results == 2
+        self.assert_consistent(portal)
+
+        # One more in flight, then the whole portal is restored elsewhere.
+        portal.submit(
+            grid.agents["A3"], specs["closure"].model, Environment.TEST,
+            sim.now + 500.0,
+        )
+        self.assert_consistent(portal)
+        state = portal.snapshot_state()
+        engine = Engine()
+        engine.restore_state(grid.sim.snapshot_state())
+        restored = UserPortal(
+            Transport(engine), engine, endpoint=Endpoint("portal.copy", 8001)
+        )
+        restored.restore_state(
+            state, applications={name: spec.model for name, spec in specs.items()}
+        )
+        self.assert_consistent(restored)
+        assert (restored.submitted_count, restored.pending_count) == (
+            portal.submitted_count,
+            portal.pending_count,
+        ) == (3, 1)

@@ -31,6 +31,7 @@ legitimacy preserves the algorithm's behaviour.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 import os
 from itertools import combinations
@@ -788,6 +789,7 @@ def reset(obj) -> None:
     if isinstance(obj, Engine):
         obj._guard_reentrancy()
         obj._heap.clear()
+        obj._fifo.clear()
         obj._now = obj._start_time
         obj._sequence = 0
         obj._fired = 0
@@ -836,6 +838,11 @@ def policy(obj):
 def pending_ack_count(obj) -> int:
     """Forwards (agent) or submissions (portal) still awaiting their ACK."""
     return len(obj._pending_acks) if isinstance(obj, Agent) else len(obj._pending)
+
+
+def submitted(portal) -> dict:
+    """Every request a portal has sent, by request id (copy)."""
+    return dict(portal._submitted)
 
 
 def registry(agent: Agent) -> dict:
@@ -1242,8 +1249,28 @@ def pending(engine) -> int:
 
 
 def heap_size(engine: Engine) -> int:
-    """Heap entries, cancelled garbage included."""
-    return len(engine._heap)
+    """Queued entries, heap and FIFO, cancelled garbage included."""
+    return len(engine._heap) + len(engine._fifo)
+
+
+def reference_next_event_time(engine) -> Optional[float]:
+    """:meth:`Engine.next_event_time` for the single-heap reference engine."""
+    heap = engine._heap
+    while heap and heap[0].cancelled:
+        heapq.heappop(heap)
+    return heap[0].time if heap else None
+
+
+def reference_run_until(engine, end_time: float) -> None:
+    """:meth:`Engine.run_until` for the single-heap reference engine."""
+    if end_time < engine.now:
+        raise SimulationError(f"cannot run to t={end_time}, already at t={engine.now}")
+    while True:
+        head = reference_next_event_time(engine)
+        if head is None or head > end_time:
+            break
+        engine.step()
+    engine._now = float(end_time)
 
 
 def fired(process) -> int:

@@ -9,8 +9,11 @@ layers of evidence here:
   records, metrics JSON, and the final RNG digest, byte for byte.  The
   oracle is swapped in for the engine ``build_grid`` constructs.
 * **Hypothesis-driven run() equivalence** — random scripted workloads
-  (same-instant cascades scheduled from callbacks, cancels, and chunked
-  ``run(max_events=...)`` that stops mid-cascade) must produce the
+  (same-instant cascades scheduled from callbacks, part of them as
+  zero-delay ``schedule_in`` calls that take the engine's FIFO, bursts of
+  FIFO entries cancelled past ``COMPACT_MIN``, and a drain that mixes
+  ``next_event_time()``, ``run_until()`` and chunked
+  ``run(max_events=...)`` stopping mid-cascade) must produce the
   identical fire sequence on both engines.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +32,15 @@ import repro.experiments.runner as runner_module
 import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.runner import run_experiment
-from repro.sim.engine import Engine
+from repro.sim.engine import COMPACT_MIN, Engine
 from repro.sim.events import Priority
 from repro.sim.reference import SingleHeapEngine
-from tests.oracles import pending
+from tests.oracles import (
+    heap_size,
+    pending,
+    reference_next_event_time,
+    reference_run_until,
+)
 
 SEEDS = (2003, 7, 41, 97, 1234)
 
@@ -75,51 +84,133 @@ class _ScriptedRun:
     Every random decision is drawn from a private ``random.Random``; the
     two engines fire callbacks in the same order iff they are equivalent,
     so the nth draw — and therefore the whole script — matches between
-    them.  Callbacks schedule same-instant cascades, like transports do,
-    and cancel pending events.
+    them.  Each event logs its own creation index, so any two events
+    fired out of order show in the log.  Callbacks schedule same-instant
+    cascades, like transports do, and cancel pending events.  Three in
+    ten scheduled events go through ``schedule_in``: nearly half of them
+    are zero-delay calls at ``Priority.DEFAULT`` (the engine's FIFO),
+    mixed with heap events of the same instant and priority, and the
+    rest are relative events the heap must take.  An occasional burst queues more FIFO
+    entries than :data:`COMPACT_MIN` and cancels nearly all of them.
     """
 
     #: Hard cap on scheduled events per script — each fire spawns 0–3
     #: children (a supercritical cascade), so the budget is what drains it.
     BUDGET = 300
+    #: FIFO entries one burst queues (bursts have their own budget).
+    BURST = COMPACT_MIN + 24
+    BURSTS = 3
 
     def __init__(self, engine, seed: int) -> None:
         self.engine = engine
         self.rng = random.Random(seed)
+        # Drain decisions come from their own stream, drawn at the same
+        # points on both engines.
+        self.driver = random.Random(seed + 1)
         self.log = []
+        self.peeks = []
         self.live = []
         self.budget = self.BUDGET
+        self.bursts = self.BURSTS
+        self.created = 0
+        self.garbage_ok = True
 
     def seed_events(self, count: int) -> None:
         for _ in range(count):
             self._schedule(self.engine.now)
+
+    def _callback(self):
+        ident = self.created
+        self.created += 1
+        return partial(self._fire, ident)
 
     def _schedule(self, base_time: float) -> None:
         if self.budget == 0:
             return
         self.budget -= 1
         rng = self.rng
-        time = base_time + rng.choice((0.0, 0.0, 0.25, 1.0, 3.5))
-        priority = rng.choice(PRIORITIES)
-        label = f"ev{len(self.log)}-{len(self.live)}"
-        handle = self.engine.schedule(
-            time, self._fire, priority=priority, label=label
-        )
+        engine = self.engine
+        label = f"ev{self.created}"
+        if rng.random() < 0.3:
+            # FIFO entries, and relative events the heap must take
+            # (another priority, or a positive delay).
+            delay = rng.choice((0.0, 0.0, 0.0, 0.25))
+            priority = rng.choice((Priority.DEFAULT,) * 3 + PRIORITIES)
+            handle = engine.schedule_in(
+                delay, self._callback(), priority=priority, label=label
+            )
+        else:
+            time = base_time + rng.choice((0.0, 0.0, 0.25, 1.0, 3.5))
+            priority = rng.choice(PRIORITIES)
+            handle = engine.schedule(
+                time, self._callback(), priority=priority, label=label
+            )
         self.live.append(handle)
 
-    def _fire(self) -> None:
+    def _burst(self) -> None:
+        engine = self.engine
+        handles = [
+            engine.schedule_in(0.0, self._callback(), priority=Priority.DEFAULT)
+            for _ in range(self.BURST)
+        ]
+        keep = self.rng.randrange(0, 4)
+        for handle in handles[keep:]:
+            handle.cancel()
+            self._check_garbage()
+        self.live.extend(handles[:keep])
+
+    def _check_garbage(self) -> None:
+        # Right after a cancel the engine's compaction bounds the
+        # cancelled entries still queued, FIFO ones included.
+        engine = self.engine
+        if isinstance(engine, Engine):
+            garbage = heap_size(engine) - pending(engine)
+            if garbage > max(COMPACT_MIN, pending(engine)):
+                self.garbage_ok = False
+
+    def _fire(self, ident: int) -> None:
         rng = self.rng
-        self.log.append((self.engine.now, len(self.log)))
+        self.log.append((self.engine.now, ident))
         for _ in range(rng.randrange(0, 4)):
             self._schedule(self.engine.now)
+        if self.bursts and rng.random() < 0.05:
+            self.bursts -= 1
+            self._burst()
         if self.live and rng.random() < 0.3:
             victim = self.live.pop(rng.randrange(len(self.live)))
             victim.cancel()
+            self._check_garbage()
+
+    def next_event_time(self):
+        engine = self.engine
+        if isinstance(engine, Engine):
+            return engine.next_event_time()
+        return reference_next_event_time(engine)
+
+    def run_until(self, end_time: float) -> None:
+        engine = self.engine
+        if isinstance(engine, Engine):
+            engine.run_until(end_time)
+        else:
+            reference_run_until(engine, end_time)
 
     def drain(self, chunk: int) -> None:
         # Chunked draining stops runs mid-cascade and re-enters them.
         while self.engine.run(max_events=chunk):
             pass
+
+    def drain_mixed(self, chunk: int) -> None:
+        """Drain through peeks, ``run_until`` horizons and chunked runs."""
+        driver = self.driver
+        while True:
+            head = self.next_event_time()
+            self.peeks.append(head)
+            if head is None:
+                return
+            if driver.random() < 0.5:
+                self.engine.run(max_events=chunk)
+            else:
+                self.run_until(head + driver.choice((0.0, 0.0, 0.25, 2.0)))
 
 
 class TestScriptedRunEquivalence:
@@ -141,6 +232,30 @@ class TestScriptedRunEquivalence:
         assert engine.engine.fired_count == single.engine.fired_count
         assert engine.engine.now == single.engine.now
         assert pending(engine.engine) == pending(single.engine) == 0
+        assert engine.garbage_ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        initial=st.integers(1, 12),
+        chunk=st.integers(1, 50),
+    )
+    def test_mixed_drain_identical(self, seed, initial, chunk):
+        # next_event_time() and run_until() read and advance both queues.
+        runs = []
+        for engine in (Engine(), SingleHeapEngine()):
+            scripted = _ScriptedRun(engine, seed)
+            scripted.seed_events(initial)
+            scripted.drain_mixed(chunk)
+            runs.append(scripted)
+        engine, single = runs
+        assert engine.log == single.log
+        assert engine.peeks == single.peeks
+        assert engine.engine.fired_count == single.engine.fired_count
+        assert engine.engine.now == single.engine.now
+        assert pending(engine.engine) == pending(single.engine) == 0
+        assert heap_size(engine.engine) == 0
+        assert engine.garbage_ok
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), initial=st.integers(2, 10))

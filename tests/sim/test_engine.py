@@ -151,12 +151,88 @@ class TestRunModes:
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, lambda: None)
         sim.schedule(4.0, lambda: None).cancel()
+        sim.schedule_in(0.0, lambda: None)
+        sim.schedule_in(0.0, lambda: None).cancel()
         reset(sim)
         assert heap_size(sim) == 0
         assert pending(sim) == 0
         for t in (1.0, 2.0):
             sim.schedule(t, lambda: None)
         assert sim.run() == 2
+
+
+class TestZeroDelayFifo:
+    """``schedule_in(0.0, …)`` at DEFAULT priority takes the FIFO; the
+    fire order must be the single heap's all the same."""
+
+    def test_fires_in_key_order_with_same_instant_heap_events(self, sim):
+        fired = []
+
+        def log(name):
+            return lambda: fired.append(name)
+
+        sim.schedule(0.0, log("heap-default-1"))
+        sim.schedule_in(0.0, log("fifo-1"))
+        sim.schedule_in(0.0, log("heap-completion"), priority=Priority.COMPLETION)
+        sim.schedule(0.0, log("heap-default-2"))
+        sim.schedule_in(0.0, log("fifo-2"))
+        sim.schedule_in(0.5, log("heap-later"))
+        sim.run()
+        assert fired == [
+            "heap-completion",
+            "heap-default-1",
+            "fifo-1",
+            "heap-default-2",
+            "fifo-2",
+            "heap-later",
+        ]
+
+    def test_cascade_from_callbacks(self, sim):
+        fired = []
+
+        def parent():
+            fired.append(("parent", sim.now))
+            sim.schedule_in(0.0, lambda: fired.append(("child", sim.now)))
+            sim.schedule(sim.now, lambda: fired.append(("sibling", sim.now)))
+
+        sim.schedule(2.0, parent)
+        sim.schedule(2.0, lambda: fired.append(("queued", sim.now)))
+        sim.run()
+        assert fired == [
+            ("parent", 2.0),
+            ("queued", 2.0),
+            ("child", 2.0),
+            ("sibling", 2.0),
+        ]
+
+    def test_next_event_time_sees_the_fifo(self, sim):
+        sim.schedule(4.0, lambda: None)
+        handle = sim.schedule_in(0.0, lambda: None)
+        assert sim.next_event_time() == 0.0
+        handle.cancel()
+        assert sim.next_event_time() == 4.0
+        assert heap_size(sim) == 1
+
+    def test_run_until_fires_the_fifo(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: sim.schedule_in(0.0, lambda: fired.append(sim.now)))
+        sim.run_until(1.0)
+        assert fired == [1.0]
+        assert heap_size(sim) == 0
+
+    def test_queued_lists_live_events_of_both_queues(self, sim):
+        heap_event = sim.schedule(3.0, lambda: None)
+        fifo_event = sim.schedule_in(0.0, lambda: None)
+        sim.schedule_in(0.0, lambda: None).cancel()
+        assert {*sim.queued()} == {heap_event, fifo_event}
+
+    def test_restore_state_discards_the_fifo(self, sim):
+        state = sim.snapshot_state()
+        sim.schedule_in(0.0, lambda: None)
+        sim.restore_state(state)
+        assert heap_size(sim) == 0
+        assert pending(sim) == 0
+        assert sim.run() == 0
 
 
 class TestCompaction:
@@ -181,6 +257,17 @@ class TestCompaction:
         assert heap_size(sim) < COMPACT_MIN + pending(sim)
         sim.run()
         assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_fifo_cancel_loop_keeps_queue_bounded(self, sim):
+        live = sim.schedule_in(0.0, lambda: None)
+        for _ in range(100):
+            handles = [sim.schedule_in(0.0, lambda: None) for _ in range(100)]
+            for handle in handles:
+                handle.cancel()
+            assert heap_size(sim) <= 2 * COMPACT_MIN + pending(sim)
+        assert pending(sim) == 1
+        assert not live.cancelled
+        assert sim.run() == 1
 
     def test_cancel_of_fired_event_is_not_garbage(self, sim):
         handle = sim.schedule(1.0, lambda: None)

@@ -9,8 +9,8 @@ fresh interpreter pays for every module it imports — compiling it, and
 running each dataclass decorator in it — so this test is the contract:
 it imports what the end-to-end benchmark imports, runs a small untraced
 case study, and lists what was loaded.  A second probe imports the CLI,
-which every command pays for before it runs: the trace layer and soak
-windows load with the commands that use them.
+which every command pays for before it runs: the trace layer, soak
+windows and the fault layer load with the commands that use them.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ import repro.cli
 print(json.dumps(sorted(sys.modules)))
 """
 
-#: What importing the CLI may not load: the trace layer and soak windows
-#: load with the commands that use them.
+#: What importing the CLI may not load: the trace layer, soak windows and
+#: the fault layer load with the commands that use them.
 CLI_FORBIDDEN_PACKAGES = ("repro.obs",)
-CLI_FORBIDDEN_MODULES = ("repro.experiments.soak",)
+CLI_FORBIDDEN_MODULES = ("repro.experiments.soak", "repro.net.faults")
 
 
 def loaded_modules(template: str = PROBE) -> list:
