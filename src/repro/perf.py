@@ -37,6 +37,11 @@ The suite times the hot kernels this codebase optimises:
   scenario in a warm process: ``generate_scenario`` + ``build_grid`` +
   ``start``.
 
+Both ``startup_`` rows are quoted at a nominal machine speed: each is
+divided by the time of a fixed slice of Python work (:class:`Gauge`)
+measured in the same process, so a slow spell of a shared host moves the
+slices with the program and the row stays put.
+
 Results are written as JSON with machine info and the git SHA so numbers
 are attributable; :func:`check_regression` compares two such documents
 direction-aware (each benchmark declares whether higher is better) and
@@ -53,7 +58,9 @@ Entry points: ``python -m repro.cli perf [--only SUBSTRING]`` or
 from __future__ import annotations
 
 import gc
+import heapq
 import json
+import marshal
 import os
 import platform as platform_module
 import statistics
@@ -68,6 +75,7 @@ import numpy as np
 
 __all__ = [
     "BenchResult",
+    "Gauge",
     "Regression",
     "PARALLELISM_BENCHMARKS",
     "run_suite",
@@ -87,6 +95,14 @@ BENCH_SCALE_REQUESTS = int(os.environ.get("REPRO_BENCH_SCALE_REQUESTS", "200"))
 #: Regression threshold: a metric more than this fraction worse than the
 #: committed baseline fails the run.
 DEFAULT_THRESHOLD = 0.25
+
+#: Time of one :class:`Gauge` slice on the 2-core VM the end-to-end
+#: benchmark's bounds were calibrated on, in a quiet spell; the
+#: ``startup_`` rows are quoted at this speed.
+NOMINAL_SLICE_S = 0.002
+
+#: Gauge slices timed alongside each ``startup_`` measurement.
+GAUGE_SLICES = 10
 
 #: Benchmarks whose value measures the machine's parallelism rather than
 #: the code: comparing them across documents with different
@@ -493,13 +509,56 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     )
 
 
+_GAUGE_BLOB = marshal.dumps([(i, str(i), float(i)) for i in range(2_000)])
+
+
+class Gauge:
+    """Times fixed slices of Python work that run no ``repro`` code.
+
+    A copy of the end-to-end benchmark's gauge (``benchmarks/e2e/run.py``,
+    which this module does not import).  Dict, heap and unmarshal
+    traffic, like the simulator's own.  A shared VM has spells of a
+    minute or two in which everything runs 30-100 % slower; the slices
+    slow down with the program, so a time divided by the slice time
+    measured alongside it stays put, while a change to the program moves
+    the scaled time exactly as it moves the wall time.
+    """
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+
+    def slice(self) -> None:
+        gc.disable()  # a collection of the program's heap is not slice time
+        try:
+            t0 = time.perf_counter()
+            heap, table = [], {}
+            for i in range(2_000):
+                key = (i * 2654435761) % 1_000_003
+                heapq.heappush(heap, (key, i))
+                table[key] = (i, key)
+                if len(heap) > 256:
+                    table.pop(heapq.heappop(heap)[0], None)
+            marshal.loads(_GAUGE_BLOB)
+            self.times.append(time.perf_counter() - t0)
+        finally:
+            gc.enable()
+
+    def scale(self, seconds: float) -> float:
+        """*seconds* of wall time, expressed at the nominal machine speed.
+
+        The mean slice time is the speed estimate.
+        """
+        return seconds * NOMINAL_SLICE_S * len(self.times) / sum(self.times)
+
+
 def bench_startup_grid(builds: int = 5) -> BenchResult:
     """Seconds to set up the 1000-agent FIFO scenario in a warm process.
 
     ``generate_scenario`` + ``build_grid`` + ``start`` for the
     ``scale_grid_1000`` spec: the median of *builds* after one warm-up,
     each after a ``gc.collect()`` so that no build pays for collecting
-    the grid before it.
+    the grid before it, at nominal speed (:class:`Gauge` slices timed
+    before each build).
     """
     from repro.experiments.runner import build_grid
     from repro.experiments.scenarios import generate_scenario
@@ -508,21 +567,26 @@ def bench_startup_grid(builds: int = 5) -> BenchResult:
     spec = _scale_spec(BENCH_SCALE_REQUESTS)
     config = spec.config(policy=SchedulingPolicy.FIFO)
 
+    gauge = Gauge()
+
     def build() -> float:
         gc.collect()
+        for _ in range(GAUGE_SLICES // 2):
+            gauge.slice()
         start = time.perf_counter()
         build_grid(config, generate_scenario(spec).topology).start()
         return time.perf_counter() - start
 
     build()  # warm-up
-    seconds = [build() for _ in range(builds)]
+    seconds = statistics.median([build() for _ in range(builds)])
     return BenchResult(
         name="startup_grid_1000_s",
-        value=statistics.median(seconds),
+        value=gauge.scale(seconds),
         unit="s",
         higher_is_better=False,
         detail=f"median of {builds} builds after a warm-up: generate_scenario "
-        "+ build_grid + start, 1000 agents, FIFO, gc.collect() before each",
+        "+ build_grid + start, 1000 agents, FIFO, gc.collect() before each; "
+        f"gauge-scaled to nominal speed ({seconds:.3f} s wall)",
     )
 
 
@@ -535,11 +599,21 @@ STARTUP_IMPORTS = (
 )
 
 #: Run by each fresh interpreter: NumPy before the timer (it is not
-#: repro's cost), then the timed imports; prints their seconds.
+#: repro's cost), then the timed imports, then :class:`Gauge` slices in
+#: the same process (imported after the timer, so the gauge's own module
+#: is not part of the measured imports); prints the seconds at nominal
+#: speed and as measured.
 _STARTUP_PROBE = "\n".join(
     ["import time", "import numpy", "t0 = time.perf_counter()"]
     + [f"import {name}" for name in STARTUP_IMPORTS]
-    + ["print(time.perf_counter() - t0)"]
+    + [
+        "seconds = time.perf_counter() - t0",
+        "from repro.perf import GAUGE_SLICES, Gauge",
+        "gauge = Gauge()",
+        "for _ in range(GAUGE_SLICES):",
+        "    gauge.slice()",
+        "print(gauge.scale(seconds), seconds)",
+    ]
 )
 
 
@@ -550,13 +624,15 @@ def bench_startup_import(interpreters: int = 7) -> BenchResult:
     from source, as the end-to-end benchmark's children do in a tree
     without bytecode caches: ``PYTHONDONTWRITEBYTECODE=1`` and a
     ``PYTHONPYCACHEPREFIX`` pointing at an empty directory, so no cached
-    bytecode is read or written.
+    bytecode is read or written.  Each child scales its seconds to the
+    nominal speed by :class:`Gauge` slices it times right after the
+    imports.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     pythonpath = os.pathsep.join(
         path for path in (src, os.environ.get("PYTHONPATH")) if path
     )
-    seconds = []
+    seconds, wall = [], []
     with tempfile.TemporaryDirectory() as empty_cache:
         env = dict(
             os.environ,
@@ -569,14 +645,17 @@ def bench_startup_import(interpreters: int = 7) -> BenchResult:
                 [sys.executable, "-c", _STARTUP_PROBE],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
-            seconds.append(float(out.stdout.split()[-1]))
+            scaled, measured = out.stdout.split()[-2:]
+            seconds.append(float(scaled))
+            wall.append(float(measured))
     return BenchResult(
         name="startup_import_s",
         value=statistics.median(seconds),
         unit="s",
         higher_is_better=False,
         detail=f"median of {interpreters} fresh interpreters compiling from "
-        "source; numpy imported before the timer",
+        "source; numpy imported before the timer; gauge-scaled to nominal "
+        f"speed ({statistics.median(wall):.3f} s wall)",
     )
 
 

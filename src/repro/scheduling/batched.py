@@ -67,11 +67,11 @@ def batched_order_splice(
     batch, m = orders_a.shape
     positions = np.arange(m)
     rows = np.arange(batch)[:, None]
-    pos_a = np.empty_like(orders_a)
+    pos_a = np.empty((batch, m), dtype=orders_a.dtype)
     pos_a[rows, orders_a] = positions
     at_a = pos_a[rows, orders_b]  # a-position of each of b's entries
     key = np.where(at_a < cuts[:, None], at_a, positions + m)
-    children = orders_b[rows, np.argsort(key, axis=1)]
+    children = orders_b[rows, key.argsort(axis=1)]
     if out is None:
         return children
     out[...] = children
@@ -88,9 +88,14 @@ def crossover_thresholds(points: np.ndarray, n: int) -> np.ndarray:
     threshold per node.  *points* has any leading shape ``(..., )``; the
     result is ``(..., n)``.  Integer math is exact, so comparing positions
     with thresholds is byte-identical to comparing flat indices with the
-    point.
+    point.  With ``point = q·n + r`` (``0 ≤ r < n``) the threshold is
+    ``q + (j < r)``, so only the points are divided, not every node's
+    entry.
     """
-    return ((points[..., None] - np.arange(n) + n - 1) // n).astype(np.int32)
+    q, r = np.divmod(points.astype(np.int32), n)
+    thresholds = (np.arange(n, dtype=np.int32) < r[..., None]).astype(np.int32)
+    thresholds += q[..., None]
+    return thresholds
 
 
 def batched_mask_crossover(
@@ -177,11 +182,10 @@ def batched_insert(
     if m == 0:
         return np.full((batch, 1), value, dtype=orders.dtype)
     out_pos = np.arange(m + 1)
-    before = out_pos[None, :] < positions[:, None]
-    # Source column: k for the prefix, k-1 for the suffix; the insert slot
-    # itself is overwritten below, so its clipped gather value is irrelevant.
-    src = np.where(before, out_pos[None, :], out_pos[None, :] - 1)
-    src = np.clip(src, 0, m - 1)
+    # Source column: k for the prefix, k-1 for the suffix.  The insert slot
+    # itself is overwritten below, so what it gathers is irrelevant (at
+    # slot 0 that is column -1, the last one).
+    src = (out_pos < positions[:, None]) + (out_pos - 1)
     children = orders[np.arange(batch)[:, None], src]
-    children[out_pos[None, :] == positions[:, None]] = value
+    children[out_pos == positions[:, None]] = value
     return children

@@ -39,10 +39,12 @@ def scale_fitness(costs: Sequence[float]) -> np.ndarray:
     if arr.size == 0:
         raise ValidationError("costs must not be empty")
     # max and min propagate NaN and reach ±inf, so both finite ⟺ all finite.
-    worst = float(arr.max())
-    best = float(arr.min())
+    worst = float(np.maximum.reduce(arr, axis=None))
+    best = float(np.minimum.reduce(arr, axis=None))
     if not (math.isfinite(worst) and math.isfinite(best)):
         raise ValidationError("costs must be finite")
     if worst == best:
-        return np.ones_like(arr)
+        ones = np.empty(arr.shape)
+        ones.fill(1.0)
+        return ones
     return (worst - arr) / (worst - best)

@@ -42,6 +42,7 @@ from repro.scheduling.vectorized import (
     CostEvaluator,
     bernoulli_indices,
     pair_choices,
+    pair_index,
     swap_choices,
     vectorized_children,
     vectorized_mutation,
@@ -50,6 +51,7 @@ from repro.scheduling.vectorized import (
 from repro.scheduling.warmstart import (
     greedy_allocation_masks,
     greedy_allocation_masks_batch,
+    seed_masks,
     warmstart_orders,
 )
 
@@ -157,6 +159,8 @@ class GAScheduler:
         self._duration_row_fn = duration_row
         self._rng = rng
         self._config = config
+        # Head and tail parent slots of a generation's crossed children.
+        self._pair_slots = pair_index(config.population_size - ELITE_COUNT)
         self._id_order: List[int] = []  # task row -> task id
         self._row_of: Dict[int, int] = {}
         self._dtable = np.empty((0, self._n), dtype=float)
@@ -289,33 +293,12 @@ class GAScheduler:
                 [self._duration(task_id, k) for k in range(1, self._n + 1)],
                 dtype=float,
             )
-        if np.any(row <= 0) or not np.all(np.isfinite(row)):
+        # min and max propagate NaN, so both in (0, inf) ⟺ all finite and > 0.
+        if not (
+            np.minimum.reduce(row) > 0 and np.maximum.reduce(row) < np.inf
+        ):
             raise ScheduleError(f"durations for task {task_id} must be finite and > 0")
         return row
-
-    def _seed_masks(self, durations: np.ndarray, pop: int) -> np.ndarray:
-        """Per-individual initial masks for one new task — ``(pop, n)``.
-
-        The paper's GA evolves continuously in real time, accumulating far
-        more generations than an event-driven simulation can afford, so
-        splicing every new task in at random would leave the population
-        too raw to compete.  Instead half the individuals seed the task
-        with a random subset of its *optimal* processor count
-        ``k* = argmin_k t(k)`` (the eq.-10 minimiser) and half with a fully
-        random mask for exploration; evolution refines from there.
-        """
-        k_star = int(np.argmin(durations)) + 1
-        masks = np.zeros((pop, self._n), dtype=bool)
-        for i in range(pop):
-            if i % 2 == 0:
-                cols = self._rng.choice(self._n, size=k_star, replace=False)
-                masks[i, cols] = True
-            else:
-                row = self._rng.random(self._n) < 0.5
-                if not row.any():
-                    row[int(self._rng.integers(self._n))] = True
-                masks[i] = row
-        return masks
 
     def add_task(
         self,
@@ -330,9 +313,9 @@ class GAScheduler:
 
         Existing individuals keep their orderings/mappings; the new task is
         spliced in (individual 0 appends in arrival order — a standing
-        greedy candidate — the rest at random positions) with the seeded
-        masks of :meth:`_seed_masks`, so the population "absorbs" the
-        change rather than restarting.
+        greedy candidate — the rest at random positions) with the masks of
+        :func:`~repro.scheduling.warmstart.seed_masks`, so the population
+        "absorbs" the change rather than restarting.
 
         The keyword extensions carry workflow structure and are inert at
         their defaults: *priority* (a b-level) biases the warm-start
@@ -349,9 +332,9 @@ class GAScheduler:
         self._id_order.append(task_id)
         self._row_of[task_id] = new_row
         durations = self._duration_row(task_id)
-        self._dtable = np.vstack([self._dtable, durations])
-        self._deadline_arr = np.append(self._deadline_arr, float(deadline))
-        self._priority_arr = np.append(self._priority_arr, float(priority))
+        self._dtable = np.concatenate((self._dtable, durations[None, :]))
+        self._deadline_arr = np.concatenate((self._deadline_arr, (float(deadline),)))
+        self._priority_arr = np.concatenate((self._priority_arr, (float(priority),)))
         if floor is not None:
             self._floor[task_id] = float(floor)
         if predecessors:
@@ -360,7 +343,7 @@ class GAScheduler:
         pop = self._config.population_size
         if self._order is None:
             self._order = np.zeros((pop, 1), dtype=np.int64)
-            self._masks = self._seed_masks(durations, pop)[:, None, :]
+            self._masks = seed_masks(durations, pop, self._rng)[:, None, :]
             return
         assert self._masks is not None
         p, m = self._order.shape
@@ -368,9 +351,10 @@ class GAScheduler:
         positions[0] = m  # individual 0 keeps arrival order
         self._order = batched_insert(self._order, positions, new_row)
         self._masks = np.concatenate(
-            [self._masks, self._seed_masks(durations, p)[:, None, :]], axis=1
+            [self._masks, seed_masks(durations, p, self._rng)[:, None, :]], axis=1
         )
-        self._repair_orders(self._order)
+        if self._preds:  # no predecessors, nothing to repair
+            self._repair_orders(self._order)
 
     def set_floor(self, task_id: int, floor: float) -> None:
         """Raise *task_id*'s earliest-start floor (monotonic: ``max`` wins).
@@ -504,8 +488,10 @@ class GAScheduler:
         pos = np.empty((pop, m + 1), dtype=np.int64)
         pos[:, m] = -1  # the sentinel row never binds
         pos[np.arange(pop)[:, None], order] = np.arange(m)
-        latest_pred = pos[:, pred_mat].max(axis=2)  # (P, m)
-        violators = np.flatnonzero((pos[:, :m] <= latest_pred).any(axis=1))
+        latest_pred = np.maximum.reduce(pos[:, pred_mat], axis=2)  # (P, m)
+        violators = np.flatnonzero(
+            np.logical_or.reduce(pos[:, :m] <= latest_pred, axis=1)
+        )
         if violators.size == 0:
             return
         preds = [tuple(q for q in row if q != m) for row in pred_mat.tolist()]
@@ -641,7 +627,9 @@ class GAScheduler:
             # nonzero b-level — the all-zero default keeps the call (and
             # its RNG draws) identical to the independent-task path.
             priorities = (
-                self._priority_arr if np.any(self._priority_arr != 0.0) else None
+                self._priority_arr
+                if np.logical_or.reduce(self._priority_arr != 0.0)
+                else None
             )
             order_parts.append(
                 warmstart_orders(
@@ -653,7 +641,7 @@ class GAScheduler:
                 )
             )
         if cfg.memetic:
-            order_parts.append(self._order[int(np.argmin(costs))][None, :])
+            order_parts.append(self._order[int(costs.argmin())][None, :])
         if not order_parts:
             return costs
         w_orders = np.concatenate(order_parts)
@@ -663,17 +651,17 @@ class GAScheduler:
         )
         seed_costs = self._evaluate(evaluate, w_orders, w_masks)
         count = min(seed_costs.size, pop - 1)
-        seed_rank = np.argsort(seed_costs, kind="stable")[:count]
-        worst_rank = np.argsort(costs, kind="stable")[::-1][:count]
+        seed_rank = seed_costs.argsort(kind="stable")[:count]
+        worst_rank = costs.argsort(kind="stable")[::-1][:count]
         take = seed_costs[seed_rank] < costs[worst_rank]
-        if take.any():
+        if np.logical_or.reduce(take):
             rows = worst_rank[take]
             seeds = seed_rank[take]
             self._order[rows] = w_orders[seeds]
             self._masks[rows] = w_masks[seeds]
             costs = costs.copy()
             costs[rows] = seed_costs[seeds]
-            self._stats.warmstart_seeds += int(take.sum())
+            self._stats.warmstart_seeds += int(np.add.reduce(take))
         return costs
 
     def _memetic_inject(
@@ -690,16 +678,20 @@ class GAScheduler:
         result over the worst individual when it wins.  The greedy re-map
         is a pure function of (ordering, availability) and availability
         is fixed within one ``evolve`` call, so this keeps the last
-        ``(ordering bytes, ordering, masks, cost)`` candidate and only
-        recomputes when the incumbent's ordering changed — on a converged
-        population almost never.  Re-*injection* still happens every
-        generation the candidate wins (selection churn can drop a
-        previously injected copy), which is a pair of array copies, not
-        an evaluation.  Mutates *costs* in place (the caller owns the
-        freshly built vector) and returns the candidate.
+        ``(ordering bytes, ordering, masks, cost)`` candidate and recomputes
+        only when the incumbent's ordering changed.  The candidate starts
+        empty on every call, so each call builds at least one (224 over
+        the 203 calls of a ``casestudy`` run at seed 2003), although the
+        call's warm-start batch already mapped the same ordering in most
+        of them: its masks could be reused, its cost not, because an
+        eq.-(8) cost depends on its batch (DESIGN.md §4).  Re-*injection*
+        happens every generation the candidate wins (selection churn can
+        drop a previously injected copy), which is a pair of array
+        copies, not an evaluation.  Mutates *costs* in place (the caller
+        owns the freshly built vector) and returns the candidate.
         """
         assert self._order is not None and self._masks is not None
-        best = int(np.argmin(costs))
+        best = int(costs.argmin())
         border = self._order[best]
         key = border.tobytes()
         if cached is None or key != cached[0]:
@@ -713,7 +705,7 @@ class GAScheduler:
             )
             cached = (key, border.copy(), cand_masks, cand_cost)
         _, cand_order, cand_masks, cand_cost = cached
-        worst = int(np.argmax(costs))
+        worst = int(costs.argmax())
         if worst != best and cand_cost < costs[worst]:
             self._order[worst] = cand_order
             self._masks[worst] = cand_masks
@@ -746,6 +738,9 @@ class GAScheduler:
         * **one fresh population per generation** — elites and children
           are written straight into new ``(P, m)``, ``(P, m, n)`` and
           ``(P,)`` arrays;
+        * **per-call decisions** — whether precedence repair can change
+          anything and the costing counters are settled once per call, and
+          the parent pairing (:func:`pair_index`) once per kernel;
         * the **memetic step** while ``memetic`` is on
           (:meth:`_memetic_inject`).
 
@@ -767,6 +762,8 @@ class GAScheduler:
         evaluate = self._evaluator(node_free_times, ref_time)
         costs = self._evaluate(evaluate, self._order, self._masks)
         costs = self._warmstart_inject(costs, evaluate, node_free_times, ref_time)
+        repairs = self._constraint_arrays()[0] is not None
+        memetic = cfg.memetic
         pop = cfg.population_size
         m = len(self._id_order)
         n = self._n
@@ -774,6 +771,8 @@ class GAScheduler:
         pairs = n_children // 2
         flip_total = n_children * m * n
         order_dtype = self._order.dtype
+        history = self._history
+        generation = self._generations
         candidate: Optional[Tuple[bytes, np.ndarray, np.ndarray, float]] = None
         cuts = thresholds = None
         swaps = None
@@ -796,22 +795,20 @@ class GAScheduler:
                 swaps = swap_choices(swap_flags, swap_i, swap_j, m)
             for t in range(block):
                 fitness = scale_fitness(costs)
-                elite_idx = np.argsort(costs, kind="stable")[:ELITE_COUNT]
+                elite_idx = costs.argsort(kind="stable")[:ELITE_COUNT]
                 parents = vectorized_selection(fitness, n_children, rng)
                 order = np.empty((pop, m), dtype=order_dtype)
                 masks = np.empty((pop, m, n), dtype=bool)
                 next_costs = np.empty(pop)
                 # Elites first.  mode="clip": the indices are in range, and
                 # it skips the buffered copy the default mode makes for out.
-                for source, dest in (
-                    (self._order, order),
-                    (self._masks, masks),
-                    (costs, next_costs),
-                ):
-                    np.take(
-                        source, elite_idx, axis=0, out=dest[:ELITE_COUNT],
-                        mode="clip",
-                    )
+                self._order.take(
+                    elite_idx, axis=0, out=order[:ELITE_COUNT], mode="clip"
+                )
+                self._masks.take(
+                    elite_idx, axis=0, out=masks[:ELITE_COUNT], mode="clip"
+                )
+                costs.take(elite_idx, out=next_costs[:ELITE_COUNT], mode="clip")
                 child_order = order[ELITE_COUNT:]
                 child_masks = masks[ELITE_COUNT:]
                 vectorized_children(
@@ -822,6 +819,7 @@ class GAScheduler:
                     thresholds[t] if pairs else None,
                     child_order,
                     child_masks,
+                    self._pair_slots,
                 )
                 flip_idx = bernoulli_indices(rng, flip_total, BITFLIP_PROBABILITY)
                 vectorized_mutation(
@@ -831,24 +829,28 @@ class GAScheduler:
                     flip_idx,
                     rng,
                 )
-                self._repair_orders(child_order)
-                self._evaluate(
-                    evaluate, child_order, child_masks, next_costs[ELITE_COUNT:]
-                )
+                if repairs:
+                    self._repair_orders(child_order)
+                evaluate(child_order, child_masks, next_costs[ELITE_COUNT:])
                 self._order = order
                 self._masks = masks
                 costs = next_costs
-                stats.rows_costed += ELITE_COUNT
-                stats.carry_hits += ELITE_COUNT
-                if cfg.memetic:
+                if memetic:
                     candidate = self._memetic_inject(
                         costs, candidate, evaluate, node_free_times, ref_time
                     )
-                self._generations += 1
-                self._history.append((self._generations, float(costs.min())))
+                generation += 1
+                history.append((generation, float(np.minimum.reduce(costs))))
             done += block
+        # Each generation costed its children in one evaluator call and
+        # carried its elites' costs.
+        stats.evaluate_calls += generations
+        stats.rows_costed += generations * pop
+        stats.rows_evaluated += generations * n_children
+        stats.carry_hits += generations * ELITE_COUNT
+        self._generations = generation
         self._store_cost_cache(costs, evaluate.key)
-        best_cost = float(costs.min())
+        best_cost = float(np.minimum.reduce(costs))
         if self._tracer is not None:
             from repro.obs.records import EvolveStep
 
@@ -889,7 +891,7 @@ class GAScheduler:
             evaluate = self._evaluator(node_free_times, ref_time)
             costs = self._evaluate(evaluate, self._order, self._masks)
             self._store_cost_cache(costs, evaluate.key)
-        return self._solution_at(int(np.argmin(costs)))
+        return self._solution_at(int(costs.argmin()))
 
     def reference_cost(
         self,

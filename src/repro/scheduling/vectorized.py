@@ -27,10 +27,14 @@ drives it:
 * cost evaluation runs once per generation over the **children only** —
   elites carry their costs forward structurally.
 
-What is left is the dispatch floor: at one queued task a generation is
-about 75 small array calls — 26 in the evaluator, 13 in selection, the
-rest spread over fitness scaling, children, bit flips and the memetic
-check (docs/performance.md, "The GA generation floor").
+What is left is the dispatch floor.  The kernel calls ndarray methods
+and ``ufunc.reduce`` directly, never NumPy's Python-level wrappers
+(``np.take``, ``np.argsort``, ``ndarray.sum`` …), which run the same
+kernels behind a few Python frames each.  At one queued task a generation
+then makes about 49 calls into NumPy's C functions and methods and 24
+Python-level calls (``sys.setprofile`` counts over 10-generation
+``evolve`` calls, set-up included; ufunc applications are not counted):
+82 and 86 before (docs/performance.md, "The GA generation floor").
 
 Float arithmetic is reordered relative to the scalar reference
 (:func:`~repro.scheduling.schedule.build_schedule` +
@@ -45,6 +49,7 @@ permutations, masks are ``(P, m, n)`` bool cubes keyed by task row.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +65,7 @@ __all__ = [
     "bernoulli_indices",
     "vectorized_selection",
     "pair_choices",
+    "pair_index",
     "swap_choices",
     "vectorized_children",
     "vectorized_mutation",
@@ -85,11 +91,11 @@ def bernoulli_indices(
         return np.arange(total, dtype=np.int64)
     mean = total * p
     chunk = int(mean + 6.0 * math.sqrt(mean)) + 8
-    positions = np.cumsum(rng.geometric(p, size=chunk)) - 1
+    positions = rng.geometric(p, size=chunk).cumsum() - 1
     while positions[-1] < total:  # undershoot: extend the walk (rare)
-        more = np.cumsum(rng.geometric(p, size=chunk)) + positions[-1]
+        more = rng.geometric(p, size=chunk).cumsum() + positions[-1]
         positions = np.concatenate([positions, more])
-    return positions[: np.searchsorted(positions, total)]
+    return positions[: positions.searchsorted(total)]
 
 
 def vectorized_selection(
@@ -109,22 +115,20 @@ def vectorized_selection(
     ``rng.shuffle`` instead of per-index scalar draws.
     """
     f = np.asarray(fitness, dtype=float)
-    total_f = f.sum()
+    total_f = np.add.reduce(f)
     if total_f == 0.0:
         return rng.integers(0, f.size, size=count)
     expected = f * (count / total_f)
     guaranteed = expected.astype(np.int64)  # truncation == floor: f >= 0
-    base = np.repeat(np.arange(f.size, dtype=np.int64), guaranteed)
+    base = np.arange(f.size, dtype=np.int64).repeat(guaranteed)
     slots = count - base.size
     if slots > 0:
         remainder = expected - guaranteed
-        cdf = np.cumsum(remainder)
+        cdf = remainder.cumsum()
         if cdf[-1] <= 0:
             extra = rng.integers(0, f.size, size=slots)
         else:
-            extra = np.searchsorted(
-                cdf, rng.random(slots) * cdf[-1], side="right"
-            )
+            extra = cdf.searchsorted(rng.random(slots) * cdf[-1], side="right")
         base = np.concatenate([base, extra])
     # ``base`` is ours, so shuffle it in place: the same draws and result
     # as ``rng.permutation(base)`` without its copy.
@@ -148,10 +152,10 @@ def pair_choices(
     (:func:`~repro.scheduling.batched.crossover_thresholds`).
     """
     cuts = np.where(cross, cuts, m)
-    points = np.where(cross, points, m * n)
+    thresholds = crossover_thresholds(np.where(cross, points, m * n), n)
     return (
         np.concatenate([cuts, cuts], axis=-1),
-        crossover_thresholds(np.concatenate([points, points], axis=-1), n),
+        np.concatenate([thresholds, thresholds], axis=-2),
     )
 
 
@@ -175,8 +179,23 @@ def swap_choices(
     base = rows * m
     i += base
     j += base
-    bounds = np.searchsorted(gens, np.arange(flags.shape[0] + 1)).tolist()
+    bounds = gens.searchsorted(np.arange(flags.shape[0] + 1)).tolist()
     return [(i[a:b], j[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def pair_index(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each crossed child's head and tail parent sit among *count*.
+
+    Consecutive selected parents pair up: slots ``0, 2, 4, …`` head the
+    first half of the crossed children and slots ``1, 3, 5, …`` the
+    second, each with its partner as tail.  Returns the ``(2·pairs,)``
+    head and tail slots, so ``parents[heads]`` and ``parents[tails]``
+    give both crossover directions in one gather each;
+    :class:`~repro.scheduling.ga.GAScheduler` builds them once.
+    """
+    a = np.arange(0, count - count % 2, 2)
+    b = a + 1
+    return np.concatenate([a, b]), np.concatenate([b, a])
 
 
 def vectorized_children(
@@ -187,39 +206,38 @@ def vectorized_children(
     thresholds: Optional[np.ndarray],
     out_order: np.ndarray,
     out_masks: np.ndarray,
+    slots: Tuple[np.ndarray, np.ndarray],
 ) -> None:
     """The next generation's non-elite individuals, built batch-at-once.
 
     Consecutive selected *parents* pair up; *cuts* ``(2·pairs,)`` and
     *thresholds* ``(2·pairs, n)`` are one generation's row of
-    :func:`pair_choices` (``None`` when *parents* holds no pair).  Both
-    crossover directions go through a single fused order-splice /
-    mask-crossover invocation — the a-head children occupy the first half
-    of the batch, the b-head children the second; child order within a
-    generation is immaterial to selection.  An odd leftover parent is
-    copied verbatim.  With one task every ordering is the same, so the
-    splice is skipped.
+    :func:`pair_choices` (``None`` when *parents* holds no pair), and
+    *slots* is :func:`pair_index` of ``parents.size``.  Both crossover
+    directions go through a single fused order-splice / mask-crossover
+    invocation — the a-head children occupy the first half of the batch,
+    the b-head children the second; child order within a generation is
+    immaterial to selection.  An odd leftover parent is copied verbatim.
+    With one task every ordering is the same, so the splice is skipped.
 
     Children are written into *out_order* ``(C, m)`` and *out_masks*
     ``(C, m, n)``, ``C == parents.size``.
     """
     count = parents.size
-    crossed = count - count % 2
     m = order.shape[1]
-    if crossed:
-        pa = parents[0:crossed:2]
-        pb = parents[1:crossed:2]
-        heads = np.concatenate([pa, pb])
-        tails = np.concatenate([pb, pa])
-        child_order = out_order[:crossed]
-        child_masks = out_masks[:crossed]
+    if count >= 2:
+        head_at, tail_at = slots
+        heads = parents[head_at]
+        tails = parents[tail_at]
+        child_order = out_order[: heads.size]
+        child_masks = out_masks[: heads.size]
         # Indices are in range; mode="clip" skips the buffered copy the
         # default mode makes when writing to ``out``.
         if m >= 2:
             batched_order_splice(order[heads], order[tails], cuts, out=child_order)
         else:
-            np.take(order, heads, axis=0, out=child_order, mode="clip")
-        np.take(masks, tails, axis=0, out=child_masks, mode="clip")
+            order.take(heads, axis=0, out=child_order, mode="clip")
+        masks.take(tails, axis=0, out=child_masks, mode="clip")
         batched_mask_crossover(
             child_order, masks[heads], child_masks, thresholds, out=child_masks
         )
@@ -262,14 +280,19 @@ def vectorized_mutation(
         held = flat[i]
         flat[i] = flat[j]
         flat[j] = held
+    bits = _flat(masks)
     if flip_idx is not None and flip_idx.size:
-        _flat(masks)[flip_idx] ^= True
-    rows = _flat(masks).reshape(-1, n)
-    nonempty = rows.any(axis=1)
-    if not nonempty.all():
+        bits[flip_idx] ^= True
+    rows = bits.reshape(-1, n)
+    nonempty = np.logical_or.reduce(rows, axis=1)
+    if not np.logical_and.reduce(nonempty):
         empty = np.flatnonzero(~nonempty)
         picks = repair_picks_rng.integers(n, size=empty.size)
         rows[empty, picks] = True
+
+
+#: The reduction over a one-step walk: that step's row (a C-level getter).
+_ONLY_ROW = operator.itemgetter(0)
 
 
 class CostEvaluator:
@@ -281,8 +304,8 @@ class CostEvaluator:
     set-up once for all its costings; the working arrays (the ``(n, P)``
     free times, the ``(m, P)`` start/completion tables and the
     ``(m, n, P)`` step cube) are allocated once per population size seen
-    and fully overwritten on every call.  Calling it costs ``(order,
-    masks)``, optionally into *out*.
+    and fully overwritten by every call that reads them.  Calling it costs
+    ``(order, masks)``, optionally into *out*.
 
     Computes the same quantity as the scalar reference (the schedule
     builder plus :func:`~repro.scheduling.cost.schedule_cost`) with a
@@ -303,7 +326,10 @@ class CostEvaluator:
       (masks are boolean, so squaring preserves the selection), giving
       the linear weighting's pocket integral
       ``Σ (b² − a²)/2 = (count·start² − Σ_sel frel²)/2`` per step with no
-      per-step reductions.
+      per-step reductions;
+    * one queued task, the shape of most scheduling events, runs the same
+      float operations without the free-time copy, the deadline gather
+      or the reductions over its single step.
 
     Workflow constraints are optional and row-keyed, in the layout of
     :meth:`GAScheduler._constraint_arrays
@@ -385,40 +411,54 @@ class CostEvaluator:
         frel, starts, comps, cube, cols = scratch
         order_t = order.T
         # (m, n, pop): step-major, node-major per step, as a strided view
-        # of the gathered masks.  A one-task ordering is the identity, so
-        # its masks need no gather.
+        # of the gathered masks.
         if m == 1:
+            # A one-task ordering is the identity, so its masks need no
+            # gather and its deadlines no gather either; a reduction over
+            # the walk's one step is that step's row.
             smask = masks.transpose(1, 2, 0)
+            deadlines = self._deadline_rel[0]
+            step_max = step_sum = _ONLY_ROW
         else:
             smask = masks[cols[None, :], order_t].transpose(0, 2, 1)
-        counts = smask.sum(axis=1)  # (m, pop)
+            deadlines = self._deadline_rel[order_t]  # (m, pop)
+            step_max, step_sum = np.maximum.reduce, np.add.reduce
+        counts = np.add.reduce(smask, axis=1)  # (m, pop)
         durs = self._dtable[order_t, counts - 1]  # (m, pop)
-        np.copyto(frel, self._free_rel)  # (n, pop)
+        # Free times before the first step are the same on every column;
+        # only a walk whose later steps read booked nodes needs its copy.
+        free = self._free_rel  # (n, 1)
+        if m > 1:
+            frel[:] = free  # (n, pop)
+            free = frel
         floors = self._floor_rel
         if floors is not None:
             floor_rel = floors[order_t]  # (m, pop)
         preds = self._preds
         if preds is not None:
             pred_rows = preds[order_t].transpose(0, 2, 1)  # (m, maxP, pop)
-            track = np.full((m + 1, pop), -np.inf)
+            track = np.empty((m + 1, pop))
+            track.fill(-np.inf)
         last = m - 1
         for j in range(m):
             cj = cube[j]
-            np.multiply(frel, smask[j], out=cj)  # frel >= 0, so 0-fill is safe
+            np.multiply(free, smask[j], out=cj)  # free >= 0, so 0-fill is safe
             np.maximum.reduce(cj, axis=0, out=starts[j])
             if floors is not None:
                 np.maximum(starts[j], floor_rel[j], out=starts[j])
             if preds is not None:
                 np.maximum(
-                    starts[j], track[pred_rows[j], cols].max(axis=0), out=starts[j]
+                    starts[j],
+                    np.maximum.reduce(track[pred_rows[j], cols], axis=0),
+                    out=starts[j],
                 )
             np.add(starts[j], durs[j], out=comps[j])
             if preds is not None:
                 track[order_t[j], cols] = comps[j]
             if j < last:  # the last step's free times are never read
                 np.copyto(frel, comps[j][None, :], where=smask[j])
-        omega = np.maximum.reduce(comps, axis=0)  # > 0: see the contract
-        theta = np.maximum(comps - self._deadline_rel[order_t], 0.0).sum(axis=0)
+        omega = step_max(comps)  # > 0: see the contract
+        theta = step_sum(np.maximum(comps - deadlines, 0.0))
         # Idle pockets [a, b] on selected nodes: a = frel before the step
         # (cube holds frel·mask), b = the step's start.
         idle_weighting = self._idle_weighting
@@ -427,13 +467,15 @@ class CostEvaluator:
             cs = counts * starts
             # Σ count·start − Σ_sel frel; the flat matvec is the cheapest
             # (m·n, P) → (P,) reduction at these sizes (BLAS, one dispatch).
-            idle_len = cs.sum(axis=0) - self._ones @ cube2d
+            # It and the einsum below round a column differently inside
+            # different batches: a cost depends on its batch (DESIGN.md §4).
+            idle_len = step_sum(cs) - self._ones @ cube2d
             if idle_weighting == "uniform":
                 phi = idle_len
             else:  # linear; ω > 0, so the division needs no guard
                 cs *= starts
                 sel_sq = np.einsum("ij,ij->j", cube2d, cube2d)
-                idle_sq = (cs.sum(axis=0) - sel_sq) * 0.5
+                idle_sq = (step_sum(cs) - sel_sq) * 0.5
                 phi = idle_len - idle_sq / omega
         else:  # exponential: ∫ exp(−3t/ω) dt over each pocket, t relative
             rate = np.where(omega > 0, 3.0 / np.where(omega > 0, omega, 1.0), 0.0)
@@ -446,7 +488,7 @@ class CostEvaluator:
                 / safe_r,
                 0.0,
             )
-            phi = contrib.sum(axis=(0, 1))
+            phi = np.add.reduce(contrib, axis=(0, 1))
         w_makespan, w_idle, w_deadline, w_total = self._weights
         if self._unit_weights:
             combined = omega + phi + theta

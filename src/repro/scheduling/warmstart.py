@@ -17,6 +17,9 @@ This module builds those seeds from the same inputs the GA already holds:
 * the node availability ``(node_free_times, ref_time)`` of the current
   scheduling event.
 
+A new task's masks are seeded here too (:func:`seed_masks`), around its
+eq.-(10) processor count.
+
 A *seed* is one ``(ordering, masks)`` pair in the packed representation of
 :class:`~repro.scheduling.ga.GAScheduler` — a row permutation plus a
 row-keyed ``(m, n)`` bool allocation matrix.  Orderings come from three
@@ -39,8 +42,38 @@ from repro.errors import ValidationError
 __all__ = [
     "greedy_allocation_masks",
     "greedy_allocation_masks_batch",
+    "seed_masks",
     "warmstart_orders",
 ]
+
+
+def seed_masks(
+    durations: np.ndarray, pop: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-individual initial masks for one new task — ``(pop, n)`` bool.
+
+    The paper's GA evolves continuously in real time, accumulating far
+    more generations than an event-driven simulation can afford, so
+    splicing every new task in at random would leave the population too
+    raw to compete.  Instead half the individuals (the even ones) seed the
+    task with a random subset of its *optimal* processor count
+    ``k* = argmin_k t(k)`` (the eq.-10 minimiser, *durations* being the
+    task's ``t(1) .. t(n)`` row) and half with a fully random mask for
+    exploration; evolution refines from there.  The draws come from *rng*
+    individual by individual.
+    """
+    n = durations.size
+    k_star = int(durations.argmin()) + 1
+    choice, uniform = rng.choice, rng.random
+    masks = np.zeros((pop, n), dtype=bool)
+    for i in range(0, pop, 2):
+        masks[i, choice(n, size=k_star, replace=False)] = True
+        if i + 1 < pop:
+            row = masks[i + 1]
+            np.less(uniform(n), 0.5, out=row)
+            if not np.logical_or.reduce(row):
+                row[int(rng.integers(n))] = True
+    return masks
 
 
 def greedy_allocation_masks_batch(
@@ -68,20 +101,20 @@ def greedy_allocation_masks_batch(
     free[:] = free0[None, :]
     masks = np.zeros((s, m, n), dtype=bool)
     srange = np.arange(s)
+    at = srange[:, None]
     positions = np.arange(n)[None, :]
+    last = m - 1
     for step in range(m):
         rows = orders[:, step]
-        idx = np.argsort(free, axis=1, kind="stable")
-        start_k = np.maximum.accumulate(
-            np.take_along_axis(free, idx, axis=1), axis=1
-        )
+        idx = free.argsort(axis=1, kind="stable")
+        start_k = np.maximum.accumulate(free[at, idx], axis=1)
         comp_k = start_k + dtable[rows]
-        kbest = np.argmin(comp_k, axis=1)  # chosen size − 1, per ordering
-        comp_best = comp_k[srange, kbest]
+        kbest = comp_k.argmin(axis=1)  # chosen size − 1, per ordering
         chosen = np.zeros((s, n), dtype=bool)
-        chosen[srange[:, None], idx] = positions <= kbest[:, None]
+        chosen[at, idx] = positions <= kbest[:, None]
         masks[srange, rows] = chosen
-        free = np.where(chosen, comp_best[:, None], free)
+        if step < last:  # the last step's free times are never read
+            np.copyto(free, comp_k[srange, kbest][:, None], where=chosen)
     return masks
 
 
@@ -138,8 +171,8 @@ def warmstart_orders(
         raise ValidationError(f"count must be >= 1, got {count}")
     m = dtable.shape[0]
     base = [
-        np.argsort(dtable.min(axis=1), kind="stable"),
-        np.argsort(deadlines, kind="stable"),
+        np.minimum.reduce(dtable, axis=1).argsort(kind="stable"),
+        np.asarray(deadlines).argsort(kind="stable"),
         np.arange(m, dtype=np.int64),
     ]
     if priorities is not None:

@@ -114,6 +114,9 @@ class _ScriptedRun:
         self.bursts = self.BURSTS
         self.created = 0
         self.garbage_ok = True
+        # The engine's bound on queued cancelled entries, as the last
+        # cancel that took effect left it.
+        self.garbage_bound = COMPACT_MIN
 
     def seed_events(self, count: int) -> None:
         for _ in range(count):
@@ -155,17 +158,22 @@ class _ScriptedRun:
         ]
         keep = self.rng.randrange(0, 4)
         for handle in handles[keep:]:
-            handle.cancel()
-            self._check_garbage()
+            self._cancel(handle)
         self.live.extend(handles[:keep])
 
-    def _check_garbage(self) -> None:
-        # Right after a cancel the engine's compaction bounds the
-        # cancelled entries still queued, FIFO ones included.
+    def _cancel(self, handle) -> None:
+        # Compaction runs in the cancel hook, so right after a cancel that
+        # takes effect it bounds the cancelled entries still queued, FIFO
+        # ones included.  Cancelling an event that already fired is a
+        # no-op and leaves the last bound standing: only cancels add
+        # garbage, while firing lowers the pending count under it.
+        took_effect = handle.pending
+        handle.cancel()
         engine = self.engine
         if isinstance(engine, Engine):
-            garbage = heap_size(engine) - pending(engine)
-            if garbage > max(COMPACT_MIN, pending(engine)):
+            if took_effect:
+                self.garbage_bound = max(COMPACT_MIN, pending(engine))
+            if heap_size(engine) - pending(engine) > self.garbage_bound:
                 self.garbage_ok = False
 
     def _fire(self, ident: int) -> None:
@@ -178,8 +186,7 @@ class _ScriptedRun:
             self._burst()
         if self.live and rng.random() < 0.3:
             victim = self.live.pop(rng.randrange(len(self.live)))
-            victim.cancel()
-            self._check_garbage()
+            self._cancel(victim)
 
     def next_event_time(self):
         engine = self.engine

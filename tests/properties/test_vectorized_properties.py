@@ -30,6 +30,7 @@ from repro.scheduling.vectorized import (
     CostEvaluator,
     bernoulli_indices,
     pair_choices,
+    pair_index,
     swap_choices,
     vectorized_children,
     vectorized_mutation,
@@ -161,7 +162,8 @@ def children(order, masks, parents, cuts, thresholds):
     child_order = np.empty((parents.size,) + order.shape[1:], dtype=order.dtype)
     child_masks = np.empty((parents.size,) + masks.shape[1:], dtype=bool)
     vectorized_children(
-        order, masks, parents, cuts, thresholds, child_order, child_masks
+        order, masks, parents, cuts, thresholds, child_order, child_masks,
+        pair_index(parents.size),
     )
     return child_order, child_masks
 
@@ -234,7 +236,8 @@ class TestChildrenProperties:
         out_masks = np.zeros((count, m, n), dtype=bool)
         inputs = one_generation(do_cross, cuts, points, m, n) if pairs else (None, None)
         vectorized_children(
-            order, masks, parents, *inputs, out_order, out_masks
+            order, masks, parents, *inputs, out_order, out_masks,
+            pair_index(count),
         )
         assert out_order.tobytes() == want_order.tobytes()
         assert out_masks.tobytes() == want_masks.tobytes()
@@ -337,6 +340,52 @@ class TestEvaluatorParity:
             out = np.empty(pop + 2)
             evaluate(order, masks, out[2:])
             assert out[2:].tobytes() == want.tobytes()
+
+
+class TestOneTaskCosting:
+    """One queued task, the shape of most scheduling events.
+
+    There the evaluator skips the walk's free-time copy, its one-row
+    reductions and the deadline gather; its costs must still be the
+    reference's bits at every batch size the GA costs: 1 (the memetic
+    candidate), 9 (the warm-start batch, one mask repeated), 48 (the
+    children, written into the population's cost vector) and 50 (the
+    whole population).
+    """
+
+    @pytest.mark.parametrize("floor", [None, 4.0])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5)])
+    @pytest.mark.parametrize("idle_weighting", ["linear", "uniform", "exponential"])
+    def test_matches_reference_costs_bit_for_bit(self, idle_weighting, weights, floor):
+        from repro.scheduling.cost import CostWeights
+
+        n = 16
+        k = np.arange(1, n + 1)
+        dtable = (80.0 / k**0.7 + 0.5 * k)[None, :]
+        deadlines = np.array([40.0])  # some schedules late, some not
+        floors = None if floor is None else np.array([floor])
+        w = CostWeights(*weights)
+        rng = np.random.default_rng(25)
+        for ref_time in (0.0, 3.5):
+            free = list(12.0 * rng.random(n))  # some clamped to ref_time
+            evaluate = CostEvaluator(
+                dtable, deadlines, free, ref_time, w, idle_weighting,
+                floors=floors,
+            )
+            for pop in (1, 9, 48, 50):
+                order = np.zeros((pop, 1), dtype=np.int64)
+                masks = rng.random((pop, 1, n)) < 0.3
+                masks |= ~masks.any(axis=2, keepdims=True)
+                if pop == 9:
+                    masks = masks[:1].repeat(pop, axis=0)
+                want = reference_costs(
+                    order, masks, dtable, deadlines, free, ref_time, w,
+                    idle_weighting, floors=floors,
+                )
+                assert evaluate(order, masks).tobytes() == want.tobytes()
+                out = np.empty(pop + 2)
+                evaluate(order, masks, out[2:])
+                assert out[2:].tobytes() == want.tobytes()
 
 
 class TestPopulationLegitimacy:

@@ -88,6 +88,14 @@ class TestTaskChurn:
         with pytest.raises(ScheduleError):
             ga.remove_task(9)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_invalid_durations_rejected(self, rng, bad):
+        ga = GAScheduler(4, table_duration({0: [10.0, 6.0, bad, 3.0]}), rng)
+        with pytest.raises(ScheduleError, match="finite and > 0"):
+            ga.add_task(0, 50.0)
+
     def test_deadline_lookup(self, ga):
         ga.add_task(2, 33.0)
         assert ga.deadline(2) == 33.0

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 
 from repro.perf import (
     DERIVED_RATIOS,
+    GAUGE_SLICES,
+    NOMINAL_SLICE_S,
     PARALLELISM_BENCHMARKS,
     BenchResult,
+    Gauge,
     Regression,
     check_regression,
     merge_suite_doc,
@@ -351,3 +356,50 @@ class TestRendering:
     def test_regression_describe_signs(self):
         regression = Regression("m", baseline=100.0, current=50.0, change=-0.5)
         assert "-50.0%" in regression.describe()
+
+
+class TestStartupGauge:
+    """The ``startup_`` rows are quoted at nominal machine speed."""
+
+    @staticmethod
+    def gauge(slice_s: float) -> Gauge:
+        gauge = Gauge()
+        gauge.times = [slice_s] * GAUGE_SLICES
+        return gauge
+
+    def test_nominal_slices_leave_seconds_unchanged(self):
+        assert self.gauge(NOMINAL_SLICE_S).scale(0.25) == pytest.approx(0.25)
+
+    def test_slow_spell_is_divided_out(self):
+        """Identical code read 0.035 s in a quiet spell and 0.077 s in a
+        slow one; with slices 2.2x slower the scaled rows agree."""
+        quiet = self.gauge(NOMINAL_SLICE_S).scale(0.035)
+        slow = self.gauge(2.2 * NOMINAL_SLICE_S).scale(0.077)
+        assert slow == pytest.approx(quiet)
+
+    def test_mean_slice_is_the_speed_estimate(self):
+        gauge = Gauge()
+        gauge.times = [0.5 * NOMINAL_SLICE_S, 1.5 * NOMINAL_SLICE_S]
+        assert gauge.scale(0.4) == pytest.approx(0.4)
+
+    def test_probe_imports_the_gauge_after_the_timer(self):
+        """The gauge's module must not pre-load anything the timed
+        imports would otherwise pay for."""
+        from repro.perf import _STARTUP_PROBE
+
+        assert _STARTUP_PROBE.index("seconds = time.perf_counter() - t0") < (
+            _STARTUP_PROBE.index("from repro.perf import")
+        )
+
+    def test_import_row_is_the_median_of_scaled_seconds(self, monkeypatch):
+        import repro.perf as perf
+
+        lines = iter(["0.10 0.20\n", "0.12 0.30\n", "0.11 0.25\n"])
+
+        def child(args, **kwargs):
+            return subprocess.CompletedProcess(args, 0, stdout=next(lines))
+
+        monkeypatch.setattr(perf.subprocess, "run", child)
+        result = perf.bench_startup_import(interpreters=3)
+        assert result.value == pytest.approx(0.11)
+        assert "0.250 s wall" in result.detail
