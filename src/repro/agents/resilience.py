@@ -39,6 +39,9 @@ ACK_TIMEOUT = 3.0
 MAX_RETRIES = 3
 #: Timeout multiplier per attempt (see :func:`timeout_for`).
 BACKOFF_BASE = 2.0
+#: Advertisement pulls a neighbour may miss before the robustness stack
+#: (:meth:`ResilienceConfig.resilient`) expires its service record.
+MISSED_PULLS = 3.0
 
 
 def timeout_for(attempt: int) -> float:
@@ -71,3 +74,14 @@ class ResilienceConfig:
             raise ValidationError(
                 f"registry_ttl must be > 0 or None, got {self.registry_ttl}"
             )
+
+    @classmethod
+    def resilient(cls, pull_interval: float) -> ResilienceConfig:
+        """The robustness stack's policy for a grid pulling every *pull_interval*.
+
+        ACK/retry on, and a registry TTL of :data:`MISSED_PULLS` pull
+        intervals: the TTL tracks the advertisement cadence, so a crashed
+        neighbour stops attracting forwards three missed pulls after its
+        last advert.  Experiments 4 and 5 and the chaos scenarios use it.
+        """
+        return cls(enabled=True, registry_ttl=MISSED_PULLS * pull_interval)

@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 4,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 5,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -18,7 +18,11 @@ differs from the version-1 kernels', so a version-1 snapshot is refused
 rather than resumed.  Version 3 marks the single run driver: one payload
 layout with a ``mode`` field replaces the three per-kind layouts.
 Version 4 drops the per-agent ``outcomes`` list, a log of every routing
-decision that nothing read.
+decision that nothing read.  Version 5 drops the GA kernel's event-level
+cost cache (``cached_costs``, ``cost_cache_key``), which a restored run
+drops before reading, and the local scheduler's copies of the kernel's
+workflow floors and precedence (``floors``, ``constraints``): the GA
+section's ``floors`` and ``preds`` are their one record.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

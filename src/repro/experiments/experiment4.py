@@ -104,15 +104,11 @@ def degradation_config(
     churn = churn_spec
     if churn is None and churn_rate > 0:
         churn = ChurnSpec(rate=churn_rate)
-    if resilient:
-        # The registry TTL tracks the advertisement cadence: a crashed
-        # neighbour stops attracting forwards three missed pulls after its
-        # last advert.
-        resilience = ResilienceConfig(
-            enabled=True, registry_ttl=3.0 * base.pull_interval
-        )
-    else:
-        resilience = ResilienceConfig()
+    resilience = (
+        ResilienceConfig.resilient(base.pull_interval)
+        if resilient
+        else ResilienceConfig()
+    )
     mode = "resilient" if resilient else "no-retry"
     return replace(
         base,

@@ -153,9 +153,7 @@ def experiment5_config(
         name=f"{base.name}-churn{churn_rate:g}-grey{straggler_count}-{mode}",
         faults=faults,
         churn=churn,
-        resilience=ResilienceConfig(
-            enabled=True, registry_ttl=3.0 * base.pull_interval
-        ),
+        resilience=ResilienceConfig.resilient(base.pull_interval),
         membership=MembershipConfig(enabled=True, heal=healing),
     )
 

@@ -293,9 +293,7 @@ class ScenarioSpec:
                 name=f"{base.name}-{self.chaos}",
                 faults=self.chaos_fault_spec(),
                 churn=self.chaos_churn_spec(),
-                resilience=ResilienceConfig(
-                    enabled=True, registry_ttl=3.0 * base.pull_interval
-                ),
+                resilience=ResilienceConfig.resilient(base.pull_interval),
                 membership=MembershipConfig(enabled=True),
             )
         return replace(base, **overrides) if overrides else base

@@ -37,10 +37,11 @@ The suite times the hot kernels this codebase optimises:
   scenario in a warm process: ``generate_scenario`` + ``build_grid`` +
   ``start``.
 
-Both ``startup_`` rows are quoted at a nominal machine speed: each is
-divided by the time of a fixed slice of Python work (:class:`Gauge`)
-measured in the same process, so a slow spell of a shared host moves the
-slices with the program and the row stays put.
+The ``ga_`` throughputs and both ``startup_`` rows are quoted at a
+nominal machine speed: each time is divided by the time of a fixed slice
+of Python work (:class:`Gauge`) measured in the same process, so a slow
+spell of a shared host moves the slices with the program and the row
+stays put.
 
 Results are written as JSON with machine info and the git SHA so numbers
 are attributable; :func:`check_regression` compares two such documents
@@ -51,8 +52,8 @@ are skipped — and reported as skipped — when the two documents were
 measured on machines with different ``cpu_count``: a pool's speedup is a
 property of the core count, not the code.
 
-Entry points: ``python -m repro.cli perf [--only SUBSTRING]`` or
-``python benchmarks/perf/run_perf.py``; see docs/performance.md.
+Entry point: ``PYTHONPATH=src python -m repro perf [--only SUBSTRING]
+[--update]``; see docs/performance.md.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,11 +98,12 @@ BENCH_SCALE_REQUESTS = int(os.environ.get("REPRO_BENCH_SCALE_REQUESTS", "200"))
 DEFAULT_THRESHOLD = 0.25
 
 #: Time of one :class:`Gauge` slice on the 2-core VM the end-to-end
-#: benchmark's bounds were calibrated on, in a quiet spell; the
-#: ``startup_`` rows are quoted at this speed.
+#: benchmark's bounds were calibrated on, in a quiet spell; the ``ga_``
+#: throughputs and the ``startup_`` rows are quoted at this speed.
 NOMINAL_SLICE_S = 0.002
 
-#: Gauge slices timed alongside each ``startup_`` measurement.
+#: Gauge slices timed alongside each ``startup_`` measurement (half of
+#: them before each ``ga_`` sample and each grid build).
 GAUGE_SLICES = 10
 
 #: Benchmarks whose value measures the machine's parallelism rather than
@@ -181,27 +183,50 @@ def _make_ga(
     return ga
 
 
-def bench_ga_evolve(generations: int = 25, repeats: int = 5) -> BenchResult:
-    """Generations/second of ``evolve``.
+def _median_at_nominal(
+    sample: Callable[[], object], repeats: int
+) -> Tuple[float, float]:
+    """Median seconds of *repeats* timed runs of *sample*: ``(nominal, wall)``.
 
-    Best-of-*repeats* chunks of *generations* each (generations are
-    homogeneous in cost, so the fastest chunk is the least-noisy sample).
+    Each run is timed right after ``GAUGE_SLICES // 2`` slices of its own
+    :class:`Gauge` and scaled by them, so a slow spell that covers a run
+    slows its slices too.  The median, not the fastest run: a gauge that
+    happened to read slow makes its run look fast, and the fastest scaled
+    run is the one that picks that error up.
+    """
+    nominal, wall = [], []
+    for _ in range(repeats):
+        gauge = Gauge()
+        for _ in range(GAUGE_SLICES // 2):
+            gauge.slice()
+        start = time.perf_counter()
+        sample()
+        seconds = time.perf_counter() - start
+        nominal.append(gauge.scale(seconds))
+        wall.append(seconds)
+    return statistics.median(nominal), statistics.median(wall)
+
+
+def bench_ga_evolve(generations: int = 25, repeats: int = 5) -> BenchResult:
+    """Generations/second of ``evolve``, at nominal speed.
+
+    The median of *repeats* chunks of *generations* each, every chunk
+    scaled by its own :class:`Gauge` slices (:func:`_median_at_nominal`).
     """
     free = [0.0] * 16
     ga = _make_ga()
     ga.evolve(3, free, 0.0)  # warm-up: population allocation, caches
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        ga.evolve(generations, free, 0.0)
-        best = min(best, time.perf_counter() - start)
+    nominal, wall = _median_at_nominal(
+        lambda: ga.evolve(generations, free, 0.0), repeats
+    )
     return BenchResult(
         name="ga_evolve",
-        value=generations / best,
+        value=generations / nominal,
         unit="generations/s",
         higher_is_better=True,
-        detail=f"best of {repeats}x{generations} generations, "
-        "12 tasks, 16 nodes, pop 50",
+        detail=f"median of {repeats}x{generations} generations, "
+        "12 tasks, 16 nodes, pop 50; gauge-scaled to nominal speed "
+        f"({generations / wall:.0f} generations/s wall)",
     )
 
 
@@ -214,24 +239,27 @@ def bench_ga_evolve_event(
     generations, and most events find one task queued, where a generation
     is almost all fixed dispatch cost rather than array arithmetic.  Each
     sample is *calls* consecutive calls, each paying its per-call set-up
-    (initial costing, warm start); best of *repeats*.
+    (initial costing, warm start); the median of *repeats*, at nominal
+    speed (:func:`_median_at_nominal`).
     """
     free = [0.0] * 16
     ga = _make_ga(n_tasks=1)
     ga.evolve(3, free, 0.0)  # warm-up: population allocation
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
+
+    def sample() -> None:
         for call in range(calls):
             ga.evolve(generations, free, float(call))
-        best = min(best, time.perf_counter() - start)
+
+    nominal, wall = _median_at_nominal(sample, repeats)
+    total = calls * generations
     return BenchResult(
         name="ga_evolve_event",
-        value=calls * generations / best,
+        value=total / nominal,
         unit="generations/s",
         higher_is_better=True,
-        detail=f"best of {repeats}x{calls} calls of {generations} generations, "
-        "1 task, 16 nodes, pop 50",
+        detail=f"median of {repeats}x{calls} calls of {generations} "
+        "generations, 1 task, 16 nodes, pop 50; gauge-scaled to nominal "
+        f"speed ({total / wall:.0f} generations/s wall)",
     )
 
 

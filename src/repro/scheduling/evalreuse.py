@@ -12,7 +12,7 @@ facts make reuse safe:
 
 So the final cost vector of an ``evolve`` call answers the following
 ``best_solution`` without another evaluation, keyed by
-:func:`availability_key`; within ``evolve`` the elites carry their costs
+:func:`clamp_availability`; within ``evolve`` the elites carry their costs
 between generations structurally.  This module holds that key and the
 counters exposed as :attr:`GAScheduler.stats
 <repro.scheduling.ga.GAScheduler.stats>`.
@@ -25,7 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["EvalReuseStats", "availability_key"]
+__all__ = ["EvalReuseStats", "clamp_availability"]
 
 
 @dataclass
@@ -69,16 +69,19 @@ class EvalReuseStats:
             setattr(self, f.name, int(counters.get(f.name, f.default)))
 
 
-def availability_key(
+def clamp_availability(
     node_free_times: Sequence[float], ref_time: float
-) -> Tuple[bytes, float]:
-    """Hashable identity of an eq.-(8) availability context.
+) -> Tuple[np.ndarray, Tuple[bytes, float]]:
+    """The free times eq. (8) sees, and the availability key they have.
 
     eq. (8) only ever sees ``max(node_free_times, ref_time)`` (nothing can
     start in the past), so the key is the *clamped* free-time vector plus
     ``ref_time`` (which additionally shifts ω and the idle weighting).
     Two calls with equal keys are guaranteed bit-identical cost vectors
-    for an unchanged population.
+    for an unchanged population.  The one definition behind both
+    :class:`~repro.scheduling.vectorized.CostEvaluator` (which costs
+    against the clamped vector and carries its key) and the event-level
+    cost cache (which compares keys), so the two cannot drift apart.
     """
     free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
-    return free0.tobytes(), float(ref_time)
+    return free0, (free0.tobytes(), float(ref_time))

@@ -35,9 +35,15 @@ import numpy as np
 from repro.errors import ScheduleError, ValidationError
 from repro.scheduling.batched import batched_insert
 from repro.scheduling.coding import SolutionString
-from repro.scheduling.evalreuse import EvalReuseStats, availability_key
-from repro.scheduling.cost import CostWeights
+from repro.scheduling.cost import (
+    IDLE_WEIGHTERS,
+    CostBreakdown,
+    CostWeights,
+    schedule_cost,
+)
+from repro.scheduling.evalreuse import EvalReuseStats, clamp_availability
 from repro.scheduling.fitness import scale_fitness
+from repro.scheduling.schedule import Schedule, build_schedule
 from repro.scheduling.vectorized import (
     CostEvaluator,
     bernoulli_indices,
@@ -522,7 +528,7 @@ class GAScheduler:
         """The cached cost vector iff availability matches, else ``None``."""
         if self._cached_costs is None or self._cost_cache_key is None:
             return None
-        if availability_key(node_free_times, ref_time) != self._cost_cache_key:
+        if clamp_availability(node_free_times, ref_time)[1] != self._cost_cache_key:
             return None
         return self._cached_costs
 
@@ -893,37 +899,54 @@ class GAScheduler:
             self._store_cost_cache(costs, evaluate.key)
         return self._solution_at(int(costs.argmin()))
 
+    def schedule(
+        self,
+        solution: SolutionString,
+        node_free_times: Sequence[float],
+        ref_time: float,
+        duration: Optional[DurationFn] = None,
+    ) -> Schedule:
+        """*solution*'s earliest-start schedule under the kernel's constraints.
+
+        The one place a schedule is built under the start floors and
+        precedence the kernel holds.  *duration* defaults to the kernel's
+        duration table; dispatch passes the scheduler's live PACE estimate.
+        """
+        return build_schedule(
+            solution,
+            node_free_times,
+            duration or self._table_duration,
+            ref_time=ref_time,
+            floors=self._floor or None,
+            predecessors=self._preds or None,
+        )
+
+    def _table_duration(self, task_id: int, count: int) -> float:
+        return float(self._dtable[self._require_row(task_id)][count - 1])
+
+    def breakdown(self, schedule: Schedule) -> CostBreakdown:
+        """eq. (8) of a built *schedule* under the kernel's deadlines and weights.
+
+        The traced ``sched.cost`` record of a dispatch, and the scalar
+        reference cost.
+        """
+        return schedule_cost(
+            schedule,
+            {tid: self.deadline(tid) for tid in self.task_ids},
+            self._config.weights,
+            idle_weighter=IDLE_WEIGHTERS[self._config.idle_weighting],
+        )
+
     def reference_cost(
         self,
         solution: SolutionString,
         node_free_times: Sequence[float],
         ref_time: float,
     ) -> float:
-        """Scalar (non-vectorised) eq.-(8) cost of one solution.
-
-        The reference implementation used by tests to validate the
-        vectorised evaluator: the scalar schedule builder under the same
-        start floors and precedence constraints the kernel holds.
-        """
-        from repro.scheduling.cost import IDLE_WEIGHTERS, schedule_cost
-        from repro.scheduling.schedule import build_schedule
-
-        schedule = build_schedule(
-            solution,
-            node_free_times,
-            lambda tid, k: float(self._dtable[self._require_row(tid)][k - 1]),
-            ref_time=ref_time,
-            floors=self._floor or None,
-            predecessors=self._preds or None,
-        )
-        deadlines = {tid: float(self._deadline_arr[r]) for tid, r in self._row_of.items()}
-        breakdown = schedule_cost(
-            schedule,
-            deadlines,
-            self._config.weights,
-            idle_weighter=IDLE_WEIGHTERS[self._config.idle_weighting],
-        )
-        return breakdown.combined
+        """Scalar eq.-(8) cost of one solution: the evaluator's test reference."""
+        return self.breakdown(
+            self.schedule(solution, node_free_times, ref_time)
+        ).combined
 
     def cost_of(
         self,
@@ -941,13 +964,14 @@ class GAScheduler:
     # ------------------------------------------------------------- checkpoint
 
     def snapshot_state(self) -> dict:
-        """The full kernel state: population arrays, task rows, caches, stats.
+        """The full kernel state: population arrays, task rows, constraints, stats.
 
         The RNG is *not* included — it belongs to the run's
-        :class:`~repro.utils.rng.RngRegistry` and is snapshot there.  The
-        event-level cost cache is serialised too (its presence changes
-        whether the next ``best_solution`` call recomputes, which shows in
-        the reuse counters the experiment result reports).
+        :class:`~repro.utils.rng.RngRegistry` and is snapshot there.  Nor
+        is the event-level cost cache: a restored kernel is next reached
+        through ``evolve``, ``add_task``, ``remove_task`` or a raising
+        ``set_floor``, and each drops it (the scheduler reads the
+        incumbent only right after ``evolve``).
         """
         from repro.checkpoint.codec import encode_ndarray
 
@@ -960,16 +984,6 @@ class GAScheduler:
             "generations": self._generations,
             "history": [[int(g), float(c)] for g, c in self._history],
             "stats": self._stats.snapshot_counters(),
-            "cached_costs": (
-                None
-                if self._cached_costs is None
-                else encode_ndarray(self._cached_costs)
-            ),
-            "cost_cache_key": (
-                None
-                if self._cost_cache_key is None
-                else [self._cost_cache_key[0].hex(), self._cost_cache_key[1]]
-            ),
         }
         # Workflow keys appear only when carrying non-default state, so
         # independent-task snapshots stay byte-identical to the seed's.
@@ -1015,12 +1029,4 @@ class GAScheduler:
         self._generations = int(state["generations"])
         self._history = [(int(g), float(c)) for g, c in state["history"]]
         self._stats.restore_counters(state["stats"])
-        self._cached_costs = (
-            None
-            if state["cached_costs"] is None
-            else decode_ndarray(state["cached_costs"])
-        )
-        key = state["cost_cache_key"]
-        self._cost_cache_key = (
-            None if key is None else (bytes.fromhex(key[0]), float(key[1]))
-        )
+        self._invalidate_cost_cache()

@@ -40,11 +40,9 @@ from repro.scheduling.baselines import (
     RoundRobinScheduler,
     StaticPlacement,
 )
-from repro.scheduling.cost import IDLE_WEIGHTERS, schedule_cost
 from repro.scheduling.fifo import FIFOScheduler
 from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.monitor import ResourceMonitor
-from repro.scheduling.schedule import build_schedule
 from repro.sim.engine import Engine
 from repro.sim.events import Event, Priority
 from repro.tasks.execution import ExecutionEngine, ExecutionMode
@@ -195,8 +193,10 @@ class LocalScheduler:
         self._service_listeners: List[Callable[[], None]] = []
         self._all_tasks: List[Task] = []
         self._task_by_id: dict[int, Task] = {}
-        # Incumbent-schedule per-node free times, refreshed at each
-        # scheduling event; None = recompute on the next freetime() query.
+        # Per-node free times of the incumbent schedule the last GA
+        # dispatch launched from: what freetime() reads while tasks queue.
+        # Every scheduling event sets it and nothing else can rebuild it,
+        # so snapshots carry it.
         self._cached_node_free: Optional[np.ndarray] = None
         # (executor free-time vector, max — min in "min" mode — of
         # _freetime_per_node()): static placement and GA dispatch drop it,
@@ -206,24 +206,18 @@ class LocalScheduler:
         # task id -> pending static-launch event (checkpoint support).
         self._static_launch_handles: dict[int, "Event"] = {}
         # Workflow gating state — all empty for independent-task runs, in
-        # which case every path below is byte-identical to the seed:
+        # which case every path below is byte-identical to the seed.  The
+        # start floors and precedence constraints the incumbent is
+        # optimised and built under live in the GA kernel alone.
         # * _gate: task id -> parent node names whose inputs have not yet
         #   arrived at this cluster (remote transfers in flight, or a
         #   co-located parent still queued/running).  Gated tasks are never
         #   dispatched; `dag.ready` is emitted the instant a gate clears.
-        # * _floors: task id -> absolute earliest start (staging estimate
-        #   or a dispatched parent's booked completion), mirrored into the
-        #   GA and into dispatch-side schedule building.
-        # * _constraints: child task id -> co-queued parent task ids that
-        #   must precede it; _dependants is the reverse index used to
-        #   collapse a constraint into a floor when the parent launches.
         # * _completion_watch: parent task id -> (child, parent node) gate
-        #   keys cleared when the parent completes locally.
+        #   keys cleared when the parent completes locally; a dispatch of
+        #   the parent raises these children's floors in the kernel.
         # * _wf_node_task: (workflow id, node) -> local task id.
         self._gate: dict[int, set] = {}
-        self._floors: dict[int, float] = {}
-        self._constraints: dict[int, Tuple[int, ...]] = {}
-        self._dependants: dict[int, set] = {}
         self._completion_watch: dict[int, List[Tuple[int, str]]] = {}
         self._wf_node_task: dict[Tuple[int, str], int] = {}
 
@@ -331,24 +325,9 @@ class LocalScheduler:
             return np.maximum(self._static.booked_free_times, base)
         if self._queue.is_empty:
             return base
-        if self._cached_node_free is not None:
-            return np.maximum(self._cached_node_free, base)
-        assert self._ga is not None
-        now = self._sim.now
-        free = self.effective_free_times()
-        best = self._ga.best_solution(free, now)
-        schedule = build_schedule(
-            best,
-            free,
-            self._task_duration,
-            ref_time=now,
-            floors=self._floors or None,
-            predecessors=self._constraints or None,
-        )
-        self._cached_node_free = np.array(
-            [schedule.node_free_after(n.node_id) for n in self._resource.nodes]
-        )
-        return self._cached_node_free
+        # Every GA scheduling event leaves the incumbent's free times
+        # while tasks queue (tests/properties/test_advert_cache.py).
+        return np.maximum(self._cached_node_free, base)
 
     def expected_completion(self, request: TaskRequest) -> Tuple[float, int]:
         """Eq. (10): ``η_r = ω + min_k t_x(k)`` and the minimising k.
@@ -419,7 +398,7 @@ class LocalScheduler:
         return task
 
     def _register_workflow(self, task: Task) -> Tuple[Optional[float], Tuple[int, ...]]:
-        """Record a workflow task's gates/constraints; ``(floor, preds)``.
+        """Record a workflow task's gates; its ``(floor, preds)`` for the GA.
 
         Called before the task enters the GA so the very first dispatch
         pass already sees it gated.  Each binding input resolves to one of:
@@ -452,7 +431,6 @@ class LocalScheduler:
                 parent = self._task_by_id[ptid]
                 if parent.state is TaskState.QUEUED:
                     preds.append(ptid)
-                    self._dependants.setdefault(ptid, set()).add(tid)
                 elif parent.state is TaskState.RUNNING:
                     nodes = parent.allocated_nodes or ()
                     booked = max(
@@ -468,10 +446,6 @@ class LocalScheduler:
                 )
             else:
                 gate.add(parent_node)  # remote input: wait for the transfer
-        if preds:
-            self._constraints[tid] = tuple(preds)
-        if floor is not None:
-            self._floors[tid] = floor
         if gate:
             self._gate[tid] = gate
         else:
@@ -514,9 +488,6 @@ class LocalScheduler:
 
     def set_start_floor(self, task_id: int, floor: float) -> None:
         """Raise a queued task's earliest-start floor (transfer ETA)."""
-        current = self._floors.get(task_id)
-        if current is None or floor > current:
-            self._floors[task_id] = float(floor)
         if self._ga is not None and task_id in self._queue:
             self._ga.set_floor(task_id, floor)
 
@@ -587,7 +558,7 @@ class LocalScheduler:
         # more full eq.-(8) evaluation per scheduling event.
         self._dispatch(free)
 
-    def _dispatch(self, free: Optional[np.ndarray] = None) -> None:
+    def _dispatch(self, free: np.ndarray) -> None:
         """Launch every incumbent-schedule entry whose start time is now.
 
         A single pass suffices: the built schedule is conflict-free, so all
@@ -598,16 +569,8 @@ class LocalScheduler:
         """
         assert self._ga is not None
         now = self._sim.now
-        if free is None:
-            free = self.effective_free_times()
-        best = self._ga.best_solution(free, now)
-        schedule = build_schedule(
-            best,
-            free,
-            self._task_duration,
-            ref_time=now,
-            floors=self._floors or None,
-            predecessors=self._constraints or None,
+        schedule = self._ga.schedule(
+            self._ga.best_solution(free, now), free, now, self._task_duration
         )
         self._cached_node_free = np.array(
             [schedule.node_free_after(n.node_id) for n in self._resource.nodes]
@@ -617,12 +580,7 @@ class LocalScheduler:
 
             # eq. (8) breakdown of the incumbent — pure recomputation (no
             # RNG, no state), so tracing cannot perturb the run.
-            breakdown = schedule_cost(
-                schedule,
-                {tid: self._ga.deadline(tid) for tid in self._ga.task_ids},
-                self._ga.config.weights,
-                idle_weighter=IDLE_WEIGHTERS[self._ga.config.idle_weighting],
-            )
+            breakdown = self._ga.breakdown(schedule)
             self._tracer.emit(
                 CostComponents(
                     t=now,
@@ -640,9 +598,8 @@ class LocalScheduler:
                 task = self._queue.remove(entry.task_id)
                 self._ga.remove_task(entry.task_id)
                 completion = self._executor.launch(task, entry.node_ids)
-                self._floors.pop(entry.task_id, None)
-                if self._dependants:
-                    self._release_dependants(entry.task_id, completion)
+                if self._completion_watch:
+                    self._raise_child_floors(entry.task_id, completion)
                 if self._tracer is not None:
                     from repro.obs.records import TaskDispatched
 
@@ -657,25 +614,16 @@ class LocalScheduler:
                         )
                     )
 
-    def _release_dependants(self, parent_id: int, completion: float) -> None:
-        """Collapse ordering constraints on a just-launched parent to floors.
+    def _raise_child_floors(self, parent_id: int, completion: float) -> None:
+        """Turn "after the just-launched parent" into a floor for its children.
 
-        The parent left the optimisation set, so "after the parent" becomes
-        "not before the parent's booked completion" for every waiting
-        child (the completion gate still protects against runtime noise).
+        The parent left the optimisation set, so its co-located children
+        (the ones waiting on it in ``_completion_watch``) may start no
+        earlier than its booked completion; the completion gate still
+        protects against runtime noise.
         """
         assert self._ga is not None
-        for child in sorted(self._dependants.pop(parent_id, ())):
-            remaining = tuple(
-                p for p in self._constraints.get(child, ()) if p != parent_id
-            )
-            if remaining:
-                self._constraints[child] = remaining
-            else:
-                self._constraints.pop(child, None)
-            current = self._floors.get(child)
-            if current is None or completion > current:
-                self._floors[child] = completion
+        for child, _parent_node in self._completion_watch.get(parent_id, ()):
             if child in self._queue:
                 self._ga.set_floor(child, completion)
 
@@ -687,6 +635,19 @@ class LocalScheduler:
         acting on the id.
         """
         return self._wf_node_task.get((workflow_id, node))
+
+    def cancel_workflow_node(self, workflow_id: int, node: str) -> None:
+        """Cancel the task realising *(workflow, node)* if queued or running.
+
+        Failure propagation's one call into the scheduler: a node that
+        already finished here, or was never submitted here, is left alone.
+        """
+        task_id = self.workflow_task_id(workflow_id, node)
+        if task_id is not None and self._task_by_id[task_id].state in (
+            TaskState.QUEUED,
+            TaskState.RUNNING,
+        ):
+            self.cancel_task(task_id)
 
     # ----------------------------------------------------------- cancellation
 
@@ -721,24 +682,15 @@ class LocalScheduler:
         return task
 
     def _forget_workflow_state(self, task_id: int) -> None:
-        """Drop gating/constraint bookkeeping for a cancelled task.
+        """Drop gating bookkeeping for a cancelled task.
 
         Children left waiting on the cancelled task keep their gates —
         failure propagation (the workflow coordinator cancelling the rest
         of the graph) is the layer that resolves them.
         """
-        if not (self._gate or self._floors or self._constraints
-                or self._completion_watch or self._dependants):
+        if not (self._gate or self._completion_watch):
             return
         self._gate.pop(task_id, None)
-        self._floors.pop(task_id, None)
-        for parent in self._constraints.pop(task_id, ()):
-            deps = self._dependants.get(parent)
-            if deps is not None:
-                deps.discard(task_id)
-                if not deps:
-                    del self._dependants[parent]
-        self._dependants.pop(task_id, None)
         self._completion_watch.pop(task_id, None)
         for watchers in self._completion_watch.values():
             watchers[:] = [w for w in watchers if w[0] != task_id]
@@ -838,15 +790,6 @@ class LocalScheduler:
             workflow["gate"] = [
                 [tid, sorted(keys)] for tid, keys in sorted(self._gate.items())
             ]
-        if self._floors:
-            workflow["floors"] = [
-                [tid, f] for tid, f in sorted(self._floors.items())
-            ]
-        if self._constraints:
-            workflow["constraints"] = [
-                [tid, list(parents)]
-                for tid, parents in sorted(self._constraints.items())
-            ]
         if self._completion_watch:
             workflow["watch"] = [
                 [tid, [[c, n] for c, n in watchers]]
@@ -897,17 +840,6 @@ class LocalScheduler:
         self._gate = {
             int(tid): set(keys) for tid, keys in workflow.get("gate", [])
         }
-        self._floors = {
-            int(tid): float(f) for tid, f in workflow.get("floors", [])
-        }
-        self._constraints = {
-            int(tid): tuple(int(p) for p in parents)
-            for tid, parents in workflow.get("constraints", [])
-        }
-        self._dependants = {}
-        for child, parents in self._constraints.items():
-            for parent in parents:
-                self._dependants.setdefault(parent, set()).add(child)
         self._completion_watch = {
             int(tid): [(int(c), str(n)) for c, n in watchers]
             for tid, watchers in workflow.get("watch", [])

@@ -60,6 +60,7 @@ from repro.scheduling.batched import (
     batched_order_splice,
     crossover_thresholds,
 )
+from repro.scheduling.evalreuse import clamp_availability
 
 __all__ = [
     "bernoulli_indices",
@@ -365,13 +366,13 @@ class CostEvaluator:
         preds: Optional[np.ndarray] = None,
     ) -> None:
         m, n = dtable.shape
-        free0 = np.maximum(np.asarray(node_free_times, dtype=float), ref_time)
+        #: The availability key
+        #: (:func:`~repro.scheduling.evalreuse.clamp_availability`).
+        free0, self.key = clamp_availability(node_free_times, ref_time)
         if free0.size != n:
             raise ScheduleError(
                 f"node_free_times has {free0.size} entries, resource has {n}"
             )
-        #: The availability key (:func:`~repro.scheduling.evalreuse.availability_key`).
-        self.key = (free0.tobytes(), float(ref_time))
         self._n = n
         self._free_rel = (free0 - ref_time)[:, None]  # all >= 0 after clamp
         self._dtable = dtable

@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import TaskError, ValidationError
 from repro.tasks.graph import TaskGraph, b_levels
-from repro.tasks.task import Environment, TaskState, WorkflowBinding
+from repro.tasks.task import Environment, WorkflowBinding
 
 __all__ = ["WorkflowRun", "WorkflowCoordinator"]
 
@@ -298,17 +298,7 @@ class WorkflowCoordinator:
             if request_id is None:
                 continue  # staged mode: never submitted, nothing to kill
             if scheduler is not None:
-                task_id = scheduler.workflow_task_id(
-                    run.workflow_id, descendant
-                )
-                task = (
-                    scheduler.task(task_id) if task_id is not None else None
-                )
-                if task is not None and task.state in (
-                    TaskState.QUEUED,
-                    TaskState.RUNNING,
-                ):
-                    scheduler.cancel_task(task_id)
+                scheduler.cancel_workflow_node(run.workflow_id, descendant)
             if self._portal.result(request_id) is None:
                 self._portal._record_result(
                     self._portal._failure_result(request_id), synthetic=True

@@ -97,7 +97,7 @@ class TestRejection:
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         write_snapshot(path, {"x": 1})
         stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -115,6 +115,13 @@ class TestRejection:
         write_snapshot(path, {"mode": "strict"})
         stamp_version(path, 3)
         with pytest.raises(CheckpointError, match="format version 3"):
+            read_snapshot(path)
+
+    def test_version_four_snapshot_refused(self, path):
+        """Version-4 GA states carry the kernel's cost cache this build drops."""
+        write_snapshot(path, {"mode": "strict"})
+        stamp_version(path, 4)
+        with pytest.raises(CheckpointError, match="format version 4"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

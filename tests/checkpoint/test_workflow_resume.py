@@ -181,8 +181,8 @@ class TestMidWorkflowRoundTrip:
         engine_state = sim.snapshot_state()
         state = scheduler.snapshot_state()
         workflow = state["workflow"]
-        assert workflow["gate"] and workflow["floors"] and workflow["node_tasks"]
-        assert "floors" in state["ga"] and "preds" in state["ga"]
+        assert workflow["gate"] and workflow["node_tasks"]
+        assert state["ga"]["floors"] and "preds" in state["ga"]
 
         sim_b, restored = fresh_scheduler()
         restore_into(sim_b, restored, engine_state, state)

@@ -593,7 +593,7 @@ def reference_evolve(
     can be compared field for field.  Trace emission is left out (the
     identity test runs untraced).
     """
-    from repro.scheduling.evalreuse import availability_key
+    from repro.scheduling.evalreuse import clamp_availability
     from repro.scheduling.ga import (
         BITFLIP_PROBABILITY,
         CROSSOVER_PROBABILITY,
@@ -670,7 +670,7 @@ def reference_evolve(
             ga._history.append((ga._generations, float(costs.min())))
         done += block
     ga._cached_costs = costs
-    ga._cost_cache_key = availability_key(free, ref_time)
+    ga._cost_cache_key = clamp_availability(free, ref_time)[1]
     return float(costs.min())
 
 

@@ -15,8 +15,9 @@ from repro.experiments.runner import build_grid
 from repro.net.payloads import TaskResult
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import TaskGraph, fork_join
-from repro.tasks.task import Environment
+from repro.tasks.task import Environment, TaskState
 from repro.tasks.workflow import WorkflowCoordinator
+from tests.oracles import scheduler_task
 
 APPS = ["sweep3d", "fft", "improc", "closure", "jacobi", "memsort"]
 
@@ -265,6 +266,43 @@ class TestGridIntegration:
         }
         assert times["a"].completion_time <= times["b"].start_time
         assert times["b"].completion_time <= times["c"].start_time
+
+    def test_eager_failure_cancels_queued_descendants_on_the_grid(self):
+        """A failed root cancels its released children in the real scheduler."""
+        system = build_grid(
+            ExperimentConfig(
+                name="wf-eager-failure",
+                policy=SchedulingPolicy.GA,
+                agents_enabled=False,
+                request_count=1,
+            )
+        )
+        coord = WorkflowCoordinator(
+            system.portal,
+            {name: spec.model for name, spec in system.specs.items()},
+        )
+        system.start()
+        wf = coord.start_workflow(
+            chain(), system.agents["S1"], 600.0, mode="eager"
+        )
+        run = coord.run(wf)
+        scheduler = system.agents["S1"].scheduler
+        while scheduler.workflow_task_id(wf, "c") is None:
+            assert system.sim.step(), "the REQUESTs were never accepted"
+        b = scheduler_task(scheduler, scheduler.workflow_task_id(wf, "b"))
+        c = scheduler_task(scheduler, scheduler.workflow_task_id(wf, "c"))
+        assert b.state is TaskState.QUEUED and c.state is TaskState.QUEUED
+        portal = system.portal
+        portal._record_result(portal._failure_result(run.released["a"]))
+        assert run.failed == {"a", "b", "c"} and run.resolved
+        assert b.state is TaskState.CANCELLED
+        assert c.state is TaskState.CANCELLED
+        assert b.task_id not in scheduler.queue
+        assert c.task_id not in scheduler.queue
+        _drive(system, coord)
+        system.stop()
+        assert not portal.result(run.released["b"]).success
+        assert not portal.result(run.released["c"]).success
 
 
 class TestCheckpoint:

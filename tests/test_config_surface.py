@@ -26,11 +26,13 @@ from repro.agents.membership import (
     SUSPECT_AFTER,
     MembershipConfig,
 )
+from repro.agents.policy import GlobalPolicyConfig
 from repro.agents.portal import UserPortal
 from repro.agents.resilience import (
     ACK_TIMEOUT,
     BACKOFF_BASE,
     MAX_RETRIES,
+    MISSED_PULLS,
     ResilienceConfig,
 )
 from repro.errors import ValidationError
@@ -55,8 +57,16 @@ from repro.experiments.scenarios import (
     WORKFLOW_WIDTH,
     ScenarioSpec,
 )
+from repro.net.faults import (
+    ChurnSpec,
+    FaultPlanSpec,
+    LinkFault,
+    PartitionWindow,
+    StragglerFault,
+)
 from repro.net.transport import DROP_RING_SIZE, Transport
 from repro.pace.hardware import DEFAULT_CATALOGUE
+from repro.scheduling.cost import CostWeights
 from repro.scheduling.fifo import FIFOScheduler
 from repro.scheduling.ga import (
     BITFLIP_PROBABILITY,
@@ -88,6 +98,17 @@ CONFIG_FIELDS = {
         "runtime_noise", "advertisement", "freetime_mode", "resilience",
         "faults", "churn", "membership", "global_policy",
     ),
+    # The nested values decode_config rebuilds from a snapshot.
+    GlobalPolicyConfig: ("kind", "bid_timeout", "reservation_timeout"),
+    FaultPlanSpec: (
+        "drop_probability", "latency_jitter", "link_faults", "partitions",
+        "stragglers",
+    ),
+    ChurnSpec: ("rate", "downtime", "window", "exclude_head", "target"),
+    StragglerFault: ("node", "response_delay", "service_factor"),
+    LinkFault: ("src", "dst", "drop_probability"),
+    PartitionWindow: ("start", "end", "group_a", "group_b"),
+    CostWeights: ("makespan", "idle", "deadline"),
 }
 
 KEYWORDS = {
@@ -151,6 +172,12 @@ class TestConstantRelations:
         assert ACK_TIMEOUT > 0
         assert MAX_RETRIES >= 0
         assert BACKOFF_BASE >= 1
+
+    def test_registry_ttl_spans_missed_pulls(self):
+        assert MISSED_PULLS >= 1
+        stack = ResilienceConfig.resilient(2.0)
+        assert stack.enabled
+        assert stack.registry_ttl == MISSED_PULLS * 2.0
 
     @pytest.mark.parametrize(
         "probability",

@@ -403,3 +403,52 @@ class TestStartupGauge:
         result = perf.bench_startup_import(interpreters=3)
         assert result.value == pytest.approx(0.11)
         assert "0.250 s wall" in result.detail
+
+
+class TestGaGauge:
+    """The ``ga_`` throughputs are quoted at nominal machine speed too."""
+
+    def test_each_run_is_scaled_by_its_own_slices(self, monkeypatch):
+        """Three runs of 12, 10 and 11 ms of work at nominal speed, the
+        middle one in a spell three times as slow: the wall median reads
+        12 ms, the scaled median the work's 11 ms."""
+        import types
+
+        import repro.perf as perf
+
+        work = [0.012, 0.010, 0.011]
+        spells = [1.0, 3.0, 1.0]
+        clock = [0.0]
+        slices, runs = [], []
+
+        def fake_slice(gauge):
+            run = len(slices) // (GAUGE_SLICES // 2)
+            slices.append(run)
+            gauge.times.append(spells[run] * NOMINAL_SLICE_S)
+
+        def sample():
+            run = len(runs)
+            runs.append(run)
+            clock[0] += work[run] * spells[run]
+
+        monkeypatch.setattr(
+            perf, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        monkeypatch.setattr(perf.Gauge, "slice", fake_slice)
+        nominal, wall = perf._median_at_nominal(sample, 3)
+        assert nominal == pytest.approx(0.011)
+        assert wall == pytest.approx(0.012)
+        assert slices == [0] * 5 + [1] * 5 + [2] * 5
+
+    def test_rows_divide_by_nominal_seconds(self, monkeypatch):
+        import repro.perf as perf
+
+        monkeypatch.setattr(
+            perf, "_median_at_nominal", lambda sample, repeats: (0.5, 1.0)
+        )
+        evolve = perf.bench_ga_evolve(generations=25)
+        assert evolve.value == pytest.approx(50.0)
+        assert "(25 generations/s wall)" in evolve.detail
+        event = perf.bench_ga_evolve_event(calls=30, generations=10)
+        assert event.value == pytest.approx(600.0)
+        assert "(300 generations/s wall)" in event.detail
