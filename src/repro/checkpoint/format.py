@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 5,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 6,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -22,7 +22,12 @@ decision that nothing read.  Version 5 drops the GA kernel's event-level
 cost cache (``cached_costs``, ``cost_cache_key``), which a restored run
 drops before reading, and the local scheduler's copies of the kernel's
 workflow floors and precedence (``floors``, ``constraints``): the GA
-section's ``floors`` and ``preds`` are their one record.
+section's ``floors`` and ``preds`` are their one record.  Version 6
+marks the shared pull rounds: a periodic-pull strategy records its
+round's event descriptor and its position in the round (``round``,
+``position``) instead of a per-agent timer (``process``), and the
+scheduler's incumbent free times are ``incumbent_free`` (before,
+``cached_node_free``: state, not a cache).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

@@ -39,6 +39,7 @@ from repro.agents.advertisement import (
     EventPushStrategy,
     NoAdvertisement,
     PeriodicPullStrategy,
+    PullRounds,
 )
 from repro.agents.agent import Agent, AgentStats
 from repro.agents.hierarchy import Hierarchy, wire_hierarchy
@@ -293,6 +294,7 @@ def build_grid(
         rng=rngs.stream("prediction-noise") if config.prediction_noise > 0 else None,
     )
     specs = paper_application_specs()
+    advertisement = _advertisement(config, sim)
     schedulers: Dict[str, LocalScheduler] = {}
     agents: Dict[str, Agent] = {}
     # Resources of one hardware type share one node table, built and
@@ -347,7 +349,7 @@ def build_grid(
             transport,
             catalogue=topo.catalogue,
             discovery_config=config.discovery,
-            advertisement=_advertisement(config),
+            advertisement=advertisement(),
             resilience=config.resilience,
             membership=config.membership,
             global_policy=config.global_policy,
@@ -387,12 +389,20 @@ def build_grid(
     )
 
 
-def _advertisement(config: ExperimentConfig) -> AdvertisementStrategy:
+def _advertisement(
+    config: ExperimentConfig, sim: Engine
+) -> Callable[[], AdvertisementStrategy]:
+    """A factory of *config*'s advertisement strategy, one per agent.
+
+    Periodic pulls share the grid's one :class:`PullRounds`, as the
+    agents share its one transport.
+    """
     if not config.agents_enabled or config.advertisement == "none":
-        return NoAdvertisement()
+        return NoAdvertisement
     if config.advertisement == "push":
-        return EventPushStrategy()
-    return PeriodicPullStrategy(config.pull_interval)
+        return EventPushStrategy
+    rounds = PullRounds(sim, config.pull_interval)
+    return lambda: PeriodicPullStrategy(config.pull_interval, rounds=rounds)
 
 
 def seeded_workload(

@@ -15,13 +15,12 @@ single-threaded message loop.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message
 from repro.sim.engine import Engine
-from repro.sim.events import Event, Priority
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.net.faults import FaultPlan
@@ -66,9 +65,10 @@ class Transport:
         self._tracer = tracer
         # One bound method shared by every delivery event instead of a
         # fresh one per send: each is a GC-tracked allocation, and fewer
-        # allocations per message mean fewer garbage collections.  It
-        # also marks the transport's own events on the engine's queues:
-        # a delivery's callback is ``partial(_deliver_hook, message)``.
+        # allocations per message mean fewer garbage collections.  A
+        # delivery is one event whose callback is this hook and whose
+        # argument is the message, which also marks the transport's own
+        # events on the engine's queues.
         self._deliver_hook = self._deliver
 
     # ------------------------------------------------------------------ state
@@ -139,8 +139,10 @@ class Transport:
         ------
         TransportError
             If the recipient endpoint is not registered at send time.
+        ValidationError
+            If *extra_latency* is negative or NaN.
         """
-        if extra_latency < 0:
+        if not extra_latency >= 0:
             raise ValidationError(
                 f"extra_latency must be >= 0, got {extra_latency!r}"
             )
@@ -174,10 +176,7 @@ class Transport:
                 return
             extra_latency += verdict.extra_latency
         self._sim.schedule_in(
-            extra_latency,
-            partial(self._deliver_hook, message),
-            priority=Priority.DEFAULT,
-            label=message.kind.label,
+            extra_latency, self._deliver_hook, label=message.kind.label, arg=message
         )
 
     def _deliver(self, message: Message) -> None:
@@ -225,11 +224,11 @@ class Transport:
         only checkpoints read it.
         """
         deliver = self._deliver_hook
-        in_flight = []
-        for event in self._sim.queued():
-            callback = event.callback
-            if type(callback) is partial and callback.func is deliver:
-                in_flight.append((callback.args[0], event))
+        in_flight = [
+            (event.arg, event)
+            for event in self._sim.queued()
+            if event.callback is deliver
+        ]
         in_flight.sort(key=lambda pair: pair[0].message_id)
         return in_flight
 
@@ -285,11 +284,12 @@ class Transport:
         for _, event in self._in_flight():
             event.cancel()
         for entry in state["in_flight"]:
-            # The callback has send()'s shape, so the next snapshot finds
-            # the restored delivery as well.
-            message = decode_message(entry["message"], applications)
+            # The event has send()'s shape, so the next snapshot finds the
+            # restored delivery as well.
             self._sim.restore_event(
-                entry["event"], partial(self._deliver_hook, message)
+                entry["event"],
+                self._deliver_hook,
+                arg=decode_message(entry["message"], applications),
             )
         plan_state = state.get("fault_plan")
         if plan_state is not None and self._fault_plan is not None:

@@ -37,11 +37,11 @@ The suite times the hot kernels this codebase optimises:
   scenario in a warm process: ``generate_scenario`` + ``build_grid`` +
   ``start``.
 
-The ``ga_`` throughputs and both ``startup_`` rows are quoted at a
-nominal machine speed: each time is divided by the time of a fixed slice
-of Python work (:class:`Gauge`) measured in the same process, so a slow
-spell of a shared host moves the slices with the program and the row
-stays put.
+The ``ga_``, ``engine_`` and ``scale_`` throughputs and both
+``startup_`` rows are quoted at a nominal machine speed: each time is
+divided by the time of a fixed slice of Python work (:class:`Gauge`)
+measured in the same process, so a slow spell of a shared host moves the
+slices with the program and the row stays put.
 
 Results are written as JSON with machine info and the git SHA so numbers
 are attributable; :func:`check_regression` compares two such documents
@@ -184,7 +184,10 @@ def _make_ga(
 
 
 def _median_at_nominal(
-    sample: Callable[[], object], repeats: int
+    sample: Callable[..., object],
+    repeats: int,
+    *,
+    prepare: Optional[Callable[[], object]] = None,
 ) -> Tuple[float, float]:
     """Median seconds of *repeats* timed runs of *sample*: ``(nominal, wall)``.
 
@@ -192,15 +195,21 @@ def _median_at_nominal(
     :class:`Gauge` and scaled by them, so a slow spell that covers a run
     slows its slices too.  The median, not the fastest run: a gauge that
     happened to read slow makes its run look fast, and the fastest scaled
-    run is the one that picks that error up.
+    run is the one that picks that error up.  With *prepare*, each run
+    first calls it, untimed and before the slices, and passes what it
+    returns to *sample*.
     """
     nominal, wall = [], []
     for _ in range(repeats):
+        state = prepare() if prepare is not None else None
         gauge = Gauge()
         for _ in range(GAUGE_SLICES // 2):
             gauge.slice()
         start = time.perf_counter()
-        sample()
+        if prepare is None:
+            sample()
+        else:
+            sample(state)
         seconds = time.perf_counter() - start
         nominal.append(gauge.scale(seconds))
         wall.append(seconds)
@@ -373,7 +382,7 @@ def bench_engine_events(
     burst: int = 48,
     events: int = 250_000,
     warmup: int = 30_000,
-    repeats: int = 6,
+    repeats: int = 5,
 ) -> List[BenchResult]:
     """Events/second: the engine versus the single-heap reference.
 
@@ -391,14 +400,16 @@ def bench_engine_events(
     by construction — the engine equivalence property suite asserts
     byte-identity — so this pair measures pure heap mechanics on the same
     event sequence.  It times the heap path only: ``schedule`` never
-    takes the engine's FIFO, which holds zero-delay ``schedule_in``
-    deliveries; those are timed end to end by the ``grid1000`` workload
-    of ``benchmarks/e2e``.
+    takes the engine's FIFO, which holds the events of zero-delay
+    ``schedule_in`` calls at DEFAULT priority (the transport's
+    same-instant deliveries, each carrying its message); those are timed
+    end to end by the ``grid1000`` workload of ``benchmarks/e2e``.
 
-    The two engines are interleaved within each repeat (not timed in
-    separate blocks) so slow machine windows hit both alike, and each
-    takes its best repeat; the derived ``engine_partition_speedup`` ratio
-    is their quotient (the name predates the single engine and is kept so
+    Each row is the median of *repeats* runs at nominal speed
+    (:func:`_median_at_nominal`: every run's engine is built and warmed
+    up untimed, then timed right after its own gauge slices, with the
+    collector off); the derived ``engine_partition_speedup`` ratio is
+    their quotient (the name predates the single engine and is kept so
     committed baselines stay comparable).
     """
     from repro.sim.engine import Engine
@@ -425,33 +436,36 @@ def bench_engine_events(
                 sched(1.0 + j * 2.5 + (i % 13) / 13.0, arrival,
                       priority=Priority.ARRIVAL, label="cross")
 
-    def measure(engine) -> float:
-        build(engine)
-        engine.run(max_events=warmup)
-        start = time.perf_counter()
-        engine.run(max_events=events)
-        return events / (time.perf_counter() - start)
+    def throughput(engine_type) -> Tuple[float, float]:
+        def prepare():
+            engine = engine_type()
+            build(engine)
+            engine.run(max_events=warmup)
+            return engine
 
-    tuple_heap = single = 0.0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # collector pauses land unevenly; both sides run without
-    try:
-        for _ in range(repeats):
-            tuple_heap = max(tuple_heap, measure(Engine()))
-            single = max(single, measure(SingleHeapEngine()))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        def sample(engine) -> None:
+            gc.disable()  # collector pauses land unevenly; time without
+            try:
+                engine.run(max_events=events)
+            finally:
+                gc.enable()
 
+        nominal, wall = _median_at_nominal(sample, repeats, prepare=prepare)
+        return events / nominal, events / wall
+
+    tuple_heap, tuple_heap_wall = throughput(Engine)
+    single, single_wall = throughput(SingleHeapEngine)
     detail = (
-        f"best of {repeats} interleaved, {events} events after {warmup} "
-        f"warmup; {n_agents} agents x {arrivals_per_agent} arrivals, "
-        f"burst {burst}, {max(1, n_agents // 50)}x40 cross-agent"
+        f"median of {repeats}, {events} events after {warmup} warmup; "
+        f"{n_agents} agents x {arrivals_per_agent} arrivals, burst {burst}, "
+        f"{max(1, n_agents // 50)}x40 cross-agent; gauge-scaled to nominal "
+        "speed"
     )
     return [
-        BenchResult("engine_events_per_s", tuple_heap, "events/s", True, detail),
-        BenchResult("engine_events_per_s_single_heap", single,
-                    "events/s", True, detail),
+        BenchResult("engine_events_per_s", tuple_heap, "events/s", True,
+                    f"{detail} ({tuple_heap_wall:.0f} events/s wall)"),
+        BenchResult("engine_events_per_s_single_heap", single, "events/s",
+                    True, f"{detail} ({single_wall:.0f} events/s wall)"),
     ]
 
 
@@ -477,19 +491,20 @@ def bench_event_alloc(count: int = 200_000, repeats: int = 5) -> BenchResult:
 
     sender = Endpoint("bench-a", 1)
     recipient = Endpoint("bench-b", 2)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
+
+    def sample() -> None:
         for sequence in range(count):
             Event(1.0, 50, sequence, noop, "bench")
             Message(MessageKind.REQUEST, sender, recipient, None)
-        best = min(best, time.perf_counter() - start)
+
+    nominal, wall = _median_at_nominal(sample, repeats)
     return BenchResult(
         name="engine_event_alloc",
-        value=2 * count / best,
+        value=2 * count / nominal,
         unit="objects/s",
         higher_is_better=True,
-        detail=f"best of {repeats}x{count} Event+Message pairs",
+        detail=f"median of {repeats}x{count} Event+Message pairs; "
+        f"gauge-scaled to nominal speed ({2 * count / wall:.0f} objects/s wall)",
     )
 
 
@@ -506,14 +521,17 @@ def _scale_spec(requests: int):
     )
 
 
-def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
+def bench_scale_grid(
+    requests: int = BENCH_SCALE_REQUESTS, repeats: int = 3
+) -> BenchResult:
     """Completed requests/second of a full generated 1000-agent scenario.
 
     End to end: ``ScenarioSpec`` → topology + Poisson workload →
     ``build_grid`` → event loop to drain, FIFO policy.  The scale gate's
     integration number — it moves with engine throughput, transport
     delivery, and scheduler bookkeeping, unlike ``engine_events_per_s``
-    which isolates the heap mechanics.
+    which isolates the heap mechanics.  The median of *repeats* runs at
+    nominal speed (:func:`_median_at_nominal`).
     """
     from repro.experiments.runner import run_experiment
     from repro.experiments.scenarios import generate_scenario
@@ -522,18 +540,23 @@ def bench_scale_grid(requests: int = BENCH_SCALE_REQUESTS) -> BenchResult:
     spec = _scale_spec(requests)
     scenario = generate_scenario(spec)
     config = spec.config(policy=SchedulingPolicy.FIFO)
-    start = time.perf_counter()
-    result = run_experiment(
-        config, scenario.topology, workload=list(scenario.workload)
-    )
-    elapsed = time.perf_counter() - start
+    completed = []
+
+    def sample() -> None:
+        result = run_experiment(
+            config, scenario.topology, workload=list(scenario.workload)
+        )
+        completed.append(len(result.records))
+
+    nominal, wall = _median_at_nominal(sample, repeats)
     return BenchResult(
         name="scale_grid_1000",
-        value=requests / elapsed,
+        value=requests / nominal,
         unit="requests/s",
         higher_is_better=True,
-        detail=f"1000 agents, {requests} poisson requests (rate 2/s), FIFO, "
-        f"{len(result.records)} completed",
+        detail=f"median of {repeats}: 1000 agents, {requests} poisson requests "
+        f"(rate 2/s), FIFO, {completed[-1]} completed; gauge-scaled to "
+        f"nominal speed ({requests / wall:.0f} requests/s wall)",
     )
 
 

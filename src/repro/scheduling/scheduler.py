@@ -197,7 +197,7 @@ class LocalScheduler:
         # dispatch launched from: what freetime() reads while tasks queue.
         # Every scheduling event sets it and nothing else can rebuild it,
         # so snapshots carry it.
-        self._cached_node_free: Optional[np.ndarray] = None
+        self._incumbent_free: Optional[np.ndarray] = None
         # (executor free-time vector, max — min in "min" mode — of
         # _freetime_per_node()): static placement and GA dispatch drop it,
         # and every executor booking replaces the vector it is keyed on.
@@ -327,7 +327,7 @@ class LocalScheduler:
             return base
         # Every GA scheduling event leaves the incumbent's free times
         # while tasks queue (tests/properties/test_advert_cache.py).
-        return np.maximum(self._cached_node_free, base)
+        return np.maximum(self._incumbent_free, base)
 
     def expected_completion(self, request: TaskRequest) -> Tuple[float, int]:
         """Eq. (10): ``η_r = ω + min_k t_x(k)`` and the minimising k.
@@ -547,7 +547,7 @@ class LocalScheduler:
         assert self._ga is not None
         self._freetime_memo = None
         if self._queue.is_empty:
-            self._cached_node_free = None
+            self._incumbent_free = None
             return
         now = self._sim.now
         free = self.effective_free_times()
@@ -572,7 +572,7 @@ class LocalScheduler:
         schedule = self._ga.schedule(
             self._ga.best_solution(free, now), free, now, self._task_duration
         )
-        self._cached_node_free = np.array(
+        self._incumbent_free = np.array(
             [schedule.node_free_after(n.node_id) for n in self._resource.nodes]
         )
         if self._tracer is not None:
@@ -768,10 +768,10 @@ class LocalScheduler:
             "queue": self._queue.snapshot_state(),
             "executor": self._executor.snapshot_state(),
             "monitor": self._monitor.snapshot_state(),
-            "cached_node_free": (
+            "incumbent_free": (
                 None
-                if self._cached_node_free is None
-                else [float(x) for x in self._cached_node_free]
+                if self._incumbent_free is None
+                else [float(x) for x in self._incumbent_free]
             ),
             "static_launch_events": {
                 str(tid): handle.descriptor()
@@ -822,8 +822,8 @@ class LocalScheduler:
         self._queue.restore_state(state["queue"], self._task_by_id)
         self._executor.restore_state(state["executor"], self._task_by_id)
         self._monitor.restore_state(state["monitor"])
-        cached = state["cached_node_free"]
-        self._cached_node_free = None if cached is None else np.array(cached)
+        incumbent = state["incumbent_free"]
+        self._incumbent_free = None if incumbent is None else np.array(incumbent)
         if self._ga is not None:
             self._ga.restore_state(state["ga"])
         if self._static is not None:

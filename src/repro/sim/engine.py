@@ -14,25 +14,32 @@ Design notes
   so replays are exact.  The order is the one the seed engine
   (:class:`repro.sim.reference.SingleHeapEngine`) fires in, property-tested
   for byte-identity.
-* Two queues hold ``(time, priority, sequence, event)`` tuples, which
-  compare in C; sequences are unique, so the event itself is never
-  compared.  A binary heap takes every event but one kind: a
-  ``schedule_in(0.0, …)`` at :attr:`Priority.DEFAULT` (a zero-delay
-  message delivery) is appended to a FIFO instead.  Each FIFO key is
+* A binary heap of ``(time, priority, sequence, event)`` tuples, which
+  compare in C (sequences are unique, so the event itself is never
+  compared), takes every event but one kind: a ``schedule_in(0.0, …)``
+  at :attr:`Priority.DEFAULT` (a zero-delay message delivery) is
+  appended to a FIFO of the events themselves.  Each FIFO key is
   ``(now, DEFAULT, next sequence)``, and neither the clock nor the
   sequence counter ever goes back (``restore_state``, which resets both,
   empties the queues), so the FIFO is sorted by construction.
   :meth:`Engine.step` fires whichever head, heap or FIFO, has the smaller
-  key: the fire order is exactly the single heap's, and a same-instant
-  delivery costs an append and a pop instead of a heap push and pop.
+  key, reading the FIFO head's key off the event: the fire order is
+  exactly the single heap's, and a same-instant delivery costs an append
+  and a pop instead of a heap push and pop.
+* An event may carry one argument for its callback (``arg=``): a message
+  delivery is one event holding its message, fired as
+  ``callback(message)``, so a delivery allocates no callback object of
+  its own.
 * Cancelled events are lazy-deleted, in whichever queue holds them, but
   **compacted**: a live garbage counter over both queues (maintained by
   the ``Event.on_cancel`` hook and the pop-time sweeps) triggers an
   in-place filter of both once cancelled entries both exceed
   :data:`COMPACT_MIN` and outnumber live pending events, so
   schedule/cancel loops cannot grow either queue without bound.
-* Scheduling an event in the past raises :class:`SimulationError` (a
-  virtual clock can only move forward).
+* Scheduling an event in the past, or at a NaN time or delay, raises
+  :class:`SimulationError` (a virtual clock can only move forward, and a
+  NaN key compares false both ways and would fire out of order).  Each
+  guard is written ``if not x >= bound`` so that NaN fails it.
 * :meth:`Engine.step` is the one firing path; ``run`` and ``run_until``
   loop over it.  Callbacks may schedule further events, including at the
   current instant.
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -92,7 +98,7 @@ class Engine:
         self._now = float(start_time)
         self._heap: List[_Entry] = []
         # Zero-delay DEFAULT-priority events, in key order by construction.
-        self._fifo: Deque[_Entry] = deque()
+        self._fifo: Deque[Event] = deque()
         self._sequence = 0
         self._running = False
         self._fired = 0
@@ -138,9 +144,9 @@ class Engine:
         Raises
         ------
         SimulationError
-            If *time* precedes the current virtual time.
+            If *time* precedes the current virtual time or is NaN.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
@@ -159,31 +165,40 @@ class Engine:
     def schedule_in(
         self,
         delay: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
+        arg: object = None,
     ) -> Event:
         """Schedule *callback* after a relative *delay* in virtual seconds.
 
+        With *arg* other than ``None`` the event fires ``callback(arg)``.
         A zero *delay* at :attr:`Priority.DEFAULT` appends the event to the
         FIFO (module notes); every other event goes on the heap.
+
+        Raises
+        ------
+        SimulationError
+            If *delay* is negative or NaN.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
-        event = Event(time, priority, sequence, callback, label, self._cancel_hook)
+        event = Event(
+            time, priority, sequence, callback, label, self._cancel_hook, arg
+        )
         if delay == 0.0 and priority == _DEFAULT:
-            self._fifo.append((time, priority, sequence, event))
+            self._fifo.append(event)
         else:
             heappush(self._heap, (time, priority, sequence, event))
         self._pending += 1
         return event
 
     def restore_event(
-        self, descriptor: dict, callback: Callable[[], None]
+        self, descriptor: dict, callback: Callable[..., None], *, arg: object = None
     ) -> Event:
         """Re-create a checkpointed event with its **original** identity.
 
@@ -194,12 +209,13 @@ class Engine:
         always goes on the heap, whatever its key: the merge in :meth:`step`
         orders it against the FIFO by key.  Must only be called after
         :meth:`restore_state` has set the clock and sequence counter; the
-        descriptor's sequence must predate the restored counter.
+        descriptor's sequence must predate the restored counter.  *arg*
+        is the callback's argument, as in :meth:`schedule_in`.
         """
         time = float(descriptor["time"])
         priority = int(descriptor["priority"])
         sequence = int(descriptor["sequence"])
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot restore event at t={time} before current time t={self._now}"
             )
@@ -209,7 +225,9 @@ class Engine:
                 f"sequence counter {self._sequence}"
             )
         label = str(descriptor.get("label", ""))
-        event = Event(time, priority, sequence, callback, label, self._cancel_hook)
+        event = Event(
+            time, priority, sequence, callback, label, self._cancel_hook, arg
+        )
         heappush(self._heap, (time, priority, sequence, event))
         self._pending += 1
         return event
@@ -257,8 +275,11 @@ class Engine:
         transport reads its in-flight deliveries off the queues here when
         it is checkpointed.  The order is not the fire order.
         """
-        for entry in chain(self._heap, self._fifo):
+        for entry in self._heap:
             event = entry[3]
+            if not event.cancelled:
+                yield event
+        for event in self._fifo:
             if not event.cancelled:
                 yield event
 
@@ -275,12 +296,13 @@ class Engine:
         fifo = self._fifo
         while True:
             if fifo:
-                if heap and heap[0] < fifo[0]:
-                    time, priority, sequence, event = heappop(heap)
+                event = fifo[0]
+                if heap and heap[0] < (event.time, _DEFAULT, event.sequence):
+                    event = heappop(heap)[3]
                 else:
-                    time, priority, sequence, event = fifo.popleft()
+                    fifo.popleft()
             elif heap:
-                time, priority, sequence, event = heappop(heap)
+                event = heappop(heap)[3]
             else:
                 return False
             if event.cancelled:
@@ -288,17 +310,24 @@ class Engine:
                 continue
             event.fired = True
             self._pending -= 1
-            self._now = time
+            self._now = event.time
             self._fired += 1
             if self._tracer is not None:
                 from repro.obs.records import EventFired
 
                 self._tracer.emit(
                     EventFired(
-                        t=time, label=event.label, priority=int(priority), seq=sequence
+                        t=event.time,
+                        label=event.label,
+                        priority=int(event.priority),
+                        seq=event.sequence,
                     )
                 )
-            event.callback()
+            arg = event.arg
+            if arg is None:
+                event.callback()
+            else:
+                event.callback(arg)
             return True
 
     def run_until(self, end_time: float) -> None:
@@ -307,7 +336,7 @@ class Engine:
         The clock finishes at exactly *end_time* even if the last event fired
         earlier, mirroring a real system observed at a fixed horizon.
         """
-        if end_time < self._now:
+        if not end_time >= self._now:
             raise SimulationError(
                 f"cannot run to t={end_time}, already at t={self._now}"
             )
@@ -346,11 +375,13 @@ class Engine:
             heappop(heap)
             self._garbage -= 1
         fifo = self._fifo
-        while fifo and fifo[0][3].cancelled:
+        while fifo and fifo[0].cancelled:
             fifo.popleft()
             self._garbage -= 1
-        if fifo and not (heap and heap[0] < fifo[0]):
-            return fifo[0][0]
+        if fifo:
+            event = fifo[0]
+            if not (heap and heap[0] < (event.time, _DEFAULT, event.sequence)):
+                return event.time
         return heap[0][0] if heap else None
 
     # --------------------------------------------------------------- helpers
@@ -370,7 +401,7 @@ class Engine:
             heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapify(heap)
             fifo = self._fifo
-            live = [entry for entry in fifo if not entry[3].cancelled]
+            live = [event for event in fifo if not event.cancelled]
             fifo.clear()
             fifo.extend(live)
             self._garbage = 0

@@ -1,6 +1,7 @@
 """Event objects for the discrete-event engine.
 
-An :class:`Event` pairs a virtual firing time with a zero-argument callback.
+An :class:`Event` pairs a virtual firing time with a callback and, for a
+callback that takes one, its argument.
 Events are totally ordered by ``(time, priority, sequence)`` so that
 simultaneous events fire deterministically: lower priority value first, then
 insertion order.  Determinism matters — the paper's experiments are seeded
@@ -11,8 +12,9 @@ engine allocates one per scheduled callback, which makes construction and
 attribute access the hottest allocation path in the simulator (see
 ``engine_event_alloc`` in the perf suite for the measured win).  The
 engine never calls :meth:`Event.__lt__` — its heap holds
-``(time, priority, sequence, event)`` tuples that compare in C — but the
-method is kept so the single-heap reference engine can order raw events.
+``(time, priority, sequence, event)`` tuples that compare in C, and its
+FIFO holds events in key order by construction — but the method is kept
+so the single-heap reference engine can order raw events.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ class Event:
         The total-order key.  ``sequence`` is engine-assigned and unique,
         so ties never fall through to later fields.
     callback:
-        Zero-argument callable fired when the event is due.
+        Callable fired when the event is due: ``callback(arg)`` if the
+        event carries an argument, ``callback()`` otherwise.
+    arg:
+        The callback's one argument, or ``None`` for a zero-argument
+        callback.  A message delivery carries its message here, so the
+        transport schedules one shared bound method for every message.
     label:
         Debug label (also recorded in traces).
     cancelled:
@@ -72,6 +79,7 @@ class Event:
         "cancelled",
         "fired",
         "on_cancel",
+        "arg",
     )
 
     def __init__(
@@ -79,9 +87,10 @@ class Event:
         time: float,
         priority: int,
         sequence: int,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         label: str = "",
         on_cancel: Optional[Callable[[], None]] = None,
+        arg: object = None,
     ) -> None:
         # All parameters are positional-capable: the engine constructs one
         # Event per scheduled callback, and positional calls measurably
@@ -94,6 +103,7 @@ class Event:
         self.cancelled = False
         self.fired = False
         self.on_cancel = on_cancel
+        self.arg = arg
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:

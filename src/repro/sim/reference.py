@@ -75,13 +75,15 @@ class SingleHeapEngine:
     def schedule(
         self,
         time: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
+        arg: object = None,
     ) -> Event:
-        """Schedule *callback* at absolute virtual *time*."""
-        if time < self._now:
+        """Schedule *callback* (``callback(arg)`` with an *arg*) at absolute
+        virtual *time*."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
@@ -92,6 +94,7 @@ class SingleHeapEngine:
             callback,
             label,
             on_cancel=self._on_event_cancelled,
+            arg=arg,
         )
         self._sequence += 1
         heapq.heappush(self._heap, event)
@@ -101,16 +104,17 @@ class SingleHeapEngine:
     def schedule_in(
         self,
         delay: float,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
         *,
         priority: int = Priority.DEFAULT,
         label: str = "",
+        arg: object = None,
     ) -> Event:
         """Schedule *callback* after a relative *delay* in virtual seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         return self.schedule(
-            self._now + delay, callback, priority=priority, label=label
+            self._now + delay, callback, priority=priority, label=label, arg=arg
         )
 
     # ------------------------------------------------------------------- run
@@ -134,7 +138,10 @@ class SingleHeapEngine:
                         seq=event.sequence,
                     )
                 )
-            event.callback()
+            if event.arg is None:
+                event.callback()
+            else:
+                event.callback(event.arg)
             return True
         return False
 

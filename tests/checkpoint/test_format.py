@@ -97,7 +97,7 @@ class TestRejection:
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
         write_snapshot(path, {"x": 1})
         stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -122,6 +122,13 @@ class TestRejection:
         write_snapshot(path, {"mode": "strict"})
         stamp_version(path, 4)
         with pytest.raises(CheckpointError, match="format version 4"):
+            read_snapshot(path)
+
+    def test_version_five_snapshot_refused(self, path):
+        """Version-5 agents carry one pull timer each; this build's share rounds."""
+        write_snapshot(path, {"mode": "strict"})
+        stamp_version(path, 5)
+        with pytest.raises(CheckpointError, match="format version 5"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

@@ -37,7 +37,7 @@ SPEC = ScenarioSpec(
     master_seed=2003,
 )
 #: Inside the t = 40 s round, with 78 deliveries queued at that instant.
-AT_STEP = 927
+AT_STEP = 732
 #: Events the resumed run fires before its own snapshot.
 LATER = 5
 

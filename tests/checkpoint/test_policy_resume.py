@@ -121,12 +121,12 @@ class PolicyResumeHarness:
 
 class TestMidAuctionResume(PolicyResumeHarness):
     kind = "auction"
-    # 71 lands with two BIDs in flight, so the snapshot carries "bid"
-    # message payloads; 160 and 240 land inside open CFP rounds (bid
-    # timer armed, bids partially collected); 600 is late but still
-    # inside the degraded rule (the run resolves near step 629;
+    # 60 lands with two BIDs in flight, so the snapshot carries "bid"
+    # message payloads; 138 and 207 land inside open CFP rounds (bid
+    # timer armed, bids partially collected); 501 is late but still
+    # inside the degraded rule (the run resolves near step 530;
     # checkpoint_run refuses a step the rule never reaches).
-    steps = (71, 160, 240, 600)
+    steps = (60, 138, 207, 501)
     in_flight = "bid"
 
     @staticmethod
@@ -136,10 +136,10 @@ class TestMidAuctionResume(PolicyResumeHarness):
 
 class TestMidReservationResume(PolicyResumeHarness):
     kind = "reservation"
-    # 80 lands with a booked window open; 220 with a RESERVE awaiting
-    # CONFIRM *and* a window; 590 is late but still inside the degraded
-    # rule (the run resolves near step 607; see the auction grid note).
-    steps = (80, 220, 590)
+    # 69 lands with a booked window open; 187 with a RESERVE awaiting
+    # CONFIRM *and* a window; 491 is late but still inside the degraded
+    # rule (the run resolves near step 508; see the auction grid note).
+    steps = (69, 187, 491)
 
     @staticmethod
     def mid_protocol(payload) -> bool:
@@ -149,11 +149,11 @@ class TestMidReservationResume(PolicyResumeHarness):
         )
 
     def test_snapshot_carries_pending_and_booking(self, tmp_path):
-        """Step 220's snapshot holds both halves of the protocol state."""
-        path = str(tmp_path / "resv-220.json")
+        """Step 187's snapshot holds both halves of the protocol state."""
+        path = str(tmp_path / "resv-187.json")
         message_module.set_message_counter(0)
         checkpoint_run(
-            policy_config(self.kind), mode="degraded", at_step=220, path=path
+            policy_config(self.kind), mode="degraded", at_step=187, path=path
         )
         states = policy_states(read_snapshot(path))
         assert any(state.get("pending") for state in states)

@@ -69,7 +69,7 @@ class TestStrictResume:
         tracer_full = Tracer()
         full = run_experiment(strict_config(seed), tracer=tracer_full)
 
-        # Seed 11's run ends after 332 events: each seed is snapshotted
+        # Seed 11's run ends after 277 events: each seed is snapshotted
         # inside its own run.
         message_module.set_message_counter(0)
         tracer_pre = Tracer()
@@ -122,12 +122,12 @@ class TestStrictResume:
             )
 
     def test_step_past_the_stop_rule_refused(self, tmp_path):
-        """Seed 11's 12-request run ends after 332 events: a snapshot at
+        """Seed 11's 12-request run ends after 277 events: a snapshot at
         step 400 would hold a world the uninterrupted run never enters."""
         path = tmp_path / "never.json"
         message_module.set_message_counter(0)
-        assert run_experiment(strict_config(11)).steps == 332
-        with pytest.raises(ExperimentError, match="after 332 events"):
+        assert run_experiment(strict_config(11)).steps == 277
+        with pytest.raises(ExperimentError, match="after 277 events"):
             checkpoint_run(strict_config(11), at_step=AT_STEP, path=str(path))
         assert not path.exists()
 
@@ -248,11 +248,11 @@ class TestMidHealResume:
     the step grid can be re-tuned rather than silently passing).
     """
 
-    # 380 and 490 land inside the two repair windows (t=18 and t=22, an
+    # 360 and 461 land inside the two repair windows (t=18 and t=22, an
     # in-flight ADOPT each); the later points cover steady post-repair
     # state.  All must stay inside the degraded rule's step count:
     # checkpoint_run refuses a step the rule never reaches.
-    STEPS = (380, 490, 1500, 3000)
+    STEPS = (360, 461, 1426, 2854)
 
     @staticmethod
     def snapshot_mid_heal(payload) -> bool:

@@ -59,7 +59,7 @@ class TestWholeRunResume:
         "cell_name, at_step, in_flight",
         [
             # Three workflows started, one pending, a staged input in transit.
-            ("fork-join-uniform", 524, "transfer"),
+            ("fork-join-uniform", 425, "transfer"),
             # Eager: three whole graphs queued on their clusters, one pending.
             ("pipeline", 30, None),
         ],

@@ -110,6 +110,14 @@ class TestDelivery:
         with pytest.raises(ValidationError):
             transport.send(_msg(a, b), extra_latency=-1.0)
 
+    def test_nan_latency_rejected(self, sim, transport):
+        a, b = Endpoint("a", 1), Endpoint("b", 1)
+        transport.register(b, lambda m: None)
+        with pytest.raises(ValidationError):
+            transport.send(_msg(a, b), extra_latency=float("nan"))
+        assert transport.sent == 0
+        assert sim.run() == 0
+
     def test_fifo_order_between_same_pair(self, sim, transport):
         a, b = Endpoint("a", 1), Endpoint("b", 1)
         payloads = []

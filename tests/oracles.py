@@ -12,6 +12,9 @@ Nothing outside ``tests/`` imports this module.  It holds:
 * :func:`reference_evolve`, the array generation loop with a set-up per
   costing, per-generation crossover inputs and concatenated next
   generations, which ``GAScheduler.evolve`` must match byte for byte;
+* :class:`PerAgentPullStrategy`, periodic pull with one timer per agent,
+  which :class:`repro.agents.advertisement.PullRounds` must match in
+  records, RNG digest, message ids and registries;
 * :func:`exhaustive_allocation`, the literal 2^n − 1 subset search of the
   FIFO baseline (§4.1), which the O(n log n)
   :func:`repro.scheduling.fifo.earliest_free_allocation` must equal;
@@ -39,6 +42,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.agents.advertisement import AdvertisementStrategy
 from repro.agents.agent import Agent
 from repro.agents.membership import ALIVE
 from repro.errors import (
@@ -69,6 +73,7 @@ from repro.scheduling.warmstart import (
 )
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
+from repro.sim.process import PeriodicProcess
 from repro.tasks.task import Task, TaskRequest
 from repro.utils.rng import derive_seed
 from repro.utils.validation import check_non_empty
@@ -824,6 +829,54 @@ def reset_counters(obj) -> None:
 
 
 # ------------------------------------------------------------------ agents
+
+class PerAgentPullStrategy(AdvertisementStrategy):
+    """Periodic pull on one :class:`PeriodicProcess` per agent (§4.1).
+
+    The strategy before pull rounds: every agent has its own
+    ``Priority.ADVERTISEMENT`` timer, first due at start, re-armed
+    *interval* seconds after each firing.  The grid's shared rounds must
+    pull in exactly this order.
+    """
+
+    def __init__(self, interval: float) -> None:
+        self._interval = float(interval)
+        self._process: Optional[PeriodicProcess] = None
+
+    def _make(self, agent: Agent) -> PeriodicProcess:
+        return PeriodicProcess(
+            agent.sim,
+            self._interval,
+            agent.pull_neighbours,
+            priority=Priority.ADVERTISEMENT,
+            fire_immediately=True,
+            label=f"pull-{agent.name}",
+        )
+
+    def start(self, agent: Agent) -> None:
+        if self._process is not None:
+            raise ValidationError("strategy already started")
+        self._process = self._make(agent)
+        self._process.start()
+
+    def stop(self) -> None:
+        if self._process is not None:
+            self._process.stop()
+            self._process = None
+
+    def snapshot_state(self) -> dict:
+        return {
+            "process": (
+                None if self._process is None else self._process.snapshot_state()
+            )
+        }
+
+    def restore_state(self, state: dict, agent: Agent) -> None:
+        self.stop()
+        if state["process"] is not None:
+            self._process = self._make(agent)
+            self._process.restore_state(state["process"])
+
 
 def is_head(agent: Agent) -> bool:
     """Whether *agent* heads the hierarchy."""

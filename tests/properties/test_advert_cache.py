@@ -49,8 +49,8 @@ def oracle_freetime(scheduler, mode: str) -> float:
         per_node = base
     else:
         # Every scheduling event leaves an incumbent while tasks queue.
-        assert scheduler._cached_node_free is not None
-        per_node = np.maximum(scheduler._cached_node_free, base)
+        assert scheduler._incumbent_free is not None
+        per_node = np.maximum(scheduler._incumbent_free, base)
     per_node = np.maximum(per_node, now)
     if mode == "mean":
         return float(per_node.mean())

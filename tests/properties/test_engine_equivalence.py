@@ -10,11 +10,12 @@ layers of evidence here:
   oracle is swapped in for the engine ``build_grid`` constructs.
 * **Hypothesis-driven run() equivalence** — random scripted workloads
   (same-instant cascades scheduled from callbacks, part of them as
-  zero-delay ``schedule_in`` calls that take the engine's FIFO, bursts of
-  FIFO entries cancelled past ``COMPACT_MIN``, and a drain that mixes
-  ``next_event_time()``, ``run_until()`` and chunked
-  ``run(max_events=...)`` stopping mid-cascade) must produce the
-  identical fire sequence on both engines.
+  zero-delay ``schedule_in`` calls that take the engine's FIFO, part of
+  them carrying a callback argument, bursts of FIFO entries cancelled
+  past ``COMPACT_MIN``, and a drain that mixes ``next_event_time()``,
+  ``run_until()`` and chunked ``run(max_events=...)`` stopping
+  mid-cascade) must produce the identical fire sequence, arguments
+  included, on both engines.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class _ScriptedRun:
     them.  Each event logs its own creation index, so any two events
     fired out of order show in the log.  Callbacks schedule same-instant
     cascades, like transports do, and cancel pending events.  Three in
-    ten scheduled events go through ``schedule_in``: nearly half of them
+    ten scheduled events go through ``schedule_in``, two in three of them
+    carrying an argument, as message deliveries do; each logs the
+    argument it was called with next to its own index, so a dropped or
+    swapped argument shows too.  Nearly half of them
     are zero-delay calls at ``Priority.DEFAULT`` (the engine's FIFO),
     mixed with heap events of the same instant and priority, and the
     rest are relative events the heap must take.  An occasional burst queues more FIFO
@@ -127,6 +131,12 @@ class _ScriptedRun:
         self.created += 1
         return partial(self._fire, ident)
 
+    def _callback_with_arg(self):
+        """A callback taking one argument, and the argument it must get."""
+        ident = self.created
+        self.created += 1
+        return partial(self._fire_with_arg, ident), ("arg", ident)
+
     def _schedule(self, base_time: float) -> None:
         if self.budget == 0:
             return
@@ -136,11 +146,16 @@ class _ScriptedRun:
         label = f"ev{self.created}"
         if rng.random() < 0.3:
             # FIFO entries, and relative events the heap must take
-            # (another priority, or a positive delay).
+            # (another priority, or a positive delay); two in three carry
+            # an argument.
             delay = rng.choice((0.0, 0.0, 0.0, 0.25))
             priority = rng.choice((Priority.DEFAULT,) * 3 + PRIORITIES)
+            if rng.random() < 0.67:
+                callback, arg = self._callback_with_arg()
+            else:
+                callback, arg = self._callback(), None
             handle = engine.schedule_in(
-                delay, self._callback(), priority=priority, label=label
+                delay, callback, priority=priority, label=label, arg=arg
             )
         else:
             time = base_time + rng.choice((0.0, 0.0, 0.25, 1.0, 3.5))
@@ -176,9 +191,12 @@ class _ScriptedRun:
             if heap_size(engine) - pending(engine) > self.garbage_bound:
                 self.garbage_ok = False
 
-    def _fire(self, ident: int) -> None:
+    def _fire_with_arg(self, ident: int, arg) -> None:
+        self._fire(ident, arg)
+
+    def _fire(self, ident: int, arg=None) -> None:
         rng = self.rng
-        self.log.append((self.engine.now, ident))
+        self.log.append((self.engine.now, ident, arg))
         for _ in range(rng.randrange(0, 4)):
             self._schedule(self.engine.now)
         if self.bursts and rng.random() < 0.05:

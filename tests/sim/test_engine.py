@@ -68,6 +68,78 @@ class TestScheduling:
         assert fired == [1.0]
 
 
+NAN = float("nan")
+
+
+class TestNaNRejected:
+    """A NaN time compares false both ways: every guard must refuse it.
+
+    Queued, events at 5.0, NaN, 1.0 and 3.0 would fire as 1.0, 3.0, NaN,
+    5.0, and the clock would read NaN before the last one.
+    """
+
+    def test_schedule(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule(NAN, lambda: None)
+        assert pending(sim) == 0
+
+    def test_schedule_in(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_in(NAN, lambda: None)
+        assert pending(sim) == 0
+
+    def test_restore_event(self, sim):
+        sim.restore_state({"now": 0.0, "start_time": 0.0, "sequence": 5, "fired": 0})
+        descriptor = {"time": NAN, "priority": 50, "sequence": 1, "label": ""}
+        with pytest.raises(SimulationError):
+            sim.restore_event(descriptor, lambda: None)
+        assert pending(sim) == 0
+
+    def test_run_until(self, sim):
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(5.0))
+        with pytest.raises(SimulationError):
+            sim.run_until(NAN)
+        assert fired == [] and sim.now == 0.0
+
+    def test_single_heap_schedule(self):
+        with pytest.raises(SimulationError):
+            SingleHeapEngine().schedule(NAN, lambda: None)
+
+    def test_single_heap_schedule_in(self):
+        with pytest.raises(SimulationError):
+            SingleHeapEngine().schedule_in(NAN, lambda: None)
+
+
+class TestCallbackArgument:
+    @pytest.mark.parametrize("engine_type", [Engine, SingleHeapEngine])
+    def test_event_fires_callback_with_its_argument(self, engine_type):
+        engine = engine_type()
+        fired = []
+        engine.schedule_in(1.0, fired.append, arg="heap")
+        engine.schedule_in(0.0, fired.append, arg="fifo")
+        engine.schedule_in(2.0, fired.append, arg="later")
+        engine.schedule_in(0.0, lambda: fired.append("none"))
+        engine.run()
+        assert fired == ["fifo", "none", "heap", "later"]
+
+    def test_restored_event_keeps_its_argument(self, sim):
+        state = sim.snapshot_state()
+        event = sim.schedule_in(0.0, print, arg="x")
+        descriptor = event.descriptor()
+        sim.restore_state(dict(state, sequence=1))
+        fired = []
+        restored = sim.restore_event(descriptor, fired.append, arg="x")
+        assert restored.arg == "x"
+        sim.run()
+        assert fired == ["x"]
+
+    def test_queued_exposes_arguments_of_both_queues(self, sim):
+        sim.schedule_in(3.0, lambda _: None, arg=1)
+        sim.schedule_in(0.0, lambda _: None, arg=2)
+        assert sorted(event.arg for event in sim.queued()) == [1, 2]
+
+
 class TestCancellation:
     def test_cancelled_event_skipped(self, sim):
         fired = []

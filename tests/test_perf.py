@@ -452,3 +452,56 @@ class TestGaGauge:
         event = perf.bench_ga_evolve_event(calls=30, generations=10)
         assert event.value == pytest.approx(600.0)
         assert "(300 generations/s wall)" in event.detail
+
+
+class TestEngineGauge:
+    """The ``engine_`` and ``scale_`` rows are quoted at nominal speed."""
+
+    def test_prepare_runs_untimed_before_the_slices(self, monkeypatch):
+        import types
+
+        import repro.perf as perf
+
+        clock = [0.0]
+        order = []
+
+        def fake_slice(gauge):
+            order.append("slice")
+            gauge.times.append(NOMINAL_SLICE_S)
+
+        def prepare():
+            order.append("prepare")
+            clock[0] += 5.0  # untimed
+            return 0.25
+
+        def sample(seconds):
+            order.append("sample")
+            clock[0] += seconds
+
+        monkeypatch.setattr(
+            perf, "time", types.SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        monkeypatch.setattr(perf.Gauge, "slice", fake_slice)
+        nominal, wall = perf._median_at_nominal(sample, 2, prepare=prepare)
+        assert nominal == pytest.approx(0.25)
+        assert wall == pytest.approx(0.25)
+        run = ["prepare"] + ["slice"] * (GAUGE_SLICES // 2) + ["sample"]
+        assert order == run * 2
+
+    def test_rows_divide_by_nominal_seconds(self, monkeypatch):
+        import repro.perf as perf
+
+        def fake(sample, repeats, *, prepare=None):
+            sample() if prepare is None else sample(prepare())
+            return 0.5, 1.0
+
+        monkeypatch.setattr(perf, "_median_at_nominal", fake)
+        heap, single = perf.bench_engine_events(
+            n_agents=2, arrivals_per_agent=3, burst=2, events=10, warmup=2
+        )
+        assert heap.value == pytest.approx(20.0)
+        assert single.value == pytest.approx(20.0)
+        assert "(10 events/s wall)" in heap.detail
+        alloc = perf.bench_event_alloc(count=10)
+        assert alloc.value == pytest.approx(40.0)
+        assert "(20 objects/s wall)" in alloc.detail
