@@ -27,11 +27,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from dataclasses import dataclass, field  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
 
-from repro.net.message import (  # noqa: E402
-    Endpoint, Message, MessageKind, next_message_id,
-)
+from repro.net.message import Endpoint, Message, MessageKind  # noqa: E402
 from repro.perf import bench_event_alloc  # noqa: E402
 from repro.sim.events import Event  # noqa: E402
 
@@ -44,7 +42,7 @@ class DictEvent:
     """
 
     def __init__(self, time, priority, sequence, callback, label="",
-                 on_cancel=None):
+                 on_cancel=None, arg=None):
         self.time = time
         self.priority = priority
         self.sequence = sequence
@@ -53,20 +51,19 @@ class DictEvent:
         self.cancelled = False
         self.fired = False
         self.on_cancel = on_cancel
+        self.arg = arg
 
 
 @dataclass(frozen=True)
 class DictMessage:
     """``Message`` as a frozen dataclass with a per-instance ``__dict__``:
-    the same fields, set one ``object.__setattr__`` at a time, and the
-    same ``message_id`` counter."""
+    the same fields, set one ``object.__setattr__`` at a time."""
 
     kind: MessageKind
     sender: Endpoint
     recipient: Endpoint
     payload: object
     hops: int = 0
-    message_id: int = field(default_factory=next_message_id)
 
 
 def _noop() -> None:

@@ -32,7 +32,6 @@ from repro.agents.membership import FailureDetector, MembershipConfig
 from repro.agents.policy import GlobalPolicy, GlobalPolicyConfig, make_policy
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.errors import AgentError, TransportError
-from repro.net import message as _wire
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.payloads import (
     KinInfo,
@@ -74,10 +73,8 @@ _ADOPT = MessageKind.ADOPT
 _ADOPTED = MessageKind.ADOPTED
 
 # PULL and ADVERTISE, nearly every message at scale, are built as
-# ``_tuple_new(Message, (kind, sender, recipient, payload, 0, id))``:
-# exactly what ``Message(...)`` returns, without its Python frame.  The id
-# is ``next(_wire._message_ids)``, read through the module at every call
-# because a checkpoint restore re-seats that counter.
+# ``_tuple_new(Message, (kind, sender, recipient, payload, 0))``:
+# exactly what ``Message(...)`` returns, without its Python frame.
 _tuple_new = tuple.__new__
 
 
@@ -275,7 +272,7 @@ class Agent:
             result.append(self._parent)
         return result
 
-    def _peer_name(self, endpoint: Optional[Endpoint]) -> Optional[str]:
+    def peer_name(self, endpoint: Optional[Endpoint]) -> Optional[str]:
         """A neighbour's agent name for trace records (endpoint otherwise)."""
         if endpoint is None:
             return None
@@ -287,10 +284,6 @@ class Agent:
             if known is not None:
                 return known.name
         return str(endpoint)
-
-    def peer_name(self, endpoint: Optional[Endpoint]) -> Optional[str]:
-        """Public alias of the trace-record name resolver."""
-        return self._peer_name(endpoint)
 
     # --------------------------------------------------------------- topology
 
@@ -495,11 +488,7 @@ class Agent:
             recipient = neighbour._endpoint
             try:
                 send(
-                    _tuple_new(
-                        Message,
-                        (_PULL, endpoint, recipient, None, 0,
-                         next(_wire._message_ids)),
-                    )
+                    _tuple_new(Message, (_PULL, endpoint, recipient, None, 0))
                 )
             except TransportError:
                 self._send_failed(recipient)
@@ -743,7 +732,7 @@ class Agent:
                     agent=self._name,
                     request_id=request_id,
                     attempt=next_attempt,
-                    target=self._peer_name(pending.target) or str(pending.target),
+                    target=self.peer_name(pending.target) or str(pending.target),
                 )
             )
         self._route(
@@ -875,7 +864,7 @@ class Agent:
                     _tuple_new(
                         Message,
                         (_ADVERTISE, self._endpoint, recipient,
-                         self.service_info(), 0, next(_wire._message_ids)),
+                         self.service_info(), 0),
                     )
                 )
             except TransportError:

@@ -207,7 +207,7 @@ class AuctionPolicy(GlobalPolicy):
                     t=agent.sim.now,
                     agent=agent._name,
                     request_id=bid.request_id,
-                    bidder=agent._peer_name(message.sender) or str(message.sender),
+                    bidder=agent.peer_name(message.sender) or str(message.sender),
                     eta=bid.eta,
                     supported=bid.supported,
                 )
@@ -268,7 +268,7 @@ class AuctionPolicy(GlobalPolicy):
                     t=agent.sim.now,
                     agent=agent._name,
                     request_id=request_id,
-                    winner=None if winner is None else agent._peer_name(winner),
+                    winner=None if winner is None else agent.peer_name(winner),
                     estimate=eta,
                     reason=reason,
                 )

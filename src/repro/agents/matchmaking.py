@@ -15,7 +15,6 @@ load-balancing effect the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import AgentError
 from repro.net.payloads import ServiceInfo

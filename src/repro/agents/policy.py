@@ -191,7 +191,7 @@ class Eq10Policy(GlobalPolicy):
             )
             neighbour_matches = {
                 ep: match.with_transfer_penalty(
-                    agent.transfer_penalty(request, agent._peer_name(ep) or ""),
+                    agent.transfer_penalty(request, agent.peer_name(ep) or ""),
                     request.deadline,
                 )
                 for ep, match in neighbour_matches.items()
@@ -220,7 +220,7 @@ class Eq10Policy(GlobalPolicy):
                     request_id=envelope.request_id,
                     hops=hops,
                     decision=outcome.decision.value,
-                    target=agent._peer_name(outcome.target),
+                    target=agent.peer_name(outcome.target),
                     estimate=outcome.estimate,
                     reason=outcome.reason,
                 )

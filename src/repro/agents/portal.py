@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.agents.agent import Agent
 from repro.agents.resilience import MAX_RETRIES, ResilienceConfig, timeout_for
 from repro.errors import AgentError, TransportError
 from repro.net.message import Endpoint, Message, MessageKind

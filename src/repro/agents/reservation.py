@@ -95,7 +95,7 @@ class ReservationPolicy(GlobalPolicy):
                         t=now,
                         agent=agent._name,
                         request_id=request_id,
-                        booker=agent._peer_name(booking[0]) or str(booking[0]),
+                        booker=agent.peer_name(booking[0]) or str(booking[0]),
                         reason="consumed",
                     )
                 )
@@ -174,7 +174,7 @@ class ReservationPolicy(GlobalPolicy):
                         t=agent.sim.now,
                         agent=agent._name,
                         request_id=request_id,
-                        target=agent._peer_name(pending.target)
+                        target=agent.peer_name(pending.target)
                         or str(pending.target),
                         attempt=pending.tried,
                     )
@@ -270,7 +270,7 @@ class ReservationPolicy(GlobalPolicy):
                         t=now,
                         agent=agent._name,
                         request_id=rid,
-                        booker=agent._peer_name(booker) or str(booker),
+                        booker=agent.peer_name(booker) or str(booker),
                         reason="expired",
                     )
                 )
@@ -334,7 +334,7 @@ class ReservationPolicy(GlobalPolicy):
                     t=now,
                     agent=agent._name,
                     request_id=request_id,
-                    booker=agent._peer_name(message.sender)
+                    booker=agent.peer_name(message.sender)
                     or str(message.sender),
                     start=start,
                     end=end,
@@ -404,7 +404,7 @@ class ReservationPolicy(GlobalPolicy):
                     t=agent.sim.now,
                     agent=agent._name,
                     request_id=request_id,
-                    booker=agent._peer_name(entry[0]) or str(entry[0]),
+                    booker=agent.peer_name(entry[0]) or str(entry[0]),
                     reason="declined",
                 )
             )
@@ -427,7 +427,7 @@ class ReservationPolicy(GlobalPolicy):
                         t=agent.sim.now,
                         agent=agent._name,
                         request_id=rid,
-                        booker=agent._peer_name(booker) or str(booker),
+                        booker=agent.peer_name(booker) or str(booker),
                         reason="death",
                     )
                 )
@@ -449,7 +449,7 @@ class ReservationPolicy(GlobalPolicy):
                         t=agent.sim.now,
                         agent=agent._name,
                         request_id=rid,
-                        booker=agent._peer_name(booker) or str(booker),
+                        booker=agent.peer_name(booker) or str(booker),
                         reason="crash",
                     )
                 )

@@ -373,19 +373,17 @@ def encode_message(message: Message) -> Dict[str, Any]:
         "recipient": encode_endpoint(message.recipient),
         "payload": _encode_payload(message.payload),
         "hops": message.hops,
-        "message_id": message.message_id,
     }
 
 
 def decode_message(data: Dict[str, Any], applications: Applications) -> Message:
-    """Inverse of :func:`encode_message` (preserves the original id)."""
+    """Inverse of :func:`encode_message`."""
     return Message(
         kind=MessageKind(data["kind"]),
         sender=decode_endpoint(data["sender"]),
         recipient=decode_endpoint(data["recipient"]),
         payload=_decode_payload(data["payload"], applications),
         hops=int(data["hops"]),
-        message_id=int(data["message_id"]),
     )
 
 

@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 6,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 7,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -27,7 +27,12 @@ marks the shared pull rounds: a periodic-pull strategy records its
 round's event descriptor and its position in the round (``round``,
 ``position``) instead of a per-agent timer (``process``), and the
 scheduler's incumbent free times are ``incumbent_free`` (before,
-``cached_node_free``: state, not a cache).
+``cached_node_free``: state, not a cache).  Version 7 makes a snapshot a
+function of the run alone: the process-wide message counter and the
+per-message ids go (in-flight deliveries are listed by event sequence),
+and so do the counters only tests read (the transport's ring of dropped
+messages and its copy of the fault plan's tallies, a periodic process's
+``fired``, a resource monitor's ``polls``).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

@@ -65,8 +65,6 @@ def snapshot_system(system) -> Dict[str, Any]:
         stream positions to) or a component refuses (e.g. a monitor with
         load tracking enabled).
     """
-    from repro.net.message import peek_message_counter
-
     if system.rngs is None:
         raise CheckpointError(
             "cannot checkpoint a system built without an RNG registry"
@@ -74,7 +72,6 @@ def snapshot_system(system) -> Dict[str, Any]:
     return {
         "engine": system.sim.snapshot_state(),
         "rngs": system.rngs.snapshot_state(),
-        "message_counter": peek_message_counter(),
         "transport": system.transport.snapshot_state(),
         "evaluator": system.evaluator.snapshot_state(),
         "schedulers": {
@@ -95,8 +92,6 @@ def restore_system(system, state: Dict[str, Any]) -> None:
     The caller must have rebuilt the grid from the snapshot's own config
     and topology; component sets are validated against the snapshot.
     """
-    from repro.net.message import set_message_counter
-
     if system.rngs is None:
         raise CheckpointError("cannot restore into a system without an RNG registry")
     for section in ("schedulers", "agents"):
@@ -112,7 +107,6 @@ def restore_system(system, state: Dict[str, Any]) -> None:
     # component's restore can re-create its events against it.
     system.sim.restore_state(state["engine"])
     system.rngs.restore_state(state["rngs"])
-    set_message_counter(int(state["message_counter"]))
     for name in sorted(system.schedulers):
         system.schedulers[name].restore_state(
             state["schedulers"][name], applications=applications

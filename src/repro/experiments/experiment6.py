@@ -42,7 +42,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import repro.net.message as message_module
 from repro.agents.policy import POLICY_KINDS, GlobalPolicyConfig
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
@@ -223,10 +222,9 @@ def _run_point(cell: Experiment6Cell, kind: str) -> Experiment6Point:
 def _traced_run(
     config: ExperimentConfig, cell: Experiment6Cell
 ) -> Tuple[DegradedRun, List[TraceRecord]]:
-    """*config* on *cell*'s grid and workload, traced from message id 0."""
+    """*config* on *cell*'s grid and workload, traced."""
     from repro.obs.trace import MemorySink, Tracer
 
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     run = run_degraded(
         config, cell.topology, workload=list(cell.workload), tracer=tracer

@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.casestudy import GridTopology, case_study_topology
 from repro.experiments.config import ExperimentConfig
@@ -207,7 +206,6 @@ def _run_point(cell: Experiment7Cell, mode: str) -> Experiment7Point:
         config = replace(
             config, discovery=replace(config.discovery, data_gravity=True)
         )
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     result = run_experiment(
         config,

@@ -64,7 +64,6 @@ from repro.pace.workloads import ApplicationSpec, paper_application_specs
 from repro.scheduling.scheduler import LocalScheduler
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
-from repro.tasks.execution import ExecutionMode
 from repro.tasks.graph import TaskGraph
 from repro.tasks.task import Environment
 from repro.tasks.workflow import WorkflowCoordinator
@@ -324,11 +323,6 @@ def build_grid(
             rng=rngs.stream(f"ga-{name}") if config.policy.draws else None,
             ga_config=config.ga_config,
             generations_per_event=config.generations_per_event,
-            execution_mode=(
-                ExecutionMode.SIMULATED
-                if config.runtime_noise > 0
-                else ExecutionMode.TEST
-            ),
             runtime_noise=config.runtime_noise,
             execution_rng=(
                 rngs.stream(f"exec-{name}") if config.runtime_noise > 0 else None
@@ -1052,7 +1046,6 @@ def _collect(run: _Run) -> Union[ExperimentResult, DegradedRun, SoakResult]:
     if not degraded:
         return result
     successes = system.portal.successes()
-    plan = system.transport.fault_plan
     return DegradedRun(
         result=result,
         submitted=system.portal.submitted_count,
@@ -1069,7 +1062,7 @@ def _collect(run: _Run) -> Union[ExperimentResult, DegradedRun, SoakResult]:
         ),
         crashes=run.crashes,
         restarts=run.restarts,
-        fault_dropped=plan.dropped_count if plan is not None else 0,
+        fault_dropped=system.transport.fault_dropped_count,
         membership=(
             MembershipSummary.from_system(system)
             if system.config.membership.enabled

@@ -15,7 +15,7 @@ experiments 1–3 replay one workload exactly, as the paper requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from repro.errors import ExperimentError
 from repro.pace.workloads import ApplicationSpec

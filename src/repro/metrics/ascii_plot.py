@@ -10,7 +10,7 @@ with ``·``, and the total with ``#``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.errors import ValidationError
 

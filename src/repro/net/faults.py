@@ -285,6 +285,9 @@ class FaultPlan:
         Name → endpoint resolution for link faults and partitions (agent
         names plus ``"portal"``).  Names used by the spec but missing here
         raise at construction, not mid-run.
+
+    The plan keeps no tallies: each verdict names its cause, and the
+    transport counts the drops (``Transport.fault_dropped_count``).
     """
 
     def __init__(
@@ -326,10 +329,6 @@ class FaultPlan:
             for s in spec.stragglers
             if s.response_delay > 0.0
         }
-        self.dropped_by_chance = 0
-        self.dropped_by_partition = 0
-        self.jittered = 0
-        self.straggled = 0
 
     @staticmethod
     def _resolve(names: Mapping[str, Endpoint], name: str) -> Endpoint:
@@ -340,11 +339,6 @@ class FaultPlan:
                 f"fault plan names unknown participant {name!r} "
                 f"(known: {sorted(names)})"
             ) from None
-
-    @property
-    def dropped_count(self) -> int:
-        """Total messages this plan dropped (chance + partition)."""
-        return self.dropped_by_chance + self.dropped_by_partition
 
     def on_send(self, message: Message, now: float) -> FaultVerdict:
         """Decide one send's fate; called by the transport for every message.
@@ -359,7 +353,6 @@ class FaultPlan:
                 (sender in group_a and recipient in group_b)
                 or (sender in group_b and recipient in group_a)
             ):
-                self.dropped_by_partition += 1
                 return FaultVerdict(drop=True, reason="partition")
         probability = self._link_drop.get(
             (sender, recipient), self._spec.drop_probability
@@ -367,7 +360,6 @@ class FaultPlan:
         if probability > 0.0:
             assert self._rng is not None
             if self._rng.random() < probability:
-                self.dropped_by_chance += 1
                 return FaultVerdict(drop=True, reason="loss")
         extra = 0.0
         reasons: List[str] = []
@@ -375,12 +367,10 @@ class FaultPlan:
         if delay > 0.0:
             assert self._rng is not None
             extra += float(self._rng.uniform(0.5, 1.5)) * delay
-            self.straggled += 1
             reasons.append("straggler")
         if self._spec.latency_jitter > 0.0:
             assert self._rng is not None
             extra += float(self._rng.uniform(0.0, self._spec.latency_jitter))
-            self.jittered += 1
             reasons.append("jitter")
         if extra > 0.0:
             return FaultVerdict(drop=False, extra_latency=extra, reason="+".join(reasons))

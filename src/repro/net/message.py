@@ -10,49 +10,11 @@ unsolicited (push) or in reply to a pull.
 from __future__ import annotations
 
 import enum
-from itertools import count
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
 from repro.errors import TransportError
 
-__all__ = [
-    "Endpoint",
-    "MessageKind",
-    "Message",
-    "next_message_id",
-    "peek_message_counter",
-    "set_message_counter",
-]
-
-# Process-wide message-id source, minted in C.  A checkpoint captures and
-# restores its position (see peek_message_counter / set_message_counter):
-# post-resume sends must mint the same ids as the uninterrupted run, or the
-# transport's in-flight deliveries — snapshot-ordered by message id —
-# diverge between a resumed and an uninterrupted run.  Both functions
-# rebind the name, so the agent's PULL/ADVERTISE path, which mints ids
-# without a call frame, reads it through this module at every send.
-_message_ids = count()
-
-
-def next_message_id() -> int:
-    """Mint the next globally unique message id."""
-    return next(_message_ids)
-
-
-def peek_message_counter() -> int:
-    """The id the next message will be assigned (checkpoint support)."""
-    global _message_ids
-    value = next(_message_ids)
-    _message_ids = count(value)
-    return value
-
-
-def set_message_counter(value: int) -> None:
-    """Reset the id source so the next message gets *value* (restore support)."""
-    global _message_ids
-    if value < 0:
-        raise TransportError(f"message counter must be >= 0, got {value}")
-    _message_ids = count(int(value))
+__all__ = ["Endpoint", "MessageKind", "Message"]
 
 
 class _EndpointFields(NamedTuple):
@@ -112,42 +74,22 @@ class MessageKind(enum.Enum):
         self.label = f"deliver-{value}"
 
 
-class _MessageFields(NamedTuple):
-    kind: MessageKind
-    sender: Endpoint
-    recipient: Endpoint
-    payload: Any
-    hops: int
-    message_id: int
-
-
-class Message(_MessageFields):
+class Message(NamedTuple):
     """One transported message.
 
     ``payload`` is kind-specific: a request record, a task summary, or a
     service-information record.  ``hops`` counts discovery forwards so a
-    request cannot circulate indefinitely.  ``message_id`` is minted from
-    the process-wide counter unless given (a checkpoint restore passes the
-    original id).
+    request cannot circulate indefinitely.  A message carries no identity
+    of its own: the transport lists its in-flight deliveries by their
+    events' sequence numbers, which the engine assigns per run.
 
     Tuple-backed and immutable: a scaled grid sends a message per PULL and
     per ADVERTISE, so construction is one tuple allocation, field reads are
     C descriptors, and there is no per-instance dict.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        kind: MessageKind,
-        sender: Endpoint,
-        recipient: Endpoint,
-        payload: Any,
-        hops: int = 0,
-        message_id: Optional[int] = None,
-    ) -> "Message":
-        if message_id is None:
-            message_id = next(_message_ids)
-        return tuple.__new__(
-            cls, (kind, sender, recipient, payload, hops, message_id)
-        )
+    kind: MessageKind
+    sender: Endpoint
+    recipient: Endpoint
+    payload: Any
+    hops: int = 0

@@ -14,8 +14,7 @@ single-threaded message loop.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message
@@ -27,14 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.obs.records import MessageDropped
     from repro.obs.trace import Tracer
 
-__all__ = ["Transport", "DROP_RING_SIZE"]
+__all__ = ["Transport"]
 
 Handler = Callable[[Message], None]
-
-#: How many recently dropped messages are retained for debugging.  Drops
-#: are *counted* without bound; only the message objects are ring-buffered
-#: (a long churny run used to accumulate every dropped Message forever).
-DROP_RING_SIZE = 32
 
 
 class Transport:
@@ -61,7 +55,6 @@ class Transport:
         self._delivered = 0
         self._dropped_count = 0
         self._fault_dropped_count = 0
-        self._drop_ring: Deque[Message] = deque(maxlen=DROP_RING_SIZE)
         self._tracer = tracer
         # One bound method shared by every delivery event instead of a
         # fresh one per send: each is a GC-tracked allocation, and fewer
@@ -92,11 +85,6 @@ class Transport:
     def fault_dropped_count(self) -> int:
         """Total messages dropped by the installed fault plan."""
         return self._fault_dropped_count
-
-    @property
-    def fault_plan(self) -> Optional[FaultPlan]:
-        """The installed fault plan, if any."""
-        return self._fault_plan
 
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear) the fault plan consulted on every send."""
@@ -170,7 +158,6 @@ class Transport:
                 # Silent loss: the sender believes the send succeeded —
                 # exactly the failure mode ack timeouts exist to detect.
                 self._fault_dropped_count += 1
-                self._drop_ring.append(message)
                 if self._tracer is not None:
                     self._tracer.emit(self._drop_record(message, verdict.reason))
                 return
@@ -183,7 +170,6 @@ class Transport:
         handler = self._handlers.get(message.recipient)
         if handler is None:
             self._dropped_count += 1
-            self._drop_ring.append(message)
             if self._tracer is not None:
                 self._tracer.emit(self._drop_record(message, "unregistered"))
             return
@@ -218,7 +204,8 @@ class Transport:
 
     def _in_flight(self) -> List[Tuple[Message, Event]]:
         """Messages accepted by :meth:`send` whose delivery has not fired,
-        with their delivery events, by message id.
+        with their delivery events, by event sequence (unique per engine,
+        and kept by :meth:`Engine.restore_event`).
 
         Derived from the engine's queues rather than kept on every send:
         only checkpoints read it.
@@ -229,11 +216,11 @@ class Transport:
             for event in self._sim.queued()
             if event.callback is deliver
         ]
-        in_flight.sort(key=lambda pair: pair[0].message_id)
+        in_flight.sort(key=lambda pair: pair[1].sequence)
         return in_flight
 
     def snapshot_state(self) -> dict:
-        """Counters, the drop ring, in-flight messages, and fault attribution.
+        """Counters and in-flight messages.
 
         Endpoint registrations are *not* serialised — they are re-created by
         rebuilding the grid (and adjusted by each agent's own restore for
@@ -242,12 +229,11 @@ class Transport:
         """
         from repro.checkpoint.codec import encode_message
 
-        state = {
+        return {
             "sent": self._sent,
             "delivered": self._delivered,
             "dropped_count": self._dropped_count,
             "fault_dropped_count": self._fault_dropped_count,
-            "drop_ring": [encode_message(m) for m in self._drop_ring],
             "in_flight": [
                 {
                     "message": encode_message(message),
@@ -256,13 +242,6 @@ class Transport:
                 for message, event in self._in_flight()
             ],
         }
-        if self._fault_plan is not None:
-            state["fault_plan"] = {
-                "dropped_by_chance": self._fault_plan.dropped_by_chance,
-                "dropped_by_partition": self._fault_plan.dropped_by_partition,
-                "jittered": self._fault_plan.jittered,
-            }
-        return state
 
     def restore_state(self, state: dict, *, applications) -> None:
         """Rewind counters and re-create every in-flight delivery event.
@@ -278,9 +257,6 @@ class Transport:
         self._delivered = int(state["delivered"])
         self._dropped_count = int(state["dropped_count"])
         self._fault_dropped_count = int(state["fault_dropped_count"])
-        self._drop_ring.clear()
-        for raw in state["drop_ring"]:
-            self._drop_ring.append(decode_message(raw, applications))
         for _, event in self._in_flight():
             event.cancel()
         for entry in state["in_flight"]:
@@ -291,10 +267,3 @@ class Transport:
                 self._deliver_hook,
                 arg=decode_message(entry["message"], applications),
             )
-        plan_state = state.get("fault_plan")
-        if plan_state is not None and self._fault_plan is not None:
-            self._fault_plan.dropped_by_chance = int(plan_state["dropped_by_chance"])
-            self._fault_plan.dropped_by_partition = int(
-                plan_state["dropped_by_partition"]
-            )
-            self._fault_plan.jittered = int(plan_state["jittered"])

@@ -14,7 +14,7 @@ dataclasses onto them — keeping this module dependency-free below
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from repro.errors import SerializationError
 from repro.utils.timefmt import format_timestamp, parse_timestamp

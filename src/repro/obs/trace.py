@@ -12,14 +12,13 @@ no environment-variable lookup, and no disabled-logger call overhead.
 
 Sinks
 -----
-:class:`MemorySink`, a ring buffer (unbounded by default), serves the
-CLI, the golden-trace tier and the tests; ``repro trace --out`` writes its
+:class:`MemorySink`, which keeps every record, serves the CLI, the
+golden-trace tier and the tests; ``repro trace --out`` writes its
 records as canonical JSONL (:func:`~repro.obs.records.canonical_lines`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional
 
 from repro.errors import ValidationError
@@ -37,21 +36,10 @@ class TraceSink:
 
 
 class MemorySink(TraceSink):
-    """Retains records in memory, optionally ring-buffered.
+    """Retains every record in memory, in emission order."""
 
-    Parameters
-    ----------
-    capacity:
-        Maximum records retained (oldest evicted first); ``None`` keeps
-        everything — the right setting for golden traces and assertions,
-        while long interactive runs can bound their footprint.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {capacity}")
-        self._records: deque = deque(maxlen=capacity)
-        self._emitted = 0
+    def __init__(self) -> None:
+        self._records: List[TraceRecord] = []
 
     @property
     def records(self) -> List[TraceRecord]:
@@ -60,7 +48,6 @@ class MemorySink(TraceSink):
 
     def emit(self, record: TraceRecord) -> None:
         self._records.append(record)
-        self._emitted += 1
 
 
 class Tracer:

@@ -22,7 +22,7 @@ is the processing time which will be wasted first").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.errors import ValidationError
 from repro.scheduling.schedule import Schedule

@@ -72,7 +72,6 @@ class ResourceMonitor:
         self._actual_up: List[bool] = [True] * n_nodes  # ground truth
         self._observed_up: List[bool] = [True] * n_nodes  # as of last poll
         self._observers: List[Callable[[], None]] = []
-        self._polls = 0
         self._load_source = load_source
         self._trackers: Optional[List[LoadTracker]] = None
         if load_source is not None:
@@ -109,7 +108,6 @@ class ResourceMonitor:
 
     def poll(self) -> None:
         """Query every node now, updating availability (and load samples)."""
-        self._polls += 1
         self._observed_up = list(self._actual_up)
         if self._trackers is not None:
             assert self._load_source is not None
@@ -122,7 +120,7 @@ class ResourceMonitor:
     # ------------------------------------------------------------- checkpoint
 
     def snapshot_state(self) -> dict:
-        """Availability flags, poll count, and the polling process.
+        """Availability flags and the polling process.
 
         Load tracking (the NWS extension) is not checkpointable yet — no
         experiment path enables it, and silently dropping tracker state
@@ -137,7 +135,6 @@ class ResourceMonitor:
         return {
             "actual_up": list(self._actual_up),
             "observed_up": list(self._observed_up),
-            "polls": self._polls,
             "process": self._process.snapshot_state(),
         }
 
@@ -145,7 +142,6 @@ class ResourceMonitor:
         """Rewind availability and re-arm the polling process."""
         self._actual_up = [bool(x) for x in state["actual_up"]]
         self._observed_up = [bool(x) for x in state["observed_up"]]
-        self._polls = int(state["polls"])
         self._process.restore_state(state["process"])
 
     # -------------------------------------------------------- load forecasts

@@ -45,7 +45,7 @@ from repro.scheduling.ga import GAConfig, GAScheduler
 from repro.scheduling.monitor import ResourceMonitor
 from repro.sim.engine import Engine
 from repro.sim.events import Event, Priority
-from repro.tasks.execution import ExecutionEngine, ExecutionMode
+from repro.tasks.execution import ExecutionEngine
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import Environment, Task, TaskRequest, TaskState
 
@@ -110,7 +110,7 @@ class LocalScheduler:
     environments:
         Execution environments this resource supports (Fig. 5 advertises
         mpi, pvm and test).
-    execution_mode / runtime_noise / execution_rng:
+    runtime_noise / execution_rng:
         Passed to the :class:`ExecutionEngine`.
     """
 
@@ -129,7 +129,6 @@ class LocalScheduler:
             Environment.PVM,
             Environment.TEST,
         ),
-        execution_mode: str = ExecutionMode.TEST,
         runtime_noise: float = 0.0,
         execution_rng: Optional[np.random.Generator] = None,
         freetime_mode: str = "makespan",
@@ -156,7 +155,6 @@ class LocalScheduler:
             sim,
             resource,
             evaluator,
-            mode=execution_mode,
             runtime_noise=runtime_noise,
             rng=execution_rng,
             load_profile=load_profile,

@@ -55,7 +55,6 @@ class PeriodicProcess:
         self._label = label
         self._handle: Optional[Event] = None
         self._running = False
-        self._fired = 0
         # One bound method shared by every occurrence instead of a fresh
         # one per re-arm (one GC-tracked allocation fewer per period).
         self._fire_hook = self._fire
@@ -85,7 +84,6 @@ class PeriodicProcess:
     def _fire(self) -> None:
         if not self._running:
             return
-        self._fired += 1
         self._callback()
         # Re-arm only if the callback did not stop the process.
         if self._running:
@@ -99,11 +97,11 @@ class PeriodicProcess:
     # ------------------------------------------------------------- checkpoint
 
     def snapshot_state(self) -> dict:
-        """Running flag, firing count, and the pending occurrence, if any."""
+        """Running flag and the pending occurrence, if any."""
         pending = None
         if self._handle is not None and not self._handle.cancelled:
             pending = self._handle.descriptor()
-        return {"running": self._running, "fired": self._fired, "pending": pending}
+        return {"running": self._running, "pending": pending}
 
     def restore_state(self, state: dict) -> None:
         """Re-arm from a snapshot without firing.
@@ -116,7 +114,6 @@ class PeriodicProcess:
             self._handle.cancel()
             self._handle = None
         self._running = bool(state["running"])
-        self._fired = int(state["fired"])
         pending = state.get("pending")
         if pending is not None:
             self._handle = self._engine.restore_event(pending, self._fire_hook)

@@ -8,9 +8,9 @@ application execution times are scheduled and assumed to be accurate."
 :class:`ExecutionEngine` reproduces that: launching a task books its
 predicted duration against the allocated nodes on the simulation clock and
 fires a completion callback when the virtual interval elapses.  A
-*simulated* mode perturbs the actual duration with log-normal noise while
-schedules are still built from the unperturbed predictions — the substrate
-for the prediction-accuracy ablation.
+positive ``runtime_noise`` perturbs the actual duration with log-normal
+noise while schedules are still built from the unperturbed predictions —
+the substrate for the prediction-accuracy ablation.
 
 A resource-level **background-load profile** models competing work from
 outside the grid (the dynamic behaviour the paper's static PACE resource
@@ -36,14 +36,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event, Priority
 from repro.tasks.task import Task
 
-__all__ = ["BusyInterval", "ExecutionEngine", "ExecutionMode"]
-
-
-class ExecutionMode:
-    """Execution modes supported by the engine."""
-
-    TEST = "test"          # predicted duration, exactly (the paper's mode)
-    SIMULATED = "simulated"  # predicted duration × log-normal noise
+__all__ = ["BusyInterval", "ExecutionEngine"]
 
 
 @dataclass(frozen=True)
@@ -78,13 +71,11 @@ class ExecutionEngine:
         The local resource whose nodes tasks run on.
     evaluator:
         PACE evaluation engine used for (true) execution durations.
-    mode:
-        :data:`ExecutionMode.TEST` (default, the paper's setting) or
-        :data:`ExecutionMode.SIMULATED`.
     runtime_noise:
-        Log-normal σ of actual-vs-predicted runtime in simulated mode.
+        Log-normal σ of actual-vs-predicted runtime.  Zero (the default)
+        is the paper's test mode: a task runs exactly its predicted time.
     rng:
-        Random generator for simulated mode.
+        Random generator for the noise; required when it is positive.
     """
 
     def __init__(
@@ -93,21 +84,17 @@ class ExecutionEngine:
         resource: ResourceModel,
         evaluator: EvaluationEngine,
         *,
-        mode: str = ExecutionMode.TEST,
         runtime_noise: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         load_profile: Optional[Callable[[float], float]] = None,
     ) -> None:
-        if mode not in (ExecutionMode.TEST, ExecutionMode.SIMULATED):
-            raise TaskError(f"unknown execution mode {mode!r}")
-        if mode == ExecutionMode.SIMULATED and runtime_noise > 0 and rng is None:
-            raise TaskError("rng is required for simulated mode with noise")
+        if runtime_noise > 0 and rng is None:
+            raise TaskError("rng is required for runtime noise")
         if runtime_noise < 0:
             raise TaskError(f"runtime_noise must be >= 0, got {runtime_noise}")
         self._sim = sim
         self._resource = resource
         self._evaluator = evaluator
-        self._mode = mode
         self._runtime_noise = float(runtime_noise)
         self._rng = rng
         self._load_profile = load_profile
@@ -218,7 +205,7 @@ class ExecutionEngine:
             if load < 0:
                 raise TaskError(f"load profile returned {load} at t={self._sim.now}")
             true *= 1.0 + load
-        if self._mode == ExecutionMode.TEST or self._runtime_noise == 0.0:
+        if self._runtime_noise == 0.0:
             return true
         assert self._rng is not None  # guarded in __init__
         return true * float(np.exp(self._rng.normal(0.0, self._runtime_noise)))

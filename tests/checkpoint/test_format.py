@@ -97,7 +97,7 @@ class TestRejection:
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
         write_snapshot(path, {"x": 1})
         stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -129,6 +129,13 @@ class TestRejection:
         write_snapshot(path, {"mode": "strict"})
         stamp_version(path, 5)
         with pytest.raises(CheckpointError, match="format version 5"):
+            read_snapshot(path)
+
+    def test_version_six_snapshot_refused(self, path):
+        """Version-6 snapshots carry the process-wide message counter."""
+        write_snapshot(path, {"mode": "strict"})
+        stamp_version(path, 6)
+        with pytest.raises(CheckpointError, match="format version 6"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

@@ -6,7 +6,7 @@ virtual instant: on a 40-agent tree one round is 196 events at one time,
 the deliveries among them zero-delay events in the engine's FIFO.  The
 transport keeps no table of its in-flight messages; a snapshot reads
 them off the engine's queues.  Stopped mid-round, the snapshot must list
-every pending delivery once, in message-id order, and the resumed run —
+every pending delivery once, in event-sequence order, and the resumed run —
 whose restored deliveries sit on the heap while new ones join the FIFO —
 must be the uninterrupted run byte for byte, its own next snapshot
 included.
@@ -20,7 +20,6 @@ from dataclasses import asdict
 import pytest
 
 import repro.experiments.runner as runner
-import repro.net.message as message_module
 from repro.checkpoint.format import read_snapshot
 from repro.experiments.runner import checkpoint_run, resume_run, run_experiment
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
@@ -48,7 +47,6 @@ def scenario():
 
 
 def checkpoint(scenario, at_step: int, path: str, tracer=None) -> dict:
-    message_module.set_message_counter(0)
     checkpoint_run(
         SPEC.config(),
         scenario.topology,
@@ -65,15 +63,16 @@ def in_flight(payload: dict) -> list:
 
 
 class TestMidRoundCheckpoint:
-    def test_snapshot_lists_each_pending_delivery_once_by_id(
+    def test_snapshot_lists_each_pending_delivery_once_by_sequence(
         self, scenario, tmp_path
     ):
         payload = checkpoint(scenario, AT_STEP, str(tmp_path / "round.json"))
         entries = in_flight(payload)
         transport = payload["system"]["transport"]
         now = payload["system"]["engine"]["now"]
-        ids = [entry["message"]["message_id"] for entry in entries]
-        assert ids == sorted(set(ids))
+        sequences = [entry["event"]["sequence"] for entry in entries]
+        assert sequences == sorted(set(sequences))
+        assert max(sequences) < payload["system"]["engine"]["sequence"]
         # Every message sent and not yet delivered or dropped is listed.
         assert len(entries) == (
             transport["sent"]
@@ -93,12 +92,9 @@ class TestMidRoundCheckpoint:
             "pull",
             "advertise",
         }
-        sequences = [entry["event"]["sequence"] for entry in entries]
-        assert len(set(sequences)) == len(sequences)
 
     def test_resume_is_byte_identical(self, scenario, tmp_path):
         path = str(tmp_path / "round.json")
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_experiment(
             SPEC.config(),
@@ -135,7 +131,7 @@ class TestMidRoundCheckpoint:
         runner._write(run, second_path)
         second = read_snapshot(second_path)
 
-        restored = {entry["message"]["message_id"] for entry in in_flight(first)}
-        listed = {entry["message"]["message_id"] for entry in in_flight(second)}
+        restored = {entry["event"]["sequence"] for entry in in_flight(first)}
+        listed = {entry["event"]["sequence"] for entry in in_flight(second)}
         assert len(restored & listed) >= len(restored) - LATER
         assert second == uninterrupted

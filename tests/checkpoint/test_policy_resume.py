@@ -20,7 +20,6 @@ from dataclasses import asdict, replace
 
 import pytest
 
-import repro.net.message as message_module
 from repro.agents.policy import GlobalPolicyConfig
 from repro.checkpoint.format import read_snapshot
 from repro.experiments.config import ExperimentConfig
@@ -79,7 +78,6 @@ class PolicyResumeHarness:
 
     def test_resume_is_byte_identical_mid_protocol(self, tmp_path):
         config = policy_config(self.kind)
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_degraded(config, tracer=tracer_full)
         assert full.succeeded == full.submitted  # clean cell completes
@@ -88,7 +86,6 @@ class PolicyResumeHarness:
         carried = set()
         for at_step in self.steps:
             path = str(tmp_path / f"{self.kind}-{at_step}.json")
-            message_module.set_message_counter(0)
             tracer_pre = Tracer()
             checkpoint_run(
                 config,
@@ -151,7 +148,6 @@ class TestMidReservationResume(PolicyResumeHarness):
     def test_snapshot_carries_pending_and_booking(self, tmp_path):
         """Step 187's snapshot holds both halves of the protocol state."""
         path = str(tmp_path / "resv-187.json")
-        message_module.set_message_counter(0)
         checkpoint_run(
             policy_config(self.kind), mode="degraded", at_step=187, path=path
         )

@@ -3,8 +3,10 @@
 The correctness bar for the whole checkpoint fabric: a run snapshotted at
 step T and resumed to completion must be byte-identical to the
 uninterrupted run — completion records, metrics, canonical trace lines,
-and the final RNG digest.  Any drift (a re-ordered dict, a re-minted
-message id, an extra RNG draw) shows up here.
+and the final RNG digest.  Any drift (a re-ordered dict, a re-ordered
+in-flight delivery, an extra RNG draw) shows up here.  A snapshot is
+itself a function of the run alone: what else the process ran before it
+must not change a byte.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import asdict
 
 import pytest
 
-import repro.net.message as message_module
 from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.checkpoint.snapshot import decode_config, encode_config
 from repro.errors import CheckpointError, ExperimentError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
     experiment4_base_config,
@@ -65,13 +66,11 @@ class TestStrictResume:
     def test_resume_is_byte_identical(self, seed, tmp_path):
         path = str(tmp_path / "snap.json")
 
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_experiment(strict_config(seed), tracer=tracer_full)
 
         # Seed 11's run ends after 277 events: each seed is snapshotted
         # inside its own run.
-        message_module.set_message_counter(0)
         tracer_pre = Tracer()
         checkpoint_run(
             strict_config(seed),
@@ -92,16 +91,13 @@ class TestStrictResume:
 
     def test_checkpointing_during_run_does_not_perturb_it(self, tmp_path):
         path = str(tmp_path / "rolling.json")
-        message_module.set_message_counter(0)
         plain = run_experiment(strict_config(2003))
-        message_module.set_message_counter(0)
         rolling = run_experiment(
             strict_config(2003), checkpoint_every=300, checkpoint_path=path
         )
         assert plain.rng_digest == rolling.rng_digest
         assert metrics_json(plain.metrics) == metrics_json(rolling.metrics)
         # The rolling snapshot itself must be resumable.
-        message_module.set_message_counter(0)
         checkpoint_run(strict_config(2003), at_step=300, path=path)
         resumed = resume_run(path)
         assert resumed.rng_digest == plain.rng_digest
@@ -125,7 +121,6 @@ class TestStrictResume:
         """Seed 11's 12-request run ends after 277 events: a snapshot at
         step 400 would hold a world the uninterrupted run never enters."""
         path = tmp_path / "never.json"
-        message_module.set_message_counter(0)
         assert run_experiment(strict_config(11)).steps == 277
         with pytest.raises(ExperimentError, match="after 277 events"):
             checkpoint_run(strict_config(11), at_step=AT_STEP, path=str(path))
@@ -153,7 +148,6 @@ class TestSnapshotCompatibility:
     def test_retired_knob_refused(self, tmp_path):
         """A snapshot from a build with a wider config surface is refused."""
         path = str(tmp_path / "snap.json")
-        message_module.set_message_counter(0)
         checkpoint_run(strict_config(2003), at_step=AT_STEP, path=path)
         current = read_snapshot(path)
         for section, key, value in (
@@ -170,6 +164,18 @@ class TestSnapshotCompatibility:
                 resume_run(path)
 
 
+class TestSnapshotPurity:
+    def test_another_run_between_checkpoints_changes_no_byte(self, tmp_path):
+        """Two checkpoints of one config at one step, with another run of
+        the same process between them, write byte-identical files."""
+        config = table2_experiments(request_count=20)[2]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        checkpoint_run(config, at_step=300, path=str(first))
+        run_experiment(config)
+        checkpoint_run(config, at_step=300, path=str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+
 def degraded_config() -> ExperimentConfig:
     return degradation_config(
         experiment4_base_config(request_count=20),
@@ -182,11 +188,9 @@ class TestDegradedResume:
     def test_faulty_cell_resume_is_byte_identical(self, tmp_path):
         """The Experiment-4 acceptance cell: 20% loss, 25% churn."""
         path = str(tmp_path / "snap.json")
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_degraded(degraded_config(), tracer=tracer_full)
 
-        message_module.set_message_counter(0)
         tracer_pre = Tracer()
         checkpoint_run(
             degraded_config(),
@@ -266,7 +270,6 @@ class TestMidHealResume:
     def test_resume_is_byte_identical_across_the_repair(self, tmp_path):
         from repro.checkpoint.format import read_snapshot
         config = healing_cell_config()
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_degraded(config, tracer=tracer_full)
         assert full.crashes > 0 and full.membership is not None
@@ -274,7 +277,6 @@ class TestMidHealResume:
         mid_heal_hits = 0
         for at_step in self.STEPS:
             path = str(tmp_path / f"heal-{at_step}.json")
-            message_module.set_message_counter(0)
             tracer_pre = Tracer()
             checkpoint_run(
                 config,

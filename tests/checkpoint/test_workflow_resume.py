@@ -28,7 +28,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-import repro.net.message as message_module
 from repro.checkpoint.format import read_snapshot
 from repro.cli import main
 from repro.experiments.experiment7 import experiment7_cells
@@ -70,7 +69,6 @@ class TestWholeRunResume:
         (cell,) = experiment7_cells(workflow_count=4, cells=[cell_name])
         stream = WorkflowStream(cell.workflows, cell.release_mode, aware=True)
         path = str(tmp_path / "snap.json")
-        message_module.set_message_counter(0)
         tracer_full = Tracer()
         full = run_experiment(
             cell.config, cell.topology, workload=[], workflows=stream,
@@ -78,7 +76,6 @@ class TestWholeRunResume:
         )
         assert all(outcome.succeeded for outcome in full.workflows)
 
-        message_module.set_message_counter(0)
         tracer_pre = Tracer()
         checkpoint_run(
             cell.config, cell.topology, workload=[], workflows=stream,

@@ -22,7 +22,6 @@ from dataclasses import asdict
 
 import pytest
 
-import repro.net.message as message_module
 from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -85,7 +84,6 @@ class TestRandomStreams:
         assert ga_streams(system.rngs) == {f"ga-{name}" for name in system.agents}
 
     def test_random_policy_run_is_unchanged(self):
-        message_module.set_message_counter(0)
         result = run_experiment(config(SchedulingPolicy.RANDOM))
         assert sha([asdict(r) for r in result.records]) == RANDOM_RECORDS
         assert sha(asdict(result.metrics)) == RANDOM_METRICS
@@ -136,11 +134,9 @@ class TestFifoSnapshots:
 
     @pytest.fixture(scope="class")
     def full(self):
-        message_module.set_message_counter(0)
         return run_experiment(config(SchedulingPolicy.FIFO))
 
     def checkpoint(self, path: str) -> dict:
-        message_module.set_message_counter(0)
         checkpoint_run(config(SchedulingPolicy.FIFO), at_step=self.AT_STEP, path=path)
         return read_snapshot(path)
 

@@ -19,7 +19,6 @@ import os
 
 import pytest
 
-import repro.net.message as message_module
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.experiments.runner import run_soak
 from repro.obs.check import check_trace
@@ -86,7 +85,6 @@ def _soak_scenario(agents: int, requests: int, seed: int) -> tuple:
 def _run_checked_soak(agents: int, requests: int, seed: int = 2003):
     scenario, config = _soak_scenario(agents, requests, seed)
     sink = _CheckingSink()
-    message_module.set_message_counter(0)
     result = run_soak(
         config,
         scenario.topology,

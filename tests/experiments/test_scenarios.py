@@ -16,7 +16,6 @@ from dataclasses import asdict, replace
 
 import pytest
 
-import repro.net.message as message_module
 from repro.errors import ExperimentError
 from repro.experiments.runner import (
     checkpoint_run,
@@ -155,11 +154,9 @@ class TestGeneratedScenarioCheckpointing:
         config = spec.config(policy=SchedulingPolicy.FIFO)
         path = str(tmp_path / "scenario.json")
 
-        message_module.set_message_counter(0)
         full = run_experiment(
             config, scenario.topology, workload=list(scenario.workload)
         )
-        message_module.set_message_counter(0)
         checkpoint_run(
             config,
             scenario.topology,

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-import repro.net.message as message_module
 from repro.checkpoint.format import read_snapshot, write_snapshot
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.config import ExperimentConfig
@@ -32,7 +31,6 @@ def soak_config(requests: int = 60, seed: int = 2003) -> ExperimentConfig:
 
 class TestRunSoak:
     def test_windows_partition_the_stream(self):
-        message_module.set_message_counter(0)
         result = run_soak(soak_config(), window_seconds=30.0)
         assert result.total_completed + result.total_failed == 60
         assert sum(w.completed for w in result.windows) == result.total_completed
@@ -44,7 +42,6 @@ class TestRunSoak:
             assert later.index == earlier.index + 1
 
     def test_window_stats_are_consistent(self):
-        message_module.set_message_counter(0)
         result = run_soak(soak_config(), window_seconds=30.0)
         for window in result.windows:
             assert isinstance(window, SoakWindow)
@@ -61,9 +58,7 @@ class TestRunSoak:
 
     def test_checkpoint_rewrites_one_file(self, tmp_path):
         path = str(tmp_path / "soak.json")
-        message_module.set_message_counter(0)
         plain = run_soak(soak_config(), window_seconds=30.0)
-        message_module.set_message_counter(0)
         checked = run_soak(
             soak_config(), window_seconds=30.0, checkpoint_path=path
         )
@@ -77,10 +72,8 @@ class TestRunSoak:
 class TestResumeSoak:
     def test_resume_windows_are_identical(self, tmp_path):
         path = str(tmp_path / "soak.json")
-        message_module.set_message_counter(0)
         full = run_soak(soak_config(), window_seconds=30.0)
 
-        message_module.set_message_counter(0)
         checkpoint_run(
             soak_config(),
             mode="soak",
@@ -99,7 +92,6 @@ class TestResumeSoak:
         # The snapshot rewritten at a window boundary mid-run must itself
         # resume to the same tail.
         path = str(tmp_path / "rolling.json")
-        message_module.set_message_counter(0)
         full = run_soak(soak_config(), window_seconds=30.0, checkpoint_path=path)
         resumed = resume_run(path)
         assert resumed.windows == full.windows
@@ -122,7 +114,6 @@ class TestResumeSoak:
 )
 class TestLongSoak:
     def test_six_thousand_requests_under_event_ceiling(self, tmp_path):
-        message_module.set_message_counter(0)
         result = run_soak(
             soak_config(requests=6000),
             window_seconds=2000.0,

@@ -33,7 +33,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.net.message as message_module
 from repro.agents.policy import GlobalPolicyConfig
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
@@ -73,7 +72,6 @@ def _trace_exp4_cell() -> list:
 
 
 def _trace_exp6_policy(kind: str) -> list:
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     config = replace(
         experiment4_base_config(master_seed=SEED, request_count=REQUESTS),
@@ -84,7 +82,6 @@ def _trace_exp6_policy(kind: str) -> list:
 
 
 def _trace_workflow_fork_join() -> list:
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     config = ExperimentConfig(
         name="golden-workflow",

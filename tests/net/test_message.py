@@ -8,13 +8,7 @@ import pytest
 
 from repro.checkpoint.codec import decode_message, encode_message
 from repro.errors import TransportError
-from repro.net.message import (
-    Endpoint,
-    Message,
-    MessageKind,
-    next_message_id,
-    peek_message_counter,
-)
+from repro.net.message import Endpoint, Message, MessageKind
 from tests.oracles import forward_message
 
 
@@ -63,12 +57,6 @@ class TestEndpoint:
 
 
 class TestMessage:
-    def test_ids_unique(self):
-        a = Endpoint("a", 1)
-        m1 = Message(MessageKind.PULL, a, a, None)
-        m2 = Message(MessageKind.PULL, a, a, None)
-        assert m1.message_id != m2.message_id
-
     def test_forwarded_increments_hops(self):
         a, b, c = (Endpoint(x, 1) for x in "abc")
         original = Message(MessageKind.REQUEST, a, b, payload="req", hops=2)
@@ -87,27 +75,23 @@ class TestMessage:
         with pytest.raises(AttributeError):
             message.extra = 1
 
-    def test_pickle_round_trip_keeps_id(self):
+    def test_pickle_round_trip(self):
         a, b = Endpoint("a", 1), Endpoint("b", 2)
         message = Message(MessageKind.REQUEST, a, b, payload="req", hops=2)
-        before = peek_message_counter()
         back = pickle.loads(pickle.dumps(message))
         assert back == message and type(back) is Message
-        assert back.message_id == message.message_id
-        assert peek_message_counter() == before
 
-    def test_codec_round_trip_keeps_id(self):
+    def test_codec_round_trip(self):
         a, b = Endpoint("a", 1), Endpoint("b", 2)
         message = Message(MessageKind.PULL, a, b, None, hops=3)
         back = decode_message(encode_message(message), applications={})
-        assert back == message
-        assert back.message_id == message.message_id
+        assert back == message and type(back) is Message
 
-    def test_explicit_id_does_not_advance_counter(self):
-        a = Endpoint("a", 1)
-        before = peek_message_counter()
-        message = Message(MessageKind.PULL, a, a, None, message_id=10**9)
-        assert message.message_id == 10**9
-        assert peek_message_counter() == before
-        assert next_message_id() == before
-        assert Message(MessageKind.PULL, a, a, None).message_id == before + 1
+    def test_a_message_is_its_fields(self):
+        """No hidden identity: equal fields make equal messages, and the
+        agents' direct tuple construction builds what the class does."""
+        a, b = Endpoint("a", 1), Endpoint("b", 2)
+        message = Message(MessageKind.PULL, a, b, None)
+        assert message == Message(MessageKind.PULL, a, b, None, 0)
+        assert tuple.__new__(Message, (MessageKind.PULL, a, b, None, 0)) == message
+        assert Message._fields == ("kind", "sender", "recipient", "payload", "hops")

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TransportError, ValidationError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.transport import Transport
-from tests.oracles import dropped_recent, tap
+from tests.oracles import tap
 
 
 @pytest.fixture
@@ -80,7 +80,6 @@ class TestDelivery:
         sim.run()
         assert transport.delivered == 0
         assert transport.dropped_count == 1
-        assert len(dropped_recent(transport)) == 1
         # The deprecated unbounded-list property is gone for good.
         assert not hasattr(transport, "dropped")
 

@@ -14,7 +14,7 @@ Nothing outside ``tests/`` imports this module.  It holds:
   generations, which ``GAScheduler.evolve`` must match byte for byte;
 * :class:`PerAgentPullStrategy`, periodic pull with one timer per agent,
   which :class:`repro.agents.advertisement.PullRounds` must match in
-  records, RNG digest, message ids and registries;
+  records, RNG digest, deliveries and registries;
 * :func:`exhaustive_allocation`, the literal 2^n − 1 subset search of the
   FIFO baseline (§4.1), which the O(n log n)
   :func:`repro.scheduling.fifo.earliest_free_allocation` must equal;
@@ -810,22 +810,12 @@ def reset(obj) -> None:
             setattr(obj, f.name, f.default)
 
 
-def reset_counters(obj) -> None:
-    """Zero a transport's tallies and drop ring (and its fault plan's), or a
-    fault plan's attribution counters; configuration survives."""
-    if isinstance(obj, Transport):
-        obj._sent = 0
-        obj._delivered = 0
-        obj._dropped_count = 0
-        obj._fault_dropped_count = 0
-        obj._drop_ring.clear()
-        if obj._fault_plan is not None:
-            reset_counters(obj._fault_plan)
-    else:
-        obj.dropped_by_chance = 0
-        obj.dropped_by_partition = 0
-        obj.jittered = 0
-        obj.straggled = 0
+def reset_counters(transport: Transport) -> None:
+    """Zero a transport's tallies; configuration survives."""
+    transport._sent = 0
+    transport._delivered = 0
+    transport._dropped_count = 0
+    transport._fault_dropped_count = 0
 
 
 # ------------------------------------------------------------------ agents
@@ -1043,11 +1033,6 @@ def advance_time(result) -> float:
     return result.deadline - result.completion_time
 
 
-def dropped_recent(transport) -> list:
-    """The last few dropped messages, oldest first (bounded copy)."""
-    return list(transport._drop_ring)
-
-
 def tap(transport, observer: Callable) -> None:
     """Observe every message *transport* delivers, before its handler runs.
 
@@ -1071,17 +1056,10 @@ def tap(transport, observer: Callable) -> None:
 
 # -------------------------------------------------------------------- obs
 
-def emitted(sink: MemorySink) -> int:
-    """Records a memory sink ever received (including any evicted)."""
-    return sink._emitted
-
-
 def clear(obj) -> None:
-    """Empty a memory sink (zeroing its tally) or an evaluation cache
-    (keeping its statistics)."""
+    """Empty a memory sink or an evaluation cache (keeping its statistics)."""
     if isinstance(obj, MemorySink):
         obj._records.clear()
-        obj._emitted = 0
     else:
         obj._entries.clear()
 
@@ -1250,11 +1228,6 @@ def makespan(booking) -> float:
     return float(booking._free.max())
 
 
-def polls(monitor) -> int:
-    """Number of polls a resource monitor performed."""
-    return monitor._polls
-
-
 def poll_interval(monitor) -> float:
     """A resource monitor's polling cadence in seconds."""
     return interval(monitor._process)
@@ -1324,11 +1297,6 @@ def reference_run_until(engine, end_time: float) -> None:
             break
         engine.step()
     engine._now = float(end_time)
-
-
-def fired(process) -> int:
-    """Number of times a periodic process fired."""
-    return process._fired
 
 
 def interval(process) -> float:

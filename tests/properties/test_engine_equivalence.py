@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_module
-import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.runner import run_experiment
 from repro.sim.engine import COMPACT_MIN, Engine
@@ -71,7 +70,6 @@ class TestPaperScaleByteIdentity:
             results = {}
             for engine_type in (Engine, SingleHeapEngine):
                 monkeypatch.setattr(runner_module, "Engine", engine_type)
-                message_module.set_message_counter(0)
                 results[engine_type] = run_experiment(config)
             engine, single = results[Engine], results[SingleHeapEngine]
             assert records_json(engine) == records_json(single), config.name

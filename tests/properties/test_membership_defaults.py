@@ -20,7 +20,6 @@ from dataclasses import asdict
 
 import pytest
 
-import repro.net.message as message_module
 from repro.agents.membership import MembershipConfig
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
@@ -67,10 +66,8 @@ class TestDisabledMembershipIsByteIdentical:
         )
         variant_cfg = dataclasses.replace(config, membership=DISABLED)
 
-        message_module.set_message_counter(0)
         tracer_a = Tracer(MemorySink())
         baseline = run_degraded(config, tracer=tracer_a)
-        message_module.set_message_counter(0)
         tracer_b = Tracer(MemorySink())
         variant = run_degraded(variant_cfg, tracer=tracer_b)
 
@@ -97,7 +94,6 @@ class TestChaosCellsAreDeterministic:
         )
 
         def run_once():
-            message_module.set_message_counter(0)
             tracer = Tracer(MemorySink())
             run = run_degraded(config, topology, tracer=tracer)
             return run, canonical_lines(tracer.records)

@@ -23,7 +23,6 @@ from dataclasses import asdict
 
 import pytest
 
-import repro.net.message as message_module
 from repro.agents.policy import GlobalPolicyConfig
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
@@ -71,10 +70,8 @@ class TestExplicitEq10IsByteIdentical:
         )
         variant_cfg = dataclasses.replace(config, global_policy=EXPLICIT_EQ10)
 
-        message_module.set_message_counter(0)
         tracer_a = Tracer(MemorySink())
         baseline = run_degraded(config, tracer=tracer_a)
-        message_module.set_message_counter(0)
         tracer_b = Tracer(MemorySink())
         variant = run_degraded(variant_cfg, tracer=tracer_b)
 
@@ -111,7 +108,6 @@ class TestNonDefaultPoliciesDiverge:
             experiment4_base_config(request_count=20),
             global_policy=GlobalPolicyConfig(kind=kind),
         )
-        message_module.set_message_counter(0)
         tracer = Tracer(MemorySink())
         run = run_degraded(config, tracer=tracer)
         return run, canonical_lines(tracer.records)

@@ -5,8 +5,8 @@
 due at one instant from one event.  :class:`tests.oracles.PerAgentPullStrategy`
 is the strategy before it: one ``PeriodicProcess`` per agent.  Swapped in
 for the shared rounds, it must produce byte-identical completion records,
-metrics, RNG digest, message ids (every delivery, in order) and agent
-registries, while agents stop and start around round instants, every
+metrics, RNG digest, deliveries (every one, in order), send count and
+agent registries, while agents stop and start around round instants, every
 member of a round stops before the degraded drain, and a run is
 checkpointed between rounds of one instant.  Each case exercises
 the rounds' four rules:
@@ -27,7 +27,6 @@ from dataclasses import asdict, replace
 import pytest
 
 import repro.experiments.runner as runner
-import repro.net.message as message_module
 from repro.experiments.scenarios import ScenarioSpec, generate_scenario
 from repro.net.faults import FaultPlanSpec
 from repro.obs.records import EventFired
@@ -109,7 +108,6 @@ def lossy(config):
 def arm(config, scenario, lifecycle, tracer=None):
     """A degraded run of *scenario* with *lifecycle* as its churn events
     (so snapshots carry them)."""
-    message_module.set_message_counter(0)
     run = runner._arm(
         "degraded", config, scenario.topology, list(scenario.workload), None, tracer
     )
@@ -136,7 +134,7 @@ def observe(run, deliveries: list) -> None:
     tap(
         run.system.transport,
         lambda m: deliveries.append(
-            (sim.now, m.message_id, m.kind.value, str(m.sender), str(m.recipient))
+            (sim.now, m.kind.value, str(m.sender), str(m.recipient))
         ),
     )
 
@@ -153,7 +151,7 @@ def outcome(run, deliveries: list) -> dict:
         "rng_digest": result.rng_digest,
         "now": system.sim.now,
         "deliveries": deliveries,
-        "next_message_id": message_module.peek_message_counter(),
+        "sent": system.transport.sent,
         "registries": {
             name: repr(sorted(registry(agent).items()))
             for name, agent in system.agents.items()

@@ -20,7 +20,6 @@ from dataclasses import asdict
 import pytest
 
 import repro.experiments.runner as runner
-import repro.net.message as message_module
 from repro.experiments.config import table2_experiments
 from repro.experiments.experiment4 import (
     degradation_config,
@@ -51,7 +50,6 @@ def assert_same_run(baseline, variant) -> None:
 def run_strict(config, *, coordinator: bool):
     """A strict run; the idle coordinator comes from an empty workflow
     stream, armed exactly as Experiment 7 arms its streams."""
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     result = run_experiment(
         config,
@@ -64,7 +62,6 @@ def run_strict(config, *, coordinator: bool):
 def run_faulty(config, *, coordinator: bool):
     """A degraded run.  The driver refuses workflow streams under faults,
     so the idle coordinator is attached to the portal as the grid is built."""
-    message_module.set_message_counter(0)
     tracer = Tracer(MemorySink())
     with pytest.MonkeyPatch.context() as patch:
         if coordinator:
@@ -116,7 +113,6 @@ class TestIdleCoordinatorIsByteIdentical:
             experiment4_base_config(request_count=20), loss=0.2, churn_rate=0.25
         )
         ours_f, _ = run_faulty(faulty, coordinator=False)
-        message_module.set_message_counter(0)
         theirs_f = run_degraded(faulty)
         assert_same_run(ours_f.result, theirs_f.result)
 

@@ -11,7 +11,6 @@ from tests.oracles import (
     is_available,
     load_tracker,
     poll_interval,
-    polls,
     samples,
     tracks_load,
 )
@@ -24,12 +23,14 @@ class TestPolling:
 
     def test_periodic_polls(self, sim):
         monitor = ResourceMonitor(sim, 4, poll_interval=100.0)
+        polls = []
+        monitor.subscribe(lambda: polls.append(sim.now))
         monitor.start()
         sim.run_until(350.0)
-        assert polls(monitor) == 3
+        assert polls == [100.0, 200.0, 300.0]
         monitor.stop()
         sim.run_until(1000.0)
-        assert polls(monitor) == 3
+        assert len(polls) == 3
 
     def test_observers_fire_per_poll(self, sim):
         monitor = ResourceMonitor(sim, 2, poll_interval=10.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TaskError
-from repro.tasks.execution import BusyInterval, ExecutionEngine, ExecutionMode
+from repro.tasks.execution import BusyInterval, ExecutionEngine
 from repro.tasks.queue import TaskQueue
 from repro.tasks.task import TaskState
 from tests.oracles import free_nodes
@@ -100,7 +100,6 @@ class TestSimulatedMode:
             sim,
             sgi_resource,
             evaluator,
-            mode=ExecutionMode.SIMULATED,
             runtime_noise=0.3,
             rng=np.random.default_rng(0),
         )
@@ -111,17 +110,7 @@ class TestSimulatedMode:
 
     def test_noise_requires_rng(self, sim, sgi_resource, evaluator):
         with pytest.raises(TaskError):
-            ExecutionEngine(
-                sim,
-                sgi_resource,
-                evaluator,
-                mode=ExecutionMode.SIMULATED,
-                runtime_noise=0.3,
-            )
-
-    def test_unknown_mode_rejected(self, sim, sgi_resource, evaluator):
-        with pytest.raises(TaskError):
-            ExecutionEngine(sim, sgi_resource, evaluator, mode="warp")
+            ExecutionEngine(sim, sgi_resource, evaluator, runtime_noise=0.3)
 
 
 class TestBusyInterval:

@@ -184,6 +184,25 @@ class TestCommands:
         assert "monitor_poll_interval" in err
         assert "Traceback" not in err
 
+    def test_resume_version_six_snapshot_exits_2(self, capsys, tmp_path):
+        from repro.checkpoint.format import FORMAT_VERSION
+
+        snap = tmp_path / "snap.json"
+        assert main([
+            "checkpoint", "--requests", "12", "--at-step", "300",
+            "--out", str(snap),
+        ]) == 0
+        text = snap.read_text(encoding="utf-8")
+        snap.write_text(
+            text.replace(f'"version":{FORMAT_VERSION}', '"version":6', 1),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(snap)])
+        assert exc.value.code == 2
+        assert "format version 6" in capsys.readouterr().err
+
     def test_checkpoint_then_resume_degraded(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
         assert main([

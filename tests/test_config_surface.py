@@ -64,7 +64,8 @@ from repro.net.faults import (
     PartitionWindow,
     StragglerFault,
 )
-from repro.net.transport import DROP_RING_SIZE, Transport
+from repro.net.transport import Transport
+from repro.obs.trace import MemorySink
 from repro.pace.hardware import DEFAULT_CATALOGUE
 from repro.scheduling.cost import CostWeights
 from repro.scheduling.fifo import FIFOScheduler
@@ -121,10 +122,11 @@ KEYWORDS = {
     UserPortal: ("transport", "sim", "endpoint", "email", "resilience", "tracer"),
     LocalScheduler: (
         "sim", "resource", "evaluator", "policy", "rng", "ga_config",
-        "generations_per_event", "environments", "execution_mode",
-        "runtime_noise", "execution_rng", "freetime_mode", "load_profile",
+        "generations_per_event", "environments", "runtime_noise",
+        "execution_rng", "freetime_mode", "load_profile",
         "duration_correction", "tracer",
     ),
+    MemorySink: (),
     EventPushStrategy: (),
     FIFOScheduler: ("n_nodes",),
     run_many: ("configs", "jobs", "manifest_dir"),
@@ -196,7 +198,6 @@ class TestConstantRelations:
     def test_hop_and_dedup_bounds(self):
         assert MAX_HOPS >= 1
         assert DEDUP_CAP >= 1
-        assert DROP_RING_SIZE >= 1
 
     def test_timings_and_rates(self):
         assert DEFAULT_POLL_INTERVAL > 0

@@ -1,8 +1,8 @@
 """Reset symmetry: every stateful counter owner returns to its seed state.
 
 The fault-injection and observability layers grew a family of run-scoped
-counters (transport tallies, the dropped-message ring, fault-plan
-attribution counts, agent/portal/reuse stats, metric registries).  A
+counters (transport tallies, among them the fault plan's drops,
+agent/portal/reuse stats, metric registries).  A
 reset must undo *all* of them — a counter that survives ``reset()`` makes
 back-to-back experiment runs on reused plumbing silently non-comparable.
 Each test drives a component until its counters are provably non-zero,
@@ -25,7 +25,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.evalreuse import EvalReuseStats
 from repro.sim.engine import Engine
 from repro.sim.events import Priority
-from tests.oracles import dropped_recent, pending, reset, reset_counters
+from tests.oracles import pending, reset, reset_counters
 
 
 # --------------------------------------------------------------------- engine
@@ -116,30 +116,35 @@ class TestTransportReset:
             )
         sim.run_until(sim.now + 1.0)
 
-    def test_counters_and_ring_zeroed(self):
-        sim, transport, endpoints, inbox = _loopback_transport(loss=1.0)
-        self._ping(sim, transport, endpoints, 5)
-        assert transport.sent == 5
-        assert transport.fault_dropped_count == 5
-        assert dropped_recent(transport)  # the ring holds the corpses
+    def test_counters_zeroed(self):
+        sim, transport, endpoints, inbox = _loopback_transport(loss=0.0)
+        self._ping(sim, transport, endpoints, 2)
+        transport.send(
+            Message(MessageKind.ADVERTISE, endpoints["a"], endpoints["b"], None)
+        )
+        transport.unregister(endpoints["b"])  # the delivery is in flight
+        sim.run_until(sim.now + 1.0)
+        assert (transport.sent, transport.delivered) == (3, 2)
+        assert transport.dropped_count == 1
 
         reset_counters(transport)
         assert transport.sent == 0
         assert transport.delivered == 0
         assert transport.dropped_count == 0
         assert transport.fault_dropped_count == 0
-        assert dropped_recent(transport) == []
 
     def test_fault_plan_attribution_zeroed(self):
+        """The transport is the one owner of the fault plan's drop count."""
         sim, transport, endpoints, inbox = _loopback_transport(loss=1.0)
         self._ping(sim, transport, endpoints, 3)
-        plan = transport.fault_plan
-        assert plan.dropped_by_chance == 3
+        assert transport.fault_dropped_count == 3
+        assert transport.dropped_count == 0  # attributed to the plan only
 
         reset_counters(transport)
-        assert plan.dropped_by_chance == 0
-        assert plan.dropped_by_partition == 0
-        assert plan.jittered == 0
+        assert transport.fault_dropped_count == 0
+        self._ping(sim, transport, endpoints, 1)
+        assert transport.fault_dropped_count == 1  # the plan still drops
+        assert inbox == []
 
     def test_reset_preserves_configuration(self):
         """Endpoints and the installed fault plan are config, not run state."""
