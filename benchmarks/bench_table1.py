@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.tables import table1_rows, validate_table1
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000
-from repro.pace.workloads import TABLE1_DEADLINE_BOUNDS, paper_applications
+from repro.pace.workloads import paper_applications
 from repro.utils.tables import render_table
 
 

@@ -23,6 +23,7 @@ from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.agents.agent import Agent
+    from repro.net.transport import Transport
     from repro.sim.engine import Engine
 
 __all__ = [
@@ -84,14 +85,23 @@ class PullRounds:
     4. A snapshot records each running member's round descriptor and
        position, and :meth:`rejoin` rebuilds the rounds in that order.
 
+    A round sends its PULLs inside one *transport* batch
+    (:meth:`~repro.net.transport.Transport.open_batch`): one event
+    delivers them all, and one more the ADVERTISEs answering them.  With
+    an event per message the PULLs would have been consecutive
+    same-instant deliveries, and delivering a PULL or an ADVERTISE schedules
+    nothing at the instant but the PULL's answer, so every handler runs
+    at the same instant, in the same order, on the same state.
+
     :func:`~repro.experiments.runner.build_grid` builds one per grid and
     hands it to every agent's :class:`PeriodicPullStrategy`; a strategy
     built without one owns its own.
     """
 
-    def __init__(self, sim: Engine, interval: float) -> None:
+    def __init__(self, sim: Engine, transport: Transport, interval: float) -> None:
         check_positive(interval, "interval")
         self._sim = sim
+        self._transport = transport
         self._interval = float(interval)
         # Unfired rounds by due time: at most one per instant.
         self._due: Dict[float, _Round] = {}
@@ -159,8 +169,11 @@ class PullRounds:
         del self._due[rnd.event.time]
         # A pull only sends, so no member joins or leaves while its round
         # fires.
+        transport = self._transport
+        transport.open_batch()
         for member in rnd.members:
             member._pull()
+        transport.close_batch()
         later = self._due.get(self._sim.now + self._interval)
         if later is None:
             self._arm(rnd, self._interval)
@@ -209,7 +222,7 @@ class PeriodicPullStrategy(AdvertisementStrategy):
 
     def _bind(self, agent: "Agent") -> PullRounds:
         if self._rounds is None:
-            self._rounds = PullRounds(agent.sim, self._interval)
+            self._rounds = PullRounds(agent.sim, agent._transport, self._interval)
         self._pull = agent.pull_neighbours
         return self._rounds
 

@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 7,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 8,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -32,7 +32,11 @@ function of the run alone: the process-wide message counter and the
 per-message ids go (in-flight deliveries are listed by event sequence),
 and so do the counters only tests read (the transport's ring of dropped
 messages and its copy of the fault plan's tallies, a periodic process's
-``fired``, a resource monitor's ``polls``).
+``fired``, a resource monitor's ``polls``).  Version 8 marks batched
+deliveries: a pull round's PULLs, and the ADVERTISEs answering them,
+are each delivered by one event, so the transport section lists each
+pending batch with its messages in send order (``batches``) beside the
+one-message deliveries (``in_flight``).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

@@ -293,7 +293,7 @@ def build_grid(
         rng=rngs.stream("prediction-noise") if config.prediction_noise > 0 else None,
     )
     specs = paper_application_specs()
-    advertisement = _advertisement(config, sim)
+    advertisement = _advertisement(config, sim, transport)
     schedulers: Dict[str, LocalScheduler] = {}
     agents: Dict[str, Agent] = {}
     # Resources of one hardware type share one node table, built and
@@ -384,7 +384,7 @@ def build_grid(
 
 
 def _advertisement(
-    config: ExperimentConfig, sim: Engine
+    config: ExperimentConfig, sim: Engine, transport: Transport
 ) -> Callable[[], AdvertisementStrategy]:
     """A factory of *config*'s advertisement strategy, one per agent.
 
@@ -395,7 +395,7 @@ def _advertisement(
         return NoAdvertisement
     if config.advertisement == "push":
         return EventPushStrategy
-    rounds = PullRounds(sim, config.pull_interval)
+    rounds = PullRounds(sim, transport, config.pull_interval)
     return lambda: PeriodicPullStrategy(config.pull_interval, rounds=rounds)
 
 

@@ -48,10 +48,11 @@ class MessageKind(enum.Enum):
     """Protocol message types.
 
     Each kind carries ``label``, the label of the events that deliver its
-    messages: one interned string per kind, never one per message (the
-    labels are observational only; ``sim.event`` records are
-    non-canonical).  It is a plain attribute so a send needs no
-    Python-level enum hash to find it.
+    messages one at a time: one interned string per kind, never one per
+    message (the labels are observational only; ``sim.event`` records are
+    non-canonical; a transport batch's one event is ``deliver-batch``).
+    It is a plain attribute so a send needs no Python-level enum hash to
+    find it.
     """
 
     REQUEST = "request"      # an execution request (Fig. 6) seeking a resource

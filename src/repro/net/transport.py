@@ -7,16 +7,19 @@ matching the paper's LAN-scale deployment where network delay is
 negligible against 1-second request intervals.  Only a bulk payload's
 serialisation delay and the fault plan's jitter postpone a delivery.
 
-Delivery is asynchronous even at zero latency — the handler runs in its own
-event — so agent logic never re-enters itself, exactly like a real
-single-threaded message loop.
+Delivery is asynchronous even at zero latency — the handler runs in a
+later event than the send — so agent logic never re-enters itself, exactly
+like a real single-threaded message loop.  A message is delivered by an
+event of its own, or, when it was sent while a *batch* was open, by the
+batch's one event, which runs the batch's handlers in send order
+(:meth:`Transport.open_batch`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.errors import TransportError, ValidationError
+from repro.errors import SimulationError, TransportError, ValidationError
 from repro.net.message import Endpoint, Message
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -63,6 +66,13 @@ class Transport:
         # argument is the message, which also marks the transport's own
         # events on the engine's queues.
         self._deliver_hook = self._deliver
+        # The open batch's zero-delay messages in send order, or None.
+        self._batch: Optional[List[Message]] = None
+        # The engine's sequence counter at open, plus the delayed
+        # deliveries scheduled since: anything else scheduled while the
+        # batch is open moves the counter past it.
+        self._batch_mark = 0
+        self._deliver_batch_hook = self._deliver_batch
 
     # ------------------------------------------------------------------ state
 
@@ -162,9 +172,72 @@ class Transport:
                     self._tracer.emit(self._drop_record(message, verdict.reason))
                 return
             extra_latency += verdict.extra_latency
+        batch = self._batch
+        if batch is not None:
+            # A delay below the clock's resolution lands at this instant
+            # too; with an event of its own the message would fire before
+            # the batch's earlier sends, so it rides the batch instead.
+            if (
+                extra_latency == 0.0
+                or self._sim.now + extra_latency == self._sim.now
+            ):
+                batch.append(message)
+                return
+            self._batch_mark += 1
         self._sim.schedule_in(
             extra_latency, self._deliver_hook, label=message.kind.label, arg=message
         )
+
+    # ----------------------------------------------------------------- batch
+
+    def open_batch(self) -> None:
+        """Collect zero-delay sends into one delivery event.
+
+        Until :meth:`close_batch`, a send passes every step of
+        :meth:`send` (the registration check, the fault plan's verdict,
+        the counters and the trace record) and, if it is due at this
+        instant, joins the batch instead of getting an event of its own.
+        The batch's event delivers its messages in send order, inside a
+        new batch, so the answers they provoke travel together too.
+
+        That is exact where the batch's messages would have been
+        consecutive same-instant deliveries and their handlers schedule
+        nothing but sends, which :meth:`close_batch` checks.
+        :class:`~repro.agents.advertisement.PullRounds` batches a round's
+        PULLs, whose handlers only answer with an ADVERTISE.
+        """
+        self._batch = []
+        self._batch_mark = self._sim.sequence
+
+    def close_batch(self) -> None:
+        """Schedule the open batch's one delivery event, if it has messages.
+
+        Raises
+        ------
+        SimulationError
+            If anything but this transport's delayed deliveries was
+            scheduled while the batch was open: the batch is known to be
+            exact only where its handlers schedule nothing else.
+        """
+        batch = self._batch
+        self._batch = None
+        scheduled = self._sim.sequence - self._batch_mark
+        if scheduled:
+            raise SimulationError(
+                f"{scheduled} event(s) other than delayed deliveries were "
+                "scheduled while a batch was open"
+            )
+        if batch:
+            self._sim.schedule_in(
+                0.0, self._deliver_batch_hook, label="deliver-batch", arg=batch
+            )
+
+    def _deliver_batch(self, messages: List[Message]) -> None:
+        self.open_batch()
+        deliver = self._deliver
+        for message in messages:
+            deliver(message)
+        self.close_batch()
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.recipient)
@@ -202,25 +275,21 @@ class Transport:
 
     # ------------------------------------------------------------- checkpoint
 
-    def _in_flight(self) -> List[Tuple[Message, Event]]:
-        """Messages accepted by :meth:`send` whose delivery has not fired,
-        with their delivery events, by event sequence (unique per engine,
+    def _in_flight(self, hook: Callable) -> List[Event]:
+        """The unfired delivery events whose callback is *hook* (one
+        message's, or a batch's), by event sequence (unique per engine,
         and kept by :meth:`Engine.restore_event`).
 
         Derived from the engine's queues rather than kept on every send:
         only checkpoints read it.
         """
-        deliver = self._deliver_hook
-        in_flight = [
-            (event.arg, event)
-            for event in self._sim.queued()
-            if event.callback is deliver
-        ]
-        in_flight.sort(key=lambda pair: pair[1].sequence)
+        in_flight = [event for event in self._sim.queued() if event.callback is hook]
+        in_flight.sort(key=lambda event: event.sequence)
         return in_flight
 
     def snapshot_state(self) -> dict:
-        """Counters and in-flight messages.
+        """Counters and in-flight messages: each pending one-message
+        delivery, and each pending batch with its messages in send order.
 
         Endpoint registrations are *not* serialised — they are re-created by
         rebuilding the grid (and adjusted by each agent's own restore for
@@ -235,11 +304,15 @@ class Transport:
             "dropped_count": self._dropped_count,
             "fault_dropped_count": self._fault_dropped_count,
             "in_flight": [
+                {"message": encode_message(event.arg), "event": event.descriptor()}
+                for event in self._in_flight(self._deliver_hook)
+            ],
+            "batches": [
                 {
-                    "message": encode_message(message),
+                    "messages": [encode_message(message) for message in event.arg],
                     "event": event.descriptor(),
                 }
-                for message, event in self._in_flight()
+                for event in self._in_flight(self._deliver_batch_hook)
             ],
         }
 
@@ -257,13 +330,20 @@ class Transport:
         self._delivered = int(state["delivered"])
         self._dropped_count = int(state["dropped_count"])
         self._fault_dropped_count = int(state["fault_dropped_count"])
-        for _, event in self._in_flight():
-            event.cancel()
+        for hook in (self._deliver_hook, self._deliver_batch_hook):
+            for event in self._in_flight(hook):
+                event.cancel()
+        # Each event has send()'s or close_batch()'s shape, so the next
+        # snapshot finds the restored deliveries as well.
         for entry in state["in_flight"]:
-            # The event has send()'s shape, so the next snapshot finds the
-            # restored delivery as well.
             self._sim.restore_event(
                 entry["event"],
                 self._deliver_hook,
                 arg=decode_message(entry["message"], applications),
+            )
+        for entry in state["batches"]:
+            self._sim.restore_event(
+                entry["event"],
+                self._deliver_batch_hook,
+                arg=[decode_message(m, applications) for m in entry["messages"]],
             )

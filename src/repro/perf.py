@@ -399,11 +399,9 @@ def bench_engine_events(
     ``Event.__lt__`` calls in the reference.  Firing order is identical
     by construction — the engine equivalence property suite asserts
     byte-identity — so this pair measures pure heap mechanics on the same
-    event sequence.  It times the heap path only: ``schedule`` never
-    takes the engine's FIFO, which holds the events of zero-delay
-    ``schedule_in`` calls at DEFAULT priority (the transport's
-    same-instant deliveries, each carrying its message); those are timed
-    end to end by the ``grid1000`` workload of ``benchmarks/e2e``.
+    event sequence.  The transport's own same-instant deliveries, which
+    travel in batches, are timed end to end by the ``grid1000`` workload
+    of ``benchmarks/e2e``.
 
     Each row is the median of *repeats* runs at nominal speed
     (:func:`_median_at_nominal`: every run's engine is built and warmed

@@ -14,28 +14,20 @@ Design notes
   so replays are exact.  The order is the one the seed engine
   (:class:`repro.sim.reference.SingleHeapEngine`) fires in, property-tested
   for byte-identity.
-* A binary heap of ``(time, priority, sequence, event)`` tuples, which
-  compare in C (sequences are unique, so the event itself is never
-  compared), takes every event but one kind: a ``schedule_in(0.0, …)``
-  at :attr:`Priority.DEFAULT` (a zero-delay message delivery) is
-  appended to a FIFO of the events themselves.  Each FIFO key is
-  ``(now, DEFAULT, next sequence)``, and neither the clock nor the
-  sequence counter ever goes back (``restore_state``, which resets both,
-  empties the queues), so the FIFO is sorted by construction.
-  :meth:`Engine.step` fires whichever head, heap or FIFO, has the smaller
-  key, reading the FIFO head's key off the event: the fire order is
-  exactly the single heap's, and a same-instant delivery costs an append
-  and a pop instead of a heap push and pop.
+* One binary heap holds ``(time, priority, sequence, event)`` tuples,
+  which compare in C; sequences are unique, so the event itself is never
+  compared.  Same-instant message deliveries travel in transport batches
+  (DESIGN.md §4, "A pull exchange is two events"), so they are too few
+  for a second, zero-delay queue to pay.
 * An event may carry one argument for its callback (``arg=``): a message
   delivery is one event holding its message, fired as
   ``callback(message)``, so a delivery allocates no callback object of
   its own.
-* Cancelled events are lazy-deleted, in whichever queue holds them, but
-  **compacted**: a live garbage counter over both queues (maintained by
-  the ``Event.on_cancel`` hook and the pop-time sweeps) triggers an
-  in-place filter of both once cancelled entries both exceed
-  :data:`COMPACT_MIN` and outnumber live pending events, so
-  schedule/cancel loops cannot grow either queue without bound.
+* Cancelled events are lazy-deleted but **compacted**: a live garbage
+  counter (maintained by the ``Event.on_cancel`` hook and the pop-time
+  sweeps) triggers an in-place rebuild of the heap once cancelled entries
+  both exceed :data:`COMPACT_MIN` and outnumber live pending events, so
+  schedule/cancel loops cannot grow the heap without bound.
 * Scheduling an event in the past, or at a NaN time or delay, raises
   :class:`SimulationError` (a virtual clock can only move forward, and a
   NaN key compares false both ways and would fire out of order).  Each
@@ -47,17 +39,8 @@ Design notes
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Deque,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Priority
@@ -70,8 +53,6 @@ __all__ = ["Engine", "COMPACT_MIN"]
 #: Minimum number of cancelled-but-queued events before compaction is even
 #: considered; below this the lazy-delete garbage is cheaper than a rebuild.
 COMPACT_MIN = 64
-
-_DEFAULT = Priority.DEFAULT
 
 _Entry = Tuple[float, int, int, Event]
 
@@ -97,8 +78,6 @@ class Engine:
         self._start_time = float(start_time)
         self._now = float(start_time)
         self._heap: List[_Entry] = []
-        # Zero-delay DEFAULT-priority events, in key order by construction.
-        self._fifo: Deque[Event] = deque()
         self._sequence = 0
         self._running = False
         self._fired = 0
@@ -124,6 +103,12 @@ class Engine:
     def fired_count(self) -> int:
         """Total number of events that have fired."""
         return self._fired
+
+    @property
+    def sequence(self) -> int:
+        """The sequence number the next scheduled event gets: how many
+        events have been scheduled so far."""
+        return self._sequence
 
     # -------------------------------------------------------------- scheduling
 
@@ -174,8 +159,6 @@ class Engine:
         """Schedule *callback* after a relative *delay* in virtual seconds.
 
         With *arg* other than ``None`` the event fires ``callback(arg)``.
-        A zero *delay* at :attr:`Priority.DEFAULT` appends the event to the
-        FIFO (module notes); every other event goes on the heap.
 
         Raises
         ------
@@ -190,10 +173,7 @@ class Engine:
         event = Event(
             time, priority, sequence, callback, label, self._cancel_hook, arg
         )
-        if delay == 0.0 and priority == _DEFAULT:
-            self._fifo.append(event)
-        else:
-            heappush(self._heap, (time, priority, sequence, event))
+        heappush(self._heap, (time, priority, sequence, event))
         self._pending += 1
         return event
 
@@ -205,12 +185,11 @@ class Engine:
         Unlike :meth:`schedule`, the sequence number comes from the
         *descriptor* (captured by :meth:`Event.descriptor` at snapshot
         time) rather than the engine counter, so the restored queue fires in
-        exactly the order the interrupted run would have.  A restored event
-        always goes on the heap, whatever its key: the merge in :meth:`step`
-        orders it against the FIFO by key.  Must only be called after
-        :meth:`restore_state` has set the clock and sequence counter; the
-        descriptor's sequence must predate the restored counter.  *arg*
-        is the callback's argument, as in :meth:`schedule_in`.
+        exactly the order the interrupted run would have.  Must only be
+        called after :meth:`restore_state` has set the clock and sequence
+        counter; the descriptor's sequence must predate the restored
+        counter.  *arg* is the callback's argument, as in
+        :meth:`schedule_in`.
         """
         time = float(descriptor["time"])
         priority = int(descriptor["priority"])
@@ -260,7 +239,6 @@ class Engine:
         """
         self._guard_reentrancy()
         self._heap.clear()
-        self._fifo.clear()
         self._pending = 0
         self._garbage = 0
         self._start_time = float(state["start_time"])
@@ -269,17 +247,14 @@ class Engine:
         self._fired = int(state["fired"])
 
     def queued(self) -> Iterator[Event]:
-        """Every pending event, heap first, then FIFO (read-only view).
+        """Every pending event, in heap order (read-only view).
 
         For components that keep no handle on their own events: the
-        transport reads its in-flight deliveries off the queues here when
+        transport reads its in-flight deliveries off the heap here when
         it is checkpointed.  The order is not the fire order.
         """
         for entry in self._heap:
             event = entry[3]
-            if not event.cancelled:
-                yield event
-        for event in self._fifo:
             if not event.cancelled:
                 yield event
 
@@ -288,23 +263,11 @@ class Engine:
     def step(self) -> bool:
         """Fire the single next non-cancelled event.
 
-        The next event is the head of the heap or of the FIFO, whichever
-        has the smaller ``(time, priority, sequence)`` key.  Returns
-        ``True`` if an event fired, ``False`` if both queues drained.
+        Returns ``True`` if an event fired, ``False`` if the heap drained.
         """
         heap = self._heap
-        fifo = self._fifo
-        while True:
-            if fifo:
-                event = fifo[0]
-                if heap and heap[0] < (event.time, _DEFAULT, event.sequence):
-                    event = heappop(heap)[3]
-                else:
-                    fifo.popleft()
-            elif heap:
-                event = heappop(heap)[3]
-            else:
-                return False
+        while heap:
+            event = heappop(heap)[3]
             if event.cancelled:
                 self._garbage -= 1
                 continue
@@ -329,6 +292,7 @@ class Engine:
             else:
                 event.callback(arg)
             return True
+        return False
 
     def run_until(self, end_time: float) -> None:
         """Fire every event with ``time <= end_time``; advance the clock to it.
@@ -353,7 +317,7 @@ class Engine:
             self._running = False
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Fire events until the queues drain (or *max_events* fire).
+        """Fire events until the heap drains (or *max_events* fire).
 
         Returns the number of events fired by this call.
         """
@@ -374,14 +338,6 @@ class Engine:
         while heap and heap[0][3].cancelled:
             heappop(heap)
             self._garbage -= 1
-        fifo = self._fifo
-        while fifo and fifo[0].cancelled:
-            fifo.popleft()
-            self._garbage -= 1
-        if fifo:
-            event = fifo[0]
-            if not (heap and heap[0] < (event.time, _DEFAULT, event.sequence)):
-                return event.time
         return heap[0][0] if heap else None
 
     # --------------------------------------------------------------- helpers
@@ -389,10 +345,9 @@ class Engine:
     def _on_event_cancelled(self) -> None:
         """Event.cancel hook: keep the live counters exact; maybe compact.
 
-        Compaction filters both queues in place and re-heapifies the heap
-        (filtering keeps the FIFO sorted) — O(queued) and triggered only
-        once garbage outnumbers live events, so its amortised cost per
-        cancellation is O(1).
+        Compaction filters the heap in place and re-heapifies it — O(heap)
+        and triggered only once garbage outnumbers live events, so its
+        amortised cost per cancellation is O(1).
         """
         self._pending -= 1
         self._garbage += 1
@@ -400,10 +355,6 @@ class Engine:
             heap = self._heap
             heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapify(heap)
-            fifo = self._fifo
-            live = [event for event in fifo if not event.cancelled]
-            fifo.clear()
-            fifo.extend(live)
             self._garbage = 0
 
     def _guard_reentrancy(self) -> None:

@@ -12,9 +12,8 @@ engine allocates one per scheduled callback, which makes construction and
 attribute access the hottest allocation path in the simulator (see
 ``engine_event_alloc`` in the perf suite for the measured win).  The
 engine never calls :meth:`Event.__lt__` — its heap holds
-``(time, priority, sequence, event)`` tuples that compare in C, and its
-FIFO holds events in key order by construction — but the method is kept
-so the single-heap reference engine can order raw events.
+``(time, priority, sequence, event)`` tuples that compare in C — but the
+method is kept so the single-heap reference engine can order raw events.
 """
 
 from __future__ import annotations

@@ -70,6 +70,11 @@ class SingleHeapEngine:
         """Total number of events that have fired."""
         return self._fired
 
+    @property
+    def sequence(self) -> int:
+        """The sequence number the next scheduled event gets."""
+        return self._sequence
+
     # -------------------------------------------------------------- scheduling
 
     def schedule(

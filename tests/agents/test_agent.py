@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.tasks.task import Environment
 from tests.oracles import is_head, registry
 

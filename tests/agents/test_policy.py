@@ -21,7 +21,6 @@ from repro.agents.policy import (
     POLICY_KINDS,
     Eq10Policy,
     GlobalPolicyConfig,
-    make_policy,
 )
 from repro.agents.reservation import ReservationPolicy
 from repro.agents.portal import UserPortal

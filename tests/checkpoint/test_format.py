@@ -97,7 +97,7 @@ class TestRejection:
 
     def test_version_one_snapshot_refused(self, path):
         """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         write_snapshot(path, {"x": 1})
         stamp_version(path, 1)
         with pytest.raises(CheckpointError, match="format version 1"):
@@ -136,6 +136,14 @@ class TestRejection:
         write_snapshot(path, {"mode": "strict"})
         stamp_version(path, 6)
         with pytest.raises(CheckpointError, match="format version 6"):
+            read_snapshot(path)
+
+    def test_version_seven_snapshot_refused(self, path):
+        """Version-7 snapshots list a round's PULLs and ADVERTISEs as one
+        delivery each; this build delivers each set as one batch."""
+        write_snapshot(path, {"mode": "strict"})
+        stamp_version(path, 7)
+        with pytest.raises(CheckpointError, match="format version 7"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

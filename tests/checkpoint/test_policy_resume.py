@@ -18,8 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, replace
 
-import pytest
-
 from repro.agents.policy import GlobalPolicyConfig
 from repro.checkpoint.format import read_snapshot
 from repro.experiments.config import ExperimentConfig
@@ -118,12 +116,13 @@ class PolicyResumeHarness:
 
 class TestMidAuctionResume(PolicyResumeHarness):
     kind = "auction"
-    # 60 lands with two BIDs in flight, so the snapshot carries "bid"
-    # message payloads; 138 and 207 land inside open CFP rounds (bid
-    # timer armed, bids partially collected); 501 is late but still
-    # inside the degraded rule (the run resolves near step 530;
-    # checkpoint_run refuses a step the rule never reaches).
-    steps = (60, 138, 207, 501)
+    # 20 lands with BIDs in flight, so the snapshot carries "bid"
+    # message payloads; 51 and 92 land inside open CFP rounds (bid timer
+    # armed, bids partially collected), 51 also with the t = 10 s round's
+    # ADVERTISE batch pending; 150 is late but still inside the degraded
+    # rule (the run resolves at step 152; checkpoint_run refuses a step
+    # the rule never reaches).
+    steps = (20, 51, 92, 150)
     in_flight = "bid"
 
     @staticmethod
@@ -133,10 +132,11 @@ class TestMidAuctionResume(PolicyResumeHarness):
 
 class TestMidReservationResume(PolicyResumeHarness):
     kind = "reservation"
-    # 69 lands with a booked window open; 187 with a RESERVE awaiting
-    # CONFIRM *and* a window; 491 is late but still inside the degraded
-    # rule (the run resolves near step 508; see the auction grid note).
-    steps = (69, 187, 491)
+    # 18 lands with a booked window open; 79 with a RESERVE awaiting
+    # CONFIRM *and* a window, and the t = 20 s round's ADVERTISE batch
+    # pending; 128 is late but still inside the degraded rule (the run
+    # resolves at step 130; see the auction grid note).
+    steps = (18, 79, 128)
 
     @staticmethod
     def mid_protocol(payload) -> bool:
@@ -146,10 +146,10 @@ class TestMidReservationResume(PolicyResumeHarness):
         )
 
     def test_snapshot_carries_pending_and_booking(self, tmp_path):
-        """Step 187's snapshot holds both halves of the protocol state."""
-        path = str(tmp_path / "resv-187.json")
+        """Step 79's snapshot holds both halves of the protocol state."""
+        path = str(tmp_path / "resv-79.json")
         checkpoint_run(
-            policy_config(self.kind), mode="degraded", at_step=187, path=path
+            policy_config(self.kind), mode="degraded", at_step=79, path=path
         )
         states = policy_states(read_snapshot(path))
         assert any(state.get("pending") for state in states)

@@ -35,7 +35,8 @@ from repro.obs.trace import Tracer
 from repro.scheduling.scheduler import SchedulingPolicy
 
 SEEDS = (2003, 7, 11, 23, 42)
-AT_STEP = 400
+#: Inside every seed's strict run but seed 11's (67 events).
+AT_STEP = 70
 
 
 def strict_config(seed: int) -> ExperimentConfig:
@@ -69,7 +70,7 @@ class TestStrictResume:
         tracer_full = Tracer()
         full = run_experiment(strict_config(seed), tracer=tracer_full)
 
-        # Seed 11's run ends after 277 events: each seed is snapshotted
+        # Seed 11's run ends after 67 events: each seed is snapshotted
         # inside its own run.
         tracer_pre = Tracer()
         checkpoint_run(
@@ -93,12 +94,12 @@ class TestStrictResume:
         path = str(tmp_path / "rolling.json")
         plain = run_experiment(strict_config(2003))
         rolling = run_experiment(
-            strict_config(2003), checkpoint_every=300, checkpoint_path=path
+            strict_config(2003), checkpoint_every=25, checkpoint_path=path
         )
         assert plain.rng_digest == rolling.rng_digest
         assert metrics_json(plain.metrics) == metrics_json(rolling.metrics)
         # The rolling snapshot itself must be resumable.
-        checkpoint_run(strict_config(2003), at_step=300, path=path)
+        checkpoint_run(strict_config(2003), at_step=50, path=path)
         resumed = resume_run(path)
         assert resumed.rng_digest == plain.rng_digest
 
@@ -118,11 +119,11 @@ class TestStrictResume:
             )
 
     def test_step_past_the_stop_rule_refused(self, tmp_path):
-        """Seed 11's 12-request run ends after 277 events: a snapshot at
-        step 400 would hold a world the uninterrupted run never enters."""
+        """Seed 11's 12-request run ends after 67 events: a snapshot at
+        step 70 would hold a world the uninterrupted run never enters."""
         path = tmp_path / "never.json"
-        assert run_experiment(strict_config(11)).steps == 277
-        with pytest.raises(ExperimentError, match="after 277 events"):
+        assert run_experiment(strict_config(11)).steps == 67
+        with pytest.raises(ExperimentError, match="after 67 events"):
             checkpoint_run(strict_config(11), at_step=AT_STEP, path=str(path))
         assert not path.exists()
 
@@ -170,9 +171,9 @@ class TestSnapshotPurity:
         the same process between them, write byte-identical files."""
         config = table2_experiments(request_count=20)[2]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        checkpoint_run(config, at_step=300, path=str(first))
+        checkpoint_run(config, at_step=70, path=str(first))
         run_experiment(config)
-        checkpoint_run(config, at_step=300, path=str(second))
+        checkpoint_run(config, at_step=70, path=str(second))
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -196,7 +197,7 @@ class TestDegradedResume:
             degraded_config(),
             mode="degraded",
             tracer=tracer_pre,
-            at_step=600,
+            at_step=230,
             path=path,
         )
         tracer_post = Tracer()
@@ -252,11 +253,11 @@ class TestMidHealResume:
     the step grid can be re-tuned rather than silently passing).
     """
 
-    # 360 and 461 land inside the two repair windows (t=18 and t=22, an
+    # 311 and 393 land inside the two repair windows (t=18 and t=22, an
     # in-flight ADOPT each); the later points cover steady post-repair
-    # state.  All must stay inside the degraded rule's step count:
+    # state.  All must stay inside the degraded rule's step count (3,131):
     # checkpoint_run refuses a step the rule never reaches.
-    STEPS = (360, 461, 1426, 2854)
+    STEPS = (311, 393, 1200, 2400)
 
     @staticmethod
     def snapshot_mid_heal(payload) -> bool:

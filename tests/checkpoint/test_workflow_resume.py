@@ -58,7 +58,7 @@ class TestWholeRunResume:
         "cell_name, at_step, in_flight",
         [
             # Three workflows started, one pending, a staged input in transit.
-            ("fork-join-uniform", 425, "transfer"),
+            ("fork-join-uniform", 78, "transfer"),
             # Eager: three whole graphs queued on their clusters, one pending.
             ("pipeline", 30, None),
         ],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.pace.evaluation import EvaluationEngine
-from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2, SUN_ULTRA_10
+from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
 from repro.pace.resource import ResourceModel
 from repro.pace.workloads import paper_application_specs, paper_applications
 from repro.sim.engine import Engine

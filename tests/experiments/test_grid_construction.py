@@ -130,7 +130,8 @@ class TestSharedNodeTables:
 
 
 class TestFifoSnapshots:
-    AT_STEP = 300
+    #: About halfway through the run's 204 events.
+    AT_STEP = 105
 
     @pytest.fixture(scope="class")
     def full(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.agents.discovery import DiscoveryConfig
 from repro.experiments.casestudy import scaled_topology
-from repro.experiments.config import ExperimentConfig, table2_experiments
+from repro.experiments.config import table2_experiments
 from repro.experiments.runner import build_grid, run_experiment
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_ULTRA_10
 from repro.pace.resource import Node, ResourceModel

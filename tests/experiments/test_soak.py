@@ -100,7 +100,7 @@ class TestResumeSoak:
     def test_resume_rejects_other_kinds(self, tmp_path):
         """A snapshot whose mode names no stop rule is refused."""
         path = str(tmp_path / "exp.json")
-        checkpoint_run(soak_config(12), mode="soak", at_step=200, path=path)
+        checkpoint_run(soak_config(12), mode="soak", at_step=40, path=path)
         payload = read_snapshot(path)
         payload["mode"] = "windowed"
         write_snapshot(path, payload)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.workload import WorkloadItem, generate_workload, workload_summary
-from repro.pace.workloads import TABLE1_DEADLINE_BOUNDS, paper_application_specs
+from repro.pace.workloads import TABLE1_DEADLINE_BOUNDS
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError, ValidationError
+from repro.errors import SimulationError, TransportError, ValidationError
 from repro.net.message import Endpoint, Message, MessageKind
 from repro.net.transport import Transport
 from tests.oracles import tap
@@ -126,3 +126,90 @@ class TestDelivery:
             transport.send(_msg(a, b, i))
         sim.run()
         assert payloads == [0, 1, 2, 3, 4]
+
+
+class TestBatch:
+    """Zero-delay sends made while a batch is open share one event."""
+
+    @pytest.fixture
+    def pair(self, transport):
+        a, b = Endpoint("a", 1), Endpoint("b", 1)
+        log = []
+        transport.register(a, lambda m: log.append(("a", m.payload)))
+        transport.register(b, lambda m: log.append(("b", m.payload)))
+        return a, b, log
+
+    def test_one_event_delivers_the_batch_in_send_order(self, sim, transport, pair):
+        a, b, log = pair
+        transport.open_batch()
+        for i in range(4):
+            transport.send(_msg(a, b, i))
+        assert log == [] and sim.sequence == 0
+        transport.close_batch()
+        assert sim.run() == 1
+        assert log == [("b", 0), ("b", 1), ("b", 2), ("b", 3)]
+        assert (transport.sent, transport.delivered) == (4, 4)
+
+    def test_answers_travel_as_the_next_batch(self, sim, transport):
+        a, b = Endpoint("a", 1), Endpoint("b", 1)
+        log = []
+
+        def answer(message):
+            log.append(("b", message.payload, sim.fired_count))
+            transport.send(_msg(b, a, message.payload))
+
+        transport.register(b, answer)
+        transport.register(a, lambda m: log.append(("a", m.payload, sim.fired_count)))
+        transport.open_batch()
+        transport.send(_msg(a, b, 0))
+        transport.send(_msg(a, b, 1))
+        transport.close_batch()
+        assert sim.run() == 2
+        assert log == [("b", 0, 1), ("b", 1, 1), ("a", 0, 2), ("a", 1, 2)]
+
+    def test_an_empty_batch_schedules_nothing(self, sim, transport):
+        transport.open_batch()
+        transport.close_batch()
+        assert sim.sequence == 0 and sim.run() == 0
+
+    def test_delayed_sends_keep_their_own_events(self, sim, transport, pair):
+        a, b, log = pair
+        transport.open_batch()
+        transport.send(_msg(a, b, "late"), extra_latency=2.0)
+        transport.send(_msg(a, b, "now"))
+        transport.close_batch()
+        sim.run()
+        assert log == [("b", "now"), ("b", "late")]
+        assert sim.now == 2.0
+
+    def test_a_delay_below_the_clock_resolution_rides_the_batch(
+        self, sim, transport, pair
+    ):
+        a, b, log = pair
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        transport.open_batch()
+        transport.send(_msg(a, b, 0))
+        transport.send(_msg(a, b, 1), extra_latency=1e-30)
+        transport.send(_msg(a, b, 2))
+        transport.close_batch()
+        assert sim.run() == 1
+        assert log == [("b", 0), ("b", 1), ("b", 2)]
+
+    def test_scheduling_anything_else_while_open_is_refused(self, sim, transport, pair):
+        a, b, _ = pair
+        transport.open_batch()
+        transport.send(_msg(a, b))
+        sim.schedule_in(5.0, lambda: None)
+        with pytest.raises(SimulationError, match="batch"):
+            transport.close_batch()
+
+    def test_a_handler_scheduling_inside_a_batch_is_refused(self, sim, transport):
+        a, b = Endpoint("a", 1), Endpoint("b", 1)
+        transport.register(a, lambda m: None)
+        transport.register(b, lambda m: sim.schedule_in(1.0, lambda: None))
+        transport.open_batch()
+        transport.send(_msg(a, b))
+        transport.close_batch()
+        with pytest.raises(SimulationError, match="batch"):
+            sim.run()

@@ -15,7 +15,6 @@ from repro.obs.records import (
     MessageDelivered,
     MessageDropped,
     MessageSent,
-    TaskDispatched,
     TraceRecord,
     canonical_dict,
     canonical_lines,

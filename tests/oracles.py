@@ -794,7 +794,6 @@ def reset(obj) -> None:
     if isinstance(obj, Engine):
         obj._guard_reentrancy()
         obj._heap.clear()
-        obj._fifo.clear()
         obj._now = obj._start_time
         obj._sequence = 0
         obj._fired = 0
@@ -891,6 +890,11 @@ def submitted(portal) -> dict:
 def registry(agent: Agent) -> dict:
     """Advertised neighbour service information (copy)."""
     return dict(agent._registry)
+
+
+def registry_times(agent: Agent) -> dict:
+    """When each neighbour's advertised record arrived (copy)."""
+    return dict(agent._registry_time)
 
 
 def next_of_kin(healer):
@@ -1275,8 +1279,8 @@ def pending(engine) -> int:
 
 
 def heap_size(engine: Engine) -> int:
-    """Queued entries, heap and FIFO, cancelled garbage included."""
-    return len(engine._heap) + len(engine._fifo)
+    """Heap entries, cancelled garbage included."""
+    return len(engine._heap)
 
 
 def reference_next_event_time(engine) -> Optional[float]:

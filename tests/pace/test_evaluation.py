@@ -9,7 +9,7 @@ from repro.errors import EvaluationError
 from repro.pace.application import TabulatedModel
 from repro.pace.evaluation import EvaluationEngine
 from repro.pace.hardware import SGI_ORIGIN_2000, SUN_SPARC_STATION_2
-from repro.pace.resource import Node, ResourceModel
+from repro.pace.resource import Node
 from tests.oracles import evaluate_nodes, evaluate_on_resource, noise_factor
 
 

@@ -10,9 +10,9 @@ layers of evidence here:
   oracle is swapped in for the engine ``build_grid`` constructs.
 * **Hypothesis-driven run() equivalence** — random scripted workloads
   (same-instant cascades scheduled from callbacks, part of them as
-  zero-delay ``schedule_in`` calls that take the engine's FIFO, part of
-  them carrying a callback argument, bursts of FIFO entries cancelled
-  past ``COMPACT_MIN``, and a drain that mixes ``next_event_time()``,
+  zero-delay ``schedule_in`` calls like message deliveries, part of
+  them carrying a callback argument, bursts of zero-delay events
+  cancelled past ``COMPACT_MIN``, and a drain that mixes ``next_event_time()``,
   ``run_until()`` and chunked ``run(max_events=...)`` stopping
   mid-cascade) must produce the identical fire sequence, arguments
   included, on both engines.
@@ -90,16 +90,17 @@ class _ScriptedRun:
     carrying an argument, as message deliveries do; each logs the
     argument it was called with next to its own index, so a dropped or
     swapped argument shows too.  Nearly half of them
-    are zero-delay calls at ``Priority.DEFAULT`` (the engine's FIFO),
-    mixed with heap events of the same instant and priority, and the
-    rest are relative events the heap must take.  An occasional burst queues more FIFO
-    entries than :data:`COMPACT_MIN` and cancels nearly all of them.
+    are zero-delay calls at ``Priority.DEFAULT`` (as same-instant
+    deliveries are), mixed with ``schedule`` events of the same instant
+    and priority, and the rest are relative events.  An occasional burst
+    queues more zero-delay events than :data:`COMPACT_MIN` and cancels
+    nearly all of them.
     """
 
     #: Hard cap on scheduled events per script — each fire spawns 0–3
     #: children (a supercritical cascade), so the budget is what drains it.
     BUDGET = 300
-    #: FIFO entries one burst queues (bursts have their own budget).
+    #: Zero-delay events one burst queues (bursts have their own budget).
     BURST = COMPACT_MIN + 24
     BURSTS = 3
 
@@ -143,9 +144,9 @@ class _ScriptedRun:
         engine = self.engine
         label = f"ev{self.created}"
         if rng.random() < 0.3:
-            # FIFO entries, and relative events the heap must take
-            # (another priority, or a positive delay); two in three carry
-            # an argument.
+            # Zero-delay DEFAULT events, and relative events of another
+            # priority or a positive delay; two in three carry an
+            # argument.
             delay = rng.choice((0.0, 0.0, 0.0, 0.25))
             priority = rng.choice((Priority.DEFAULT,) * 3 + PRIORITIES)
             if rng.random() < 0.67:
@@ -176,8 +177,8 @@ class _ScriptedRun:
 
     def _cancel(self, handle) -> None:
         # Compaction runs in the cancel hook, so right after a cancel that
-        # takes effect it bounds the cancelled entries still queued, FIFO
-        # ones included.  Cancelling an event that already fired is a
+        # takes effect it bounds the cancelled entries still queued.
+        # Cancelling an event that already fired is a
         # no-op and leaves the last bound standing: only cancels add
         # garbage, while firing lowers the pending count under it.
         took_effect = handle.pending

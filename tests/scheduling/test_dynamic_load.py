@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import TaskError, ValidationError
-from repro.pace.evaluation import EvaluationEngine
-from repro.pace.hardware import SGI_ORIGIN_2000
-from repro.pace.resource import ResourceModel
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.sim.engine import Engine
 from repro.tasks.execution import ExecutionEngine

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError, ValidationError
-from repro.scheduling.cost import CostWeights
 from repro.scheduling.ga import ELITE_COUNT, GAConfig, GAScheduler
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import TaskError, ValidationError
-from repro.pace.evaluation import EvaluationEngine
 from repro.scheduling.scheduler import LocalScheduler, SchedulingPolicy
 from repro.tasks.task import Environment, TaskState
 

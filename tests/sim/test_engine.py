@@ -234,8 +234,9 @@ class TestRunModes:
 
 
 class TestZeroDelayFifo:
-    """``schedule_in(0.0, …)`` at DEFAULT priority takes the FIFO; the
-    fire order must be the single heap's all the same."""
+    """``schedule_in(0.0, …)`` at DEFAULT priority, a same-instant
+    delivery's call, fires first in, first out among events of its key:
+    the single heap's order."""
 
     def test_fires_in_key_order_with_same_instant_heap_events(self, sim):
         fired = []

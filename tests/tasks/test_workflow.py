@@ -15,7 +15,7 @@ from repro.experiments.runner import build_grid
 from repro.net.payloads import TaskResult
 from repro.scheduling.scheduler import SchedulingPolicy
 from repro.tasks.graph import TaskGraph, fork_join
-from repro.tasks.task import Environment, TaskState
+from repro.tasks.task import TaskState
 from repro.tasks.workflow import WorkflowCoordinator
 from tests.oracles import scheduler_task
 

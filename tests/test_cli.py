@@ -154,7 +154,7 @@ class TestCommands:
     def test_checkpoint_then_resume(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
         assert main([
-            "checkpoint", "--requests", "12", "--at-step", "300",
+            "checkpoint", "--requests", "12", "--at-step", "50",
             "--out", str(snap),
         ]) == 0
         out = capsys.readouterr().out
@@ -169,7 +169,7 @@ class TestCommands:
 
         snap = tmp_path / "snap.json"
         assert main([
-            "checkpoint", "--requests", "12", "--at-step", "300",
+            "checkpoint", "--requests", "12", "--at-step", "50",
             "--out", str(snap),
         ]) == 0
         payload = read_snapshot(str(snap))
@@ -189,7 +189,7 @@ class TestCommands:
 
         snap = tmp_path / "snap.json"
         assert main([
-            "checkpoint", "--requests", "12", "--at-step", "300",
+            "checkpoint", "--requests", "12", "--at-step", "50",
             "--out", str(snap),
         ]) == 0
         text = snap.read_text(encoding="utf-8")
@@ -203,11 +203,32 @@ class TestCommands:
         assert exc.value.code == 2
         assert "format version 6" in capsys.readouterr().err
 
+    def test_resume_version_seven_snapshot_exits_2(self, capsys, tmp_path):
+        """Version 7 lists a round's PULLs and ADVERTISEs one by one."""
+        from repro.checkpoint.format import FORMAT_VERSION
+
+        assert FORMAT_VERSION == 8
+        snap = tmp_path / "snap.json"
+        assert main([
+            "checkpoint", "--requests", "12", "--at-step", "50",
+            "--out", str(snap),
+        ]) == 0
+        text = snap.read_text(encoding="utf-8")
+        snap.write_text(
+            text.replace(f'"version":{FORMAT_VERSION}', '"version":7', 1),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["resume", str(snap)])
+        assert exc.value.code == 2
+        assert "format version 7" in capsys.readouterr().err
+
     def test_checkpoint_then_resume_degraded(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
         assert main([
             "checkpoint", "--requests", "12", "--loss", "0.1",
-            "--churn", "0.25", "--at-step", "300", "--out", str(snap),
+            "--churn", "0.25", "--at-step", "110", "--out", str(snap),
         ]) == 0
         capsys.readouterr()
         assert main(["resume", str(snap)]) == 0
@@ -215,7 +236,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("at_step", ["3000", "0"], ids=["past-the-run", "zero"])
     def test_checkpoint_unreachable_step_exits_2(self, at_step, capsys, tmp_path):
-        """The degraded rule stops this run after 976 events."""
+        """The degraded rule stops this run after 312 events."""
         snap = tmp_path / "snap.json"
         with pytest.raises(SystemExit) as exc:
             main([
@@ -237,7 +258,7 @@ class TestCommands:
     def test_resume_bad_cadence_exits_2(self, cadence, capsys, tmp_path):
         snap = tmp_path / "snap.json"
         assert main([
-            "checkpoint", "--requests", "12", "--at-step", "300",
+            "checkpoint", "--requests", "12", "--at-step", "50",
             "--out", str(snap),
         ]) == 0
         capsys.readouterr()
@@ -292,8 +313,9 @@ class TestCommands:
             "--checkpoint", str(snap),
         ]) == 0
         first = capsys.readouterr().out
+        # The soak's last snapshot falls a few events before its end.
         assert main([
-            "resume", str(snap), "--checkpoint-every", "50",
+            "resume", str(snap), "--checkpoint-every", "1",
             "--checkpoint-path", str(again),
         ]) == 0
         assert again.exists()

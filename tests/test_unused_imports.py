@@ -1,9 +1,12 @@
-"""Every import in ``src/repro`` is used.
+"""Every import in ``src/repro``, ``tests/`` and ``benchmarks/`` is used.
 
 A name a module imports and never reads is dead code that still costs an
 import at start-up and misleads a reader about what the module depends
-on.  The check is an AST walk per module: an imported name counts as
-used when the module reads it anywhere, names it in ``__all__`` (a
+on.  ``benchmarks/e2e/`` is left out: its modules belong to the
+end-to-end benchmark, whose child imports ``numpy`` early on purpose.
+
+The check is an AST walk per module: an imported name counts as used
+when the module reads it anywhere, names it in ``__all__`` (a
 re-export), or names it in an annotation, string annotations included
 (``TYPE_CHECKING`` imports are read only there).  Docstrings and other
 strings do not count.
@@ -15,7 +18,9 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Set
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks")
+EXCLUDED = ROOT / "benchmarks" / "e2e"
 
 
 def _imported(tree: ast.Module) -> Dict[str, int]:
@@ -81,13 +86,27 @@ def unused_imports(source: str) -> List[str]:
     ]
 
 
+def _modules() -> Iterator[Path]:
+    for directory in CHECKED:
+        for module in sorted(directory.rglob("*.py")):
+            if EXCLUDED not in module.parents:
+                yield module
+
+
 def test_every_import_is_used():
     findings = {
-        str(module.relative_to(SRC.parent)): unused
-        for module in sorted(SRC.rglob("*.py"))
+        str(module.relative_to(ROOT)): unused
+        for module in _modules()
         if (unused := unused_imports(module.read_text(encoding="utf-8")))
     }
     assert findings == {}
+
+
+def test_the_walk_covers_tests_and_benchmarks_but_not_e2e():
+    modules = set(_modules())
+    assert Path(__file__).resolve() in modules
+    assert ROOT / "benchmarks" / "bench_table1.py" in modules
+    assert not any(EXCLUDED in module.parents for module in modules)
 
 
 class TestTheCheck:
