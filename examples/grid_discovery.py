@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agents.advertisement import PeriodicPullStrategy
+from repro.agents.advertisement import PullRounds
 from repro.agents.agent import Agent
 from repro.agents.discovery import DiscoveryConfig
 from repro.agents.hierarchy import wire_hierarchy
@@ -43,6 +43,8 @@ TREE = {"head": None, "mid-a": "head", "mid-b": "head",
 def build_grid(sim: Engine):
     transport = Transport(sim)
     evaluator = EvaluationEngine()
+    # One pull strategy for the whole grid, as for the transport.
+    rounds = PullRounds(sim, transport, 10.0)
     agents = {}
     for i, (name, platform_name) in enumerate(PLATFORMS.items()):
         platform = DEFAULT_CATALOGUE.get(platform_name)
@@ -60,7 +62,7 @@ def build_grid(sim: Engine):
             scheduler,
             transport,
             discovery_config=DiscoveryConfig(),
-            advertisement=PeriodicPullStrategy(10.0),
+            advertisement=rounds,
         )
     hierarchy = wire_hierarchy(agents, TREE)
     hierarchy.start_all()

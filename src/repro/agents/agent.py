@@ -130,8 +130,8 @@ class Agent:
     discovery_config:
         Discovery policy knobs.
     advertisement:
-        Advertisement strategy; default :class:`NoAdvertisement` (the
-        experiments install :class:`PeriodicPullStrategy` explicitly).
+        The grid's one advertisement strategy, shared by all its agents;
+        default :class:`NoAdvertisement` (the experiments pass the grid's).
     """
 
     def __init__(
@@ -348,14 +348,14 @@ class Agent:
         return info
 
     def start(self) -> None:
-        """Activate the advertisement strategy and the failure detector."""
+        """Start advertising (the grid's strategy) and the failure detector."""
         self._advertisement.start(self)
         if self._detector is not None:
             self._detector.start()
 
     def stop(self) -> None:
-        """Deactivate advertisement, detection, and any healing retries."""
-        self._advertisement.stop()
+        """Stop advertising, detection, and any healing retries."""
+        self._advertisement.stop(self)
         if self._detector is not None:
             self._detector.stop()
         if self._healer is not None:
@@ -364,10 +364,10 @@ class Agent:
     def deactivate(self) -> None:
         """Take this agent off the grid (crash simulation).  Idempotent.
 
-        The endpoint unregisters, the advertisement strategy stops, the
-        registry is dropped, and — crucially for restartability — every
-        sim event this agent owns (ack-timeout timers; the advertisement
-        timer via ``stop()``) is cancelled, so a later
+        The endpoint unregisters, the grid's advertisement strategy drops
+        this agent (periodic pull: it leaves its round), the registry is
+        dropped, and — crucially for restartability — every sim event this
+        agent owns (ack-timeout timers) is cancelled, so a later
         :meth:`reactivate` cannot double-fire stale timers.  Neighbours
         are *not* informed — they discover the absence through failed
         sends and expiring registry entries, exactly like a crashed
@@ -412,12 +412,12 @@ class Agent:
         """Return a crashed agent to the grid — the inverse of
         :meth:`deactivate`.  Idempotent.
 
-        The endpoint re-registers, the advertisement strategy restarts
-        (a periodic-pull strategy immediately re-pulls every neighbour,
-        warming the empty registry), and routing resumes.  Local tasks
-        accepted before the crash are unaffected: the paper's local
-        scheduler is a separate system that "functions independently"
-        of its fronting agent (§2.2).
+        The endpoint re-registers, the grid's advertisement strategy takes
+        this agent back (periodic pull: it joins the round due now, so it
+        re-pulls every neighbour at once, warming the empty registry), and
+        routing resumes.  Local tasks accepted before the crash are
+        unaffected: the paper's local scheduler is a separate system that
+        "functions independently" of its fronting agent (§2.2).
         """
         if self._active:
             return
@@ -1076,7 +1076,6 @@ class Agent:
                 [encode_endpoint(ep), rid, hops, t]
                 for (ep, rid, hops), t in self._seen_forwards.items()
             ],
-            "advertisement": self._advertisement.snapshot_state(),
             # In-flight policy protocol state (open auctions, pending
             # reservations, booked windows); {} for the stateless eq10.
             "policy": self._policy.snapshot_state(),
@@ -1152,7 +1151,6 @@ class Agent:
                 tried=frozenset(decode_endpoint(ep) for ep in raw["tried"]),
                 handle=handle,
             )
-        self._advertisement.restore_state(state["advertisement"], self)
         self._policy.restore_state(state["policy"], applications=applications)
         member_state = state["membership"]
         if (

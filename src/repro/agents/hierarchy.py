@@ -34,12 +34,12 @@ class Hierarchy:
         return self._head
 
     def start_all(self) -> None:
-        """Activate every agent's advertisement strategy."""
+        """Start every agent: its advertising and failure detection."""
         for agent in self._agents.values():
             agent.start()
 
     def stop_all(self) -> None:
-        """Deactivate every agent's advertisement strategy."""
+        """Stop every agent's advertising, detection and healing retries."""
         for agent in self._agents.values():
             agent.stop()
 

@@ -45,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
-from repro.agents.discovery import Decision, discover
-from repro.agents.matchmaking import match_request
+from repro.agents.discovery import MAX_HOPS, Decision, discover
+from repro.agents.matchmaking import MatchResult, match_request
 from repro.errors import ValidationError
 from repro.net.message import Endpoint, Message
 from repro.net.payloads import RequestEnvelope
@@ -146,6 +146,40 @@ class GlobalPolicy:
 
     def restore_state(self, state: dict, *, applications) -> None:
         """Inverse of :meth:`snapshot_state` on a freshly built agent."""
+
+    def _local_first(
+        self, envelope: RequestEnvelope, hops: int
+    ) -> Optional[MatchResult]:
+        """The contract policies' prelude: settle *envelope* here if the
+        agent can, else return its local match.
+
+        Under ``local_only`` the request runs locally or is rejected; a
+        local service that meets the deadline takes it; at
+        :data:`~repro.agents.discovery.MAX_HOPS` it is absorbed or failed.
+        Each of these returns ``None``.
+        """
+        agent = self.agent
+        local_match = match_request(
+            envelope.request,
+            agent.service_info(),
+            agent._evaluator,
+            agent._catalogue,
+            agent.sim.now,
+        )
+        if agent._discovery_config.local_only:
+            if local_match.supported:
+                agent._submit_locally(envelope)
+            else:
+                agent._stats.rejected += 1
+                agent._send_result(envelope, agent._failure_result(envelope))
+            return None
+        if local_match.supported and local_match.meets_deadline:
+            agent._submit_locally(envelope)
+            return None
+        if hops >= MAX_HOPS:
+            agent._absorb_or_fail(envelope, local_match)
+            return None
+        return local_match
 
 
 class Eq10Policy(GlobalPolicy):

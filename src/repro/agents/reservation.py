@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.agents.discovery import MAX_HOPS
 from repro.agents.matchmaking import match_request
 from repro.agents.policy import GlobalPolicy, GlobalPolicyConfig
 from repro.net.message import Endpoint, Message, MessageKind
@@ -105,22 +104,8 @@ class ReservationPolicy(GlobalPolicy):
             # A duplicate delivery slipped past the dedup layer while a
             # reservation is already in flight; that attempt owns it.
             return
-        local_match = match_request(
-            request, agent.service_info(), agent._evaluator, agent._catalogue, now
-        )
-        config = agent._discovery_config
-        if config.local_only:
-            if local_match.supported:
-                agent._submit_locally(envelope)
-            else:
-                agent._stats.rejected += 1
-                agent._send_result(envelope, agent._failure_result(envelope))
-            return
-        if local_match.supported and local_match.meets_deadline:
-            agent._submit_locally(envelope)
-            return
-        if hops >= MAX_HOPS:
-            agent._absorb_or_fail(envelope, local_match)
+        local_match = self._local_first(envelope, hops)
+        if local_match is None:
             return
         matches = agent.neighbour_matches(request, exclude=exclude, now=now)
         ranked = [

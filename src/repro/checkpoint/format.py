@@ -2,7 +2,7 @@
 
 A snapshot file is two lines of JSON:
 
-* **line 1** — the header ``{"format": "repro-checkpoint", "version": 8,
+* **line 1** — the header ``{"format": "repro-checkpoint", "version": 9,
   "sha256": "<hex>"}`` where the digest covers the exact bytes of line 2;
 * **line 2** — the payload, serialised canonically (sorted keys, no
   whitespace) so identical state always produces identical bytes.
@@ -36,7 +36,11 @@ messages and its copy of the fault plan's tallies, a periodic process's
 deliveries: a pull round's PULLs, and the ADVERTISEs answering them,
 are each delivered by one event, so the transport section lists each
 pending batch with its messages in send order (``batches``) beside the
-one-message deliveries (``in_flight``).
+one-message deliveries (``in_flight``).  Version 9 makes advertisement one
+strategy per grid: the system section records it once
+(``advertisement``: periodic pull's pending rounds in event-sequence
+order, each with its members' names in fire order), and no agent carries
+advertisement state.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from repro.errors import CheckpointError
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "write_snapshot", "read_snapshot"]
 
 FORMAT_NAME = "repro-checkpoint"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def _canonical(payload: Dict[str, Any]) -> str:

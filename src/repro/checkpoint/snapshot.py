@@ -73,6 +73,7 @@ def snapshot_system(system) -> Dict[str, Any]:
         "engine": system.sim.snapshot_state(),
         "rngs": system.rngs.snapshot_state(),
         "transport": system.transport.snapshot_state(),
+        "advertisement": system.advertisement.snapshot_state(),
         "evaluator": system.evaluator.snapshot_state(),
         "schedulers": {
             name: scheduler.snapshot_state()
@@ -115,6 +116,7 @@ def restore_system(system, state: Dict[str, Any]) -> None:
         system.agents[name].restore_state(
             state["agents"][name], applications=applications
         )
+    system.advertisement.restore_state(state["advertisement"], system.agents)
     system.portal.restore_state(state["portal"], applications=applications)
     system.transport.restore_state(state["transport"], applications=applications)
     system.evaluator.restore_state(state["evaluator"])

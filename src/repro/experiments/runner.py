@@ -38,7 +38,6 @@ from repro.agents.advertisement import (
     AdvertisementStrategy,
     EventPushStrategy,
     NoAdvertisement,
-    PeriodicPullStrategy,
     PullRounds,
 )
 from repro.agents.agent import Agent, AgentStats
@@ -103,6 +102,8 @@ class GridSystem:
     topology: GridTopology
     sim: Engine
     transport: Transport
+    #: The grid's one advertisement strategy, shared by every agent.
+    advertisement: AdvertisementStrategy
     evaluator: EvaluationEngine
     schedulers: Dict[str, LocalScheduler]
     agents: Dict[str, Agent]
@@ -113,7 +114,8 @@ class GridSystem:
     tracer: Optional[Tracer] = None
 
     def start(self) -> None:
-        """Activate advertisement strategies and resource monitors."""
+        """Start every agent's advertising and failure detection (agent
+        order) and every resource monitor."""
         self.hierarchy.start_all()
         for scheduler in self.schedulers.values():
             scheduler.monitor.start()
@@ -293,7 +295,13 @@ def build_grid(
         rng=rngs.stream("prediction-noise") if config.prediction_noise > 0 else None,
     )
     specs = paper_application_specs()
-    advertisement = _advertisement(config, sim, transport)
+    advertisement: AdvertisementStrategy
+    if not config.agents_enabled or config.advertisement == "none":
+        advertisement = NoAdvertisement()
+    elif config.advertisement == "push":
+        advertisement = EventPushStrategy()
+    else:
+        advertisement = PullRounds(sim, transport, config.pull_interval)
     schedulers: Dict[str, LocalScheduler] = {}
     agents: Dict[str, Agent] = {}
     # Resources of one hardware type share one node table, built and
@@ -343,7 +351,7 @@ def build_grid(
             transport,
             catalogue=topo.catalogue,
             discovery_config=config.discovery,
-            advertisement=advertisement(),
+            advertisement=advertisement,
             resilience=config.resilience,
             membership=config.membership,
             global_policy=config.global_policy,
@@ -372,6 +380,7 @@ def build_grid(
         topology=topo,
         sim=sim,
         transport=transport,
+        advertisement=advertisement,
         evaluator=evaluator,
         schedulers=schedulers,
         agents=agents,
@@ -381,22 +390,6 @@ def build_grid(
         rngs=rngs,
         tracer=tracer,
     )
-
-
-def _advertisement(
-    config: ExperimentConfig, sim: Engine, transport: Transport
-) -> Callable[[], AdvertisementStrategy]:
-    """A factory of *config*'s advertisement strategy, one per agent.
-
-    Periodic pulls share the grid's one :class:`PullRounds`, as the
-    agents share its one transport.
-    """
-    if not config.agents_enabled or config.advertisement == "none":
-        return NoAdvertisement
-    if config.advertisement == "push":
-        return EventPushStrategy
-    rounds = PullRounds(sim, transport, config.pull_interval)
-    return lambda: PeriodicPullStrategy(config.pull_interval, rounds=rounds)
 
 
 def seeded_workload(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.agents.advertisement import PeriodicPullStrategy
+from repro.agents.advertisement import PullRounds
 from repro.agents.agent import Agent
 from repro.agents.discovery import DiscoveryConfig
 from repro.agents.hierarchy import wire_hierarchy
@@ -31,6 +31,7 @@ class SmallGrid:
             "A3": SUN_SPARC_STATION_2,
         }
         self.schedulers = {}
+        rounds = PullRounds(sim, self.transport, pull_interval)
         agents = {}
         for i, (name, platform) in enumerate(platforms.items()):
             resource = ResourceModel.homogeneous(name, platform, 4)
@@ -49,7 +50,7 @@ class SmallGrid:
                 scheduler,
                 self.transport,
                 discovery_config=DiscoveryConfig(strict=strict),
-                advertisement=PeriodicPullStrategy(pull_interval),
+                advertisement=rounds,
             )
         self.agents = agents
         self.hierarchy = wire_hierarchy(

@@ -1,4 +1,4 @@
-"""Tests for the advertisement strategies."""
+"""Tests for the advertisement strategies, one object per grid."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.agents.advertisement import (
     PUSH_MIN_INTERVAL,
     EventPushStrategy,
     NoAdvertisement,
-    PeriodicPullStrategy,
+    PullRounds,
 )
 from repro.agents.agent import Agent
 from repro.agents.hierarchy import wire_hierarchy
@@ -24,8 +24,11 @@ from repro.tasks.task import Environment, TaskRequest
 from tests.oracles import registry
 
 
-def build_pair(sim, strategy_factory):
+def build_pair(sim, make_strategy):
+    """A parent and a child sharing the one strategy that
+    ``make_strategy(transport)`` builds."""
     transport = Transport(sim)
+    strategy = make_strategy(transport)
     evaluator = EvaluationEngine()
     agents = {}
     for i, name in enumerate(("P", "C")):
@@ -42,7 +45,7 @@ def build_pair(sim, strategy_factory):
             Endpoint(f"{name.lower()}.grid", 1000 + i),
             scheduler,
             transport,
-            advertisement=strategy_factory(),
+            advertisement=strategy,
         )
     hierarchy = wire_hierarchy(agents, {"P": None, "C": "P"})
     hierarchy.start_all()
@@ -50,26 +53,28 @@ def build_pair(sim, strategy_factory):
 
 
 class TestPeriodicPull:
-    def test_interval_validated(self):
+    def test_interval_validated(self, sim):
         with pytest.raises(ValidationError):
-            PeriodicPullStrategy(0.0)
+            PullRounds(sim, Transport(sim), 0.0)
 
     def test_pull_cadence(self, sim):
-        agents = build_pair(sim, lambda: PeriodicPullStrategy(10.0))
+        agents = build_pair(sim, lambda transport: PullRounds(sim, transport, 10.0))
         sim.run_until(21.0)
         # Immediate pull at t=0 plus rounds at 10 and 20.
         assert agents["P"].stats.pulls_answered == 3
         assert agents["C"].stats.pulls_answered == 3
 
     def test_double_start_rejected(self, sim):
-        strategy = PeriodicPullStrategy(5.0)
-        agents = build_pair(sim, lambda: NoAdvertisement())
-        strategy.start(agents["P"])
+        agents = build_pair(sim, lambda transport: PullRounds(sim, transport, 5.0))
         with pytest.raises(ValidationError):
-            strategy.start(agents["P"])
+            agents["P"].start()
+
+    def test_agents_share_one_round(self, sim):
+        build_pair(sim, lambda transport: PullRounds(sim, transport, 10.0))
+        assert [event.label for event in sim.queued()] == ["pull-round"]
 
     def test_stop_halts_pulls(self, sim):
-        agents = build_pair(sim, lambda: PeriodicPullStrategy(10.0))
+        agents = build_pair(sim, lambda transport: PullRounds(sim, transport, 10.0))
         sim.run_until(1.0)
         for agent in agents.values():
             agent.stop()
@@ -80,13 +85,13 @@ class TestPeriodicPull:
 
 class TestEventPush:
     def test_initial_push_seeds_registry(self, sim):
-        agents = build_pair(sim, lambda: EventPushStrategy())
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
         sim.run_until(0.5)
         assert agents["C"].endpoint in registry(agents["P"])
         assert agents["P"].endpoint in registry(agents["C"])
 
     def test_push_on_service_change(self, sim):
-        agents = build_pair(sim, lambda: EventPushStrategy())
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
         sim.run_until(PUSH_MIN_INTERVAL)
         before = agents["P"].stats.advertisements_received
         # Submitting to C changes its service state -> push to P.
@@ -102,7 +107,7 @@ class TestEventPush:
         assert agents["P"].stats.advertisements_received > before
 
     def test_rate_limit(self, sim):
-        agents = build_pair(sim, lambda: EventPushStrategy())
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
         sim.run_until(PUSH_MIN_INTERVAL / 2)
         baseline = agents["P"].stats.advertisements_received
         for _ in range(5):
@@ -118,11 +123,16 @@ class TestEventPush:
         # All changes inside the PUSH_MIN_INTERVAL window collapse.
         assert agents["P"].stats.advertisements_received == baseline
 
+    def test_double_start_rejected(self, sim):
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
+        with pytest.raises(ValidationError):
+            agents["C"].start()
+
     def test_churn_cycles_do_not_leak_listeners(self, sim):
         # Regression: stop() used to leave the service-change listener
         # subscribed, so every crash/restart cycle stacked one more
         # subscription and each service change pushed N duplicate adverts.
-        agents = build_pair(sim, EventPushStrategy)
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
         child = agents["C"]
         assert len(child.scheduler._service_listeners) == 1
         for _ in range(5):
@@ -132,7 +142,7 @@ class TestEventPush:
             assert len(child.scheduler._service_listeners) == 1
 
     def test_push_after_restart_is_single(self, sim):
-        agents = build_pair(sim, EventPushStrategy)
+        agents = build_pair(sim, lambda transport: EventPushStrategy())
         child, parent = agents["C"], agents["P"]
         sim.run_until(1.0)
         child.deactivate()
@@ -153,7 +163,7 @@ class TestEventPush:
 
 class TestNoAdvertisement:
     def test_registries_stay_empty(self, sim):
-        agents = build_pair(sim, NoAdvertisement)
+        agents = build_pair(sim, lambda transport: NoAdvertisement())
         sim.run_until(60.0)
         assert registry(agents["P"]) == {}
         assert registry(agents["C"]) == {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.agents.advertisement import PeriodicPullStrategy
+from repro.agents.advertisement import PullRounds
 from repro.agents.agent import Agent
 from repro.agents.discovery import DiscoveryConfig
 from repro.agents.hierarchy import wire_hierarchy
@@ -37,6 +37,7 @@ class DeepGrid:
         self.transport = Transport(sim)
         self.evaluator = EvaluationEngine()
         names = ["A1", "B1", "B2", "C1", "C2"]
+        rounds = PullRounds(sim, self.transport, 10.0)
         agents = {}
         for i, name in enumerate(names):
             resource = ResourceModel.homogeneous(name, SGI_ORIGIN_2000, 4)
@@ -54,7 +55,7 @@ class DeepGrid:
                 scheduler,
                 self.transport,
                 discovery_config=DiscoveryConfig(),
-                advertisement=PeriodicPullStrategy(10.0),
+                advertisement=rounds,
                 membership=membership,
             )
         self.agents = agents

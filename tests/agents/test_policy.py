@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.agents.advertisement import PeriodicPullStrategy
+from repro.agents.advertisement import PullRounds
 from repro.agents.agent import Agent
 from repro.agents.hierarchy import wire_hierarchy
 from repro.agents.auction import AuctionPolicy, _candidate_key
@@ -49,6 +49,7 @@ class PolicyGrid:
             "A3": SUN_SPARC_STATION_2,
         }
         self.schedulers = {}
+        rounds = PullRounds(sim, self.transport, 10.0)
         agents = {}
         for i, (name, platform) in enumerate(platforms.items()):
             scheduler = LocalScheduler(
@@ -65,7 +66,7 @@ class PolicyGrid:
                 Endpoint(f"{name.lower()}.grid", 1000 + i),
                 scheduler,
                 self.transport,
-                advertisement=PeriodicPullStrategy(10.0),
+                advertisement=rounds,
                 global_policy=policy,
             )
         self.agents = agents

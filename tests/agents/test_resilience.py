@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.agents.advertisement import EventPushStrategy, PeriodicPullStrategy
+from repro.agents.advertisement import EventPushStrategy, PullRounds
 from repro.agents.agent import DEDUP_CAP, Agent
 from repro.agents.hierarchy import wire_hierarchy
 from repro.agents.portal import UserPortal
@@ -48,6 +48,7 @@ class ResilientGrid:
             "A3": SUN_SPARC_STATION_2,
         }
         self.schedulers = {}
+        rounds = PullRounds(sim, self.transport, pull_interval)
         agents = {}
         for i, (name, platform) in enumerate(platforms.items()):
             scheduler = LocalScheduler(
@@ -64,7 +65,7 @@ class ResilientGrid:
                 Endpoint(f"{name.lower()}.grid", 1000 + i),
                 scheduler,
                 self.transport,
-                advertisement=PeriodicPullStrategy(pull_interval),
+                advertisement=rounds,
                 resilience=resilience,
             )
         self.agents = agents
@@ -271,7 +272,7 @@ class TestCrashAndRestart:
             Endpoint("x.grid", 1500),
             scheduler,
             transport,
-            advertisement=PeriodicPullStrategy(10.0),
+            advertisement=PullRounds(sim, transport, 10.0),
         )
         agent.stop()  # never started: no-op
         agent.deactivate()

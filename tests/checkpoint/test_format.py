@@ -95,55 +95,17 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="version"):
             read_snapshot(path)
 
-    def test_version_one_snapshot_refused(self, path):
-        """Snapshots from the version-1 GA kernels would resume diverged."""
-        assert FORMAT_VERSION == 8
-        write_snapshot(path, {"x": 1})
-        stamp_version(path, 1)
-        with pytest.raises(CheckpointError, match="format version 1"):
-            read_snapshot(path)
+    def test_current_version_is_nine(self):
+        """Version 9 records advertisement once per grid, not per agent."""
+        assert FORMAT_VERSION == 9
 
-    def test_version_two_snapshot_refused(self, path):
-        """Version-2 snapshots hold the per-kind layouts, not one with a mode."""
-        write_snapshot(path, {"kind": "experiment"})
-        stamp_version(path, 2)
-        with pytest.raises(CheckpointError, match="format version 2"):
-            read_snapshot(path)
-
-    def test_version_three_snapshot_refused(self, path):
-        """Version-3 agent states carry an ``outcomes`` list this build drops."""
+    @pytest.mark.parametrize("version", range(1, FORMAT_VERSION))
+    def test_retired_version_refused(self, path, version):
+        """A snapshot of any earlier layout would resume diverged or not at
+        all (the version history in :mod:`repro.checkpoint.format`)."""
         write_snapshot(path, {"mode": "strict"})
-        stamp_version(path, 3)
-        with pytest.raises(CheckpointError, match="format version 3"):
-            read_snapshot(path)
-
-    def test_version_four_snapshot_refused(self, path):
-        """Version-4 GA states carry the kernel's cost cache this build drops."""
-        write_snapshot(path, {"mode": "strict"})
-        stamp_version(path, 4)
-        with pytest.raises(CheckpointError, match="format version 4"):
-            read_snapshot(path)
-
-    def test_version_five_snapshot_refused(self, path):
-        """Version-5 agents carry one pull timer each; this build's share rounds."""
-        write_snapshot(path, {"mode": "strict"})
-        stamp_version(path, 5)
-        with pytest.raises(CheckpointError, match="format version 5"):
-            read_snapshot(path)
-
-    def test_version_six_snapshot_refused(self, path):
-        """Version-6 snapshots carry the process-wide message counter."""
-        write_snapshot(path, {"mode": "strict"})
-        stamp_version(path, 6)
-        with pytest.raises(CheckpointError, match="format version 6"):
-            read_snapshot(path)
-
-    def test_version_seven_snapshot_refused(self, path):
-        """Version-7 snapshots list a round's PULLs and ADVERTISEs as one
-        delivery each; this build delivers each set as one batch."""
-        write_snapshot(path, {"mode": "strict"})
-        stamp_version(path, 7)
-        with pytest.raises(CheckpointError, match="format version 7"):
+        stamp_version(path, version)
+        with pytest.raises(CheckpointError, match=f"format version {version}"):
             read_snapshot(path)
 
     def test_malformed_header(self, path):

@@ -12,7 +12,7 @@ must not change a byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -211,6 +211,58 @@ class TestDegradedResume:
             + canonical_lines(tracer_post.records),
         )
         assert full.counters == resumed.counters
+
+
+class TestAdvertisementResume:
+    """The grid's one advertisement strategy is recorded once, beside the
+    agents, and restores exactly."""
+
+    def test_pull_rounds_are_one_grid_record(self, tmp_path):
+        path = str(tmp_path / "snap.json")
+        checkpoint_run(strict_config(2003), at_step=AT_STEP, path=path)
+        system = read_snapshot(path)["system"]
+        assert all("advertisement" not in agent for agent in system["agents"].values())
+        members = [
+            name
+            for rnd in system["advertisement"]["rounds"]
+            for name in rnd["members"]
+        ]
+        assert sorted(members) == sorted(system["agents"])
+
+    def test_push_grid_resume_is_byte_identical(self, tmp_path):
+        """Event push across churn: three agents are down at the snapshot
+        and start again after it; the resumed run, and its last periodic
+        snapshot, match the uninterrupted run's."""
+        config = replace(degraded_config(), advertisement="push")
+        path = str(tmp_path / "snap.json")
+        rolling = {name: str(tmp_path / f"{name}.json") for name in ("full", "resumed")}
+        tracer_full = Tracer()
+        full = run_degraded(
+            config, tracer=tracer_full, checkpoint_every=25,
+            checkpoint_path=rolling["full"],
+        )
+        tracer_pre = Tracer()
+        checkpoint_run(
+            config, mode="degraded", tracer=tracer_pre, at_step=100, path=path
+        )
+        advertisement = read_snapshot(path)["system"]["advertisement"]
+        assert len(advertisement["active"]) == 9
+        assert len(advertisement["last_push"]) == 12
+        assert full.restarts == 3
+        tracer_post = Tracer()
+        resumed = resume_run(
+            path, tracer=tracer_post, checkpoint_every=25,
+            checkpoint_path=rolling["resumed"],
+        )
+        assert_equivalent(
+            full.result,
+            resumed.result,
+            canonical_lines(tracer_full.records),
+            canonical_lines(tracer_pre.records)
+            + canonical_lines(tracer_post.records),
+        )
+        assert full.counters == resumed.counters
+        assert read_snapshot(rolling["resumed"]) == read_snapshot(rolling["full"])
 
 
 class TestCheckpointCadence:

@@ -824,16 +824,20 @@ class PerAgentPullStrategy(AdvertisementStrategy):
 
     The strategy before pull rounds: every agent has its own
     ``Priority.ADVERTISEMENT`` timer, first due at start, re-armed
-    *interval* seconds after each firing.  The grid's shared rounds must
-    pull in exactly this order.
+    *interval* seconds after each firing.  One object serves a grid and
+    is built as :class:`repro.agents.advertisement.PullRounds` is, whose
+    shared rounds must pull in exactly this order.
     """
 
-    def __init__(self, interval: float) -> None:
+    def __init__(
+        self, sim: Engine, transport: Transport, interval: float  # noqa: ARG002
+    ) -> None:
         self._interval = float(interval)
-        self._process: Optional[PeriodicProcess] = None
+        # Each started agent's timer, by agent name.
+        self._processes: Dict[str, PeriodicProcess] = {}
 
     def _make(self, agent: Agent) -> PeriodicProcess:
-        return PeriodicProcess(
+        process = self._processes[agent.name] = PeriodicProcess(
             agent.sim,
             self._interval,
             agent.pull_neighbours,
@@ -841,30 +845,27 @@ class PerAgentPullStrategy(AdvertisementStrategy):
             fire_immediately=True,
             label=f"pull-{agent.name}",
         )
+        return process
 
     def start(self, agent: Agent) -> None:
-        if self._process is not None:
-            raise ValidationError("strategy already started")
-        self._process = self._make(agent)
-        self._process.start()
+        if agent.name in self._processes:
+            raise ValidationError(f"agent {agent.name!r} already pulls")
+        self._make(agent).start()
 
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
+    def stop(self, agent: Agent) -> None:
+        process = self._processes.pop(agent.name, None)
+        if process is not None:
+            process.stop()
 
     def snapshot_state(self) -> dict:
         return {
-            "process": (
-                None if self._process is None else self._process.snapshot_state()
-            )
+            name: process.snapshot_state()
+            for name, process in sorted(self._processes.items())
         }
 
-    def restore_state(self, state: dict, agent: Agent) -> None:
-        self.stop()
-        if state["process"] is not None:
-            self._process = self._make(agent)
-            self._process.restore_state(state["process"])
+    def restore_state(self, state: dict, agents) -> None:
+        for name, raw in state.items():
+            self._make(agents[name]).restore_state(raw)
 
 
 def is_head(agent: Agent) -> bool:

@@ -1,6 +1,6 @@
 """Pull rounds: one timer per instant pulls exactly as one timer per agent.
 
-``build_grid`` hands every agent's periodic-pull strategy the grid's one
+``build_grid`` hands every agent the grid's one
 :class:`~repro.agents.advertisement.PullRounds`, which fires every pull
 due at one instant from one event and sends them inside one transport
 batch: one event delivers a round's PULLs, and one more the ADVERTISEs
@@ -23,8 +23,9 @@ batch must be refused.  Each case exercises the rounds' four rules:
 2. a round re-arming onto an instant that already has a round appends
    its members after that round's;
 3. a stopping member leaves its round, and an empty round is cancelled;
-4. a snapshot records each member's round and position, and restore
-   rebuilds the rounds in that order.
+4. a snapshot records the pending rounds, each with its event and its
+   members' names in fire order, and restore re-creates them as they
+   were.
 """
 
 from __future__ import annotations
@@ -213,13 +214,7 @@ def outcome(run, deliveries: list) -> dict:
 def run_oracle(config, scenario, lifecycle, monkeypatch, workflows=None) -> dict:
     """*config* with one pull timer per agent and one event per message."""
     with monkeypatch.context() as patch:
-        patch.setattr(
-            runner,
-            "_advertisement",
-            lambda config, sim, transport: lambda: PerAgentPullStrategy(
-                config.pull_interval
-            ),
-        )
+        patch.setattr(runner, "PullRounds", PerAgentPullStrategy)
         deliveries: list = []
         run = arm(config, scenario, lifecycle, workflows=workflows)
         observe(run, deliveries)

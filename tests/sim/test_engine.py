@@ -117,11 +117,11 @@ class TestCallbackArgument:
         engine = engine_type()
         fired = []
         engine.schedule_in(1.0, fired.append, arg="heap")
-        engine.schedule_in(0.0, fired.append, arg="fifo")
+        engine.schedule_in(0.0, fired.append, arg="zero-delay")
         engine.schedule_in(2.0, fired.append, arg="later")
         engine.schedule_in(0.0, lambda: fired.append("none"))
         engine.run()
-        assert fired == ["fifo", "none", "heap", "later"]
+        assert fired == ["zero-delay", "none", "heap", "later"]
 
     def test_restored_event_keeps_its_argument(self, sim):
         state = sim.snapshot_state()
@@ -134,7 +134,7 @@ class TestCallbackArgument:
         sim.run()
         assert fired == ["x"]
 
-    def test_queued_exposes_arguments_of_both_queues(self, sim):
+    def test_queued_exposes_zero_delay_and_later_arguments(self, sim):
         sim.schedule_in(3.0, lambda _: None, arg=1)
         sim.schedule_in(0.0, lambda _: None, arg=2)
         assert sorted(event.arg for event in sim.queued()) == [1, 2]
@@ -233,10 +233,10 @@ class TestRunModes:
         assert sim.run() == 2
 
 
-class TestZeroDelayFifo:
+class TestZeroDelayEvents:
     """``schedule_in(0.0, …)`` at DEFAULT priority, a same-instant
-    delivery's call, fires first in, first out among events of its key:
-    the single heap's order."""
+    delivery's call, takes the one heap like any event and fires first
+    in, first out among events of its key."""
 
     def test_fires_in_key_order_with_same_instant_heap_events(self, sim):
         fired = []
@@ -245,18 +245,18 @@ class TestZeroDelayFifo:
             return lambda: fired.append(name)
 
         sim.schedule(0.0, log("heap-default-1"))
-        sim.schedule_in(0.0, log("fifo-1"))
+        sim.schedule_in(0.0, log("zero-delay-1"))
         sim.schedule_in(0.0, log("heap-completion"), priority=Priority.COMPLETION)
         sim.schedule(0.0, log("heap-default-2"))
-        sim.schedule_in(0.0, log("fifo-2"))
+        sim.schedule_in(0.0, log("zero-delay-2"))
         sim.schedule_in(0.5, log("heap-later"))
         sim.run()
         assert fired == [
             "heap-completion",
             "heap-default-1",
-            "fifo-1",
+            "zero-delay-1",
             "heap-default-2",
-            "fifo-2",
+            "zero-delay-2",
             "heap-later",
         ]
 
@@ -278,7 +278,7 @@ class TestZeroDelayFifo:
             ("sibling", 2.0),
         ]
 
-    def test_next_event_time_sees_the_fifo(self, sim):
+    def test_next_event_time_sees_a_zero_delay_event(self, sim):
         sim.schedule(4.0, lambda: None)
         handle = sim.schedule_in(0.0, lambda: None)
         assert sim.next_event_time() == 0.0
@@ -286,20 +286,20 @@ class TestZeroDelayFifo:
         assert sim.next_event_time() == 4.0
         assert heap_size(sim) == 1
 
-    def test_run_until_fires_the_fifo(self, sim):
+    def test_run_until_fires_zero_delay_events_at_its_horizon(self, sim):
         fired = []
         sim.schedule(1.0, lambda: sim.schedule_in(0.0, lambda: fired.append(sim.now)))
         sim.run_until(1.0)
         assert fired == [1.0]
         assert heap_size(sim) == 0
 
-    def test_queued_lists_live_events_of_both_queues(self, sim):
+    def test_queued_lists_live_zero_delay_and_later_events(self, sim):
         heap_event = sim.schedule(3.0, lambda: None)
-        fifo_event = sim.schedule_in(0.0, lambda: None)
+        zero_delay_event = sim.schedule_in(0.0, lambda: None)
         sim.schedule_in(0.0, lambda: None).cancel()
-        assert {*sim.queued()} == {heap_event, fifo_event}
+        assert {*sim.queued()} == {heap_event, zero_delay_event}
 
-    def test_restore_state_discards_the_fifo(self, sim):
+    def test_restore_state_discards_zero_delay_events(self, sim):
         state = sim.snapshot_state()
         sim.schedule_in(0.0, lambda: None)
         sim.restore_state(state)
@@ -331,7 +331,7 @@ class TestCompaction:
         sim.run()
         assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
 
-    def test_fifo_cancel_loop_keeps_queue_bounded(self, sim):
+    def test_zero_delay_cancel_loop_keeps_heap_bounded(self, sim):
         live = sim.schedule_in(0.0, lambda: None)
         for _ in range(100):
             handles = [sim.schedule_in(0.0, lambda: None) for _ in range(100)]

@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checkpoint.format import FORMAT_VERSION
 from repro.cli import build_parser, main
 from tests.oracles import to_json
+
+
+@pytest.fixture(scope="module")
+def current_snapshot(tmp_path_factory) -> str:
+    """The text of one snapshot this build writes."""
+    snap = tmp_path_factory.mktemp("current") / "snap.json"
+    assert main([
+        "checkpoint", "--requests", "12", "--at-step", "50", "--out", str(snap),
+    ]) == 0
+    return snap.read_text(encoding="utf-8")
 
 
 class TestParser:
@@ -184,45 +195,23 @@ class TestCommands:
         assert "monitor_poll_interval" in err
         assert "Traceback" not in err
 
-    def test_resume_version_six_snapshot_exits_2(self, capsys, tmp_path):
-        from repro.checkpoint.format import FORMAT_VERSION
-
+    @pytest.mark.parametrize("version", range(1, FORMAT_VERSION))
+    def test_resume_retired_version_snapshot_exits_2(
+        self, version, current_snapshot, capsys, tmp_path
+    ):
+        """A snapshot stamped with any earlier format version is refused."""
         snap = tmp_path / "snap.json"
-        assert main([
-            "checkpoint", "--requests", "12", "--at-step", "50",
-            "--out", str(snap),
-        ]) == 0
-        text = snap.read_text(encoding="utf-8")
         snap.write_text(
-            text.replace(f'"version":{FORMAT_VERSION}', '"version":6', 1),
+            current_snapshot.replace(
+                f'"version":{FORMAT_VERSION}', f'"version":{version}', 1
+            ),
             encoding="utf-8",
         )
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(["resume", str(snap)])
         assert exc.value.code == 2
-        assert "format version 6" in capsys.readouterr().err
-
-    def test_resume_version_seven_snapshot_exits_2(self, capsys, tmp_path):
-        """Version 7 lists a round's PULLs and ADVERTISEs one by one."""
-        from repro.checkpoint.format import FORMAT_VERSION
-
-        assert FORMAT_VERSION == 8
-        snap = tmp_path / "snap.json"
-        assert main([
-            "checkpoint", "--requests", "12", "--at-step", "50",
-            "--out", str(snap),
-        ]) == 0
-        text = snap.read_text(encoding="utf-8")
-        snap.write_text(
-            text.replace(f'"version":{FORMAT_VERSION}', '"version":7', 1),
-            encoding="utf-8",
-        )
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["resume", str(snap)])
-        assert exc.value.code == 2
-        assert "format version 7" in capsys.readouterr().err
+        assert f"format version {version}" in capsys.readouterr().err
 
     def test_checkpoint_then_resume_degraded(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"

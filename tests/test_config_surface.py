@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.agents.advertisement import PUSH_MIN_INTERVAL, EventPushStrategy
+from repro.agents.advertisement import PUSH_MIN_INTERVAL, EventPushStrategy, PullRounds
 from repro.agents.agent import DEDUP_CAP, TRANSFER_BANDWIDTH, Agent
 from repro.agents.discovery import MAX_HOPS, DiscoveryConfig
 from repro.agents.healing import HEAL_RETRY, MAX_HEAL_ATTEMPTS
@@ -128,6 +128,7 @@ KEYWORDS = {
     ),
     MemorySink: (),
     EventPushStrategy: (),
+    PullRounds: ("sim", "transport", "interval"),
     FIFOScheduler: ("n_nodes",),
     run_many: ("configs", "jobs", "manifest_dir"),
     run_experiment: (
